@@ -1,13 +1,14 @@
 """Section 6 (JIT formalization), executable: for every move the JIT
 makes -- replacing an eligible F lambda with compiled assembly -- the
 source and replacement are contextually equivalent, and whole rewritten
-programs agree with their sources."""
+programs agree with their sources.  Each case also records the fuel its
+compiled replacement spends on one call."""
 
 from repro.equiv.checker import check_equivalence
 from repro.f.eval import evaluate
 from repro.f.syntax import App, BinOp, FArrow, FInt, If0, IntE, Lam, Var
+from repro.compile import compile_function, jit_rewrite
 from repro.ft.machine import evaluate_ft
-from repro.jit.compiler import compile_function, is_compilable, jit_rewrite
 
 from tests.strategies import random_f_int_expr
 
@@ -32,11 +33,12 @@ CANDIDATES = [
 
 def test_jit_per_function_equivalence(record):
     for name, source in CANDIDATES:
-        compiled = compile_function(source)
-        blocks = len(compiled.body.fn.comp.heap)
-        report = check_equivalence(source, compiled, INT_ARROW,
+        result = compile_function(source)
+        _, machine = evaluate_ft(App(result.wrapped, (IntE(3),)))
+        report = check_equivalence(source, result.wrapped, INT_ARROW,
                                    fuel=25_000)
-        record(f"jit {name}: {blocks} block(s) -- {report}")
+        record(f"jit {name}: {result.block_count()} block(s), "
+               f"{machine.budget.fuel_used} fuel at x=3 -- {report}")
         assert report.equivalent
 
 
@@ -60,11 +62,11 @@ def test_bench_jit_compile(benchmark):
         return compile_function(source)
 
     compiled = benchmark(compile_)
-    assert len(compiled.body.fn.comp.heap) == 5
+    assert compiled.block_count() == 4
 
 
 def test_bench_jit_compiled_execution(benchmark):
-    compiled = compile_function(CANDIDATES[2][1])
+    compiled = compile_function(CANDIDATES[2][1]).wrapped
 
     def run():
         value, _ = evaluate_ft(App(compiled, (IntE(9),)))
@@ -75,7 +77,7 @@ def test_bench_jit_compiled_execution(benchmark):
 
 def test_bench_jit_equivalence_obligation(benchmark):
     source = CANDIDATES[0][1]
-    compiled = compile_function(source)
+    compiled = compile_function(source).wrapped
 
     def check():
         return check_equivalence(source, compiled, INT_ARROW,

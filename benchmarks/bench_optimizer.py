@@ -1,12 +1,12 @@
 """Ablation/extension: the peephole optimizer (the constructive face of
-Fig 16's block-structure irrelevance).  Measures code shrink on compiled
-functions and re-checks the equivalence obligation after optimizing."""
+Fig 16's block-structure irrelevance).  The compiler always runs it, so
+the shrink is measured against ``compile_term(..., optimize=False)``;
+the equivalence obligation is re-checked on the optimized output."""
 
 from repro.equiv.checker import check_equivalence
 from repro.f.syntax import App, BinOp, FArrow, FInt, If0, IntE, Lam, Var
 from repro.ft.machine import evaluate_ft
-from repro.ft.syntax import Boundary
-from repro.jit.compiler import compile_function
+from repro.compile import compile_term
 from repro.tal.optimize import optimize_component
 
 INT_ARROW = FArrow((FInt(),), FInt())
@@ -35,9 +35,8 @@ def _instr_count(comp):
 
 def test_optimizer_shrinks_compiled_code(record):
     for name, source in _sources():
-        compiled = compile_function(source)
-        comp = compiled.body.fn.comp
-        optimized = optimize_component(comp)
+        comp = compile_term(source, optimize=False).component
+        optimized = compile_term(source).component
         before, after = _instr_count(comp), _instr_count(optimized)
         record(f"optimizer {name}: {before} -> {after} instructions "
                f"({100 * (before - after) // before}% smaller)")
@@ -46,12 +45,7 @@ def test_optimizer_shrinks_compiled_code(record):
 
 def test_optimizer_preserves_equivalence(record):
     for name, source in _sources():
-        compiled = compile_function(source)
-        optimized = Lam(
-            compiled.params,
-            App(Boundary(INT_ARROW,
-                         optimize_component(compiled.body.fn.comp)),
-                (Var("x"),)))
+        optimized = compile_term(source).wrapped
         report = check_equivalence(source, optimized, INT_ARROW,
                                    fuel=25_000, max_contexts=8)
         record(f"optimizer {name}: source ~ optimized -- {report}")
@@ -59,8 +53,7 @@ def test_optimizer_preserves_equivalence(record):
 
 
 def test_bench_optimizer_pass(benchmark):
-    compiled = compile_function(_sources()[1][1])
-    comp = compiled.body.fn.comp
+    comp = compile_term(_sources()[1][1], optimize=False).component
 
     def optimize():
         return optimize_component(comp)
@@ -71,13 +64,7 @@ def test_bench_optimizer_pass(benchmark):
 
 def test_bench_optimized_execution(benchmark):
     name, source = _sources()[1]
-    compiled = compile_function(source)
-    optimized = Lam(
-        compiled.params,
-        App(Boundary(INT_ARROW,
-                     optimize_component(compiled.body.fn.comp)),
-            (Var("x"),)))
-    program = App(optimized, (IntE(5),))
+    program = App(compile_term(source).wrapped, (IntE(5),))
 
     def run():
         value, _ = evaluate_ft(program)

@@ -216,34 +216,23 @@ def cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def cmd_jit(args: argparse.Namespace) -> int:
-    from repro.f.syntax import Lam
-    from repro.jit.compiler import compile_function, is_compilable
+    from repro.compile import compile_function, jit_eligible
     from repro.surface.parser import parse_fexpr
-    from repro.tal.optimize import optimize_component
 
     source = parse_fexpr(_load(args.file))
-    if not is_compilable(source):
+    if not jit_eligible(source):
         print("error: not a compilable lambda (first-order arithmetic "
               "fragment: int parameters; literals, parameters, + - *, "
               "if0)", file=sys.stderr)
         return 2
-    compiled = compile_function(source)
-    comp = compiled.body.fn.comp
-    if args.optimize:
-        comp = optimize_component(comp)
+    result = compile_function(source)
     from repro.surface.pretty import pretty_component
 
-    print(pretty_component(comp))
+    print(pretty_component(result.component))
     if args.check:
         from repro.equiv.checker import check_equivalence
-        from repro.f.typecheck import typecheck as f_typecheck
-        from repro.ft.syntax import Boundary
-        from repro.f.syntax import App, Var
 
-        rebuilt = Lam(compiled.params,
-                      App(Boundary(compiled.body.fn.ty, comp),
-                          tuple(Var(x) for x, _ in compiled.params)))
-        report = check_equivalence(source, rebuilt, f_typecheck(source),
+        report = check_equivalence(source, result.wrapped, result.ty,
                                    fuel=args.fuel)
         print()
         print(f"equivalence obligation: {report}")
@@ -258,7 +247,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
     from repro.compile import compile_term, validate_compilation
     from repro.f.syntax import App, FArrow, Lam
     from repro.surface.parser import parse_fexpr
-    from repro.tiering.policy import resolve_tiers
 
     entry = _resolve_example(args.target)
     if entry is not None:
@@ -269,8 +257,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         print("error: compile takes an F term, not a T component",
               file=sys.stderr)
         return 2
-    result = compile_term(node, None, resolve_tiers(args.tier, "compile"))
-    print(f"tier: {result.tier}")
+    result = compile_term(node)
     print(f"type: {result.ty}")
     print(f"blocks: {result.block_count()}")
     if args.ir:
@@ -288,10 +275,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
         store = ArtifactStore(args.store or None)
         digest = component_digest(node, result.free)
         iface = ComponentInterface(name="<compile>", ty=result.ty,
-                                   imports=result.free, digest=digest,
-                                   tier=result.tier)
+                                   imports=result.free, digest=digest)
         store.put(digest, StoredComponent(iface, result.wrapped),
-                  meta={"tier": result.tier, "type": str(result.ty)})
+                  meta={"tier": iface.tier, "type": str(result.ty)})
         print()
         print(f"stored: {digest[:16]} -> {store.root}")
     if args.validate:
@@ -595,10 +581,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def _jit_cache_stats() -> Dict:
     """The JIT's compile cache (a shared :class:`repro.serve.cache.LRUCache`)
-    as a stats dict, without forcing the jit import if it never ran."""
+    as a stats dict, without forcing the compiler import if it never
+    ran."""
     import sys as _sys
 
-    compiler = _sys.modules.get("repro.jit.compiler")
+    compiler = _sys.modules.get("repro.compile.pipeline")
     if compiler is None:
         return {"size": 0, "maxsize": 0, "hits": 0, "misses": 0,
                 "evictions": 0}
@@ -712,17 +699,6 @@ def cmd_top(args: argparse.Namespace) -> int:
     if args.out:
         snap.save(args.out)
         print(f"wrote profile snapshot to {args.out}", file=sys.stderr)
-    if getattr(args, "promote_threshold", None) is not None:
-        # The historical manual hand-off: digests of T blocks hot enough
-        # to pre-seed the fast tier's template JIT.  Superseded by the
-        # repro.tiering controller, which harvests and validates these
-        # digests automatically (``--tiering auto``).
-        print("note: --promote-threshold is deprecated; use "
-              "'funtal serve/batch --tiering auto' (docs/tiering.md)",
-              file=sys.stderr)
-        for digest in snap.promote(args.promote_threshold):
-            print(digest)
-        return 0
     if args.json:
         print(_json.dumps(snap.to_dict(), indent=2, sort_keys=True))
     else:
@@ -906,7 +882,6 @@ def _job_from_args(args: argparse.Namespace):
         jit=getattr(args, "jit", False),
         timeout=args.timeout,
         result_type=args.result_type, trace=getattr(args, "trace", False),
-        optimize=getattr(args, "optimize", False),
         check=getattr(args, "check", False),
         seed=getattr(args, "seed", 0),
         type=getattr(args, "type", None),
@@ -1150,7 +1125,7 @@ def _chaos_one(name: str, build, reference: str, seed: int, rate: float,
     """
     from repro.errors import InjectedFault, SnapshotError
     from repro.ft.machine import FTMachine
-    from repro.jit.compiler import clear_compile_cache
+    from repro.compile.pipeline import clear_compile_cache
     from repro.resilience.chaos import FaultPlane
     from repro.resilience.safety_net import Quarantine, run_guarded
 
@@ -1357,8 +1332,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_jit = sub.add_parser(
         "jit", help="compile an F lambda to typed assembly")
     p_jit.add_argument("file")
-    p_jit.add_argument("--optimize", action="store_true",
-                       help="run the peephole optimizer on the result")
     p_jit.add_argument("--check", action="store_true",
                        help="discharge the equivalence obligation")
     p_jit.add_argument("--fuel", type=int, default=25_000)
@@ -1366,14 +1339,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p_comp = sub.add_parser(
         "compile",
-        help="compile a whole F term to typed assembly (tiered "
-             "pipeline with translation validation)")
+        help="compile a whole F term to typed assembly (with "
+             "translation validation)")
     p_comp.add_argument("target",
                         help="an F source file, '-' for stdin, or a "
                              "paper-example name (e.g. fact-f)")
-    p_comp.add_argument("--tier", choices=["arith", "general"],
-                        default=None,
-                        help="force a tier (default: cheapest eligible)")
     p_comp.add_argument("--ir", action="store_true",
                         help="also print the closure-conversion IR")
     p_comp.add_argument("--validate", action="store_true",
@@ -1497,12 +1467,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="print the full ProfileSnapshot as JSON")
     p_top.add_argument("--out",
                        help="also save the ProfileSnapshot artifact here")
-    p_top.add_argument("--promote-threshold", type=int, default=None,
-                       dest="promote_threshold", metavar="N",
-                       help="instead of the table, print the digests of T "
-                            "blocks with >= N attributed self steps (the "
-                            "list repro.tal.fast.promote_digests and "
-                            "FUNTAL_TAL_PROMOTE consume)")
     _add_budget_args(p_top)
     _add_engine_arg(p_top)
     p_top.set_defaults(fn=cmd_top)
@@ -1591,7 +1555,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="per-job wall-clock seconds")
     p_sub.add_argument("--result-type", default="int")
     p_sub.add_argument("--trace", action="store_true")
-    p_sub.add_argument("--optimize", action="store_true")
     p_sub.add_argument("--check", action="store_true")
     p_sub.add_argument("--seed", type=int, default=0)
     p_sub.add_argument("--type", help="equiv: the common F type")

@@ -10,9 +10,7 @@ nondeterministic labels defeat the cache.
 
 A :class:`NameSupply` is created per compilation and threaded through
 every pass, so a given source term always compiles to the identical
-component -- across calls, runs, and processes.  Both the legacy
-arithmetic JIT tier (:mod:`repro.jit.compiler`) and the general compiler
-(:mod:`repro.compile`) draw from it.
+component -- across calls, runs, and processes.
 """
 
 from __future__ import annotations

@@ -83,7 +83,6 @@ def _deep_host_stack() -> Iterator[None]:
 class ValidationReport:
     """What translation validation observed for one compilation."""
 
-    tier: str
     ok: bool = True
     typechecked: bool = False
     trials: int = 0                      # differential argument vectors
@@ -94,7 +93,6 @@ class ValidationReport:
 
     def to_json(self) -> Dict[str, object]:
         return {
-            "tier": self.tier,
             "ok": self.ok,
             "typechecked": self.typechecked,
             "trials": self.trials,
@@ -108,9 +106,9 @@ class ValidationReport:
         if self.ok:
             extra = ("" if self.equiv is None
                      else f", {self.equiv.trials} contexts")
-            return (f"validated ({self.tier} tier: typechecked, "
+            return (f"validated (typechecked, "
                     f"{self.trials} differential trials{extra})")
-        return f"VALIDATION FAILED ({self.tier} tier): {self.failure}"
+        return f"VALIDATION FAILED: {self.failure}"
 
 
 #: Integer arguments for differential runs.  Deliberately small in
@@ -184,10 +182,10 @@ def validate_compilation(
     result = (target if isinstance(target, CompilationResult)
               else compile_term(target, gamma))
     q = quarantine if quarantine is not None else QUARANTINE
-    report = ValidationReport(tier=result.tier)
+    report = ValidationReport()
     source, wrapped, ty = result.source, result.wrapped, result.ty
 
-    with OBS.span("compile.validate", "compile", tier=result.tier):
+    with OBS.span("compile.validate", "compile"):
         # Axis 1: the wrapped replacement typechecks at the source type.
         full_gamma = dict(gamma or {})
         full_gamma.update(dict(result.free))

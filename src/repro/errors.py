@@ -66,9 +66,8 @@ class FTTypeError(FunTALError):
 class CompileError(FTTypeError):
     """The expression falls outside the compilable fragment.
 
-    Raised by both the arithmetic JIT tier (:mod:`repro.jit.compiler`) and
-    the general F-to-T compiler (:mod:`repro.compile`); eligibility probes
-    catch it to decide tier routing.
+    Raised by the F-to-T compiler (:mod:`repro.compile`) for terms it
+    does not cover.
     """
 
 

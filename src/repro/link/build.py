@@ -42,13 +42,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import LinkError
 from repro.obs.events import OBS
 from repro.compile.pipeline import (
-    CompilationResult, compile_term, eligible_tier,
+    CompilationResult, compile_term, is_general_compilable,
 )
 from repro.f.syntax import App, FExpr, FType, Lam
 from repro.ft.syntax import Boundary, ft_free_vars
 from repro.ft.typecheck import check_ft_expr
 from repro.link.fingerprint import stable_fingerprint
-from repro.link.interface import ComponentInterface
+from repro.link.interface import TIER_COMPILED, ComponentInterface
 from repro.link.linker import (
     LinkedProgram, LinkUnit, link_components, topological_order,
 )
@@ -237,13 +237,13 @@ def _build_one(name: str, expr: FExpr, gamma: Dict[str, FType],
                optimize: bool) -> Tuple[ComponentInterface, FExpr, str]:
     """Compile (or adopt) one component; returns (iface, term, tier)."""
     imports = tuple(sorted((n, gamma[n]) for n in ft_free_vars(expr)))
-    if eligible_tier(expr, dict(imports) or None) is not None:
+    if is_general_compilable(expr, dict(imports) or None):
         result = compile_term(expr, dict(imports) or None,
                               optimize=optimize)
         iface = ComponentInterface(name=name, ty=result.ty,
-                                   imports=result.free, tier=result.tier)
-        return iface, result.wrapped, result.tier
-    # Outside every compiler tier: a hand-written FT term (e.g. Fig 17's
+                                   imports=result.free)
+        return iface, result.wrapped, TIER_COMPILED
+    # Outside the compiler: a hand-written FT term (e.g. Fig 17's
     # factT).  One static check here stands in for compilation.
     ty, _ = check_ft_expr(expr, gamma=dict(imports) if imports else None)
     iface = ComponentInterface(name=name, ty=ty, imports=imports,
@@ -322,7 +322,7 @@ def _as_result(record: BuildRecord, source: FExpr) -> CompilationResult:
             f"component {record.name!r} ({record.tier} tier) has no "
             f"extractable boundary component to validate",
             stage="interface", subject=record.name)
-    return CompilationResult(source=source, tier=record.tier,
+    return CompilationResult(source=source,
                              ty=record.iface.ty, wrapped=term,
                              component=component,
                              free=record.iface.imports)

@@ -36,9 +36,14 @@ from repro.tal.subtyping import is_regfile_subtype
 from repro.tal.syntax import CodeType, RegFileTy, TalType, TBox
 
 __all__ = [
-    "ComponentInterface", "check_import", "export_code_type",
-    "imports_compatible",
+    "ComponentInterface", "TIER_COMPILED", "check_import",
+    "export_code_type", "imports_compatible",
 ]
+
+#: The ``tier`` of a compiled component.  The string predates the single
+#: compiler and stays so stored artifacts and receipts keep reading the
+#: same; :data:`repro.link.build.TIER_HANDWRITTEN` is the other value.
+TIER_COMPILED = "general"
 
 
 @dataclass(frozen=True)
@@ -47,15 +52,15 @@ class ComponentInterface:
 
     ``imports`` is the free-variable typing the component was built
     against (name, F type), in name order; ``digest`` is the content
-    address of the stored artifact; ``tier`` is the compilation tier
-    (``arith``/``general``) or ``handwritten`` for FT terms taken as-is.
+    address of the stored artifact; ``tier`` is :data:`TIER_COMPILED`
+    for compiled components or ``handwritten`` for FT terms taken as-is.
     """
 
     name: str
     ty: FType
     imports: Tuple[Tuple[str, FType], ...] = ()
     digest: str = ""
-    tier: str = "general"
+    tier: str = TIER_COMPILED
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "imports",

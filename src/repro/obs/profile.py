@@ -7,7 +7,7 @@ shadow stack at every beta reduction, the T machine tracks the current
 code block, and every machine step charges one unit to whatever extent
 is on top.  Code is identified by **content hash** -- the SHA-1 of its
 pretty-printed form -- so the same lambda observed in different runs,
-workers, or compile tiers aggregates under one key, exactly the
+workers, or engines aggregates under one key, exactly the
 identity the compile cache and artifact store already use.
 
 The shadow stack mirrors the machines' own control structure:
@@ -279,7 +279,7 @@ class ProfileSnapshot:
     def promote(self, threshold: int,
                 kinds: Tuple[str, ...] = ("t",)) -> List[str]:
         """Digests of code at or above ``threshold`` attributed self
-        steps -- the list ``funtal top --promote-threshold`` emits and
+        steps -- the ``t_blocks`` a tiering receipt records and
         :func:`repro.tal.fast.promote_digests` consumes to pre-seed the
         template JIT (skipping the per-run hot counter)."""
         return [entry["key"] for entry in self.entries

@@ -15,7 +15,7 @@ Four pieces, one goal -- faults degrade instead of crash:
   injecting deterministic faults at named seams, so every one of the
   degradation paths above is exercised by tests and ``funtal chaos``.
 
-``safety_net`` is exported lazily: it imports :mod:`repro.jit.compiler`,
+``safety_net`` is exported lazily: it imports :mod:`repro.compile.pipeline`,
 which itself probes :mod:`repro.resilience.chaos`, so an eager re-export
 here would close an import cycle through this package ``__init__``.
 """

@@ -1,8 +1,8 @@
 """JIT safety net: differential guard + quarantine circuit breaker.
 
-The JIT (:mod:`repro.jit.compiler`) replaces eligible F lambdas with
-compiled T components behind boundaries.  Its correctness obligation is
-the paper's ``E[e_S] ~ E[FT e_T]``; this module is the *runtime*
+The JIT (:func:`repro.compile.pipeline.jit_rewrite`) replaces eligible F
+lambdas with compiled T components behind boundaries.  Its correctness
+obligation is the paper's ``E[e_S] ~ E[FT e_T]``; this module is the *runtime*
 enforcement of that obligation: if anything faults while compiling or
 while running jitted code -- a compiler bug, a miscompile tripping the
 machine's stuck-state checks, an injected chaos fault -- the safety net
@@ -14,9 +14,8 @@ machine's stuck-state checks, an injected chaos fault -- the safety net
    this process.
 
 Resource exhaustion (fuel/heap/depth) is *not* treated as a JIT fault:
-it is a legitimate verdict of bounded evaluation -- and the compilable
-fragment (first-order arithmetic) cannot introduce divergence -- so it
-propagates to the caller unchanged.
+it is a legitimate verdict of bounded evaluation, so it propagates to the
+caller unchanged.
 
 Quarantine statistics surface in ``funtal stats`` and in the
 ``jit.quarantine.*`` metrics.
@@ -28,14 +27,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ResourceExhausted
-from repro.f.syntax import (
-    App, BinOp, FExpr, Fold, If0, IntE, Lam, Proj, TupleE, Unfold, UnitE,
-    Var,
-)
+from repro.f.syntax import FExpr, Lam
 from repro.ft.machine import FTMachine, evaluate_ft
-from repro.ft.syntax import StackLam
-from repro.jit.compiler import compile_function
-from repro.compile.pipeline import eligible_tier
+from repro.compile.pipeline import compile_function, jit_rewrite
 from repro.obs.events import OBS
 from repro.resilience.budget import Budget
 from repro.resilience.chaos import probe
@@ -114,69 +108,41 @@ class SafetyNetReport:
 
 def jit_rewrite_guarded(
         e: FExpr, quarantine: Optional[Quarantine] = None,
-        tiers: Optional[Tuple[str, ...]] = None
+        wide: Optional[bool] = None
 ) -> Tuple[FExpr, List[Lam], SafetyNetReport]:
-    """Like :func:`repro.jit.compiler.jit_rewrite`, but faults degrade.
+    """Like :func:`repro.compile.pipeline.jit_rewrite`, but faults degrade.
 
     Quarantined lambdas are skipped (left interpreted); a lambda whose
     *compilation* faults is quarantined on the spot and left interpreted.
-    Tier eligibility defers to the active tiering policy when ``tiers``
-    is ``None`` (exactly as in ``jit_rewrite``).  Returns the rewritten
-    program, the source lambdas that were compiled into it (for
-    run-time quarantining), and a report.
+    ``wide`` is the JIT scope, exactly as in ``jit_rewrite``.  Returns
+    the rewritten program, the source lambdas that were compiled into it
+    (for run-time quarantining), and a report.
     """
-    if tiers is None:
-        from repro.tiering.policy import resolve_tiers
-
-        tiers = resolve_tiers(None, "jit")
     q = quarantine if quarantine is not None else QUARANTINE
     report = SafetyNetReport()
     compiled_sources: List[Lam] = []
     quarantined_now: List[str] = []
 
-    def rewrite(e: FExpr) -> FExpr:
-        if (isinstance(e, Lam) and not isinstance(e, StackLam)
-                and eligible_tier(e, None, tiers) is not None):
-            if e in q:
-                q.skip(e)
-                report.skipped += 1
-                return Lam(e.params, rewrite(e.body))
-            try:
-                compiled = compile_function(e, tiers)
-            except ResourceExhausted:
-                raise
-            except Exception as exc:
-                q.add(e, f"compile fault: {exc}")
-                quarantined_now.append(str(e))
-                if OBS.enabled:
-                    OBS.metrics.inc("resilience.jit_fallback.compile")
-                return Lam(e.params, rewrite(e.body))
-            compiled_sources.append(e)
-            report.jitted += 1
-            return compiled
-        if isinstance(e, (Var, IntE, UnitE)):
-            return e
-        if isinstance(e, BinOp):
-            return BinOp(e.op, rewrite(e.left), rewrite(e.right))
-        if isinstance(e, If0):
-            return If0(rewrite(e.cond), rewrite(e.then), rewrite(e.els))
-        if isinstance(e, StackLam):
-            return StackLam(e.params, rewrite(e.body), e.phi_in, e.phi_out)
-        if isinstance(e, Lam):
-            return Lam(e.params, rewrite(e.body))
-        if isinstance(e, App):
-            return App(rewrite(e.fn), tuple(rewrite(a) for a in e.args))
-        if isinstance(e, Fold):
-            return Fold(e.ann, rewrite(e.body))
-        if isinstance(e, Unfold):
-            return Unfold(rewrite(e.body))
-        if isinstance(e, TupleE):
-            return TupleE(tuple(rewrite(x) for x in e.items))
-        if isinstance(e, Proj):
-            return Proj(e.index, rewrite(e.body))
-        return e  # boundaries and other leaves are left untouched
+    def compile_guarded(lam: Lam) -> Optional[FExpr]:
+        if lam in q:
+            q.skip(lam)
+            report.skipped += 1
+            return None
+        try:
+            compiled = compile_function(lam).wrapped
+        except ResourceExhausted:
+            raise
+        except Exception as exc:
+            q.add(lam, f"compile fault: {exc}")
+            quarantined_now.append(str(lam))
+            if OBS.enabled:
+                OBS.metrics.inc("resilience.jit_fallback.compile")
+            return None
+        compiled_sources.append(lam)
+        report.jitted += 1
+        return compiled
 
-    rewritten = rewrite(e)
+    rewritten = jit_rewrite(e, wide, compile_guarded)
     report.quarantined = tuple(quarantined_now)
     return rewritten, compiled_sources, report
 
@@ -185,7 +151,7 @@ def run_guarded(e: FExpr, fuel: Optional[int] = None,
                 heap: Optional[int] = None, depth: Optional[int] = None,
                 trace: bool = False,
                 quarantine: Optional[Quarantine] = None,
-                tiers: Optional[Tuple[str, ...]] = None,
+                wide: Optional[bool] = None,
                 tal_engine: Optional[str] = None
                 ) -> Tuple[FExpr, FTMachine, SafetyNetReport]:
     """JIT-rewrite ``e`` and run it under the differential guard.
@@ -203,7 +169,7 @@ def run_guarded(e: FExpr, fuel: Optional[int] = None,
     never decide the answer.
     """
     q = quarantine if quarantine is not None else QUARANTINE
-    rewritten, compiled_sources, report = jit_rewrite_guarded(e, q, tiers)
+    rewritten, compiled_sources, report = jit_rewrite_guarded(e, q, wide)
 
     def interpret(tal: Optional[str] = None) -> Tuple[FExpr, FTMachine]:
         return evaluate_ft(e, fuel=fuel, trace=trace,

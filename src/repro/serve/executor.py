@@ -15,10 +15,9 @@ Job kinds mirror the CLI subcommands:
                ``options.result_type``
 ``run``        evaluate under ``options.fuel``; reports value/halt word,
                machine steps consumed, optionally the control-flow table
-``jit``        compile an F lambda to typed assembly (``options.optimize``
-               / ``options.check`` as in ``funtal jit``)
-``compile``    whole-F compilation through the tiered pipeline
-               (``options.tier`` forces a tier, ``options.ir`` includes
+``jit``        compile an F lambda to typed assembly (``options.check``
+               as in ``funtal jit``)
+``compile``    whole-F compilation (``options.ir`` includes
                the closure-conversion IR, ``options.validate`` runs
                translation validation); results are content-addressed
                like every other ``ok`` result
@@ -224,36 +223,33 @@ def _do_run(job: Job, progress: Optional[Progress] = None) -> Dict[str, Any]:
             # The receipt certifies the fast T tier for this digest.
             tal_engine = "fast"
 
-    # A promoted expression whose receipt covers a compile tier runs
-    # under the same guarded-JIT envelope as ``options.jit`` (the PR 3
-    # safety net stays the demotion backstop); checkpointed runs stay
-    # on the plain machine, whose state is snapshottable.
-    guard_tiers = None
-    if promoted and not is_component and not job.options.checkpoint \
-            and not job.options.checkpoint_every:
-        from repro.tiering.promote import guarded_tiers
+    # A promoted expression whose receipt covers a compiled artifact
+    # runs under the same guarded-JIT envelope as ``options.jit``, with
+    # the wide JIT scope (the safety net stays the demotion backstop);
+    # checkpointed runs stay on the plain machine, whose state is
+    # snapshottable.
+    guard_wide = (promoted and not is_component
+                  and not job.options.checkpoint
+                  and not job.options.checkpoint_every
+                  and bool(payload and payload.get("compile_tier")))
 
-        guard_tiers = guarded_tiers(payload)
-
-    if (job.options.jit or guard_tiers is not None) and not is_component \
+    if (job.options.jit or guard_wide) and not is_component \
             and not job.options.degraded:
+        from repro.link.interface import TIER_COMPILED
         from repro.resilience.safety_net import run_guarded
-        from repro.tiering.policy import resolve_tiers
 
-        tiers = guard_tiers if guard_tiers is not None \
-            else resolve_tiers(None, "jit")
         value, machine, report = run_guarded(
             node, job.options.fuel or DEFAULT_FUEL,
             job.options.heap, job.options.depth, trace, None,
-            tiers, tal_engine if promoted else job.options.tal_engine)
+            True if guard_wide else None,
+            tal_engine if promoted else job.options.tal_engine)
         out = {"value": str(value), "jit": report.to_json()}
         degraded_run = bool(getattr(report, "fell_back", False))
         if degraded_run:
             out["degraded"] = True
         out["steps"] = machine.budget.fuel_used
-        compile_tier = None
-        if getattr(report, "jitted", 0) and not degraded_run:
-            compile_tier = "general" if "general" in tiers else "arith"
+        compile_tier = TIER_COMPILED if report.jitted and not degraded_run \
+            else None
         out["tier"] = _tier_envelope(
             job, machine, compile_tier=compile_tier, promoted=promoted,
             degraded=degraded_run)
@@ -356,33 +352,23 @@ def _do_resume(job: Job,
 
 
 def _do_jit(job: Job) -> Dict[str, Any]:
-    from repro.f.syntax import App, Lam, Var
-    from repro.jit.compiler import compile_function, is_compilable
+    from repro.compile import compile_function, jit_eligible
     from repro.surface.pretty import pretty_component
 
     node, is_component = _resolve_program(job)
-    if is_component or not is_compilable(node):
+    if is_component or not jit_eligible(node):
         raise FunTALError(
             "not a compilable lambda (first-order arithmetic fragment: "
             "int parameters; literals, parameters, + - *, if0)")
-    compiled = compile_function(node)
-    comp = compiled.body.fn.comp
-    if job.options.optimize:
-        from repro.tal.optimize import optimize_component
-
-        comp = optimize_component(comp)
+    result = compile_function(node)
+    comp = result.component
     out: Dict[str, Any] = {"assembly": pretty_component(comp),
                            "blocks": 1 + len(comp.heap)}
     if job.options.check:
         from repro.equiv.checker import check_equivalence
-        from repro.f.typecheck import typecheck as f_typecheck
-        from repro.ft.syntax import Boundary
 
-        rebuilt = Lam(compiled.params,
-                      App(Boundary(compiled.body.fn.ty, comp),
-                          tuple(Var(x) for x, _ in compiled.params)))
         report = check_equivalence(
-            node, rebuilt, f_typecheck(node),
+            node, result.wrapped, result.ty,
             fuel=job.options.fuel or 25_000)
         out["equivalent"] = report.equivalent
         out["report"] = str(report)
@@ -392,17 +378,14 @@ def _do_jit(job: Job) -> Dict[str, Any]:
 def _do_compile(job: Job) -> Dict[str, Any]:
     from repro.compile import compile_term, validate_compilation
     from repro.surface.pretty import pretty_component
-    from repro.tiering.policy import resolve_tiers
 
     node, is_component = _resolve_program(job)
     if is_component:
         raise FunTALError("compile jobs take an F term, not a T component")
-    result = compile_term(node, None, resolve_tiers(job.options.tier,
-                                                    "compile"))
+    result = compile_term(node)
     out: Dict[str, Any] = {
         "assembly": pretty_component(result.component),
         "blocks": result.block_count(),
-        "tier": result.tier,
         "type": str(result.ty),
     }
     if job.options.ir:

@@ -279,8 +279,9 @@ def _preload_executor_deps() -> None:
     import repro.equiv.checker           # noqa: F401
     import repro.ft.machine              # noqa: F401
     import repro.ft.typecheck            # noqa: F401
-    import repro.jit.compiler            # noqa: F401
+    import repro.compile.pipeline        # noqa: F401
     import repro.papers_examples         # noqa: F401
+    import repro.resilience.safety_net   # noqa: F401
     import repro.surface.parser          # noqa: F401
     import repro.surface.pretty          # noqa: F401
     import repro.tiering.promote         # noqa: F401

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, ClassVar, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import FunTALError
 
@@ -36,7 +36,8 @@ __all__ = [
 #: ``resume``, which continues a fuel-suspended machine from the
 #: content-addressed snapshot a checkpointing ``run`` handed back.
 #: ``compile`` is the whole-F compiler (:mod:`repro.compile`); ``jit``
-#: remains the historical arithmetic-fragment entry point.  ``link``
+#: compiles one lambda in the JIT's default scope (first-order
+#: arithmetic) through the same compiler.  ``link``
 #: builds and links a multi-component manifest (:mod:`repro.link`);
 #: its ``source`` is the manifest JSON, and warm workers reuse the
 #: on-disk artifact store (``options.store``) across jobs.  ``promote``
@@ -88,9 +89,7 @@ class JobOptions:
     timeout: Optional[float] = None     # wall-clock seconds (pool enforced)
     result_type: str = "int"            # halt type for bare T components
     trace: bool = False                 # run: include the control-flow table
-    optimize: bool = False              # jit: run the peephole optimizer
     check: bool = False                 # jit: discharge the equiv obligation
-    tier: Optional[str] = None          # compile: force a tier (arith|general)
     validate: bool = False              # compile: translation validation
     ir: bool = False                    # compile: include the closure IR
     seed: int = 0                       # equiv: context-generator seed
@@ -129,11 +128,6 @@ class JobOptions:
                                         # compile_tier) the worker applies
                                         # before running
 
-    #: Back-compat alias for the audited module-level constant
-    #: :data:`NON_SEMANTIC_OPTIONS` (defined after the class, which it
-    #: describes).  Prefer the module-level names in new code.
-    NON_SEMANTIC: ClassVar[tuple] = ()   # rebound below
-
     def to_dict(self) -> Dict[str, Any]:
         """Wire dict containing only the non-default entries."""
         out = {}
@@ -146,7 +140,7 @@ class JobOptions:
     def semantic_dict(self) -> Dict[str, Any]:
         """The entries that feed the cache key."""
         return {k: v for k, v in self.to_dict().items()
-                if k not in self.NON_SEMANTIC}
+                if k not in NON_SEMANTIC_OPTIONS}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobOptions":
@@ -162,8 +156,7 @@ class JobOptions:
 #: content address (:meth:`JobOptions.semantic_dict`).
 SEMANTIC_OPTIONS = (
     "fuel", "heap", "depth", "checkpoint", "jit", "result_type", "trace",
-    "optimize", "check", "tier", "validate", "ir", "seed", "type", "right",
-    "run",
+    "check", "validate", "ir", "seed", "type", "right", "run",
 )
 
 #: Options that do not affect the *semantic* result and are therefore
@@ -197,8 +190,6 @@ NON_SEMANTIC_OPTIONS = (
     "chaos_rate", "chaos_seed", "chaos_seams",
     "promoted", "tiering",
 )
-
-JobOptions.NON_SEMANTIC = NON_SEMANTIC_OPTIONS
 
 
 @dataclass

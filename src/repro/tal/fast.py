@@ -18,8 +18,8 @@ executable form and stops consulting types at run time:
 * the per-component lowering is keyed by the PR 7 **content digest** and
   cached through the :mod:`repro.link` ArtifactStore, so a compiled
   artifact is lowered once fleet-wide (``tal.fast.preinst.*``);
-* blocks flagged hot (entry counter, or a digest list produced by
-  ``funtal top --promote-threshold``) are **template-JITted**: the block
+* blocks flagged hot (entry counter, or a digest list from a tiering
+  receipt) are **template-JITted**: the block
   body is rendered into one fused Python function per basic block
   (branch-out via block transfer requests) and compiled with ``exec``.
 
@@ -135,9 +135,7 @@ _JIT_THRESHOLD: Optional[int] = None
 def _promoted() -> set:
     global _PROMOTED
     if _PROMOTED is None:
-        # Both knobs resolve through the tiering policy, which honours
-        # the historical FUNTAL_TAL_PROMOTE spelling as a deprecated
-        # alias of FUNTAL_TIERING_PROMOTE.
+        # Both knobs resolve through the tiering policy.
         from repro.tiering.policy import active_policy
 
         _PROMOTED = set(active_policy().tal_promote)
@@ -145,8 +143,8 @@ def _promoted() -> set:
 
 
 def promote_digests(digests) -> None:
-    """Seed the JIT with profiler block digests (the list emitted by
-    ``funtal top --promote-threshold``): matching blocks are promoted on
+    """Seed the JIT with profiler block digests (the ``t_blocks`` of a
+    tiering receipt): matching blocks are promoted on
     first entry instead of waiting out the hot counter."""
     _promoted().update(digests)
 
@@ -634,7 +632,7 @@ class FastBlock:
 
     def digest(self) -> Optional[str]:
         """Stable-per-run profiler digest of the source block (what
-        ``funtal top --promote-threshold`` emits)."""
+        :meth:`repro.obs.profile.ProfileSnapshot.promote` emits)."""
         if self._digest is None and self.src_hcode is not None:
             self._digest = content_hash(self.src_hcode, "t")
         return self._digest

@@ -19,8 +19,8 @@ every worker and process that shares the store.  The PR 3 differential
 safety net plus PR 8 digest quarantine remain the always-on demotion
 backstop.
 
-Import surface: :mod:`repro.tiering.policy` (knobs and tier
-resolution), :mod:`repro.tiering.controller` (state machine),
+Import surface: :mod:`repro.tiering.policy` (knobs and the JIT's
+scope), :mod:`repro.tiering.controller` (state machine),
 :mod:`repro.tiering.receipts` (signed receipt book),
 :mod:`repro.tiering.promote` (worker-side promotion + validation),
 :mod:`repro.tiering.coordinator` (pool-side scheduling glue).
@@ -30,7 +30,6 @@ from repro.tiering.policy import (
     TIERING_MODES,
     TieringPolicy,
     active_policy,
-    resolve_tiers,
     set_active_policy,
 )
 from repro.tiering.controller import (
@@ -46,8 +45,7 @@ from repro.tiering.controller import (
 from repro.tiering.receipts import ReceiptBook, sign_receipt, verify_receipt
 
 __all__ = [
-    "TIERING_MODES", "TieringPolicy", "active_policy", "resolve_tiers",
-    "set_active_policy",
+    "TIERING_MODES", "TieringPolicy", "active_policy", "set_active_policy",
     "COLD", "PROFILING", "PROMOTING", "PROMOTED", "DEMOTED", "QUARANTINED",
     "STATES", "TieringController",
     "ReceiptBook", "sign_receipt", "verify_receipt",

@@ -1,34 +1,22 @@
 """The tiering policy: every promotion knob in one audited place.
 
-Before this module the fast paths were steered by scattered switches:
-``FUNTAL_TAL_JIT_THRESHOLD`` and ``FUNTAL_TAL_PROMOTE`` read deep inside
-:mod:`repro.tal.fast`, ``funtal top --promote-threshold`` hand-carried
-profiler output back into the fast tier, and ``tiers=`` tuples were
-threaded by hand through :mod:`repro.jit.compiler`,
-:mod:`repro.compile.pipeline`, and :mod:`repro.serve.executor`.
-
-:class:`TieringPolicy` replaces all of that.  Precedence is
-``env < config < cli`` (:meth:`TieringPolicy.resolve`); the old
-environment spellings keep working as deprecated aliases that raise a
-:class:`DeprecationWarning`.  Code that used to take a ``tiers=``
-keyword now defaults it to ``None`` and calls :func:`resolve_tiers`,
-so tier selection has exactly one owner.
+Thresholds for the fast T tier's template JIT, promotion hysteresis,
+validation budgets, and the JIT's scope all come from one
+:class:`TieringPolicy`.  Precedence is ``env < config < cli``
+(:meth:`TieringPolicy.resolve`).
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
-
-from repro.compile.pipeline import ALL_TIERS, TIER_ARITH
 
 #: Recognized ``--tiering`` / ``FUNTAL_TIERING`` modes.  ``off`` keeps
 #: historical behavior (nothing promotes unless asked explicitly),
 #: ``auto`` promotes digests the profiler proves hot, ``aggressive``
-#: divides the promotion threshold by ten and turns every compile tier
-#: on for JIT rewriting.
+#: divides the promotion threshold by ten and widens the JIT's scope to
+#: every closed lambda.
 TIERING_MODES: Tuple[str, ...] = ("off", "auto", "aggressive")
 
 _TRUE = ("1", "true", "yes", "on")
@@ -53,9 +41,9 @@ class TieringPolicy:
     #: scheduled for promotion (``aggressive`` divides this by 10).
     promote_threshold: int = 50_000
     #: Per-block hot counter consulted by the fast TAL tier's template
-    #: JIT (was ``FUNTAL_TAL_JIT_THRESHOLD``).
+    #: JIT.
     tal_jit_threshold: int = 16
-    #: Digests pre-promoted at startup (was ``FUNTAL_TAL_PROMOTE``).
+    #: Digests pre-promoted at startup.
     tal_promote: Tuple[str, ...] = ()
     #: Fuel for per-artifact translation validation trials.
     validate_fuel: int = 30_000
@@ -100,9 +88,11 @@ class TieringPolicy:
             return max(1, self.promote_threshold // 10)
         return self.promote_threshold
 
-    def jit_tiers(self) -> Tuple[str, ...]:
-        """Compile tiers the inline JIT rewriter may use."""
-        return ALL_TIERS if self.mode == "aggressive" else (TIER_ARITH,)
+    @property
+    def wide_jit(self) -> bool:
+        """Does the inline JIT compile every closed lambda, not just
+        first-order arithmetic ones?"""
+        return self.mode == "aggressive"
 
     # -- construction --------------------------------------------------
 
@@ -118,28 +108,11 @@ class TieringPolicy:
         "FUNTAL_TIERING_KEY": ("key", str),
     }
 
-    #: old spelling -> replacement env var.  Still honored, with a
-    #: DeprecationWarning; the new spelling wins when both are set.
-    DEPRECATED_ENV: ClassVar[Mapping[str, str]] = {
-        "FUNTAL_TAL_JIT_THRESHOLD": "FUNTAL_TIERING_TAL_JIT_THRESHOLD",
-        "FUNTAL_TAL_PROMOTE": "FUNTAL_TIERING_PROMOTE",
-    }
-
     @classmethod
     def from_env(cls, environ: Optional[Mapping[str, str]] = None,
                  ) -> "TieringPolicy":
         env = os.environ if environ is None else environ
         values: Dict[str, Any] = {}
-        for old, new in cls.DEPRECATED_ENV.items():
-            raw = env.get(old)
-            if raw is None:
-                continue
-            warnings.warn(
-                f"{old} is deprecated; set {new} (or configure a "
-                f"TieringPolicy) instead", DeprecationWarning,
-                stacklevel=2)
-            target, parse = cls.ENV_FIELDS[new]
-            values[target] = parse(raw)
         for var, (target, parse) in cls.ENV_FIELDS.items():
             raw = env.get(var)
             if raw is None:
@@ -196,30 +169,9 @@ def active_policy() -> TieringPolicy:
 
     Deliberately *not* cached when env-derived so tests (and the fast
     tier's ``set_jit_threshold(None)`` re-read contract) observe
-    environment changes; ``warnings`` deduplication keeps the
-    deprecated-alias warning from repeating.
+    environment changes.
     """
     if _ACTIVE is not None:
         return _ACTIVE
     return TieringPolicy.from_env()
 
-
-def resolve_tiers(requested: Any = None, context: str = "compile",
-                  policy: Optional[TieringPolicy] = None,
-                  ) -> Tuple[str, ...]:
-    """Resolve which compile tiers a call site may use.
-
-    ``requested`` is an explicit ask (a tier name or tuple of them,
-    e.g. from ``--tier``) and always wins.  Otherwise the active
-    policy decides: ``jit`` context keeps the historical arith-only
-    envelope unless the mode is ``aggressive``; ``compile`` and
-    ``promote`` contexts get every tier.
-    """
-    if requested is not None:
-        if isinstance(requested, str):
-            return (requested,)
-        return tuple(requested)
-    pol = policy if policy is not None else active_policy()
-    if context == "jit":
-        return pol.jit_tiers()
-    return ALL_TIERS

@@ -16,8 +16,8 @@ The promotion pipeline for a digest:
    :class:`~repro.errors.FTTypeError`, which the coordinator maps to
    ``quarantined``: code that does not typecheck is never promoted,
    full stop.
-3. **Compile + translation validation** (expressions inside a compiler
-   tier): ``compile_term`` at full tiers, artifact stored, and
+3. **Compile + translation validation** (expressions the compiler
+   covers): ``compile_term``, artifact stored, and
    :func:`repro.link.build.cached_validation` -- the PR 7 amortization,
    counted as ``tiering.validate.performed`` when actually run.
 4. **Profiled differential trial** -- the program runs once on the
@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import FunTALError
 from repro.obs import OBS
 from repro.obs.profile import PROFILER, content_hash
-from repro.tiering.policy import TieringPolicy, active_policy, resolve_tiers
+from repro.tiering.policy import TieringPolicy, active_policy
 from repro.tiering.receipts import ReceiptBook
 
 
@@ -103,36 +103,36 @@ def _compile_and_validate(node: Any, store, policy: TieringPolicy,
                           ) -> Tuple[Optional[str], Optional[str]]:
     """Compile an eligible expression, store the artifact, validate.
 
-    Returns ``(compile_tier, artifact_digest)`` -- ``(None, None)``
-    when the expression is outside every compiler tier (hand-written
-    FT code still gets the differential trial + typecheck gate).
+    Returns ``(compile_tier, artifact_digest)`` -- ``("general",
+    digest)`` for a compiled expression, ``(None, None)`` when the
+    compiler does not cover it (hand-written FT code still gets the
+    differential trial + typecheck gate).
     Raises :class:`FunTALError` when translation validation refutes
     the compile, which the coordinator treats as semantic trouble.
     """
-    from repro.compile.pipeline import compile_term, eligible_tier
+    from repro.compile.pipeline import compile_term, is_general_compilable
     from repro.link import ComponentInterface, component_digest
     from repro.link.build import StoredComponent, cached_validation
+    from repro.link.interface import TIER_COMPILED
 
-    tiers = resolve_tiers(None, "promote", policy)
-    if eligible_tier(node, None, tiers) is None:
+    if not is_general_compilable(node):
         return None, None
-    result = compile_term(node, None, tiers)
+    result = compile_term(node)
     digest = component_digest(node, result.free)
     iface = ComponentInterface(name="<tiering>", ty=result.ty,
-                               imports=result.free, digest=digest,
-                               tier=result.tier)
+                               imports=result.free, digest=digest)
     store.put(digest, StoredComponent(iface, result.wrapped),
-              meta={"tier": result.tier, "type": str(result.ty)})
+              meta={"tier": TIER_COMPILED, "type": str(result.ty)})
     report, was_cached = cached_validation(
         store, digest, result,
         fuel=policy.validate_fuel, seed=policy.validate_seed)
     if not report.get("ok"):
         raise FunTALError(
-            f"translation validation refuted tier {result.tier}: "
+            f"translation validation refuted the compiled artifact: "
             f"{report.get('failure')}")
     if not was_cached and OBS.enabled:
         OBS.metrics.inc("tiering.validate.performed")
-    return result.tier, digest
+    return TIER_COMPILED, digest
 
 
 def run_promotion(job) -> Dict[str, Any]:
@@ -169,7 +169,7 @@ def run_promotion(job) -> Dict[str, Any]:
         else:
             check_ft_expr(node)
 
-        # Gate 2 (expressions in a compiler tier): compile + validate.
+        # Gate 2 (expressions the compiler covers): compile + validate.
         compile_tier = artifact = None
         if not is_component:
             compile_tier, artifact = _compile_and_validate(
@@ -219,10 +219,3 @@ def apply_promotion(payload: Optional[Dict[str, Any]]) -> None:
     if threshold is not None:
         fast.set_jit_threshold(int(threshold))
 
-
-def guarded_tiers(payload: Optional[Dict[str, Any]]
-                  ) -> Optional[Tuple[str, ...]]:
-    """Compile tiers a promoted run's inline JIT may use, or None."""
-    if payload and payload.get("compile_tier"):
-        return resolve_tiers(None, "promote")
-    return None

@@ -20,8 +20,8 @@ class TestCompile:
         path = program_file("lam (x: int). (x + 1)")
         assert main(["compile", path]) == 0
         out = capsys.readouterr().out
-        assert "tier: arith" in out
         assert "type: (int) -> int" in out
+        assert "blocks: 1" in out
         assert "ret ra" in out
 
     def test_higher_order_goes_general(self, program_file, capsys):
@@ -29,20 +29,24 @@ class TestCompile:
             "lam (g: (int) -> int). (g (5))")
         assert main(["compile", path]) == 0
         out = capsys.readouterr().out
-        assert "tier: general" in out
+        assert "type: ((int) -> int) -> int" in out
         assert "blocks:" in out
 
     def test_forced_tier_and_ir(self, program_file, capsys):
+        """There is one compiler: ``--tier`` is gone, ``--ir`` stays."""
         path = program_file("lam (x: int). (x + 1)")
-        assert main(["compile", path, "--tier", "general", "--ir"]) == 0
+        with pytest.raises(SystemExit) as err:
+            main(["compile", path, "--tier", "general"])
+        assert err.value.code == 2
+        capsys.readouterr()
+        assert main(["compile", path, "--ir"]) == 0
         out = capsys.readouterr().out
-        assert "tier: general" in out
+        assert "tier:" not in out
         assert "closure IR:" in out
 
     def test_example_run_and_validate(self, capsys):
         assert main(["compile", "fact-f", "--run", "--validate"]) == 0
         out = capsys.readouterr().out
-        assert "tier: general" in out
         assert "translation validation: validated" in out
         assert "value: 720" in out
 
@@ -63,10 +67,10 @@ class TestCompile:
         assert "F term" in capsys.readouterr().err
 
     def test_ineligible_term_fails_cleanly(self, capsys):
-        # fact-t wraps a T component in boundaries: outside every tier
+        # fact-t wraps a T component in boundaries: outside the compiler
         assert main(["compile", "fact-t"]) == 1
         err = capsys.readouterr().err
-        assert "no enabled tier" in err
+        assert "not a compilable F term" in err
 
     def test_stdin(self, capsys, monkeypatch):
         import io

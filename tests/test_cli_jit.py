@@ -34,18 +34,24 @@ class TestJitCommand:
         assert main(["jit", path, "--check", "--fuel", "10000"]) == 0
         assert "indistinguishable" in capsys.readouterr().out
 
-    def test_optimize_flag_shrinks(self, fn_file, capsys):
-        path = fn_file("lam (x: int). ((x * 2) + 1)")
-        assert main(["jit", path]) == 0
-        plain = capsys.readouterr().out
-        assert main(["jit", path, "--optimize"]) == 0
-        optimized = capsys.readouterr().out
-        assert optimized.count(";") < plain.count(";")
+    def test_output_is_optimized(self, fn_file, capsys):
+        """The compiler always runs the peephole optimizer, so ``jit``
+        prints fewer instructions than the unoptimized compile."""
+        from repro.compile import compile_term
+        from repro.surface.parser import parse_fexpr
+        from repro.surface.pretty import pretty_component
+
+        source = "lam (x: int). ((x * 2) + 1)"
+        assert main(["jit", fn_file(source)]) == 0
+        printed = capsys.readouterr().out
+        plain = pretty_component(compile_term(parse_fexpr(source),
+                                              optimize=False).component)
+        assert printed.count(";") < plain.count(";")
 
     def test_optimized_and_checked(self, fn_file, capsys):
         path = fn_file("lam (x: int). ((x * 2) + 1)")
-        assert main(["jit", path, "--optimize", "--check",
-                     "--fuel", "10000"]) == 0
+        assert main(["jit", path, "--check", "--fuel", "10000"]) == 0
+        assert "indistinguishable" in capsys.readouterr().out
 
     def test_ineligible_rejected(self, fn_file, capsys):
         path = fn_file("lam (u: unit). 1")

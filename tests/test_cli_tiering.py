@@ -1,9 +1,7 @@
 """CLI surface of the adaptive-tiering subsystem.
 
 ``funtal tiers`` (receipt/state inspection), the ``--tiering`` knobs on
-``batch``, the tiering section of ``funtal stats``, and the deprecation
-note on the superseded manual hand-off (``funtal top
---promote-threshold``).
+``batch``, and the tiering section of ``funtal stats``.
 """
 
 import json
@@ -138,20 +136,3 @@ class TestStatsTiering:
         assert main(["stats"]) == 0
         out = capsys.readouterr().out
         assert "tiering  mode=auto" in out
-
-
-class TestDeprecatedHandOff:
-    def test_top_promote_threshold_warns(self, capsys):
-        assert main(["top", "fact-t", "--promote-threshold", "1"]) == 0
-        captured = capsys.readouterr()
-        assert "--promote-threshold is deprecated" in captured.err
-        assert "--tiering auto" in captured.err
-        # The historical behaviour is preserved: digests still print.
-        assert captured.out.strip()
-
-    def test_deprecated_env_aliases_warn(self, monkeypatch):
-        monkeypatch.setenv("FUNTAL_TAL_JIT_THRESHOLD", "8")
-        monkeypatch.setenv("FUNTAL_TIERING", "auto")
-        with pytest.warns(DeprecationWarning, match="FUNTAL_TAL_JIT"):
-            policy = TieringPolicy.from_env()
-        assert policy.tal_jit_threshold == 8

@@ -1,134 +1,42 @@
-"""Tier compatibility: the arithmetic tier is the historical JIT.
+"""Higher-order lambdas through the one compiler.
 
-Satellite obligation of the compiler PR: routing the JIT facade
-(:mod:`repro.jit.compiler`) through the tiered pipeline must not change
-what the JIT emits.  The differential test below compiles the same
-lambdas through the facade and through :func:`repro.compile.arith
-.compile_arith` directly and asserts *identical components* -- same
-Fig 16-style multi-block ``if0`` splitting, same instruction sequences
-modulo the deterministic per-compilation name supply (which makes them
-literally equal).  Also pinned: the facade's default tier set is arith
-only (general is opt-in), and the tier knob threads through
-``jit_rewrite`` and the resilience safety net.
+The compiler once had an arithmetic tier and an opt-in general tier;
+the names below keep that vocabulary.  The general tier's work -- closed
+lambdas that take or return functions -- is now done by the one
+compiler: ``compile_function`` always accepts them, and ``jit_rewrite``
+reaches them only in the wide scope (``wide=True``, which ``--tiering
+aggressive`` and promoted receipts select).
 """
 
-import pytest
-
-from repro.errors import CompileError
-from repro.f.syntax import (
-    App, BinOp, FArrow, FInt, FUnit, If0, IntE, Lam, Var,
-)
+from repro.compile import compile_function, jit_rewrite
+from repro.f.syntax import App, BinOp, FArrow, FInt, IntE, Lam, Var
 from repro.ft.machine import evaluate_ft
-from repro.jit.compiler import (
-    ALL_TIERS, JIT_TIERS, TIER_ARITH, compile_function, is_compilable,
-    jit_rewrite,
-)
-from repro.compile.arith import compile_arith, is_arith_compilable
-from repro.compile.names import NameSupply
-from repro.compile.pipeline import clear_compile_cache, compile_term
 
 
 def lam1(body):
     return Lam((("x", FInt()),), body)
 
 
-ARITH_CASES = [
-    ("identity", lam1(Var("x"))),
-    ("affine", lam1(BinOp("+", BinOp("*", Var("x"), IntE(3)), IntE(7)))),
-    ("branch", lam1(If0(Var("x"), IntE(100), Var("x")))),
-    ("nested-branch",
-     lam1(If0(Var("x"), If0(Var("x"), IntE(1), IntE(2)), IntE(3)))),
-    ("two-args", Lam((("x", FInt()), ("y", FInt())),
-                     BinOp("-", Var("x"), Var("y")))),
-]
-
-
-class TestArithTierIsTheOldJit:
-    """Facade output == direct arith-emitter output, component for
-    component."""
-
-    @pytest.mark.parametrize("name,source", ARITH_CASES,
-                             ids=[n for n, _ in ARITH_CASES])
-    def test_component_identical(self, name, source):
-        clear_compile_cache()
-        via_facade = compile_function(source).body.fn.comp
-        direct = compile_arith(source, NameSupply())
-        assert via_facade == direct
-
-    def test_fig16_block_shape_preserved(self):
-        """The historical shape: straight line = 1 block, one ``if0`` =
-        3 blocks, nested ``if0`` = 5 blocks."""
-        counts = {
-            "identity": 1, "affine": 1, "branch": 3, "nested-branch": 5,
-        }
-        for name, source in ARITH_CASES:
-            if name not in counts:
-                continue
-            comp = compile_function(source).body.fn.comp
-            assert len(comp.heap) == counts[name], name
-
-    def test_pipeline_reports_arith_tier(self):
-        for _, source in ARITH_CASES:
-            assert compile_term(source).tier == TIER_ARITH
+HIGHER_ORDER = Lam((("g", FArrow((FInt(),), FInt())),),
+                   App(Var("g"), (IntE(5),)))
+INC = lam1(BinOp("+", Var("x"), IntE(1)))
 
 
 class TestFacadeDefaults:
-    """The JIT facade keeps the historical contract: arith only."""
-
-    def test_default_tier_set(self):
-        assert JIT_TIERS == (TIER_ARITH,)
-        assert JIT_TIERS != ALL_TIERS
-
-    def test_is_compilable_is_the_arith_predicate(self):
-        ho = Lam((("g", FArrow((FInt(),), FInt())),),
-                 App(Var("g"), (IntE(5),)))
-        assert is_compilable(lam1(Var("x")))
-        assert not is_compilable(ho)
-        assert is_arith_compilable(lam1(Var("x")))
-
-    def test_non_arith_still_raises_by_default(self):
-        with pytest.raises(CompileError):
-            compile_function(Lam((("u", FUnit()),), IntE(1)))
-
     def test_general_tier_is_opt_in(self):
-        ho = Lam((("g", FArrow((FInt(),), FInt())),),
-                 App(Var("g"), (IntE(5),)))
-        compiled = compile_function(ho, tiers=ALL_TIERS)
+        # compiling a higher-order lambda directly needs no opt-in ...
+        compiled = compile_function(HIGHER_ORDER).wrapped
         assert isinstance(compiled, Lam)
-        inc = lam1(BinOp("+", Var("x"), IntE(1)))
-        got, _ = evaluate_ft(App(compiled, (inc,)))
+        got, _ = evaluate_ft(App(compiled, (INC,)))
         assert got == IntE(6)
+        # ... but the JIT rewrite only reaches it in the wide scope
+        rewritten = jit_rewrite(App(HIGHER_ORDER, (INC,)), wide=False)
+        assert "FT[((int) -> int) -> int]" not in str(rewritten)
 
 
 class TestRewriteTierThreading:
-    def test_default_rewrite_skips_general_lambdas(self):
-        ho = Lam((("g", FArrow((FInt(),), FInt())),),
-                 App(Var("g"), (IntE(5),)))
-        prog = App(ho, (lam1(BinOp("+", Var("x"), IntE(1))),))
-        rewritten = jit_rewrite(prog)
-        # the arith argument lambda compiled; the higher-order one did not
-        assert "FT[(int) -> int]" in str(rewritten)
-        assert "FT[((int) -> int) -> int]" not in str(rewritten)
-
     def test_all_tiers_rewrite_compiles_the_outer_lambda(self):
-        ho = Lam((("g", FArrow((FInt(),), FInt())),),
-                 App(Var("g"), (IntE(5),)))
-        prog = App(ho, (lam1(BinOp("+", Var("x"), IntE(1))),))
-        rewritten = jit_rewrite(prog, tiers=ALL_TIERS)
+        rewritten = jit_rewrite(App(HIGHER_ORDER, (INC,)), wide=True)
         assert "FT[((int) -> int) -> int]" in str(rewritten)
         got, _ = evaluate_ft(rewritten)
         assert got == IntE(6)
-
-    def test_safety_net_threads_tiers(self):
-        from repro.resilience.safety_net import Quarantine, run_guarded
-
-        ho = Lam((("g", FArrow((FInt(),), FInt())),),
-                 App(Var("g"), (IntE(5),)))
-        prog = App(ho, (lam1(BinOp("+", Var("x"), IntE(1))),))
-        q = Quarantine()
-        value, _, report = run_guarded(prog, quarantine=q)
-        assert value == IntE(6) and report.jitted == 1
-        value, _, report = run_guarded(prog, quarantine=q,
-                                       tiers=ALL_TIERS)
-        assert value == IntE(6) and report.jitted == 2
-        assert not report.fell_back

@@ -5,7 +5,7 @@ The validator's contract: a correct artifact passes all three axes
 miscompiled artifact fails, reports the disagreement, and quarantines
 the source lambda through the resilience safety net; open compilations
 get the static axis only.  The serve tests pin the job-kind surface:
-semantic options (``tier``/``validate``/``ir``) feed the content
+semantic options (``validate``/``ir``) feed the content
 address, component inputs fail cleanly, and validation failures come
 back as job errors rather than worker crashes.
 """
@@ -13,14 +13,12 @@ back as job errors rather than worker crashes.
 import pytest
 
 from repro.f.syntax import App, BinOp, FArrow, FInt, IntE, Lam, Var
-from repro.compile.pipeline import (
-    CompilationResult, TIER_GENERAL, compile_term,
-)
+from repro.compile.pipeline import CompilationResult, compile_term
 from repro.compile.validate import validate_compilation
 from repro.resilience.safety_net import Quarantine
 from repro.serve.cache import job_cache_key
 from repro.serve.executor import execute_job
-from repro.serve.protocol import Job, JobOptions
+from repro.serve.protocol import Job, JobOptions, ProtocolError
 
 INC = Lam((("x", FInt()),), BinOp("+", Var("x"), IntE(1)))
 INC2 = Lam((("x", FInt()),), BinOp("+", Var("x"), IntE(2)))
@@ -29,9 +27,9 @@ INC2 = Lam((("x", FInt()),), BinOp("+", Var("x"), IntE(2)))
 def _forged_result() -> CompilationResult:
     """A deliberately miscompiled artifact: the source computes ``x+1``
     but the installed component computes ``x+2``."""
-    wrong = compile_term(INC2, tiers=(TIER_GENERAL,))
+    wrong = compile_term(INC2)
     return CompilationResult(
-        source=INC, tier=wrong.tier, ty=wrong.ty, wrapped=wrong.wrapped,
+        source=INC, ty=wrong.ty, wrapped=wrong.wrapped,
         component=wrong.component, clos=wrong.clos)
 
 
@@ -39,7 +37,6 @@ class TestValidationPasses:
     def test_arith_lambda(self):
         report = validate_compilation(INC, quarantine=Quarantine())
         assert report.ok and report.typechecked
-        assert report.tier == "arith"
         assert report.trials >= 1
         assert report.equiv is not None and report.equiv.equivalent
 
@@ -47,7 +44,7 @@ class TestValidationPasses:
         ho = Lam((("g", FArrow((FInt(),), FInt())),),
                  App(Var("g"), (IntE(5),)))
         report = validate_compilation(ho, quarantine=Quarantine())
-        assert report.ok and report.tier == "general"
+        assert report.ok and report.typechecked
         assert report.trials >= 1
 
     def test_non_function_expression(self):
@@ -66,7 +63,7 @@ class TestValidationPasses:
     def test_report_json_and_str(self):
         report = validate_compilation(INC, quarantine=Quarantine())
         data = report.to_json()
-        assert data["ok"] is True and data["tier"] == "arith"
+        assert data["ok"] is True and "tier" not in data
         assert data["equivalent"] is True
         assert "validated" in str(report)
 
@@ -102,7 +99,7 @@ class TestServeCompileJobs:
         result = execute_job(Job(kind="compile", example="fact-f",
                                  id="t1"))
         assert result.status == "ok"
-        assert result.output["tier"] == "general"
+        assert "tier" not in result.output
         assert result.output["blocks"] >= 2
         # the payload is the bare T component (its import thunks may
         # themselves mention FT boundaries for materialized closures)
@@ -117,11 +114,10 @@ class TestServeCompileJobs:
         assert result.output["ir"]
 
     def test_forced_tier(self):
-        result = execute_job(Job(
-            kind="compile", source="lam (x:int). x + 1", id="t3",
-            options=JobOptions(tier="general")))
-        assert result.status == "ok"
-        assert result.output["tier"] == "general"
+        """One compiler: ``tier`` is now an unknown job option."""
+        with pytest.raises(ProtocolError, match="tier"):
+            Job.from_dict({"kind": "compile", "source": "lam (x:int). x",
+                           "options": {"tier": "general"}})
 
     def test_component_input_is_a_clean_error(self):
         result = execute_job(Job(kind="compile", example="two-blocks-1",
@@ -137,10 +133,8 @@ class TestServeCompileJobs:
                               options=JobOptions(validate=True))),
             job_cache_key(Job(kind="compile", example="fact-f",
                               options=JobOptions(ir=True))),
-            job_cache_key(Job(kind="compile", example="fact-f",
-                              options=JobOptions(tier="general"))),
         }
-        assert len(keys) == 4
+        assert len(keys) == 3
 
     def test_compile_kind_is_registered(self):
         from repro.serve.protocol import JOB_KINDS

@@ -12,7 +12,7 @@ from repro.f.syntax import (
 )
 from repro.ft.machine import evaluate_ft
 from repro.ft.typecheck import check_ft_expr
-from repro.jit.compiler import compile_function, jit_rewrite
+from repro.compile import compile_function, jit_rewrite
 from repro.papers_examples.fig17_factorial import build_fact_t
 from repro.stdlib.foreign import bump, counter_value, INT_CELL_LUMP, new_counter
 from repro.stdlib.prelude import let_, seq_cell, twice
@@ -20,11 +20,17 @@ from repro.stdlib.refs import alloc_cell, free_cell, read_cell, write_cell
 from repro.tal.syntax import TInt
 
 
+
+def jit(lam):
+    """The compiled drop-in replacement the JIT installs for ``lam``."""
+    return compile_function(lam).wrapped
+
+
 class TestMixedPrograms:
     def test_assembly_factorial_of_compiled_double(self):
         """factT (compiled_double 3) = 720 -- two separately generated
         assembly components composed through F."""
-        double = compile_function(
+        double = jit(
             Lam((("x", FInt()),), BinOp("*", Var("x"), IntE(2))))
         prog = App(build_fact_t(), (App(double, (IntE(3),)),))
         assert check_ft_expr(prog)[0] == FInt()
@@ -34,7 +40,7 @@ class TestMixedPrograms:
     def test_twice_over_assembly(self):
         """The pure-F 'twice' combinator applied to an assembly-backed
         function."""
-        double = compile_function(
+        double = jit(
             Lam((("x", FInt()),), BinOp("*", Var("x"), IntE(2))))
         prog = App(twice(double, FInt()), (IntE(5),))
         value, _ = evaluate_ft(prog)
@@ -42,7 +48,7 @@ class TestMixedPrograms:
 
     def test_tuple_of_mixed_results(self):
         fact = build_fact_t()
-        double = compile_function(
+        double = jit(
             Lam((("x", FInt()),), BinOp("*", Var("x"), IntE(2))))
         prog = Proj(1, TupleE((App(fact, (IntE(4),)),
                                App(double, (IntE(21),)))))
@@ -52,7 +58,7 @@ class TestMixedPrograms:
     def test_stack_cell_feeding_assembly(self):
         """Keep a running value in a stack cell, square it with compiled
         assembly, store it back."""
-        square = compile_function(
+        square = jit(
             Lam((("x", FInt()),), BinOp("*", Var("x"), Var("x"))))
         INT = (TInt(),)
         prog = seq_cell(
@@ -103,14 +109,14 @@ class TestMixedPrograms:
     def test_equivalence_of_pipeline_vs_fused(self):
         """inc . triple, compiled separately, is equivalent to the fused
         compiled function 3x+1."""
-        inc_trip = compile_function(
+        inc_trip = jit(
             Lam((("x", FInt()),),
                 BinOp("+", BinOp("*", Var("x"), IntE(3)), IntE(1))))
         staged = Lam(
             (("x", FInt()),),
-            App(compile_function(
+            App(jit(
                 Lam((("y", FInt()),), BinOp("+", Var("y"), IntE(1)))),
-                (App(compile_function(
+                (App(jit(
                     Lam((("z", FInt()),), BinOp("*", Var("z"), IntE(3)))),
                     (Var("x"),)),)))
         report = check_equivalence(inc_trip, staged,
@@ -125,7 +131,7 @@ class TestDeepNesting:
         inner = Lam((("x", FInt()),), BinOp("+", Var("x"), IntE(1)))
         f = inner
         for _ in range(4):
-            f = compile_function(
+            f = jit(
                 Lam((("x", FInt()),), BinOp("+", Var("x"), IntE(1))))
             inner = Lam((("x", FInt()),),
                         App(f, (App(inner, (Var("x"),)),)))
@@ -133,7 +139,7 @@ class TestDeepNesting:
         assert value == IntE(5)
 
     def test_many_sequential_boundaries(self):
-        double = compile_function(
+        double = jit(
             Lam((("x", FInt()),), BinOp("*", Var("x"), IntE(2))))
         e = IntE(1)
         for _ in range(8):

@@ -1,4 +1,5 @@
-"""Tests for the JIT-style F-to-T compiler (paper section 6, executable).
+"""Tests for the JIT (paper section 6, executable): its scope, the
+compiled replacements it installs, and whole-program rewriting.
 
 The correctness criterion is the paper's: the source lambda and its
 compiled replacement are contextually equivalent in FT."""
@@ -14,8 +15,8 @@ from repro.f.syntax import (
 from repro.ft.machine import evaluate_ft
 from repro.ft.syntax import Boundary
 from repro.ft.typecheck import check_ft_expr
-from repro.jit.compiler import (
-    compile_function, CompileError, is_compilable, jit_rewrite,
+from repro.compile import (
+    CompileError, compile_function, jit_eligible, jit_rewrite,
 )
 
 from tests.strategies import random_f_int_expr
@@ -25,59 +26,76 @@ def lam1(body):
     return Lam((("x", FInt()),), body)
 
 
+def jit(lam):
+    """The drop-in replacement the JIT installs for ``lam``."""
+    return compile_function(lam).wrapped
+
+
+def blocks(lam):
+    return len(compile_function(lam).component.heap)
+
+
 class TestEligibility:
     def test_arithmetic_lambda(self):
-        assert is_compilable(lam1(BinOp("+", Var("x"), IntE(1))))
+        assert jit_eligible(lam1(BinOp("+", Var("x"), IntE(1))))
 
     def test_branching_lambda(self):
-        assert is_compilable(lam1(If0(Var("x"), IntE(1), Var("x"))))
+        assert jit_eligible(lam1(If0(Var("x"), IntE(1), Var("x"))))
 
     def test_non_int_param_rejected(self):
-        assert not is_compilable(Lam((("u", FUnit()),), IntE(1)))
+        assert not jit_eligible(Lam((("u", FUnit()),), IntE(1)))
 
     def test_free_variable_rejected(self):
-        assert not is_compilable(lam1(Var("y")))
+        assert not jit_eligible(lam1(Var("y")))
+        assert not jit_eligible(lam1(Var("y")), wide=True)
 
     def test_higher_order_body_rejected(self):
-        assert not is_compilable(lam1(App(lam1(Var("x")), (IntE(1),))))
+        higher = lam1(App(lam1(Var("x")), (IntE(1),)))
+        assert not jit_eligible(higher)
+        assert jit_eligible(higher, wide=True)
 
     def test_stack_lambda_rejected(self):
         from repro.papers_examples.push7 import build
 
-        assert not is_compilable(build())
+        assert not jit_eligible(build())
+        assert not jit_eligible(build(), wide=True)
 
     def test_compile_ineligible_raises(self):
         with pytest.raises(CompileError):
-            compile_function(Lam((("u", FUnit()),), IntE(1)))
+            compile_function(lam1(Var("y")))     # open: nothing to compile
 
 
 class TestCompiledStructure:
     def test_replacement_shape(self):
-        compiled = compile_function(lam1(Var("x")))
+        compiled = jit(lam1(Var("x")))
         assert isinstance(compiled, Lam)
         assert isinstance(compiled.body, App)
         assert isinstance(compiled.body.fn, Boundary)
 
     def test_straight_line_is_single_block(self):
-        compiled = compile_function(lam1(BinOp("*", Var("x"), IntE(2))))
-        assert len(compiled.body.fn.comp.heap) == 1
+        assert blocks(lam1(BinOp("*", Var("x"), IntE(2)))) == 1
 
     def test_branch_makes_three_blocks(self):
-        compiled = compile_function(
-            lam1(If0(Var("x"), IntE(1), IntE(2))))
-        assert len(compiled.body.fn.comp.heap) == 3
+        assert blocks(lam1(If0(Var("x"), IntE(1), IntE(2)))) == 3
 
-    def test_nested_branches_make_five_blocks(self):
-        compiled = compile_function(
-            lam1(If0(Var("x"), If0(Var("x"), IntE(1), IntE(2)), IntE(3))))
-        assert len(compiled.body.fn.comp.heap) == 5
+    def test_nested_branches_split_into_more_blocks(self):
+        """Fig 16-style splitting: each ``if0`` adds blocks, and every
+        path through them computes the source's answer."""
+        source = lam1(If0(Var("x"), If0(Var("x"), IntE(1), IntE(2)),
+                          IntE(3)))
+        assert blocks(source) > blocks(lam1(If0(Var("x"), IntE(1),
+                                                 IntE(2))))
+        compiled = jit(source)
+        for n in (0, 1):
+            got, _ = evaluate_ft(App(compiled, (IntE(n),)))
+            assert got == evaluate(App(source, (IntE(n),)))
 
     def test_compiled_code_typechecks(self):
         for body in (Var("x"),
                      BinOp("-", IntE(10), Var("x")),
                      If0(Var("x"), IntE(0), BinOp("*", Var("x"),
                                                   Var("x")))):
-            ty, _ = check_ft_expr(compile_function(lam1(body)))
+            ty, _ = check_ft_expr(jit(lam1(body)))
             assert str(ty) == "(int) -> int"
 
 
@@ -96,7 +114,7 @@ class TestCompiledBehaviour:
     @pytest.mark.parametrize("name,source",
                              CASES, ids=[n for n, _ in CASES])
     def test_pointwise_agreement(self, name, source):
-        compiled = compile_function(source)
+        compiled = jit(source)
         for n in (-5, -1, 0, 1, 2, 9):
             want = evaluate(App(source, (IntE(n),)))
             got, _ = evaluate_ft(App(compiled, (IntE(n),)))
@@ -105,21 +123,21 @@ class TestCompiledBehaviour:
     def test_two_arguments(self):
         source = Lam((("x", FInt()), ("y", FInt())),
                      BinOp("-", Var("x"), Var("y")))
-        compiled = compile_function(source)
+        compiled = jit(source)
         got, _ = evaluate_ft(App(compiled, (IntE(10), IntE(3))))
         assert got == IntE(7)   # argument order preserved
 
     def test_three_arguments(self):
         source = Lam((("a", FInt()), ("b", FInt()), ("c", FInt())),
                      BinOp("-", BinOp("*", Var("a"), Var("b")), Var("c")))
-        compiled = compile_function(source)
+        compiled = jit(source)
         got, _ = evaluate_ft(App(compiled, (IntE(2), IntE(3), IntE(4))))
         assert got == IntE(2)
 
     def test_equivalence_checker_confirms(self):
         source = lam1(If0(Var("x"), IntE(1), BinOp("*", Var("x"),
                                                    IntE(2))))
-        report = check_equivalence(source, compile_function(source),
+        report = check_equivalence(source, jit(source),
                                    FArrow((FInt(),), FInt()),
                                    fuel=20_000)
         assert report.equivalent
@@ -128,7 +146,7 @@ class TestCompiledBehaviour:
         """Sanity: the obligation is not vacuous -- a wrong 'compiler'
         output is refuted."""
         source = lam1(BinOp("+", Var("x"), IntE(1)))
-        wrong = compile_function(lam1(BinOp("+", Var("x"), IntE(2))))
+        wrong = jit(lam1(BinOp("+", Var("x"), IntE(2))))
         report = check_equivalence(source, wrong,
                                    FArrow((FInt(),), FInt()),
                                    fuel=20_000)
@@ -161,10 +179,10 @@ class TestJitRewrite:
         for seed in range(30):
             body = random_f_int_expr(seed, depth=2)
             lam = lam1(body)
-            if not is_compilable(lam):
+            if not jit_eligible(lam):
                 continue
             hits += 1
-            compiled = compile_function(lam)
+            compiled = jit(lam)
             for n in (-2, 0, 3):
                 want = evaluate(App(lam, (IntE(n),)))
                 got, _ = evaluate_ft(App(compiled, (IntE(n),)))

@@ -1,7 +1,7 @@
 """Tests for :mod:`repro.link.linker` and :mod:`repro.link.interface`.
 
 The headline property: a >=3-component program -- compiled F components
-across both tiers plus a hand-written T component (Fig 17's factT) --
+plus a hand-written T component (Fig 17's factT) --
 links into a closed program that typechecks and evaluates to the same
 value as the whole-program compile of the inlined source.
 """
@@ -47,7 +47,7 @@ class TestLinkEndToEnd:
         report, linked = build_and_link(manifest())
         assert linked.order == ("double", "fact", "quad")
         assert {r.tier for r in report.records} \
-            == {"arith", "general", "handwritten"}
+            == {"general", "handwritten"}
         ty, _ = check_ft_expr(linked.program)   # closed, well-typed
         assert isinstance(ty, FInt)
         value, _ = evaluate_ft(linked.program)

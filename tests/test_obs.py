@@ -12,7 +12,7 @@ import pytest
 from repro import obs
 from repro.f.syntax import App, BinOp, FInt, IntE, Lam, Var
 from repro.ft.machine import evaluate_ft
-from repro.jit.compiler import clear_compile_cache, compile_function
+from repro.compile import clear_compile_cache, compile_function
 from repro.obs.events import Counter, Gauge, MachineEvent, Span
 from repro.obs.trace_export import (
     build_span_tree, event_from_dict, event_to_dict, export_chrome,
@@ -281,7 +281,7 @@ class TestJitCache:
         assert counters["jit.compile"] == 1
 
     def test_fig11_source_recompilation_hits_cache(self):
-        from repro.jit.compiler import jit_rewrite
+        from repro.compile import jit_rewrite
         from repro.papers_examples.fig11_jit import build_source
 
         clear_compile_cache()
@@ -294,8 +294,8 @@ class TestJitCache:
 
     def test_cached_compile_still_evaluates(self):
         clear_compile_cache()
-        compiled_a = compile_function(self.lam())
-        compiled_b = compile_function(self.lam())
+        compiled_a = compile_function(self.lam()).wrapped
+        compiled_b = compile_function(self.lam()).wrapped
         got_a, _ = evaluate_ft(App(compiled_a, (IntE(4),)))
         got_b, _ = evaluate_ft(App(compiled_b, (IntE(4),)))
         assert got_a == got_b == IntE(5)

@@ -172,19 +172,20 @@ class TestEquivalencePreservation:
         assert report.equivalent
 
     def test_compiled_code_shrinks_and_stays_equivalent(self):
-        """The JIT's naive push/pop code is exactly what the optimizer
-        targets; optimized compiled code stays equivalent to the source."""
-        from repro.jit.compiler import compile_function
+        """The code generator's naive push/pop code is exactly what the
+        optimizer targets; the pipeline's optimized output stays
+        equivalent to the source."""
+        from repro.compile import compile_term
 
         source = Lam((("x", FInt()),),
                      BinOp("+", BinOp("*", Var("x"), IntE(2)), IntE(1)))
-        compiled = compile_function(source)
-        comp = compiled.body.fn.comp
+        comp = compile_term(source, optimize=False).component
         optimized = optimize_component(comp)
+        assert optimized == compile_term(source).component
         before = sum(len(h.instrs.instrs) for _, h in comp.heap)
         after = sum(len(h.instrs.instrs) for _, h in optimized.heap)
         assert after < before
-        comp_opt = Lam(compiled.params,
+        comp_opt = Lam(source.params,
                        App(Boundary(ARROW, optimized), (Var("x"),)))
         report = check_equivalence(source, comp_opt, ARROW, fuel=20_000,
                                    max_contexts=8)

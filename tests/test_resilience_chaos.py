@@ -138,7 +138,7 @@ class TestSeamsAreWired:
 
     def test_jit_compile_seam(self):
         from repro.f.syntax import BinOp, FInt, IntE, Lam, Var
-        from repro.jit.compiler import clear_compile_cache, compile_function
+        from repro.compile import clear_compile_cache, compile_function
 
         clear_compile_cache()
         lam = Lam((("x", FInt()),), BinOp("+", Var("x"), IntE(1)))

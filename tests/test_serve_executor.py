@@ -61,7 +61,7 @@ class TestHappyPaths:
         result = execute_job(Job("jit", source="lam (x: int). (x + 1)"))
         assert result.ok
         assert result.output["blocks"] >= 1
-        assert "jitfn" in result.output["assembly"]
+        assert "ret ra" in result.output["assembly"]
 
     def test_jit_check(self):
         result = execute_job(Job(

@@ -313,7 +313,7 @@ class TestJitLockstep:
         assert counters.get("tal.fast.jit.promoted", 0) >= 1
 
     def test_profiler_promote_hand_off(self):
-        """funtal top --promote-threshold feeds promote_digests: blocks
+        """ProfileSnapshot.promote feeds promote_digests: blocks
         hot in a profiled (reference) run are JITted on first entry in a
         later fast run, without waiting out the hot counter."""
         from repro.obs.profile import PROFILER

@@ -1,76 +1,17 @@
-"""Grep-gated lints for the tiering refactor (ISSUE acceptance).
+"""Lint for the serve protocol's option partition.
 
-Two structural invariants, enforced over the source tree itself so a
-regression cannot land silently:
-
-* tier selection has exactly one owner -- no call outside
-  ``repro.tiering`` passes a ``tiers=`` keyword argument (callers pass
-  positionally after resolving through
-  :func:`repro.tiering.policy.resolve_tiers`, or pass nothing and let
-  the callee resolve);
-* every :class:`~repro.serve.protocol.JobOptions` field is classified
-  in exactly one of the audited ``SEMANTIC_OPTIONS`` /
-  ``NON_SEMANTIC_OPTIONS`` constants, so adding an option without
-  deciding its result-cache behaviour fails a test instead of silently
-  corrupting cache keys.
+Every :class:`~repro.serve.protocol.JobOptions` field is classified in
+exactly one of the audited ``SEMANTIC_OPTIONS`` /
+``NON_SEMANTIC_OPTIONS`` constants, so adding an option without
+deciding its result-cache behaviour fails a test instead of silently
+corrupting cache keys.
 """
 
-import ast
 import dataclasses
-import pathlib
 
 from repro.serve.protocol import (
     NON_SEMANTIC_OPTIONS, SEMANTIC_OPTIONS, JobOptions,
 )
-
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
-
-
-def _source_files():
-    for path in sorted(SRC.rglob("*.py")):
-        if "tiering" in path.relative_to(SRC).parts:
-            continue
-        yield path
-
-
-class TestNoTiersThreading:
-    def test_no_tiers_keyword_outside_tiering(self):
-        """The scattered ``tiers=`` threading the tiering subsystem
-        replaced must not grow back."""
-        offenders = []
-        for path in _source_files():
-            tree = ast.parse(path.read_text(encoding="utf-8"),
-                             filename=str(path))
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                for kw in node.keywords:
-                    if kw.arg == "tiers":
-                        offenders.append(
-                            f"{path.relative_to(SRC.parent.parent)}:"
-                            f"{node.lineno}")
-        assert not offenders, (
-            "direct tiers= threading outside repro.tiering "
-            f"(resolve through repro.tiering.policy.resolve_tiers "
-            f"instead): {offenders}")
-
-    def test_no_tiers_parameter_defaults_to_all(self):
-        """Sanity: the refactored entry points still accept ``tiers``
-        positionally (None defers to the policy)."""
-        import inspect
-
-        from repro.compile.pipeline import compile_term
-        from repro.jit.compiler import compile_function, jit_rewrite
-        from repro.resilience.safety_net import run_guarded
-
-        for fn, name in ((compile_term, "tiers"),
-                         (compile_function, "tiers"),
-                         (jit_rewrite, "tiers"),
-                         (run_guarded, "tiers")):
-            param = inspect.signature(fn).parameters[name]
-            assert param.default is None, fn.__name__
-            assert param.kind is not inspect.Parameter.KEYWORD_ONLY, \
-                fn.__name__
 
 
 class TestJobOptionsPartition:
@@ -92,9 +33,6 @@ class TestJobOptionsPartition:
         phantom = (semantic | non_semantic) - names
         assert not phantom, f"classified but nonexistent: {sorted(phantom)}"
 
-    def test_class_constant_is_the_audited_list(self):
-        assert tuple(JobOptions.NON_SEMANTIC) == NON_SEMANTIC_OPTIONS
-
     def test_cache_key_ignores_exactly_the_non_semantic(self):
         """The result-cache key must change with any semantic option
         and with no non-semantic one."""
@@ -107,9 +45,8 @@ class TestJobOptionsPartition:
         probes = {
             "fuel": 123, "heap": 44, "depth": 45, "checkpoint": True,
             "jit": True, "result_type": "unit", "trace": True,
-            "optimize": True, "check": True, "tier": "arith",
-            "validate": True, "ir": True, "seed": 9, "type": "int",
-            "right": "(2 + 2)", "run": False,
+            "check": True, "validate": True, "ir": True, "seed": 9,
+            "type": "int", "right": "(2 + 2)", "run": False,
         }
         for name in SEMANTIC_OPTIONS:
             job = Job("run", source="(1 + 2)")

@@ -1,21 +1,19 @@
 """Tests for :mod:`repro.tiering.policy` -- the unified promotion knobs.
 
-Satellite 1 of the tiering ISSUE: ``FUNTAL_TAL_JIT_THRESHOLD``,
-``funtal top --promote-threshold`` and ``FUNTAL_TAL_PROMOTE`` became
-fields of one :class:`TieringPolicy` with documented precedence
-``env < config < cli``; the old environment spellings survive as
-deprecated aliases that warn.
+Every promotion knob is a field of one :class:`TieringPolicy` with
+documented precedence ``env < config < cli``; the mode also sets the
+JIT's scope (``aggressive`` widens it to every closed lambda).
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
-from repro.compile.pipeline import ALL_TIERS, TIER_ARITH
+from repro.compile.pipeline import compile_term, jit_rewrite
+from repro.f.syntax import App, BinOp, FArrow, FInt, IntE, Lam, Var
+from repro.ft.machine import evaluate_ft
 from repro.tiering.policy import (
-    TIERING_MODES, TieringPolicy, active_policy, resolve_tiers,
-    set_active_policy,
+    TIERING_MODES, TieringPolicy, active_policy, set_active_policy,
 )
 
 
@@ -67,10 +65,10 @@ class TestPolicyBasics:
             mode="aggressive", promote_threshold=5).effective_threshold() \
             == 1
 
-    def test_jit_tiers_by_mode(self):
-        assert TieringPolicy(mode="off").jit_tiers() == (TIER_ARITH,)
-        assert TieringPolicy(mode="auto").jit_tiers() == (TIER_ARITH,)
-        assert TieringPolicy(mode="aggressive").jit_tiers() == ALL_TIERS
+    def test_wide_jit_by_mode(self):
+        assert not TieringPolicy(mode="off").wide_jit
+        assert not TieringPolicy(mode="auto").wide_jit
+        assert TieringPolicy(mode="aggressive").wide_jit
 
     def test_to_dict_round_trips(self):
         policy = TieringPolicy(mode="auto", tal_promote=("aa", "bb"))
@@ -102,29 +100,6 @@ class TestEnvResolution:
             assert var.startswith("FUNTAL_TIERING")
             assert target in names
             assert callable(parse)
-        for old, new in TieringPolicy.DEPRECATED_ENV.items():
-            assert new in TieringPolicy.ENV_FIELDS
-
-    def test_deprecated_aliases_warn_and_apply(self):
-        with pytest.warns(DeprecationWarning, match="FUNTAL_TAL_PROMOTE"):
-            policy = TieringPolicy.from_env({
-                "FUNTAL_TAL_PROMOTE": "cc",
-            })
-        assert policy.tal_promote == ("cc",)
-        with pytest.warns(DeprecationWarning,
-                          match="FUNTAL_TAL_JIT_THRESHOLD"):
-            policy = TieringPolicy.from_env({
-                "FUNTAL_TAL_JIT_THRESHOLD": "3",
-            })
-        assert policy.tal_jit_threshold == 3
-
-    def test_new_spelling_wins_over_deprecated(self):
-        with pytest.warns(DeprecationWarning):
-            policy = TieringPolicy.from_env({
-                "FUNTAL_TAL_JIT_THRESHOLD": "3",
-                "FUNTAL_TIERING_TAL_JIT_THRESHOLD": "9",
-            })
-        assert policy.tal_jit_threshold == 9
 
     def test_bad_env_value_is_structured(self):
         with pytest.raises(ValueError, match="FUNTAL_TIERING_THRESHOLD"):
@@ -161,23 +136,38 @@ class TestActivePolicy:
         assert active_policy().mode == "off"
 
 
-class TestResolveTiers:
-    def test_explicit_request_wins(self):
-        set_active_policy(TieringPolicy(mode="off"))
-        assert resolve_tiers("general", "jit") == ("general",)
-        assert resolve_tiers(("arith", "general")) == ("arith", "general")
+INC = Lam((("x", FInt()),), BinOp("+", Var("x"), IntE(1)))
+APPLY5 = Lam((("g", FArrow((FInt(),), FInt())),),
+             App(Var("g"), (IntE(5),)))
+PROGRAM = App(APPLY5, (INC,))
 
-    def test_jit_context_follows_policy(self):
+
+class TestJitScope:
+    def test_jit_rewrite_follows_policy(self):
         set_active_policy(TieringPolicy(mode="auto"))
-        assert resolve_tiers(None, "jit") == (TIER_ARITH,)
+        narrow = jit_rewrite(PROGRAM)
+        assert "FT[(int) -> int]" in str(narrow)
+        assert "FT[((int) -> int) -> int]" not in str(narrow)
         set_active_policy(TieringPolicy(mode="aggressive"))
-        assert resolve_tiers(None, "jit") == ALL_TIERS
+        wide = jit_rewrite(PROGRAM)
+        assert "FT[((int) -> int) -> int]" in str(wide)
+        for rewritten in (narrow, wide):
+            assert evaluate_ft(rewritten)[0] == IntE(6)
 
-    def test_compile_and_promote_contexts_get_all_tiers(self):
+    def test_explicit_scope_overrides_policy(self):
+        set_active_policy(TieringPolicy(mode="aggressive"))
+        assert "FT[((int) -> int) -> int]" not in str(
+            jit_rewrite(PROGRAM, wide=False))
         set_active_policy(TieringPolicy(mode="off"))
-        assert resolve_tiers(None, "compile") == ALL_TIERS
-        assert resolve_tiers(None, "promote") == ALL_TIERS
+        assert "FT[((int) -> int) -> int]" in str(
+            jit_rewrite(PROGRAM, wide=True))
 
-    def test_explicit_policy_argument(self):
-        aggressive = TieringPolicy(mode="aggressive")
-        assert resolve_tiers(None, "jit", aggressive) == ALL_TIERS
+    def test_compile_ignores_the_mode(self):
+        set_active_policy(TieringPolicy(mode="off"))
+        result = compile_term(APPLY5)
+        assert evaluate_ft(App(result.wrapped, (INC,)))[0] == IntE(6)
+
+    def test_removed_env_spellings_are_ignored(self):
+        policy = TieringPolicy.from_env({"FUNTAL_TAL_JIT_THRESHOLD": "3",
+                                         "FUNTAL_TAL_PROMOTE": "cc"})
+        assert policy == TieringPolicy()
