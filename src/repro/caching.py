@@ -79,18 +79,26 @@ class LRUCache:
         if self.metric_prefix and OBS.enabled:
             OBS.metrics.inc(f"{self.metric_prefix}.{outcome}")
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
+    def get(self, key: Hashable, default: Any = None,
+            count: bool = True) -> Any:
+        """Look ``key`` up, refreshing its recency.  ``count=False`` skips
+        the hit/miss accounting, for a second-level probe whose outcome
+        the caller has already counted."""
         with self._lock:
             try:
                 value = self._data[key]
             except KeyError:
-                self.misses += 1
                 hit = False
             else:
                 self._data.move_to_end(key)
-                self.hits += 1
                 hit = True
-        self._count("hit" if hit else "miss")
+            if count:
+                if hit:
+                    self.hits += 1
+                else:
+                    self.misses += 1
+        if count:
+            self._count("hit" if hit else "miss")
         return value if hit else default
 
     def put(self, key: Hashable, value: Any) -> None:

@@ -66,7 +66,7 @@ __all__ = [
 def f_to_t(v: FExpr, ty: FType, mem: Memory) -> WordValue:
     """``TFtau(v, M) = (w, M')`` -- translate an F value into T,
     allocating in ``mem`` as needed."""
-    probe("boundary.translate", f"TF[{ty}]")
+    probe("boundary.translate", lambda: f"TF[{ty}]")
     if OBS.enabled:
         OBS.metrics.inc("ft.translate.f_to_t")
     if not is_value(v):
@@ -224,7 +224,7 @@ def build_stack_lambda_wrapper(v: Lam, ty: FStackArrow) -> HCode:
 
 def t_to_f(w: WordValue, ty: FType, mem: Memory) -> FExpr:
     """``tauFT(w, M) = (v, M')`` -- translate a T word into F."""
-    probe("boundary.translate", f"{ty}FT")
+    probe("boundary.translate", lambda: f"{ty}FT")
     if OBS.enabled:
         OBS.metrics.inc("ft.translate.t_to_f")
     if isinstance(ty, FInt):

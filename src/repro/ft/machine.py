@@ -118,7 +118,8 @@ class FTMachine(TalMachine):
             if OBS.enabled:
                 OBS.metrics.inc("ft.boundary.t_to_f")
             with OBS.span("ft.import", "f", ty=i.ty):
-                self.emit("boundary", None, detail=f"TF[{i.ty}] enter")
+                self.emit("boundary", None,
+                          detail=lambda: f"TF[{i.ty}] enter")
                 try:
                     value = self.eval_fexpr(i.expr)
                 except FuelExhausted:
@@ -134,7 +135,8 @@ class FTMachine(TalMachine):
     def _finish_import(self, rd: str, ty, value: FExpr) -> None:
         word = f_to_t(value, ty, self.memory)
         self.memory.set_reg(rd, word)
-        self.emit("boundary", None, detail=f"TF[{ty}] -> {rd} = {word}")
+        self.emit("boundary", None,
+                  detail=lambda: f"TF[{ty}] -> {rd} = {word}")
 
     # ------------------------------------------------------------------
     # F side
@@ -273,7 +275,8 @@ class FTMachine(TalMachine):
         if OBS.enabled:
             OBS.metrics.inc("ft.boundary.f_to_t")
         with OBS.span("ft.boundary", "t", ty=e.ty):
-            self.emit("boundary", None, detail=f"FT[{e.ty}] enter")
+            self.emit("boundary", None,
+                      detail=lambda: f"FT[{e.ty}] enter")
             try:
                 halted = self.run_t(self.load_component(e.comp))
             except FuelExhausted:
@@ -283,7 +286,7 @@ class FTMachine(TalMachine):
 
     def _finish_boundary(self, ty, halted: HaltedState) -> FExpr:
         value = t_to_f(halted.word, ty, self.memory)
-        self.emit("boundary", None, detail=f"FT[{ty}] -> {value}")
+        self.emit("boundary", None, detail=lambda: f"FT[{ty}] -> {value}")
         return value
 
     # ------------------------------------------------------------------

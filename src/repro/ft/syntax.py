@@ -42,7 +42,7 @@ from repro.f.syntax import (
 )
 from repro.f import syntax as f_syntax
 from repro.tal import syntax as tal_syntax
-from repro.tal.machine import register_loc_renamer
+from repro.tal.machine import register_loc_renamer, share_tuple
 from repro.tal.subst import (
     Subst, free_type_vars, register_binding_instr, register_simple_instr,
     subst_component, subst_instr_seq, subst_stack, subst_ty,
@@ -484,44 +484,55 @@ def _tal_ftv_of_ftype(ty: FType) -> Set[Tuple[str, str]]:
 def rename_locs_in_fexpr(e: FExpr, mapping: Dict[Loc, Loc],
                          rename_locs: Callable) -> FExpr:
     """Rename heap labels inside an FT expression (boundary components
-    and lump handles)."""
+    and lump handles).
+
+    Sharing-preserving like :func:`repro.tal.machine.rename_locs`: a
+    subterm with no renamed label comes back as the same object."""
     from repro.ft.lump import LumpVal
 
+    def go(x: FExpr) -> FExpr:
+        return rename_locs_in_fexpr(x, mapping, rename_locs)
+
     if isinstance(e, LumpVal):
-        return LumpVal(mapping.get(e.loc, e.loc))
+        new = mapping.get(e.loc)
+        return e if new is None or new is e.loc else LumpVal(new)
     if isinstance(e, Boundary):
-        return Boundary(e.ty, _rename_component(e.comp, mapping, rename_locs),
-                        e.delta)
+        comp = _rename_component(e.comp, mapping, rename_locs)
+        return e if comp is e.comp else Boundary(e.ty, comp, e.delta)
     if isinstance(e, (Var, UnitE, IntE)):
         return e
     if isinstance(e, BinOp):
-        return BinOp(e.op, rename_locs_in_fexpr(e.left, mapping, rename_locs),
-                     rename_locs_in_fexpr(e.right, mapping, rename_locs))
+        left, right = go(e.left), go(e.right)
+        if left is e.left and right is e.right:
+            return e
+        return BinOp(e.op, left, right)
     if isinstance(e, If0):
-        return If0(rename_locs_in_fexpr(e.cond, mapping, rename_locs),
-                   rename_locs_in_fexpr(e.then, mapping, rename_locs),
-                   rename_locs_in_fexpr(e.els, mapping, rename_locs))
-    if isinstance(e, StackLam):
-        return StackLam(e.params,
-                        rename_locs_in_fexpr(e.body, mapping, rename_locs),
-                        e.phi_in, e.phi_out)
-    if isinstance(e, Lam):
-        return Lam(e.params,
-                   rename_locs_in_fexpr(e.body, mapping, rename_locs))
+        cond, then, els = go(e.cond), go(e.then), go(e.els)
+        if cond is e.cond and then is e.then and els is e.els:
+            return e
+        return If0(cond, then, els)
+    if isinstance(e, (Lam, Fold, Unfold, Proj)):
+        body = go(e.body)
+        if body is e.body:
+            return e
+        if isinstance(e, StackLam):
+            return StackLam(e.params, body, e.phi_in, e.phi_out)
+        if isinstance(e, Lam):
+            return Lam(e.params, body)
+        if isinstance(e, Fold):
+            return Fold(e.ann, body)
+        if isinstance(e, Unfold):
+            return Unfold(body)
+        return Proj(e.index, body)
     if isinstance(e, App):
-        return App(rename_locs_in_fexpr(e.fn, mapping, rename_locs),
-                   tuple(rename_locs_in_fexpr(a, mapping, rename_locs)
-                         for a in e.args))
-    if isinstance(e, Fold):
-        return Fold(e.ann, rename_locs_in_fexpr(e.body, mapping, rename_locs))
-    if isinstance(e, Unfold):
-        return Unfold(rename_locs_in_fexpr(e.body, mapping, rename_locs))
+        fn = go(e.fn)
+        args = share_tuple(e.args, tuple(go(a) for a in e.args))
+        if fn is e.fn and args is e.args:
+            return e
+        return App(fn, args)
     if isinstance(e, TupleE):
-        return TupleE(tuple(rename_locs_in_fexpr(x, mapping, rename_locs)
-                            for x in e.items))
-    if isinstance(e, Proj):
-        return Proj(e.index,
-                    rename_locs_in_fexpr(e.body, mapping, rename_locs))
+        items = share_tuple(e.items, tuple(go(x) for x in e.items))
+        return e if items is e.items else TupleE(items)
     raise TypeError(f"not an FT expression: {e!r}")
 
 
@@ -530,11 +541,16 @@ def _rename_component(comp: Component, mapping, rename_locs) -> Component:
     # covers a component's own labels must move the binding occurrence
     # too, or every renamed reference dangles.  Mappings that only touch
     # labels bound elsewhere (the machine's load-time freshening) leave
-    # the keys alone via the ``get`` default.
-    return Component(
-        rename_locs(comp.instrs, mapping),
-        tuple((mapping.get(loc, loc), rename_locs(h, mapping))
-              for loc, h in comp.heap))
+    # the keys alone via the ``get`` default.  An untouched component
+    # comes back as the same object.
+    instrs = rename_locs(comp.instrs, mapping)
+    heap = tuple((mapping.get(loc, loc), rename_locs(h, mapping))
+                 for loc, h in comp.heap)
+    if instrs is comp.instrs and all(
+            l1 is l2 and h1 is h2
+            for (l1, h1), (l2, h2) in zip(comp.heap, heap)):
+        return comp
+    return Component(instrs, heap)
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +586,8 @@ def _protect_ftv(i: Protect) -> Set[Tuple[str, str]]:
 
 
 def _import_rename(i: Import, mapping, rename_locs) -> Import:
-    return Import(i.rd, i.protected, i.ty,
-                  rename_locs_in_fexpr(i.expr, mapping, rename_locs))
+    expr = rename_locs_in_fexpr(i.expr, mapping, rename_locs)
+    return i if expr is i.expr else Import(i.rd, i.protected, i.ty, expr)
 
 
 def _stack_arrow_subst(ty: FType, var: str,

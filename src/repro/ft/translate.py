@@ -25,6 +25,7 @@ harmless because T type equality is alpha-equivalence
 
 from __future__ import annotations
 
+from repro.caching import LRUCache
 from repro.errors import FTTypeError
 from repro.f.syntax import (
     FArrow, FInt, FRec, FTupleT, FType, FTVar, FUnit,
@@ -66,8 +67,23 @@ def arrow_code_type(param_types, result: TalType,
         RegFileTy.of(ra=cont), arg_stack, QReg("ra"))
 
 
+#: Translations keyed by the F type itself: F types are frozen and
+#: hashable with structural equality, and the translation depends only
+#: on that structure, so equal types share one result.
+_TRANSLATION_CACHE = LRUCache(1024, metric_prefix="ft.translate.cache")
+
+
 def type_translation(ty: FType) -> TalType:
-    """``tauT`` -- translate an F type to its T representation type."""
+    """``tauT`` -- translate an F type to its T representation type
+    (memoized per type)."""
+    hit = _TRANSLATION_CACHE.get(ty)
+    if hit is None:
+        hit = _translate(ty)
+        _TRANSLATION_CACHE.put(ty, hit)
+    return hit
+
+
+def _translate(ty: FType) -> TalType:
     if isinstance(ty, FTVar):
         return TVar(ty.name)
     if isinstance(ty, FUnit):

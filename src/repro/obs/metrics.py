@@ -79,7 +79,10 @@ own family (see ``docs/performance.md``):
                                      outcome ``hit``/``miss``/``eviction``
 ``tal.subst.cache.ctype.<o>``        ``instantiate_code_type`` memo outcomes
 ``tal.subst.cache.block.<o>``        ``instantiate_code_block`` memo outcomes
+                                     (one per jump; keyed on the loaded
+                                     block's pre-rename source)
 ``tal.equality.cache.<o>``           ``types_equal`` top-level memo outcomes
+``ft.translate.cache.<o>``           ``type_translation`` memo outcomes
 ===================================  ========================================
 
 (The CEK engine itself introduces no new counters: it reports the same

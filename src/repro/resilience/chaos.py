@@ -45,7 +45,7 @@ or target specific seams: ``FaultPlane(seed=7, seams=["jit.compile"])``.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, Optional, Union
 
 from repro.errors import InjectedFault
 from repro.obs.events import OBS
@@ -74,9 +74,10 @@ def active_plane() -> Optional["FaultPlane"]:
     return _ACTIVE
 
 
-def probe(seam: str, detail: str = "") -> None:
+def probe(seam: str, detail: Union[str, Callable[[], str]] = "") -> None:
     """The hook the runtime calls at each seam.  No-op unless a
-    :class:`FaultPlane` is armed and elects to fault here."""
+    :class:`FaultPlane` is armed and elects to fault here.  ``detail``
+    may be a zero-argument callable, formatted only for a fault."""
     plane = _ACTIVE
     if plane is not None:
         plane.roll(seam, detail)
@@ -106,7 +107,8 @@ class FaultPlane:
         self.faults = 0
         self.fault_log: list = []  # (probe_index, seam) pairs, for reports
 
-    def roll(self, seam: str, detail: str = "") -> None:
+    def roll(self, seam: str,
+             detail: Union[str, Callable[[], str]] = "") -> None:
         if seam not in self.seams:
             return
         # Every eligible probe advances the PRNG exactly once, faulting
@@ -122,7 +124,7 @@ class FaultPlane:
         if OBS.enabled:
             OBS.metrics.inc("resilience.chaos.injected")
             OBS.metrics.inc(f"resilience.chaos.injected.{seam}")
-        raise InjectedFault(seam, detail)
+        raise InjectedFault(seam, detail() if callable(detail) else detail)
 
     # -- scoping ---------------------------------------------------------
 

@@ -1199,7 +1199,8 @@ def _walk_ref(machine, state: InstrSeq, ft: bool):
                 if t.__class__ is Halt:
                     word = mem.get_reg(t.r)
                     hs = HaltedState(word, t.ty, t.sigma, t.r)
-                    machine.emit("halt", None, detail=f"{t.r} -> {word}")
+                    machine.emit("halt", None,
+                                 detail=lambda: f"{t.r} -> {word}")
                     return ("halt", hs)
                 if t.__class__ is Jmp:
                     loc, omegas = machine.resolve_code_target(t.u)
@@ -1212,7 +1213,7 @@ def _walk_ref(machine, state: InstrSeq, ft: bool):
                 if t.__class__ is Ret:
                     loc, omegas = machine.resolve_code_target(RegOp(t.r))
                     machine.emit("ret", loc.name,
-                                 detail=f"result in {t.rr}")
+                                 detail=lambda: f"result in {t.rr}")
                     return ("enter", loc, omegas, (), state)
                 raise MachineError(
                     f"unknown terminator {type(t).__name__}")
@@ -1429,7 +1430,7 @@ def _run_fast(machine, state, ft: bool) -> HaltedState:
                     OBS.metrics.inc("ft.boundary.t_to_f")
                 with OBS.span("ft.import", "f", ty=i_s.ty):
                     machine.emit("boundary", None,
-                                 detail=f"TF[{i_s.ty}] enter")
+                                 detail=lambda: f"TF[{i_s.ty}] enter")
                     try:
                         value = machine.eval_fexpr(i_s.expr)
                     except FuelExhausted:

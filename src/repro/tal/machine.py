@@ -29,6 +29,7 @@ import itertools
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import MachineError, SnapshotError
@@ -37,7 +38,7 @@ from repro.obs.profile import PROFILER
 from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import MachineSnapshot
 from repro.tal.heap import Memory, RegSnapshot, StackSnapshot
-from repro.tal.subst import instantiate_code_block
+from repro.tal.subst import instantiate_code_block, instantiate_loaded_block
 from repro.tal.syntax import (
     Aop, Balloc, Bnz, BOX, Call, Component, Fold, Halt, HCode, HeapValue,
     HTuple, InstrSeq, Instruction, Jmp, KIND_ALPHA, Ld, Loc, Mv, Operand,
@@ -86,49 +87,76 @@ def rename_locs(x, mapping: Dict[Loc, Loc]):
     """Rename heap labels throughout a syntactic object.
 
     Types never mention locations, so only value/instruction layers are
-    traversed.
+    traversed.  Renaming preserves sharing: a node none of whose labels
+    is in ``mapping`` comes back as the very same object (so
+    ``rename_locs(x, {}) is x``), and a rebuilt node reuses every
+    untouched child.  Labels are looked up with ``mapping.get`` only.
     """
     if isinstance(x, WLoc):
-        return WLoc(mapping.get(x.loc, x.loc))
+        new = mapping.get(x.loc)
+        return x if new is None or new is x.loc else WLoc(new)
     if isinstance(x, (WUnit, WInt, RegOp)):
         return x
     if isinstance(x, Pack):
-        return Pack(x.hidden, rename_locs(x.body, mapping), x.as_ty)
+        body = rename_locs(x.body, mapping)
+        return x if body is x.body else Pack(x.hidden, body, x.as_ty)
     if isinstance(x, Fold):
-        return Fold(x.as_ty, rename_locs(x.body, mapping))
+        body = rename_locs(x.body, mapping)
+        return x if body is x.body else Fold(x.as_ty, body)
     if isinstance(x, TyApp):
-        return TyApp(rename_locs(x.body, mapping), x.insts)
+        body = rename_locs(x.body, mapping)
+        return x if body is x.body else TyApp(body, x.insts)
     if isinstance(x, InstrSeq):
-        return InstrSeq(
-            tuple(rename_locs(i, mapping) for i in x.instrs),
-            rename_locs(x.term, mapping))
+        instrs = share_tuple(
+            x.instrs, tuple([rename_locs(i, mapping) for i in x.instrs]))
+        term = rename_locs(x.term, mapping)
+        if instrs is x.instrs and term is x.term:
+            return x
+        return InstrSeq(instrs, term)
     if isinstance(x, Instruction):
         hook = _RENAME_HOOKS.get(type(x))
         if hook is not None:
             return hook(x, mapping, rename_locs)
-        if isinstance(x, Aop):
-            return Aop(x.op, x.rd, x.rs, rename_locs(x.u, mapping))
-        if isinstance(x, Bnz):
-            return Bnz(x.r, rename_locs(x.u, mapping))
-        if isinstance(x, Mv):
-            return Mv(x.rd, rename_locs(x.u, mapping))
-        if isinstance(x, Unpack):
-            return Unpack(x.alpha, x.rd, rename_locs(x.u, mapping))
-        if isinstance(x, UnfoldI):
-            return UnfoldI(x.rd, rename_locs(x.u, mapping))
+        if isinstance(x, (Aop, Bnz, Mv, Unpack, UnfoldI)):
+            u = rename_locs(x.u, mapping)
+            if u is x.u:
+                return x
+            if isinstance(x, Aop):
+                return Aop(x.op, x.rd, x.rs, u)
+            if isinstance(x, Bnz):
+                return Bnz(x.r, u)
+            if isinstance(x, Mv):
+                return Mv(x.rd, u)
+            if isinstance(x, Unpack):
+                return Unpack(x.alpha, x.rd, u)
+            return UnfoldI(x.rd, u)
         return x  # ld/st/ralloc/balloc/salloc/sfree/sld/sst carry no operands
     if isinstance(x, Terminator):
-        if isinstance(x, Jmp):
-            return Jmp(rename_locs(x.u, mapping))
-        if isinstance(x, Call):
-            return Call(rename_locs(x.u, mapping), x.sigma, x.q)
+        if isinstance(x, (Jmp, Call)):
+            u = rename_locs(x.u, mapping)
+            if u is x.u:
+                return x
+            return Jmp(u) if isinstance(x, Jmp) else Call(u, x.sigma, x.q)
         return x  # ret/halt name registers and types only
     if isinstance(x, HTuple):
-        return HTuple(tuple(rename_locs(w, mapping) for w in x.words))
+        words = share_tuple(
+            x.words, tuple([rename_locs(w, mapping) for w in x.words]))
+        return x if words is x.words else HTuple(words)
     if isinstance(x, HCode):
-        return HCode(x.delta, x.chi, x.sigma, x.q,
-                     rename_locs(x.instrs, mapping))
+        instrs = rename_locs(x.instrs, mapping)
+        if instrs is x.instrs:
+            return x
+        return HCode(x.delta, x.chi, x.sigma, x.q, instrs)
     raise TypeError(f"rename_locs: unsupported {type(x).__name__}")
+
+
+def share_tuple(old: tuple, new: tuple) -> tuple:
+    """``old`` when ``new`` holds exactly its elements (by identity),
+    else ``new`` -- the sharing step of a sharing-preserving rebuild."""
+    for a, b in zip(old, new):
+        if a is not b:
+            return new
+    return old
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +236,25 @@ class TalMachine:
         self._fast_blocks: Dict[Loc, object] = {}
         self._fast_entries: Dict[int, tuple] = {}
         self._fast_residual: Optional[MachineState] = None
+        # Loaded label -> (pre-rename source block, the load's renaming),
+        # so jumps instantiate the source and share its memo across
+        # loads (see enter_block).  Machine-local, never snapshotted: a
+        # restored machine instantiates the heap's blocks directly.
+        self._block_sources: Dict[Loc, Tuple[HCode, Callable]] = {}
 
     # -- tracing ------------------------------------------------------
 
     def emit(self, kind: str, target: Optional[str] = None,
-             detail: str = "") -> None:
+             detail: Union[str, Callable[[], str]] = "") -> None:
+        """Record a control-transfer event.  ``detail`` may be a
+        zero-argument callable; it is formatted only when the event is
+        actually retained or published, so the disabled path formats
+        nothing."""
         publish = OBS.enabled and OBS.bus.active
         if not (self.trace_enabled and not self._truncated) and not publish:
             return
+        if callable(detail):
+            detail = detail()
         ev = TraceEvent(
             self.steps, kind, target, self.memory.snapshot_regs(),
             self.memory.snapshot_stack(), detail)
@@ -244,16 +283,22 @@ class TalMachine:
         """Merge the component's heap fragment into the global heap under
         fresh labels and return its (renamed) entry sequence."""
         mapping = {loc: fresh_loc(loc.name) for loc, _ in comp.heap}
+        rename = partial(rename_locs, mapping=mapping)
         for loc, h in comp.heap:
-            self.memory.bind(mapping[loc], rename_locs(h, mapping), BOX)
-        instrs = rename_locs(comp.instrs, mapping)
+            renamed = rename(h)
+            self.memory.bind(mapping[loc], renamed, BOX)
+            # A block that mentions no label of its own component comes
+            # back unrenamed and is its own source already.
+            if renamed is not h and isinstance(h, HCode):
+                self._block_sources[mapping[loc]] = (h, rename)
+        instrs = rename(comp.instrs)
         if self.tal_engine == "fast":
             from repro.tal import fast
             fast.install_component(self, comp, mapping, instrs)
         if OBS.enabled:
             OBS.metrics.inc("t.machine.components_loaded")
         self.emit("enter", None,
-                  detail=f"merged {len(mapping)} block(s)")
+                  detail=lambda: f"merged {len(mapping)} block(s)")
         return instrs
 
     # -- operand resolution -------------------------------------------
@@ -307,7 +352,12 @@ class TalMachine:
             OBS.metrics.inc("t.subst.instantiate")
         if PROFILER.enabled:
             PROFILER.enter_t(loc.name, block)
-        inst = instantiate_code_block(block, all_omegas)
+        src = self._block_sources.get(loc)
+        if src is None:
+            inst = instantiate_code_block(block, all_omegas)
+        else:
+            inst = instantiate_loaded_block(block, src[0], src[1],
+                                            all_omegas)
         if inst.delta:
             raise MachineError(
                 f"jump to block {loc} with uninstantiated binders "
@@ -399,7 +449,7 @@ class TalMachine:
         if isinstance(t, Halt):
             word = self.memory.get_reg(t.r)
             state = HaltedState(word, t.ty, t.sigma, t.r)
-            self.emit("halt", None, detail=f"{t.r} -> {word}")
+            self.emit("halt", None, detail=lambda: f"{t.r} -> {word}")
             return state
         if isinstance(t, Jmp):
             loc, omegas = self.resolve_code_target(t.u)
@@ -411,7 +461,7 @@ class TalMachine:
             return self.enter_block(loc, omegas, extra=(t.sigma, t.q))
         if isinstance(t, Ret):
             loc, omegas = self.resolve_code_target(RegOp(t.r))
-            self.emit("ret", loc.name, detail=f"result in {t.rr}")
+            self.emit("ret", loc.name, detail=lambda: f"result in {t.rr}")
             return self.enter_block(loc, omegas)
         raise MachineError(f"unknown terminator {type(t).__name__}")
 

@@ -17,7 +17,10 @@ Two generators:
 * :func:`random_t_program` -- a well-typed straight-line T component,
   built by a *typed random walk*: the generator mirrors the typechecker's
   ``InstrState`` and only ever emits an instruction that is applicable in
-  the current state, finishing with a coherent ``halt``.
+  the current state, finishing with a coherent ``halt``;
+* :func:`random_f_type` -- an FT type drawn from every type former the
+  boundary translation handles (not necessarily well formed: free type
+  variables are allowed).
 
 All are deterministic in their seed, so hypothesis can shrink on seeds.
 """
@@ -37,7 +40,8 @@ from repro.tal.syntax import (
     StackTy, TBox, TInt, TRef, TUnit, TupleTy, WInt, WUnit,
 )
 
-__all__ = ["random_f_int_expr", "random_full_f_expr", "random_t_program"]
+__all__ = ["random_f_int_expr", "random_full_f_expr", "random_t_program",
+           "random_f_type"]
 
 
 # ---------------------------------------------------------------------------
@@ -326,3 +330,42 @@ def random_t_program(seed: int, length: int = 12) -> Component:
     for _ in range(length):
         walk.step()
     return walk.finish()
+
+
+# ---------------------------------------------------------------------------
+# FT type generator
+# ---------------------------------------------------------------------------
+
+def random_f_type(seed: int, depth: int = 3):
+    """An FT type over every former :func:`repro.ft.translate.
+    type_translation` handles: variables, ``unit``, ``int``, ``mu``,
+    tuples, arrows, stack-modifying arrows and lumps."""
+    from repro.ft.lump import FLump
+    from repro.ft.syntax import FStackArrow
+
+    rng = random.Random(seed)
+    t_leaves = (TInt(), TUnit(), TBox(TupleTy((TInt(), TInt()))))
+
+    def gen(d):
+        if d <= 0 or rng.random() < 0.25:
+            return rng.choice((FInt(), FUnit(), FTVar(rng.choice("ab"))))
+        pick = rng.randrange(5)
+        if pick == 0:
+            return FRec(rng.choice("ab"), gen(d - 1))
+        if pick == 1:
+            return FTupleT(tuple(gen(d - 1)
+                                 for _ in range(rng.randint(0, 3))))
+        if pick == 2:
+            return FArrow(tuple(gen(d - 1) for _ in range(rng.randint(0, 2))),
+                          gen(d - 1))
+        if pick == 3:
+            return FStackArrow(
+                tuple(gen(d - 1) for _ in range(rng.randint(0, 2))),
+                gen(d - 1),
+                tuple(rng.choice(t_leaves) for _ in range(rng.randint(0, 2))),
+                tuple(rng.choice(t_leaves)
+                      for _ in range(rng.randint(0, 2))))
+        return FLump(tuple(rng.choice(t_leaves)
+                           for _ in range(rng.randint(1, 3))))
+
+    return gen(depth)

@@ -1,20 +1,25 @@
 """Unit tests for the FT mixed-language machine (paper Fig 8):
 boundary reductions, import/protect execution, shared fuel, traces."""
 
+import re
+
 import pytest
 
 from repro.errors import FuelExhausted, MachineError
 from repro.f.syntax import (
-    App, BinOp, FArrow, FInt, FUnit, If0, IntE, Lam, TupleE, UnitE, Var,
+    App, BinOp, FArrow, FExpr, FInt, FType, FUnit, If0, IntE, Lam, TupleE,
+    UnitE, Var,
 )
+from repro.compile.pipeline import compile_term
 from repro.ft.machine import evaluate_ft, FTMachine, run_ft_component
 from repro.ft.syntax import Boundary, Import, Protect, StackDelta
 from repro.papers_examples import (
     fig11_jit, fig16_two_blocks, fig17_factorial, import_example, push7,
 )
+from repro.stdlib.prelude import compose, twice
 from repro.tal.syntax import (
-    Component, Halt, Mv, NIL_STACK, QEnd, Salloc, seq, Sst, StackTy, TInt,
-    TUnit, WInt, WUnit,
+    Component, Halt, Mv, NIL_STACK, Operand, QEnd, Salloc, seq, Sst,
+    StackTy, TalType, TInt, TUnit, WInt, WUnit,
 )
 
 
@@ -149,6 +154,78 @@ class TestTraces:
         assert "lh" in targets
         assert "lgret" in targets
         assert targets.count("lend") == 2
+
+
+#: The detail strings of Fig 11's trace, fresh label numbers stripped.
+FIG11_DETAILS = [
+    ("boundary", "FT[(((int) -> int) -> int) -> int] enter"),
+    ("enter", "merged 3 block(s)"),
+    ("halt", "r1 -> l"),
+    ("boundary", "FT[(((int) -> int) -> int) -> int] -> lam (x1: ((int) "
+                 "-> int) -> int). FT[int](protect <>, z; import r1, z "
+                 "TF[((int) -> int) -> int] (x1); salloc 1; sst 0, r1; "
+                 "mv ra, lend[z]; call l {z, end{int; z}}, .)"),
+    ("boundary", "FT[int] enter"),
+    ("enter", "merged 0 block(s)"),
+    ("boundary", "TF[((int) -> int) -> int] enter"),
+    ("boundary", "TF[((int) -> int) -> int] -> r1 = lam"),
+    ("boundary", "TF[int] enter"),
+    ("boundary", "FT[(int) -> int] enter"),
+    ("enter", "merged 0 block(s)"),
+    ("halt", "r1 -> lh"),
+    ("boundary", "FT[(int) -> int] -> lam (x1: int). FT[int](protect <>, "
+                 "z; import r1, z TF[int] (x1); salloc 1; sst 0, r1; mv "
+                 "ra, lend[z]; call lh {z, end{int; z}}, .)"),
+    ("boundary", "FT[int] enter"),
+    ("enter", "merged 0 block(s)"),
+    ("boundary", "TF[int] enter"),
+    ("boundary", "TF[int] -> r1 = 1"),
+    ("ret", "result in r1"),
+    ("halt", "r1 -> 2"),
+    ("boundary", "FT[int] -> 2"),
+    ("boundary", "TF[int] -> r1 = 2"),
+    ("ret", "result in r1"),
+    ("ret", "result in r1"),
+    ("halt", "r1 -> 2"),
+    ("boundary", "FT[int] -> 2"),
+]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+class TestLazyTraceDetails:
+    """Trace details are formatted only when an event is recorded: with
+    tracing off, no F term, F type, T type or T value is printed."""
+
+    @pytest.mark.parametrize("tal_engine", ["ref", "fast"])
+    def test_untraced_run_formats_nothing(self, monkeypatch, tal_engine):
+        inc = Lam((("x", FInt()),), BinOp("+", Var("x"), IntE(1)))
+        dbl = Lam((("x", FInt()),), BinOp("*", Var("x"), IntE(2)))
+        step = compose(inc, dbl, FInt(), FInt(), FInt())
+        image = compile_term(
+            App(twice(twice(step, FInt()), FInt()), (IntE(1),))).wrapped
+
+        def boom(self):
+            raise AssertionError(f"formatted a {type(self).__name__}")
+
+        for cls in (*_subclasses(FExpr), *_subclasses(FType),
+                    *_subclasses(TalType), *_subclasses(Operand)):
+            if "__str__" in vars(cls):
+                monkeypatch.setattr(cls, "__str__", boom)
+        machine = FTMachine(tal_engine=tal_engine)
+        assert machine.evaluate(image) == IntE(31)
+
+    @pytest.mark.parametrize("tal_engine", ["ref", "fast"])
+    def test_traced_details_unchanged(self, tal_engine):
+        machine = FTMachine(trace=True, tal_engine=tal_engine)
+        assert machine.evaluate(fig11_jit.build_jit()) == IntE(2)
+        details = [(ev.kind, re.sub(r"%\d+", "", ev.detail))
+                   for ev in machine.trace if ev.detail]
+        assert details == FIG11_DETAILS
 
 
 class TestRunComponentEntry:

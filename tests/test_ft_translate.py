@@ -7,6 +7,7 @@ from repro.f.syntax import (
     FArrow, FInt, FRec, FTupleT, FTVar, FUnit,
 )
 from repro.ft.syntax import FStackArrow
+from repro.ft import translate
 from repro.ft.translate import (
     arrow_code_type, continuation_type, EPS, type_translation, ZETA,
 )
@@ -16,6 +17,7 @@ from repro.tal.syntax import (
     TInt, TRec, TupleTy, TUnit, TVar,
 )
 from repro.tal.wellformed import check_type_wf
+from tests.strategies import random_f_type
 
 
 class TestBaseCases:
@@ -122,3 +124,32 @@ class TestHelpers:
 
         with pytest.raises(FTTypeError, match="no translation"):
             type_translation(Weird())
+
+
+class TestMemo:
+    """``type_translation`` is memoized per (frozen, hashable) F type."""
+
+    def test_same_type_same_object(self):
+        ty = FArrow((FInt(), FTupleT((FInt(), FUnit()))), FRec("a", FInt()))
+        assert type_translation(ty) is type_translation(ty)
+
+    def test_equal_types_share_the_result(self):
+        translate._TRANSLATION_CACHE.clear()
+        first = type_translation(FArrow((FInt(),), FInt()))
+        assert type_translation(FArrow((FInt(),), FInt())) is first
+
+    def test_matches_uncached_translation(self, monkeypatch):
+        types = [random_f_type(seed) for seed in range(200)]
+        # twice over, so the second pass answers from the memo
+        memoized = [type_translation(ty) for ty in types + types]
+
+        class NoMemo:
+            def get(self, key):
+                return None
+
+            def put(self, key, value):
+                pass
+
+        monkeypatch.setattr(translate, "_TRANSLATION_CACHE", NoMemo())
+        uncached = [type_translation(ty) for ty in types]
+        assert memoized == uncached + uncached
