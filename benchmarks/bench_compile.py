@@ -28,7 +28,6 @@ Three sections, doubling as the CI gate for the compiler:
 
 import json
 import pathlib
-import sys
 import time
 
 import pytest
@@ -55,7 +54,6 @@ _RESULTS = {}
 ROUNDS = 5
 FACT_N = 6          # compiled factorial fuel grows super-linearly in n
 RUN_FUEL = 10_000_000
-_RECURSION_LIMIT = 100_000   # nested F<->T machines need host headroom
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -65,14 +63,6 @@ def write_artifact():
         _BENCH_PATH.write_text(
             json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n",
             encoding="utf-8")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def deep_host_stack():
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, _RECURSION_LIMIT))
-    yield
-    sys.setrecursionlimit(old)
 
 
 def _best(fn, rounds=ROUNDS):

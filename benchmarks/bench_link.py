@@ -17,7 +17,6 @@ Three sections, doubling as the CI gate for :mod:`repro.link`:
 
 import json
 import pathlib
-import sys
 import time
 
 import pytest
@@ -38,7 +37,6 @@ _RESULTS = {}
 
 ROUNDS = 5
 RUN_FUEL = 10_000_000
-_RECURSION_LIMIT = 100_000   # nested F<->T machines need host headroom
 
 MANIFEST = {
     "components": {
@@ -61,14 +59,6 @@ def write_artifact():
         _BENCH_PATH.write_text(
             json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n",
             encoding="utf-8")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def deep_host_stack():
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, _RECURSION_LIMIT))
-    yield
-    sys.setrecursionlimit(old)
 
 
 def _best(fn, rounds=ROUNDS):

@@ -242,8 +242,6 @@ def cmd_jit(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    import sys as _sys
-
     from repro.compile import compile_term, validate_compilation
     from repro.f.syntax import App, FArrow, Lam
     from repro.surface.parser import parse_fexpr
@@ -313,16 +311,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
             print("(not running: the compiled term is a function; pass "
                   "--apply ARG per argument)", file=sys.stderr)
             return 2
-        # Compiled closures nest an F evaluator per boundary crossing,
-        # so recursive runs need more host stack than the default (see
-        # docs/performance.md).
-        old_limit = _sys.getrecursionlimit()
-        _sys.setrecursionlimit(max(old_limit, 100_000))
-        try:
-            budget = Budget.of(args.run_fuel, None, None)
-            value, _machine = evaluate_ft(program, budget=budget)
-        finally:
-            _sys.setrecursionlimit(old_limit)
+        budget = Budget.of(args.run_fuel, None, None)
+        value, _machine = evaluate_ft(program, budget=budget)
         print()
         print(f"value: {value}")
     return 0
@@ -368,8 +358,6 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_link(args: argparse.Namespace) -> int:
-    import sys as _sys
-
     from repro.link import build_and_link, parse_manifest
 
     manifest = parse_manifest(_load(args.manifest))
@@ -384,27 +372,19 @@ def cmd_link(args: argparse.Namespace) -> int:
     if failed:
         print(f"validation failed: {', '.join(failed)}", file=sys.stderr)
         return 3
-    # Linked programs inline one compiled closure per component, so
-    # typechecking/running wants the same raised host stack as
-    # ``compile --run`` (see docs/performance.md).
-    old_limit = _sys.getrecursionlimit()
-    _sys.setrecursionlimit(max(old_limit, 100_000))
-    try:
-        ty, _ = check_ft_expr(linked.program)
-        print(f"linked {len(report.records)} component(s) in order: "
-              f"{', '.join(linked.order)}")
-        for rec in report.records:
-            status = "cached" if rec.cached else "compiled"
-            print(f"  {rec.name:<10s} {rec.tier:<12s} {status:<8s} "
-                  f": {rec.iface.ty}")
-        print(f"labels renamed: {linked.labels_renamed}")
-        print(f"type: {ty}")
-        if args.run:
-            budget = Budget.of(args.run_fuel, None, None)
-            value, _machine = evaluate_ft(linked.program, budget=budget)
-            print(f"value: {value}")
-    finally:
-        _sys.setrecursionlimit(old_limit)
+    ty, _ = check_ft_expr(linked.program)
+    print(f"linked {len(report.records)} component(s) in order: "
+          f"{', '.join(linked.order)}")
+    for rec in report.records:
+        status = "cached" if rec.cached else "compiled"
+        print(f"  {rec.name:<10s} {rec.tier:<12s} {status:<8s} "
+              f": {rec.iface.ty}")
+    print(f"labels renamed: {linked.labels_renamed}")
+    print(f"type: {ty}")
+    if args.run:
+        budget = Budget.of(args.run_fuel, None, None)
+        value, _machine = evaluate_ft(linked.program, budget=budget)
+        print(f"value: {value}")
     return 0
 
 

@@ -31,22 +31,13 @@ A failure on any axis quarantines the source lambda through the PR 3
 safety net (:data:`repro.resilience.safety_net.QUARANTINE`), so the JIT
 will refuse to install the bad artifact on later sightings, and raises
 nothing: callers branch on :attr:`ValidationReport.ok`.
-
-Host-stack note: running compiled code nests an F evaluator inside the
-T machine per boundary crossing, so deeply recursive *compiled* runs
-exhaust the host interpreter's recursion limit long before the CEK
-source does.  Validation runs under a temporarily raised limit so both
-sides get the same effective depth budget; without it, a recursive
-function would spuriously "diverge" only on the compiled side.
 """
 
 from __future__ import annotations
 
 import random
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import FunTALError
 from repro.obs.events import OBS
@@ -62,22 +53,6 @@ from repro.resilience.safety_net import QUARANTINE, Quarantine
 from repro.compile.pipeline import CompilationResult, compile_term
 
 __all__ = ["ValidationReport", "validate_compilation"]
-
-#: Recursion limit used while executing compiled components (see module
-#: docstring).  Python 3.11 heap-allocates pure-Python frames, so this
-#: is safe headroom rather than C-stack risk.
-_VALIDATION_RECURSION_LIMIT = 100_000
-
-
-@contextmanager
-def _deep_host_stack() -> Iterator[None]:
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, _VALIDATION_RECURSION_LIMIT))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
 
 @dataclass
 class ValidationReport:
@@ -210,43 +185,42 @@ def validate_compilation(
 
         # Axis 2: differential execution against the CEK engine.
         rng = random.Random(seed)
-        with _deep_host_stack():
-            if isinstance(ty, FArrow) and isinstance(source, Lam):
-                for args in _argument_vectors(ty, rng, trials):
-                    ok, obs_src, obs_cmp = _agree(
-                        App(source, args), App(wrapped, args), fuel, slack)
-                    report.trials += 1
-                    if not ok:
-                        detail = (f"on arguments {args}: source {obs_src}, "
-                                  f"compiled {obs_cmp}")
-                        report.disagreements.append(detail)
-                        return _fail(report, source,
-                                     f"differential disagreement {detail}", q)
-            else:
-                ok, obs_src, obs_cmp = _agree(source, wrapped, fuel, slack)
+        if isinstance(ty, FArrow) and isinstance(source, Lam):
+            for args in _argument_vectors(ty, rng, trials):
+                ok, obs_src, obs_cmp = _agree(
+                    App(source, args), App(wrapped, args), fuel, slack)
                 report.trials += 1
                 if not ok:
-                    detail = f"source {obs_src}, compiled {obs_cmp}"
+                    detail = (f"on arguments {args}: source {obs_src}, "
+                              f"compiled {obs_cmp}")
                     report.disagreements.append(detail)
                     return _fail(report, source,
                                  f"differential disagreement {detail}", q)
+        else:
+            ok, obs_src, obs_cmp = _agree(source, wrapped, fuel, slack)
+            report.trials += 1
+            if not ok:
+                detail = f"source {obs_src}, compiled {obs_cmp}"
+                report.disagreements.append(detail)
+                return _fail(report, source,
+                             f"differential disagreement {detail}", q)
 
-            # Axis 3: bounded contextual equivalence (F and T observers),
-            # with the same slack policy applied per context.
-            contexts = contexts_for(ty, random.Random(seed), equiv_budget)
-            if max_contexts is not None:
-                contexts = contexts[:max_contexts]
-            equiv = EquivalenceReport(True, 0, fuel)
-            for name, plug in contexts:
-                ok, obs_src, obs_cmp = _agree(
-                    plug(source), plug(wrapped), fuel, slack)
-                equiv.trials += 1
-                if not ok:
-                    equiv.equivalent = False
-                    equiv.counterexample = Counterexample(
-                        name, obs_src, obs_cmp)
-                    break
-                equiv.agreements.append((name, obs_src))
+        # Axis 3: bounded contextual equivalence (F and T observers),
+        # with the same slack policy applied per context.
+        contexts = contexts_for(ty, random.Random(seed), equiv_budget)
+        if max_contexts is not None:
+            contexts = contexts[:max_contexts]
+        equiv = EquivalenceReport(True, 0, fuel)
+        for name, plug in contexts:
+            ok, obs_src, obs_cmp = _agree(
+                plug(source), plug(wrapped), fuel, slack)
+            equiv.trials += 1
+            if not ok:
+                equiv.equivalent = False
+                equiv.counterexample = Counterexample(
+                    name, obs_src, obs_cmp)
+                break
+            equiv.agreements.append((name, obs_src))
         report.equiv = equiv
         if not equiv.equivalent:
             return _fail(report, source,

@@ -35,10 +35,10 @@ harness in ``tests/test_engine_differential.py`` locksteps them):
 The machine runs in two modes: standalone (drop-in for
 :class:`repro.f.eval.FEvaluator`, including cross-engine-compatible
 checkpoints -- both snapshot a plain ``{"expr", "budget", "value"}``
-payload under kind ``"f"``) and as the F-side fast path of
-:class:`repro.ft.machine.FTMachine` (``ft=machine``), where boundaries,
-``import`` suspensions, the shared budget, and the resumption ``Hole``
-protocol behave exactly as the substitution loop's.
+payload under kind ``"f"``) and as an F engine of the
+:class:`repro.ft.machine.FTMachine` driver (``ft=machine``), where it
+stops at each boundary exactly where the substitution loop does and
+hands it back to the driver, which feeds the crossing's value in.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from __future__ import annotations
 import sys
 from typing import Dict, List, Optional
 
-from repro.errors import FuelExhausted, FunTALError, MachineError
+from repro.errors import FunTALError, MachineError
 from repro.obs.events import OBS
 from repro.obs.profile import PROFILER
 from repro.resilience.budget import Budget
@@ -115,6 +115,8 @@ class Closure(FExpr):
 register_value_class(Closure)
 
 _EMPTY_ENV: Dict[str, FExpr] = {}
+#: The focus of an engine waiting on a boundary crossing.
+_HOLE = Hole()
 
 # Continuation-frame tags, one per evaluation-context layer of Fig 5.
 # Frames are mutable lists so advancing within a layer (next argument,
@@ -276,11 +278,10 @@ class CEKEvaluator:
     ``pending_expr``/``snapshot``/``restore``, same ``kind`` so snapshots
     restore across engines).
 
-    With ``ft=machine`` it runs as the F side of an
-    :class:`~repro.ft.machine.FTMachine`: boundaries cross through the
-    machine (sharing its memory and budget), fuel exhaustion appends the
-    same ``("f", pending)`` suspension records, and resumption holes are
-    filled from the machine's pending value.
+    With ``ft=machine`` it runs as an F engine of an
+    :class:`~repro.ft.machine.FTMachine` (sharing its budget and step
+    count): :meth:`run` returns the boundary it stops at, and
+    :meth:`feed` continues with the crossing's value.
     """
 
     kind = "f"
@@ -313,6 +314,14 @@ class CEKEvaluator:
                 return self._drive()
         return self._drive()
 
+    def feed(self, value: FExpr) -> None:
+        """Continue after a boundary crossing with its (plain) value."""
+        mv = _try_value(value, _EMPTY_ENV)
+        if mv is None:
+            raise MachineError(
+                f"boundary produced a non-value {type(value).__name__}")
+        self._mode, self._focus = _APPLY, mv
+
     # -- the machine loop ------------------------------------------------
 
     def _drive(self) -> FExpr:
@@ -323,7 +332,9 @@ class CEKEvaluator:
         obs_on = OBS.enabled
         metrics_inc = OBS.metrics.inc
         prof = PROFILER if PROFILER.enabled else None
-        prof_base = prof.enter_engine() if prof is not None else 0
+        # Under an FT machine the driver owns the profiler barrier.
+        prof_base = prof.enter_engine() \
+            if prof is not None and ft is None else None
         mode, cur, env, frames = (self._mode, self._focus, self._env,
                                   self._frames)
         try:
@@ -700,50 +711,18 @@ class CEKEvaluator:
                 if ft is not None:
                     if cls is Boundary:
                         # Charged like the substitution loop: one unit on
-                        # entry, then the whole T component runs under the
-                        # shared budget inside the machine's crossing.
+                        # entry; the driver runs the component and feeds
+                        # its value in where the hole now stands.
                         reified = _reify_open(cur, env)
-                        ft.consume()
-                        value = ft._cross_boundary(reified)
-                        mv = _try_value(value, _EMPTY_ENV)
-                        if mv is None:
-                            raise MachineError(
-                                "boundary produced a non-value "
-                                f"{type(value).__name__}")
-                        mode, cur = _APPLY, mv
-                        continue
-                    if cls is Hole:
-                        pending = ft._hole_value
-                        if pending is None:
-                            raise MachineError(
-                                "resumption hole reached with no pending "
-                                "value")
-                        ft._hole_value = None
-                        mv = _try_value(pending, _EMPTY_ENV)
-                        if mv is None:
-                            raise MachineError(
-                                "resumption hole fed a non-value "
-                                f"{type(pending).__name__}")
-                        mode, cur = _APPLY, mv
-                        continue
+                        consume()
+                        mode, cur = _APPLY, _HOLE
+                        return reified
                     raise MachineError(
                         f"cannot step {type(cur).__name__}: not a value and "
                         "not a reducible FT form (free variable?)")
                 raise MachineError(
                     f"cannot step {type(cur).__name__}: not a pure F redex "
                     "(use repro.ft.machine for mixed programs)")
-        except FuelExhausted:
-            if ft is not None:
-                if ft._suspension:
-                    # A nested crossing recorded its own continuation; our
-                    # expression resumes with a hole where its value lands.
-                    pending = _plug(Hole(), frames)
-                elif mode == _APPLY:
-                    pending = _plug(_reify_limited(cur), frames)
-                else:
-                    pending = _plug(_reify_open(cur, env), frames)
-                ft._suspension.append(("f", pending))
-            raise
         except RecursionError:
             raise budget.depth_error(len(frames)) from None
         finally:
@@ -751,7 +730,7 @@ class CEKEvaluator:
             # when a governor just tripped: contraction sites mutate the
             # frame stack only *after* a successful fuel charge, so the
             # persisted state always re-enters at the pre-charge point.
-            if prof is not None:
+            if prof_base is not None:
                 prof.exit_engine(prof_base)
             self._mode, self._focus, self._env, self._frames = (
                 mode, cur, env, frames)

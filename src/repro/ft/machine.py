@@ -1,36 +1,45 @@
 """The FT abstract machine: mixed-language evaluation (paper Figs 6 and 8).
 
-Both languages execute against the *same* memory ``M = (H, R, S)``:
+Both languages execute against the *same* memory ``M = (H, R, S)``, and
+one loop drives both -- Fig 8 defines FT as a single step relation over
+configurations ``<M | e>``:
 
-* F code reduces by the call-by-value rules of :mod:`repro.f.eval`, except
-  that reaching a boundary ``tauFT e`` runs the T component ``e`` (merging
-  its heap fragment, stepping its instructions) until it halts, then
-  translates the halt register's word back to F via ``tauFT(w, M)``;
-* T code executes by the rules of :mod:`repro.tal.machine`, except that
+* an F engine (the environment machine of :mod:`repro.f.cek`, the
+  default, or the literal substitution loop :class:`_SubstF`) reduces F
+  by the call-by-value rules of :mod:`repro.f.eval` until it reaches a
+  value or a boundary ``tauFT e``, which it hands back as a request;
+* a T engine (the reference rules of :mod:`repro.tal.machine` or the fast
+  tier of :mod:`repro.tal.fast`) executes instructions until ``halt`` or
+  an ``import rd, sigma TFtau e``, which it hands back as an
+  :class:`~repro.tal.machine.ImportRequest`; ``protect`` is a typing
+  directive and erases to a no-op.
 
-  - ``protect`` is a typing directive and erases to a no-op, and
-  - ``import rd, sigma TFtau e`` evaluates the F expression ``e`` to a
-    value (recursively entering F evaluation), translates it via
-    ``TFtau(v, M)``, and moves the resulting word into ``rd`` -- exactly
-    the paper's reduction to ``mv rd, w; I``.
+:meth:`FTMachine._drive` keeps one explicit control stack.  A boundary
+pushes the waiting F computation, merges the component's heap fragment
+and runs T; the halt register's word comes back through ``tauFT(w, M)``
+and resumes the F frame below.  An import pushes the waiting T
+continuation and evaluates the F payload; its value comes back through
+``TFtau(v, M)`` into ``rd`` -- exactly the paper's reduction to
+``mv rd, w; I``.  Nesting costs list entries, not host frames, so no
+verdict depends on CPython's recursion limit.
 
 A single :class:`~repro.resilience.budget.Budget` is shared across both
-languages and all nesting levels, so the equivalence checker can observe
-co-divergence of mixed programs (e.g. Fig 17's factorials on negative
-inputs): when the fuel is exhausted anywhere,
-:class:`~repro.errors.FuelExhausted` propagates out -- and, new in the
-resilience runtime, the machine records a *suspension*: as the exception
-unwinds through the nested F/T evaluation levels, each level appends a
-picklable continuation record (innermost first).  :meth:`FTMachine.resume`
-replays those records in order, feeding each level's result outward, so a
-fuel-suspended run can be checkpointed with :meth:`FTMachine.snapshot`,
-shipped to another process, and finished there with bit-identical results.
-Suspension is a fuel-epoch feature: heap/depth exhaustion and machine
-errors are terminal verdicts, not suspension points.
+languages, so the equivalence checker can observe co-divergence of mixed
+programs (e.g. Fig 17's factorials on negative inputs).  When the fuel
+runs out, :class:`~repro.errors.FuelExhausted` propagates and the control
+stack simply stays in place: :meth:`FTMachine.resume` continues the loop.
+:meth:`FTMachine.snapshot` stores the stack as plain data -- a waiting F
+frame as its evaluation context with a :class:`~repro.ft.syntax.Hole`
+that resume plugs with the crossing's value, a waiting fast-T frame as
+its reference instruction sequence -- so a suspended run can be shipped
+to another process, and another engine, and finished there with
+bit-identical results.  Heap/depth exhaustion and machine errors are
+terminal verdicts, not suspension points.
 
 Boundary crossings emit ``boundary`` trace events, letting
 :mod:`repro.analysis.trace` reconstruct the cross-language control-flow
-diagram of Fig 12.
+diagram of Fig 12; the ``ft.boundary``/``ft.import`` spans open when a
+frame is pushed and close when it is popped.
 """
 
 from __future__ import annotations
@@ -45,8 +54,9 @@ from repro.f.syntax import App, FExpr, is_value, Lam
 from repro.ft.boundary import f_to_t, t_to_f
 from repro.ft.syntax import Boundary, Hole, Import, Protect
 from repro.resilience.budget import Budget
+from repro.tal.fast import FastPoint, fast_run_t, instrumented
 from repro.tal.heap import Memory
-from repro.tal.machine import HaltedState, MachineState, TalMachine
+from repro.tal.machine import HaltedState, ImportRequest, TalMachine
 from repro.tal.syntax import Component, InstrSeq, Instruction
 
 __all__ = ["FTMachine", "evaluate_ft", "run_ft_component"]
@@ -54,6 +64,9 @@ __all__ = ["FTMachine", "evaluate_ft", "run_ft_component"]
 #: What a resumed run produces: an F value for F-outside programs, a
 #: halt state for T-outside ones.
 FTOutcome = Union[FExpr, HaltedState]
+
+#: Where a boundary's value lands in a waiting F computation.
+_HOLE = Hole()
 
 
 class FTMachine(TalMachine):
@@ -84,107 +97,240 @@ class FTMachine(TalMachine):
         #: substitution loop.  Both are observably step-equivalent; the
         #: choice is operational and rides along in resumable snapshots.
         self.engine = resolve_engine(engine)
-        # Suspension records, appended innermost-first as a FuelExhausted
-        # unwinds through nested evaluation levels; see resume().
-        self._suspension: List[tuple] = []
-        # The value a replayed inner crossing produced, waiting to be
-        # substituted at the Hole in the enclosing F expression.
-        self._hole_value: Optional[FExpr] = None
-
-    # -- old fuel API, preserved over the shared budget ----------------
-
-    @property
-    def fuel(self) -> int:
-        """The fuel ceiling (historically a constructor argument)."""
-        return self.budget.max_fuel
-
-    @property
-    def fuel_left(self) -> int:
-        return self.budget.fuel_remaining
-
-    def consume(self, n: int = 1) -> None:
-        self.budget.consume_fuel(n)
+        # The control stack, outermost first.  ("boundary", waiting F,
+        # ty) frames wait for a component's halt; ("import", T
+        # continuation, rd, ty) frames wait for an F value.  The
+        # computation in focus is self._state (None when no run is
+        # suspended).
+        self._stack: List[tuple] = []
 
     # ------------------------------------------------------------------
-    # T side: the two new instructions
+    # The two engines of a segment
     # ------------------------------------------------------------------
 
-    def exec_extended_instruction(self, i: Instruction,
-                                  rest: InstrSeq) -> InstrSeq:
+    def exec_extended_instruction(self, i: Instruction, rest: InstrSeq):
         if isinstance(i, Protect):
             # protect is erased at runtime; it only constrains typing.
             return rest
         if isinstance(i, Import):
-            if OBS.enabled:
-                OBS.metrics.inc("ft.boundary.t_to_f")
-            with OBS.span("ft.import", "f", ty=i.ty):
-                self.emit("boundary", None,
-                          detail=lambda: f"TF[{i.ty}] enter")
-                try:
-                    value = self.eval_fexpr(i.expr)
-                except FuelExhausted:
-                    # The inner F level recorded its continuation; ours
-                    # is "translate whatever it produces into rd, then
-                    # keep running rest".
-                    self._suspension.append(("import", i.rd, i.ty, rest))
-                    raise
-                self._finish_import(i.rd, i.ty, value)
-            return rest
+            return ImportRequest(i, rest)
         return super().exec_extended_instruction(i, rest)
 
-    def _finish_import(self, rd: str, ty, value: FExpr) -> None:
-        word = f_to_t(value, ty, self.memory)
-        self.memory.set_reg(rd, word)
-        self.emit("boundary", None,
-                  detail=lambda: f"TF[{ty}] -> {rd} = {word}")
-
-    # ------------------------------------------------------------------
-    # F side
-    # ------------------------------------------------------------------
-
-    def eval_fexpr(self, e: FExpr) -> FExpr:
-        """Run an F(T) expression to a value under the shared budget,
-        on whichever engine this machine was built with.
-
-        The ``cek`` engine (default) evaluates with environments and
-        closures (:class:`repro.f.cek.CEKEvaluator` with ``ft=self``), so
-        beta steps cost an environment extension instead of a body copy;
-        ``subst`` is the literal Fig-5 substitution loop below.  Both
-        charge fuel at the same contractions, count the same
-        ``f.machine.steps``, and record identical suspension/``Hole``
-        continuations on fuel exhaustion.
-        """
+    def _f_engine(self, e: FExpr):
+        """A fresh F engine on ``e``: the ``cek`` environment machine
+        (default) or the literal Fig-5 substitution loop.  Both charge
+        fuel at the same contractions, count the same
+        ``f.machine.steps``, and stop at the same boundaries."""
         if self.engine == "cek":
             from repro.f.cek import CEKEvaluator
 
-            return CEKEvaluator(e, ft=self).run()
-        return self._eval_fexpr_subst(e)
+            return CEKEvaluator(e, ft=self)
+        return _SubstF(self, e)
 
-    def _eval_fexpr_subst(self, e: FExpr) -> FExpr:
-        """The substitution engine's F loop (kept verbatim as the
-        reference semantics the differential harness locksteps against).
+    def _run_t(self, state):
+        """Run T from ``state`` until it halts or reaches an ``import``;
+        on a fuel trip, leave the exact resume point in ``_state``."""
+        if self.tal_engine == "fast" and not instrumented(self):
+            try:
+                return fast_run_t(self, state)
+            except FuelExhausted:
+                self._state = self._fast_residual
+                raise
+        if isinstance(state, FastPoint):
+            state = state.materialize()
+        consume = self.budget.consume_fuel
+        try:
+            while isinstance(state, InstrSeq):
+                consume()
+                state = self.step(state)
+        except FuelExhausted:
+            self._state = state
+            raise
+        return state
 
-        This is a CEK-style loop in shape: the evaluation context is kept
-        as an explicit frame stack *across* steps, so deep contexts
-        (divergent recursion) cost constant work per step instead of a
-        full context rebuild -- :meth:`step_fexpr` exists for the one-step
-        API but would be quadratic here.
-        """
-        budget = self.budget
-        frames: List = []
-        cur = e
+    # ------------------------------------------------------------------
+    # Driving
+    # ------------------------------------------------------------------
+
+    def _drive(self, task) -> FTOutcome:
+        """The FT loop.  ``task`` -- an F term or engine, or a T state --
+        runs until it finishes or needs the other language; a request
+        pushes a frame, a finished segment's result is translated and
+        pops one."""
+        stack = self._stack
         prof = PROFILER if PROFILER.enabled else None
-        prof_base = prof.enter_engine() if prof is not None else 0
+        # Beside each waiting frame, for this drive only: its open span
+        # and its engine's profiler barrier.  Frames inherited from a
+        # suspension get fresh barriers (their extents are gone).
+        marks = [(None, prof.enter_engine() if prof else 0) for _ in stack]
+        base = prof.enter_engine() if prof else 0
+        floor = marks[0][1] if marks else base
         try:
             while True:
-                if isinstance(cur, Hole):
-                    # A resumed expression: the replayed crossing's value
-                    # lands here (set up by resume()).
-                    if self._hole_value is None:
-                        raise MachineError(
-                            "resumption hole reached with no pending value")
-                    cur, self._hole_value = self._hole_value, None
-                    continue
+                if isinstance(task, FExpr):
+                    task = self._f_engine(task)
+                self._state = task
+                if isinstance(task, (InstrSeq, FastPoint)):
+                    out = self._run_t(task)
+                    if out.__class__ is ImportRequest:
+                        i = out.instr
+                        if OBS.enabled:
+                            OBS.metrics.inc("ft.boundary.t_to_f")
+                        span = OBS.span("ft.import", "f", ty=i.ty)
+                        marks.append((span.__enter__(), base))
+                        self.emit("boundary", None,
+                                  detail=lambda: f"TF[{i.ty}] enter")
+                        stack.append(("import", out.cont, i.rd, i.ty))
+                        task = i.expr
+                        if prof:
+                            base = prof.enter_engine()
+                        continue
+                else:
+                    out = task.run()
+                    if out.__class__ is Boundary:
+                        if OBS.enabled:
+                            OBS.metrics.inc("ft.boundary.f_to_t")
+                        span = OBS.span("ft.boundary", "t", ty=out.ty)
+                        marks.append((span.__enter__(), base))
+                        self.emit("boundary", None,
+                                  detail=lambda: f"FT[{out.ty}] enter")
+                        stack.append(("boundary", task, out.ty))
+                        task = self.load_component(out.comp)
+                        if prof:
+                            base = prof.enter_engine()
+                        continue
+                # The segment finished: hand its result to the frame below.
+                if prof:
+                    prof.exit_engine(base)
+                if not stack:
+                    self._state = None
+                    return out
+                frame = stack.pop()
+                if frame[0] == "boundary":
+                    _, waiting, ty = frame
+                    value = t_to_f(out.word, ty, self.memory)
+                    self.emit("boundary", None,
+                              detail=lambda: f"FT[{ty}] -> {value}")
+                    if isinstance(waiting, FExpr):
+                        task = _plug(waiting, value)
+                    else:
+                        waiting.feed(value)
+                        task = waiting
+                else:
+                    _, task, rd, ty = frame
+                    word = f_to_t(out, ty, self.memory)
+                    self.memory.set_reg(rd, word)
+                    self.emit("boundary", None,
+                              detail=lambda: f"TF[{ty}] -> {rd} = {word}")
+                span, base = marks.pop()
+                if span is not None:
+                    span.__exit__(None, None, None)
+        except BaseException as exc:
+            if not isinstance(exc, FuelExhausted):
+                # A terminal verdict: nothing is left to resume.
+                stack.clear()
+                self._state = None
+            raise
+        finally:
+            for span, _ in reversed(marks):
+                if span is not None:
+                    span.__exit__(None, None, None)
+            if prof:
+                prof.exit_engine(floor)
+
+    def evaluate(self, e: FExpr) -> FExpr:
+        """Entry point for F-outside programs."""
+        self._begin_run()
+        with OBS.span("ft.evaluate", "f"):
+            return self._drive(e)
+
+    def eval_fexpr(self, e: FExpr) -> FExpr:
+        """Run an F(T) expression to a value under the shared budget, on
+        whichever engine this machine was built with (no span)."""
+        self._begin_run()
+        return self._drive(e)
+
+    def run_component(self, comp: Component,
+                      fuel: Optional[int] = None) -> HaltedState:
+        """Entry point for T-outside programs (fuel defaults to the
+        machine's remaining budget)."""
+        if fuel is not None:
+            self.budget.refill(fuel)
+        self._begin_run()
+        return self._drive(self.load_component(comp))
+
+    def _begin_run(self) -> None:
+        self._stack = []
+        self._state = None
+
+    # ------------------------------------------------------------------
+    # Suspension / resumption
+    # ------------------------------------------------------------------
+
+    @property
+    def suspended(self) -> bool:
+        return self._state is not None
+
+    def resume(self, fuel: Optional[int] = None) -> FTOutcome:
+        """Continue a fuel-suspended run to its outcome: the loop picks
+        up the computation in focus with the control stack left as it
+        was.  ``fuel`` refills the budget for this slice; without it the
+        run continues on whatever remains.  If the refilled fuel runs
+        out as well, the machine suspends again -- resumable snapshots
+        compose across any number of hops."""
+        if self._state is None:
+            raise SnapshotError("machine has no suspended run to resume")
+        if fuel is not None:
+            self.budget.refill(fuel)
+        return self._drive(self._state)
+
+    # ------------------------------------------------------------------
+    # Checkpointing
+    # ------------------------------------------------------------------
+
+    def snapshot_resumable(self) -> dict:
+        state = super().snapshot_resumable()
+        state["state"] = _plain(self._state)
+        state["stack"] = [(f[0], _plain(f[1])) + f[2:] for f in self._stack]
+        state["engine"] = self.engine
+        return state
+
+    def _restore_resumable(self, state: dict) -> None:
+        super()._restore_resumable(state)
+        from repro.f.cek import resolve_engine
+
+        self._stack = list(state.get("stack", ()))
+        # Snapshots are engine-portable (the stack is plain terms), so a
+        # missing/foreign engine field just means "default".
+        self.engine = resolve_engine(state.get("engine"))
+
+
+class _SubstF:
+    """The substitution engine's F loop (kept verbatim as the reference
+    semantics the differential harness locksteps against).
+
+    The evaluation context is an explicit frame stack *across* steps, so
+    deep contexts (divergent recursion) cost constant work per step
+    instead of a full context rebuild.
+    """
+
+    __slots__ = ("ft", "cur", "frames")
+
+    def __init__(self, ft: FTMachine, e: FExpr):
+        self.ft = ft
+        self.cur = e
+        self.frames: List = []
+
+    def run(self) -> FExpr:
+        """Evaluate to a value, or stop at a boundary and return it; the
+        crossing's value comes back through :meth:`feed`."""
+        ft = self.ft
+        budget = ft.budget
+        frames = self.frames
+        cur = self.cur
+        prof = PROFILER if PROFILER.enabled else None
+        try:
+            while True:
                 if is_value(cur):
                     if not frames:
                         return cur
@@ -192,34 +338,19 @@ class FTMachine(TalMachine):
                     continue
                 # Fuel is charged on contractions and boundary entries
                 # only -- never on context descent.  A resumed run
-                # re-descends its rebuilt expression for free, so with
+                # re-descends its plugged context for free, so with
                 # descent charged a short fuel slice could be spent
                 # entirely on re-decomposition and a resume loop would
                 # make no semantic progress; with this accounting,
                 # run(n) == run(k); resume(n - k) holds *exactly*.
                 if isinstance(cur, Boundary):
-                    try:
-                        self.consume()
-                        cur = self._cross_boundary(cur)
-                    except FuelExhausted:
-                        if self._suspension:
-                            # The crossing recorded its own continuation;
-                            # our expression resumes with a hole where
-                            # the crossing's value will land.
-                            cur = Hole()
-                        self._suspension.append(
-                            ("f", _rebuild(cur, frames)))
-                        raise
-                    continue
+                    budget.consume_fuel()
+                    request, cur = cur, _HOLE
+                    return request
                 contracted = reduce_redex(cur)
                 if contracted is not None:
-                    try:
-                        self.consume()
-                    except FuelExhausted:
-                        self._suspension.append(
-                            ("f", _rebuild(cur, frames)))
-                        raise
-                    self.steps += 1
+                    budget.consume_fuel()
+                    ft.steps += 1
                     if OBS.enabled:
                         OBS.metrics.inc("f.machine.steps")
                     if prof is not None:
@@ -241,195 +372,44 @@ class FTMachine(TalMachine):
         except RecursionError:
             raise budget.depth_error(len(frames)) from None
         finally:
-            if prof is not None:
-                prof.exit_engine(prof_base)
+            self.cur = cur
 
-    def step_fexpr(self, e: FExpr) -> FExpr:
-        """One F-level step (a boundary runs its whole component).
+    def feed(self, value: FExpr) -> None:
+        self.cur = value
 
-        Decomposition is iterative (explicit frame stack) so deep contexts
-        built by divergent programs exhaust *fuel*, not Python's stack.
-        """
-        self.steps += 1
-        frames = []
-        cur = e
-        while True:
-            if isinstance(cur, Boundary):
-                contracted = self._cross_boundary(cur)
-                break
-            contracted = reduce_redex(cur)
-            if contracted is not None:
-                break
-            split = split_context(cur)
-            if split is None:
-                raise MachineError(
-                    f"cannot step {type(cur).__name__}: not a value and "
-                    "not a reducible FT form (free variable?)")
-            frame, cur = split
-            frames.append(frame)
-        for frame in reversed(frames):
-            contracted = frame(contracted)
-        return contracted
-
-    def _cross_boundary(self, e: Boundary) -> FExpr:
-        if OBS.enabled:
-            OBS.metrics.inc("ft.boundary.f_to_t")
-        with OBS.span("ft.boundary", "t", ty=e.ty):
-            self.emit("boundary", None,
-                      detail=lambda: f"FT[{e.ty}] enter")
-            try:
-                halted = self.run_t(self.load_component(e.comp))
-            except FuelExhausted:
-                self._suspension.append(("boundary", e.ty))
-                raise
-            return self._finish_boundary(e.ty, halted)
-
-    def _finish_boundary(self, ty, halted: HaltedState) -> FExpr:
-        value = t_to_f(halted.word, ty, self.memory)
-        self.emit("boundary", None, detail=lambda: f"FT[{ty}] -> {value}")
-        return value
-
-    # ------------------------------------------------------------------
-    # Driving
-    # ------------------------------------------------------------------
-
-    def run_t(self, state: MachineState) -> HaltedState:
-        """Run a T machine state to halt under the shared budget."""
-        if self.tal_engine == "fast":
-            from repro.tal import fast
-            if not fast.instrumented(self):
-                return fast.fast_run_t(self, state)
-        prof = PROFILER if PROFILER.enabled else None
-        prof_base = prof.enter_engine() if prof is not None else 0
-        try:
-            while not isinstance(state, HaltedState):
-                try:
-                    self.consume()
-                except FuelExhausted:
-                    # Our own fuel check tripped: this pre-step state is
-                    # the exact resume point.  (When step() raises
-                    # instead, a nested import already recorded the finer
-                    # continuation.)
-                    self._suspension.append(("t", state))
-                    raise
-                state = self.step(state)
-            return state
-        finally:
-            if prof is not None:
-                prof.exit_engine(prof_base)
-
-    def evaluate(self, e: FExpr) -> FExpr:
-        """Entry point for F-outside programs."""
-        self._begin_run()
-        with OBS.span("ft.evaluate", "f"):
-            return self.eval_fexpr(e)
-
-    def run_component(self, comp: Component,
-                      fuel: Optional[int] = None) -> HaltedState:
-        """Entry point for T-outside programs (fuel defaults to the
-        machine's remaining budget)."""
-        if fuel is not None:
-            self.budget.refill(fuel)
-        self._begin_run()
-        return self.run_t(self.load_component(comp))
-
-    def _begin_run(self) -> None:
-        self._suspension = []
-        self._hole_value = None
-
-    # ------------------------------------------------------------------
-    # Suspension / resumption
-    # ------------------------------------------------------------------
-
-    @property
-    def suspended(self) -> bool:
-        return bool(self._suspension)
-
-    def resume(self, fuel: Optional[int] = None) -> FTOutcome:
-        """Continue a fuel-suspended run to its outcome.
-
-        Replays the suspension records innermost-first, feeding each
-        level's result outward: a suspended T state runs to halt, a
-        pending boundary translates that halt back to F, a suspended F
-        expression evaluates with the carried value substituted at its
-        hole, and a pending import moves the carried value into its
-        register and keeps executing.  ``fuel`` refills the budget for
-        this slice; without it the run continues on whatever remains.
-        If the refilled fuel runs out as well, the machine suspends
-        again -- resumable snapshots compose across any number of hops.
-        """
-        if fuel is not None:
-            self.budget.refill(fuel)
-        records, self._suspension = self._suspension, []
-        if not records:
-            raise SnapshotError("machine has no suspended run to resume")
-        carried: Optional[FTOutcome] = None
-        for idx, record in enumerate(records):
-            try:
-                carried = self._replay(record, carried)
-            except FuelExhausted:
-                # The replayed level recorded its new (finer)
-                # continuation; the levels we never reached still stand.
-                self._suspension.extend(records[idx + 1:])
-                raise
-        return carried
-
-    def _replay(self, record: tuple,
-                carried: Optional[FTOutcome]) -> FTOutcome:
-        tag = record[0]
-        if tag == "t":
-            return self.run_t(record[1])
-        if tag == "boundary":
-            if not isinstance(carried, HaltedState):
-                raise SnapshotError(
-                    "corrupt suspension: boundary record without a "
-                    "halted T state to translate")
-            return self._finish_boundary(record[1], carried)
-        if tag == "f":
-            if carried is not None:
-                if not isinstance(carried, FExpr):
-                    raise SnapshotError(
-                        "corrupt suspension: F record fed a non-F value")
-                self._hole_value = carried
-            return self.eval_fexpr(record[1])
-        if tag == "import":
-            _, rd, ty, rest = record
-            if not isinstance(carried, FExpr):
-                raise SnapshotError(
-                    "corrupt suspension: import record without an F value")
-            with OBS.span("ft.import", "f", ty=ty):
-                self._finish_import(rd, ty, carried)
-            return self.run_t(rest)
-        raise SnapshotError(f"corrupt suspension: unknown record {tag!r}")
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot_resumable(self) -> dict:
-        state = super().snapshot_resumable()
-        state["suspension"] = list(self._suspension)
-        state["hole_value"] = self._hole_value
-        state["engine"] = self.engine
-        return state
-
-    def _restore_resumable(self, state: dict) -> None:
-        super()._restore_resumable(state)
-        from repro.f.cek import resolve_engine
-
-        self._suspension = list(state.get("suspension", ()))
-        self._hole_value = state.get("hole_value")
-        # Snapshots are engine-portable (suspension records are plain
-        # terms), so a missing/foreign engine field just means "default".
-        self.engine = resolve_engine(state.get("engine"))
+    def pending_expr(self) -> FExpr:
+        e = self.cur
+        for frame in reversed(self.frames):
+            e = frame(e)
+        return e
 
 
-def _rebuild(cur: FExpr, frames: List) -> FExpr:
-    """Fold the frame stack back over the focus: the picklable whole-term
-    form of a suspended F evaluation."""
+def _plain(x):
+    """The picklable form of a computation on the control stack: a live F
+    engine folds back to its pending term (a waiting one with the hole
+    its crossing's value fills), a live fast-tier point to its reference
+    instruction sequence."""
+    if isinstance(x, FastPoint):
+        return x.materialize()
+    if x is None or isinstance(x, (FExpr, InstrSeq)):
+        return x
+    return x.pending_expr()
+
+
+def _plug(ctx: FExpr, value: FExpr) -> FExpr:
+    """Fill the hole of a restored F frame's evaluation context with the
+    value its crossing produced (iteratively: contexts can be deep)."""
+    frames = []
+    while not isinstance(ctx, Hole):
+        split = split_context(ctx)
+        if split is None:
+            raise SnapshotError(
+                "corrupt control stack: F context without a hole")
+        frame, ctx = split
+        frames.append(frame)
     for frame in reversed(frames):
-        cur = frame(cur)
-    return cur
+        value = frame(value)
+    return value
 
 
 def evaluate_ft(e: FExpr, fuel: Optional[int] = None, trace: bool = False,

@@ -162,13 +162,11 @@ class Boundary(FExpr):
 class Hole(FExpr):
     """The machine's resumption placeholder ``[]`` -- not surface syntax.
 
-    When a fuel-suspended FT machine checkpoints an F evaluation whose
-    focus was a boundary crossing, the in-flight crossing is recorded as
-    its own suspension record and the enclosing expression is rebuilt
-    with a ``Hole`` where the crossing's value will land.  On resume the
-    evaluator substitutes the replayed crossing's value at the hole.  A
-    hole is not a value and has no typing rule; it only ever occurs
-    inside suspended machine states.
+    An F computation waiting on a boundary crossing is the FT machine's
+    evaluation context with a ``Hole`` at its focus, where the
+    crossing's value will land; a checkpoint stores that context as a
+    plain term and resume plugs the hole.  A hole is not a value and has
+    no typing rule; it only ever occurs inside suspended machine states.
     """
 
     def __str__(self) -> str:

@@ -7,8 +7,8 @@ that first-class across every layer of the reproduction:
 * :mod:`repro.obs.events` -- a process-wide, zero-dependency event bus
   with typed events (:class:`Span`, :class:`Counter`, :class:`Gauge`,
   :class:`MachineEvent`) and a thread-local context stack so spans nest
-  correctly across ``FTMachine.evaluate`` -> ``_cross_boundary`` ->
-  ``TalMachine.run_seq``;
+  correctly across ``ft.evaluate`` -> ``ft.boundary`` -> ``ft.import``
+  however deeply the FT machine's control stack nests;
 * :mod:`repro.obs.metrics` -- counters/histograms for machine steps,
   boundary crossings (F->T and T->F separately), typecheck invocations per
   judgment, substitutions, and JIT compiles/cache hits;

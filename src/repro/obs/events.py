@@ -8,7 +8,7 @@ The bus carries four typed events:
   *thread-local* context stack, so an FT evaluation that enters a T
   component which ``import``s F code yields a well-bracketed span tree
   ``ft.evaluate > ft.boundary > ft.import`` regardless of how deeply the
-  machines recurse into each other.
+  languages nest.
 * :class:`Counter` / :class:`Gauge` -- point-in-time metric samples.  The
   hot-path counters live in :mod:`repro.obs.metrics` as plain dict
   increments; :meth:`repro.obs.metrics.MetricsRegistry.flush_to` converts a

@@ -38,7 +38,9 @@ __all__ = ["MachineSnapshot", "SNAPSHOT_VERSION"]
 
 #: Bumped whenever the pickled layout changes incompatibly; restore
 #: refuses snapshots from a different version rather than guessing.
-SNAPSHOT_VERSION = 1
+#: Version 2: an FT machine carries its control stack, not suspension
+#: records plus a hole value.
+SNAPSHOT_VERSION = 2
 
 #: The pickler recurses once per AST node, so a machine suspended inside
 #: a deep evaluation context needs more than Python's default ~1000

@@ -418,8 +418,6 @@ def _do_equiv(job: Job) -> Dict[str, Any]:
 
 
 def _do_link(job: Job) -> Dict[str, Any]:
-    import sys
-
     from repro.ft.machine import FTMachine
     from repro.link import ArtifactStore, build_and_link, parse_manifest
     from repro.resilience.budget import Budget
@@ -460,25 +458,17 @@ def _do_link(job: Job) -> Dict[str, Any]:
         out["validation"] = {
             r.name: dict(r.validation, cached=r.validation_cached)
             for r in report.records if r.validation is not None}
-    # Linked closures nest an F evaluator per boundary crossing, so
-    # typechecking/running recursive programs needs the same host-stack
-    # headroom the compile CLI grants (docs/performance.md).
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 100_000))
-    try:
-        from repro.ft.typecheck import check_ft_expr
+    from repro.ft.typecheck import check_ft_expr
 
-        ty, _ = check_ft_expr(linked.program)
-        out["type"] = str(ty)
-        if job.options.run:
-            machine = FTMachine(budget=Budget(
-                fuel=job.options.fuel or DEFAULT_FUEL,
-                heap=job.options.heap, depth=job.options.depth))
-            value = machine.evaluate(linked.program)
-            out["value"] = str(value)
-            out["steps"] = machine.budget.fuel_used
-    finally:
-        sys.setrecursionlimit(old_limit)
+    ty, _ = check_ft_expr(linked.program)
+    out["type"] = str(ty)
+    if job.options.run:
+        machine = FTMachine(budget=Budget(
+            fuel=job.options.fuel or DEFAULT_FUEL,
+            heap=job.options.heap, depth=job.options.depth))
+        value = machine.evaluate(linked.program)
+        out["value"] = str(value)
+        out["steps"] = machine.budget.fuel_used
     return out
 
 

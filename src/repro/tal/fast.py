@@ -24,25 +24,28 @@ executable form and stops consulting types at run time:
   (branch-out via block transfer requests) and compiled with ``exec``.
 
 Semantics are bit-identical to the reference engine -- same values, same
-``steps``/``fuel_used`` accounting, same trap messages, same suspension
-records (checkpoints are engine-portable) -- enforced by the differential
-lockstep suite in ``tests/test_tal_fast_differential.py``.  Anything the
-lowering does not recognise (``import``, exotic instructions, invalid
-registers) falls back per-block to the reference rules via
-:func:`_walk_ref`, so the fast tier is *total*.  Instrumented runs
+``steps``/``fuel_used`` accounting, same trap messages, same residual
+state at a fuel suspension (checkpoints are engine-portable) -- enforced
+by the differential lockstep suite in
+``tests/test_tal_fast_differential.py``.  An ``import`` hands an
+:class:`~repro.tal.machine.ImportRequest` back to the FT driver, whose
+continuation is a live :class:`FastPoint` (materialized only for a
+snapshot).  Anything the lowering does not recognise (exotic
+instructions, invalid registers) falls back per-block to the reference
+rules via :func:`_walk_ref`, so the fast tier is *total*.  Instrumented runs
 (tracing, a live event bus, or the profiler) are executed by the
 reference interpreter: the fast tier is the batch tier.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.caching import LRUCache
-from repro.errors import FuelExhausted, MachineError
+from repro.errors import MachineError
 from repro.obs.events import OBS
 from repro.obs.profile import PROFILER, content_hash
-from repro.tal.machine import HaltedState, rename_locs
+from repro.tal.machine import HaltedState, ImportRequest, rename_locs
 from repro.tal.subst import (
     Subst, free_type_vars, instantiate_code_block, subst_instr,
     subst_instr_seq, subst_operand, subst_q, subst_stack, subst_ty,
@@ -56,7 +59,7 @@ from repro.tal.syntax import (
 )
 
 __all__ = [
-    "FastBlock", "fast_drive", "fast_run_t", "instrumented",
+    "FastBlock", "FastPoint", "fast_drive", "fast_run_t", "instrumented",
     "install_component", "promote_digests", "set_jit_threshold",
     "clear_fast_caches", "fast_cache_stats", "PREINST_VERSION",
 ]
@@ -1149,6 +1152,18 @@ def _materialize(fb: FastBlock, env: tuple, pc: int) -> InstrSeq:
     return subst_instr_seq(seq, s)
 
 
+class FastPoint(NamedTuple):
+    """A live resume point inside a fast block: where the block goes on
+    after an ``import`` once the FT driver has the F value in hand."""
+
+    fb: FastBlock
+    env: tuple
+    pc: int
+
+    def materialize(self) -> InstrSeq:
+        return _materialize(self.fb, self.env, self.pc)
+
+
 def _spill(regs: list, mregs: dict) -> None:
     for i in range(_NREGS):
         w = regs[i]
@@ -1160,26 +1175,20 @@ def _spill(regs: list, mregs: dict) -> None:
 # Reference fallback walker
 # ---------------------------------------------------------------------------
 
-def _walk_ref(machine, state: InstrSeq, ft: bool):
+def _walk_ref(machine, state: InstrSeq):
     """Execute ``state`` by the per-step reference rules until the next
-    control transfer: ``("halt", hs)`` or ``("enter", loc, omegas, extra,
-    residual_term_seq)``.  Registers must be spilled and the budget
-    synced before calling."""
+    control transfer: ``("halt", hs)``, ``("import", request)`` or
+    ``("enter", loc, omegas, extra, residual_term_seq)``.  Registers must
+    be spilled and the budget synced before calling."""
     mem = machine.memory
     budget = machine.budget
     obs_on = OBS.enabled
     while True:
         try:
             budget.consume_fuel()
-        except FuelExhausted:
-            machine._fast_residual = state
-            if ft:
-                machine._suspension.append(("t", state))
-            raise
-        machine.steps += 1
-        if obs_on:
-            OBS.metrics.inc("t.machine.steps")
-        try:
+            machine.steps += 1
+            if obs_on:
+                OBS.metrics.inc("t.machine.steps")
             if state.instrs:
                 head, rest = state.instrs[0], state.rest
                 if head.__class__ is Bnz:
@@ -1194,6 +1203,8 @@ def _walk_ref(machine, state: InstrSeq, ft: bool):
                     state = rest
                 else:
                     state = machine.exec_instruction(head, rest)
+                    if state.__class__ is ImportRequest:
+                        return ("import", state)
             else:
                 t = state.term
                 if t.__class__ is Halt:
@@ -1226,13 +1237,16 @@ def _walk_ref(machine, state: InstrSeq, ft: bool):
 # The driver
 # ---------------------------------------------------------------------------
 
-def _run_fast(machine, state, ft: bool) -> HaltedState:
+def _run_fast(machine, state, ft: bool):
+    """Run ``state`` (an InstrSeq, or a :class:`FastPoint` the FT driver
+    hands back after an import) until it halts or, on an FT machine
+    (``ft``), reaches an ``import``: returns the :class:`HaltedState` or
+    the :class:`ImportRequest`."""
     machine._fast_residual = state
     if isinstance(state, HaltedState):
         return state
     mem = machine.memory
     budget = machine.budget
-    can_import = hasattr(machine, "_finish_import")
     mregs = mem.regs
     regs = [mregs.get(r, _UNSET) for r in REGISTERS]
     base = budget.fuel_remaining
@@ -1268,8 +1282,6 @@ def _run_fast(machine, state, ft: bool) -> HaltedState:
         _spill(regs, mregs)
         flush()
         machine._fast_residual = residual
-        if ft:
-            machine._suspension.append(("t", residual))
         budget.consume_fuel()  # trips exactly like the reference engine
         raise AssertionError("unreachable: fuel accounting out of sync")
 
@@ -1319,18 +1331,23 @@ def _run_fast(machine, state, ft: bool) -> HaltedState:
 
     env: tuple = ()
     pc = 0
-    fb = _block_for_state(machine, state)
+    if state.__class__ is FastPoint:
+        fb, env, pc = state
+    else:
+        fb = _block_for_state(machine, state)
     if fb is None:
         # Cold entry (boundary wrapper, restored snapshot): run it by the
         # reference rules; the first block transfer lands in the fast tier.
         try:
-            out = _walk_ref(machine, state, ft)
+            out = _walk_ref(machine, state)
         finally:
             regs = [mregs.get(r, _UNSET) for r in REGISTERS]
             base = budget.fuel_remaining
             fuel = base
         if out[0] == "halt":
             machine._fast_residual = out[1]
+            return out[1]
+        if out[0] == "import":
             return out[1]
         try:
             fb, env = enter(out[1], out[2], out[3])
@@ -1417,51 +1434,29 @@ def _run_fast(machine, state, ft: bool) -> HaltedState:
             flush()
             machine._fast_residual = hs
             return hs
-        if tag == "imp" and can_import:
-            # Native boundary crossing: spill + settle fuel, evaluate the
-            # F payload under the shared budget, write the converted word
-            # through the machine's register file, reload.  The rest of
-            # the block keeps running fast -- no residual materialised.
-            i_s = req[1]
+        if tag == "imp" and ft:
+            # Boundary crossing: spill + settle fuel and hand the F
+            # payload to the FT driver; the block resumes fast at the
+            # next instruction -- no residual materialised.
             _spill(regs, mregs)
             flush()
-            try:
-                if OBS.enabled:
-                    OBS.metrics.inc("ft.boundary.t_to_f")
-                with OBS.span("ft.import", "f", ty=i_s.ty):
-                    machine.emit("boundary", None,
-                                 detail=lambda: f"TF[{i_s.ty}] enter")
-                    try:
-                        value = machine.eval_fexpr(i_s.expr)
-                    except FuelExhausted:
-                        machine._suspension.append(
-                            ("import", i_s.rd, i_s.ty,
-                             _materialize(fb, env, pc + 1)))
-                        raise
-                    machine._finish_import(i_s.rd, i_s.ty, value)
-            except BaseException:
-                machine._fast_residual = _materialize(fb, env, pc)
-                raise
-            finally:
-                regs = [mregs.get(r, _UNSET) for r in REGISTERS]
-                base = budget.fuel_remaining
-                fuel = base
-            pc += 1
-            continue
-        # tag == "ref" (or an import on a machine without the FT boundary
-        # protocol): hand the rest of this block to the reference rules
+            return ImportRequest(req[1], FastPoint(fb, env, pc + 1))
+        # tag == "ref" (or an import on a pure T machine): hand the rest
+        # of this block to the reference rules
         fuel += 1  # the delegated instruction pays its own fuel
         residual = _materialize(fb, env, pc)
         _spill(regs, mregs)
         flush()
         try:
-            out = _walk_ref(machine, residual, ft)
+            out = _walk_ref(machine, residual)
         finally:
             regs = [mregs.get(r, _UNSET) for r in REGISTERS]
             base = budget.fuel_remaining
             fuel = base
         if out[0] == "halt":
             machine._fast_residual = out[1]
+            return out[1]
+        if out[0] == "import":
             return out[1]
         try:
             fb, env = enter(out[1], out[2], out[3])
@@ -1484,9 +1479,10 @@ def fast_drive(machine, state) -> HaltedState:
             machine._state = machine._fast_residual
 
 
-def fast_run_t(machine, state) -> HaltedState:
-    """Fast-tier replacement for :meth:`FTMachine.run_t` (suspension
-    records are appended at the exact reference points)."""
+def fast_run_t(machine, state):
+    """Fast-tier T segment of the FT driver: runs to a halt or an
+    ``import`` request; a fuel trip leaves the exact reference residual
+    in ``machine._fast_residual``."""
     return _run_fast(machine, state, ft=True)
 
 

@@ -30,7 +30,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import MachineError, SnapshotError
 from repro.obs.events import MachineEvent, OBS
@@ -49,7 +49,8 @@ from repro.tal.syntax import (
 from repro.tal.subst import Subst, subst_instr_seq, subst_ty
 
 __all__ = [
-    "TraceEvent", "HaltedState", "TalMachine", "rename_locs",
+    "TraceEvent", "HaltedState", "ImportRequest", "TalMachine",
+    "rename_locs",
     "register_loc_renamer", "run_component", "TAL_ENGINES",
     "resolve_tal_engine",
 ]
@@ -193,6 +194,16 @@ class HaltedState:
     ty: TalType
     sigma: StackTy
     reg: str
+
+
+class ImportRequest(NamedTuple):
+    """What a T engine hands back on reaching an FT ``import``: the FT
+    driver evaluates ``instr.expr`` in F, moves the translated word into
+    ``instr.rd`` and continues T at ``cont`` (an :class:`InstrSeq`, or a
+    live fast-tier resume point)."""
+
+    instr: Instruction
+    cont: object
 
 
 MachineState = Union[InstrSeq, HaltedState]

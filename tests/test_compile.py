@@ -90,20 +90,9 @@ class TestPaperExamples:
             _assert_compiles_and_typechecks(node)
 
     def test_factorial_runs_compiled(self):
-        # Each recursive call through a materialized closure nests an
-        # F<->T machine pair on the host stack (see docs/performance.md),
-        # so running compiled fact(6) needs headroom over CPython's
-        # default recursion limit.
-        import sys
-
         node = self._pure_entries()["fact-f"]
         result = compile_term(node)
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old, 100_000))
-        try:
-            value, _ = evaluate_ft(result.wrapped)
-        finally:
-            sys.setrecursionlimit(old)
+        value, _ = evaluate_ft(result.wrapped)
         assert value == IntE(720)
 
 

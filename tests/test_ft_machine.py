@@ -2,6 +2,7 @@
 boundary reductions, import/protect execution, shared fuel, traces."""
 
 import re
+import sys
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.ft.syntax import Boundary, Import, Protect, StackDelta
 from repro.papers_examples import (
     fig11_jit, fig16_two_blocks, fig17_factorial, import_example, push7,
 )
+from repro.resilience.budget import Budget
 from repro.stdlib.prelude import compose, twice
 from repro.tal.syntax import (
     Component, Halt, Mv, NIL_STACK, Operand, QEnd, Salloc, seq, Sst,
@@ -234,3 +236,42 @@ class TestRunComponentEntry:
         comp = import_example.build()
         halted = machine.run_component(comp, fuel=100_000)
         assert halted.word == WInt(2)
+
+
+class TestHostStackIndependence:
+    """Boundary nesting lives on the machine's control stack, not the
+    host's: compiled recursion runs under CPython's default recursion
+    limit, and all four engine pairs reach the same verdict."""
+
+    PAIRS = [(f, t) for f in ("cek", "subst") for t in ("ref", "fast")]
+
+    @pytest.fixture(scope="class")
+    def fact(self):
+        return compile_term(fig17_factorial.build_fact_f()).wrapped
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        assert sys.getrecursionlimit() == 1000  # CPython's default
+
+    @pytest.mark.parametrize("engine,tal_engine", PAIRS)
+    def test_compiled_fact_8(self, fact, engine, tal_engine):
+        machine = FTMachine(engine=engine, tal_engine=tal_engine)
+        assert machine.evaluate(App(fact, (IntE(8),))) == IntE(40320)
+        assert machine.budget.fuel_used == 18_973
+
+    @pytest.mark.parametrize("engine,tal_engine", PAIRS)
+    def test_compiled_fact_20_suspends_on_fuel(self, fact, engine,
+                                               tal_engine):
+        machine = FTMachine(budget=Budget(fuel=20_000), engine=engine,
+                            tal_engine=tal_engine)
+        with pytest.raises(FuelExhausted):
+            machine.evaluate(App(fact, (IntE(20),)))
+        assert machine.suspended
+        machine.engine = "subst" if engine == "cek" else "cek"
+        with pytest.raises(FuelExhausted):
+            machine.resume(fuel=5_000)
+        assert machine.suspended
+        machine.tal_engine = "fast" if tal_engine == "ref" else "ref"
+        with pytest.raises(FuelExhausted):
+            machine.resume(fuel=5_000)
+        assert machine.suspended

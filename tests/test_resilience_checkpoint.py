@@ -9,6 +9,7 @@ boundary entries, and T steps, never on context descent, so a resumed
 run re-descends its rebuilt expression for free.
 """
 
+import hashlib
 import pickle
 
 import pytest
@@ -24,6 +25,22 @@ def _reference(build):
     """(pretty value, exact fuel spend) on an un-checkpointed run."""
     value, machine = evaluate_ft(build())
     return str(value), machine.budget.fuel_used
+
+
+def v1_wire_snapshot():
+    """A suspended fact-f run checkpointed in the version-1 layout:
+    suspension records plus a hole value instead of a control stack."""
+    _, build = example_entries()["fact-f"]
+    machine = FTMachine(budget=Budget(fuel=10))
+    with pytest.raises(FuelExhausted):
+        machine.evaluate(build())
+    state = machine.snapshot_resumable()
+    del state["stack"]
+    state.update(state=None, suspension=[("f", build())], hole_value=None)
+    payload = pickle.dumps({"version": 1, "kind": "ft", "state": state,
+                            "marks": {}})
+    return MachineSnapshot("ft", payload,
+                           hashlib.sha256(payload).hexdigest()).to_wire()
 
 
 def _split_points(total):
@@ -69,6 +86,12 @@ class TestSnapshotObject:
         snap = FTMachine().snapshot()
         with pytest.raises(SnapshotError):
             TalMachine.restore(snap)
+
+    def test_version_1_snapshot_is_refused(self):
+        snap = MachineSnapshot.from_wire(v1_wire_snapshot())
+        with pytest.raises(SnapshotError, match="unsupported snapshot "
+                                               "version 1"):
+            FTMachine.restore(snap)
 
     def test_resume_without_suspension_is_an_error(self):
         with pytest.raises(SnapshotError):

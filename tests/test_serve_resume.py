@@ -112,6 +112,16 @@ class TestExecutorSuspendResume:
         assert final.status == "error"
         assert final.error_type == "SnapshotError"
 
+    def test_version_1_snapshot_is_an_error_result(self):
+        from tests.test_resilience_checkpoint import v1_wire_snapshot
+
+        final = execute_job(Job("resume", snapshot=v1_wire_snapshot(),
+                                options=JobOptions(fuel=100)))
+        assert final.status == "error"
+        assert final.error_type == "SnapshotError"
+        assert "unsupported snapshot version 1" in final.error
+        assert "Traceback" not in final.error
+
     def test_resource_exhausted_status(self):
         result = execute_job(Job("run", example="fact-t",
                                  options=JobOptions(heap=1)))
