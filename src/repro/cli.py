@@ -23,8 +23,6 @@ The reproduction's counterpart to the paper artifact's in-browser tools::
                                  # histograms report p50/p95/p99
     funtal top NAME              # hot-code profile: rank lambdas/blocks
                                  # by self steps (content-hashed)
-    funtal tiers [--store DIR]   # adaptive tiering: validation receipts
-                                 # and per-digest promotion states
     funtal flame NAME            # folded-stack flamegraph lines
                                  # (flamegraph.pl / speedscope input)
     funtal slo [--p95-ms X]      # run the example fleet on a pool and
@@ -103,25 +101,6 @@ def _add_budget_args(parser: argparse.ArgumentParser) -> None:
                         help="heap-cell budget (default 1,000,000)")
     parser.add_argument("--depth", type=int, default=None,
                         help="stack-depth budget (default 1,000,000)")
-
-
-def _add_tiering_args(parser: argparse.ArgumentParser) -> None:
-    """The adaptive-tiering knobs (shared by serve/batch).  ``None``
-    defers to ``FUNTAL_TIERING`` / the active policy; precedence is
-    env < config < cli (see docs/tiering.md)."""
-    parser.add_argument("--tiering", choices=("off", "auto", "aggressive"),
-                        default=None,
-                        help="adaptive tiering: promote hot digests to "
-                             "the fast tier after validating once "
-                             "(default off; env FUNTAL_TIERING)")
-    parser.add_argument("--tiering-threshold", type=int, default=None,
-                        dest="tiering_threshold", metavar="N",
-                        help="attributed self steps before a digest is "
-                             "scheduled for promotion")
-    parser.add_argument("--tiering-store", default=None,
-                        dest="tiering_store", metavar="DIR",
-                        help="artifact store holding validation receipts "
-                             "and tier artifacts (default FUNTAL_STORE)")
 
 
 def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
@@ -548,9 +527,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         snapshot = obs.OBS.metrics.snapshot()
         snapshot["jit_compile_cache"] = _jit_cache_stats()
     snapshot["jit_quarantine"] = _jit_quarantine_stats()
-    tiering = _tiering_stats()
-    if tiering is not None:
-        snapshot["tiering"] = tiering
     if args.json:
         print(_json.dumps(snapshot, indent=2, sort_keys=True))
     else:
@@ -570,28 +546,6 @@ def _jit_cache_stats() -> Dict:
         return {"size": 0, "maxsize": 0, "hits": 0, "misses": 0,
                 "evictions": 0}
     return compiler.COMPILE_CACHE.stats()
-
-
-def _tiering_stats() -> Optional[Dict]:
-    """The adaptive-tiering controller as a stats dict, without forcing
-    the tiering import if no policy was ever activated.  Prefers the
-    live coordinator (per-digest states, receipts held); falls back to
-    the active policy alone when a policy is set but no pool ran."""
-    import sys as _sys
-
-    coordinator = _sys.modules.get("repro.tiering.coordinator")
-    if coordinator is not None:
-        coord = coordinator.last_coordinator()
-        if coord is not None:
-            return coord.stats()
-    policy_mod = _sys.modules.get("repro.tiering.policy")
-    if policy_mod is not None:
-        policy = policy_mod.active_policy()
-        if policy.enabled:
-            return {"mode": policy.mode,
-                    "threshold": policy.effective_threshold(),
-                    "states": {}, "receipts_held": 0}
-    return None
 
 
 def _jit_quarantine_stats() -> Dict:
@@ -625,15 +579,6 @@ def _format_snapshot(snapshot: Dict) -> str:
             **{k: quarantine[k] for k in ("size", "hits")}))
         for lam, why in quarantine.get("entries", []):
             lines.append(f"  quarantined {lam}  ({why})")
-    tiering = snapshot.get("tiering")
-    if tiering:
-        states = " ".join(f"{k}={v}" for k, v
-                          in sorted(tiering.get("states", {}).items()))
-        lines.append(
-            f"tiering  mode={tiering.get('mode')} "
-            f"threshold={tiering.get('threshold')} "
-            f"receipts={tiering.get('receipts_held', 0)}"
-            + (f" {states}" if states else ""))
     if not lines:
         return "(no metrics recorded in this process)"
     return "\n".join(lines)
@@ -685,85 +630,6 @@ def cmd_top(args: argparse.Namespace) -> int:
         print(f"value: {value}")
         print()
         print(snap.format_table(limit=args.limit))
-    return 0
-
-
-def cmd_tiers(args: argparse.Namespace) -> int:
-    """Inspect the adaptive-tiering state: validation receipts held in
-    the artifact store, and (with ``--state``) the controller's
-    per-digest state machine."""
-    import json as _json
-
-    from repro.link.store import ArtifactStore
-    from repro.tiering.policy import active_policy
-    from repro.tiering.receipts import ReceiptBook
-
-    policy = active_policy()
-    store = ArtifactStore(args.store or policy.store)
-    book = ReceiptBook(store, key=policy.key)
-
-    states: Dict[str, Dict] = {}
-    if args.state:
-        from repro.tiering.controller import TieringController
-
-        try:
-            controller = TieringController.load(args.state)
-        except (OSError, ValueError, KeyError, TypeError) as err:
-            print(f"error: cannot read {args.state}: {err}",
-                  file=sys.stderr)
-            return 2
-        states = controller.snapshot()["digests"]
-
-    rows = []
-    for digest in book.digests():
-        receipt = book.get(digest)        # verifies the signature
-        rec = states.get(digest, {})
-        rows.append({
-            "digest": digest,
-            "receipt": "ok" if receipt is not None else "BAD",
-            "kind": (receipt or {}).get("kind"),
-            "compile_tier": (receipt or {}).get("compile_tier"),
-            "t_blocks": len((receipt or {}).get("t_blocks") or ()),
-            "state": rec.get("state"),
-            "steps": rec.get("steps"),
-            "runs": rec.get("runs"),
-        })
-    # Controller entries without a receipt yet (profiling, demoted,
-    # quarantined digests) still deserve a row.
-    seen = {row["digest"] for row in rows}
-    for digest, rec in sorted(states.items()):
-        if digest in seen:
-            continue
-        rows.append({"digest": digest, "receipt": None, "kind": None,
-                     "compile_tier": None, "t_blocks": 0,
-                     "state": rec.get("state"), "steps": rec.get("steps"),
-                     "runs": rec.get("runs")})
-
-    if args.json:
-        print(_json.dumps({
-            "store": str(store.root),
-            "policy": policy.to_dict(),
-            "tiers": rows,
-        }, indent=2, sort_keys=True))
-        return 0
-
-    print(f"store: {store.root}")
-    print(f"policy: mode={policy.mode} "
-          f"threshold={policy.effective_threshold()} "
-          f"tal_jit_threshold={policy.tal_jit_threshold}")
-    if not rows:
-        print("(no tiering receipts or controller state found)")
-        return 0
-    print()
-    header = (f"{'digest':<18} {'receipt':<8} {'kind':<11} "
-              f"{'tier':<8} {'t_blocks':>8} {'state':<11} {'runs':>5}")
-    print(header)
-    print("-" * len(header))
-    for row in rows:
-        print(f"{row['digest']:<18} {row['receipt'] or '-':<8} "
-              f"{row['kind'] or '-':<11} {row['compile_tier'] or '-':<8} "
-              f"{row['t_blocks']:>8} {row['state'] or '-':<11} "
-              f"{row['runs'] if row['runs'] is not None else '-':>5}")
     return 0
 
 
@@ -891,26 +757,6 @@ def _result_exit_code(result) -> int:
     return 1
 
 
-def _tiering_policy_from_args(args: argparse.Namespace):
-    """Resolve the tiering policy for a pool-building command.
-
-    Precedence is env < config < cli (``TieringPolicy.resolve``); the
-    resolved policy is installed process-wide *before* the pool forks
-    its workers, so they inherit it.  Returns the policy (possibly with
-    ``mode="off"``) -- pass it to the pool either way so ``--tiering
-    off`` genuinely disables an env-enabled default.
-    """
-    from repro.tiering.policy import TieringPolicy, set_active_policy
-
-    policy = TieringPolicy.resolve(cli={
-        "mode": getattr(args, "tiering", None),
-        "promote_threshold": getattr(args, "tiering_threshold", None),
-        "store": getattr(args, "tiering_store", None),
-    })
-    set_active_policy(policy)
-    return policy
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -918,12 +764,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.server import ServeServer
 
     obs.enable(record=False)        # serve.* counters on, no event buffer
-    policy = _tiering_policy_from_args(args)
     server = ServeServer(
         args.host, args.port, workers=args.workers,
         cache_size=args.cache_size, queue_size=args.queue_size,
-        default_timeout=args.timeout, max_retries=args.max_retries,
-        tiering=policy)
+        default_timeout=args.timeout, max_retries=args.max_retries)
 
     async def _serve() -> None:
         # Bind first, announce second: with --port 0 the kernel picks the
@@ -931,7 +775,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         await server.start()
         print(f"funtal serve: listening on {args.host}:{server.port} "
               f"({args.workers} workers, cache {args.cache_size}, "
-              f"queue {args.queue_size}, tiering {policy.mode})",
+              f"queue {args.queue_size})",
               file=sys.stderr, flush=True)
         await server.serve_forever()
 
@@ -1052,7 +896,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if tracing:
         obs.reset()
     obs.enable(record=tracing)
-    policy = _tiering_policy_from_args(args)
     rounds = _batch_rounds(args)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -1062,11 +905,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
                         cache=None if args.no_cache
                         else ResultCache(args.cache_size),
                         default_timeout=args.timeout or 30.0,
-                        max_retries=args.max_retries,
-                        tiering=policy) as pool:
+                        max_retries=args.max_retries) as pool:
             for round_jobs in rounds:
                 results.extend(pool.run_batch(round_jobs))
-            tiering_stats = pool.stats().get("tiering")
         wall = _time.perf_counter() - start
         for result in results:
             print(_json.dumps(result.to_dict(), sort_keys=True), file=out)
@@ -1086,8 +927,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         "wall_s": round(wall, 3),
         "jobs_per_s": round(len(results) / wall, 1) if wall else 0.0,
     }
-    if tiering_stats is not None:
-        summary["tiering"] = tiering_stats
     print(f"batch: {_json.dumps(summary, sort_keys=True)}", file=sys.stderr)
     return 0 if ok == len(results) else EXIT_JOB_FAILED
 
@@ -1451,19 +1290,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_engine_arg(p_top)
     p_top.set_defaults(fn=cmd_top)
 
-    p_ti = sub.add_parser(
-        "tiers",
-        help="inspect adaptive-tiering state: validation receipts in "
-             "the artifact store, per-digest controller states")
-    p_ti.add_argument("--store", default=None, metavar="DIR",
-                      help="artifact store directory (default "
-                           "FUNTAL_STORE / the active policy's store)")
-    p_ti.add_argument("--state", default=None, metavar="FILE",
-                      help="a TieringController snapshot saved with "
-                           "save() (adds the state-machine columns)")
-    p_ti.add_argument("--json", action="store_true")
-    p_ti.set_defaults(fn=cmd_tiers)
-
     p_fl = sub.add_parser(
         "flame",
         help="run a paper example under the profiler and emit folded "
@@ -1510,7 +1336,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--timeout", type=float, default=30.0,
                        help="default per-job wall-clock seconds")
     p_srv.add_argument("--max-retries", type=int, default=2)
-    _add_tiering_args(p_srv)
     p_srv.set_defaults(fn=cmd_serve)
 
     p_sub = sub.add_parser(
@@ -1573,7 +1398,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_bat.add_argument("--format", choices=("jsonl", "chrome"),
                        default="jsonl",
                        help="--trace-out format (default jsonl)")
-    _add_tiering_args(p_bat)
     p_bat.set_defaults(fn=cmd_batch)
 
     p_ch = sub.add_parser(

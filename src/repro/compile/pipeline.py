@@ -14,9 +14,8 @@ for its source anywhere in an F program.
 The JIT (paper section 6) asks one more question: which lambdas of a
 program to swap for compiled code.  :func:`jit_eligible` is the one
 answer.  By default it admits first-order all-``int`` lambdas; the
-*wide* scope (``--tiering aggressive``, promoted receipts) admits every
-closed lambda.  :func:`jit_rewrite` walks a program and replaces each
-admitted lambda.
+*wide* scope (``wide=True``) admits every closed lambda.
+:func:`jit_rewrite` walks a program and replaces each admitted lambda.
 
 Instrumentation: a ``compile.pipeline`` span wraps the run with child
 spans per pass; ``compile.*`` counters count compilations, hoisted code
@@ -210,26 +209,18 @@ def compile_function(lam: Lam,
     return compile_term(lam, gamma, optimize)
 
 
-def _policy_wide() -> bool:
-    from repro.tiering.policy import active_policy
-
-    return active_policy().wide_jit
-
-
-def jit_rewrite(e: FExpr, wide: Optional[bool] = None,
+def jit_rewrite(e: FExpr, wide: bool = False,
                 compile_lambda: Optional[
                     Callable[[Lam], Optional[FExpr]]] = None) -> FExpr:
     """Replace every :func:`jit_eligible` lambda in ``e`` by its compiled
     version -- the paper's picture of a JIT moving a program between
     multi-language configurations.
 
-    ``wide=None`` asks the active tiering policy (wide only under
-    ``aggressive``).  ``compile_lambda`` maps an eligible lambda to its
-    replacement, or to ``None`` to leave it interpreted (its body is
-    still walked); the default compiles it with :func:`compile_term`.
+    ``wide`` selects the JIT scope (see :func:`jit_eligible`).
+    ``compile_lambda`` maps an eligible lambda to its replacement, or to
+    ``None`` to leave it interpreted (its body is still walked); the
+    default compiles it with :func:`compile_term`.
     """
-    if wide is None:
-        wide = _policy_wide()
     if compile_lambda is None:
         def compile_lambda(lam: Lam) -> FExpr:
             return compile_term(lam).wrapped

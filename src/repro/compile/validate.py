@@ -20,7 +20,7 @@ validation) on three independent axes:
    application contexts, eta-expansions), bounded by fuel.
 
 Compiled code pays a constant-factor (and, for closures materialized
-inside recursion, super-linear -- see ``docs/performance.md``) fuel
+inside recursion, exponential -- see ``docs/performance.md``) fuel
 overhead over the CEK source, so a shared fuel bound would flag correct
 but slower artifacts as divergent.  When exactly one side exhausts its
 budget, the check retries that side with ``slack``-times the fuel

@@ -1,7 +1,7 @@
 """Hot-code profiler: attribute machine steps to content-hashed code.
 
-ROADMAP item 4 (profile-guided adaptive tiering) needs to know *which*
-lambdas and TAL blocks are hot, not just how many steps ran.  This
+Knowing *which* lambdas and TAL blocks are hot, not just how many
+steps ran, is what ``funtal top`` and ``funtal flame`` report.  This
 module adds that attribution layer: the F engines push an extent onto a
 shadow stack at every beta reduction, the T machine tracks the current
 code block, and every machine step charges one unit to whatever extent
@@ -221,9 +221,7 @@ PROFILER = Profiler()
 class ProfileSnapshot:
     """A persisted profile: ranked hot-code table + folded stacks.
 
-    This is the artifact the adaptive-tiering policy (ROADMAP item 4)
-    consumes: ``entries`` ranks content hashes by attributed self
-    steps, so "promote everything above N steps" is a one-line query.
+    ``entries`` ranks content hashes by attributed self steps.
     """
 
     entries: List[Dict[str, Any]] = field(default_factory=list)
@@ -275,16 +273,6 @@ class ProfileSnapshot:
         return ProfileSnapshot(entries=entries, folded=folded,
                                total_steps=self.total_steps
                                + other.total_steps)
-
-    def promote(self, threshold: int,
-                kinds: Tuple[str, ...] = ("t",)) -> List[str]:
-        """Digests of code at or above ``threshold`` attributed self
-        steps -- the ``t_blocks`` a tiering receipt records and
-        :func:`repro.tal.fast.promote_digests` consumes to pre-seed the
-        template JIT (skipping the per-run hot counter)."""
-        return [entry["key"] for entry in self.entries
-                if entry["kind"] in kinds
-                and entry["self_steps"] >= threshold]
 
     def format_table(self, limit: int = 20) -> str:
         """The ``funtal top`` view: rank / self steps / % / kind / hash

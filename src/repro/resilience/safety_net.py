@@ -108,7 +108,7 @@ class SafetyNetReport:
 
 def jit_rewrite_guarded(
         e: FExpr, quarantine: Optional[Quarantine] = None,
-        wide: Optional[bool] = None
+        wide: bool = False
 ) -> Tuple[FExpr, List[Lam], SafetyNetReport]:
     """Like :func:`repro.compile.pipeline.jit_rewrite`, but faults degrade.
 
@@ -151,7 +151,7 @@ def run_guarded(e: FExpr, fuel: Optional[int] = None,
                 heap: Optional[int] = None, depth: Optional[int] = None,
                 trace: bool = False,
                 quarantine: Optional[Quarantine] = None,
-                wide: Optional[bool] = None,
+                wide: bool = False,
                 tal_engine: Optional[str] = None
                 ) -> Tuple[FExpr, FTMachine, SafetyNetReport]:
     """JIT-rewrite ``e`` and run it under the differential guard.
@@ -163,10 +163,9 @@ def run_guarded(e: FExpr, fuel: Optional[int] = None,
     outcome is identical to never having jitted at all.  Resource
     exhaustion propagates: it is a verdict, not a fault.
 
-    ``tal_engine`` selects the T engine for the *optimistic* run (a
-    promoted digest runs its blocks on the fast tier); the fallback
-    re-run always uses the reference engine, so a fast-tier fault can
-    never decide the answer.
+    ``tal_engine`` selects the T engine for the *optimistic* run; the
+    fallback re-run always uses the reference engine, so a fast-tier
+    fault can never decide the answer.
     """
     q = quarantine if quarantine is not None else QUARANTINE
     rewritten, compiled_sources, report = jit_rewrite_guarded(e, q, wide)

@@ -81,15 +81,12 @@ def _job_budget(job: Job):
                   heap=job.options.heap, depth=job.options.depth)
 
 
-def _suspend(machine, out_extra: Dict[str, Any],
-             job: Optional[Job] = None) -> "_Suspended":
+def _suspend(machine, out_extra: Dict[str, Any]) -> "_Suspended":
     """Package a fuel-suspended machine as a ``suspended`` result."""
     snapshot = machine.snapshot()
     output = {"snapshot": snapshot.to_wire(),
-              "spent": machine.budget.spent()}
-    if job is not None:
-        promoted = bool(job.options.promoted) and not job.options.degraded
-        output["tier"] = _tier_envelope(job, machine, promoted=promoted)
+              "spent": machine.budget.spent(),
+              "tier": _tier_envelope(machine)}
     output.update(out_extra)
     return _Suspended(output)
 
@@ -163,7 +160,7 @@ def _drive_slices(job: Job, machine, first: Callable[[], Any],
                 raise
             if used >= total:
                 if job.options.checkpoint:
-                    raise _suspend(machine, dict(extra), job) from None
+                    raise _suspend(machine, dict(extra)) from None
                 raise
             if progress is not None:
                 snapshot = machine.snapshot()
@@ -187,24 +184,12 @@ def _outcome_dict(outcome) -> Dict[str, Any]:
     return {"value": str(outcome)}
 
 
-def _tier_envelope(job: Job, machine=None, *, compile_tier=None,
-                   promoted=False, degraded=False,
-                   tal_engine=None) -> Dict[str, Any]:
+def _tier_envelope(machine, compile_tier=None) -> Dict[str, Any]:
     """The effective tier of a serve answer, surfaced in every
-    run/resume envelope so a degraded or demoted answer is
-    distinguishable from a first-class fast one."""
-    from repro.f.cek import resolve_engine
-    from repro.tal.machine import resolve_tal_engine
-
-    f_engine = getattr(machine, "engine", None) \
-        or resolve_engine(job.options.engine)
-    tal = getattr(machine, "tal_engine", None) if machine is not None \
-        else None
-    if tal is None:
-        tal = resolve_tal_engine(tal_engine if tal_engine is not None
-                                 else job.options.tal_engine)
-    return {"f_engine": f_engine, "compile_tier": compile_tier,
-            "tal_engine": tal, "promoted": bool(promoted and not degraded)}
+    run/resume envelope so a degraded answer is distinguishable from a
+    first-class compiled one."""
+    return {"f_engine": machine.engine, "compile_tier": compile_tier,
+            "tal_engine": machine.tal_engine}
 
 
 def _do_run(job: Job, progress: Optional[Progress] = None) -> Dict[str, Any]:
@@ -212,37 +197,15 @@ def _do_run(job: Job, progress: Optional[Progress] = None) -> Dict[str, Any]:
 
     node, is_component = _resolve_program(job)
     trace = job.options.trace
-    promoted = bool(job.options.promoted) and not job.options.degraded
-    payload = job.options.tiering if promoted else None
-    tal_engine = job.options.tal_engine
-    if promoted:
-        from repro.tiering.promote import apply_promotion
 
-        apply_promotion(payload)
-        if tal_engine is None:
-            # The receipt certifies the fast T tier for this digest.
-            tal_engine = "fast"
-
-    # A promoted expression whose receipt covers a compiled artifact
-    # runs under the same guarded-JIT envelope as ``options.jit``, with
-    # the wide JIT scope (the safety net stays the demotion backstop);
-    # checkpointed runs stay on the plain machine, whose state is
-    # snapshottable.
-    guard_wide = (promoted and not is_component
-                  and not job.options.checkpoint
-                  and not job.options.checkpoint_every
-                  and bool(payload and payload.get("compile_tier")))
-
-    if (job.options.jit or guard_wide) and not is_component \
-            and not job.options.degraded:
+    if job.options.jit and not is_component and not job.options.degraded:
         from repro.link.interface import TIER_COMPILED
         from repro.resilience.safety_net import run_guarded
 
         value, machine, report = run_guarded(
             node, job.options.fuel or DEFAULT_FUEL,
-            job.options.heap, job.options.depth, trace, None,
-            True if guard_wide else None,
-            tal_engine if promoted else job.options.tal_engine)
+            job.options.heap, job.options.depth, trace,
+            tal_engine=job.options.tal_engine)
         out = {"value": str(value), "jit": report.to_json()}
         degraded_run = bool(getattr(report, "fell_back", False))
         if degraded_run:
@@ -250,14 +213,12 @@ def _do_run(job: Job, progress: Optional[Progress] = None) -> Dict[str, Any]:
         out["steps"] = machine.budget.fuel_used
         compile_tier = TIER_COMPILED if report.jitted and not degraded_run \
             else None
-        out["tier"] = _tier_envelope(
-            job, machine, compile_tier=compile_tier, promoted=promoted,
-            degraded=degraded_run)
+        out["tier"] = _tier_envelope(machine, compile_tier)
         return out
 
     machine = FTMachine(trace=trace, budget=_job_budget(job),
                         engine=job.options.engine,
-                        tal_engine=tal_engine)
+                        tal_engine=job.options.tal_engine)
     if job.options.checkpoint_every:
         total = job.options.fuel or DEFAULT_FUEL
         machine.budget.refill(min(max(1, job.options.checkpoint_every),
@@ -279,14 +240,13 @@ def _do_run(job: Job, progress: Optional[Progress] = None) -> Dict[str, Any]:
                 out = {"value": str(value)}
         except FuelExhausted:
             if job.options.checkpoint and machine.suspended:
-                raise _suspend(machine, {}, job) from None
+                raise _suspend(machine, {}) from None
             raise
         out["steps"] = machine.budget.fuel_used
     if job.options.degraded and job.options.jit:
         # Breaker-forced interpreter tier: same answer, no JIT.
         out["degraded"] = True
-    out["tier"] = _tier_envelope(job, machine, promoted=promoted,
-                                 degraded=bool(out.get("degraded")))
+    out["tier"] = _tier_envelope(machine)
     if trace:
         from repro.analysis.trace import control_flow_table, format_table
 
@@ -314,18 +274,6 @@ def _do_resume(job: Job,
         from repro.tal.machine import resolve_tal_engine
 
         machine.tal_engine = resolve_tal_engine(job.options.tal_engine)
-    promoted = bool(job.options.promoted) and not job.options.degraded
-    if promoted:
-        # Cross-tier resume: a snapshot taken pre-promotion may land
-        # on a worker where the digest has since been promoted (and
-        # vice versa).  Snapshots are engine-portable, so the restored
-        # machine simply continues at the receipt's tier.
-        from repro.tal.machine import resolve_tal_engine
-        from repro.tiering.promote import apply_promotion
-
-        apply_promotion(job.options.tiering)
-        if job.options.tal_engine is None:
-            machine.tal_engine = resolve_tal_engine("fast")
     fuel = job.options.fuel or DEFAULT_FUEL
     if job.options.checkpoint_every:
         slice_fuel = min(max(1, job.options.checkpoint_every), fuel)
@@ -335,19 +283,19 @@ def _do_resume(job: Job,
         out = _outcome_dict(outcome)
         out["steps"] = used
         out["resumed_from"] = snapshot.digest
-        out["tier"] = _tier_envelope(job, machine, promoted=promoted)
+        out["tier"] = _tier_envelope(machine)
         return out
     try:
         outcome = machine.resume(fuel=fuel)
     except FuelExhausted:
         if job.options.checkpoint and machine.suspended:
-            raise _suspend(machine, {"resumed_from": snapshot.digest},
-                           job) from None
+            raise _suspend(machine,
+                           {"resumed_from": snapshot.digest}) from None
         raise
     out = _outcome_dict(outcome)
     out["steps"] = machine.budget.fuel_used
     out["resumed_from"] = snapshot.digest
-    out["tier"] = _tier_envelope(job, machine, promoted=promoted)
+    out["tier"] = _tier_envelope(machine)
     return out
 
 
@@ -472,16 +420,6 @@ def _do_link(job: Job) -> Dict[str, Any]:
     return out
 
 
-def _do_promote(job: Job) -> Dict[str, Any]:
-    """Background tiering work: earn (or reuse) a signed tier receipt
-    for the job's program digest.  Scheduled by the pool-side
-    :class:`repro.tiering.coordinator.TieringCoordinator`; runs at
-    ordinary queue discipline so it never blocks foreground traffic."""
-    from repro.tiering.promote import run_promotion
-
-    return run_promotion(job)
-
-
 _EXECUTORS = {
     "parse": _do_parse,
     "typecheck": _do_typecheck,
@@ -491,7 +429,6 @@ _EXECUTORS = {
     "equiv": _do_equiv,
     "resume": _do_resume,
     "link": _do_link,
-    "promote": _do_promote,
 }
 
 

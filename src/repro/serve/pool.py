@@ -111,7 +111,6 @@ class Ticket:
 
     __slots__ = ("job", "attempts", "not_before", "start_ns", "span_id",
                  "deadline_at", "checkpoint", "recovering", "degrade",
-                 "promoted", "promote_payload",
                  "_event", "_lock", "_result", "_callbacks")
 
     def __init__(self, job: Job):
@@ -126,10 +125,6 @@ class Ticket:
         self.checkpoint: Optional[Dict[str, Any]] = None
         self.recovering = False     # current dispatch is a resume rewrite
         self.degrade = False        # dispatch with the JIT tier disabled
-        self.promoted = False       # dispatch at the digest's receipt tier
-        #: Receipt payload stamped onto the wire options of a promoted
-        #: dispatch (see :mod:`repro.tiering.coordinator`).
-        self.promote_payload: Optional[Dict[str, Any]] = None
         # Pre-allocate the serve.job span id while a trace is being
         # recorded, so worker-side spans can be stitched under it.
         self.span_id = next(obs_events._span_ids) \
@@ -284,7 +279,6 @@ def _preload_executor_deps() -> None:
     import repro.resilience.safety_net   # noqa: F401
     import repro.surface.parser          # noqa: F401
     import repro.surface.pretty          # noqa: F401
-    import repro.tiering.promote         # noqa: F401
 
 
 def _pick_context(name: Optional[str]):
@@ -311,8 +305,7 @@ class WorkerPool:
                  cache: Optional[ResultCache] = None,
                  mp_context: Optional[str] = None,
                  supervisor: Optional[SupervisorConfig] = None,
-                 shed_policy: Optional[str] = None,
-                 tiering: Optional[Any] = None):
+                 shed_policy: Optional[str] = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.max_retries = max_retries
@@ -337,15 +330,6 @@ class WorkerPool:
                                         self._cfg.restart_window,
                                         self._cfg.restart_backoff,
                                         self._cfg.restart_backoff_max)
-        #: Adaptive tiering (a TieringPolicy with mode != "off"):
-        #: observes results, schedules background promotions, stamps
-        #: promoted dispatches.  None keeps historical behaviour.
-        self._tiering = None
-        if tiering is not None and getattr(tiering, "enabled", False):
-            from repro.tiering.coordinator import TieringCoordinator
-
-            self._tiering = TieringCoordinator(
-                tiering, lambda j: self.submit(j, block=False))
         #: Slots waiting out a restart backoff: wid -> (due, death_at).
         self._cooldown: Dict[int, Tuple[float, float]] = {}
         self._mttr_ms: List[float] = []
@@ -464,15 +448,6 @@ class WorkerPool:
         if job.options.deadline_ms:
             ticket.deadline_at = time.monotonic() \
                 + job.options.deadline_ms / 1000.0
-        if self._tiering is not None and not ticket.degrade:
-            try:
-                payload = self._tiering.dispatch_payload(job)
-            except Exception:
-                payload = None
-                self._inc("tiering.error")
-            if payload is not None:
-                ticket.promoted = True
-                ticket.promote_payload = payload
         return False
 
     def _retry_after_ms(self) -> int:
@@ -691,11 +666,6 @@ class WorkerPool:
                 options = dict(wire.get("options") or {})
                 options["degraded"] = True
                 wire["options"] = options
-            elif ticket.promoted:
-                options = dict(wire.get("options") or {})
-                options["promoted"] = True
-                options["tiering"] = ticket.promote_payload
-                wire["options"] = options
         if OBS.enabled and "trace_ctx" not in wire:
             wire["trace_ctx"] = {
                 "trace_id": self._trace_id,
@@ -718,14 +688,6 @@ class WorkerPool:
         if self.cache is not None and not ticket.recovering \
                 and not result.output.get("degraded"):
             self.cache.put(ticket.job, result)
-        if self._tiering is not None and not ticket.recovering:
-            # Tiering is advisory: a coordinator bug must degrade to
-            # "no promotion", never break result delivery.
-            try:
-                self._tiering.observe(ticket.job, result,
-                                      promoted=ticket.promoted)
-            except Exception:
-                self._inc("tiering.error")
         end_ns = time.perf_counter_ns()
         dur = result.duration_ms or (end_ns - ticket.start_ns) / 1e6
         self._ewma_ms = 0.8 * self._ewma_ms + 0.2 * dur
@@ -1035,8 +997,6 @@ class WorkerPool:
             "max_retries": self.max_retries,
             "default_timeout": self.default_timeout,
             "cache": self.cache.stats() if self.cache is not None else None,
-            "tiering": (self._tiering.stats()
-                        if self._tiering is not None else None),
             "supervisor": {
                 "heartbeat_interval": self._cfg.heartbeat_interval,
                 "shed_policy": self.shed_policy,

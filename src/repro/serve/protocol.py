@@ -40,12 +40,9 @@ __all__ = [
 #: arithmetic) through the same compiler.  ``link``
 #: builds and links a multi-component manifest (:mod:`repro.link`);
 #: its ``source`` is the manifest JSON, and warm workers reuse the
-#: on-disk artifact store (``options.store``) across jobs.  ``promote``
-#: is background tiering work scheduled by
-#: :mod:`repro.tiering.coordinator`: validate a program's fast tiers
-#: and persist the signed receipt (:mod:`repro.tiering.promote`).
+#: on-disk artifact store (``options.store``) across jobs.
 JOB_KINDS = ("parse", "typecheck", "run", "jit", "compile", "equiv",
-             "resume", "link", "promote")
+             "resume", "link")
 
 #: Every status a result can carry.  ``ok`` is the only cacheable one;
 #: ``rejected`` is produced for malformed requests, for quarantined job
@@ -120,13 +117,6 @@ class JobOptions:
     chaos_rate: float = 0.0             # worker-side FaultPlane rate
     chaos_seed: int = 0                 # worker-side FaultPlane seed
     chaos_seams: Optional[str] = None   # comma-separated seam subset
-    promoted: bool = False              # dispatch-side: the digest holds a
-                                        # verified tier receipt; serve at
-                                        # its best tier
-    tiering: Optional[Dict[str, Any]] = None    # dispatch-side: the receipt
-                                        # payload (t_blocks, jit_threshold,
-                                        # compile_tier) the worker applies
-                                        # before running
 
     def to_dict(self) -> Dict[str, Any]:
         """Wire dict containing only the non-default entries."""
@@ -161,7 +151,7 @@ SEMANTIC_OPTIONS = (
 
 #: Options that do not affect the *semantic* result and are therefore
 #: excluded from the content address.  This is the one audited list --
-#: ``test_tiering_lint`` fails when a :class:`JobOptions` field is not
+#: ``test_protocol_options_lint`` fails when a :class:`JobOptions` field is not
 #: classified in exactly one of the two tuples.  The load-bearing
 #: entries:
 #:
@@ -178,17 +168,12 @@ SEMANTIC_OPTIONS = (
 #: * ``degraded`` -- degraded results never enter the cache (the pool
 #:   skips the put), so the flag staying out of the key cannot poison
 #:   it.
-#: * ``promoted``/``tiering`` -- a promoted run must return exactly
-#:   what the interpreted run returns (that is what the receipt
-#:   certifies, and the safety net + quarantine enforce at runtime),
-#:   so promoted and cold results share cache entries by construction.
 NON_SEMANTIC_OPTIONS = (
     "timeout", "no_cache", "engine", "tal_engine", "store",
     "deadline_ms", "checkpoint_every", "degraded",
     "inject_crash", "inject_sleep", "inject_hang",
     "inject_corrupt", "inject_crash_at",
     "chaos_rate", "chaos_seed", "chaos_seams",
-    "promoted", "tiering",
 )
 
 

@@ -57,8 +57,7 @@ class ServeServer:
                  max_retries: int = 2,
                  mp_context: Optional[str] = None,
                  supervisor: Optional[SupervisorConfig] = None,
-                 shed_policy: Optional[str] = None,
-                 tiering=None):
+                 shed_policy: Optional[str] = None):
         self.host = host
         self.port = port
         self.cache = ResultCache(cache_size) if cache_size else None
@@ -66,7 +65,7 @@ class ServeServer:
             workers, cache=self.cache, queue_size=queue_size,
             default_timeout=default_timeout, max_retries=max_retries,
             mp_context=mp_context, supervisor=supervisor,
-            shed_policy=shed_policy, tiering=tiering)
+            shed_policy=shed_policy)
         self._ids = itertools.count(1)
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None

@@ -18,10 +18,10 @@ executable form and stops consulting types at run time:
 * the per-component lowering is keyed by the PR 7 **content digest** and
   cached through the :mod:`repro.link` ArtifactStore, so a compiled
   artifact is lowered once fleet-wide (``tal.fast.preinst.*``);
-* blocks flagged hot (entry counter, or a digest list from a tiering
-  receipt) are **template-JITted**: the block
-  body is rendered into one fused Python function per basic block
-  (branch-out via block transfer requests) and compiled with ``exec``.
+* blocks entered :data:`JIT_THRESHOLD` times are **template-JITted**:
+  the block body is rendered into one fused Python function per basic
+  block (branch-out via block transfer requests) and compiled with
+  ``exec``.
 
 Semantics are bit-identical to the reference engine -- same values, same
 ``steps``/``fuel_used`` accounting, same trap messages, same residual
@@ -44,7 +44,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from repro.caching import LRUCache
 from repro.errors import MachineError
 from repro.obs.events import OBS
-from repro.obs.profile import PROFILER, content_hash
+from repro.obs.profile import PROFILER
 from repro.tal.machine import HaltedState, ImportRequest, rename_locs
 from repro.tal.subst import (
     Subst, free_type_vars, instantiate_code_block, subst_instr,
@@ -60,8 +60,8 @@ from repro.tal.syntax import (
 
 __all__ = [
     "FastBlock", "FastPoint", "fast_drive", "fast_run_t", "instrumented",
-    "install_component", "promote_digests", "set_jit_threshold",
-    "clear_fast_caches", "fast_cache_stats", "PREINST_VERSION",
+    "install_component", "clear_fast_caches", "fast_cache_stats",
+    "PREINST_VERSION",
 ]
 
 #: Bump when the lowered descriptor format changes: the digest of the
@@ -127,46 +127,9 @@ def fast_cache_stats() -> Dict[str, Dict[str, int]]:
     }
 
 
-# ---------------------------------------------------------------------------
-# JIT promotion policy
-# ---------------------------------------------------------------------------
-
-_PROMOTED: Optional[set] = None
-_JIT_THRESHOLD: Optional[int] = None
-
-
-def _promoted() -> set:
-    global _PROMOTED
-    if _PROMOTED is None:
-        # Both knobs resolve through the tiering policy.
-        from repro.tiering.policy import active_policy
-
-        _PROMOTED = set(active_policy().tal_promote)
-    return _PROMOTED
-
-
-def promote_digests(digests) -> None:
-    """Seed the JIT with profiler block digests (the ``t_blocks`` of a
-    tiering receipt): matching blocks are promoted on
-    first entry instead of waiting out the hot counter."""
-    _promoted().update(digests)
-
-
-def _jit_threshold() -> int:
-    global _JIT_THRESHOLD
-    if _JIT_THRESHOLD is None:
-        from repro.tiering.policy import active_policy
-
-        _JIT_THRESHOLD = int(active_policy().tal_jit_threshold)
-    return _JIT_THRESHOLD
-
-
-def set_jit_threshold(n: Optional[int]) -> None:
-    """Override (or with ``None`` re-read from the tiering policy /
-    environment) the entry count after which an eligible block is
-    template-JITted."""
-    global _JIT_THRESHOLD
-    _JIT_THRESHOLD = n
+#: Entries after which an eligible block is template-JITted.  Read as a
+#: module global on every entry, so tests may patch it.
+JIT_THRESHOLD = 16
 
 
 def instrumented(machine) -> bool:
@@ -617,7 +580,7 @@ class FastBlock:
     residual materialisation, the omega memo, and the JIT tier."""
 
     __slots__ = ("ops", "nops", "term", "delta", "src_seq", "src_hcode",
-                 "hot", "jit_spec", "jit_fn", "jit_consts", "_digest")
+                 "hot", "jit_spec", "jit_fn", "jit_consts")
 
     def __init__(self, ops, term, delta, src_seq, src_hcode, jit_spec,
                  jit_consts):
@@ -631,14 +594,6 @@ class FastBlock:
         self.jit_spec = jit_spec
         self.jit_fn = None
         self.jit_consts = jit_consts
-        self._digest = None
-
-    def digest(self) -> Optional[str]:
-        """Stable-per-run profiler digest of the source block (what
-        :meth:`repro.obs.profile.ProfileSnapshot.promote` emits)."""
-        if self._digest is None and self.src_hcode is not None:
-            self._digest = content_hash(self.src_hcode, "t")
-        return self._digest
 
 
 def _unset_read(name: str):
@@ -1323,9 +1278,7 @@ def _run_fast(machine, state, ft: bool):
             env2 = ()
         if fb2.jit_fn is None and fb2.jit_spec is not None:
             fb2.hot += 1
-            promoted = _PROMOTED
-            if (fb2.hot >= _jit_threshold()
-                    or (promoted and fb2.digest() in promoted)):
+            if fb2.hot >= JIT_THRESHOLD:
                 _promote(fb2)
         return fb2, env2
 
@@ -1411,9 +1364,7 @@ def _run_fast(machine, state, ft: bool):
                 counters[0] += 1
                 if fb.jit_fn is None and fb.jit_spec is not None:
                     fb.hot += 1
-                    promoted = _PROMOTED
-                    if (fb.hot >= _jit_threshold()
-                            or (promoted and fb.digest() in promoted)):
+                    if fb.hot >= JIT_THRESHOLD:
                         _promote(fb)
                 pc = 0
                 continue

@@ -4,8 +4,7 @@ The compiler once had an arithmetic tier and an opt-in general tier;
 the names below keep that vocabulary.  The general tier's work -- closed
 lambdas that take or return functions -- is now done by the one
 compiler: ``compile_function`` always accepts them, and ``jit_rewrite``
-reaches them only in the wide scope (``wide=True``, which ``--tiering
-aggressive`` and promoted receipts select).
+reaches them only in the wide scope (``wide=True``).
 """
 
 from repro.compile import compile_function, jit_rewrite

@@ -1,8 +1,8 @@
 """The JIT's scope, compiled through the one compiler.
 
 By default the JIT rewrites first-order all-``int`` lambdas (literals,
-parameters, ``+ - *``, ``if0``); the wide scope (``--tiering
-aggressive``, promoted receipts) rewrites every closed lambda.  For
+parameters, ``+ - *``, ``if0``); the wide scope (``jit_rewrite(e,
+wide=True)``) rewrites every closed lambda.  For
 every in-scope lambda below -- handwritten cases plus every in-scope
 ``random_f_int_expr(seed, depth=2)`` body for seeds 0-39 -- the compiled
 component

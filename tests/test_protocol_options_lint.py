@@ -61,8 +61,7 @@ class TestJobOptionsPartition:
             "inject_crash": True, "inject_sleep": 1.0,
             "inject_hang": True, "inject_corrupt": True,
             "inject_crash_at": 2, "chaos_rate": 0.5, "chaos_seed": 3,
-            "chaos_seams": "jit.run", "promoted": True,
-            "tiering": {"digest": "d"},
+            "chaos_seams": "jit.run",
         }
         for name in NON_SEMANTIC_OPTIONS:
             job = Job("run", source="(1 + 2)")

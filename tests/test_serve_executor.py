@@ -63,6 +63,22 @@ class TestHappyPaths:
         assert result.output["blocks"] >= 1
         assert "ret ra" in result.output["assembly"]
 
+    def test_degraded_jit_run_stays_on_the_interpreter(self):
+        """``degraded`` (stamped by the pool while the jit breaker is
+        open) answers a ``jit`` run on the interpreter: same value, no
+        compiled tier, and the result says so."""
+        src = "((lam (x: int). ((x * x) + 1)) (20))"
+        jitted = execute_job(Job("run", source=src,
+                                 options=JobOptions(jit=True)))
+        degraded = execute_job(Job("run", source=src, options=JobOptions(
+            jit=True, degraded=True)))
+        assert jitted.output["tier"]["compile_tier"] is not None
+        assert degraded.output["value"] == jitted.output["value"] == "401"
+        assert degraded.output["degraded"] is True
+        assert "jit" not in degraded.output
+        assert degraded.output["tier"] == {
+            "f_engine": "cek", "compile_tier": None, "tal_engine": "ref"}
+
     def test_jit_check(self):
         result = execute_job(Job(
             "jit", source="lam (x: int). (x * 2)",

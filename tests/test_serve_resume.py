@@ -137,6 +137,61 @@ class TestExecutorSuspendResume:
         assert result.output["jit"]["jitted"] == 1
 
 
+class TestCrossEngineResume:
+    """Snapshots are T-engine portable at the serve layer: a ``resume``
+    job may finish on the other ``tal_engine`` with the value and total
+    steps of an uninterrupted ``ref`` run.  A suspended hop spends
+    exactly its fuel slice, a third of the reference run."""
+
+    @staticmethod
+    def _count_t():
+        from repro.f.syntax import App, IntE
+        from repro.papers_examples.fig17_factorial import build_count_t
+
+        return {"source": str(App(build_count_t(), (IntE(300),)))}
+
+    PROGRAMS = {"count-t": _count_t.__func__,
+                "fact-f": lambda: {"example": "fact-f"}}
+
+    @staticmethod
+    def _reference(program):
+        result = execute_job(Job("run", **program,
+                                 options=JobOptions(tal_engine="ref")))
+        assert result.status == "ok"
+        return result.output["value"], result.output["steps"]
+
+    @staticmethod
+    def _chain(program, engines, slice_fuel):
+        """Run on ``engines[0]``, then resume once per further engine;
+        every hop but the last suspends.  Returns (value, total steps)."""
+        first, *rest = engines
+        result = execute_job(Job("run", **program, options=JobOptions(
+            fuel=slice_fuel, checkpoint=True, tal_engine=first)))
+        steps = 0
+        for i, engine in enumerate(rest):
+            assert result.status == "suspended", result.error
+            assert result.output["tier"]["tal_engine"] == engines[i]
+            steps += slice_fuel
+            last = i == len(rest) - 1
+            result = execute_job(Job(
+                "resume", snapshot=result.output["snapshot"],
+                options=JobOptions(fuel=1_000_000 if last else slice_fuel,
+                                   checkpoint=not last,
+                                   tal_engine=engine)))
+        assert result.status == "ok", result.error
+        assert result.output["tier"]["tal_engine"] == engines[-1]
+        return result.output["value"], steps + result.output["steps"]
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    @pytest.mark.parametrize("engines", [("ref", "fast"), ("fast", "ref"),
+                                         ("ref", "fast", "ref")],
+                             ids="->".join)
+    def test_resume_switches_tal_engine(self, name, engines):
+        program = self.PROGRAMS[name]()
+        expected = self._reference(program)
+        assert self._chain(program, engines, expected[1] // 3) == expected
+
+
 class TestCrossProcessResume:
     """The point of content-addressed snapshots: suspend in one worker
     process, resume in another."""

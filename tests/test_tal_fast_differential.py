@@ -10,8 +10,8 @@ on every paper example, random well-typed T programs, erased programs,
 budget-exhaustion splits, and cross-engine snapshot resume.
 
 Also covered: the digest-keyed preinstantiation cache through the link
-store, the profiler->JIT promotion hand-off, and the serving layer's
-treatment of ``tal_engine`` as a non-semantic option.
+store, and the serving layer's treatment of ``tal_engine`` as a
+non-semantic option.
 """
 
 import re
@@ -48,13 +48,11 @@ LOC_COUNTER = re.compile(r"%\d+")
 def clean_caches():
     clear_subst_caches()
     fast.clear_fast_caches()
-    fast.set_jit_threshold(None)
     obs.disable()
     obs.reset()
     yield
     clear_subst_caches()
     fast.clear_fast_caches()
-    fast.set_jit_threshold(None)
     obs.disable()
     obs.reset()
 
@@ -284,60 +282,25 @@ class TestBudgetVerdictLockstep:
 
 
 class TestJitLockstep:
-    """With the promotion threshold forced to 1 every eligible block is
+    """With the JIT threshold forced to 1 every eligible block is
     template-JITted immediately; the fused closures must stay in
     lockstep with the reference stepper."""
 
-    def test_jit_promoted_lockstep(self):
-        fast.set_jit_threshold(1)
-        try:
-            out = _assert_ft_lockstep(
-                lambda: App(build_count_t(), (IntE(300),)),
-                fuel=1_000_000)
-            assert out["value"] == "300"
-            _assert_ft_lockstep(lambda: App(build_fact_t(), (IntE(6),)))
-            for name in sorted(example_entries()):
-                _assert_ft_lockstep(example_entries()[name][1])
-        finally:
-            fast.set_jit_threshold(None)
+    def test_jit_promoted_lockstep(self, monkeypatch):
+        monkeypatch.setattr(fast, "JIT_THRESHOLD", 1)
+        out = _assert_ft_lockstep(
+            lambda: App(build_count_t(), (IntE(300),)),
+            fuel=1_000_000)
+        assert out["value"] == "300"
+        _assert_ft_lockstep(lambda: App(build_fact_t(), (IntE(6),)))
+        for name in sorted(example_entries()):
+            _assert_ft_lockstep(example_entries()[name][1])
 
-    def test_jit_actually_promotes(self):
+    def test_jit_actually_promotes(self, monkeypatch):
         obs.enable(record=False)
-        fast.set_jit_threshold(1)
-        try:
-            _observe_ft(lambda: App(build_count_t(), (IntE(100),)),
-                        "fast", fuel=1_000_000)
-        finally:
-            fast.set_jit_threshold(None)
-        counters = obs.OBS.metrics.snapshot()["counters"]
-        assert counters.get("tal.fast.jit.promoted", 0) >= 1
-
-    def test_profiler_promote_hand_off(self):
-        """ProfileSnapshot.promote feeds promote_digests: blocks
-        hot in a profiled (reference) run are JITted on first entry in a
-        later fast run, without waiting out the hot counter."""
-        from repro.obs.profile import PROFILER
-
-        build = lambda: App(build_count_t(), (IntE(120),))
-        PROFILER.reset()
-        PROFILER.enable()
-        try:
-            _observe_ft(build, "ref", fuel=1_000_000)
-            snap = PROFILER.snapshot()
-        finally:
-            PROFILER.disable()
-            PROFILER.reset()
-        digests = snap.promote(threshold=50)
-        assert digests, "count loop should be hot"
-        assert all(e["kind"] == "t" for e in snap.entries
-                   if e["key"] in digests)
-        obs.enable(record=False)
-        fast.promote_digests(digests)
-        try:
-            out = _observe_ft(build, "fast", fuel=1_000_000)
-        finally:
-            fast._PROMOTED = None  # drop the seeded set
-        assert out["value"] == "120"
+        monkeypatch.setattr(fast, "JIT_THRESHOLD", 1)
+        _observe_ft(lambda: App(build_count_t(), (IntE(100),)),
+                    "fast", fuel=1_000_000)
         counters = obs.OBS.metrics.snapshot()["counters"]
         assert counters.get("tal.fast.jit.promoted", 0) >= 1
 
