@@ -174,7 +174,7 @@ def test_serve_chaos_drill(record):
         "jobs_lost": report["lost"],
         "recovered": report["recovered"],
         "degraded": report["degraded"],
-        "quarantined_digests": report["quarantine"].get("entries", 0),
+        "quarantined_digests": report["quarantine"].get("size", 0),
         "mttr_ms": {k: round(v, 3) if isinstance(v, float) else v
                     for k, v in report["mttr_ms"].items()},
         "wall_s": report["duration_s"],

@@ -10,11 +10,14 @@ client library to it over TCP, and walks through the service's story:
 2. cached vs fresh latency: the same job resubmitted is served from the
    content-addressed result cache without touching a worker;
 3. fault isolation: a job that kills its worker mid-execution is retried
-   and reported ``crashed`` while the server keeps serving.
+   and reported ``crashed`` while the server keeps serving.  Faults are
+   in-process only (``Job.fault``): no client can send one, so this
+   part submits straight to the server's pool.
 """
 
 import time
 
+from repro.resilience.chaos import Fault
 from repro.serve.client import ServeClient
 from repro.serve.protocol import Job, JobOptions
 from repro.serve.server import ServeServer
@@ -61,9 +64,8 @@ def main() -> None:
 
             print()
             print("=== Fault isolation ===")
-            boom = client.submit(Job(
-                "run", source="(1 + 1)",
-                options=JobOptions(inject_crash=True)))
+            boom = server.pool.submit(Job(
+                "run", source="(1 + 1)", fault=Fault("crash"))).wait(60.0)
             print(f"crashing job: status={boom.status} "
                   f"after {boom.attempts} attempts ({boom.error})")
             after = client.submit(Job("run", example="fact-f"))

@@ -5,7 +5,7 @@ which imports nothing else from the package), so *any* layer -- syntax
 nodes, the TAL substitution engine, the JIT, the serve result cache --
 can use it without creating an import cycle.
 
-Three pieces:
+Four pieces:
 
 * :class:`LRUCache` -- a small, thread-safe, generic LRU with hit/miss/
   eviction accounting and optional :mod:`repro.obs` counter mirroring
@@ -24,6 +24,8 @@ Three pieces:
   checks hit their ``a is b`` fast path.  First instance wins; the
   table never evicts (types are small and programs mint finitely many),
   it just stops admitting new entries at ``maxsize``.
+* :class:`Quarantine` -- keys barred from a path, with reasons; used by
+  the JIT safety net and the serve pool.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from typing import Any, Dict, Hashable, Optional
 
 from repro.obs.events import OBS
 
-__all__ = ["LRUCache", "PicklableSlots", "InternTable", "intern_singleton"]
+__all__ = ["LRUCache", "PicklableSlots", "InternTable", "Quarantine",
+           "intern_singleton"]
 
 
 def intern_singleton(cls):
@@ -183,3 +186,61 @@ class InternTable:
 
     def clear(self) -> None:
         self._table.clear()
+
+
+class Quarantine:
+    """Keys barred from a path, with the reason each one earned it.
+
+    The first reason recorded for a key wins; a key stays barred until
+    :meth:`clear`.  ``metric_prefix`` mirrors the accounting into the
+    metrics registry the way :class:`LRUCache` does: ``<prefix>.added``
+    and ``<prefix>.hits`` counters and a ``<prefix>.size`` gauge.
+    Thread-safe: the serve pool adds from its manager thread while
+    submitting threads look keys up and read :meth:`stats`.
+    """
+
+    def __init__(self, metric_prefix: str = "jit.quarantine"):
+        self.metric_prefix = metric_prefix
+        self._entries: Dict[Hashable, str] = {}
+        self._lock = threading.Lock()
+        self.hits = 0        # lookups that :meth:`skip` turned away
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def add(self, key: Hashable, reason: str) -> None:
+        with self._lock:
+            if key in self._entries:
+                return
+            self._entries[key] = reason
+            size = len(self._entries)
+        if OBS.enabled:
+            OBS.metrics.inc(f"{self.metric_prefix}.added")
+            OBS.gauge(f"{self.metric_prefix}.size", size)
+
+    def reason(self, key: Hashable) -> str:
+        return self._entries.get(key, "")
+
+    def skip(self, key: Hashable) -> None:
+        """Record that ``key`` was turned away because it is barred."""
+        with self._lock:
+            self.hits += 1
+        if OBS.enabled:
+            OBS.metrics.inc(f"{self.metric_prefix}.hits")
+
+    def stats(self) -> Dict[str, object]:
+        """Size, hits and the insertion-ordered (printed key, reason)
+        ``entries``."""
+        with self._lock:
+            entries = [(str(key), why)
+                       for key, why in self._entries.items()]
+        return {"size": len(entries), "hits": self.hits,
+                "entries": entries}
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.hits = 0

@@ -45,12 +45,14 @@ or target specific seams: ``FaultPlane(seed=7, seams=["jit.compile"])``.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Union
 
 from repro.errors import InjectedFault
 from repro.obs.events import OBS
 
-__all__ = ["SEAMS", "FaultPlane", "probe", "active_plane"]
+__all__ = ["SEAMS", "PROCESS_FAULTS", "Fault", "FaultPlane", "probe",
+           "active_plane"]
 
 #: Every seam a probe is planted at, with a one-line description.
 SEAMS: Dict[str, str] = {
@@ -62,6 +64,29 @@ SEAMS: Dict[str, str] = {
     "snapshot.restore": "machine checkpoint restore (unpickling)",
     "store.io": "artifact-store reads/writes (ArtifactStore.get / put)",
 }
+
+#: Fault kinds that act on a pool worker process rather than at a seam.
+PROCESS_FAULTS = ("crash", "crash-after-checkpoint", "hang", "corrupt",
+                  "stall")
+
+
+@dataclass(frozen=True)
+class Fault:
+    """An in-process fault for one serve pool job (``Job.fault``); the
+    wire protocol cannot carry one.  ``kind`` is a :data:`PROCESS_FAULTS`
+    name, applied by the pool's worker loop, or a :data:`SEAMS` name,
+    which arms a :class:`FaultPlane` (``rate``, ``seed``) on that one
+    seam for the job.  ``seconds`` is the length of a ``stall``."""
+
+    kind: str
+    seconds: float = 0.0
+    rate: float = 0.0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in PROCESS_FAULTS and self.kind not in SEAMS:
+            raise ValueError(f"unknown fault kind {self.kind!r}")
+
 
 #: The plane currently armed, or None.  Single-threaded by design: the
 #: machines themselves are single-threaded, and serve workers are

@@ -9,9 +9,10 @@ machine's stuck-state checks, an injected chaos fault -- the safety net
 
 1. falls back to the interpreter and returns *its* result, so callers
    never observe a jit-induced failure or wrong answer;
-2. quarantines the offending source lambda in a circuit breaker
-   (:class:`Quarantine`), so it is never handed to the compiler again in
-   this process.
+2. quarantines the offending source lambda
+   (:class:`repro.caching.Quarantine`, keyed on the frozen, hashable
+   source :class:`Lam` exactly like the compile cache), so it is never
+   handed to the compiler again in this process.
 
 Resource exhaustion (fuel/heap/depth) is *not* treated as a JIT fault:
 it is a legitimate verdict of bounded evaluation, so it propagates to the
@@ -26,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.caching import Quarantine
 from repro.errors import ResourceExhausted
 from repro.f.syntax import FExpr, Lam
 from repro.ft.machine import FTMachine, evaluate_ft
@@ -36,53 +38,6 @@ from repro.resilience.chaos import probe
 
 __all__ = ["Quarantine", "QUARANTINE", "SafetyNetReport",
            "jit_rewrite_guarded", "run_guarded"]
-
-
-class Quarantine:
-    """Circuit breaker over source lambdas the JIT has faulted on.
-
-    Keyed on the (frozen, hashable) source :class:`Lam` itself, exactly
-    like the compile cache -- structurally identical lambdas share a
-    verdict.  Once a lambda is quarantined it is never re-jitted; the
-    interpreter runs it instead, permanently, until :meth:`clear`.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[Lam, str] = {}
-        self.hits = 0        # rewrites that skipped a quarantined lambda
-
-    def __contains__(self, lam: Lam) -> bool:
-        return lam in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def add(self, lam: Lam, reason: str) -> None:
-        if lam in self._entries:
-            return
-        self._entries[lam] = reason
-        if OBS.enabled:
-            OBS.metrics.inc("jit.quarantine.added")
-            OBS.gauge("jit.quarantine.size", len(self._entries))
-
-    def skip(self, lam: Lam) -> None:
-        """Record that a rewrite left ``lam`` interpreted because it is
-        quarantined."""
-        self.hits += 1
-        if OBS.enabled:
-            OBS.metrics.inc("jit.quarantine.hits")
-
-    def reasons(self) -> List[Tuple[str, str]]:
-        """(pretty lambda, reason) pairs, insertion-ordered."""
-        return [(str(lam), why) for lam, why in self._entries.items()]
-
-    def stats(self) -> Dict[str, object]:
-        return {"size": len(self._entries), "hits": self.hits,
-                "entries": self.reasons()}
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
 
 
 #: The process-wide quarantine, shared by every guarded run (and by the

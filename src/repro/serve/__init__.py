@@ -18,8 +18,9 @@ This package is that service, built from four layers:
   then reported failed -- the pool itself never goes down.
 * :mod:`repro.serve.supervisor` -- the fleet supervision policy layered
   over the pool: heartbeat-based hung-worker detection, per-slot restart
-  budgets with backoff, a per-kind circuit breaker, digest quarantine,
-  deadline shedding, and checkpoint-based mid-job crash recovery.
+  budgets with backoff, a per-kind circuit breaker, the fault key the
+  pool's quarantine is keyed on, deadline shedding, and checkpoint-based
+  mid-job crash recovery.
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` -- an asyncio
   JSON-lines TCP server over the pool plus a synchronous client library
   with ``submit``, ``submit_batch``, and streaming result iteration;

@@ -15,8 +15,9 @@ Two layers:
   are stored; a hit is returned as a *copy* flagged ``cached=True`` so
   the stored record stays pristine.
 
-Wall-clock options (``timeout``) and fault-injection hooks never reach
-the key -- two jobs that demand the same semantics share one entry.
+Wall-clock options (``timeout``) and the in-process ``Job.fault``
+never reach the key -- two jobs that demand the same semantics share
+one entry.
 """
 
 from __future__ import annotations

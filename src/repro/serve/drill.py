@@ -21,10 +21,14 @@ The corpus is seeded and mixed:
 * ``link`` jobs against a real artifact store with ``store.io`` chaos
   armed (expected to succeed, possibly ``degraded``);
 * checkpointed ``run`` jobs that crash their worker *after* shipping a
-  snapshot (``inject_crash_at``), so at least one job must finish via
-  mid-run recovery on a different worker;
-* a ``rate``-sized share of jobs carrying ``inject_crash`` /
-  ``inject_sleep`` / ``inject_corrupt`` / ``inject_hang`` faults.
+  snapshot (``crash-after-checkpoint``), so at least one job must
+  finish via mid-run recovery on a different worker;
+* a ``rate``-sized share of jobs carrying a ``crash`` / ``stall`` /
+  ``corrupt`` / ``hang`` fault.
+
+Every fault is an in-process :class:`~repro.resilience.chaos.Fault` on
+``Job.fault``; the drill submits straight to the pool, because the wire
+protocol cannot carry one.
 
 The report carries everything the CI gate and the resilience benchmark
 need: per-status counts, ``lost`` (must be 0), ``recovered`` (must be
@@ -41,6 +45,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.adversarial import adversarial_jobs
+from repro.resilience.chaos import Fault
 from repro.serve.pool import WorkerPool
 from repro.serve.protocol import Job, JobOptions
 from repro.serve.supervisor import SupervisorConfig
@@ -64,30 +69,27 @@ def build_corpus(seed: int, jobs: int, rate: float,
     """The seeded mixed job list.  Deterministic in ``(seed, jobs,
     rate, store_dir)`` up to the store directory name."""
     rng = random.Random(seed)
-    corpus: List[Job] = []
-
+    # Hostile inputs: adversarial components must resolve ``error``.
+    corpus: List[Job] = adversarial_jobs(ids_prefix=f"d{seed}-adv")
     # Guaranteed recovery probes: crash after the first shipped
     # checkpoint, every attempt, until the pool resumes from the
-    # snapshot on a sibling (the resume rewrite strips inject_*).
-    for i in range(3):
-        corpus.append(Job(
-            "run", id=f"d{seed}-recover-{i}", example="fact-f",
-            options=JobOptions(checkpoint=True, checkpoint_every=8,
-                               inject_crash_at=1)))
-
-    # Hostile inputs: adversarial components must resolve ``error``.
-    corpus.extend(adversarial_jobs(ids_prefix=f"d{seed}-adv"))
+    # snapshot on a sibling (the resume rewrite drops the fault).
+    # They go last: shed-oldest evicts the oldest queued job on each
+    # submit at capacity, and nothing is submitted after them.
+    probes = [Job("run", id=f"d{seed}-recover-{i}", example="fact-f",
+                  options=JobOptions(checkpoint=True, checkpoint_every=8),
+                  fault=Fault("crash-after-checkpoint"))
+              for i in range(3)]
 
     hangs = 0
-    for i in range(jobs - len(corpus)):
+    for i in range(jobs - len(corpus) - len(probes)):
         jid = f"d{seed}-{i}"
         kind_roll = rng.random()
         if kind_roll < 0.08 and store_dir is not None:
             job = Job("link", id=jid, source=_LINK_MANIFEST,
-                      options=JobOptions(
-                          store=store_dir, run=True,
-                          chaos_rate=rate, chaos_seed=seed * 10_007 + i,
-                          chaos_seams="store.io"))
+                      options=JobOptions(store=store_dir, run=True),
+                      fault=Fault("store.io", rate=rate,
+                                  seed=seed * 10_007 + i))
         elif kind_roll < 0.16:
             job = Job("typecheck", id=jid,
                       example=rng.choice(("fact-f", "fact-t")))
@@ -103,19 +105,20 @@ def build_corpus(seed: int, jobs: int, rate: float,
         if rng.random() < rate:
             fault = rng.random()
             if fault < 0.35:
-                job.options.inject_crash = True
+                job.fault = Fault("crash")
             elif fault < 0.55 and hangs < 3:
                 # SIGSTOP storms are the slowest fault to clear
                 # (heartbeat misses x interval per attempt), so cap
                 # them; the kill path is still exercised every drill.
-                job.options.inject_hang = True
+                job.fault = Fault("hang")
                 hangs += 1
             elif fault < 0.80:
-                job.options.inject_corrupt = True
+                job.fault = Fault("corrupt")
             else:
-                job.options.inject_sleep = rng.choice((0.05, 0.15, 6.0))
+                job.fault = Fault("stall",
+                                  seconds=rng.choice((0.05, 0.15, 6.0)))
         corpus.append(job)
-    return corpus
+    return corpus + probes
 
 
 def run_serve_drill(seed: int = 0, jobs: int = 200, workers: int = 4,
@@ -141,7 +144,7 @@ def run_serve_drill(seed: int = 0, jobs: int = 200, workers: int = 4,
 
     corpus = build_corpus(seed, jobs, rate, store_dir=store_dir)
     statuses: "collections.Counter[str]" = collections.Counter()
-    recovered = degraded = shed = quarantined = 0
+    recovered = degraded = shed = 0
     lost: List[str] = []
     t0 = time.monotonic()
     try:
@@ -178,8 +181,6 @@ def run_serve_drill(seed: int = 0, jobs: int = 200, workers: int = 4,
                     degraded += 1
                 if out.get("shed"):
                     shed += 1
-                if result.error_type == "QuarantinedJob":
-                    quarantined += 1
             stats = pool.stats()
     finally:
         if own_store:
@@ -198,7 +199,7 @@ def run_serve_drill(seed: int = 0, jobs: int = 200, workers: int = 4,
         "recovered": recovered,
         "degraded": degraded,
         "shed": shed,
-        "quarantined": quarantined,
+        "quarantined": sup.get("quarantine", {}).get("hits", 0),
         "mttr_ms": sup.get("mttr_ms", {}),
         "breaker": sup.get("breaker", {}),
         "quarantine": sup.get("quarantine", {}),

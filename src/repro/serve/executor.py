@@ -47,7 +47,6 @@ Programs come either inline (``source``) or as a built-in paper example
 from __future__ import annotations
 
 import os
-import signal
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -143,13 +142,10 @@ def _drive_slices(job: Job, machine, first: Callable[[], Any],
     Returns ``(outcome, total fuel used)``.  Exhausting the *overall*
     budget behaves exactly like the unsliced path: ``suspended`` when
     ``options.checkpoint`` is set and the machine can suspend,
-    ``fuel_exhausted`` otherwise.  ``inject_crash_at=N`` kills the
-    worker right *after* the Nth snapshot is on the wire, so recovery
-    tests know a checkpoint exists before the crash."""
+    ``fuel_exhausted`` otherwise."""
     total = job.options.fuel or DEFAULT_FUEL
     every = max(1, int(job.options.checkpoint_every))
     used = 0
-    shipped = 0
     attempt = first
     while True:
         try:
@@ -166,10 +162,6 @@ def _drive_slices(job: Job, machine, first: Callable[[], Any],
                 snapshot = machine.snapshot()
                 progress({"snapshot": snapshot.to_wire(), "spent": used,
                           "remaining": total - used})
-            shipped += 1
-            if job.options.inject_crash_at is not None \
-                    and shipped >= job.options.inject_crash_at:
-                os._exit(23)
             nxt = min(every, total - used)
             attempt = lambda f=nxt: machine.resume(fuel=f)  # noqa: E731
             continue
@@ -435,8 +427,7 @@ _EXECUTORS = {
 def execute_job(job: Job,
                 progress: Optional[Progress] = None) -> JobResult:
     """Execute ``job`` to a result; never raises for program-level
-    failures.  The fault-injection options act *before* execution so the
-    resilience tests can stage crashes and hangs deterministically.
+    failures.
 
     ``progress`` (wired by the pool worker loop to the result pipe)
     receives mid-run checkpoint records from jobs that set
@@ -447,40 +438,14 @@ def execute_job(job: Job,
     ``obs`` field ships this process's spans/metrics back to whoever is
     stitching the cross-process trace.
     """
-    if job.options.inject_sleep > 0:
-        time.sleep(job.options.inject_sleep)
-    if job.options.inject_crash:
-        # Simulate a segfault: bypass all exception handling and die.
-        os._exit(23)
-    if job.options.inject_hang and hasattr(signal, "SIGSTOP"):
-        # Freeze the whole process (heartbeat thread included): only
-        # the manager's hung-worker detection can clear this.
-        os.kill(os.getpid(), signal.SIGSTOP)
     if job.trace_ctx is not None:
         from repro.obs.distributed import TraceContext, WorkerCapture
 
         with WorkerCapture(TraceContext.from_dict(job.trace_ctx)) as cap:
-            result = _run_with_chaos(job, progress)
+            result = _execute_guarded(job, progress)
         result.obs = cap.envelope
         return result
-    return _run_with_chaos(job, progress)
-
-
-def _run_with_chaos(job: Job, progress: Optional[Progress]) -> JobResult:
-    """Arm a worker-side :class:`FaultPlane` when the job asks for one
-    (``options.chaos_rate``), so drills can storm the executor seams
-    inside real worker processes."""
-    if job.options.chaos_rate <= 0:
-        return _execute_guarded(job, progress)
-    from repro.resilience.chaos import FaultPlane, active_plane
-
-    if active_plane() is not None:     # e.g. in-process pool tests
-        return _execute_guarded(job, progress)
-    seams = [s.strip() for s in (job.options.chaos_seams or "").split(",")
-             if s.strip()] or None
-    with FaultPlane(seed=job.options.chaos_seed,
-                    rate=job.options.chaos_rate, seams=seams):
-        return _execute_guarded(job, progress)
+    return _execute_guarded(job, progress)
 
 
 def _execute_guarded(job: Job,

@@ -21,11 +21,13 @@ streaming each result back individually.  Streaming keeps fault blame
 precise: the manager tracks the worker's in-flight FIFO, the head of
 which is by construction the job being executed right now.
 
-Fault model -- the pool survives anything a job does to its worker:
+Fault model -- the pool survives anything a job does to its worker
+(tests and drills stage each fault with an in-process ``Job.fault``,
+which the worker loop applies; the wire protocol cannot carry one):
 
 * **crash** (``os._exit``, segfault, unpicklable explosion): the process
   sentinel fires, the worker is reaped and respawned;
-* **hang** (infinite loop, ``inject_sleep``): the head job's wall-clock
+* **hang** (infinite loop, a ``stall`` fault): the head job's wall-clock
   deadline passes (the deadline re-arms as each result arrives), the
   worker is killed, reaped, and respawned;
 * **wedge** (``SIGSTOP``, kernel-level stall): independent of any job
@@ -49,9 +51,10 @@ Supervision policy (:mod:`repro.serve.supervisor`) layers on top:
   ``retry_after_ms``), except ``run`` jobs requesting the JIT, which
   *degrade* to the interpreter tier instead when the ``jit``/``compile``
   breaker is the open one;
-* **digest quarantine** -- a job whose retry budget died fatally is
-  quarantined by content digest (fault-injection options included), so
-  resubmitting a poison job cannot keep killing workers;
+* **quarantine** -- a job whose retry budget died fatally is
+  quarantined by :func:`~repro.serve.supervisor.job_fault_key` (its
+  ``Job.fault`` included), so resubmitting a poison job cannot keep
+  killing workers;
 * **checkpoint recovery** -- ``options.checkpoint_every`` makes the
   executor stream progress snapshots; when the worker dies mid-job the
   retry is rewritten into a ``resume`` from the last checkpoint, so the
@@ -71,14 +74,16 @@ then resolves content-addressed hits instantly and successful results are
 inserted on completion (degraded and recovered results are *not*
 cached).  Instrumentation (when :mod:`repro.obs` is enabled):
 ``serve.jobs.*`` / ``serve.worker.*`` / ``serve.recovery.*`` /
-``serve.shed.*`` / ``serve.breaker.*`` counters, a ``serve.queue.depth``
-gauge, ``serve.job.ms`` / ``serve.recovery.mttr.ms`` histograms, and one
+``serve.shed.*`` / ``serve.breaker.*`` / ``serve.quarantine.*``
+counters, a ``serve.queue.depth`` gauge, ``serve.job.ms`` /
+``serve.recovery.mttr.ms`` histograms, and one
 ``serve.job`` span per job covering submit -> resolve.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import multiprocessing
 import os
 import selectors
@@ -88,6 +93,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.caching import Quarantine
 from repro.errors import PoolClosed, QueueFull
 from repro.obs import events as obs_events
 from repro.obs.distributed import new_trace_id, stitch_envelope
@@ -95,8 +101,7 @@ from repro.obs.events import OBS
 from repro.serve.cache import ResultCache
 from repro.serve.protocol import Job, JobOptions, JobResult
 from repro.serve.supervisor import (
-    CircuitBreaker, DigestQuarantine, RestartTracker, SupervisorConfig,
-    job_fault_key,
+    CircuitBreaker, RestartTracker, SupervisorConfig, job_fault_key,
 )
 
 __all__ = ["WorkerPool", "Ticket", "PoolClosed", "QueueFull",
@@ -191,10 +196,30 @@ class _Worker:
         self.ping_sent = False
 
 
+def _arm_fault(fault):
+    """Act on a job's :class:`~repro.resilience.chaos.Fault` before the
+    job runs; returns the context to run it under."""
+    from repro.resilience.chaos import SEAMS, FaultPlane
+
+    if fault.kind == "stall":
+        time.sleep(fault.seconds)
+    elif fault.kind == "crash":
+        # Simulate a segfault: bypass all exception handling and die.
+        os._exit(23)
+    elif fault.kind == "hang" and hasattr(signal, "SIGSTOP"):
+        # Freeze the whole process (heartbeat thread included): only
+        # the manager's hung-worker detection can clear this.
+        os.kill(os.getpid(), signal.SIGSTOP)
+    elif fault.kind in SEAMS:
+        return FaultPlane(seed=fault.seed, rate=fault.rate,
+                          seams=[fault.kind])
+    return contextlib.nullcontext()
+
+
 def _worker_main(conn, hb_conn) -> None:
     """The worker loop: recv a chunk of job dicts, execute in order,
     stream one result dict back per job (plus ``__progress__`` records
-    for checkpointing jobs)."""
+    for checkpointing jobs), applying any ``"fault"`` entry."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     from repro.serve.executor import execute_job
     from repro.serve.protocol import Job, JobResult, ProtocolError
@@ -222,20 +247,23 @@ def _worker_main(conn, hb_conn) -> None:
         if chunk is None:
             break
         for msg in chunk:
-            opts = msg.get("options") or {}
-            if opts.get("inject_corrupt"):
-                # Fault injection: ship a garbage result envelope.  The
-                # manager cannot trust the stream afterwards, so this
-                # costs the worker its life (the job reads as crashed).
+            fault = msg.pop("fault", None)
+            kind = fault.kind if fault is not None else None
+            if kind == "corrupt":
+                # Ship a garbage result envelope.  The manager cannot
+                # trust the stream afterwards, so this costs the worker
+                # its life (the job reads as crashed).
                 try:
                     conn.send({"id": msg.get("id", ""),
                                "status": "\x00garbage"})
                 except (BrokenPipeError, EOFError, OSError):
                     return
                 continue
+            scope = _arm_fault(fault) if kind else contextlib.nullcontext()
 
             def _progress(payload: Dict[str, Any],
-                          _id=str(msg.get("id", ""))) -> None:
+                          _id=str(msg.get("id", "")),
+                          _crash=kind == "crash-after-checkpoint") -> None:
                 wire = dict(payload)
                 wire["__progress__"] = True
                 wire["id"] = _id
@@ -243,10 +271,13 @@ def _worker_main(conn, hb_conn) -> None:
                     conn.send(wire)
                 except (BrokenPipeError, EOFError, OSError):
                     pass
+                if _crash:      # the retry must resume from this
+                    os._exit(23)
 
             try:
-                result = execute_job(Job.from_dict(msg),
-                                     progress=_progress)
+                with scope:
+                    result = execute_job(Job.from_dict(msg),
+                                         progress=_progress)
             except ProtocolError as err:
                 result = JobResult(id=str(msg.get("id", "")),
                                    kind=str(msg.get("kind", "")),
@@ -304,8 +335,7 @@ class WorkerPool:
                  chunk_max: int = 16,
                  cache: Optional[ResultCache] = None,
                  mp_context: Optional[str] = None,
-                 supervisor: Optional[SupervisorConfig] = None,
-                 shed_policy: Optional[str] = None):
+                 supervisor: Optional[SupervisorConfig] = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.max_retries = max_retries
@@ -319,13 +349,10 @@ class WorkerPool:
 
         self._cfg = supervisor if supervisor is not None \
             else SupervisorConfig()
-        self.shed_policy = shed_policy or self._cfg.shed_policy
-        if self.shed_policy not in ("reject", "shed-oldest"):
-            raise ValueError(f"unknown shed_policy {self.shed_policy!r}")
         self._breaker = CircuitBreaker(self._cfg.breaker_threshold,
                                        self._cfg.breaker_window,
                                        self._cfg.breaker_cooldown)
-        self._quarantine = DigestQuarantine(self._cfg.quarantine_fatal)
+        self._quarantine = Quarantine(metric_prefix="serve.quarantine")
         self._restarts = RestartTracker(self._cfg.restart_budget,
                                         self._cfg.restart_window,
                                         self._cfg.restart_backoff,
@@ -417,7 +444,7 @@ class WorkerPool:
         the admission deadline on the way."""
         key = job_fault_key(job)
         if key in self._quarantine:
-            self._inc("serve.jobs.quarantined")
+            self._quarantine.skip(key)
             ticket._resolve(JobResult.failure(
                 job, "rejected",
                 f"job digest quarantined: {self._quarantine.reason(key)}",
@@ -480,7 +507,7 @@ class WorkerPool:
                             >= self.queue_size:
                         if self._closing:
                             raise PoolClosed("pool is closed")
-                        if self.shed_policy == "shed-oldest" \
+                        if self._cfg.shed_policy == "shed-oldest" \
                                 and self._pending:
                             shed.append(self._pending.popleft())
                             self._inc("serve.shed.oldest")
@@ -628,7 +655,6 @@ class WorkerPool:
             self._quarantine.add(
                 job_fault_key(ticket.job),
                 f"{status} after {ticket.attempts} attempts")
-            self._inc("serve.quarantine.added")
         what = "hung (wall-clock timeout)" if status == "timeout" \
             else "crashed its worker"
         self._finish(ticket, JobResult.failure(
@@ -640,10 +666,11 @@ class WorkerPool:
         """The wire dict for one dispatch.
 
         A retry holding a progress checkpoint is rewritten into a
-        ``resume`` job from that snapshot (fault-injection options
-        deliberately stripped -- the fault already fired).  Degraded
-        tickets carry ``options.degraded`` so the executor skips the
-        JIT tier.  While instrumentation is on, jobs that do not
+        ``resume`` job from that snapshot (``job.fault`` deliberately
+        dropped -- the fault already fired); any other dispatch of a
+        job with a fault carries it as the dict's ``"fault"`` entry.
+        Degraded tickets carry ``options.degraded`` so the executor
+        skips the JIT tier.  While instrumentation is on, jobs that do not
         already carry a trace context get one, so the worker ships its
         spans/metrics back for stitching (events only while a trace is
         actually being recorded)."""
@@ -666,6 +693,8 @@ class WorkerPool:
                 options = dict(wire.get("options") or {})
                 options["degraded"] = True
                 wire["options"] = options
+            if job.fault is not None:
+                wire["fault"] = job.fault
         if OBS.enabled and "trace_ctx" not in wire:
             wire["trace_ctx"] = {
                 "trace_id": self._trace_id,
@@ -999,9 +1028,9 @@ class WorkerPool:
             "cache": self.cache.stats() if self.cache is not None else None,
             "supervisor": {
                 "heartbeat_interval": self._cfg.heartbeat_interval,
-                "shed_policy": self.shed_policy,
+                "shed_policy": self._cfg.shed_policy,
                 "breaker": self._breaker.snapshot(),
-                "quarantine": self._quarantine.snapshot(),
+                "quarantine": self._quarantine.stats(),
                 "restarts": self._restarts.snapshot(),
                 "cooling": len(self._cooldown),
                 "mttr_ms": {

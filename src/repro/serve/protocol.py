@@ -21,9 +21,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.errors import FunTALError
+
+if TYPE_CHECKING:
+    from repro.resilience.chaos import Fault
 
 __all__ = [
     "JOB_KINDS", "RESULT_STATUSES", "ProtocolError",
@@ -69,12 +72,10 @@ class JobOptions:
     canonical JSON used for cache keys stays minimal and stable.
 
     ``timeout`` is *wall-clock seconds* enforced by the worker pool;
-    ``fuel`` is the machines' step budget.  The two ``inject_*`` fields
-    are fault-injection hooks used by the resilience tests (and handy for
-    drills): ``inject_crash`` makes the worker die with ``os._exit`` and
-    ``inject_sleep`` stalls it before execution.  Both are excluded from
-    the cache key, as is ``timeout`` (operational, not semantic) and
-    ``no_cache`` itself.
+    ``fuel`` is the machines' step budget.  ``timeout`` (operational,
+    not semantic) and ``no_cache`` itself are excluded from the cache
+    key.  No option injects a fault: faults travel only in process, on
+    :attr:`Job.fault`.
     """
 
     fuel: Optional[int] = None          # machine step budget
@@ -106,17 +107,6 @@ class JobOptions:
                                         # from its last checkpoint
     degraded: bool = False              # dispatch-side: forced interpreter
                                         # tier (open compile/jit breaker)
-    inject_crash: bool = False          # fault injection: kill the worker
-    inject_sleep: float = 0.0           # fault injection: stall the worker
-    inject_hang: bool = False           # fault injection: SIGSTOP the
-                                        # worker (freezes heartbeats too)
-    inject_corrupt: bool = False        # fault injection: garbage result
-                                        # envelope on the wire
-    inject_crash_at: Optional[int] = None   # fault injection: die right
-                                        # after the Nth progress snapshot
-    chaos_rate: float = 0.0             # worker-side FaultPlane rate
-    chaos_seed: int = 0                 # worker-side FaultPlane seed
-    chaos_seams: Optional[str] = None   # comma-separated seam subset
 
     def to_dict(self) -> Dict[str, Any]:
         """Wire dict containing only the non-default entries."""
@@ -171,9 +161,6 @@ SEMANTIC_OPTIONS = (
 NON_SEMANTIC_OPTIONS = (
     "timeout", "no_cache", "engine", "tal_engine", "store",
     "deadline_ms", "checkpoint_every", "degraded",
-    "inject_crash", "inject_sleep", "inject_hang",
-    "inject_corrupt", "inject_crash_at",
-    "chaos_rate", "chaos_seed", "chaos_seams",
 )
 
 
@@ -199,6 +186,10 @@ class Job:
     #: observational: never part of the cache key, and absent from the
     #: wire unless set.
     trace_ctx: Optional[Dict[str, Any]] = None
+    #: In-process fault directive for the pool's drills and tests.  The
+    #: wire format cannot express it: :meth:`to_dict` never writes it
+    #: and :meth:`from_dict` rejects a ``"fault"`` key.
+    fault: Optional[Fault] = None
 
     def __post_init__(self) -> None:
         if self.kind not in JOB_KINDS:

@@ -56,16 +56,14 @@ class ServeServer:
                  queue_size: int = 256, default_timeout: float = 30.0,
                  max_retries: int = 2,
                  mp_context: Optional[str] = None,
-                 supervisor: Optional[SupervisorConfig] = None,
-                 shed_policy: Optional[str] = None):
+                 supervisor: Optional[SupervisorConfig] = None):
         self.host = host
         self.port = port
         self.cache = ResultCache(cache_size) if cache_size else None
         self.pool = WorkerPool(
             workers, cache=self.cache, queue_size=queue_size,
             default_timeout=default_timeout, max_retries=max_retries,
-            mp_context=mp_context, supervisor=supervisor,
-            shed_policy=shed_policy)
+            mp_context=mp_context, supervisor=supervisor)
         self._ids = itertools.count(1)
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None

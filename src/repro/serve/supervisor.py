@@ -6,24 +6,20 @@ respawns) stays in :mod:`repro.serve.pool`; this module holds the
 
 * :class:`SupervisorConfig` -- every knob in one dataclass: heartbeat
   cadence and miss budget for hung-worker detection, per-slot restart
-  budgets, the per-kind circuit breaker, digest quarantine, and the
-  shed policy of the bounded queue.
+  budgets, the per-kind circuit breaker, and the shed policy of the
+  bounded queue.
 * :class:`CircuitBreaker` -- counts worker-fatal attempts per job
   *kind* inside a sliding window; past the threshold the kind's
   breaker opens for a cooldown and admission control refuses (or
   degrades) new work of that kind instead of feeding it to workers.
-* :class:`DigestQuarantine` -- job digests that exhausted their retry
-  budget fatally (crash/hang) are quarantined, so a poison job cannot
-  keep killing workers via resubmission.
 * :class:`RestartTracker` -- per-worker-slot respawn budget: a slot
   that keeps dying respawns with exponential backoff plus jitter
   instead of hot-looping fork/exec.
 
-``job_fault_key`` is deliberately *not* the result-cache key: the
-cache key drops non-semantic options (``inject_crash`` among them),
-but for blame purposes two submissions that differ only in a fault
-injection flag are different jobs -- quarantining the faulty one must
-not condemn its clean twin.
+``job_fault_key`` keys the pool's quarantine.  It is deliberately *not*
+the result-cache key, which never sees ``Job.fault``: for blame
+purposes two submissions that differ only in their fault are different
+jobs -- quarantining the faulty one must not condemn its clean twin.
 """
 
 from __future__ import annotations
@@ -33,20 +29,22 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
-__all__ = ["SupervisorConfig", "CircuitBreaker", "DigestQuarantine",
-           "RestartTracker", "job_fault_key"]
+__all__ = ["SupervisorConfig", "CircuitBreaker", "RestartTracker",
+           "job_fault_key"]
 
 
 def job_fault_key(job) -> str:
     """Content address of a job *for blame purposes*: SHA-256 over the
-    canonical full wire dict (fault-injection options included, trace
-    context and id excluded)."""
+    canonical full wire dict plus ``job.fault``, which the wire dict
+    never carries (trace context and id excluded)."""
     wire = job.to_dict()
     wire.pop("id", None)
     wire.pop("trace_ctx", None)
+    if job.fault is not None:
+        wire["fault"] = asdict(job.fault)
     blob = json.dumps(wire, sort_keys=True, separators=(",", ":"),
                       default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -80,8 +78,6 @@ class SupervisorConfig:
     breaker_window: float = 30.0
     #: Seconds an open breaker refuses the kind before half-opening.
     breaker_cooldown: float = 5.0
-    #: Quarantine job digests whose retry budget died fatally.
-    quarantine_fatal: bool = True
     #: Bounded-queue policy: ``"reject"`` (block or raise QueueFull) or
     #: ``"shed-oldest"`` (evict the oldest pending job as ``overloaded``
     #: to admit the new one).
@@ -171,33 +167,6 @@ class CircuitBreaker:
             "open": sorted(k for k in list(self._open_until)
                            if self.is_open(k, now)),
         }
-
-
-class DigestQuarantine:
-    """Job digests barred from dispatch, with the reason each earned it."""
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self._reasons: Dict[str, str] = {}
-
-    def add(self, key: str, reason: str) -> None:
-        if self.enabled:
-            self._reasons.setdefault(key, reason)
-
-    def __contains__(self, key: str) -> bool:
-        return self.enabled and key in self._reasons
-
-    def __len__(self) -> int:
-        return len(self._reasons)
-
-    def reason(self, key: str) -> str:
-        return self._reasons.get(key, "")
-
-    def clear(self) -> None:
-        self._reasons.clear()
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"enabled": self.enabled, "entries": len(self._reasons)}
 
 
 class RestartTracker:

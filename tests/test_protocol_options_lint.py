@@ -58,13 +58,15 @@ class TestJobOptionsPartition:
             "timeout": 9.0, "no_cache": True, "engine": "subst",
             "tal_engine": "fast", "store": "/tmp/x", "deadline_ms": 5,
             "checkpoint_every": 10, "degraded": True,
-            "inject_crash": True, "inject_sleep": 1.0,
-            "inject_hang": True, "inject_corrupt": True,
-            "inject_crash_at": 2, "chaos_rate": 0.5, "chaos_seed": 3,
-            "chaos_seams": "jit.run",
         }
         for name in NON_SEMANTIC_OPTIONS:
             job = Job("run", source="(1 + 2)")
             setattr(job.options, name, non_probes.get(name, "probe"))
             assert job_cache_key(job) == key, \
                 f"non-semantic option {name} must not change the cache key"
+
+        from repro.resilience.chaos import Fault
+
+        faulty = Job("run", source="(1 + 2)", fault=Fault("crash"))
+        assert job_cache_key(faulty) == key, \
+            "an in-process fault must not change the cache key"

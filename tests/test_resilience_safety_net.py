@@ -63,7 +63,7 @@ class TestCompileFaults:
         assert str(value) == _reference()    # identical result
         assert report.jitted == 0
         assert len(q) == 1
-        assert "compile fault" in q.reasons()[0][1]
+        assert "compile fault" in q.stats()["entries"][0][1]
 
     def test_rewrite_alone_reports_the_quarantined_lambda(self):
         q = Quarantine()
@@ -121,7 +121,7 @@ class TestQuarantine:
         q.add(lam, "first")
         q.add(lam, "second")
         assert len(q) == 1
-        assert q.reasons()[0][1] == "first"
+        assert q.stats()["entries"][0][1] == "first"
 
     def test_stats_shape(self):
         q = Quarantine()

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.resilience.chaos import Fault
 from repro.serve.cache import ResultCache
 from repro.serve.pool import PoolClosed, QueueFull, WorkerPool
 from repro.serve.protocol import Job, JobOptions
@@ -23,8 +24,9 @@ def pool():
         yield p
 
 
-def run_job(source, **opts):
-    return Job("run", source=source, options=JobOptions(**opts))
+def run_job(source, fault=None, **opts):
+    return Job("run", source=source, options=JobOptions(**opts),
+               fault=fault)
 
 
 class TestBasics:
@@ -64,7 +66,7 @@ class TestFaultIsolation:
     def test_crash_is_retried_then_reported_and_pool_survives(self, pool):
         # The injected crash os._exit()s the worker on every attempt:
         # initial + max_retries dispatches, then a terminal report.
-        result = pool.submit(run_job("(1 + 1)", inject_crash=True)).wait(60.0)
+        result = pool.submit(run_job("(1 + 1)", Fault("crash"))).wait(60.0)
         assert result is not None
         assert result.status == "crashed"
         assert result.attempts == 3        # 1 + max_retries
@@ -79,7 +81,7 @@ class TestFaultIsolation:
         jobs = [Job("run", id=f"g{i}", source=f"({i} * 2)")
                 for i in range(10)]
         jobs.insert(5, Job("run", id="boom", source="(0 + 0)",
-                           options=JobOptions(inject_crash=True)))
+                           fault=Fault("crash")))
         results = {r.id: r for r in pool.run_batch(jobs, timeout=90.0)}
         assert results["boom"].status == "crashed"
         for i in range(10):
@@ -88,7 +90,8 @@ class TestFaultIsolation:
             assert results[f"g{i}"].attempts == 1
 
     def test_hang_hits_the_deadline(self, pool):
-        result = pool.submit(run_job("(1 + 1)", inject_sleep=30.0,
+        result = pool.submit(run_job("(1 + 1)",
+                                     Fault("stall", seconds=30.0),
                                      timeout=0.3)).wait(90.0)
         assert result is not None
         assert result.status == "timeout"
@@ -96,6 +99,27 @@ class TestFaultIsolation:
         assert "wall-clock" in result.error
         after = pool.submit(run_job("(2 + 2)")).wait(30.0)
         assert after is not None and after.ok
+
+    def test_seam_fault_is_armed_for_one_job_only(self, pool, tmp_path):
+        # A FaultPlane on store.io inside the worker: the link job
+        # degrades to a store-less build instead of failing.
+        manifest = ('{"components": {"double": "lam (x: int). (x + x)"}, '
+                    '"main": "double 21"}')
+
+        def link(fault=None):
+            return Job("link", source=manifest,
+                       options=JobOptions(store=str(tmp_path)),
+                       fault=fault)
+
+        faulty = pool.submit(
+            link(Fault("store.io", rate=1.0))).wait(60.0)
+        assert faulty.ok, faulty
+        assert faulty.output["degraded"] is True
+        assert faulty.output["value"] == "42"
+        clean = pool.submit(link()).wait(60.0)
+        assert clean.ok, clean
+        assert "degraded" not in clean.output
+        assert clean.output["value"] == "42"
 
 
 class TestCacheIntegration:
@@ -125,7 +149,7 @@ class TestCacheIntegration:
         cache = ResultCache(64)
         with WorkerPool(1, cache=cache, max_retries=0,
                         retry_backoff=0.01) as pool:
-            bad = pool.submit(run_job("(9 + 9)", inject_crash=True,
+            bad = pool.submit(run_job("(9 + 9)", Fault("crash"),
                                       no_cache=False)).wait(60.0)
             assert bad.status == "crashed"
             again = pool.submit(run_job("(9 + 9)")).wait(30.0)
@@ -136,7 +160,8 @@ class TestBackpressureAndLifecycle:
     def test_queue_full_raises_when_nonblocking(self):
         # One worker stuck sleeping; a tiny queue behind it fills up.
         with WorkerPool(1, queue_size=2, default_timeout=20.0) as pool:
-            blocker = pool.submit(run_job("(0 + 0)", inject_sleep=1.0))
+            blocker = pool.submit(
+                run_job("(0 + 0)", Fault("stall", seconds=1.0)))
             deadline = time.monotonic() + 5.0
             while pool.stats()["queued"] and time.monotonic() < deadline:
                 time.sleep(0.01)           # let the worker pick it up

@@ -52,6 +52,21 @@ class TestJob:
             Job.from_dict({"kind": "run", "source": "x",
                            "options": {"feul": 10}})
 
+    def test_fault_never_travels_on_the_wire(self):
+        from repro.resilience.chaos import Fault
+
+        job = Job("run", source="(1 + 1)", fault=Fault("crash"))
+        assert "fault" not in job.to_dict()
+        with pytest.raises(ProtocolError):
+            Job.from_dict({"kind": "run", "source": "(1 + 1)",
+                           "fault": {"kind": "crash"}})
+
+    def test_unknown_fault_kind_rejected(self):
+        from repro.resilience.chaos import Fault
+
+        with pytest.raises(ValueError):
+            Fault("explode")
+
     def test_every_kind_constructs(self):
         for kind in JOB_KINDS:
             opts = JobOptions(right="y", type="int") if kind == "equiv" \
@@ -65,8 +80,7 @@ class TestJob:
 
 class TestJobOptions:
     def test_semantic_dict_excludes_operational_knobs(self):
-        opts = JobOptions(fuel=100, timeout=2.5, no_cache=True,
-                          inject_crash=True, inject_sleep=1.0)
+        opts = JobOptions(fuel=100, timeout=2.5, no_cache=True)
         assert opts.semantic_dict() == {"fuel": 100}
 
     def test_wire_dict_keeps_operational_knobs(self):

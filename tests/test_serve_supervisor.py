@@ -1,7 +1,8 @@
 """Tests for the serve fleet's supervision layer.
 
 Unit level: :class:`CircuitBreaker`, :class:`RestartTracker`,
-:class:`DigestQuarantine`, and :func:`job_fault_key` in isolation.
+the pool's :class:`~repro.caching.Quarantine`, and :func:`job_fault_key`
+in isolation.
 
 Integration level (each against a live pool): heartbeat-based hung
 worker detection, deadline shedding before dispatch, shed-oldest
@@ -14,16 +15,18 @@ import time
 
 import pytest
 
+from repro.caching import Quarantine
+from repro.resilience.chaos import Fault
 from repro.serve.pool import QueueFull, WorkerPool
 from repro.serve.protocol import Job, JobOptions
 from repro.serve.supervisor import (
-    CircuitBreaker, DigestQuarantine, RestartTracker, SupervisorConfig,
-    job_fault_key,
+    CircuitBreaker, RestartTracker, SupervisorConfig, job_fault_key,
 )
 
 
-def run_job(source, **opts):
-    return Job("run", source=source, options=JobOptions(**opts))
+def run_job(source, fault=None, **opts):
+    return Job("run", source=source, options=JobOptions(**opts),
+               fault=fault)
 
 
 # -- unit: supervision policy objects -----------------------------------
@@ -107,35 +110,64 @@ class TestQuarantineAndFaultKey:
         b = run_job("(1 + 1)")
         b.id = "something-else"
         assert job_fault_key(a) == job_fault_key(b)
-        c = run_job("(1 + 1)", inject_crash=True)
+        c = run_job("(1 + 1)", Fault("crash"))
         assert job_fault_key(a) != job_fault_key(c)
+        d = run_job("(1 + 1)", Fault("stall", seconds=1.0))
+        assert job_fault_key(c) != job_fault_key(d)
 
     def test_quarantine_round_trip(self):
-        q = DigestQuarantine(True)
-        key = job_fault_key(run_job("(1 + 1)", inject_crash=True))
+        q = Quarantine(metric_prefix="serve.quarantine")
+        key = job_fault_key(run_job("(1 + 1)", Fault("crash")))
         q.add(key, "crashed")
+        q.add(key, "crashed again")        # first reason wins
         assert key in q and len(q) == 1
         assert q.reason(key) == "crashed"
         clean = job_fault_key(run_job("(1 + 1)"))
-        assert clean not in q              # fault options distinguish
+        assert clean not in q              # the fault distinguishes
+        assert q.stats()["size"] == 1
         q.clear()
         assert key not in q
 
-    def test_disabled_quarantine_accepts_nothing(self):
-        q = DigestQuarantine(False)
-        key = job_fault_key(run_job("(1 + 1)"))
-        q.add(key, "crashed")
-        assert key not in q and len(q) == 0
+    def test_concurrent_use_loses_no_hits(self):
+        """The pool adds from its manager thread while submitters look
+        up, skip and read stats; no update may be lost."""
+        import sys
+        import threading
+
+        q = Quarantine(metric_prefix="serve.quarantine")
+        errors = []
+
+        def hammer(n):
+            try:
+                for i in range(2000):
+                    q.add(f"{n}-{i % 50}", "crashed")
+                    q.skip("k")
+                    if i % 50 == 0:
+                        q.stats()
+            except Exception as err:    # surfaced by the assert below
+                errors.append(err)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(n,))
+                       for n in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == []
+        assert q.hits == 8 * 2000
+        assert len(q) == 8 * 50
 
 
 class TestConfigValidation:
     def test_bad_shed_policy_rejected(self):
         with pytest.raises(ValueError):
             SupervisorConfig(shed_policy="drop-newest")
-
-    def test_pool_rejects_bad_shed_policy(self):
-        with pytest.raises(ValueError):
-            WorkerPool(1, shed_policy="nope")
 
 
 # -- integration: a live pool under supervision -------------------------
@@ -150,7 +182,7 @@ class TestHeartbeat:
                         supervisor=cfg) as pool:
             t0 = time.monotonic()
             result = pool.submit(
-                run_job("(1 + 1)", inject_hang=True)).wait(30.0)
+                run_job("(1 + 1)", Fault("hang"))).wait(30.0)
             elapsed = time.monotonic() - t0
             assert result is not None
             assert result.status == "timeout"
@@ -167,7 +199,8 @@ class TestDeadlines:
             # occupy the only worker long enough for the deadline to
             # pass; give the manager a beat to dispatch it alone, so
             # the doomed job queues instead of riding the same chunk
-            slow = pool.submit(run_job("(1 + 1)", inject_sleep=0.6))
+            slow = pool.submit(
+                run_job("(1 + 1)", Fault("stall", seconds=0.6)))
             time.sleep(0.25)
             doomed = pool.submit(run_job("(2 + 2)", deadline_ms=100))
             result = doomed.wait(30.0)
@@ -186,16 +219,18 @@ class TestDeadlines:
 class TestShedPolicies:
     def test_reject_policy_raises_queue_full_with_hint(self):
         with WorkerPool(1, queue_size=1, default_timeout=30.0) as pool:
-            pool.submit(run_job("(1 + 1)", inject_sleep=0.5))
+            pool.submit(run_job("(1 + 1)", Fault("stall", seconds=0.5)))
             with pytest.raises(QueueFull) as exc:
                 for i in range(20):
                     pool.submit(run_job(f"({i} + 0)"), block=False)
             assert exc.value.retry_after_ms > 0
 
     def test_shed_oldest_resolves_victims_as_overloaded(self):
-        with WorkerPool(1, queue_size=2, shed_policy="shed-oldest",
-                        default_timeout=30.0) as pool:
-            blocker = pool.submit(run_job("(1 + 1)", inject_sleep=0.5))
+        with WorkerPool(1, queue_size=2, default_timeout=30.0,
+                        supervisor=SupervisorConfig(
+                            shed_policy="shed-oldest")) as pool:
+            blocker = pool.submit(
+                run_job("(1 + 1)", Fault("stall", seconds=0.5)))
             time.sleep(0.25)      # let it dispatch: inflight jobs are
             tickets = [pool.submit(run_job(f"({i} + 0)"), block=False)
                        for i in range(8)]   # never shed, queued ones are
@@ -212,14 +247,13 @@ class TestShedPolicies:
 class TestBreaker:
     def test_breaker_opens_and_refuses_the_kind(self):
         cfg = SupervisorConfig(breaker_threshold=2, breaker_window=30.0,
-                               breaker_cooldown=60.0,
-                               quarantine_fatal=False)
+                               breaker_cooldown=60.0)
         with WorkerPool(1, max_retries=0, retry_backoff=0.01,
                         default_timeout=30.0, supervisor=cfg) as pool:
             for i in range(2):
                 r = pool.submit(Job(
                     "run", id=f"boom{i}", source=f"({i} + 0)",
-                    options=JobOptions(inject_crash=True))).wait(30.0)
+                    fault=Fault("crash"))).wait(30.0)
                 assert r.status == "crashed"
             refused = pool.submit(run_job("(5 + 5)")).wait(30.0)
             assert refused.status == "overloaded"
@@ -236,16 +270,18 @@ class TestQuarantineIntegration:
         with WorkerPool(1, max_retries=0, retry_backoff=0.01,
                         default_timeout=30.0) as pool:
             bad = Job("run", id="q1", source="(9 + 9)",
-                      options=JobOptions(inject_crash=True))
+                      fault=Fault("crash"))
             assert pool.submit(bad).wait(30.0).status == "crashed"
             again = Job("run", id="q2", source="(9 + 9)",
-                        options=JobOptions(inject_crash=True))
+                        fault=Fault("crash"))
             r = pool.submit(again).wait(30.0)
             assert r.status == "rejected"
             assert r.error_type == "QuarantinedJob"
-            # same source without the fault option is a different digest
+            # same source without the fault is a different digest
             clean = pool.submit(run_job("(9 + 9)")).wait(30.0)
             assert clean.ok and clean.output["value"] == "18"
+            quarantine = pool.stats()["supervisor"]["quarantine"]
+            assert quarantine["size"] == 1 and quarantine["hits"] == 1
 
 
 class TestCheckpointRecovery:
@@ -254,8 +290,8 @@ class TestCheckpointRecovery:
                         default_timeout=30.0) as pool:
             job = Job("run", example="fact-f",
                       options=JobOptions(checkpoint=True,
-                                         checkpoint_every=8,
-                                         inject_crash_at=1))
+                                         checkpoint_every=8),
+                      fault=Fault("crash-after-checkpoint"))
             result = pool.submit(job).wait(60.0)
             assert result is not None and result.ok
             assert result.kind == "run"     # resume rewrite normalized
@@ -268,8 +304,8 @@ class TestCheckpointRecovery:
                         default_timeout=30.0) as pool:
             job = Job("run", example="fact-f",
                       options=JobOptions(checkpoint=True,
-                                         checkpoint_every=8,
-                                         inject_crash_at=1))
+                                         checkpoint_every=8),
+                      fault=Fault("crash-after-checkpoint"))
             assert pool.submit(job).wait(60.0).ok
             mttr = pool.stats()["supervisor"]["mttr_ms"]
             assert mttr["count"] >= 1
@@ -294,18 +330,17 @@ class TestStorm:
                         default_timeout=2.0, supervisor=cfg) as pool:
             jobs = []
             for i in range(40):
-                opts = {}
+                fault = None
                 roll = rng.random()
                 if roll < 0.2:
-                    opts["inject_crash"] = True
+                    fault = Fault("crash")
                 elif roll < 0.3 and hangs < 2:
-                    opts["inject_hang"] = True
+                    fault = Fault("hang")
                     hangs += 1
                 elif roll < 0.4:
-                    opts["inject_corrupt"] = True
+                    fault = Fault("corrupt")
                 jobs.append(Job("run", id=f"storm{i}",
-                                source=f"({i} + 1)",
-                                options=JobOptions(**opts)))
+                                source=f"({i} + 1)", fault=fault))
             tickets = [pool.submit(j) for j in jobs]
             for ticket in tickets:
                 result = ticket.wait(60.0)
