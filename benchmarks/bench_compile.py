@@ -6,12 +6,13 @@ Three sections, doubling as the CI gate for the compiler:
   + codegen + optimize) and warm (memoized) lookup for the Fig 17
   functional factorial and a higher-order combinator program;
 * ``compiled_vs_interpreted`` -- wall time and fuel for the same program
-  run interpreted (CEK) and compiled.  The recursive case records the
-  *wrapper-accumulation* overhead documented in ``docs/performance.md``:
-  each recursion level re-crosses the F/T boundary, so compiled fuel is
-  super-linear in depth and no speedup is asserted -- the assertion is
-  value agreement.  The non-recursive higher-order case is the fairer
-  picture of per-call overhead;
+  run interpreted (CEK) and compiled.  Compiled closures are packed
+  existentials called in T, so the recursive case crosses the F/T
+  boundary a fixed number of times and its fuel is linear in depth (a
+  constant factor over the source, see ``docs/performance.md``); no
+  speedup is asserted -- the assertion is value agreement.  The
+  non-recursive higher-order case is the fairer picture of per-call
+  overhead;
 * ``paper_examples`` -- the gate: every closed pure-F paper example must
   compile, typecheck, and pass translation validation.  A regression
   that breaks compilation or validation of a paper example fails CI
@@ -20,10 +21,8 @@ Three sections, doubling as the CI gate for the compiler:
   (``repro.tal.fast``) must beat the reference ``TalMachine`` by >=10x
   wall-clock on a T-dominated hot loop, and must not lose to it on the
   compiled factorial.  The *whole-program* compiled-vs-interpreted gap
-  on ``fact_f`` is boundary-dominated (each recursion level re-crosses
-  the F/T boundary), so it is recorded as ``gap_history`` and carried in
-  ``known_regressions`` rather than asserted -- closing it needs cheaper
-  boundaries, not a faster T engine (see docs/performance.md).
+  on ``fact_f`` is recorded as ``gap_history`` and gated as the
+  ``fact_f_boundary_gap`` entry of ``known_regressions``.
 """
 
 import json
@@ -52,7 +51,7 @@ _BENCH_PATH = _REPO_ROOT / "BENCH_compile.json"
 _RESULTS = {}
 
 ROUNDS = 5
-FACT_N = 6          # compiled factorial fuel grows super-linearly in n
+FACT_N = 6          # compiled factorial fuel is linear in n (78 per level)
 RUN_FUEL = 10_000_000
 
 
@@ -174,23 +173,31 @@ def test_compiled_vs_interpreted(record):
     _RESULTS["compiled_vs_interpreted"] = rows
 
     # The residual fact_f gap is a first-class known regression until
-    # closed: the fast tier removed the T-side overhead, but each of the
-    # ~500 F/T boundary crossings still pays omega substitution into the
-    # imported F payload on BOTH engines, so whole-program wall-clock
-    # stays boundary-bound.  asserted:false -- this artifact records the
-    # trajectory; the gate on the fast tier itself is test_fast_tier_gate.
+    # closed.  Compiled fact_f now crosses the F/T boundary 3 times for
+    # any n (it crossed 2^(n+3) - 2 times while closures materialized
+    # through imports), so the gap is asserted against the 10x shrink of
+    # the seed gap.  What is left is not the boundary: each run loads the
+    # component (label renaming, block tables) and each T call
+    # instantiates its callee at the concrete caller stack, and the
+    # compiled code takes ~13x the source's fuel.  The ROADMAP target of
+    # a gap under 10x is still open.
+    gap = rows["fact_f"]["gap"]
     _RESULTS.setdefault("known_regressions", []).append({
         "name": "fact_f_boundary_gap",
         "metric": "compiled_vs_interpreted.fact_f.gap",
-        "value": rows["fact_f"]["gap"],
+        "value": gap,
         "threshold": 240.0,    # a 10x shrink of the ~2400x seed gap
-        "asserted": False,
+        "asserted": True,
         "first_observed": 2400.0,
-        "cause": "per-crossing Import-payload substitution and F/T "
-                 "value translation dominate compiled fact_f; both "
-                 "engines pay it, so a faster T tier cannot close it "
-                 "-- needs cheaper boundaries (ROADMAP item 4)",
+        "cause": "per-run component load and per-call instantiation of "
+                 "the callee at the caller's concrete stack type, on both "
+                 "engines, plus ~13x the source's fuel; boundary "
+                 "crossings are constant (3) since typed closure "
+                 "conversion",
     })
+    assert gap <= 240.0, (
+        f"compiled fact_f is {gap:.0f}x the interpreted source "
+        f"(gate: 240x)")
 
 
 def test_fast_tier_gate(record):
@@ -237,9 +244,10 @@ def test_fast_tier_gate(record):
     # and on T-dominated code it must clear the 10x bar.
     assert speedup >= 10.0, (
         f"fast tier only {speedup:.1f}x on the hot loop (need >=10x)")
-    # fact_f is boundary-bound, so fast and ref measure within noise of
-    # each other; gate on "not slower" with a noise allowance (shared CI
-    # hosts swing +-20%) and record the exact ratio in the artifact.
+    # Compiled fact_f runs in T, but its per-call type instantiation is
+    # shared by both engines, so fast measures only slightly above ref;
+    # gate on "not slower" with a noise allowance (shared CI hosts swing
+    # +-20%) and record the exact ratio in the artifact.
     assert fact_ratio >= 0.8, (
         f"fast tier is {fact_ratio:.2f}x ref on compiled fact_f "
         f"(slower beyond noise)")

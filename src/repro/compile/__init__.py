@@ -6,11 +6,13 @@ The pipeline (see ``docs/compiler.md``):
    core F and annotate the term's type.
 2. **Closure conversion** (:mod:`repro.compile.closure`) -- hoist every
    lambda to a top-level code definition with an explicit environment;
-   pretty-printable IR.
+   pretty-printable IR; the compilation's interface arrows
+   (:mod:`repro.compile.typerep`).
 3. **Code generation** (:mod:`repro.compile.codegen`) -- stack-machine
-   emission per the paper's Fig 9 calling convention; closed lambdas
-   become static heap blocks, captured lambdas materialize environment
-   tuples at run time through ``import``.
+   emission per the paper's Fig 9 calling convention; closures are
+   packed existentials built and called in T, except those of an
+   interface type, which keep Fig 9's bare code pointer (a capturing
+   one materializes at run time through ``import``).
 4. **Optimize** (:mod:`repro.tal.optimize`) -- jump threading and
    stack-traffic collapse as a post-pass.
 

@@ -19,13 +19,16 @@ output is a :class:`ClosProgram` in which
 The pass is a pure function (:func:`closure_convert`); the IR pretty-
 prints via :meth:`ClosProgram.pretty` (surfaced by ``funtal compile
 --ir``).  Capture lists are sorted by name, so conversion is
-deterministic and compiled artifacts can be content-addressed.
+deterministic and compiled artifacts can be content-addressed.  The
+program also records its interface arrows
+(:func:`repro.compile.typerep.interface_arrows`), which decide how the
+code generator represents each closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import CompileError
 from repro.f.syntax import (
@@ -33,6 +36,7 @@ from repro.f.syntax import (
     FUnit, If0, IntE, Lam, Proj, TupleE, Unfold, UnitE, Var,
 )
 from repro.compile.names import NameSupply
+from repro.compile.typerep import interface_arrows
 
 __all__ = [
     "CExpr", "CInt", "CUnit", "CParam", "CCaptureRef", "CFree", "CBin",
@@ -218,6 +222,7 @@ class ClosProgram:
     main: Optional[CExpr] = None
     main_code: Optional[str] = None
     free: Tuple[Tuple[str, FType], ...] = ()
+    interface: FrozenSet[FType] = frozenset()
 
     def get(self, code_id: str) -> CodeDef:
         for d in self.defs:
@@ -226,7 +231,9 @@ class ClosProgram:
         raise KeyError(code_id)
 
     def pretty(self) -> str:
-        parts = [d.pretty() for d in self.defs]
+        iface = ", ".join(sorted(str(t) for t in self.interface))
+        parts = [f"interface arrows: {iface or 'none'}"]
+        parts += [d.pretty() for d in self.defs]
         if self.main_code is not None:
             parts.append(f"main = clos {self.main_code}")
         else:
@@ -359,11 +366,15 @@ def closure_convert(e: FExpr,
     frame = _Frame()
     used_free = tuple(sorted(
         (x for x in free_vars(e) if x in conv.free)))
+    free = tuple((x, conv.free[x]) for x in used_free)
+    roots = [t for _, t in free]
     if isinstance(e, Lam) and type(e) is Lam:
         clos = conv.convert_lambda(e, frame)
+        roots += list(clos.ty.params) + [clos.ty.result]
         return ClosProgram(tuple(conv.defs), clos.ty,
-                           main_code=clos.code_id,
-                           free=tuple((x, conv.free[x]) for x in used_free))
+                           main_code=clos.code_id, free=free,
+                           interface=interface_arrows(roots, conv.defs))
     main = conv.convert(e, frame)
-    return ClosProgram(tuple(conv.defs), main.ty, main=main,
-                       free=tuple((x, conv.free[x]) for x in used_free))
+    roots.append(main.ty)
+    return ClosProgram(tuple(conv.defs), main.ty, main=main, free=free,
+                       interface=interface_arrows(roots, conv.defs))

@@ -19,18 +19,29 @@ state* mirroring the typechecker's ``q``:
   stack model -- so every generated component typechecks by
   construction.
 
-Closures are where F's and T's calling conventions genuinely clash: the
-type translation maps an arrow to a *bare* code pointer, leaving no room
-for an environment.  A **closed** lambda is therefore hoisted statically
-into the component heap and referenced by label.  A lambda **with
-captures** is materialized at runtime through an ``import`` whose F
-payload builds a real environment tuple -- each captured variable is
-read from the current frame (a one-instruction boundary ``sld`` for a
-parameter, a projection from the frame's own environment for a capture)
--- and applies an environment-binding wrapper around the hoisted code;
-the FT semantics' lambda wrapper then allocates a fresh code block, so
-closure creation happens at run time while the closure *body* still
-executes as compiled T code.
+Closures are represented by type (:mod:`repro.compile.typerep`).  An
+arrow at the component's *interface* keeps Fig 9's bare code pointer,
+so a closed lambda of such a type is hoisted statically and referenced
+by label, and one **with captures** is materialized at run time through
+an ``import`` whose F payload builds the environment tuple and applies
+an environment-binding wrapper around the hoisted code (the FT
+semantics' lambda wrapper then allocates a fresh code block).  Every
+other arrow is a packed closure ``exists b. box <code, b>``, built and
+called entirely in T:
+
+* each definition is hoisted once into the component heap; its code
+  takes the environment on top of its arguments;
+* creating a closure allocates the captured values as an environment
+  tuple and the ``<code, env>`` pair (two ``balloc``), then packs the
+  pair; a closed lambda's pair is a static heap tuple whose environment
+  is ``()``;
+* an unknown call unpacks the closure, loads its code and environment,
+  pushes the environment and calls the code;
+* a captured variable is one ``ld`` from the environment.
+
+A lambda applied where it stands is never a value, whatever its type:
+it is called by its label, with a fresh environment if it captures.
+So a compiled component crosses the boundary only at its interface.
 """
 
 from __future__ import annotations
@@ -41,13 +52,14 @@ from repro.errors import CompileError
 from repro.f.syntax import App, FTupleT, FType, Lam, Proj, TupleE, Var
 from repro.ft.syntax import Boundary, Import, Protect
 from repro.ft.translate import (
-    EPS, ZETA, continuation_type, type_translation,
+    EPS, ZETA, arrow_code_type, continuation_type,
 )
 from repro.tal.syntax import (
-    Aop, Balloc, Bnz, Call, Component, DeltaBind, Halt, HCode, InstrSeq,
-    Jmp, KIND_EPS, KIND_ZETA, Ld, Loc, Mv, QEnd, QEps, QIdx, QReg,
-    RegFileTy, RegOp, Ret, RetMarker, Salloc, Sfree, Sld, Sst, StackTy,
-    TalType, TyApp, UnfoldI, WInt, WLoc, WUnit, seq,
+    Aop, Balloc, Bnz, Call, Component, DeltaBind, Halt, HCode, HTuple,
+    HeapValue, InstrSeq, Jmp, KIND_EPS, KIND_ZETA, Ld, Loc, Mv, Pack, QEnd,
+    QEps, QIdx, QReg, RegFileTy, RegOp, Ret, RetMarker, Salloc, Sfree, Sld,
+    Sst, StackTy, TalType, TBox, TupleTy, TUnit, TVar, TyApp, UnfoldI,
+    Unpack, WInt, WLoc, WUnit, seq,
 )
 from repro.tal.syntax import Fold as WFold
 from repro.compile.closure import (
@@ -55,6 +67,7 @@ from repro.compile.closure import (
     CodeDef, CParam, CProj, CTuple, CUnfold, CUnit, ClosProgram,
 )
 from repro.compile.names import NameSupply
+from repro.compile.typerep import TypeRep, closure_code_type, type_rep
 
 __all__ = ["generate_function", "generate_expr"]
 
@@ -74,43 +87,70 @@ class _Unit:
     """One component under construction (top level, or the subcomponent
     of a single materialized closure)."""
 
-    def __init__(self, program: ClosProgram, supply: NameSupply):
+    def __init__(self, program: ClosProgram, supply: NameSupply,
+                 rep: TypeRep):
         self.program = program
         self.supply = supply
-        self.blocks: List[Tuple[Loc, HCode]] = []
-        self._closed: Dict[str, Loc] = {}
+        self.rep = rep
+        self.blocks: List[Tuple[Loc, HeapValue]] = []
+        self._code: Dict[str, Loc] = {}
+        self._pairs: Dict[str, Loc] = {}
 
-    def ensure_closed(self, code_id: str) -> Loc:
-        """Hoist a closed definition into this component (once)."""
-        loc = self._closed.get(code_id)
+    def hoist(self, code_id: str, with_env: bool) -> Loc:
+        """Hoist a definition's code into this component (once).  Each
+        definition has exactly one use, which decides whether its code
+        takes an environment."""
+        loc = self._code.get(code_id)
         if loc is None:
             loc = Loc(code_id)
-            self._closed[code_id] = loc
-            _Frame(self, defn=self.program.get(code_id)).run()
+            self._code[code_id] = loc
+            _Frame(self, defn=self.program.get(code_id),
+                   with_env=with_env).run()
+        return loc
+
+    def closed_pair(self, code_id: str) -> Loc:
+        """The static ``<code, ()>`` pair of a closed packed lambda."""
+        loc = self._pairs.get(code_id)
+        if loc is None:
+            code = self.hoist(code_id, with_env=True)
+            loc = Loc(self.supply.fresh(f"{code_id}_pair"))
+            self._pairs[code_id] = loc
+            self.blocks.append((loc, HTuple((WLoc(code), WUnit()))))
         return loc
 
 
 class _Frame:
     """Emits the blocks of one frame (a :class:`CodeDef`, or the main
-    expression of a non-lambda compilation)."""
+    expression of a non-lambda compilation).
+
+    A frame ``with_env`` takes its environment on top of its arguments
+    (the code of a packed closure, or of a capturing lambda applied where
+    it stands).  ``env_name`` names the F-side environment of a
+    materialized (interface) closure instead."""
 
     def __init__(self, unit: _Unit, *, defn: Optional[CodeDef] = None,
-                 main: Optional[CExpr] = None,
+                 main: Optional[CExpr] = None, with_env: bool = False,
                  env_name: Optional[str] = None):
         self.unit = unit
         self.program = unit.program
+        self.tr = unit.rep.translate
         self.defn = defn
         self.env_name = env_name
+        self.env_t: Optional[TalType] = None
         if defn is not None:
             self.kind = "fn"
             self.label = defn.code_id
             self.arity = len(defn.params)
             self.delta = _FN_DELTA
-            self.result_t = type_translation(defn.arrow.result)
+            self.result_t = self.tr(defn.arrow.result)
             self.cont = continuation_type(self.result_t, ZSTACK)
-            # Entry stack: last argument on top (arrow_code_type).
+            # Entry stack: last argument on top (arrow_code_type), under
+            # the environment if the code takes one.
             self.model: List[TalType] = [
-                type_translation(t) for _, t in reversed(defn.params)]
+                self.tr(t) for _, t in reversed(defn.params)]
+            if with_env:
+                self.env_t = _env_type(self.tr, defn)
+                self.model.insert(0, self.env_t)
             self.marker: RetMarker = QReg("ra")
         else:
             assert main is not None
@@ -118,7 +158,7 @@ class _Frame:
             self.label = "main"
             self.arity = 0
             self.delta = _MAIN_DELTA
-            self.result_t = type_translation(main.ty)
+            self.result_t = self.tr(main.ty)
             self.cont = None
             self.model = []
             self.marker = QEnd(self.result_t, ZSTACK)
@@ -207,6 +247,11 @@ class _Frame:
         self.emit(Sfree(1 + extra_free))
         del self.model[:1 + extra_free]
 
+    def env_slot(self) -> int:
+        """Stack slot of the frame's environment (just above the
+        arguments)."""
+        return len(self.model) - 1 - self.arity
+
     # -- capture reads (F expressions evaluated by an import) ------------
 
     def read_expr(self, ref: CExpr):
@@ -216,8 +261,13 @@ class _Frame:
             slot = len(self.model) - 1 - ref.index
             return Boundary(ref.ty, Component(seq(
                 Sld("r1", slot),
-                Halt(type_translation(ref.ty), self.sigma(), "r1"))))
+                Halt(self.tr(ref.ty), self.sigma(), "r1"))))
         if isinstance(ref, CCaptureRef):
+            if self.env_t is not None:
+                return Boundary(ref.ty, Component(seq(
+                    Sld("r1", self.env_slot()),
+                    Ld("r1", "r1", ref.index),
+                    Halt(self.tr(ref.ty), self.sigma(), "r1"))))
             if self.env_name is None:
                 raise _bug("capture reference outside a captured frame")
             return Proj(ref.index, Var(self.env_name))
@@ -236,24 +286,24 @@ class _Frame:
         self.emit(Import("r1", ZSTACK, fty, make_expr()))
         if saved:
             self.restore_marker()
-        self.push_result(type_translation(fty))
+        self.push_result(self.tr(fty))
 
     # -- closures --------------------------------------------------------
 
     def materialize(self, c: CClos, d: CodeDef) -> None:
-        """Runtime closure creation for a lambda with captures.
+        """Runtime closure creation for an interface lambda with captures.
 
         Emits an ``import`` whose F payload (a) reads each captured
         variable out of the current frame into an environment tuple and
         (b) applies an environment-binding wrapper around the hoisted
         code, compiled into its own subcomponent.  The FT semantics
         convert the resulting F lambda to a fresh T code block."""
-        subunit = _Unit(self.program, self.unit.supply)
+        subunit = _Unit(self.program, self.unit.supply, self.unit.rep)
         env_name = self.unit.supply.fresh("__env")
         _Frame(subunit, defn=d, env_name=env_name).run()
         subcomp = Component(
             InstrSeq((Protect((), ZETA), Mv("r1", WLoc(Loc(d.code_id)))),
-                     Halt(type_translation(d.arrow), ZSTACK, "r1")),
+                     Halt(self.tr(d.arrow), ZSTACK, "r1")),
             tuple(subunit.blocks))
         inner = Lam(d.params,
                     App(Boundary(d.arrow, subcomp),
@@ -263,52 +313,100 @@ class _Frame:
             Lam(((env_name, env_ty),), inner),
             (TupleE(tuple(self.read_expr(r) for r in c.captures)),)))
 
+    def push_env(self, c: CClos) -> TalType:
+        """Push the environment ``c``'s code takes: ``()`` for a closed
+        lambda, else a fresh tuple of the captured values."""
+        if not c.captures:
+            self.emit(Salloc(1))
+            self.model_push(TUnit())
+            return TUnit()
+        # Right-to-left, so that capture 0 ends up on top for balloc.
+        for ref in reversed(c.captures):
+            self.compile(ref)
+        env_t = TBox(TupleTy(tuple(self.model[:len(c.captures)])))
+        self.emit(Balloc("r1", len(c.captures)))
+        self.model_pop(len(c.captures))
+        self.push_result(env_t)
+        return env_t
+
+    def pack(self, c: CClos) -> None:
+        """Leave the packed closure ``c`` on top of the stack."""
+        arrow_t = self.tr(c.ty)
+        if not c.captures:
+            pair = self.unit.closed_pair(c.code_id)
+            self.emit(Mv("r1", Pack(TUnit(), WLoc(pair), arrow_t)))
+            self.push_result(arrow_t)
+            return
+        code = self.unit.hoist(c.code_id, with_env=True)
+        env_t = self.push_env(c)
+        self.emit(Mv("r1", WLoc(code)))
+        self.push_result(TBox(closure_code_type(
+            *self.unit.rep.arrow_parts(c.ty), env_t)))
+        self.emit(Balloc("r1", 2))
+        self.model_pop(2)
+        self.emit(Mv("r1", Pack(env_t, RegOp("r1"), arrow_t)))
+        self.push_result(arrow_t)
+
     # -- calls -----------------------------------------------------------
 
     def emit_call(self, c: CCall) -> None:
         m = len(c.args)
-        res_t = type_translation(c.ty)
+        res_t = self.tr(c.ty)
+        fn = c.fn
 
+        # A lambda applied where it stands is never a value, so its type's
+        # representation does not matter: it is called by label, and one
+        # with captures gets a fresh environment on top of its arguments.
         direct: Optional[Loc] = None
-        if isinstance(c.fn, CClos) and not c.fn.captures:
-            direct = self.unit.ensure_closed(c.fn.code_id)
+        if isinstance(fn, CClos):
+            with_env = bool(fn.captures)
+            direct = self.unit.hoist(fn.code_id, with_env)
         else:
-            self.compile(c.fn)           # closure pointer as a temporary
+            with_env = self.unit.rep.packed(fn.ty)
+            self.compile(fn)             # closure value as a temporary
         saved = self.save_marker()
         for a in c.args:
             self.compile(a)
 
-        if direct is None:
+        if direct is not None:
+            target: Union[RegOp, WLoc] = WLoc(direct)
+            if with_env:
+                self.push_env(fn)
+        else:
             ptr_slot = m + (1 if saved else 0)
             self.emit(Sld("r7", ptr_slot))
-            target: Union[RegOp, WLoc] = RegOp("r7")
-        else:
-            target = WLoc(direct)
+            if with_env:
+                beta = self.unit.supply.fresh("b")
+                self.emit(Unpack(beta, "r7", RegOp("r7")),
+                          Ld("r6", "r7", 1), Salloc(1), Sst(0, "r6"),
+                          Ld("r7", "r7", 0))
+                self.model_push(TVar(beta))
+            target = RegOp("r7")
+        taken = m + (1 if with_env else 0)
 
         # Marker relocation (the call rule's i + n - m; Fig 9 arrows have
         # n = 0 continuation slots) and the protected tail.
         if isinstance(self.marker, QEnd):
             q2: RetMarker = self.marker
         elif isinstance(self.marker, QIdx):
-            q2 = QIdx(self.marker.index - m)
+            q2 = QIdx(self.marker.index - taken)
         else:  # pragma: no cover - save_marker precludes
             raise _bug("call under a register marker")
-        below = tuple(self.model[m:])
-        t_sigma = StackTy(below, ZETA)
+        t_sigma = StackTy(tuple(self.model[taken:]), ZETA)
 
         lcont = self.fresh_label("ret")
         self.emit(Mv("ra", self.block_ref(lcont)))
         self.close(Call(target, t_sigma, q2))
 
         # Continuation block: result in r1, arguments consumed.
-        del self.model[:m]
+        del self.model[:taken]
         self.marker = q2
         self.open(lcont, RegFileTy.of(r1=res_t))
         if saved:
             self.restore_marker(extra_free=0 if direct is not None else 1)
         elif direct is None:
             self.emit(Sfree(1))
-            self.model_pop(1)            # the closure-pointer temporary
+            self.model_pop(1)            # the closure temporary
         self.push_result(res_t)
 
     # -- expressions -----------------------------------------------------
@@ -317,16 +415,20 @@ class _Frame:
         """Emit code leaving ``c``'s value as one new temporary on top."""
         if isinstance(c, CInt):
             self.emit(Mv("r1", WInt(c.value)))
-            self.push_result(type_translation(c.ty))
+            self.push_result(self.tr(c.ty))
             return
         if isinstance(c, CUnit):
             self.emit(Mv("r1", WUnit()))
-            self.push_result(type_translation(c.ty))
+            self.push_result(self.tr(c.ty))
             return
         if isinstance(c, CParam):
             slot = len(self.model) - 1 - c.index
             self.emit(Sld("r1", slot))
-            self.push_result(type_translation(c.ty))
+            self.push_result(self.tr(c.ty))
+            return
+        if isinstance(c, CCaptureRef) and self.env_t is not None:
+            self.emit(Sld("r1", self.env_slot()), Ld("r1", "r1", c.index))
+            self.push_result(self.tr(c.ty))
             return
         if isinstance(c, (CCaptureRef, CFree)):
             self.emit_import(c.ty, lambda: self.read_expr(c))
@@ -341,7 +443,7 @@ class _Frame:
                 Aop(_OPS[c.op], "r1", "r1", RegOp("r2")),
             )
             self.model_pop(2)
-            self.push_result(type_translation(c.ty))
+            self.push_result(self.tr(c.ty))
             return
         if isinstance(c, CIf0):
             self.compile(c.cond)
@@ -366,34 +468,35 @@ class _Frame:
                 self.compile(item)
             self.emit(Balloc("r1", len(c.items)))
             self.model_pop(len(c.items))
-            self.push_result(type_translation(c.ty))
+            self.push_result(self.tr(c.ty))
             return
         if isinstance(c, CProj):
             self.compile(c.body)
             self.emit(Sld("r1", 0), Ld("r1", "r1", c.index), Sst(0, "r1"))
-            self.model[0] = type_translation(c.ty)
+            self.model[0] = self.tr(c.ty)
             return
         if isinstance(c, CFold):
             self.compile(c.body)
             self.emit(Sld("r1", 0),
-                      Mv("r1", WFold(type_translation(c.ty), RegOp("r1"))),
+                      Mv("r1", WFold(self.tr(c.ty), RegOp("r1"))),
                       Sst(0, "r1"))
-            self.model[0] = type_translation(c.ty)
+            self.model[0] = self.tr(c.ty)
             return
         if isinstance(c, CUnfold):
             self.compile(c.body)
             self.emit(Sld("r1", 0), UnfoldI("r1", RegOp("r1")),
                       Sst(0, "r1"))
-            self.model[0] = type_translation(c.ty)
+            self.model[0] = self.tr(c.ty)
             return
         if isinstance(c, CClos):
-            d = self.program.get(c.code_id)
-            if not c.captures:
-                label = self.unit.ensure_closed(c.code_id)
+            if self.unit.rep.packed(c.ty):
+                self.pack(c)
+            elif not c.captures:
+                label = self.unit.hoist(c.code_id, with_env=False)
                 self.emit(Mv("r1", WLoc(label)))
-                self.push_result(type_translation(c.ty))
+                self.push_result(self.tr(c.ty))
             else:
-                self.materialize(c, d)
+                self.materialize(c, self.program.get(c.code_id))
             return
         if isinstance(c, CCall):
             self.emit_call(c)
@@ -409,9 +512,10 @@ class _Frame:
             self.compile(self.defn.body)
             if not isinstance(self.marker, QReg):
                 raise _bug("marker not restored to ra at epilogue")
-            if len(self.model) != 1 + self.arity:
+            frame = self.arity + (self.env_t is not None)
+            if len(self.model) != 1 + frame:
                 raise _bug("unbalanced stack model at epilogue")
-            self.emit(Sld("r1", 0), Sfree(1 + self.arity))
+            self.emit(Sld("r1", 0), Sfree(1 + frame))
             self.close(Ret("ra", "r1"))
         else:
             assert self.main is not None
@@ -425,20 +529,31 @@ class _Frame:
                 raise _bug("main frame produced no entry sequence")
 
 
+def _env_type(tr, defn: CodeDef) -> TalType:
+    """The environment a definition's code takes: ``()`` when it
+    captures nothing, else the tuple of its captures."""
+    if not defn.captures:
+        return TUnit()
+    return TBox(TupleTy(tuple(tr(t) for _, t in defn.captures)))
+
+
 def generate_function(program: ClosProgram,
                       supply: Optional[NameSupply] = None) -> Component:
     """Generate the component for a lambda compilation: the entry sequence
     protects the whole ambient stack and returns the code pointer of the
-    hoisted entry definition (the JIT's wrapper shape)."""
+    hoisted entry definition (the JIT's wrapper shape).  The entry is
+    the component's interface, so its code keeps the Fig 9 convention."""
     assert program.main_code is not None
     defn = program.get(program.main_code)
     if defn.captures:  # pragma: no cover - top frame has no enclosing frame
         raise _bug("top-level definition cannot have captures")
-    unit = _Unit(program, supply or NameSupply())
-    entry = unit.ensure_closed(defn.code_id)
+    unit = _Unit(program, supply or NameSupply(),
+                 type_rep(program.interface))
+    entry = unit.hoist(defn.code_id, with_env=False)
     return Component(
         InstrSeq((Protect((), ZETA), Mv("r1", WLoc(entry))),
-                 Halt(type_translation(defn.arrow), ZSTACK, "r1")),
+                 Halt(TBox(arrow_code_type(
+                     *unit.rep.arrow_parts(defn.arrow))), ZSTACK, "r1")),
         tuple(unit.blocks))
 
 
@@ -448,7 +563,8 @@ def generate_expr(program: ClosProgram,
     in the component's entry sequence (splitting into blocks at joins and
     call returns) and halts with the translated result."""
     assert program.main is not None
-    unit = _Unit(program, supply or NameSupply())
+    unit = _Unit(program, supply or NameSupply(),
+                 type_rep(program.interface))
     frame = _Frame(unit, main=program.main)
     frame.run()
     assert frame.entry_body is not None

@@ -19,10 +19,11 @@ validation) on three independent axes:
    contextual-equivalence observer: F application contexts, T
    application contexts, eta-expansions), bounded by fuel.
 
-Compiled code pays a constant-factor (and, for closures materialized
-inside recursion, exponential -- see ``docs/performance.md``) fuel
-overhead over the CEK source, so a shared fuel bound would flag correct
-but slower artifacts as divergent.  When exactly one side exhausts its
+Compiled code pays a constant-factor fuel overhead over the CEK source,
+plus a boundary round trip per call to a closure of an interface type
+(those still materialize through an ``import``; see
+``docs/performance.md``), so a shared fuel bound would flag correct but
+slower artifacts as divergent.  When exactly one side exhausts its
 budget, the check retries that side with ``slack``-times the fuel
 before calling the pair a counterexample: a budget artifact then halts
 with the same value, a genuine divergence keeps diverging.
@@ -86,10 +87,11 @@ class ValidationReport:
         return f"VALIDATION FAILED: {self.failure}"
 
 
-#: Integer arguments for differential runs.  Deliberately small in
-#: magnitude: a recursive source function applied to 46 is a handful of
-#: CEK steps per level, but its compiled image re-crosses the F/T
-#: boundary every level and no affordable fuel bound covers it.
+#: Integer arguments for differential runs.  Small in magnitude: a
+#: recursive source function costs a few CEK steps per level and its
+#: compiled image about 13x that (78 fuel per level for Fig 17's
+#: ``fact_f``), so the arguments keep both sides of every trial well
+#: inside the default fuel bound.
 _DIFF_INT_CORPUS = (0, 1, 2, 3, 5, 7, -1, -3)
 
 

@@ -149,9 +149,11 @@ def component_digest(expr: FExpr,
                      optimize: bool = True) -> str:
     """The artifact address of one component: body + import typing +
     pipeline options.  Deliberately *not* the component's name -- two
-    names for the same body share one artifact."""
+    names for the same body share one artifact.  The format number
+    changes with the code the compiler emits for the same body (2: typed
+    closure conversion), so a warm store never serves older code."""
     return stable_fingerprint(
-        ("funtal.link.component", 1, expr, tuple(sorted(imports)),
+        ("funtal.link.component", 2, expr, tuple(sorted(imports)),
          bool(optimize)))
 
 

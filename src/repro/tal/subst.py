@@ -20,17 +20,17 @@ populated by :mod:`repro.ft.syntax` -- pure-T code never sees them.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Optional, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple, Union
 
-from repro.caching import LRUCache
+from repro.caching import InternTable, LRUCache
 from repro.tal.syntax import (
     Aop, Balloc, Bnz, Call, CodeType, Component, Delta, DeltaBind, Fold, Halt,
     HCode, HeapValType, HeapValue, HTuple, InstrSeq, Instruction, Jmp,
     KIND_ALPHA, KIND_EPS, KIND_ZETA, Ld, Loc, Mv, Operand, Pack, QEnd, QEps,
     QIdx, QOut, QReg, Ralloc, RegFileTy, RegOp, Ret, RetMarker, Salloc,
     Sfree, Sld, Sst, St, StackTy, TalType, TBox, Terminator, TExists, TInt,
-    TRec, TRef, TupleTy, TUnit, TVar, TyApp, UnfoldI, Unpack, WInt, WLoc,
-    WUnit, intern_ty,
+    TRec, TRef, TupleTy, TUnit, TVar, TyApp, TypeMemo, UnfoldI, Unpack, WInt,
+    WLoc, WUnit, intern_ty,
 )
 
 __all__ = [
@@ -112,7 +112,28 @@ _FTV_INSTR_HOOKS: Dict[type, Callable] = {}
 
 
 def free_type_vars(x) -> Set[VarKey]:
-    """Free ``(kind, name)`` type variables of any T syntactic object."""
+    """Free ``(kind, name)`` type variables of any T syntactic object
+    (memoized on types, see :class:`repro.tal.syntax.TypeMemo`)."""
+    if not isinstance(x, TypeMemo):
+        return _free_type_vars(x)
+    return set(_ftv(x))
+
+
+#: Equal free-variable sets are shared between the types that memoize
+#: them (most mention just the same ``zeta`` and ``eps``).
+_FTV_SETS = InternTable()
+
+
+def _ftv(x: TypeMemo) -> FrozenSet[VarKey]:
+    try:
+        return x._ftv
+    except AttributeError:
+        acc = _FTV_SETS.canon(frozenset(_free_type_vars(x)))
+        object.__setattr__(x, "_ftv", acc)
+        return acc
+
+
+def _free_type_vars(x) -> Set[VarKey]:
     if isinstance(x, TVar):
         return {(KIND_ALPHA, x.name)}
     if isinstance(x, (TUnit, TInt)):
@@ -341,7 +362,9 @@ def _delta_renaming(old: Delta, new: Delta) -> Subst:
 
 
 def subst_stack(sigma: StackTy, s: Subst) -> StackTy:
-    if s.is_empty():
+    if s.is_empty() or s.mapping.keys().isdisjoint(_ftv(sigma)):
+        # A concrete stack at recursion depth n has O(n) slots; skipping
+        # a substitution that cannot touch it keeps each step O(1).
         return sigma
     prefix = tuple(subst_ty(t, s) for t in sigma.prefix)
     if sigma.tail is not None:

@@ -47,8 +47,8 @@ __all__ = [
     "REGISTERS", "GP_REGISTERS", "RA", "check_register", "Loc", "fresh_loc",
     "fresh_mark", "advance_fresh",
     # types
-    "TalType", "TVar", "TUnit", "TInt", "TExists", "TRec", "TRef", "TBox",
-    "intern_ty",
+    "TypeMemo", "TalType", "TVar", "TUnit", "TInt", "TExists", "TRec",
+    "TRef", "TBox", "intern_ty",
     "HeapValType", "CodeType", "TupleTy",
     # stack types, register typings, return markers, type envs, heap typings
     "StackTy", "NIL_STACK", "RegFileTy", "RetMarker", "QReg", "QIdx", "QEps",
@@ -126,6 +126,39 @@ def advance_fresh(mark: int) -> None:
 # Value types tau and heap-value types psi
 # ---------------------------------------------------------------------------
 
+class TypeMemo(PicklableSlots):
+    """Per-instance memo slots of the compound types: the structural hash
+    (:func:`memo_hash`) and the free type variables
+    (:func:`repro.tal.subst.free_type_vars`).  They are not dataclass
+    fields, so equality, pickling and fingerprints never see them.
+
+    Types are shared, not copied, as the machines instantiate ``zeta``:
+    a return continuation saved across a ``call`` mentions the caller's
+    stack, which is also the tail of the callee's, so the stack typing
+    of a recursion ``n`` calls deep is a DAG whose tree size is ``2^n``.
+    The memos keep hashing and free-variable queries linear in the DAG.
+    """
+
+    __slots__ = ("_hash", "_ftv")
+
+
+def memo_hash(cls):
+    """Class decorator, applied above ``@dataclass``: memoize the
+    generated structural hash in the ``_hash`` slot."""
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 class TalType(PicklableSlots):
     """Base class of T value types ``tau``."""
 
@@ -156,8 +189,9 @@ class TInt(TalType):
         return "int"
 
 
+@memo_hash
 @dataclass(frozen=True, slots=True)
-class TExists(TalType):
+class TExists(TalType, TypeMemo):
     """An existential type ``exists alpha. tau``."""
 
     var: str
@@ -167,8 +201,9 @@ class TExists(TalType):
         return f"exists {self.var}. {self.body}"
 
 
+@memo_hash
 @dataclass(frozen=True, slots=True)
-class TRec(TalType):
+class TRec(TalType, TypeMemo):
     """An iso-recursive type ``mu alpha. tau``."""
 
     var: str
@@ -178,8 +213,9 @@ class TRec(TalType):
         return f"mu {self.var}. {self.body}"
 
 
+@memo_hash
 @dataclass(frozen=True, slots=True)
-class TRef(TalType):
+class TRef(TalType, TypeMemo):
     """A *mutable* tuple reference ``ref <tau_0, ..., tau_n>``."""
 
     items: Tuple[TalType, ...]
@@ -191,8 +227,9 @@ class TRef(TalType):
         return "ref <" + ", ".join(str(t) for t in self.items) + ">"
 
 
+@memo_hash
 @dataclass(frozen=True, slots=True)
-class TBox(TalType):
+class TBox(TalType, TypeMemo):
     """An *immutable* pointer ``box psi`` (code is always boxed)."""
 
     psi: "HeapValType"
@@ -207,8 +244,9 @@ class HeapValType(PicklableSlots):
     __slots__ = ()
 
 
+@memo_hash
 @dataclass(frozen=True, slots=True)
-class TupleTy(HeapValType):
+class TupleTy(HeapValType, TypeMemo):
     """A heap tuple type ``<tau_0, ..., tau_n>``."""
 
     items: Tuple[TalType, ...]
@@ -283,8 +321,9 @@ def _format_delta(delta: Delta) -> str:
 # Stack typings sigma
 # ---------------------------------------------------------------------------
 
+@memo_hash
 @dataclass(frozen=True, slots=True)
-class StackTy(PicklableSlots):
+class StackTy(TypeMemo):
     """A stack typing ``tau_0 :: ... :: tau_{n-1} :: tail``.
 
     ``prefix`` lists the exposed slot types, *top of stack first*; ``tail``
@@ -352,8 +391,9 @@ NIL_STACK = StackTy((), None)
 # Register-file typings chi
 # ---------------------------------------------------------------------------
 
+@memo_hash
 @dataclass(frozen=True, slots=True)
-class RegFileTy(PicklableSlots):
+class RegFileTy(TypeMemo):
     """A register-file typing ``chi`` mapping registers to value types.
 
     Stored as a canonically-sorted tuple of pairs so that instances hash and
@@ -452,8 +492,9 @@ class QEps(RetMarker):
         return self.name
 
 
+@memo_hash
 @dataclass(frozen=True, slots=True)
-class QEnd(RetMarker):
+class QEnd(RetMarker, TypeMemo):
     """``end{tau; sigma}``: this component ends by halting with a ``tau``.
 
     Inside an FT boundary, halting at this marker transfers the value back
@@ -484,8 +525,9 @@ class QOut(RetMarker):
 # Code types (need RetMarker, hence defined after it)
 # ---------------------------------------------------------------------------
 
+@memo_hash
 @dataclass(frozen=True, slots=True)
-class CodeType(HeapValType):
+class CodeType(HeapValType, TypeMemo):
     """A code-block type ``forall[Delta].{chi; sigma} q`` (paper section 2).
 
     ``chi`` and ``sigma`` are preconditions on the register file and stack

@@ -12,12 +12,15 @@ import pytest
 
 from repro import obs
 from repro.errors import LinkError, ParseError
-from repro.f.syntax import IntE
+from repro.f.syntax import FArrow, FInt, IntE
 from repro.ft.machine import evaluate_ft
 from repro.link import (
     ArtifactStore, BUILTIN_COMPONENTS, TIER_HANDWRITTEN, build_and_link,
     build_manifest, parse_manifest,
 )
+from repro.link.build import component_digest
+from repro.link.fingerprint import stable_fingerprint
+from repro.surface import parse_program
 
 BASE = {
     "components": {
@@ -127,6 +130,16 @@ class TestIncrementalBuild:
         assert digests["a"] == digests["b"]
         assert report.recompiled == ["a"]       # b rides the same artifact
         assert report.cached == ["b"]
+
+    def test_digest_changes_with_the_code_format(self):
+        # Format 1 artifacts hold code whose closures cross the boundary
+        # on every call; a warm store must not serve them for this body.
+        body = parse_program("lam (x: int). (x + x)")
+        imports = (("double", FArrow((FInt(),), FInt())),)
+        digest = component_digest(body, imports)
+        assert digest == component_digest(body, imports)
+        assert digest != stable_fingerprint(
+            ("funtal.link.component", 1, body, imports, True))
 
     def test_warm_build_links_and_runs(self, store):
         build_manifest(manifest(), store)

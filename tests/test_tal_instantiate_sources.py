@@ -31,7 +31,7 @@ from repro.tal.subst import (
     subst_cache_stats,
 )
 from repro.tal.syntax import (
-    Component, fresh_loc, HCode, KIND_ALPHA, KIND_ZETA, NIL_STACK, QEnd,
+    Component, fresh_loc, HCode, HTuple, KIND_ALPHA, KIND_ZETA, NIL_STACK, QEnd,
     QEps, StackTy, TInt, TVar,
 )
 from tests.strategies import random_full_f_expr
@@ -273,6 +273,10 @@ class TestSharingRename:
         mapping = {loc: fresh_loc(loc.name) for loc, _ in comp.heap}
         for _, h in comp.heap:
             renamed = rename_locs(h, mapping)
-            for old, new in zip(h.instrs.instrs, renamed.instrs.instrs):
+            if isinstance(h, HTuple):      # a static closure pair
+                children = zip(h.words, renamed.words)
+            else:
+                children = zip(h.instrs.instrs, renamed.instrs.instrs)
+            for old, new in children:
                 if str(old) == str(new):
                     assert old is new

@@ -1,13 +1,17 @@
 """Unit tests for T abstract syntax and its context structures (Fig 1)."""
 
+import pickle
+
 import pytest
 
+from repro.link.fingerprint import canonical_encoding
+from repro.tal.subst import free_type_vars
 from repro.tal.syntax import (
     Aop, Call, check_register, CodeType, Component, DeltaBind, Fold, Halt,
     HCode, HeapTy, HTuple, InstrSeq, Jmp, Loc, Mv, NIL_STACK, Pack, QEnd,
     QEps, QIdx, QOut, QReg, RegFileTy, RegOp, Ret, Salloc, seq, Sfree,
     StackTy, TBox, TExists, TInt, TRec, TRef, TupleTy, TUnit, TVar, TyApp,
-    WInt, WLoc, WUnit, is_word_value, BOX, REF,
+    WInt, WLoc, WUnit, is_word_value, BOX, KIND_EPS, KIND_ZETA, REF,
 )
 
 
@@ -65,6 +69,35 @@ class TestStackTy:
     def test_with_tail_requires_abstract(self):
         with pytest.raises(ValueError):
             NIL_STACK.with_tail(NIL_STACK)
+
+
+def _continuation_chain(depth):
+    """The stack typing of a call ``depth`` levels deep: each level saves
+    a return continuation typed with the stack below it, so the typing
+    is a DAG whose tree size doubles per level."""
+    sigma = StackTy((), "z")
+    for _ in range(depth):
+        cont = TBox(CodeType((), RegFileTy.of(r1=TInt()), sigma, QEps("e")))
+        sigma = StackTy((cont, TInt()), "z").with_tail(sigma)
+    return sigma
+
+
+class TestTypeMemo:
+    def test_deep_sharing_is_linear(self):
+        sigma = _continuation_chain(40)          # tree size ~2^40
+        assert isinstance(hash(sigma), int)
+        assert free_type_vars(sigma) == {(KIND_ZETA, "z"),
+                                         (KIND_EPS, "e")}
+
+    def test_memos_are_invisible(self):
+        sigma = _continuation_chain(3)
+        hash(sigma)
+        free_type_vars(sigma)
+        fresh = _continuation_chain(3)
+        assert sigma == fresh and hash(sigma) == hash(fresh)
+        clone = pickle.loads(pickle.dumps(sigma))
+        assert clone == sigma and hash(clone) == hash(sigma)
+        assert canonical_encoding(sigma) == canonical_encoding(fresh)
 
 
 class TestRegFileTy:
