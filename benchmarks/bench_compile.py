@@ -73,6 +73,18 @@ def _best(fn, rounds=ROUNDS):
     return best
 
 
+def _best_pair(a, b, rounds):
+    """Best-of-``rounds`` wall time of ``a`` and of ``b``, alternating
+    the two: a slow spell of a shared host then hits both sides, and the
+    best repetition is what repeats from run to run (perfbench takes each
+    op's best repetition for the same reason)."""
+    best_a = best_b = float("inf")
+    for _ in range(rounds):
+        best_a = min(best_a, _best(a, rounds=1))
+        best_b = min(best_b, _best(b, rounds=1))
+    return best_a, best_b
+
+
 def _higher_order_program():
     """twice (twice (compose inc dbl)) 1 -- closures all the way down."""
     inc = Lam((("x", FInt()),), BinOp("+", Var("x"), IntE(1)))
@@ -176,11 +188,11 @@ def test_compiled_vs_interpreted(record):
     # closed.  Compiled fact_f now crosses the F/T boundary 3 times for
     # any n (it crossed 2^(n+3) - 2 times while closures materialized
     # through imports), so the gap is asserted against the 10x shrink of
-    # the seed gap.  What is left is not the boundary: each run loads the
-    # component (label renaming, block tables) and each T call
-    # instantiates its callee at the concrete caller stack, and the
-    # compiled code takes ~13x the source's fuel.  The ROADMAP target of
-    # a gap under 10x is still open.
+    # the seed gap.  What is left is not the boundary, and no longer the
+    # load either (a component is relocated once and its block table
+    # reused by every run): the compiled code takes ~13x the source's
+    # fuel, and each T call that the fast tier has not specialized yet
+    # instantiates its callee at the concrete caller stack.
     gap = rows["fact_f"]["gap"]
     _RESULTS.setdefault("known_regressions", []).append({
         "name": "fact_f_boundary_gap",
@@ -189,11 +201,11 @@ def test_compiled_vs_interpreted(record):
         "threshold": 240.0,    # a 10x shrink of the ~2400x seed gap
         "asserted": True,
         "first_observed": 2400.0,
-        "cause": "per-run component load and per-call instantiation of "
-                 "the callee at the caller's concrete stack type, on both "
-                 "engines, plus ~13x the source's fuel; boundary "
-                 "crossings are constant (3) since typed closure "
-                 "conversion",
+        "cause": "~13x the source's fuel, and per-call instantiation "
+                 "of the callee at the caller's concrete stack type; "
+                 "boundary crossings are constant (3) since typed "
+                 "closure conversion, and loads reuse one relocated "
+                 "image per component",
     })
     assert gap <= 240.0, (
         f"compiled fact_f is {gap:.0f}x the interpreted source "
@@ -217,14 +229,15 @@ def test_fast_tier_gate(record):
     (fast_value, fast_fuel) = run_loop("fast")   # also warms the JIT
     assert str(fast_value) == str(ref_value) == "30000"
     assert fast_fuel == ref_fuel
-    ref_s = _best(lambda: run_loop("ref"), rounds=3)
-    fast_s = _best(lambda: run_loop("fast"), rounds=3)
+    ref_s, fast_s = _best_pair(lambda: run_loop("ref"),
+                               lambda: run_loop("fast"), rounds=2 * ROUNDS)
     speedup = ref_s / fast_s if fast_s else float("inf")
 
     compiled = compile_term(App(build_fact_f(), (IntE(FACT_N),))).wrapped
     _run(compiled, tal_engine="fast")            # warm the block tables
-    fact_ref_s = _best(lambda: _run(compiled), rounds=3)
-    fact_fast_s = _best(lambda: _run(compiled, tal_engine="fast"), rounds=3)
+    fact_ref_s, fact_fast_s = _best_pair(
+        lambda: _run(compiled), lambda: _run(compiled, tal_engine="fast"),
+        rounds=4 * ROUNDS)
     fact_ratio = fact_ref_s / fact_fast_s if fact_fast_s else float("inf")
 
     stats = fast.fast_cache_stats()
@@ -244,10 +257,9 @@ def test_fast_tier_gate(record):
     # and on T-dominated code it must clear the 10x bar.
     assert speedup >= 10.0, (
         f"fast tier only {speedup:.1f}x on the hot loop (need >=10x)")
-    # Compiled fact_f runs in T, but its per-call type instantiation is
-    # shared by both engines, so fast measures only slightly above ref;
-    # gate on "not slower" with a noise allowance (shared CI hosts swing
-    # +-20%) and record the exact ratio in the artifact.
+    # Compiled fact_f runs in T; gate on "not slower" with a noise
+    # allowance (shared CI hosts swing +-20%) and record the exact ratio
+    # in the artifact.
     assert fact_ratio >= 0.8, (
         f"fast tier is {fact_ratio:.2f}x ref on compiled fact_f "
         f"(slower beyond noise)")

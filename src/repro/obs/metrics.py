@@ -10,25 +10,30 @@ per metric (the final totals) when an exporter wants them in-band.
 
 Canonical counter names used by the instrumentation hooks:
 
-===============================  ============================================
-``f.machine.steps``              pure-F reduction steps (both machines)
-``t.machine.steps``              T instruction/terminator steps
-``t.machine.components_loaded``  component heap merges
-``t.subst.instantiate``          code-block instantiations at jump time
-``t.subst.unpack``               type substitutions from ``unpack``
-``ft.boundary.f_to_t``           F-to-T crossings (``tauFT e`` components run)
-``ft.boundary.t_to_f``           T-to-F crossings (``import`` evaluations)
-``ft.translate.f_to_t``          value translations ``TFtau(v, M)``
-``ft.translate.t_to_f``          value translations ``tauFT(w, M)``
-``typecheck.t.instr.<op>``       T instruction typing rules, per opcode
-``typecheck.t.term.<op>``        T terminator typing rules, per opcode
-``typecheck.t.component``        component checks
-``typecheck.ft.expr.<form>``     FT expression judgments, per syntax form
+=================================  ============================================
+``f.machine.steps``                pure-F reduction steps (both machines)
+``t.machine.steps``                T instruction/terminator steps
+``t.machine.components_loaded``    component heap merges
+``t.machine.load.template_hit``    loads of a component with a heap that
+                                   bound an already relocated image as is
+``t.machine.load.template_miss``   loads that renamed the component afresh
+                                   (a new image; only a component's
+                                   first is kept)
+``t.subst.instantiate``            code-block instantiations at jump time
+``t.subst.unpack``                 type substitutions from ``unpack``
+``ft.boundary.f_to_t``             F-to-T crossings (``tauFT e`` components run)
+``ft.boundary.t_to_f``             T-to-F crossings (``import`` evaluations)
+``ft.translate.f_to_t``            value translations ``TFtau(v, M)``
+``ft.translate.t_to_f``            value translations ``tauFT(w, M)``
+``typecheck.t.instr.<op>``         T instruction typing rules, per opcode
+``typecheck.t.term.<op>``          T terminator typing rules, per opcode
+``typecheck.t.component``          component checks
+``typecheck.ft.expr.<form>``       FT expression judgments, per syntax form
 ``typecheck.ft.import`` / ``.protect`` / ``.boundary``  the Fig 7 rules
-``jit.compile``                  actual compilations performed
+``jit.compile``                    actual compilations performed
 ``jit.cache.hit`` / ``.miss`` / ``.eviction``  compile-cache outcomes
-``trace.truncated``              bounded traces that hit their event cap
-===============================  ============================================
+``trace.truncated``                bounded traces that hit their event cap
+=================================  ============================================
 
 The serving layer (:mod:`repro.serve`) adds its own family:
 

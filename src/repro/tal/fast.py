@@ -18,6 +18,10 @@ executable form and stops consulting types at run time:
 * the per-component lowering is keyed by the PR 7 **content digest** and
   cached through the :mod:`repro.link` ArtifactStore, so a compiled
   artifact is lowered once fleet-wide (``tal.fast.preinst.*``);
+* the lowered blocks are **built once per load template**
+  (:class:`~repro.tal.machine.LoadTemplate`), not once per load, so
+  every run of a component shares one block table and the block, site
+  and JIT memos keyed on it;
 * blocks entered :data:`JIT_THRESHOLD` times are **template-JITted**:
   the block body is rendered into one fused Python function per basic
   block (branch-out via block transfer requests) and compiled with
@@ -91,10 +95,10 @@ _SITE_CACHE = LRUCache(4096, metric_prefix="tal.fast.site")
 #: (id(block), omegas) -> (block, env tuple): the fast tier's block
 #: instantiation memo (the Fig 17 loop pays the kind checks once).
 _ENV_CACHE = LRUCache(4096, metric_prefix="tal.fast.block")
-#: id(Component) -> (comp, FlatProgram): per-process lowering memo.
-_COMP_MEMO = LRUCache(256)
-#: Component (structural hash/eq) -> FlatProgram: catches re-loads of
+#: (instrs, heap) (structural hash/eq) -> FlatProgram: catches loads of
 #: structurally identical components rebuilt fresh by substitution.
+#: Keyed on the fields, not the component, so it never keeps a dead
+#: component's load template alive.
 _STRUCT_MEMO = LRUCache(256)
 #: digest -> FlatProgram, in front of the on-disk ArtifactStore.
 _PREINST_LRU = LRUCache(128, metric_prefix="tal.fast.preinst")
@@ -112,7 +116,6 @@ def clear_fast_caches() -> None:
     _ENVSUB_CACHE.clear()
     _SITE_CACHE.clear()
     _ENV_CACHE.clear()
-    _COMP_MEMO.clear()
     _STRUCT_MEMO.clear()
     _PREINST_LRU.clear()
     _HCODE_MEMO.clear()
@@ -507,30 +510,17 @@ def _scan_component(comp: Component):
 
 
 def _preinst_program(comp: Component) -> dict:
-    """The lowered FlatProgram for a component.
+    """The lowered FlatProgram for a component with a code block (built
+    once per load template).
 
-    Memo pipeline, cheapest first: per-object identity -> structural
-    equality (boundary wrappers are rebuilt by substitution every
-    crossing, so identical structure rarely means identical object) ->
+    Memo pipeline, cheapest first: structural equality (components
+    rebuilt by substitution are new objects of the same structure) ->
     the digest-keyed in-memory LRU -> the on-disk ArtifactStore.  The
-    fingerprint/disk tier is reserved for real artifacts (at least one
-    heap code block, pure T, self-contained): the hot FT boundary path
-    loads hundreds of tiny one-shot entry snippets per run, and
-    digesting those would cost more than lowering them.
+    fingerprint/disk tier is reserved for pure, self-contained T:
+    anything else embeds runtime state and is lowered directly.
     """
-    key = id(comp)
-    hit = _COMP_MEMO.get(key)
-    if hit is not None and hit[0] is comp:
-        return hit[1]
-    has_code = any(isinstance(h, HCode) for _, h in comp.heap)
-    if not has_code:
-        # Boundary wrappers: a handful of instructions around an F
-        # payload, loaded once each.  Hashing them for the structural
-        # memo would walk the payload; straight lowering is cheaper.
-        prog = _lower_component(comp)
-        _COMP_MEMO.put(key, (comp, prog))
-        return prog
-    prog = _STRUCT_MEMO.get(comp)
+    key = (comp.instrs, comp.heap)
+    prog = _STRUCT_MEMO.get(key)
     if prog is None:
         pure, contained = _scan_component(comp)
         if pure and contained:
@@ -543,8 +533,7 @@ def _preinst_program(comp: Component) -> dict:
             _PREINST_LRU.put(digest, prog)
         else:
             prog = _lower_component(comp)
-        _STRUCT_MEMO.put(comp, prog)
-    _COMP_MEMO.put(key, (comp, prog))
+        _STRUCT_MEMO.put(key, prog)
     return prog
 
 
@@ -577,7 +566,14 @@ def _preinst_from_store(digest: str, comp: Component) -> dict:
 
 class FastBlock:
     """One preinstantiated block: direct-threaded ops plus metadata for
-    residual materialisation, the omega memo, and the JIT tier."""
+    residual materialisation, the omega memo, and the JIT tier.
+
+    A component's blocks belong to its load template and are shared by
+    every machine that loads it, so the JIT state (``hot``, ``jit_fn``)
+    lives on the shared block: entries from all those runs count toward
+    :data:`JIT_THRESHOLD`, and a promoted block stays promoted.  The
+    JIT'd function computes exactly what the ops compute, so where a
+    block is promoted never changes a result."""
 
     __slots__ = ("ops", "nops", "term", "delta", "src_seq", "src_hcode",
                  "hot", "jit_spec", "jit_fn", "jit_consts")
@@ -973,31 +969,42 @@ def _build_block(flat: dict, mapping, src_seq: InstrSeq,
 # Installation (component loads, direct fallback)
 # ---------------------------------------------------------------------------
 
-def install_component(machine, comp: Component, mapping: Dict[Loc, Loc],
-                      entry: InstrSeq) -> None:
-    """Install the component's preinstantiated block table into the
-    machine under this load's renaming (called from ``load_component``).
+def install_component(machine, comp: Component, tpl) -> None:
+    """Install a load's block table into the machine (called from
+    ``load_component`` with the load's
+    :class:`~repro.tal.machine.LoadTemplate`).
 
-    Heap-less components (the boundary wrappers FT crossings load by the
-    hundreds) install nothing: their entry runs exactly once, so the
-    driver executes it by the reference rules and switches to the fast
-    tier at its first block transfer -- lowering it could never pay for
-    itself."""
-    if not any(isinstance(h, HCode) for _, h in comp.heap):
+    The table is built once per template, under its labels, and shared
+    by every machine that loads the template, so the block, site and JIT
+    memos (keyed on block identity) hit across runs.
+    Components without code blocks install nothing: their entry runs
+    once per load, so the driver executes it by the reference rules and
+    switches to the fast tier at its first block transfer."""
+    table = tpl.fast
+    if table is None:
+        table = tpl.fast = _template_table(comp, tpl)
+    blocks, entry_fb = table
+    if entry_fb is None:
         return
-    prog = _preinst_program(comp)
-    mem = machine.memory
-    heap = comp.heap
-    for idx, flat in prog["blocks"]:
-        rloc = mapping[heap[idx][0]]
-        h_ren = mem.code_at(rloc)
-        machine._fast_blocks[rloc] = _build_block(
-            flat, mapping, h_ren.instrs, h_ren)
-    fb = _build_block(prog["entry"], mapping, entry, None)
+    machine._fast_blocks.update(blocks)
     entries = machine._fast_entries
     if len(entries) > 1024:
         entries.clear()
-    entries[id(entry)] = (entry, fb)
+    entries[id(tpl.instrs)] = (tpl.instrs, entry_fb)
+
+
+def _template_table(comp: Component, tpl) -> tuple:
+    """``({label: FastBlock}, entry FastBlock)`` for one template; the
+    entry is ``None`` when the component has no code block."""
+    if not any(isinstance(h, HCode) for _, h in comp.heap):
+        return {}, None
+    prog = _preinst_program(comp)
+    blocks = {}
+    for idx, flat in prog["blocks"]:
+        rloc, h_ren = tpl.cells[idx]
+        blocks[rloc] = _build_block(flat, tpl.mapping, h_ren.instrs, h_ren)
+    entry = _build_block(prog["entry"], tpl.mapping, tpl.instrs, None)
+    return blocks, entry
 
 
 def _install_hcode(machine, h: HCode, loc: Loc) -> FastBlock:
@@ -1314,13 +1321,25 @@ def _run_fast(machine, state, ft: bool):
         req = None
         jf = fb.jit_fn
         if jf is not None and pc == 0:
-            FB[0], FB[1] = fuel, 0
-            try:
-                pc, fuel, req = jf(mem, regs, fuel, fb.jit_consts, FB)
-            except BaseException:
-                fuel = FB[0]
-                fail(fb, env, FB[1])
-                raise
+            consts = fb.jit_consts
+            again = _MISS  # the request that re-enters this block
+            while True:
+                FB[0], FB[1] = fuel, 0
+                try:
+                    pc, fuel, req = jf(mem, regs, fuel, consts, FB)
+                except BaseException:
+                    fuel = FB[0]
+                    fail(fb, env, FB[1])
+                    raise
+                # A loop that jumps back into this very block (same env)
+                # re-enters here, without the dispatch below.
+                if req is not again:
+                    hit = enter_memo.get(id(req))
+                    if (hit is None or hit[0] is not req
+                            or hit[1] is not fb or hit[2] is not env):
+                        break
+                    again = req
+                counters[0] += 1
         if req is None:
             while pc < nops:
                 if fuel == 0:

@@ -5,7 +5,13 @@ The machine executes instruction sequences against a mutable
 local heap fragment into the global heap under *fresh* locations (renaming
 every reference inside the component), exactly as the paper's operational
 semantics prescribes -- so structurally identical components loaded twice
-never interfere.
+into one memory never interfere.  Freshness is only needed within a
+memory, so the renaming is done once and reused: a
+:class:`LoadTemplate` (fresh labels, renamed cells, renamed entry
+sequence) is kept on the component, and a later load into a memory that
+binds none of its labels binds the very same cells.  Instantiation memos
+keyed on block identity, and the fast tier's block table, therefore hit
+across runs.
 
 Control transfers emit :class:`TraceEvent` records carrying the register
 and stack state *at jump time*; :mod:`repro.analysis.trace` reconstructs the
@@ -25,11 +31,9 @@ FT's extra instructions are handled by the subclass hook
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import MachineError, SnapshotError
@@ -38,7 +42,7 @@ from repro.obs.profile import PROFILER
 from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import MachineSnapshot
 from repro.tal.heap import Memory, RegSnapshot, StackSnapshot
-from repro.tal.subst import instantiate_code_block, instantiate_loaded_block
+from repro.tal.subst import instantiate_code_block
 from repro.tal.syntax import (
     Aop, Balloc, Bnz, BOX, Call, Component, Fold, Halt, HCode, HeapValue,
     HTuple, InstrSeq, Instruction, Jmp, KIND_ALPHA, Ld, Loc, Mv, Operand,
@@ -50,7 +54,7 @@ from repro.tal.subst import Subst, subst_instr_seq, subst_ty
 
 __all__ = [
     "TraceEvent", "HaltedState", "ImportRequest", "TalMachine",
-    "rename_locs",
+    "LoadTemplate", "rename_locs",
     "register_loc_renamer", "run_component", "TAL_ENGINES",
     "resolve_tal_engine",
 ]
@@ -161,6 +165,62 @@ def share_tuple(old: tuple, new: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Relocated component images
+# ---------------------------------------------------------------------------
+
+class LoadTemplate:
+    """One relocation of a component ``(I, H)``: the fresh label of each
+    heap cell (``mapping``), the renamed cells and the renamed entry
+    sequence.  ``fast`` is the fast tier's block table for these labels,
+    built on the first fast load (:func:`repro.tal.fast.install_component`).
+
+    Every cell is an immutable ``box``, so any number of memories may
+    bind the same template; only two loads into one memory must not.
+    """
+
+    __slots__ = ("mapping", "cells", "instrs", "fast")
+
+    def __init__(self, comp: Component):
+        mapping = {loc: fresh_loc(loc.name) for loc, _ in comp.heap}
+        self.mapping = mapping
+        self.cells = tuple((mapping[loc], rename_locs(h, mapping))
+                           for loc, h in comp.heap)
+        self.instrs = rename_locs(comp.instrs, mapping)
+        self.fast = None
+
+    def fits(self, heap: Dict[Loc, object]) -> bool:
+        """Whether a memory with this heap binds none of the labels."""
+        for loc, _ in self.cells:
+            if loc in heap:
+                return False
+        return True
+
+
+def load_template(comp: Component, heap: Dict[Loc, object]) -> LoadTemplate:
+    """The template cached on ``comp`` if ``heap`` binds none of its
+    labels, else a new one.
+
+    A component caches one template, its first.  A second load into a
+    memory that already binds it (a crossing that re-enters the same
+    component within one run) renames fresh and keeps nothing, as Fig 8
+    reads.  None of the perfbench workloads, the paper examples or
+    random compiled programs ever loads one component into one memory
+    twice, so a second slot would never be used (``docs/performance.md``).
+    """
+    tpl = getattr(comp, "_template", None)
+    if tpl is not None and tpl.fits(heap):
+        if OBS.enabled:
+            OBS.metrics.inc("t.machine.load.template_hit")
+        return tpl
+    new = LoadTemplate(comp)
+    if tpl is None:
+        object.__setattr__(comp, "_template", new)
+    if OBS.enabled:
+        OBS.metrics.inc("t.machine.load.template_miss")
+    return new
+
+
+# ---------------------------------------------------------------------------
 # Traces and halt states
 # ---------------------------------------------------------------------------
 
@@ -242,16 +302,15 @@ class TalMachine:
         self.steps = 0
         self._state: Optional[MachineState] = None
         self.tal_engine = resolve_tal_engine(tal_engine)
-        # Fast-tier installation state (fresh per machine, never
-        # snapshotted: a restored machine re-lowers blocks on demand).
+        # Fast-tier installation state: which blocks this machine's
+        # memory binds.  The blocks themselves (with their JIT state)
+        # belong to the component's load template and are shared by
+        # every machine that loads the template; the maps are never
+        # snapshotted, and a restored machine lowers the blocks of its
+        # revived heap on demand.
         self._fast_blocks: Dict[Loc, object] = {}
         self._fast_entries: Dict[int, tuple] = {}
         self._fast_residual: Optional[MachineState] = None
-        # Loaded label -> (pre-rename source block, the load's renaming),
-        # so jumps instantiate the source and share its memo across
-        # loads (see enter_block).  Machine-local, never snapshotted: a
-        # restored machine instantiates the heap's blocks directly.
-        self._block_sources: Dict[Loc, Tuple[HCode, Callable]] = {}
 
     # -- tracing ------------------------------------------------------
 
@@ -292,24 +351,30 @@ class TalMachine:
 
     def load_component(self, comp: Component) -> InstrSeq:
         """Merge the component's heap fragment into the global heap under
-        fresh labels and return its (renamed) entry sequence."""
-        mapping = {loc: fresh_loc(loc.name) for loc, _ in comp.heap}
-        rename = partial(rename_locs, mapping=mapping)
-        for loc, h in comp.heap:
-            renamed = rename(h)
-            self.memory.bind(mapping[loc], renamed, BOX)
-            # A block that mentions no label of its own component comes
-            # back unrenamed and is its own source already.
-            if renamed is not h and isinstance(h, HCode):
-                self._block_sources[mapping[loc]] = (h, rename)
-        instrs = rename(comp.instrs)
-        if self.tal_engine == "fast":
-            from repro.tal import fast
-            fast.install_component(self, comp, mapping, instrs)
+        fresh labels and return its (renamed) entry sequence.
+
+        The renaming comes from the component's cached
+        :class:`LoadTemplate` when this memory does not bind its labels
+        yet (:func:`load_template`), so a component is relocated once,
+        not once per run.  Every cell still goes through
+        :meth:`Memory.bind` (heap budget, chaos probe, already-bound
+        check).  A heap-less component (the FT boundary
+        wrappers) has nothing to rename: its own entry sequence runs."""
+        if comp.heap:
+            tpl = load_template(comp, self.memory.heap)
+            bind = self.memory.bind
+            for loc, h in tpl.cells:
+                bind(loc, h, BOX)
+            instrs = tpl.instrs
+            if self.tal_engine == "fast":
+                from repro.tal import fast
+                fast.install_component(self, comp, tpl)
+        else:
+            instrs = comp.instrs
         if OBS.enabled:
             OBS.metrics.inc("t.machine.components_loaded")
         self.emit("enter", None,
-                  detail=lambda: f"merged {len(mapping)} block(s)")
+                  detail=lambda: f"merged {len(comp.heap)} block(s)")
         return instrs
 
     # -- operand resolution -------------------------------------------
@@ -363,12 +428,7 @@ class TalMachine:
             OBS.metrics.inc("t.subst.instantiate")
         if PROFILER.enabled:
             PROFILER.enter_t(loc.name, block)
-        src = self._block_sources.get(loc)
-        if src is None:
-            inst = instantiate_code_block(block, all_omegas)
-        else:
-            inst = instantiate_loaded_block(block, src[0], src[1],
-                                            all_omegas)
+        inst = instantiate_code_block(block, all_omegas)
         if inst.delta:
             raise MachineError(
                 f"jump to block {loc} with uninstantiated binders "

@@ -38,8 +38,7 @@ __all__ = [
     "subst_q", "subst_operand", "subst_instr", "subst_instr_seq",
     "subst_heap_value", "subst_component", "free_type_vars",
     "register_simple_instr", "register_binding_instr", "fresh_name",
-    "instantiate_code_type", "instantiate_code_block",
-    "instantiate_loaded_block", "clear_subst_caches",
+    "instantiate_code_type", "instantiate_code_block", "clear_subst_caches",
     "subst_cache_stats",
 ]
 
@@ -567,8 +566,13 @@ def delta_subst(delta: Delta, omegas: Tuple[Omega, ...]) -> Subst:
 #: structural hash of a whole code block per jump; storing the node
 #: itself both pins its id against reuse after garbage collection and
 #: lets the lookup validate the hit with an ``is`` check.
+#: The pinning is also a cost: entries for blocks that die with their
+#: run (the wrapper blocks boundary translation allocates) hold them
+#: until evicted.  Loaded blocks are shared across runs (one entry per
+#: instantiation), so 1024 entries hold a warm working set -- about 700
+#: on ``boundary-run`` -- while keeping that dead tail short.
 _CTYPE_CACHE = LRUCache(2048, metric_prefix="tal.subst.cache.ctype")
-_BLOCK_CACHE = LRUCache(2048, metric_prefix="tal.subst.cache.block")
+_BLOCK_CACHE = LRUCache(1024, metric_prefix="tal.subst.cache.block")
 
 
 def instantiate_code_type(ct: CodeType,
@@ -593,9 +597,9 @@ def instantiate_code_block(h: HCode, omegas: Tuple[Omega, ...]) -> HCode:
     the same omegas reuses the result.  The cached block is
     alpha-equivalent on every later hit -- any binders freshened during
     the first substitution keep their (bound, hence clash-free) names
-    instead of being re-freshened per jump.  Loading a component renames
-    its blocks, so the machine calls this on a block's pre-rename source
-    (:func:`instantiate_loaded_block`) to share the memo across loads.
+    instead of being re-freshened per jump.  A component's loads reuse
+    its relocated blocks (:class:`repro.tal.machine.LoadTemplate`), so
+    the memo hits across loads and runs.
     """
     key = (id(h), omegas)
     hit = _BLOCK_CACHE.get(key)
@@ -605,31 +609,6 @@ def instantiate_code_block(h: HCode, omegas: Tuple[Omega, ...]) -> HCode:
     remaining = h.delta[len(omegas):]
     result = HCode(remaining, subst_chi(h.chi, s), subst_stack(h.sigma, s),
                    subst_q(h.q, s), subst_instr_seq(h.instrs, s))
-    _BLOCK_CACHE.put(key, (h, result))
-    return result
-
-
-def instantiate_loaded_block(h: HCode, source: HCode, rename: Callable,
-                             omegas: Tuple[Omega, ...]) -> HCode:
-    """Instantiate ``h``, a load's renaming ``rename(source)`` of the
-    compiled block ``source``, as ``rename(instantiate(source, omegas))``.
-
-    Types never mention locations and substitution never touches them,
-    so renaming and instantiation commute (up to the alpha-renaming of
-    freshened binders).  The substitution is memoized on ``source``,
-    which every load of the same image shares, so it is paid once per
-    source rather than once per load; only the renaming is per load.
-    The renamed result is kept under ``h``'s identity, uncounted (the
-    source lookup already counted the outcome), so a loop within one
-    load pays neither.
-    """
-    inst = instantiate_code_block(source, omegas)
-    key = (id(h), omegas)
-    hit = _BLOCK_CACHE.get(key, count=False)
-    if hit is not None and hit[0] is h:
-        return hit[1]
-    result = HCode(inst.delta, inst.chi, inst.sigma, inst.q,
-                   rename(inst.instrs))
     _BLOCK_CACHE.put(key, (h, result))
     return result
 

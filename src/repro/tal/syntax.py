@@ -61,7 +61,8 @@ __all__ = [
     "Instruction", "Aop", "Bnz", "Ld", "St", "Ralloc", "Balloc", "Mv",
     "Salloc", "Sfree", "Sld", "Sst", "Unpack", "UnfoldI",
     "Terminator", "Jmp", "Call", "Ret", "Halt",
-    "InstrSeq", "HeapValue", "HCode", "HTuple", "Component", "seq",
+    "InstrSeq", "HeapValue", "HCode", "HTuple", "LoadMemo", "Component",
+    "seq",
     "AOP_NAMES",
 ]
 
@@ -1062,13 +1063,27 @@ class HCode(HeapValue):
         return CodeType(self.delta, self.chi, self.sigma, self.q)
 
 
+class LoadMemo(PicklableSlots):
+    """The per-instance memo slot of :class:`Component`: ``_template``,
+    the relocated image (:class:`repro.tal.machine.LoadTemplate`) that
+    its loads reuse.  It is not a dataclass field, so equality, hashing,
+    pickling and content digests never see it, and it dies with the
+    component."""
+
+    __slots__ = ("_template",)
+
+
 @dataclass(frozen=True, slots=True)
-class Component(PicklableSlots):
+class Component(LoadMemo):
     """A T component ``(I, H)``: an entry sequence plus a local heap fragment.
 
     ``heap`` maps labels to the component's local blocks (and, rarely,
-    boxed data); at runtime the machine merges it into the global heap with
-    fresh renaming, so structurally distinct components never clash.
+    boxed data); at runtime the machine merges it into the global heap
+    under fresh labels, so two loads into one memory never clash (Fig 8).
+    The machine relocates a component once and keeps the result in the
+    ``_template`` memo slot (:class:`LoadMemo`): a later load into a
+    memory that binds none of those labels reuses them, and the renamed
+    blocks, as they are.
     """
 
     instrs: InstrSeq

@@ -1,17 +1,18 @@
-"""Jump-time instantiation keyed on a loaded block's pre-rename source.
+"""Jump-time instantiation shares its memo across loads and runs.
 
-Loading a component renames its blocks under fresh labels (paper Fig 8),
-so a memo keyed on the renamed block could only ever hit inside one
-load.  The reference T machine therefore instantiates the block's
-*source* -- the block as it sits in the compiled image -- and applies the
-load's renaming to the result.  Types never mention locations, so the
-two operations commute; these tests pin that down and check that nothing
-observable changes: values, fuel, steps, trace events, snapshots.
+Loading a component renames its blocks under fresh labels (paper Fig 8).
+Freshness only matters within one memory, so the machine relocates a
+component once per set of labels and keeps the result on the component
+(:class:`repro.tal.machine.LoadTemplate`): every load into a memory that
+binds none of the template's labels binds the very same renamed blocks,
+and the instantiation memo, keyed on block identity, hits across runs.
+Types never mention locations, so renaming and instantiation commute;
+these tests pin that down and check that nothing observable changes:
+values, fuel, steps, trace events, snapshots.
 """
 
 import re
 from dataclasses import fields, is_dataclass
-from functools import partial
 
 import pytest
 
@@ -25,10 +26,10 @@ from repro.papers_examples.fig17_factorial import build_fact_f
 from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import MachineSnapshot
 from repro.stdlib.prelude import compose, twice
+import repro.tal.machine as tal_machine
 from repro.tal.machine import rename_locs, TalMachine
 from repro.tal.subst import (
-    clear_subst_caches, instantiate_code_block, instantiate_loaded_block,
-    subst_cache_stats,
+    clear_subst_caches, instantiate_code_block, subst_cache_stats,
 )
 from repro.tal.syntax import (
     Component, fresh_loc, HCode, HTuple, KIND_ALPHA, KIND_ZETA, NIL_STACK, QEnd,
@@ -93,21 +94,55 @@ class TestSourceMemo:
         assert hits2 - hits == 30
 
     def test_loaded_labels_record_their_source(self):
+        """Every label a load binds holds its template's renamed cell
+        itself, and that cell is the source cell under the template's
+        renaming."""
+        image = compile_term(combinator()).wrapped
         machine = FTMachine()
-        machine.evaluate(compile_term(combinator()).wrapped)
-        assert machine._block_sources
-        for loc, (source, rename) in machine._block_sources.items():
-            block = machine.memory.code_at(loc)
-            assert block is not source
-            assert str(rename(source)) == str(block)
+        machine.evaluate(image)
+        loaded = [c for c in _components(image, []) if c.heap]
+        assert loaded
+        for comp in loaded:
+            tpl = _bound_template(comp, machine)
+            source = dict(comp.heap)
+            assert set(tpl.mapping) == set(source)
+            for loc, cell in tpl.cells:
+                assert machine.memory.lookup(loc).value is cell
+            cells = dict(tpl.cells)
+            for src_loc, loc in tpl.mapping.items():
+                assert str(rename_locs(source[src_loc], tpl.mapping)) \
+                    == str(cells[loc])
 
     def test_restored_machine_has_no_records(self):
+        """Templates live on the component, not in the checkpoint: the
+        revived machine has no fast-tier records, and a load into its
+        revived heap, which already binds the template's labels, gets
+        other ones."""
+        image = compile_term(combinator()).wrapped
+        comp = next(c for c in _components(image, []) if c.heap)
         machine = FTMachine(budget=Budget(fuel=40))
         with pytest.raises(FuelExhausted):
-            machine.evaluate(compile_term(combinator()).wrapped)
-        assert machine._block_sources
+            machine.evaluate(image)
+        tpl = _bound_template(comp, machine)
         revived = FTMachine.restore(machine.snapshot())
-        assert revived._block_sources == {}
+        assert revived._fast_blocks == {} and revived._fast_entries == {}
+        for loc, cell in tpl.cells:
+            assert revived.memory.lookup(loc).value is not cell
+        bound = set(revived.memory.heap)
+        entry = revived.load_component(comp)
+        assert entry is not tpl.instrs
+        assert comp._template is tpl
+        new = set(revived.memory.heap) - bound
+        assert len(new) == len(comp.heap)
+        assert new.isdisjoint(loc for loc, _ in tpl.cells)
+
+
+def _bound_template(comp, machine):
+    """The template of ``comp``, whose cells ``machine``'s memory binds."""
+    heap = machine.memory.heap
+    tpl = comp._template
+    assert all(heap[loc].value is cell for loc, cell in tpl.cells)
+    return tpl
 
 
 # ---------------------------------------------------------------------------
@@ -186,21 +221,41 @@ class TestCommutation:
             assert checked > 0, name
 
     def test_loaded_block_memo_is_per_instantiation(self):
-        """One loaded block jumped to at two instantiations gets two
-        results, each the direct instantiation of the renamed block."""
+        """One template block jumped to at two instantiations gets two
+        results, each the direct instantiation of the renamed block, and
+        a later load of the template reuses both."""
         comp = _components(compile_term(build_fact_f()).wrapped, [])[0]
-        mapping = {loc: fresh_loc(loc.name) for loc, _ in comp.heap}
-        rename = partial(rename_locs, mapping=mapping)
-        polymorphic = [h for _, h in comp.heap
-                       if isinstance(h, HCode) and h.delta]
-        assert polymorphic
-        for h in polymorphic:
-            loaded = rename(h)
-            for _ in range(2):  # cold, then from the memo
+        object.__setattr__(comp, "_template", None)
+        TalMachine().load_component(comp)
+        tpl = comp._template
+        loaded = [dict(tpl.cells)[tpl.mapping[loc]] for loc, h in comp.heap
+                  if isinstance(h, HCode) and h.delta]
+        assert loaded
+        clear_subst_caches()
+        first = {}
+        for _ in range(2):  # cold, then from the memo
+            for h in loaded:
                 for omegas in _omega_sets(h.delta):
-                    got = instantiate_loaded_block(loaded, h, rename, omegas)
-                    want = instantiate_code_block(loaded, omegas)
-                    assert _normalize(str(got)) == _normalize(str(want))
+                    got = instantiate_code_block(h, omegas)
+                    first.setdefault((id(h), omegas), got)
+                    assert got is first[(id(h), omegas)]
+        TalMachine().load_component(comp)
+        assert comp._template is tpl
+        for h in loaded:
+            for omegas in _omega_sets(h.delta):
+                want = rename_locs(
+                    instantiate_code_block(
+                        dict(comp.heap)[_source_label(tpl, h)], omegas),
+                    tpl.mapping)
+                got = instantiate_code_block(h, omegas)
+                assert got is first[(id(h), omegas)]
+                assert _normalize(str(got)) == _normalize(str(want))
+
+
+def _source_label(tpl, block):
+    """The source label of one of ``tpl``'s renamed cells."""
+    back = {new: old for old, new in tpl.mapping.items()}
+    return next(back[loc] for loc, h in tpl.cells if h is block)
 
 
 # ---------------------------------------------------------------------------
@@ -208,31 +263,48 @@ class TestCommutation:
 # ---------------------------------------------------------------------------
 
 def _memo_free(monkeypatch):
-    """Run the literal Fig 8 rule: every jump instantiates the renamed
-    heap block from scratch (no source record, empty memos)."""
+    """Run the literal Fig 8 rule: every load renames the component
+    afresh (no template is used or kept, even one an earlier run left on
+    the component) and every jump instantiates the renamed heap block
+    from scratch (empty memos).  Returns the list of templates the loads
+    made, one per load of a component with a heap."""
     enter_block = TalMachine.enter_block
+    minted = []
 
     def uncached(self, loc, omegas, extra=()):
         clear_subst_caches()
-        self._block_sources.clear()
         return enter_block(self, loc, omegas, extra)
 
+    def fresh(comp, heap):
+        minted.append(tal_machine.LoadTemplate(comp))
+        return minted[-1]
+
+    monkeypatch.setattr(tal_machine, "load_template", fresh)
     monkeypatch.setattr(TalMachine, "enter_block", uncached)
+    return minted
 
 
 class TestObservablesUnchanged:
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_same_run_as_memo_free(self, name, monkeypatch):
+        term = PROGRAMS[name]()
+        loaded = [c for c in _components(term, []) if c.heap]
+        kept = {id(c): getattr(c, "_template", None) for c in loaded}
         with monkeypatch.context() as patch:
-            _memo_free(patch)
-            expected = _observe(PROGRAMS[name](), FTMachine(trace=True))
+            minted = _memo_free(patch)
+            expected = _observe(term, FTMachine(trace=True))
+        # the oracle relocated every load afresh and cached nothing
+        assert len(minted) >= len(loaded) > 0, name
+        assert {id(c): getattr(c, "_template", None) for c in loaded} == kept
         # twice: the second run takes the cross-load hit path throughout
         for _ in range(2):
-            got = _observe(PROGRAMS[name](), FTMachine(trace=True))
+            got = _observe(term, FTMachine(trace=True))
             assert got == expected, name
+        assert all(c._template is not None for c in loaded), name
 
     def test_snapshot_across_loads_resumes_identically(self):
         term = compile_term(combinator()).wrapped
+        loaded = [c for c in _components(term, []) if c.heap]
         machine = FTMachine()
         value = str(machine.evaluate(term))
         total = machine.budget.fuel_used
@@ -240,10 +312,11 @@ class TestObservablesUnchanged:
             machine = FTMachine(budget=Budget(fuel=k))
             with pytest.raises(FuelExhausted):
                 machine.evaluate(term)
-            assert len(machine._block_sources) > 0
+            assert all(c._template is not None for c in loaded)
             wire = machine.snapshot().to_wire()
-            # the source record is not part of the checkpoint
-            machine._block_sources.clear()
+            # the templates are not part of the checkpoint
+            for c in loaded:
+                object.__setattr__(c, "_template", None)
             assert machine.snapshot().to_wire() == wire
             revived = FTMachine.restore(MachineSnapshot.from_wire(wire))
             assert str(revived.resume(fuel=total - k)) == value
