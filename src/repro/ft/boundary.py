@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from repro.caching import LRUCache
 from repro.errors import MachineError
 from repro.obs.events import OBS
 from repro.resilience.chaos import probe
@@ -263,6 +264,26 @@ def t_to_f(w: WordValue, ty: FType, mem: Memory) -> FExpr:
     raise MachineError(f"no value translation into F at type {ty}")
 
 
+#: (result type, out stack) -> the halting continuation block ``l_end``
+#: is bound to.  Every crossing allocates a fresh label, but all labels
+#: of one shape share one immutable HCode, so the fast T tier builds its
+#: block (and the memos keyed on it) once instead of once per crossing.
+_LEND_CODE = LRUCache(256)
+
+
+def _lend_code(result_t: TalType, out_stack: StackTy) -> HCode:
+    key = (result_t, out_stack)
+    hend = _LEND_CODE.get(key)
+    if hend is None:
+        hend = HCode(
+            (DeltaBind(KIND_ZETA, ZETA),),
+            RegFileTy.of(r1=result_t), out_stack,
+            QEnd(result_t, out_stack),
+            seq(Halt(result_t, out_stack, "r1")))
+        _LEND_CODE.put(key, hend)
+    return hend
+
+
 def build_call_back_lambda(w: WordValue, ty: FArrow, mem: Memory) -> Lam:
     """Fig 10's ``(tau)->tau'FT`` lambda wrapping a T code pointer ``w``.
 
@@ -280,12 +301,7 @@ def build_call_back_lambda(w: WordValue, ty: FArrow, mem: Memory) -> Lam:
     param_ts = tuple(type_translation(p) for p in ty.params)
     out_stack = StackTy(phi_out, ZETA)
 
-    hend = HCode(
-        (DeltaBind(KIND_ZETA, ZETA),),
-        RegFileTy.of(r1=result_t), out_stack,
-        QEnd(result_t, out_stack),
-        seq(Halt(result_t, out_stack, "r1")))
-    lend = mem.alloc(hend, BOX, base="lend")
+    lend = mem.alloc(_lend_code(result_t, out_stack), BOX, base="lend")
 
     params = tuple((f"x{i}", ty.params[i - 1]) for i in range(1, n + 1))
     instrs: List = [Protect(phi_in, ZETA)]

@@ -21,6 +21,10 @@ Canonical counter names used by the instrumentation hooks:
                                    first is kept)
 ``t.subst.instantiate``            code-block instantiations at jump time
 ``t.subst.unpack``                 type substitutions from ``unpack``
+``tal.fast.jit.promoted``          fast-tier blocks fused by the template JIT
+``tal.fast.jit.loops``             JIT'd blocks that jumped back into
+                                   themselves, re-rendered so that one call
+                                   runs the whole loop
 ``ft.boundary.f_to_t``             F-to-T crossings (``tauFT e`` components run)
 ``ft.boundary.t_to_f``             T-to-F crossings (``import`` evaluations)
 ``ft.translate.f_to_t``            value translations ``TFtau(v, M)``

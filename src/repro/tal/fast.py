@@ -25,7 +25,10 @@ executable form and stops consulting types at run time:
 * blocks entered :data:`JIT_THRESHOLD` times are **template-JITted**:
   the block body is rendered into one fused Python function per basic
   block (branch-out via block transfer requests) and compiled with
-  ``exec``.
+  ``exec``;
+* a JIT'd block seen to jump back into itself is **re-rendered as a
+  loop**: one call runs every iteration, and when the loop body is int
+  register arithmetic the registers stay plain Python ints throughout.
 
 Semantics are bit-identical to the reference engine -- same values, same
 ``steps``/``fuel_used`` accounting, same trap messages, same residual
@@ -71,7 +74,7 @@ __all__ = [
 #: Bump when the lowered descriptor format changes: the digest of the
 #: on-disk preinstantiation artifacts includes it, so stale store entries
 #: simply miss instead of deserialising into the wrong shape.
-PREINST_VERSION = 1
+PREINST_VERSION = 2
 
 _UNSET = object()          # register-slot sentinel (None is not a word)
 _SLOT = {r: i for i, r in enumerate(REGISTERS)}
@@ -81,7 +84,6 @@ _AOP_FNS = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
             "mul": lambda a, b: a * b}
 _KIND_EXPECT = {KIND_ALPHA: TalType, KIND_ZETA: StackTy,
                 KIND_EPS: RetMarker}
-_MISS = object()
 
 # ---------------------------------------------------------------------------
 # Caches (the PR 4 tal.subst.cache.* machinery, grown into the fast tier)
@@ -102,8 +104,9 @@ _ENV_CACHE = LRUCache(4096, metric_prefix="tal.fast.block")
 _STRUCT_MEMO = LRUCache(256)
 #: digest -> FlatProgram, in front of the on-disk ArtifactStore.
 _PREINST_LRU = LRUCache(128, metric_prefix="tal.fast.preinst")
-#: id(HCode) -> (hcode, FlatCode): direct-mode lowering memo (restored
-#: snapshots, blocks reached outside a component load).
+#: id(HCode) -> (hcode, FastBlock): direct-mode block memo (restored
+#: snapshots, blocks reached outside a component load, such as the
+#: boundary's shared halting continuations).
 _HCODE_MEMO = LRUCache(512)
 #: JIT source string -> compiled function (process-wide).
 _JIT_FNS: Dict[str, object] = {}
@@ -573,13 +576,15 @@ class FastBlock:
     lives on the shared block: entries from all those runs count toward
     :data:`JIT_THRESHOLD`, and a promoted block stays promoted.  The
     JIT'd function computes exactly what the ops compute, so where a
-    block is promoted never changes a result."""
+    block is promoted never changes a result.  ``jit_desc`` keeps the
+    block's descriptors until the driver sees it jump back into itself
+    and re-renders it as a loop (:func:`_promote_loop`)."""
 
     __slots__ = ("ops", "nops", "term", "delta", "src_seq", "src_hcode",
-                 "hot", "jit_spec", "jit_fn", "jit_consts")
+                 "hot", "jit_spec", "jit_fn", "jit_consts", "jit_desc")
 
     def __init__(self, ops, term, delta, src_seq, src_hcode, jit_spec,
-                 jit_consts):
+                 jit_consts, jit_desc):
         self.ops = ops
         self.nops = len(ops)
         self.term = term
@@ -590,6 +595,7 @@ class FastBlock:
         self.jit_spec = jit_spec
         self.jit_fn = None
         self.jit_consts = jit_consts
+        self.jit_desc = jit_desc      # (ops, term) descriptors or None
 
 
 def _unset_read(name: str):
@@ -796,10 +802,16 @@ def _make_op(d: tuple, ren):
             regs[_rd] = w.body
         return op
     if tag == "protect":
-        zeta = d[1]
+        shadow = (KIND_ZETA, d[1], None)
+        last = [((), (shadow,))]
 
-        def op(mem, regs, env, _z=zeta):
-            return ("shadow", (KIND_ZETA, _z, None))
+        # Returns the extended env itself, the same tuple for the same
+        # incoming env, so the site memos keyed on it hit across runs.
+        def op(mem, regs, env, _b=shadow, _last=last):
+            hit = _last[0]
+            if hit[0] is not env:
+                hit = _last[0] = (env, env + (_b,))
+            return ("shadow", hit[1])
         return op
     if tag == "imp":
         _, instr, ftv = d
@@ -958,8 +970,9 @@ def _build_block(flat: dict, mapping, src_seq: InstrSeq,
                                for c in jit_spec[1])
         except MachineError:
             jit_spec = None  # e.g. a const jump to a non-location value
+    desc = None if jit_spec is None else (flat["ops"], flat["term"])
     fb = FastBlock(tuple(ops), term, tuple(flat["delta"]), src_seq,
-                   src_hcode, jit_spec, jit_consts)
+                   src_hcode, jit_spec, jit_consts, desc)
     if OBS.enabled:
         OBS.metrics.inc("tal.fast.blocks")
     return fb
@@ -1009,15 +1022,16 @@ def _template_table(comp: Component, tpl) -> tuple:
 
 def _install_hcode(machine, h: HCode, loc: Loc) -> FastBlock:
     """Direct-mode lowering for a block reached outside a component
-    install (restored snapshots, exotic loads)."""
+    install (restored snapshots, exotic loads).  The block is built once
+    per HCode object, so every label bound to that object -- in any
+    machine -- shares it and the block, site and JIT memos keyed on it."""
     key = id(h)
     hit = _HCODE_MEMO.get(key)
     if hit is not None and hit[0] is h:
-        flat = hit[1]
+        fb = hit[1]
     else:
-        flat = _lower_seq(h.instrs, h.delta)
-        _HCODE_MEMO.put(key, (h, flat))
-    fb = _build_block(flat, None, h.instrs, h)
+        fb = _build_block(_lower_seq(h.instrs, h.delta), None, h.instrs, h)
+        _HCODE_MEMO.put(key, (h, fb))
     machine._fast_blocks[loc] = fb
     return fb
 
@@ -1214,7 +1228,7 @@ def _run_fast(machine, state, ft: bool):
     base = budget.fuel_remaining
     fuel = base
     counters = [0, 0]  # instantiations, unpacks
-    FB = [0, 0]        # JIT trap sync: [fuel, pc]
+    FB = [0, 0, 0]     # JIT trap sync: [fuel, pc, loop re-entries]
     enter_memo: dict = {}  # id(req) -> (req, block, env); identity-guarded
 
     def flush():
@@ -1321,25 +1335,16 @@ def _run_fast(machine, state, ft: bool):
         req = None
         jf = fb.jit_fn
         if jf is not None and pc == 0:
-            consts = fb.jit_consts
-            again = _MISS  # the request that re-enters this block
-            while True:
-                FB[0], FB[1] = fuel, 0
-                try:
-                    pc, fuel, req = jf(mem, regs, fuel, consts, FB)
-                except BaseException:
-                    fuel = FB[0]
-                    fail(fb, env, FB[1])
-                    raise
-                # A loop that jumps back into this very block (same env)
-                # re-enters here, without the dispatch below.
-                if req is not again:
-                    hit = enter_memo.get(id(req))
-                    if (hit is None or hit[0] is not req
-                            or hit[1] is not fb or hit[2] is not env):
-                        break
-                    again = req
-                counters[0] += 1
+            FB[0], FB[1], FB[2] = fuel, 0, 0
+            try:
+                # pc == -1 with a request; n re-entries of a loop variant
+                pc, fuel, req, n = jf(mem, regs, fuel, fb.jit_consts, FB)
+            except BaseException:
+                fuel = FB[0]
+                counters[0] += FB[2]
+                fail(fb, env, FB[1])
+                raise
+            counters[0] += n
         if req is None:
             while pc < nops:
                 if fuel == 0:
@@ -1359,7 +1364,7 @@ def _run_fast(machine, state, ft: bool):
                     env = env + (r[1],)
                     pc += 1
                 elif tag == "shadow":
-                    env = env + (r[1],)
+                    env = r[1]
                     pc += 1
                 else:  # "enter" (taken bnz) or "ref" (delegate)
                     req = r
@@ -1379,24 +1384,27 @@ def _run_fast(machine, state, ft: bool):
             # so an identity memo skips re-hashing the omega types.
             hit = enter_memo.get(id(req))
             if hit is not None and hit[0] is req:
-                fb, env = hit[1], hit[2]
+                fb2, env2 = hit[1], hit[2]
                 counters[0] += 1
-                if fb.jit_fn is None and fb.jit_spec is not None:
-                    fb.hot += 1
-                    if fb.hot >= JIT_THRESHOLD:
-                        _promote(fb)
-                pc = 0
-                continue
-            try:
-                fb, env = enter(req[1], req[2], req[3])
-                pc = 0
-            except BaseException:
-                src = req[4]
-                fail(fb, env, src if isinstance(src, int) else nops)
-                raise
-            if len(enter_memo) > 4096:
-                enter_memo.clear()
-            enter_memo[id(req)] = (req, fb, env)
+                if fb2.jit_fn is None and fb2.jit_spec is not None:
+                    fb2.hot += 1
+                    if fb2.hot >= JIT_THRESHOLD:
+                        _promote(fb2)
+            else:
+                try:
+                    fb2, env2 = enter(req[1], req[2], req[3])
+                except BaseException:
+                    src = req[4]
+                    fail(fb, env, src if isinstance(src, int) else nops)
+                    raise
+                if len(enter_memo) > 4096:
+                    enter_memo.clear()
+                enter_memo[id(req)] = (req, fb2, env2)
+            if fb2 is fb and env2 is env and pc < 0 and fb.jit_desc:
+                # The JIT'd block jumped back into itself: from now on
+                # it runs the whole loop in one call.
+                _promote_loop(fb, req)
+            fb, env, pc = fb2, env2, 0
             continue
         if tag == "halt":
             hs = req[1]
@@ -1470,33 +1478,55 @@ _JIT_GLOBALS = {
 }
 
 
-def _jit_source(ops: tuple, term: tuple) -> Optional[tuple]:
+def _jit_source(ops: tuple, term: tuple,
+                back: Optional[int] = None) -> Optional[tuple]:
     """Render a block's descriptors into one fused Python function (the
     template JIT).  Returns ``(src, const_specs)`` or ``None`` when any
     op needs the environment, binds a type variable, or delegates.
 
     The generated function is the happy path only: any check failure
-    returns a deopt ``(pc, fuel, None)`` and the direct-threaded
+    returns a deopt ``(pc, fuel, None, n)`` and the direct-threaded
     interpreter re-executes from ``pc`` for exact errors and accounting.
     Calls into :class:`Memory` that can raise are preceded by a
     fuel/pc sync through the ``FB`` box.
+
+    ``back`` renders the boxed loop variant: the body sits inside
+    ``while True`` and the jump request ``C[back]``, which re-enters this
+    very block, becomes ``continue``.  ``n`` counts those re-entries (it
+    is 0 in the plain variant) so the driver can account one block
+    instantiation per iteration.  The const specs do not depend on
+    ``back``, so both variants share one const tuple.
     """
     consts: List[tuple] = []
     lines: List[str] = ["def _jit(mem, regs, fuel, C, FB):"]
+    pad, n = "    ", "0"
+    if back is not None:
+        lines += ["    n = 0", "    while True:"]
+        pad, n = "        ", "n"
 
     def const(spec) -> str:
         consts.append(spec)
         return f"C[{len(consts) - 1}]"
 
+    def jump(spec) -> str:
+        c = const(spec)
+        if len(consts) - 1 == back:
+            return "n += 1; continue"
+        return f"return (-1, fuel, {c}, {n})"
+
     def emit(s: str) -> None:
-        lines.append("    " + s)
+        lines.append(pad + s)
+
+    def sync(pc: int) -> None:
+        emit(f"FB[0] = fuel; FB[1] = {pc}"
+             + ("; FB[2] = n" if back is not None else ""))
 
     for pc, d in enumerate(ops):
         tag = d[0]
         if tag not in _JITABLE:
             return None
-        emit(f"if fuel == 0: return ({pc}, fuel, None)")
-        deopt = f"return ({pc}, fuel, None)"
+        deopt = f"return ({pc}, fuel, None, {n})"
+        emit(f"if fuel == 0: {deopt}")
         if tag == "mv":
             _, rd, spec = d
             if spec[0] == "c":
@@ -1531,17 +1561,16 @@ def _jit_source(ops: tuple, term: tuple) -> Optional[tuple]:
             emit(f"w = regs[{rs}]")
             emit(f"if w.__class__ is not WInt: {deopt}")
             emit("fuel -= 1")
-            emit(f"if w.value != 0: return (-1, fuel, "
-                 f"{const(('enter', u, None, pc))})")
+            emit(f"if w.value != 0: {jump(('enter', u, None, pc))}")
         elif tag == "ld":
             _, rd, rs, index = d
             emit(f"w = regs[{rs}]")
             emit(f"if w.__class__ is not WLoc: {deopt}")
             emit("fuel -= 1")
-            emit(f"FB[0] = fuel; FB[1] = {pc}")
+            sync(pc)
             emit("t = mem.tuple_at(w.loc).words")
             emit(f"if not 0 <= {index} < len(t): "
-                 f"return ({pc}, fuel + 1, None)")
+                 f"return ({pc}, fuel + 1, None, {n})")
             emit(f"regs[{rd}] = t[{index}]")
         elif tag == "st":
             _, rd, index, rs, _name = d
@@ -1550,34 +1579,34 @@ def _jit_source(ops: tuple, term: tuple) -> Optional[tuple]:
             emit(f"v = regs[{rs}]")
             emit(f"if v is _U: {deopt}")
             emit("fuel -= 1")
-            emit(f"FB[0] = fuel; FB[1] = {pc}")
+            sync(pc)
             emit(f"mem.store_field(w.loc, {index}, v)")
         elif tag == "alloc":
-            _, rd, n, nu = d
+            _, rd, n_words, nu = d
             emit("fuel -= 1")
-            emit(f"FB[0] = fuel; FB[1] = {pc}")
-            emit(f"ws = mem.pop({n})")
+            sync(pc)
+            emit(f"ws = mem.pop({n_words})")
             emit(f"regs[{rd}] = WLoc(mem.alloc(HTuple(tuple(ws)), "
                  f"{const(('nu', nu))}))")
         elif tag == "salloc":
             emit("fuel -= 1")
-            emit(f"FB[0] = fuel; FB[1] = {pc}")
+            sync(pc)
             emit(f"mem.push(*{const(('units', d[1]))})")
         elif tag == "sfree":
             emit("fuel -= 1")
-            emit(f"FB[0] = fuel; FB[1] = {pc}")
+            sync(pc)
             emit(f"mem.pop({d[1]})")
         elif tag == "sld":
             _, rd, index = d
             emit("fuel -= 1")
-            emit(f"FB[0] = fuel; FB[1] = {pc}")
+            sync(pc)
             emit(f"regs[{rd}] = mem.peek({index})")
         elif tag == "sst":
             _, index, rs, _name = d
             emit(f"v = regs[{rs}]")
             emit(f"if v is _U: {deopt}")
             emit("fuel -= 1")
-            emit(f"FB[0] = fuel; FB[1] = {pc}")
+            sync(pc)
             emit(f"mem.poke({index}, v)")
         elif tag == "unfold":
             _, rd, spec = d
@@ -1589,8 +1618,8 @@ def _jit_source(ops: tuple, term: tuple) -> Optional[tuple]:
             emit(f"regs[{rd}] = w.body")
     nops = len(ops)
     tag = term[0]
-    emit(f"if fuel == 0: return ({nops}, fuel, None)")
-    deopt = f"return ({nops}, fuel, None)"
+    deopt = f"return ({nops}, fuel, None, {n})"
+    emit(f"if fuel == 0: {deopt}")
     if tag == "halt":
         _, r, r_name, t, ftv = term
         if ftv:
@@ -1600,14 +1629,14 @@ def _jit_source(ops: tuple, term: tuple) -> Optional[tuple]:
         emit("fuel -= 1")
         emit(f"return (-1, fuel, ('halt', HaltedState(w, "
              f"{const(('ty', t.ty))}, {const(('ty', t.sigma))}, "
-             f"{r_name!r})))")
+             f"{r_name!r})), {n})")
     elif tag == "jmp_c":
         emit("fuel -= 1")
-        emit(f"return (-1, fuel, {const(('enter', term[1], None, nops))})")
+        emit(jump(('enter', term[1], None, nops)))
     elif tag == "call_c":
         _, u, sigma, q = term
         emit("fuel -= 1")
-        emit(f"return (-1, fuel, {const(('enter', u, (sigma, q), nops))})")
+        emit(jump(('enter', u, (sigma, q), nops)))
     elif tag == "ret":
         _, r, _r_name, _rr = term
         emit(f"w = regs[{r}]")
@@ -1616,10 +1645,81 @@ def _jit_source(ops: tuple, term: tuple) -> Optional[tuple]:
         emit("    om = tuple(w.insts) + om; w = w.body")
         emit(f"if w.__class__ is not WLoc: {deopt}")
         emit("fuel -= 1")
-        emit("return (-1, fuel, ('enter', w.loc, om, (), None))")
+        emit(f"return (-1, fuel, ('enter', w.loc, om, (), None), {n})")
     else:
         return None
     return ("\n".join(lines) + "\n", tuple(consts))
+
+
+def _jit_unboxed_source(ops: tuple, b: int) -> Optional[str]:
+    """The unboxed loop variant of a block whose ``bnz`` at pc ``b``
+    re-enters it, or ``None`` unless every op before ``b`` is an int
+    ``aop`` or a ``mv`` of an int constant or a register.
+
+    Registers live in Python ints ``x<slot>`` for the whole loop.  On
+    entry each register the loop reads before writing must hold a
+    ``WInt``, and an iteration runs only while the fuel covers all of it
+    (``b + 1`` steps), so nothing inside can trap or run out: otherwise
+    the function deopts at pc 0, leaving the rest to the interpreter.
+    On fall-through the written registers are boxed and the block goes on
+    at ``b + 1``."""
+    reads: List[int] = []
+    writes: List[int] = []
+    body: List[str] = []
+
+    def read(spec) -> Optional[str]:
+        if spec[0] == "c":
+            w = spec[1]
+            return str(w.value) if w.__class__ is WInt else None
+        if spec[0] == "r":
+            use(spec[1])
+            return f"x{spec[1]}"
+        return None
+
+    def use(slot: int) -> None:
+        if slot not in writes and slot not in reads:
+            reads.append(slot)
+
+    def write(slot: int, expr: str) -> None:
+        body.append(f"x{slot} = {expr}")
+        if slot not in writes:
+            writes.append(slot)
+
+    for d in ops[:b]:
+        if d[0] == "mv":
+            v = read(d[2])
+            if v is None:
+                return None
+            write(d[1], v)
+        elif d[0] == "aop":
+            _, name, rd, rs, _rs_name, spec = d
+            use(rs)
+            v = read(spec)
+            if v is None:
+                return None
+            write(rd, f"x{rs} {_AOPS[name]} {v}")
+        else:
+            return None
+    rs = ops[b][1]
+    use(rs)
+    cost = b + 1
+    box = "; ".join(f"regs[{s}] = WInt(x{s})" for s in writes) or "pass"
+    lines = ["def _jit(mem, regs, fuel, C, FB):",
+             f"    if fuel < {cost}: return (0, fuel, None, 0)"]
+    for s in reads:
+        lines += [f"    w = regs[{s}]",
+                  "    if w.__class__ is not WInt: return (0, fuel, None, 0)",
+                  f"    x{s} = w.value"]
+    lines += ["    n = 0", "    while True:", f"        fuel -= {cost}"]
+    lines += ["        " + line for line in body]
+    lines += [f"        if x{rs} == 0:",
+              f"            {box}",
+              f"            return ({b + 1}, fuel, None, n)",
+              "        n += 1",
+              f"        if fuel < {cost}:",
+              f"            {box}",
+              "            return (0, fuel, None, n)"]
+    return "\n".join(lines) + "\n"
 
 
 def _build_const(spec: tuple, ren, nops: int):
@@ -1639,8 +1739,7 @@ def _build_const(spec: tuple, ren, nops: int):
     raise AssertionError(f"unknown const spec {kind!r}")
 
 
-def _promote(fb: FastBlock) -> None:
-    src = fb.jit_spec[0]
+def _compiled(src: str):
     fn = _JIT_FNS.get(src)
     if fn is None:
         namespace: dict = {}
@@ -1648,6 +1747,31 @@ def _promote(fb: FastBlock) -> None:
              dict(_JIT_GLOBALS), namespace)
         fn = namespace["_jit"]
         _JIT_FNS[src] = fn
-    fb.jit_fn = fn
+    return fn
+
+
+def _promote(fb: FastBlock) -> None:
+    fb.jit_fn = _compiled(fb.jit_spec[0])
     if OBS.enabled:
         OBS.metrics.inc("tal.fast.jit.promoted")
+
+
+def _promote_loop(fb: FastBlock, req: tuple) -> None:
+    """Re-render the JIT'd ``fb``, whose jump request ``req`` just
+    re-entered it with the same env, as a loop: unboxed when the ops
+    before a ``bnz`` back-edge allow it, else the boxed body inside
+    ``while True``.  Tried once per block."""
+    desc, fb.jit_desc = fb.jit_desc, None
+    if desc is None:
+        return  # another thread got here first
+    ops, term = desc
+    back = next((k for k, c in enumerate(fb.jit_consts) if c is req), None)
+    if back is None:
+        return  # a ``ret`` into itself: no stable request to loop on
+    b = fb.jit_spec[1][back][3]
+    src = _jit_unboxed_source(ops, b) if b < len(ops) else None
+    if src is None:
+        src = _jit_source(ops, term, back)[0]
+    fb.jit_fn = _compiled(src)
+    if OBS.enabled:
+        OBS.metrics.inc("tal.fast.jit.loops")

@@ -20,7 +20,10 @@ Two generators:
   the current state, finishing with a coherent ``halt``;
 * :func:`random_f_type` -- an FT type drawn from every type former the
   boundary translation handles (not necessarily well formed: free type
-  variables are allowed).
+  variables are allowed);
+* :func:`random_counted_loop` -- a well-typed T component around one
+  block that counts a register down and ``bnz``-jumps back to itself,
+  the loop shape the fast T tier's loop JIT runs.
 
 All are deterministic in their seed, so hypothesis can shrink on seeds.
 """
@@ -35,13 +38,14 @@ from repro.f.syntax import (
     IntE, Lam, Proj, TupleE, Unfold, UnitE, Var,
 )
 from repro.tal.syntax import (
-    Aop, AOP_NAMES, Balloc, Component, GP_REGISTERS, Halt, Ld, Mv,
-    NIL_STACK, QEnd, Ralloc, RegOp, Salloc, seq, Sfree, Sld, Sst, St,
-    StackTy, TBox, TInt, TRef, TUnit, TupleTy, WInt, WUnit,
+    Aop, AOP_NAMES, Balloc, Bnz, Component, GP_REGISTERS, Halt, HCode, Jmp,
+    Ld, Loc, Mv, NIL_STACK, QEnd, Ralloc, RegFileTy, RegOp, Salloc, seq,
+    Sfree, Sld, Sst, St, StackTy, TBox, TInt, TRef, TUnit, TupleTy, WInt,
+    WLoc, WUnit,
 )
 
 __all__ = ["random_f_int_expr", "random_full_f_expr", "random_t_program",
-           "random_f_type"]
+           "random_f_type", "random_counted_loop"]
 
 
 # ---------------------------------------------------------------------------
@@ -369,3 +373,53 @@ def random_f_type(seed: int, depth: int = 3):
                            for _ in range(rng.randint(1, 3))))
 
     return gen(depth)
+
+
+# ---------------------------------------------------------------------------
+# Counted-loop generator
+# ---------------------------------------------------------------------------
+
+def random_counted_loop(seed: int) -> Component:
+    """A well-typed T component that jumps into one self-looping block.
+
+    The block holds 2-4 int registers.  One counts down from 20-60; the
+    others take a random prefix of ``aop``/``mv`` instructions, and the
+    block ``bnz``-jumps back to itself while the counter is nonzero, then
+    halts with one of them.  ``mul`` only takes constants, so values stay
+    polynomial in size.  About one loop in three also reads or writes a
+    stack slot, which keeps it off the all-register loop form."""
+    rng = random.Random(seed)
+    regs = rng.sample(GP_REGISTERS[1:], rng.randint(2, 4))
+    counter, accs = regs[0], regs[1:]
+    body: List = []
+    for _ in range(rng.randint(0, 4)):
+        rd = rng.choice(accs)
+        if rng.random() < 0.25:
+            u = (WInt(rng.randint(-3, 3)) if rng.random() < 0.5
+                 else RegOp(rng.choice(regs)))
+            body.append(Mv(rd, u))
+            continue
+        op = rng.choice(AOP_NAMES)
+        u = (WInt(rng.randint(-3, 3)) if op == "mul" or rng.random() < 0.5
+             else RegOp(rng.choice(regs)))
+        body.append(Aop(op, rd, rng.choice(regs), u))
+    body.insert(rng.randint(0, len(body)),
+                Aop("sub", counter, counter, WInt(1)))
+    stack = rng.random() < 1 / 3
+    if stack:
+        body.insert(rng.randint(0, len(body)),
+                    Sst(0, rng.choice(regs)) if rng.random() < 0.5
+                    else Sld(rng.choice(accs), 0))
+    sigma = StackTy((TInt(),), None) if stack else NIL_STACK
+    end = QEnd(TInt(), NIL_STACK)
+    loop = Loc("lloop")
+    tail = [Sfree(1)] if stack else []
+    block = HCode((), RegFileTy.of(**{r: TInt() for r in regs}), sigma, end,
+                  seq(*body, Bnz(counter, WLoc(loop)), *tail,
+                      Mv("r1", RegOp(accs[0])),
+                      Halt(TInt(), NIL_STACK, "r1")))
+    entry = [Mv(counter, WInt(rng.randint(20, 60)))]
+    entry += [Mv(r, WInt(rng.randint(-3, 3))) for r in accs]
+    if stack:
+        entry += [Salloc(1), Sst(0, counter)]
+    return Component(seq(*entry, Jmp(WLoc(loop))), ((loop, block),))

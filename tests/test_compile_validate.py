@@ -12,8 +12,11 @@ back as job errors rather than worker crashes.
 
 import pytest
 
-from repro.f.syntax import App, BinOp, FArrow, FInt, IntE, Lam, Var
+from repro.f.syntax import (
+    App, BinOp, FArrow, FInt, IntE, Lam, TupleE, Var,
+)
 from repro.compile.pipeline import CompilationResult, compile_term
+from repro.compile import validate
 from repro.compile.validate import validate_compilation
 from repro.resilience.safety_net import Quarantine
 from repro.serve.cache import job_cache_key
@@ -52,6 +55,30 @@ class TestValidationPasses:
             BinOp("*", IntE(6), IntE(7)), quarantine=Quarantine())
         assert report.ok
         assert report.trials == 1     # single whole-program observation
+
+    @pytest.mark.parametrize("term, contexts", [
+        (BinOp("*", IntE(6), IntE(7)), 1),             # identity
+        (TupleE((IntE(1), BinOp("+", IntE(2), IntE(3)))), 3),  # + proj0/1
+    ])
+    def test_first_order_pair_is_observed_once(self, term, contexts,
+                                               monkeypatch):
+        """The identity context plugs exactly the (source, compiled)
+        pair the differential axis already observed: its observation is
+        reused, and the report still counts the context."""
+        calls = []
+        real = validate.observe
+
+        def counted(expr, **kwargs):
+            calls.append(expr)
+            return real(expr, **kwargs)
+
+        monkeypatch.setattr(validate, "observe", counted)
+        report = validate_compilation(term, quarantine=Quarantine())
+        assert report.to_json() == {
+            "ok": True, "typechecked": True, "trials": 1,
+            "equivalent": True, "equiv_trials": contexts,
+            "failure": None, "quarantined": False}
+        assert len(calls) == 2 * contexts   # not 2 * (1 + contexts)
 
     def test_open_term_is_static_only(self):
         report = validate_compilation(

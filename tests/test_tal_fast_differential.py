@@ -9,14 +9,18 @@ budget verdicts, identical trap messages, identical suspension points --
 on every paper example, random well-typed T programs, erased programs,
 budget-exhaustion splits, and cross-engine snapshot resume.
 
-Also covered: the digest-keyed preinstantiation cache through the link
-store, and the serving layer's treatment of ``tal_engine`` as a
-non-semantic option.
+Also covered: warm loop-JIT variants (every fuel prefix, instantiation
+counters, traps, big ints) and generated counted loops; fast-tier caches
+that must not grow with boundary crossings; the digest-keyed
+preinstantiation cache through the link store; and the serving layer's
+treatment of ``tal_engine`` as a non-semantic option.
 """
 
+import math
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
 from repro.errors import FuelExhausted, MachineError
@@ -36,10 +40,11 @@ from repro.tal.machine import (
 )
 from repro.tal.subst import clear_subst_caches
 from repro.tal.syntax import (
-    Aop, Balloc, Bnz, Component, Halt, HCode, Jmp, Ld, Loc, Mv, NIL_STACK,
-    QEnd, RegFileTy, RegOp, Salloc, Sld, St, TInt, WInt, WLoc, WUnit, seq,
+    Aop, Balloc, Bnz, Call, Component, Halt, HCode, Jmp, Ld, Loc, Mv,
+    NIL_STACK, QEnd, RegFileTy, RegOp, Salloc, Sld, Sst, St, TInt, WInt,
+    WLoc, WUnit, seq,
 )
-from tests.strategies import random_t_program
+from tests.strategies import random_counted_loop, random_t_program
 
 LOC_COUNTER = re.compile(r"%\d+")
 
@@ -303,6 +308,191 @@ class TestJitLockstep:
                     "fast", fuel=1_000_000)
         counters = obs.OBS.metrics.snapshot()["counters"]
         assert counters.get("tal.fast.jit.promoted", 0) >= 1
+
+
+def _t_outside(build, n: int) -> Component:
+    """The loop component of ``build`` (``build_count_t`` or
+    ``build_fact_t``) run T-outside: its entry block is called with ``n``
+    on the stack and a return continuation that halts.  No boundary is
+    crossed."""
+    loop = build().body.fn.comp
+    done, end = Loc("ldone"), QEnd(TInt(), NIL_STACK)
+    halt = HCode((), RegFileTy.of(r1=TInt()), NIL_STACK, end,
+                 seq(Halt(TInt(), NIL_STACK, "r1")))
+    return Component(
+        seq(Mv("r1", WInt(n)), Salloc(1), Sst(0, "r1"), Mv("ra", WLoc(done)),
+            Call(WLoc(loop.heap[0][0]), NIL_STACK, end)),
+        loop.heap + ((done, halt),))
+
+
+def _counted(run) -> dict:
+    """The obs counters of ``run()``."""
+    obs.enable(record=False)
+    obs.reset()
+    try:
+        run()
+        return obs.OBS.metrics.snapshot()["counters"]
+    finally:
+        obs.disable()
+        obs.reset()
+
+
+def _warm(comp: Component) -> None:
+    """Run ``comp`` on fast until its loop block runs as a loop variant
+    (the blocks belong to the component's load template, so every later
+    run of ``comp`` starts warm)."""
+    for _ in range(3):
+        counters = _counted(lambda: run_component(comp, tal_engine="fast"))
+        if counters.get("tal.fast.jit.loops"):
+            return
+    raise AssertionError("the loop was never re-rendered as a loop")
+
+
+def _self_loop(*prefix, stack: bool = False) -> Component:
+    """``r3`` counts down from 30 in a block that then makes ``r3`` a
+    unit and jumps back into itself: the loop variant, already running,
+    is re-entered with a non-int counter."""
+    loop = Loc("lloop")
+    block = HCode((), RegFileTy.of(), NIL_STACK, QEnd(TInt(), NIL_STACK),
+                  seq(*prefix,
+                      Aop("add", "r7", "r7", WInt(1)),
+                      Aop("sub", "r3", "r3", WInt(1)),
+                      Bnz("r3", WLoc(loop)),
+                      Mv("r3", WUnit()),
+                      Jmp(WLoc(loop))))
+    entry = [Mv("r3", WInt(30)), Mv("r7", WInt(0))]
+    if stack:
+        entry.append(Salloc(1))
+    return Component(seq(*entry, Jmp(WLoc(loop))), ((loop, block),))
+
+
+class TestLoopJit:
+    """A JIT'd block that jumps back into itself runs the whole loop in
+    one call (unboxed when its body is int register arithmetic).  Warm
+    loops must still suspend, count and trap exactly where ref does."""
+
+    LOOPS = {"count_t": (build_count_t, 40), "fact_t": (build_fact_t, 25)}
+
+    def _warm_loop(self, name) -> Component:
+        build, n = self.LOOPS[name]
+        comp = _t_outside(build, n)
+        _warm(comp)
+        return comp
+
+    @pytest.mark.parametrize("name", sorted(LOOPS))
+    def test_warm_loop_suspends_at_every_prefix_like_ref(self, name):
+        comp = self._warm_loop(name)
+        expected, ref = run_component(comp, tal_engine="ref")
+        total = ref.budget.fuel_used
+        for k in range(1, total):
+            stops = {}
+            for engine in TAL_ENGINES:
+                machine = TalMachine(budget=Budget(fuel=k),
+                                     tal_engine=engine)
+                with pytest.raises(FuelExhausted):
+                    machine.run_component(comp)
+                stops[engine] = machine
+            assert stops["fast"].steps == stops["ref"].steps == k, k
+            wire = stops["fast"].snapshot().to_wire()
+            revived = TalMachine.restore(MachineSnapshot.from_wire(wire))
+            revived.tal_engine = "ref"
+            assert str(revived.resume(fuel=total - k).word) == \
+                str(expected.word)
+            assert revived.budget.fuel_used == total - k
+
+    @pytest.mark.parametrize("name", sorted(LOOPS))
+    def test_warm_loop_counts_like_ref(self, name):
+        comp = self._warm_loop(name)
+        counted = {}
+        for engine in TAL_ENGINES:
+            counters = _counted(
+                lambda: run_component(comp, tal_engine=engine))
+            counted[engine] = (counters["t.subst.instantiate"],
+                               counters["t.machine.steps"])
+        assert counted["fast"] == counted["ref"]
+
+    def test_loop_variant_is_rendered_once_and_reused(self):
+        comp = _t_outside(build_count_t, 40)
+        first = _counted(lambda: run_component(comp, tal_engine="fast"))
+        assert first["tal.fast.jit.loops"] == 1
+        again = _counted(lambda: run_component(comp, tal_engine="fast"))
+        assert "tal.fast.jit.loops" not in again
+        assert "tal.fast.jit.promoted" not in again
+
+    def test_mul_loop_past_two_to_the_64(self):
+        comp = _t_outside(build_fact_t, 30)
+        _warm(comp)
+        outs = {engine: _observe_t(comp, engine) for engine in TAL_ENGINES}
+        assert outs["fast"] == outs["ref"]
+        assert int(outs["ref"]["word"]) == math.factorial(30) > 2 ** 64
+
+    @pytest.mark.parametrize("prefix", [(), (Sst(0, "r7"),)],
+                             ids=["unboxed", "boxed"])
+    def test_non_int_counter_traps_like_ref(self, prefix):
+        comp = _self_loop(*prefix, stack=bool(prefix))
+        traps, loops = {}, {}
+        for engine in TAL_ENGINES:
+            machine = TalMachine(tal_engine=engine)
+
+            def run():
+                with pytest.raises(MachineError) as err:
+                    machine.run_component(comp)
+                traps[engine] = (str(err.value), machine.steps,
+                                 machine.budget.fuel_used)
+            loops[engine] = _counted(run).get("tal.fast.jit.loops")
+        assert traps["fast"] == traps["ref"]
+        assert traps["ref"][0] == "aop source r3 holds non-int ()"
+        assert loops == {"ref": None, "fast": 1}
+
+
+class TestGeneratedLoops:
+    """Random counted loops (``tests/strategies.random_counted_loop``):
+    the full run warms the loop JIT and must count block instantiations
+    like ref, then a run cut short by fuel must stop at ref's step."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           cut=st.floats(0, 1, exclude_max=True))
+    def test_ref_and_fast_agree(self, seed, cut):
+        comp = random_counted_loop(seed)
+        runs = {}
+        for engine in TAL_ENGINES:
+            out = []
+            counters = _counted(
+                lambda: out.extend(run_component(comp, tal_engine=engine)))
+            halted, machine = out
+            runs[engine] = (str(halted.word), machine.budget.fuel_used,
+                            machine.steps, counters["t.subst.instantiate"])
+        assert runs["fast"] == runs["ref"]
+        k = 1 + int(cut * (runs["ref"][1] - 1))
+        stops = {}
+        for engine in TAL_ENGINES:
+            machine = TalMachine(budget=Budget(fuel=k), tal_engine=engine)
+            with pytest.raises(FuelExhausted):
+                machine.run_component(comp)
+            stops[engine] = (machine.steps, machine.budget.fuel_used)
+        assert stops["fast"] == stops["ref"]
+
+
+class TestCrossingCaches:
+    """Nothing a boundary crossing builds is per crossing: once warm,
+    further ``fact_t`` runs on fast add no entry to any fast-tier cache."""
+
+    def test_fact_t_runs_leave_cache_sizes_unchanged(self):
+        image = App(build_fact_t(), (IntE(6),))
+
+        def sizes():
+            return {name: len(getattr(fast, name)) for name in (
+                "_ENVSUB_CACHE", "_SITE_CACHE", "_ENV_CACHE",
+                "_STRUCT_MEMO", "_PREINST_LRU", "_HCODE_MEMO", "_JIT_FNS")}
+
+        for _ in range(20):
+            FTMachine(tal_engine="fast").evaluate(image)
+        warm = sizes()
+        for _ in range(50):
+            assert str(FTMachine(tal_engine="fast").evaluate(image)) == "720"
+        assert sizes() == warm
 
 
 class TestPreinstStore:
