@@ -50,6 +50,10 @@ _BENCH_PATH = _REPO_ROOT / "BENCH_compile.json"
 
 _RESULTS = {}
 
+#: Gate on the compiled-vs-interpreted wall-clock gap of ``fact_f`` on
+#: the fast tier: 3x the worst of 12 fresh runs (8.0-8.9x).
+FACT_F_GAP_GATE = 27.0
+
 ROUNDS = 5
 FACT_N = 6          # compiled factorial fuel is linear in n (78 per level)
 RUN_FUEL = 10_000_000
@@ -187,18 +191,20 @@ def test_compiled_vs_interpreted(record):
     # The residual fact_f gap is a first-class known regression until
     # closed.  Compiled fact_f now crosses the F/T boundary 3 times for
     # any n (it crossed 2^(n+3) - 2 times while closures materialized
-    # through imports), so the gap is asserted against the 10x shrink of
-    # the seed gap.  What is left is not the boundary, and no longer the
-    # load either (a component is relocated once and its block table
-    # reused by every run): the compiled code takes ~13x the source's
-    # fuel, and each T call that the fast tier has not specialized yet
-    # instantiates its callee at the concrete caller stack.
+    # through imports).  The gate is 3x the worst of 12 fresh runs on a
+    # 2-CPU host with CPython 3.11 (8.0-8.9x; the previous gate was
+    # 240x, a 10x shrink of the seed gap).  What is left is not the
+    # boundary, and no longer the load either (a component is relocated
+    # once and its block table reused by every run): the compiled code
+    # takes ~13x the source's fuel, and each T call that the fast tier
+    # has not specialized yet instantiates its callee at the concrete
+    # caller stack.
     gap = rows["fact_f"]["gap"]
     _RESULTS.setdefault("known_regressions", []).append({
         "name": "fact_f_boundary_gap",
         "metric": "compiled_vs_interpreted.fact_f.gap",
         "value": gap,
-        "threshold": 240.0,    # a 10x shrink of the ~2400x seed gap
+        "threshold": FACT_F_GAP_GATE,
         "asserted": True,
         "first_observed": 2400.0,
         "cause": "~13x the source's fuel, and per-call instantiation "
@@ -207,9 +213,9 @@ def test_compiled_vs_interpreted(record):
                  "closure conversion, and loads reuse one relocated "
                  "image per component",
     })
-    assert gap <= 240.0, (
+    assert gap <= FACT_F_GAP_GATE, (
         f"compiled fact_f is {gap:.0f}x the interpreted source "
-        f"(gate: 240x)")
+        f"(gate: {FACT_F_GAP_GATE:.0f}x)")
 
 
 def test_fast_tier_gate(record):

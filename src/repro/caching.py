@@ -72,6 +72,8 @@ class LRUCache:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
         self.metric_prefix = metric_prefix
+        self._outcome_names = {True: f"{metric_prefix}.hit",
+                               False: f"{metric_prefix}.miss"}
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -100,8 +102,8 @@ class LRUCache:
                     self.hits += 1
                 else:
                     self.misses += 1
-        if count:
-            self._count("hit" if hit else "miss")
+        if count and self.metric_prefix and OBS.enabled:
+            OBS.metrics.inc(self._outcome_names[hit])
         return value if hit else default
 
     def put(self, key: Hashable, value: Any) -> None:

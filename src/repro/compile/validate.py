@@ -8,7 +8,14 @@ validation) on three independent axes:
    full FT/TAL typechecker (:func:`repro.ft.typecheck.check_ft_expr`)
    and must come back with exactly the source term's F type.  This is
    the paper's static guarantee: a well-typed T component embedded via
-   boundaries cannot break F's type safety.
+   boundaries cannot break F's type safety.  The check is run in full on
+   every validation: every instruction of every block is stepped, and
+   no verdict is remembered per block, component or term, so validating
+   the same program twice checks it twice.  What the checker does
+   remember is keyed by type: which type environments a hash-consed
+   type node was already found well-formed under, and the instantiation
+   of a callee's code type (see "Translation validation cost" in
+   ``docs/performance.md``).
 2. **Differential execution** -- for function compilations, the source
    lambda (run by the CEK engine) and the compiled component are applied
    to a deterministic corpus of generated argument vectors and must

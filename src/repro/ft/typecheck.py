@@ -29,7 +29,6 @@ for why the output stack is declared relative to the input).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 from repro.errors import FTTypeError
@@ -41,14 +40,13 @@ from repro.f.syntax import (
 from repro.ft.syntax import Boundary, FStackArrow, Import, Protect, StackLam
 from repro.ft.translate import type_translation
 from repro.tal.equality import stacks_equal, types_equal
-from repro.tal.subst import fresh_name
+from repro.tal.subst import fresh_name, Subst, subst_instr_seq
 from repro.tal.syntax import (
-    Component, Delta, DeltaBind, delta_contains, HeapTy, InstrSeq,
-    Instruction, KIND_ZETA, NIL_STACK, QEnd, QEps, QIdx, QOut, QReg,
-    RegFileTy, RetMarker, StackTy, TalType,
+    Component, Delta, DeltaBind, HeapTy, InstrSeq, Instruction, KIND_ZETA,
+    NIL_STACK, QEnd, QIdx, RegFileTy, RetMarker, StackTy, TalType,
 )
 from repro.tal.typecheck import InstrState, TalTypechecker
-from repro.tal.wellformed import check_stack_wf, check_type_wf
+from repro.tal.wellformed import check_type_wf
 
 __all__ = ["FTTypechecker", "check_ft_expr", "check_ft_component",
            "strip_tail"]
@@ -109,21 +107,23 @@ class FTTypechecker(TalTypechecker):
             return self._step_import(st, i)
         return super().step_extended_instruction(st, i)
 
-    def step_in_sequence(self, st: InstrState, instr, rest):
+    def step_in_sequence(self, st: InstrState, iseq: InstrSeq,
+                         k: int) -> Tuple[InstrState, InstrSeq, int]:
         # protect binds its zeta over the rest of the sequence; when the
         # name would shadow an ambient binder (library code always uses a
         # canonical "z"), alpha-rename it in the remainder instead of
         # rejecting -- composition of generated components depends on it.
+        instr = iseq.instrs[k]
         if isinstance(instr, Protect) and \
                 instr.zeta in {b.name for b in st.delta}:
-            from repro.tal.subst import fresh_name, Subst, subst_instr_seq
-
             fresh = fresh_name(instr.zeta)
             renaming = Subst.single(KIND_ZETA, instr.zeta,
                                     StackTy((), fresh))
-            rest = subst_instr_seq(rest, renaming)
-            instr = Protect(instr.phi, fresh)
-        return super().step_in_sequence(st, instr, rest)
+            rest = subst_instr_seq(
+                InstrSeq(iseq.instrs[k + 1:], iseq.term), renaming)
+            return (self.step_instruction(st, Protect(instr.phi, fresh)),
+                    rest, 0)
+        return super().step_in_sequence(st, iseq, k)
 
     def _step_protect(self, st: InstrState, i: Protect) -> InstrState:
         if OBS.enabled:

@@ -124,12 +124,11 @@ _FTV_SETS = InternTable()
 
 
 def _ftv(x: TypeMemo) -> FrozenSet[VarKey]:
-    try:
-        return x._ftv
-    except AttributeError:
+    acc = getattr(x, "_ftv", None)   # cheaper than a caught miss
+    if acc is None:
         acc = _FTV_SETS.canon(frozenset(_free_type_vars(x)))
         object.__setattr__(x, "_ftv", acc)
-        return acc
+    return acc
 
 
 def _free_type_vars(x) -> Set[VarKey]:
@@ -275,8 +274,8 @@ _TY_CACHE = LRUCache(4096, metric_prefix="tal.subst.cache.ty")
 
 
 def subst_ty(ty: TalType, s: Subst) -> TalType:
-    if s.is_empty():
-        return ty
+    if s.is_empty() or ty.__class__ is TInt or ty.__class__ is TUnit:
+        return ty   # the base types are singletons, so already interned
     key = (ty, s.key())
     hit = _TY_CACHE.get(key, _MISS)
     if hit is not _MISS:
@@ -414,8 +413,11 @@ def subst_operand(u: Operand, s: Subst) -> Operand:
     if isinstance(u, Fold):
         return Fold(subst_ty(u.as_ty, s), subst_operand(u.body, s))
     if isinstance(u, TyApp):
-        return TyApp(subst_operand(u.body, s),
-                     tuple(subst_omega(o, s) for o in u.insts))
+        body = subst_operand(u.body, s)
+        insts = tuple(subst_omega(o, s) for o in u.insts)
+        if body is u.body and all(a is b for a, b in zip(insts, u.insts)):
+            return u
+        return TyApp(body, insts)
     raise TypeError(f"subst_operand: unsupported {type(u).__name__}")
 
 
@@ -442,55 +444,79 @@ def register_binding_instr(cls: type, subst_fn: Callable, ftv_fn: Callable,
 
 
 def subst_instr(i: Instruction, s: Subst) -> Instruction:
-    """Substitute in a single non-binding instruction."""
+    """Substitute in a single non-binding instruction.  An instruction
+    the substitution does not change comes back as the same object."""
     hook = _SIMPLE_INSTR_HOOKS.get(type(i))
     if hook is not None:
         return hook(i, s)
-    if isinstance(i, Aop):
-        return Aop(i.op, i.rd, i.rs, subst_operand(i.u, s))
-    if isinstance(i, Bnz):
-        return Bnz(i.r, subst_operand(i.u, s))
     if isinstance(i, (Ld, St, Ralloc, Balloc, Salloc, Sfree, Sld, Sst)):
         return i
+    if not isinstance(i, (Aop, Bnz, Mv, Unpack, UnfoldI)):
+        raise TypeError(
+            f"subst_instr: unknown instruction {type(i).__name__}")
+    u = subst_operand(i.u, s)
+    if u is i.u:
+        return i
+    if isinstance(i, Aop):
+        return Aop(i.op, i.rd, i.rs, u)
+    if isinstance(i, Bnz):
+        return Bnz(i.r, u)
     if isinstance(i, Mv):
-        return Mv(i.rd, subst_operand(i.u, s))
+        return Mv(i.rd, u)
     if isinstance(i, Unpack):
-        return Unpack(i.alpha, i.rd, subst_operand(i.u, s))
-    if isinstance(i, UnfoldI):
-        return UnfoldI(i.rd, subst_operand(i.u, s))
-    raise TypeError(f"subst_instr: unknown instruction {type(i).__name__}")
+        return Unpack(i.alpha, i.rd, u)
+    return UnfoldI(i.rd, u)
 
 
 def subst_terminator(t: Terminator, s: Subst) -> Terminator:
     if isinstance(t, Jmp):
-        return Jmp(subst_operand(t.u, s))
+        u = subst_operand(t.u, s)
+        return t if u is t.u else Jmp(u)
     if isinstance(t, Call):
-        return Call(subst_operand(t.u, s), subst_stack(t.sigma, s),
-                    subst_q(t.q, s))
+        u, sigma, q = (subst_operand(t.u, s), subst_stack(t.sigma, s),
+                       subst_q(t.q, s))
+        if u is t.u and sigma is t.sigma and q is t.q:
+            return t
+        return Call(u, sigma, q)
     if isinstance(t, Ret):
         return t
     if isinstance(t, Halt):
-        return Halt(subst_ty(t.ty, s), subst_stack(t.sigma, s), t.r)
+        ty, sigma = subst_ty(t.ty, s), subst_stack(t.sigma, s)
+        if ty is t.ty and sigma is t.sigma:
+            return t
+        return Halt(ty, sigma, t.r)
     raise TypeError(f"subst_terminator: unknown {type(t).__name__}")
 
 
 def subst_instr_seq(iseq: InstrSeq, s: Subst) -> InstrSeq:
-    if s.is_empty():
+    """Substitute along a sequence.  A binding instruction scopes over the
+    rest, which goes on under the substitution its binder leaves.  A
+    sequence the substitution does not change comes back as is."""
+    start, done = iseq, []
+    instrs, k = iseq.instrs, 0
+    while k < len(instrs) and not s.is_empty():
+        head = instrs[k]
+        binding_hook = _BINDING_INSTR_HOOKS.get(type(head))
+        if binding_hook is not None:
+            new_head, new_rest = binding_hook(
+                head, InstrSeq(instrs[k + 1:], iseq.term), s)
+            return InstrSeq(tuple(done) + (new_head,) + new_rest.instrs,
+                            new_rest.term)
+        if isinstance(head, Unpack):
+            new_u = subst_operand(head.u, s)
+            alpha, iseq, s = _avoid_capture_in_rest(
+                KIND_ALPHA, head.alpha, InstrSeq(instrs[k + 1:], iseq.term),
+                s)
+            done.append(Unpack(alpha, head.rd, new_u))
+            instrs, k = iseq.instrs, 0
+            continue
+        done.append(subst_instr(head, s))
+        k += 1
+    term = iseq.term if s.is_empty() else subst_terminator(iseq.term, s)
+    if (iseq is start and term is iseq.term
+            and all(a is b for a, b in zip(done, instrs))):
         return iseq
-    if not iseq.instrs:
-        return InstrSeq((), subst_terminator(iseq.term, s))
-    head, rest = iseq.instrs[0], iseq.rest
-    binding_hook = _BINDING_INSTR_HOOKS.get(type(head))
-    if binding_hook is not None:
-        new_head, new_rest = binding_hook(head, rest, s)
-        return new_rest.cons(new_head)
-    if isinstance(head, Unpack):
-        new_u = subst_operand(head.u, s)
-        alpha, new_rest, s_rest = _avoid_capture_in_rest(
-            KIND_ALPHA, head.alpha, rest, s)
-        return subst_instr_seq(new_rest, s_rest).cons(
-            Unpack(alpha, head.rd, new_u))
-    return subst_instr_seq(rest, s).cons(subst_instr(head, s))
+    return InstrSeq(tuple(done) + instrs[k:], term)
 
 
 def _avoid_capture_in_rest(kind: str, name: str, rest: InstrSeq, s: Subst):
@@ -544,7 +570,12 @@ def subst_component(e: Component, s: Subst) -> Component:
 # ---------------------------------------------------------------------------
 
 def delta_subst(delta: Delta, omegas: Tuple[Omega, ...]) -> Subst:
-    """Match a prefix of ``delta`` against ``omegas``, kind-checking each."""
+    """Match a prefix of ``delta`` against ``omegas``, kind-checking each.
+
+    An omega that just names the binder it instantiates, as ``[z]`` does
+    for ``forall[zeta z]``, is left out of the substitution: it is the
+    identity there, so an instantiation made only of such omegas is the
+    empty substitution and hands every node back unchanged."""
     if len(omegas) > len(delta):
         raise ValueError(
             f"too many instantiations: {len(omegas)} for Delta of "
@@ -557,13 +588,31 @@ def delta_subst(delta: Delta, omegas: Tuple[Omega, ...]) -> Subst:
             raise TypeError(
                 f"instantiating {b.kind} {b.name} requires a "
                 f"{expected.__name__}, got {omega}")
-        mapping[(b.kind, b.name)] = omega
+        if _names_var(omega) != b.name:
+            mapping[(b.kind, b.name)] = omega
     return Subst(mapping)
 
 
-#: Memos for code-type/block instantiation, keyed ``(id(node), omegas)``
-#: and storing ``(node, result)``.  Keying on identity skips the O(size)
-#: structural hash of a whole code block per jump; storing the node
+def _names_var(omega: Omega) -> Optional[str]:
+    """The variable an omega consists of, if it is a bare one."""
+    cls = omega.__class__
+    if cls is TVar or cls is QEps:
+        return omega.name
+    if cls is StackTy and not omega.prefix:
+        return omega.tail
+    return None
+
+
+#: Memo for code-type instantiation, keyed structurally by
+#: ``(code type, omegas)``: a code type memoizes its hash, and equal
+#: callee types recur from program to program (every compiled function
+#: of one arity has one), so a hit hands back the one instantiated node
+#: whose well-formedness memo is already warm.
+_CTYPE_CACHE = LRUCache(2048, metric_prefix="tal.subst.cache.ctype")
+
+#: Memo for block instantiation, keyed ``(id(block), omegas)`` and
+#: storing ``(block, result)``.  Keying on identity skips the O(size)
+#: structural hash of a whole code block per jump; storing the block
 #: itself both pins its id against reuse after garbage collection and
 #: lets the lookup validate the hit with an ``is`` check.
 #: The pinning is also a cost: entries for blocks that die with their
@@ -571,22 +620,21 @@ def delta_subst(delta: Delta, omegas: Tuple[Omega, ...]) -> Subst:
 #: until evicted.  Loaded blocks are shared across runs (one entry per
 #: instantiation), so 1024 entries hold a warm working set -- about 700
 #: on ``boundary-run`` -- while keeping that dead tail short.
-_CTYPE_CACHE = LRUCache(2048, metric_prefix="tal.subst.cache.ctype")
 _BLOCK_CACHE = LRUCache(1024, metric_prefix="tal.subst.cache.block")
 
 
 def instantiate_code_type(ct: CodeType,
                           omegas: Tuple[Omega, ...]) -> CodeType:
     """Apply a (possibly partial, left-to-right) instantiation to ``ct``."""
-    key = (id(ct), omegas)
+    key = (ct, omegas)
     hit = _CTYPE_CACHE.get(key)
-    if hit is not None and hit[0] is ct:
-        return hit[1]
+    if hit is not None:
+        return hit
     s = delta_subst(ct.delta, omegas)
     remaining = ct.delta[len(omegas):]
     result = CodeType(remaining, subst_chi(ct.chi, s),
                       subst_stack(ct.sigma, s), subst_q(ct.q, s))
-    _CTYPE_CACHE.put(key, (ct, result))
+    _CTYPE_CACHE.put(key, result)
     return result
 
 

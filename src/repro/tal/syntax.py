@@ -37,7 +37,9 @@ tooling remains unaware of them.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.caching import InternTable, PicklableSlots, intern_singleton
@@ -53,7 +55,7 @@ __all__ = [
     # stack types, register typings, return markers, type envs, heap typings
     "StackTy", "NIL_STACK", "RegFileTy", "RetMarker", "QReg", "QIdx", "QEps",
     "QEnd", "QOut", "DeltaBind", "Delta", "delta_contains", "delta_names",
-    "HeapTy",
+    "HeapTyMemo", "HeapTy",
     # word/small values
     "WordValue", "Operand", "WUnit", "WInt", "WLoc", "Pack",
     "Fold", "TyApp", "RegOp", "is_word_value",
@@ -129,9 +131,11 @@ def advance_fresh(mark: int) -> None:
 
 class TypeMemo(PicklableSlots):
     """Per-instance memo slots of the compound types: the structural hash
-    (:func:`memo_hash`) and the free type variables
-    (:func:`repro.tal.subst.free_type_vars`).  They are not dataclass
-    fields, so equality, pickling and fingerprints never see them.
+    (:func:`memo_hash`), the free type variables
+    (:func:`repro.tal.subst.free_type_vars`) and ``_wf``, the last type
+    environment under which the node passed well-formedness
+    (:mod:`repro.tal.wellformed`).  They are not dataclass fields, so
+    equality, pickling and fingerprints never see them.
 
     Types are shared, not copied, as the machines instantiate ``zeta``:
     a return continuation saved across a ``call`` mentions the caller's
@@ -140,7 +144,7 @@ class TypeMemo(PicklableSlots):
     The memos keep hashing and free-variable queries linear in the DAG.
     """
 
-    __slots__ = ("_hash", "_ftv")
+    __slots__ = ("_hash", "_ftv", "_wf")
 
 
 def memo_hash(cls):
@@ -149,12 +153,13 @@ def memo_hash(cls):
     structural = cls.__hash__
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
+        # ``getattr`` with a default, not try/except: every fresh node
+        # misses once, and a caught exception costs more than the hash.
+        h = getattr(self, "_hash", None)
+        if h is None:
             h = structural(self)
             object.__setattr__(self, "_hash", h)
-            return h
+        return h
 
     cls.__hash__ = __hash__
     return cls
@@ -347,7 +352,7 @@ class StackTy(TypeMemo):
 
     def cons(self, *types: TalType) -> "StackTy":
         """Push ``types`` (leftmost ends up on top)."""
-        return StackTy(tuple(types) + self.prefix, self.tail)
+        return _stack_ty(types + self.prefix, self.tail)
 
     def slot(self, i: int) -> TalType:
         """The type of exposed slot ``i`` (0 = top)."""
@@ -363,15 +368,14 @@ class StackTy(TypeMemo):
         """Remove the top ``n`` exposed slots."""
         if n > len(self.prefix):
             raise IndexError(f"cannot drop {n} slots from {self}")
-        return StackTy(self.prefix[n:], self.tail)
+        return _stack_ty(self.prefix[n:], self.tail)
 
     def set_slot(self, i: int, ty: TalType) -> "StackTy":
         """Replace the type of exposed slot ``i``."""
         if not 0 <= i < len(self.prefix):
             raise IndexError(f"stack slot {i} is not exposed in {self}")
-        new = list(self.prefix)
-        new[i] = ty
-        return StackTy(tuple(new), self.tail)
+        return _stack_ty(self.prefix[:i] + (ty,) + self.prefix[i + 1:],
+                         self.tail)
 
     @property
     def depth(self) -> int:
@@ -382,7 +386,17 @@ class StackTy(TypeMemo):
         """Replace an abstract tail by ``tail_sigma`` (i.e. sigma[tail'/zeta])."""
         if self.tail is None:
             raise ValueError(f"stack type {self} has no abstract tail")
-        return StackTy(self.prefix + tail_sigma.prefix, tail_sigma.tail)
+        return _stack_ty(self.prefix + tail_sigma.prefix, tail_sigma.tail)
+
+
+def _stack_ty(prefix: Tuple[TalType, ...], tail: Optional[str]) -> StackTy:
+    """A :class:`StackTy` whose ``prefix`` is already a tuple (an update
+    of an existing stack typing), built without re-running
+    :meth:`StackTy.__post_init__`."""
+    sigma = object.__new__(StackTy)
+    object.__setattr__(sigma, "prefix", prefix)
+    object.__setattr__(sigma, "tail", tail)
+    return sigma
 
 
 NIL_STACK = StackTy((), None)
@@ -429,11 +443,13 @@ class RegFileTy(TypeMemo):
     def set(self, r: str, ty: TalType) -> "RegFileTy":
         """``chi[r : tau]`` -- update or extend."""
         check_register(r)
-        rest = tuple(kv for kv in self.entries if kv[0] != r)
-        return RegFileTy(rest + ((r, ty),))
+        entries = self.entries
+        k = bisect_left(entries, r, key=itemgetter(0))
+        end = k + 1 if k < len(entries) and entries[k][0] == r else k
+        return _sorted_chi(entries[:k] + ((r, ty),) + entries[end:])
 
     def without(self, r: str) -> "RegFileTy":
-        return RegFileTy(tuple(kv for kv in self.entries if kv[0] != r))
+        return _sorted_chi(tuple(kv for kv in self.entries if kv[0] != r))
 
     def registers(self) -> Tuple[str, ...]:
         return tuple(r for r, _ in self.entries)
@@ -448,6 +464,15 @@ class RegFileTy(TypeMemo):
         if not self.entries:
             return "."
         return ", ".join(f"{r}: {t}" for r, t in self.entries)
+
+
+def _sorted_chi(entries: Tuple[Tuple[str, TalType], ...]) -> RegFileTy:
+    """A :class:`RegFileTy` over ``entries`` that are already sorted,
+    distinct and valid (an update of a checked typing), built without
+    re-running :meth:`RegFileTy.__post_init__`."""
+    chi = object.__new__(RegFileTy)
+    object.__setattr__(chi, "entries", entries)
+    return chi
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +582,16 @@ REF = "ref"
 BOX = "box"
 
 
+class HeapTyMemo(PicklableSlots):
+    """The per-instance memo slot of :class:`HeapTy`: ``_index``, its
+    entries as a dict by location, built on the first lookup.  It is not
+    a dataclass field, so equality, hashing and pickling never see it."""
+
+    __slots__ = ("_index",)
+
+
 @dataclass(frozen=True, slots=True)
-class HeapTy(PicklableSlots):
+class HeapTy(HeapTyMemo):
     """A heap typing ``Psi`` mapping locations to ``nu psi`` entries."""
 
     entries: Tuple[Tuple[Loc, str, HeapValType], ...] = ()
@@ -577,13 +610,19 @@ class HeapTy(PicklableSlots):
     def of(cls, mapping: Mapping[Loc, Tuple[str, HeapValType]]) -> "HeapTy":
         return cls(tuple((loc, nu, psi) for loc, (nu, psi) in mapping.items()))
 
+    def _lookup(self) -> Dict[Loc, Tuple[str, HeapValType]]:
+        index = getattr(self, "_index", None)
+        if index is None:
+            index = {loc: (nu, psi) for loc, nu, psi in self.entries}
+            object.__setattr__(self, "_index", index)
+        return index
+
     def get(self, loc: Loc) -> Optional[Tuple[str, HeapValType]]:
-        for name, nu, psi in self.entries:
-            if name == loc:
-                return (nu, psi)
-        return None
+        return self._lookup().get(loc)
 
     def extend(self, other: "HeapTy") -> "HeapTy":
+        if not self.entries:
+            return other
         return HeapTy(self.entries + other.entries)
 
     def set(self, loc: Loc, nu: str, psi: HeapValType) -> "HeapTy":
@@ -594,7 +633,7 @@ class HeapTy(PicklableSlots):
         return tuple(loc for loc, _, _ in self.entries)
 
     def __contains__(self, loc: Loc) -> bool:
-        return any(name == loc for name, _, _ in self.entries)
+        return loc in self._lookup()
 
     def __str__(self) -> str:
         if not self.entries:

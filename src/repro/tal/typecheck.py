@@ -37,32 +37,37 @@ at slot ``i >= m`` resurfaces at slot ``i + n - m``.
 
 FT's extra instructions hook in through :class:`TalTypechecker` subclassing
 (see :class:`repro.ft.typecheck.FTTypechecker`).
+
+The checker is allocation-light but skips nothing: each instruction, operand
+and terminator reaches its rule through a per-class table indexed by node
+type, each step builds its successor :class:`InstrState` directly, and the
+well-formedness side conditions are memoized per (type node, Delta) on the
+hash-consed types (:mod:`repro.tal.wellformed`).  No memo is keyed by a
+block, component or term, so every instruction of every block is stepped
+each time a program is checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import FTTypeError
 from repro.obs.events import OBS
 from repro.tal.equality import (
-    chis_equal, qs_equal, stacks_equal, types_equal,
+    psis_equal, qs_equal, stacks_equal, types_equal,
 )
 from repro.tal.retmarker import continuation_parts, ret_addr_type, ret_type
-from repro.tal.subst import (
-    Subst, free_type_vars, instantiate_code_type, subst_chi, subst_q,
-    subst_stack, subst_ty,
-)
+from repro.tal.subst import Subst, instantiate_code_type, subst_ty
 from repro.tal.subtyping import check_regfile_subtype
 from repro.tal.syntax import (
     Aop, Balloc, Bnz, BOX, Call, CodeType, Component, Delta, DeltaBind,
-    delta_contains, Fold, Halt, HCode, HeapTy, HeapValType, HeapValue,
-    HTuple, InstrSeq, Instruction, Jmp, KIND_ALPHA, KIND_EPS, KIND_ZETA, Ld,
-    Loc, Mv, NIL_STACK, Operand, Pack, QEnd, QEps, QIdx, QOut, QReg, Ralloc,
-    REF, RegFileTy, RegOp, Ret, RetMarker, Salloc, Sfree, Sld, Sst, St,
-    StackTy, TalType, TBox, Terminator, TExists, TInt, TRec, TRef, TupleTy,
-    TUnit, TVar, TyApp, UnfoldI, Unpack, WInt, WLoc, WordValue, WUnit,
+    Fold, Halt, HCode, HeapTy, HeapValType, HeapValue, HTuple, InstrSeq,
+    Instruction, Jmp, KIND_ALPHA, KIND_EPS, KIND_ZETA, Ld, Loc, Mv,
+    NIL_STACK, Operand, Pack, QEnd, QEps, QIdx, QReg, Ralloc, RegFileTy,
+    RegOp, Ret, RetMarker, Salloc, Sfree, Sld, Sst, St, StackTy, TalType,
+    TBox, Terminator, TExists, TInt, TRec, TRef, TupleTy, TUnit, TVar, TyApp,
+    UnfoldI, Unpack, WInt, WLoc, WordValue, WUnit,
 )
 from repro.tal.wellformed import (
     check_chi_minus_q_wf, check_chi_wf, check_delta_wf, check_psi_wf,
@@ -93,8 +98,79 @@ def _fail(msg: str, judgment: str, subject) -> FTTypeError:
     return FTTypeError(msg, judgment=judgment, subject=str(subject))
 
 
+_UNIT = TUnit()
+_INT = TInt()
+
+#: The name of the rule method for each node class, per judgment.  Names
+#: are resolved on each checker class (see
+#: :meth:`TalTypechecker._bind_rules`), so a subclass that overrides a
+#: rule is dispatched to its override.
+_INSTR_RULES = {
+    Mv: "_step_mv", Aop: "_step_aop", Bnz: "_step_bnz", Ld: "_step_ld",
+    St: "_step_st", Ralloc: "_step_ralloc", Balloc: "_step_balloc",
+    Salloc: "_step_salloc", Sfree: "_step_sfree", Sld: "_step_sld",
+    Sst: "_step_sst", Unpack: "_step_unpack", UnfoldI: "_step_unfold",
+}
+_OPERAND_RULES = {
+    WUnit: "_type_unit", WInt: "_type_int", WLoc: "_type_loc",
+    RegOp: "_type_reg", Pack: "_type_pack", Fold: "_type_fold",
+    TyApp: "_type_tyapp",
+}
+_TERM_RULES = {
+    Halt: "_check_halt", Jmp: "_check_jmp", Ret: "_check_ret",
+    Call: "_check_call",
+}
+
+
+#: The ``typecheck.t.instr.*`` / ``typecheck.t.term.*`` counter of each
+#: instruction and terminator class, named on first use.
+_COUNTERS: Dict[type, str] = {}
+
+
+def _counter(family: str, node) -> str:
+    cls = node.__class__
+    name = _COUNTERS.get(cls)
+    if name is None:
+        name = _COUNTERS[cls] = f"typecheck.t.{family}.{cls.__name__.lower()}"
+    return name
+
+
+def _same_restriction(a: InstrState, b: InstrState) -> bool:
+    """Does the marker restriction judgment read the same inputs in ``b``
+    as in ``a``, a state that passed it?  It reads Delta and q, plus the
+    marker's register type for a register marker and its slot type for a
+    stack-index one."""
+    q = b.q
+    if q is not a.q or b.delta is not a.delta:
+        return False
+    if isinstance(q, QReg):
+        return b.chi is a.chi or b.chi.get(q.reg) is a.chi.get(q.reg)
+    if isinstance(q, QIdx):
+        return (b.sigma is a.sigma
+                or (q.index < len(b.sigma.prefix)
+                    and b.sigma.prefix[q.index] is a.sigma.prefix[q.index]))
+    return True
+
+
 class TalTypechecker:
     """Typechecker for T terms under a fixed static heap typing ``Psi``."""
+
+    _instr_rules: Dict[type, Callable]
+    _operand_rules: Dict[type, Callable]
+    _term_rules: Dict[type, Callable]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._bind_rules()
+
+    @classmethod
+    def _bind_rules(cls) -> None:
+        cls._instr_rules = {node: getattr(cls, name)
+                            for node, name in _INSTR_RULES.items()}
+        cls._operand_rules = {node: getattr(cls, name)
+                              for node, name in _OPERAND_RULES.items()}
+        cls._term_rules = {node: getattr(cls, name)
+                           for node, name in _TERM_RULES.items()}
 
     def __init__(self, psi: Optional[HeapTy] = None):
         self.psi = psi if psi is not None else HeapTy()
@@ -112,75 +188,83 @@ class TalTypechecker:
 
     def type_of_operand(self, delta: Delta, chi: RegFileTy,
                         u: Operand) -> TalType:
-        if isinstance(u, WUnit):
-            return TUnit()
-        if isinstance(u, WInt):
-            return TInt()
-        if isinstance(u, WLoc):
-            entry = self.psi.get(u.loc)
-            if entry is None:
-                raise _fail(f"location {u.loc} not in Psi",
-                            "tal.operand", u)
-            nu, psi = entry
-            if nu == BOX:
-                return TBox(psi)
-            if not isinstance(psi, TupleTy):
-                raise _fail(
-                    f"mutable location {u.loc} holds non-tuple type {psi}",
-                    "tal.operand", u)
-            return TRef(psi.items)
-        if isinstance(u, RegOp):
-            ty = chi.get(u.reg)
-            if ty is None:
-                raise _fail(f"register {u.reg} not in chi = {chi}",
-                            "tal.operand", u)
-            return ty
-        if isinstance(u, Pack):
-            if not isinstance(u.as_ty, TExists):
-                raise _fail(f"pack annotation {u.as_ty} is not existential",
-                            "tal.operand", u)
-            check_type_wf(delta, u.hidden)
-            check_type_wf(delta, u.as_ty)
-            body_ty = self.type_of_operand(delta, chi, u.body)
-            expected = subst_ty(
-                u.as_ty.body,
-                Subst.single(KIND_ALPHA, u.as_ty.var, u.hidden))
-            if not types_equal(body_ty, expected):
-                raise _fail(
-                    f"pack body has type {body_ty}, expected {expected}",
-                    "tal.operand", u)
-            return u.as_ty
-        if isinstance(u, Fold):
-            if not isinstance(u.as_ty, TRec):
-                raise _fail(f"fold annotation {u.as_ty} is not recursive",
-                            "tal.operand", u)
-            check_type_wf(delta, u.as_ty)
-            body_ty = self.type_of_operand(delta, chi, u.body)
-            unrolled = subst_ty(
-                u.as_ty.body,
-                Subst.single(KIND_ALPHA, u.as_ty.var, u.as_ty))
-            if not types_equal(body_ty, unrolled):
-                raise _fail(
-                    f"fold body has type {body_ty}, expected unrolling "
-                    f"{unrolled}", "tal.operand", u)
-            return u.as_ty
-        if isinstance(u, TyApp):
-            body_ty = self.type_of_operand(delta, chi, u.body)
-            if not isinstance(body_ty, TBox) or not isinstance(
-                    body_ty.psi, CodeType):
-                raise _fail(
-                    f"type application to non-code-pointer type {body_ty}",
-                    "tal.operand", u)
-            ct = body_ty.psi
-            if len(u.insts) > len(ct.delta):
-                raise _fail(
-                    f"too many instantiations ({len(u.insts)}) for "
-                    f"{ct}", "tal.operand", u)
-            for omega in u.insts:
-                self._check_omega_wf(delta, omega)
-            return TBox(instantiate_code_type(ct, tuple(u.insts)))
-        raise _fail(f"unknown operand form {type(u).__name__}",
-                    "tal.operand", u)
+        rule = self._operand_rules.get(u.__class__)
+        if rule is None:
+            raise _fail(f"unknown operand form {type(u).__name__}",
+                        "tal.operand", u)
+        return rule(self, delta, chi, u)
+
+    def _type_unit(self, delta: Delta, chi: RegFileTy, u: WUnit) -> TalType:
+        return _UNIT
+
+    def _type_int(self, delta: Delta, chi: RegFileTy, u: WInt) -> TalType:
+        return _INT
+
+    def _type_loc(self, delta: Delta, chi: RegFileTy, u: WLoc) -> TalType:
+        entry = self.psi.get(u.loc)
+        if entry is None:
+            raise _fail(f"location {u.loc} not in Psi", "tal.operand", u)
+        nu, psi = entry
+        if nu == BOX:
+            return TBox(psi)
+        if not isinstance(psi, TupleTy):
+            raise _fail(
+                f"mutable location {u.loc} holds non-tuple type {psi}",
+                "tal.operand", u)
+        return TRef(psi.items)
+
+    def _type_reg(self, delta: Delta, chi: RegFileTy, u: RegOp) -> TalType:
+        ty = chi.get(u.reg)
+        if ty is None:
+            raise _fail(f"register {u.reg} not in chi = {chi}",
+                        "tal.operand", u)
+        return ty
+
+    def _type_pack(self, delta: Delta, chi: RegFileTy, u: Pack) -> TalType:
+        if not isinstance(u.as_ty, TExists):
+            raise _fail(f"pack annotation {u.as_ty} is not existential",
+                        "tal.operand", u)
+        check_type_wf(delta, u.hidden)
+        check_type_wf(delta, u.as_ty)
+        body_ty = self.type_of_operand(delta, chi, u.body)
+        expected = subst_ty(
+            u.as_ty.body, Subst.single(KIND_ALPHA, u.as_ty.var, u.hidden))
+        if not types_equal(body_ty, expected):
+            raise _fail(
+                f"pack body has type {body_ty}, expected {expected}",
+                "tal.operand", u)
+        return u.as_ty
+
+    def _type_fold(self, delta: Delta, chi: RegFileTy, u: Fold) -> TalType:
+        if not isinstance(u.as_ty, TRec):
+            raise _fail(f"fold annotation {u.as_ty} is not recursive",
+                        "tal.operand", u)
+        check_type_wf(delta, u.as_ty)
+        body_ty = self.type_of_operand(delta, chi, u.body)
+        unrolled = subst_ty(
+            u.as_ty.body, Subst.single(KIND_ALPHA, u.as_ty.var, u.as_ty))
+        if not types_equal(body_ty, unrolled):
+            raise _fail(
+                f"fold body has type {body_ty}, expected unrolling "
+                f"{unrolled}", "tal.operand", u)
+        return u.as_ty
+
+    def _type_tyapp(self, delta: Delta, chi: RegFileTy,
+                    u: TyApp) -> TalType:
+        body_ty = self.type_of_operand(delta, chi, u.body)
+        if not isinstance(body_ty, TBox) or not isinstance(
+                body_ty.psi, CodeType):
+            raise _fail(
+                f"type application to non-code-pointer type {body_ty}",
+                "tal.operand", u)
+        ct = body_ty.psi
+        if len(u.insts) > len(ct.delta):
+            raise _fail(
+                f"too many instantiations ({len(u.insts)}) for "
+                f"{ct}", "tal.operand", u)
+        for omega in u.insts:
+            self._check_omega_wf(delta, omega)
+        return TBox(instantiate_code_type(ct, tuple(u.insts)))
 
     def _check_omega_wf(self, delta: Delta, omega) -> None:
         if isinstance(omega, TalType):
@@ -199,34 +283,11 @@ class TalTypechecker:
     def step_instruction(self, st: InstrState, i: Instruction) -> InstrState:
         """``Psi; Delta; chi; sigma; q |- iota => Delta'; chi'; sigma'; q'``."""
         if OBS.enabled:
-            OBS.metrics.inc(f"typecheck.t.instr.{type(i).__name__.lower()}")
-        if isinstance(i, Mv):
-            return self._step_mv(st, i)
-        if isinstance(i, Aop):
-            return self._step_aop(st, i)
-        if isinstance(i, Bnz):
-            return self._step_bnz(st, i)
-        if isinstance(i, Ld):
-            return self._step_ld(st, i)
-        if isinstance(i, St):
-            return self._step_st(st, i)
-        if isinstance(i, Ralloc):
-            return self._step_alloc(st, i.rd, i.n, mutable=True, subject=i)
-        if isinstance(i, Balloc):
-            return self._step_alloc(st, i.rd, i.n, mutable=False, subject=i)
-        if isinstance(i, Salloc):
-            return self._step_salloc(st, i)
-        if isinstance(i, Sfree):
-            return self._step_sfree(st, i)
-        if isinstance(i, Sld):
-            return self._step_sld(st, i)
-        if isinstance(i, Sst):
-            return self._step_sst(st, i)
-        if isinstance(i, Unpack):
-            return self._step_unpack(st, i)
-        if isinstance(i, UnfoldI):
-            return self._step_unfold(st, i)
-        return self.step_extended_instruction(st, i)
+            OBS.metrics.inc(_counter("instr", i))
+        rule = self._instr_rules.get(i.__class__)
+        if rule is None:
+            return self.step_extended_instruction(st, i)
+        return rule(self, st, i)
 
     def step_extended_instruction(self, st: InstrState,
                                   i: Instruction) -> InstrState:
@@ -252,11 +313,12 @@ class TalTypechecker:
             if ty is None:  # pragma: no cover - q-restriction precludes
                 raise _fail(f"marker register {i.u.reg} untyped",
                             "tal.instruction", i)
-            return replace(st, chi=st.chi.set(i.rd, ty), q=QReg(i.rd))
+            return InstrState(st.delta, st.chi.set(i.rd, ty), st.sigma,
+                              QReg(i.rd))
         # First case: an ordinary move; may not clobber the marker.
         self._guard_not_marker_dest(st, i.rd, i)
         ty = self.type_of_operand(st.delta, st.chi, i.u)
-        return replace(st, chi=st.chi.set(i.rd, ty))
+        return InstrState(st.delta, st.chi.set(i.rd, ty), st.sigma, st.q)
 
     def _step_aop(self, st: InstrState, i: Aop) -> InstrState:
         self._guard_not_marker_dest(st, i.rd, i)
@@ -270,7 +332,7 @@ class TalTypechecker:
             raise _fail(
                 f"arithmetic operand has type {op_ty}, expected int",
                 "tal.instruction", i)
-        return replace(st, chi=st.chi.set(i.rd, TInt()))
+        return InstrState(st.delta, st.chi.set(i.rd, _INT), st.sigma, st.q)
 
     def _step_bnz(self, st: InstrState, i: Bnz) -> InstrState:
         scrut_ty = st.chi.get(i.r)
@@ -318,7 +380,8 @@ class TalTypechecker:
             raise _fail(
                 f"ld index {i.index} out of range for {src_ty}",
                 "tal.instruction", i)
-        return replace(st, chi=st.chi.set(i.rd, items[i.index]))
+        return InstrState(st.delta, st.chi.set(i.rd, items[i.index]),
+                          st.sigma, st.q)
 
     def _step_st(self, st: InstrState, i: St) -> InstrState:
         dst_ty = st.chi.get(i.rd)
@@ -339,6 +402,12 @@ class TalTypechecker:
                 f"{dst_ty.items[i.index]}", "tal.instruction", i)
         return st
 
+    def _step_ralloc(self, st: InstrState, i: Ralloc) -> InstrState:
+        return self._step_alloc(st, i.rd, i.n, mutable=True, subject=i)
+
+    def _step_balloc(self, st: InstrState, i: Balloc) -> InstrState:
+        return self._step_alloc(st, i.rd, i.n, mutable=False, subject=i)
+
     def _step_alloc(self, st: InstrState, rd: str, n: int, *,
                     mutable: bool, subject) -> InstrState:
         self._guard_not_marker_dest(st, rd, subject)
@@ -353,41 +422,42 @@ class TalTypechecker:
         taken = st.sigma.prefix[:n]
         new_ty: TalType = TRef(taken) if mutable else TBox(TupleTy(taken))
         new_q = QIdx(st.q.index - n) if isinstance(st.q, QIdx) else st.q
-        return replace(st, chi=st.chi.set(rd, new_ty),
-                       sigma=st.sigma.drop(n), q=new_q)
+        return InstrState(st.delta, st.chi.set(rd, new_ty),
+                          st.sigma.drop(n), new_q)
 
     def _step_salloc(self, st: InstrState, i: Salloc) -> InstrState:
         if i.n < 0:
             raise _fail("salloc of negative count", "tal.instruction", i)
-        new_sigma = st.sigma.cons(*([TUnit()] * i.n))
+        new_sigma = st.sigma.cons(*([_UNIT] * i.n))
         new_q = QIdx(st.q.index + i.n) if isinstance(st.q, QIdx) else st.q
-        return replace(st, sigma=new_sigma, q=new_q)
+        return InstrState(st.delta, st.chi, new_sigma, new_q)
 
     def _step_sfree(self, st: InstrState, i: Sfree) -> InstrState:
         if st.sigma.depth < i.n:
             raise _fail(
                 f"sfree {i.n} but only {st.sigma.depth} slots exposed in "
                 f"{st.sigma}", "tal.instruction", i)
-        if isinstance(st.q, QIdx):
-            if st.q.index < i.n:
+        new_q = st.q
+        if isinstance(new_q, QIdx):
+            if new_q.index < i.n:
                 raise _fail(
                     f"sfree would free the return-marker slot "
-                    f"{st.q.index}", "tal.instruction", i)
-            return replace(st, sigma=st.sigma.drop(i.n),
-                           q=QIdx(st.q.index - i.n))
-        return replace(st, sigma=st.sigma.drop(i.n))
+                    f"{new_q.index}", "tal.instruction", i)
+            new_q = QIdx(new_q.index - i.n)
+        return InstrState(st.delta, st.chi, st.sigma.drop(i.n), new_q)
 
     def _step_sld(self, st: InstrState, i: Sld) -> InstrState:
         if not st.sigma.has_slot(i.index):
             raise _fail(
                 f"sld from slot {i.index}, not exposed in {st.sigma}",
                 "tal.instruction", i)
-        ty = st.sigma.slot(i.index)
+        ty = st.sigma.prefix[i.index]
         # Loading the return continuation relocates the marker into rd.
         if isinstance(st.q, QIdx) and st.q.index == i.index:
-            return replace(st, chi=st.chi.set(i.rd, ty), q=QReg(i.rd))
+            return InstrState(st.delta, st.chi.set(i.rd, ty), st.sigma,
+                              QReg(i.rd))
         self._guard_not_marker_dest(st, i.rd, i)
-        return replace(st, chi=st.chi.set(i.rd, ty))
+        return InstrState(st.delta, st.chi.set(i.rd, ty), st.sigma, st.q)
 
     def _step_sst(self, st: InstrState, i: Sst) -> InstrState:
         if not st.sigma.has_slot(i.index):
@@ -399,13 +469,14 @@ class TalTypechecker:
             raise _fail(f"sst source {i.rs} not in chi", "tal.instruction", i)
         # Storing the return continuation relocates the marker to slot i.
         if isinstance(st.q, QReg) and st.q.reg == i.rs:
-            return replace(st, sigma=st.sigma.set_slot(i.index, ty),
-                           q=QIdx(i.index))
+            return InstrState(st.delta, st.chi,
+                              st.sigma.set_slot(i.index, ty), QIdx(i.index))
         if isinstance(st.q, QIdx) and st.q.index == i.index:
             raise _fail(
                 f"sst would overwrite the return-marker slot {i.index}",
                 "tal.instruction", i)
-        return replace(st, sigma=st.sigma.set_slot(i.index, ty))
+        return InstrState(st.delta, st.chi, st.sigma.set_slot(i.index, ty),
+                          st.q)
 
     def _step_unpack(self, st: InstrState, i: Unpack) -> InstrState:
         self._guard_not_marker_dest(st, i.rd, i)
@@ -419,10 +490,8 @@ class TalTypechecker:
                 "variable; pick a fresh name", "tal.instruction", i)
         opened = subst_ty(
             ty.body, Subst.single(KIND_ALPHA, ty.var, TVar(i.alpha)))
-        return replace(
-            st,
-            delta=st.delta + (DeltaBind(KIND_ALPHA, i.alpha),),
-            chi=st.chi.set(i.rd, opened))
+        return InstrState(st.delta + (DeltaBind(KIND_ALPHA, i.alpha),),
+                          st.chi.set(i.rd, opened), st.sigma, st.q)
 
     def _step_unfold(self, st: InstrState, i: UnfoldI) -> InstrState:
         self._guard_not_marker_dest(st, i.rd, i)
@@ -431,7 +500,8 @@ class TalTypechecker:
             raise _fail(f"unfold of non-recursive type {ty}",
                         "tal.instruction", i)
         unrolled = subst_ty(ty.body, Subst.single(KIND_ALPHA, ty.var, ty))
-        return replace(st, chi=st.chi.set(i.rd, unrolled))
+        return InstrState(st.delta, st.chi.set(i.rd, unrolled), st.sigma,
+                          st.q)
 
     # ------------------------------------------------------------------
     # Terminators
@@ -439,18 +509,12 @@ class TalTypechecker:
 
     def check_terminator(self, st: InstrState, t: Terminator) -> None:
         if OBS.enabled:
-            OBS.metrics.inc(f"typecheck.t.term.{type(t).__name__.lower()}")
-        if isinstance(t, Halt):
-            self._check_halt(st, t)
-        elif isinstance(t, Jmp):
-            self._check_jmp(st, t)
-        elif isinstance(t, Ret):
-            self._check_ret(st, t)
-        elif isinstance(t, Call):
-            self._check_call(st, t)
-        else:
+            OBS.metrics.inc(_counter("term", t))
+        rule = self._term_rules.get(t.__class__)
+        if rule is None:
             raise _fail(f"unknown terminator {type(t).__name__}",
                         "tal.terminator", t)
+        rule(self, st, t)
 
     def _check_halt(self, st: InstrState, t: Halt) -> None:
         if not isinstance(st.q, QEnd):
@@ -592,33 +656,47 @@ class TalTypechecker:
             raise _fail(
                 f"call requires the current marker to be end{{...}} or a "
                 f"stack index; it is {st.q}", "tal.terminator", t)
-        inst = Subst({(KIND_ZETA, zeta): t.sigma, (KIND_EPS, eps): eps_inst})
-        inst_chi = subst_chi(ct.chi, inst)
-        inst_sigma = subst_stack(ct.sigma, inst)
-        inst_q = subst_q(ct.q, inst)
-        check_psi_wf(st.delta, CodeType((), inst_chi, inst_sigma, inst_q))
-        check_regfile_subtype(st.delta, st.chi, inst_chi)
-        check_stack_wf(st.delta, subst_stack(cont.sigma, inst))
+        # The callee's type at [t.sigma/zeta, eps_inst/eps]: the memoized
+        # instantiation hands back one node per (callee, omegas), so its
+        # well-formedness is walked once per Delta.  The continuation's
+        # instantiated stack is read off it (the continuation binds
+        # nothing, so substituting into it is substituting in place).
+        inst_ct = instantiate_code_type(ct, (t.sigma, eps_inst))
+        check_psi_wf(st.delta, inst_ct)
+        check_regfile_subtype(st.delta, st.chi, inst_ct.chi)
+        inst_cont = ret_addr_type(inst_ct.q, inst_ct.chi, inst_ct.sigma)
+        check_stack_wf(st.delta, inst_cont.sigma)
 
     # ------------------------------------------------------------------
     # Sequences and components
     # ------------------------------------------------------------------
 
     def check_sequence(self, st: InstrState, iseq: InstrSeq) -> None:
-        """``Psi; Delta; chi; sigma; q |- I``."""
+        """``Psi; Delta; chi; sigma; q |- I``.
+
+        The marker restriction is re-judged after every instruction that
+        changes one of its inputs (see :func:`_same_restriction`)."""
         check_q_restriction(st.delta, st.chi, st.sigma, st.q)
-        while iseq.instrs:
-            head, rest = iseq.instrs[0], iseq.rest
-            st, iseq = self.step_in_sequence(st, head, rest)
-            check_q_restriction(st.delta, st.chi, st.sigma, st.q)
+        k = 0
+        while k < len(iseq.instrs):
+            prev = st
+            instr = iseq.instrs[k]
+            if instr.__class__ in self._instr_rules:
+                st = self.step_instruction(st, instr)
+                k += 1
+            else:
+                st, iseq, k = self.step_in_sequence(st, iseq, k)
+            if not _same_restriction(prev, st):
+                check_q_restriction(st.delta, st.chi, st.sigma, st.q)
         self.check_terminator(st, iseq.term)
 
-    def step_in_sequence(self, st: InstrState, instr: Instruction,
-                         rest: InstrSeq) -> Tuple[InstrState, InstrSeq]:
-        """One sequencing step.  ``rest`` is available so binding
-        instructions (FT's ``protect``) can alpha-rename their binder in
-        the remainder when it would shadow an ambient type variable."""
-        return self.step_instruction(st, instr), rest
+    def step_in_sequence(self, st: InstrState, iseq: InstrSeq,
+                         k: int) -> Tuple[InstrState, InstrSeq, int]:
+        """Step instruction ``k`` of ``iseq``, one that is not pure T, from
+        ``st``: the state after it and the sequence and position to go on
+        from.  A subclass overrides this for an instruction whose rule
+        also needs the rest of the sequence, as FT's ``protect`` does."""
+        return self.step_instruction(st, iseq.instrs[k]), iseq, k + 1
 
     def check_heap_value(self, h: HeapValue) -> HeapValType:
         """``Psi |- h : psi`` (synthesized)."""
@@ -626,15 +704,19 @@ class TalTypechecker:
             return TupleTy(tuple(
                 self.type_of_operand((), RegFileTy(), w) for w in h.words))
         if isinstance(h, HCode):
-            check_delta_wf(h.delta)
-            check_chi_wf(h.delta, h.chi)
-            check_stack_wf(h.delta, h.sigma)
-            check_q_wf(h.delta, h.q)
-            st = InstrState(h.delta, h.chi, h.sigma, h.q)
-            self.check_sequence(st, h.instrs)
+            self._check_code(h)
             return h.code_type
         raise _fail(f"unknown heap value {type(h).__name__}",
                     "tal.heap-value", h)
+
+    def _check_code(self, h: HCode) -> None:
+        """``Psi |- h`` for a code block, without building its type."""
+        check_delta_wf(h.delta)
+        check_chi_wf(h.delta, h.chi)
+        check_stack_wf(h.delta, h.sigma)
+        check_q_wf(h.delta, h.q)
+        self.check_sequence(InstrState(h.delta, h.chi, h.sigma, h.q),
+                            h.instrs)
 
     def synthesize_local_heap_typing(self, comp: Component) -> HeapTy:
         """The ``Psi'`` of the component typing rule: declared signatures of
@@ -648,13 +730,15 @@ class TalTypechecker:
                 entries[loc] = (BOX, h.code_type)
         # Second pass for data tuples, which may point at the blocks (or at
         # earlier tuples).
+        tuples = [(loc, h) for loc, h in comp.heap if isinstance(h, HTuple)]
+        if not tuples:
+            return HeapTy.of(entries)
         probe = self.with_psi(self.psi.extend(HeapTy.of(entries)))
-        for loc, h in comp.heap:
-            if isinstance(h, HTuple):
-                psi = probe.check_heap_value(h)
-                entries[loc] = (BOX, psi)
-                probe = self.with_psi(
-                    self.psi.extend(HeapTy.of(entries)))
+        for loc, h in tuples:
+            psi = probe.check_heap_value(h)
+            entries[loc] = (BOX, psi)
+            probe = self.with_psi(
+                self.psi.extend(HeapTy.of(entries)))
         return HeapTy.of(entries)
 
     def check_component(self, st: InstrState,
@@ -675,10 +759,16 @@ class TalTypechecker:
                 raise _fail(
                     f"component heap value at {loc} is not boxable",
                     "tal.component", comp)
-            extended.check_heap_value(h)
+            if isinstance(h, HCode):
+                extended._check_code(h)   # its code type is in Psi
+            else:
+                extended.check_heap_value(h)
         result = ret_type(st.q, st.chi, st.sigma)
         extended.check_sequence(st, comp.instrs)
         return result
+
+
+TalTypechecker._bind_rules()
 
 
 # ---------------------------------------------------------------------------
@@ -736,8 +826,6 @@ def check_memory(psi: HeapTy, heap_items, regs: Dict[str, WordValue],
                 f"location {loc} mutability {nu} disagrees with Psi's "
                 f"{expected_nu}", "tal.memory", loc)
         actual_psi = checker.check_heap_value(h)
-        from repro.tal.equality import psis_equal
-
         if not psis_equal(actual_psi, expected_psi):
             raise _fail(
                 f"location {loc} holds {actual_psi}, Psi says "

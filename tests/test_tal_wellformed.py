@@ -203,3 +203,188 @@ class TestRetTypeMetafunctions:
     def test_ret_addr_type_undefined_for_end(self):
         with pytest.raises(FTTypeError, match="undefined"):
             ret_addr_type(QEnd(TInt(), NIL_STACK), RegFileTy(), NIL_STACK)
+
+
+# ---------------------------------------------------------------------------
+# The well-formedness memo (the ``_wf`` slot of hash-consed types)
+# ---------------------------------------------------------------------------
+
+#: A type with no free type variables that is still ill-formed: the inner
+#: code type's ``zeta a`` shadows the outer ``alpha a`` by name, so the
+#: ``a`` in ``r2``'s type is unbound at kind alpha.
+SHADOWED = ("box forall[a].{r1: box forall[zeta a].{r2: a; a} end{int; nil}; "
+            "nil} end{int; nil}")
+
+
+def _verdict(check, delta, node):
+    try:
+        check(delta, node)
+    except FTTypeError as err:
+        return False, str(err)
+    return True, ""
+
+
+class TestCrossKindShadowing:
+    def test_closed_type_rejected_with_message(self):
+        from repro.surface.parser import parse_ttype
+        from repro.tal.subst import free_type_vars
+
+        ty = parse_ttype(SHADOWED)
+        assert free_type_vars(ty) == set()
+        for _ in range(2):   # a second check must not be waved through
+            with pytest.raises(FTTypeError) as exc:
+                check_type_wf((), ty)
+            assert str(exc.value) == (
+                "unbound type variable 'a' [judgment: tal.type-wf] "
+                "[subject: a]")
+
+
+_NAMES = ("a", "b", "z", "e")
+_KINDS = (KIND_ALPHA, KIND_ZETA, KIND_EPS)
+
+
+def _gen_delta(rng, size=None):
+    names = rng.sample(_NAMES, rng.randint(0, 3) if size is None else size)
+    return tuple(DeltaBind(rng.choice(_KINDS), n) for n in names)
+
+
+def _gen_type(rng, depth):
+    pick = rng.randrange(8 if depth > 0 else 3)
+    if pick == 0:
+        return TInt()
+    if pick == 1:
+        return TUnit()
+    if pick == 2:
+        return TVar(rng.choice(_NAMES))
+    if pick == 3:
+        return TExists(rng.choice(_NAMES), _gen_type(rng, depth - 1))
+    if pick == 4:
+        return TRec(rng.choice(_NAMES), _gen_type(rng, depth - 1))
+    if pick == 5:
+        return TRef(tuple(_gen_type(rng, depth - 1)
+                          for _ in range(rng.randint(1, 2))))
+    if pick == 6:
+        return TBox(TupleTy(tuple(_gen_type(rng, depth - 1)
+                                  for _ in range(rng.randint(1, 2)))))
+    return TBox(_gen_code(rng, depth - 1))
+
+
+def _gen_stack(rng, depth):
+    return StackTy(tuple(_gen_type(rng, depth)
+                         for _ in range(rng.randint(0, 2))),
+                   rng.choice((None,) + _NAMES))
+
+
+def _gen_q(rng, depth):
+    pick = rng.randrange(4)
+    if pick == 0:
+        return QEnd(_gen_type(rng, depth), _gen_stack(rng, depth))
+    if pick == 1:
+        return QEps(rng.choice(_NAMES))
+    return QReg("ra") if pick == 2 else QOut()
+
+
+def _gen_chi(rng, depth):
+    regs = rng.sample(("r1", "r2", "ra"), rng.randint(0, 2))
+    return RegFileTy.of({r: _gen_type(rng, depth) for r in regs})
+
+
+def _gen_code(rng, depth):
+    return CodeType(_gen_delta(rng), _gen_chi(rng, depth),
+                    _gen_stack(rng, depth), _gen_q(rng, depth))
+
+
+_CHECKS = (
+    (check_type_wf, _gen_type), (check_stack_wf, _gen_stack),
+    (check_chi_wf, _gen_chi), (check_q_wf, _gen_q), (check_psi_wf, _gen_code),
+)
+
+
+class TestWfMemoInvisible:
+    """A node whose memo is warm gives the verdict and message a fresh,
+    structurally equal copy gives, under every environment."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_warm_node_agrees_with_fresh_copy(self, seed):
+        import copy
+        import random
+
+        rng = random.Random(seed)
+        for _ in range(10):
+            check, gen = rng.choice(_CHECKS)
+            node = gen(rng, 2)
+            large = tuple(DeltaBind(k, n) for n in _NAMES for k in _KINDS)
+            deltas = [large, _gen_delta(rng), _gen_delta(rng, 1), (),
+                      _gen_delta(rng), large[:6], _gen_delta(rng)]
+            for delta in deltas + deltas[::-1]:
+                fresh = copy.deepcopy(node)
+                assert fresh == node and getattr(fresh, "_wf", None) is None
+                assert (_verdict(check, delta, node)
+                        == _verdict(check, delta, fresh))
+
+    def test_acceptance_under_larger_delta_does_not_leak(self):
+        ty = TBox(TupleTy((TVar("a"), TRef((TVar("a"),)))))
+        check_type_wf((ABIND, ZBIND), ty)
+        assert ty._wf == (ABIND, ZBIND)
+        for smaller in ((ZBIND,), (), (DeltaBind(KIND_ZETA, "a"),)):
+            with pytest.raises(FTTypeError, match="unbound type variable"):
+                check_type_wf(smaller, ty)
+        check_type_wf((ABIND, ZBIND), ty)
+
+    def test_memo_is_not_structure(self):
+        import pickle
+
+        from repro.link.fingerprint import stable_fingerprint
+
+        code = CodeType((ZBIND, EBIND), RegFileTy.of(ra=cont()),
+                        StackTy((TInt(),), "z"), QReg("ra"))
+        fresh = pickle.loads(pickle.dumps(code))
+        before = stable_fingerprint(code)
+        check_psi_wf((ABIND,), code)
+        assert code._wf == (ABIND,)
+        assert code == fresh and hash(code) == hash(fresh)
+        assert stable_fingerprint(code) == before
+        assert pickle.dumps(code) == pickle.dumps(fresh)
+        assert not hasattr(pickle.loads(pickle.dumps(code)), "_wf")
+
+
+class TestWfMemoThreads:
+    def test_shared_nodes_checked_from_many_threads(self):
+        """Threads checking the same nodes under different environments
+        race on their memos; a lost record only costs a re-walk, so every
+        verdict still equals a fresh copy's."""
+        import copy
+        import random
+        import sys
+        import threading
+
+        rng = random.Random(7)
+        cases = []
+        for _ in range(40):
+            check, gen = rng.choice(_CHECKS)
+            node = gen(rng, 2)
+            for delta in (_gen_delta(rng), _gen_delta(rng), ()):
+                cases.append((check, node, delta, _verdict(
+                    check, delta, copy.deepcopy(node))))
+        mismatches = []
+
+        def worker(seed):
+            order = random.Random(seed)
+            for _ in range(30):
+                check, node, delta, want = order.choice(cases)
+                if _verdict(check, delta, node) != want:
+                    mismatches.append((node, delta))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        assert mismatches == []
