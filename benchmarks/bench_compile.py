@@ -158,14 +158,14 @@ def test_compiled_vs_interpreted(record):
     for name, program in cases.items():
         compiled = compile_term(program).wrapped
         int_value, int_fuel = _run(program)
-        cmp_value, cmp_fuel = _run(compiled)
+        cmp_value, cmp_fuel = _run(compiled, tal_engine="ref")
         assert cmp_value == int_value, name
         fast.clear_fast_caches()
         fast_value, fast_fuel = _run(compiled, tal_engine="fast")
         assert fast_value == int_value, name
         assert fast_fuel == cmp_fuel, name    # lockstep, not just close
         int_s = _best(lambda p=program: _run(p))
-        cmp_s = _best(lambda p=compiled: _run(p))
+        cmp_s = _best(lambda p=compiled: _run(p, tal_engine="ref"))
         fast_s = _best(lambda p=compiled: _run(p, tal_engine="fast"))
         rows[name] = {
             "value": str(int_value),
@@ -242,7 +242,8 @@ def test_fast_tier_gate(record):
     compiled = compile_term(App(build_fact_f(), (IntE(FACT_N),))).wrapped
     _run(compiled, tal_engine="fast")            # warm the block tables
     fact_ref_s, fact_fast_s = _best_pair(
-        lambda: _run(compiled), lambda: _run(compiled, tal_engine="fast"),
+        lambda: _run(compiled, tal_engine="ref"),
+        lambda: _run(compiled, tal_engine="fast"),
         rounds=4 * ROUNDS)
     fact_ratio = fact_ref_s / fact_fast_s if fact_fast_s else float("inf")
 

@@ -1,13 +1,14 @@
-"""T-engine benchmark: the fast T engine against the reference one.
+"""T-engine benchmark: the default T engine against the reference one.
 
 Writes ``BENCH_tal_engine.json`` at the repository root.  One mixed
 hot/cold corpus (T-dominated countdown loops plus trivial arithmetic)
 runs twice through the same worker pool configuration: (a) with
-``tal_engine="ref"`` and (b) with ``tal_engine="fast"``.  Every job must
-return the same value in both phases, every hot job in phase B must
-report ``tier.tal_engine == "fast"``, and the gate asserts phase B is
-**>= 2x** faster.  The ratio is per-job work reduction, so it holds
-regardless of host core count.
+``tal_engine="ref"`` and (b) with no engine chosen, so jobs run on the
+default engine (``fast``).  Every job must return the same value in both
+phases, every hot job in phase B must report the default engine in
+``tier.tal_engine``, and the gate asserts phase B is **>= 2x** faster.
+The ratio is per-job work reduction, so it holds regardless of host
+core count.
 """
 
 import json
@@ -22,6 +23,7 @@ from repro.f.syntax import App, IntE
 from repro.papers_examples.fig17_factorial import build_count_t
 from repro.serve.pool import WorkerPool
 from repro.serve.protocol import Job, JobOptions
+from repro.tal.machine import DEFAULT_TAL_ENGINE
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 _BENCH_PATH = _REPO_ROOT / "BENCH_tal_engine.json"
@@ -40,7 +42,7 @@ def hot_source(n: int) -> str:
     return str(App(build_count_t(), (IntE(n),)))
 
 
-def corpus_jobs(tal_engine: str):
+def corpus_jobs(tal_engine):
     options = JobOptions(no_cache=True, tal_engine=tal_engine)
     jobs = [Job("run", id=f"hot-{n}#{rep}", source=hot_source(n),
                 options=options)
@@ -59,7 +61,7 @@ def write_artifact():
             encoding="utf-8")
 
 
-def _timed_batch(tal_engine: str):
+def _timed_batch(tal_engine):
     """(results, seconds) for the corpus on a fresh, warmed-up pool."""
     jobs = corpus_jobs(tal_engine)
     with WorkerPool(WORKERS, cache=None, default_timeout=120.0) as pool:
@@ -75,18 +77,20 @@ def _timed_batch(tal_engine: str):
     return results, elapsed
 
 
-def test_fast_engine_throughput_vs_ref(record):
+def test_default_engine_throughput_vs_ref(record):
     ref, ref_s = _timed_batch("ref")
-    fast, fast_s = _timed_batch("fast")
+    fast, fast_s = _timed_batch(None)
 
-    # Zero wrong answers: the fast corpus reproduces the ref one.
+    # Zero wrong answers: the default corpus reproduces the ref one.
     ref_values = {r.id: r.output["value"] for r in ref}
     assert len(fast) == len(ref_values)
     for r in fast:
         assert r.output["value"] == ref_values[r.id], r.id
-    # Every hot job was actually served on the fast T engine.
+    # Every hot job was actually served on the default T engine.
+    assert DEFAULT_TAL_ENGINE == "fast"
     hot_tiers = [r.output["tier"] for r in fast if r.id.startswith("hot-")]
-    assert hot_tiers and all(t["tal_engine"] == "fast" for t in hot_tiers)
+    assert hot_tiers and all(t["tal_engine"] == DEFAULT_TAL_ENGINE
+                             for t in hot_tiers)
 
     speedup = ref_s / fast_s if fast_s else float("inf")
     _RESULTS["throughput"] = {
@@ -105,7 +109,7 @@ def test_fast_engine_throughput_vs_ref(record):
         "python": platform.python_version(),
     }
     record(f"tal_engine: {len(fast)}-job mixed corpus ref={ref_s:.3f}s "
-           f"fast={fast_s:.3f}s speedup={speedup:.2f}x")
+           f"default={fast_s:.3f}s speedup={speedup:.2f}x")
     assert speedup >= 2.0, (
-        f"fast T engine only {speedup:.2f}x the ref engine on this "
+        f"default T engine only {speedup:.2f}x the ref engine on this "
         f"corpus (gate: >= 2x)")

@@ -114,10 +114,11 @@ def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
                              "semantics)")
     parser.add_argument("--tal-engine", choices=("ref", "fast"),
                         default=None, dest="tal_engine",
-                        help="T engine: ref (typed reference stepper, the "
-                             "default) or fast (type-erased direct-threaded "
-                             "tier with template JIT); observably "
-                             "equivalent, purely a performance knob")
+                        help="T engine: fast (type-erased direct-threaded "
+                             "tier with template JIT, the default) or ref "
+                             "(typed reference stepper, the oracle); "
+                             "observably equivalent, purely a performance "
+                             "knob")
 
 
 def _budget_from_args(args: argparse.Namespace) -> Budget:

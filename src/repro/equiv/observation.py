@@ -78,9 +78,13 @@ class Observation:
 
 
 def observe(program: FExpr, fuel: int = 50_000) -> Observation:
-    """Run a closed FT program to an observation."""
+    """Run a closed FT program to an observation.
+
+    Observations run T on ``ref``, the paper's typed semantics, whatever
+    the default engine: equivalence checking and translation validation
+    compare against the oracle, not against the tier under test."""
     try:
-        value, _ = evaluate_ft(program, fuel=fuel)
+        value, _ = evaluate_ft(program, fuel=fuel, tal_engine="ref")
     except ResourceExhausted:
         # Any tripped governor (fuel, heap cells, depth) reads as
         # divergence: the bounded observer could not tell the programs

@@ -35,6 +35,7 @@ from repro.compile.pipeline import compile_function, jit_rewrite
 from repro.obs.events import OBS
 from repro.resilience.budget import Budget
 from repro.resilience.chaos import probe
+from repro.tal.machine import resolve_tal_engine
 
 __all__ = ["Quarantine", "QUARANTINE", "SafetyNetReport",
            "jit_rewrite_guarded", "run_guarded"]
@@ -118,28 +119,29 @@ def run_guarded(e: FExpr, fuel: Optional[int] = None,
     outcome is identical to never having jitted at all.  Resource
     exhaustion propagates: it is a verdict, not a fault.
 
-    ``tal_engine`` selects the T engine for the *optimistic* run; the
-    fallback re-run always uses the reference engine, so a fast-tier
-    fault can never decide the answer.
+    ``tal_engine`` selects the T engine for the *optimistic* run (the
+    default engine when ``None``); the fallback re-run always uses the
+    reference engine, so a fast-tier fault can never decide the answer.
     """
     q = quarantine if quarantine is not None else QUARANTINE
     rewritten, compiled_sources, report = jit_rewrite_guarded(e, q, wide)
+    optimistic = resolve_tal_engine(tal_engine) != "ref"
 
-    def interpret(tal: Optional[str] = None) -> Tuple[FExpr, FTMachine]:
+    def interpret(tal: str = "ref") -> Tuple[FExpr, FTMachine]:
         return evaluate_ft(e, fuel=fuel, trace=trace,
                            budget=Budget.of(fuel, heap, depth),
                            tal_engine=tal)
 
     if not compiled_sources:
         try:
-            if tal_engine is not None:
+            if optimistic:
                 probe("jit.run")
             value, machine = interpret(tal_engine)
             return value, machine, report
         except ResourceExhausted:
             raise
         except Exception as exc:
-            if tal_engine is None:
+            if not optimistic:
                 raise
             # Fast-tier fault on an un-jitted program: degrade to the
             # reference engine, which is authoritative.

@@ -442,14 +442,18 @@ class WorkerPool:
         """Admission control: resolve ``ticket`` immediately (True) or
         clear it for the queue (False), marking degraded dispatch and
         the admission deadline on the way."""
-        key = job_fault_key(job)
-        if key in self._quarantine:
-            self._quarantine.skip(key)
-            ticket._resolve(JobResult.failure(
-                job, "rejected",
-                f"job digest quarantined: {self._quarantine.reason(key)}",
-                error_type="QuarantinedJob"))
-            return True
+        # The fault key is a digest over the job's canonical JSON: only
+        # worth computing when some job is quarantined at all.
+        if len(self._quarantine):
+            key = job_fault_key(job)
+            if key in self._quarantine:
+                self._quarantine.skip(key)
+                ticket._resolve(JobResult.failure(
+                    job, "rejected",
+                    f"job digest quarantined: "
+                    f"{self._quarantine.reason(key)}",
+                    error_type="QuarantinedJob"))
+                return True
         if self.cache is not None:
             hit = self.cache.get(job)
             if hit is not None:

@@ -20,7 +20,7 @@ loudly instead of silently missing the cache.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.errors import FunTALError
@@ -285,14 +285,22 @@ class JobResult:
         return self.status == "ok"
 
     def to_dict(self) -> Dict[str, Any]:
-        out = asdict(self)
-        if self.worker is None:
-            del out["worker"]
-        if self.obs is None:
-            del out["obs"]
-        if not self.error:
-            del out["error"]
-            del out["error_type"]
+        # Built field by field: ``dataclasses.asdict`` deep-copies the
+        # whole output tree, which costs several times ``from_dict``.
+        # The top level and ``output`` are fresh dicts; deeper values
+        # are shared.
+        out = {"id": self.id, "kind": self.kind, "status": self.status,
+               "output": dict(self.output)}
+        if self.error:
+            out["error"] = self.error
+            out["error_type"] = self.error_type
+        out["attempts"] = self.attempts
+        out["cached"] = self.cached
+        out["duration_ms"] = self.duration_ms
+        if self.worker is not None:
+            out["worker"] = self.worker
+        if self.obs is not None:
+            out["obs"] = self.obs
         return out
 
     @classmethod

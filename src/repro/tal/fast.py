@@ -15,13 +15,15 @@ executable form and stops consulting types at run time:
   ``Delta`` to the omegas as an immutable env tuple, and only the rare
   operands whose free type variables demand it are substituted (memoized
   per site x env) -- straight-line arithmetic never touches a type;
-* the per-component lowering is keyed by the PR 7 **content digest** and
-  cached through the :mod:`repro.link` ArtifactStore, so a compiled
-  artifact is lowered once fleet-wide (``tal.fast.preinst.*``);
-* the lowered blocks are **built once per load template**
-  (:class:`~repro.tal.machine.LoadTemplate`), not once per load, so
-  every run of a component shares one block table and the block, site
-  and JIT memos keyed on it;
+* a code block is lowered **at its second entry**
+  (:data:`LOWER_THRESHOLD`) and kept on its ``HCode``; its first entry
+  runs by the reference rules, so code that runs once never pays for
+  lowering.  A component's cells belong to its load template
+  (:class:`~repro.tal.machine.LoadTemplate`), so every run of the
+  component shares its blocks;
+* every run-time memo -- a block's instantiations, its substituted
+  operand sites, its JIT function -- **lives on the block** it serves,
+  so it dies with the component (or the ``HCode``) that owns the block;
 * blocks entered :data:`JIT_THRESHOLD` times are **template-JITted**:
   the block body is rendered into one fused Python function per basic
   block (branch-out via block transfer requests) and compiled with
@@ -52,13 +54,13 @@ from repro.caching import LRUCache
 from repro.errors import MachineError
 from repro.obs.events import OBS
 from repro.obs.profile import PROFILER
-from repro.tal.machine import HaltedState, ImportRequest, rename_locs
+from repro.tal.machine import HaltedState, ImportRequest
 from repro.tal.subst import (
     Subst, free_type_vars, instantiate_code_block, subst_instr,
     subst_instr_seq, subst_operand, subst_q, subst_stack, subst_ty,
 )
 from repro.tal.syntax import (
-    Aop, Balloc, Bnz, BOX, Call, Component, Fold, Halt, HCode, HTuple,
+    Aop, Balloc, Bnz, BOX, Call, Fold, Halt, HCode, HTuple,
     InstrSeq, Jmp, KIND_ALPHA, KIND_EPS, KIND_ZETA, Ld, Loc, Mv, Pack,
     Ralloc, REF, REGISTERS, RegOp, Ret, RetMarker, Salloc, Sfree, Sld, Sst,
     St, StackTy, TalType, TyApp, UnfoldI, Unpack, WInt, WLoc, WUnit,
@@ -68,13 +70,7 @@ from repro.tal.syntax import (
 __all__ = [
     "FastBlock", "FastPoint", "fast_drive", "fast_run_t", "instrumented",
     "install_component", "clear_fast_caches", "fast_cache_stats",
-    "PREINST_VERSION",
 ]
-
-#: Bump when the lowered descriptor format changes: the digest of the
-#: on-disk preinstantiation artifacts includes it, so stale store entries
-#: simply miss instead of deserialising into the wrong shape.
-PREINST_VERSION = 2
 
 _UNSET = object()          # register-slot sentinel (None is not a word)
 _SLOT = {r: i for i, r in enumerate(REGISTERS)}
@@ -86,56 +82,72 @@ _KIND_EXPECT = {KIND_ALPHA: TalType, KIND_ZETA: StackTy,
                 KIND_EPS: RetMarker}
 
 # ---------------------------------------------------------------------------
-# Caches (the PR 4 tal.subst.cache.* machinery, grown into the fast tier)
+# Memos
 # ---------------------------------------------------------------------------
+#
+# The run-time memos hang off the block they serve: a FastBlock's
+# ``envs`` maps an omega list to its instantiation, and its ``sites``
+# map (site, env) identities to substituted operands.  A block belongs
+# to one HCode or to a load template's entry sequence, so its memos die
+# with the code.  The module keeps hit/miss counts and two backstops that
+# hold no component: the compiled JIT functions, and the op closures
+# every block shares.
 
-#: env tuple -> combined Subst (bindings folded left to right; a ``None``
-#: omega is a Protect shadow and deletes its key).
-_ENVSUB_CACHE = LRUCache(1024)
-#: (id(site), env[, tag]) -> (site, substituted result); identity-checked.
-_SITE_CACHE = LRUCache(4096, metric_prefix="tal.fast.site")
-#: (id(block), omegas) -> (block, env tuple): the fast tier's block
-#: instantiation memo (the Fig 17 loop pays the kind checks once).
-_ENV_CACHE = LRUCache(4096, metric_prefix="tal.fast.block")
-#: (instrs, heap) (structural hash/eq) -> FlatProgram: catches loads of
-#: structurally identical components rebuilt fresh by substitution.
-#: Keyed on the fields, not the component, so it never keeps a dead
-#: component's load template alive.
-_STRUCT_MEMO = LRUCache(256)
-#: digest -> FlatProgram, in front of the on-disk ArtifactStore.
-_PREINST_LRU = LRUCache(128, metric_prefix="tal.fast.preinst")
-#: id(HCode) -> (hcode, FastBlock): direct-mode block memo (restored
-#: snapshots, blocks reached outside a component load, such as the
-#: boundary's shared halting continuations).
-_HCODE_MEMO = LRUCache(512)
-#: JIT source string -> compiled function (process-wide).
-_JIT_FNS: Dict[str, object] = {}
+#: Entries after which one block's memo is emptied and refilled: a
+#: recursion instantiates its callee at every caller's stack type, so a
+#: block's omega lists are unbounded in principle.
+_MEMO_CAP = 256
+#: JIT source -> compiled function: blocks of equal shape share one.
+_JIT_FNS = LRUCache(512)
+#: [hits, misses] of the per-block memos.
+_SITE_COUNTS = [0, 0]
+_BLOCK_COUNTS = [0, 0]
 
 _EMPTY_SUBST = Subst()
 
 
 def clear_fast_caches() -> None:
-    """Drop every fast-tier memo (tests, benchmarks)."""
-    _ENVSUB_CACHE.clear()
-    _SITE_CACHE.clear()
-    _ENV_CACHE.clear()
-    _STRUCT_MEMO.clear()
-    _PREINST_LRU.clear()
-    _HCODE_MEMO.clear()
+    """Drop the module memos (tests, benchmarks); per-block memos go
+    with their blocks."""
     _JIT_FNS.clear()
+    _SHARED_OPS.clear()
 
 
 def fast_cache_stats() -> Dict[str, Dict[str, int]]:
+    """Hit/miss counts of the per-block memos.  ``size`` counts entries
+    the module holds, which is none: they live on the blocks.
+    ``tal.fast.preinst`` has no lookups (components lower once per load
+    template); the entry stays because benchmark reports read it."""
     return {
-        "tal.fast.site": _SITE_CACHE.stats(),
-        "tal.fast.block": _ENV_CACHE.stats(),
-        "tal.fast.preinst": _PREINST_LRU.stats(),
+        "tal.fast.site": {"size": 0, "hits": _SITE_COUNTS[0],
+                          "misses": _SITE_COUNTS[1]},
+        "tal.fast.block": {"size": 0, "hits": _BLOCK_COUNTS[0],
+                           "misses": _BLOCK_COUNTS[1]},
+        "tal.fast.preinst": {"size": 0, "hits": 0, "misses": 0},
     }
+
+
+def _count(counts: list, name: str, hit: bool) -> None:
+    counts[0 if hit else 1] += 1
+    if OBS.enabled:
+        OBS.metrics.inc(name + (".hit" if hit else ".miss"))
+
+
+def _remember(memo: dict, key, value) -> None:
+    if len(memo) >= _MEMO_CAP:
+        memo.clear()
+    memo[key] = value
 
 
 #: Entries after which an eligible block is template-JITted.  Read as a
 #: module global on every entry, so tests may patch it.
 JIT_THRESHOLD = 16
+#: The entry at which a code block (or a template's entry sequence) is
+#: lowered; earlier entries run by the reference rules.  Code that runs
+#: once -- a program compiled, validated and run, a one-shot job -- so
+#: never pays for lowering.  Read on every unlowered entry; tests patch
+#: it to 1 to lower everything at its first entry.
+LOWER_THRESHOLD = 2
 
 
 def instrumented(machine) -> bool:
@@ -149,15 +161,16 @@ def instrumented(machine) -> bool:
 # Environment-lazy substitution
 # ---------------------------------------------------------------------------
 
-def _env_subst(env: tuple) -> Subst:
-    """The combined substitution an env tuple denotes.
+def _env_subst(env: tuple, memo: dict) -> Subst:
+    """The combined substitution an env tuple denotes (memoized in the
+    block's ``memo`` by the env's identity).
 
     At run time every omega is closed, so folding the entries in order
     (later bindings override, Protect shadows delete) is exactly the
     reference engine's sequential substitution discipline."""
     if not env:
         return _EMPTY_SUBST
-    hit = _ENVSUB_CACHE.get(id(env))
+    hit = memo.get(id(env))
     if hit is not None and hit[0] is env:
         return hit[1]
     mapping: dict = {}
@@ -167,68 +180,43 @@ def _env_subst(env: tuple) -> Subst:
         else:
             mapping[(kind, name)] = omega
     s = Subst(mapping)
-    _ENVSUB_CACHE.put(id(env), (env, s))
+    _remember(memo, id(env), (env, s))
     return s
 
 
-# Site caches key on object identity, not structure: hashing type-laden
-# env tuples costs more than the substitution they memoize (the frozen
-# syntax dataclasses recompute deep hashes every time).  Identity keys
-# stay canonical because enter() reuses one env tuple per (block, omega)
-# pair, and pinning the keyed objects in the value prevents id reuse.
+# Site memos key on object identity, not structure: hashing type-laden
+# env tuples costs more than the substitution they memoize.  Identity
+# keys stay canonical because enter() reuses one env tuple per (block,
+# omega) pair, and pinning the keyed objects in the value prevents id
+# reuse.
 
-def _site_operand(u, env: tuple):
-    """Substitute a typed operand site under ``env`` (memoized)."""
+def _site(memo: dict, x, env: tuple, sub):
+    """``sub(x, s)`` for the substitution ``s`` that ``env`` denotes,
+    memoized in the owning block's ``memo``."""
     if not env:
-        return u
-    key = (id(u), id(env))
-    hit = _SITE_CACHE.get(key)
-    if hit is not None and hit[0] is u and hit[1] is env:
+        return sub(x, _EMPTY_SUBST)
+    key = (id(x), id(env))
+    hit = memo.get(key)
+    if hit is not None and hit[0] is x and hit[1] is env:
+        _count(_SITE_COUNTS, "tal.fast.site", True)
         return hit[2]
-    res = subst_operand(u, _env_subst(env))
-    _SITE_CACHE.put(key, (u, env, res))
+    _count(_SITE_COUNTS, "tal.fast.site", False)
+    res = sub(x, _env_subst(env, memo))
+    _remember(memo, key, (x, env, res))
     return res
 
 
-def _site_halt(t: Halt, env: tuple):
-    if not env:
-        return t.ty, t.sigma
-    key = (id(t), id(env), "halt")
-    hit = _SITE_CACHE.get(key)
-    if hit is not None and hit[0] is t and hit[1] is env:
-        return hit[2]
-    s = _env_subst(env)
-    res = (subst_ty(t.ty, s), subst_stack(t.sigma, s))
-    _SITE_CACHE.put(key, (t, env, res))
-    return res
+def _sub_halt(t: Halt, s: Subst):
+    return subst_ty(t.ty, s), subst_stack(t.sigma, s)
 
 
-def _site_call_extra(t: Call, env: tuple):
-    if not env:
-        return (t.sigma, t.q)
-    key = (id(t), id(env), "call")
-    hit = _SITE_CACHE.get(key)
-    if hit is not None and hit[0] is t and hit[1] is env:
-        return hit[2]
-    s = _env_subst(env)
-    res = (subst_stack(t.sigma, s), subst_q(t.q, s))
-    _SITE_CACHE.put(key, (t, env, res))
-    return res
+def _sub_call_extra(t: Call, s: Subst):
+    return subst_stack(t.sigma, s), subst_q(t.q, s)
 
 
-def _site_instr(i, env: tuple):
-    """Substitute a whole (non-binding) instruction under ``env``
-    (memoized): what the native import op uses to close its F payload."""
-    if not env:
-        return i
-    key = (id(i), id(env), "instr")
-    hit = _SITE_CACHE.get(key)
-    if hit is not None and hit[0] is i and hit[1] is env:
-        return hit[2]
-    s = _env_subst(env)
-    res = i if s.is_empty() else subst_instr(i, s)
-    _SITE_CACHE.put(key, (i, env, res))
-    return res
+def _sub_instr(i, s: Subst):
+    """What the native import op uses to close its F payload."""
+    return i if s.is_empty() else subst_instr(i, s)
 
 
 # ---------------------------------------------------------------------------
@@ -434,133 +422,11 @@ def _lower_term_raw(t) -> tuple:
 
 
 def _lower_seq(iseq: InstrSeq, delta: tuple) -> dict:
-    """Lower an instruction sequence to a picklable FlatCode dict."""
-    ops = tuple(_lower_instr(i) for i in iseq.instrs)
-    term = _lower_term(iseq.term)
-    jit = _jit_source(ops, term)
-    return {"delta": delta, "ops": ops, "term": term, "jit": jit}
-
-
-def _lower_component(comp: Component) -> dict:
-    blocks = []
-    for idx, (_, h) in enumerate(comp.heap):
-        if isinstance(h, HCode):
-            blocks.append((idx, _lower_seq(h.instrs, h.delta)))
-    return {"version": PREINST_VERSION,
-            "entry": _lower_seq(comp.instrs, ()),
-            "blocks": tuple(blocks)}
-
-
-# ---------------------------------------------------------------------------
-# Digest-keyed preinstantiation through the link store
-# ---------------------------------------------------------------------------
-
-_PURE_INSTRS = (Mv, Aop, Bnz, Ld, St, Ralloc, Balloc, Salloc, Sfree, Sld,
-                Sst, Unpack, UnfoldI)
-
-
-def _scan_component(comp: Component):
-    """(pure_t, self_contained): pure-T components whose every referenced
-    location is bound in their own heap get a content digest; anything
-    else (FT instructions, wrappers embedding runtime locations) is
-    lowered under a per-object memo instead, so runtime-unique wrappers
-    never pollute the shared store."""
-    bound = {loc for loc, _ in comp.heap}
-    refs: set = set()
-
-    def walk_operand(u) -> bool:
-        cls = u.__class__
-        if cls is WLoc:
-            refs.add(u.loc)
-            return True
-        if cls is Pack or cls is Fold or cls is TyApp:
-            return walk_operand(u.body)
-        return cls in (WInt, WUnit, RegOp)
-
-    protect_cls = _ft_classes()[1]
-
-    def walk_seq(iseq) -> bool:
-        for i in iseq.instrs:
-            if not isinstance(i, _PURE_INSTRS):
-                # protect is type-level only: it renames the protected
-                # tail, embeds no runtime state, and lowers to a fixed
-                # descriptor -- safe to content-address.  Import is not
-                # (it carries an F payload evaluated at runtime).
-                if protect_cls is not None and isinstance(i, protect_cls):
-                    continue
-                return False
-            u = getattr(i, "u", None)
-            if u is not None and not walk_operand(u):
-                return False
-        t = iseq.term
-        if isinstance(t, (Jmp, Call)):
-            return walk_operand(t.u)
-        return isinstance(t, (Ret, Halt))
-
-    if not walk_seq(comp.instrs):
-        return False, False
-    for _, h in comp.heap:
-        if isinstance(h, HCode):
-            if not walk_seq(h.instrs):
-                return False, False
-        elif isinstance(h, HTuple):
-            for w in h.words:
-                if not walk_operand(w):
-                    return False, False
-        else:
-            return False, False
-    return True, refs <= bound
-
-
-def _preinst_program(comp: Component) -> dict:
-    """The lowered FlatProgram for a component with a code block (built
-    once per load template).
-
-    Memo pipeline, cheapest first: structural equality (components
-    rebuilt by substitution are new objects of the same structure) ->
-    the digest-keyed in-memory LRU -> the on-disk ArtifactStore.  The
-    fingerprint/disk tier is reserved for pure, self-contained T:
-    anything else embeds runtime state and is lowered directly.
-    """
-    key = (comp.instrs, comp.heap)
-    prog = _STRUCT_MEMO.get(key)
-    if prog is None:
-        pure, contained = _scan_component(comp)
-        if pure and contained:
-            from repro.link.fingerprint import stable_fingerprint
-            digest = stable_fingerprint(
-                ("funtal.tal.preinst", PREINST_VERSION, comp))
-            prog = _PREINST_LRU.get(digest)
-            if prog is None:
-                prog = _preinst_from_store(digest, comp)
-            _PREINST_LRU.put(digest, prog)
-        else:
-            prog = _lower_component(comp)
-        _STRUCT_MEMO.put(key, prog)
-    return prog
-
-
-def _preinst_from_store(digest: str, comp: Component) -> dict:
-    try:
-        from repro.link.store import ArtifactStore
-        store = ArtifactStore()
-        found = store.get(digest, kind="preinst")
-    except Exception:
-        store, found = None, None
-    if found is not None:
-        prog = found[1]
-        if isinstance(prog, dict) and prog.get("version") == PREINST_VERSION:
-            if OBS.enabled:
-                OBS.metrics.inc("tal.fast.preinst.hit")
-            return prog
-    prog = _lower_component(comp)
-    if store is not None:
-        try:
-            store.put(digest, prog, meta={"kind": "tal-preinst"},
-                      kind="preinst")
-        except Exception:
-            pass
-    return prog
+    """Lower an instruction sequence to a FlatCode dict of descriptors.
+    JIT source is rendered later, and only for a block that gets hot."""
+    return {"delta": delta,
+            "ops": tuple(_lower_instr(i) for i in iseq.instrs),
+            "term": _lower_term(iseq.term)}
 
 
 # ---------------------------------------------------------------------------
@@ -568,48 +434,51 @@ def _preinst_from_store(digest: str, comp: Component) -> dict:
 # ---------------------------------------------------------------------------
 
 class FastBlock:
-    """One preinstantiated block: direct-threaded ops plus metadata for
-    residual materialisation, the omega memo, and the JIT tier.
+    """One preinstantiated block: direct-threaded ops, metadata for
+    residual materialisation, and the block's own memos.
 
     A component's blocks belong to its load template and are shared by
-    every machine that loads it, so the JIT state (``hot``, ``jit_fn``)
-    lives on the shared block: entries from all those runs count toward
-    :data:`JIT_THRESHOLD`, and a promoted block stays promoted.  The
-    JIT'd function computes exactly what the ops compute, so where a
-    block is promoted never changes a result.  ``jit_desc`` keeps the
-    block's descriptors until the driver sees it jump back into itself
-    and re-renders it as a loop (:func:`_promote_loop`)."""
+    every machine that loads it, so the memos (``envs``, ``sites``) and
+    the JIT state (``hot``, ``jit_fn``) live on the shared block: entries
+    from all those runs count toward :data:`JIT_THRESHOLD`, and a
+    promoted block stays promoted.  The JIT'd function computes exactly
+    what the ops compute, so where a block is promoted never changes a
+    result.  ``desc`` keeps the descriptors while the JIT may still use
+    them: to render the block once it is hot (:func:`_promote`), and to
+    re-render it as a loop once the driver sees it jump back into itself
+    (:func:`_promote_loop`)."""
 
-    __slots__ = ("ops", "nops", "term", "delta", "src_seq", "src_hcode",
-                 "hot", "jit_spec", "jit_fn", "jit_consts", "jit_desc")
+    __slots__ = ("ops", "nops", "term", "delta", "src_seq", "desc", "hot",
+                 "jit_fn", "jit_consts", "jit_specs", "envs", "sites",
+                 "__weakref__")
 
-    def __init__(self, ops, term, delta, src_seq, src_hcode, jit_spec,
-                 jit_consts, jit_desc):
+    def __init__(self, ops, term, delta, src_seq, desc, sites):
         self.ops = ops
         self.nops = len(ops)
         self.term = term
         self.delta = delta
         self.src_seq = src_seq        # renamed InstrSeq (residuals)
-        self.src_hcode = src_hcode    # renamed HCode or None (entry seqs)
+        self.desc = desc              # (ops, term) descriptors or None
         self.hot = 0
-        self.jit_spec = jit_spec
         self.jit_fn = None
-        self.jit_consts = jit_consts
-        self.jit_desc = jit_desc      # (ops, term) descriptors or None
+        self.jit_consts = None
+        self.jit_specs = None
+        self.envs = None              # omegas -> env or block, on demand
+        self.sites = sites            # (id(site), id(env)) -> result
 
 
 def _unset_read(name: str):
     raise MachineError(f"read of unset register {name}")
 
 
-def _make_op(d: tuple, ren):
-    """Build the closure for one op descriptor (``ren`` renames heap
-    labels into the current load)."""
+def _make_op(d: tuple, memo: dict):
+    """Build the closure for one op descriptor (``memo`` is the block's
+    site memo)."""
     tag = d[0]
     if tag == "mv":
         _, rd, spec = d
         if spec[0] == "c":
-            w = _resolve_const(ren(spec[1]))
+            w = _resolve_const(spec[1])
 
             def op(mem, regs, env, _rd=rd, _w=w):
                 regs[_rd] = _w
@@ -624,17 +493,16 @@ def _make_op(d: tuple, ren):
                 regs[_rd] = w
             return op
         _, u, ftv = spec
-        u = ren(u)
 
-        def op(mem, regs, env, _rd=rd, _u=u, _f=ftv):
-            regs[_rd] = _resolve_rt(_site_operand(_u, env) if _f else _u,
-                                    regs)
+        def op(mem, regs, env, _rd=rd, _u=u, _f=ftv, _m=memo):
+            regs[_rd] = _resolve_rt(
+                _site(_m, _u, env, subst_operand) if _f else _u, regs)
         return op
     if tag == "aop":
         _, name, rd, rs, rs_name, spec = d
         fn = _AOP_FNS[name]
         if spec[0] == "c":
-            w = _resolve_const(ren(spec[1]))
+            w = _resolve_const(spec[1])
 
             def op(mem, regs, env, _rd=rd, _rs=rs, _n=rs_name, _fn=fn,
                    _w=w):
@@ -667,16 +535,16 @@ def _make_op(d: tuple, ren):
                 regs[_rd] = WInt(_fn(left.value, right.value))
             return op
         _, u, ftv = spec
-        u = ren(u)
 
         def op(mem, regs, env, _rd=rd, _rs=rs, _n=rs_name, _fn=fn, _u=u,
-               _f=ftv):
+               _f=ftv, _m=memo):
             left = regs[_rs]
             if left.__class__ is not WInt:
                 if left is _UNSET:
                     _unset_read(_n)
                 raise MachineError(f"aop source {_n} holds non-int {left}")
-            w = _resolve_rt(_site_operand(_u, env) if _f else _u, regs)
+            w = _resolve_rt(
+                _site(_m, _u, env, subst_operand) if _f else _u, regs)
             if w.__class__ is not WInt:
                 raise MachineError(f"expected an integer, got {w}")
             regs[_rd] = WInt(_fn(left.value, w.value))
@@ -750,34 +618,36 @@ def _make_op(d: tuple, ren):
         if spec[0] == "r":
             _, rs, name = spec
 
-            def op(mem, regs, env, _a=alpha, _rd=rd, _rs=rs, _n=name):
+            def op(mem, regs, env, _a=alpha, _rd=rd, _rs=rs, _n=name,
+                   _l=[None]):
                 w = regs[_rs]
                 if w.__class__ is not Pack:
                     if w is _UNSET:
                         _unset_read(_n)
                     raise MachineError(f"unpack of non-package value {w}")
                 regs[_rd] = w.body
-                return ("bind", (KIND_ALPHA, _a, w.hidden))
+                return _bound(_l, env, _a, w.hidden)
             return op
         if spec[0] == "c":
-            u = ren(spec[1])
+            u = spec[1]
 
-            def op(mem, regs, env, _a=alpha, _rd=rd, _u=u):
+            def op(mem, regs, env, _a=alpha, _rd=rd, _u=u, _l=[None]):
                 w = _resolve_const(_u)
                 if w.__class__ is not Pack:
                     raise MachineError(f"unpack of non-package value {w}")
                 regs[_rd] = w.body
-                return ("bind", (KIND_ALPHA, _a, w.hidden))
+                return _bound(_l, env, _a, w.hidden)
             return op
         _, u, ftv = spec
-        u = ren(u)
 
-        def op(mem, regs, env, _a=alpha, _rd=rd, _u=u, _f=ftv):
-            w = _resolve_rt(_site_operand(_u, env) if _f else _u, regs)
+        def op(mem, regs, env, _a=alpha, _rd=rd, _u=u, _f=ftv, _m=memo,
+               _l=[None]):
+            w = _resolve_rt(
+                _site(_m, _u, env, subst_operand) if _f else _u, regs)
             if w.__class__ is not Pack:
                 raise MachineError(f"unpack of non-package value {w}")
             regs[_rd] = w.body
-            return ("bind", (KIND_ALPHA, _a, w.hidden))
+            return _bound(_l, env, _a, w.hidden)
         return op
     if tag == "unfold":
         _, rd, spec = d
@@ -792,11 +662,12 @@ def _make_op(d: tuple, ren):
                     raise MachineError(f"unfold of non-fold value {w}")
                 regs[_rd] = w.body
             return op
-        u = ren(spec[1]) if spec[0] == "c" else ren(spec[1])
+        u = spec[1]
         ftv = spec[2] if spec[0] == "g" else False
 
-        def op(mem, regs, env, _rd=rd, _u=u, _f=ftv):
-            w = _resolve_rt(_site_operand(_u, env) if _f else _u, regs)
+        def op(mem, regs, env, _rd=rd, _u=u, _f=ftv, _m=memo):
+            w = _resolve_rt(
+                _site(_m, _u, env, subst_operand) if _f else _u, regs)
             if w.__class__ is not Fold:
                 raise MachineError(f"unfold of non-fold value {w}")
             regs[_rd] = w.body
@@ -815,10 +686,9 @@ def _make_op(d: tuple, ren):
         return op
     if tag == "imp":
         _, instr, ftv = d
-        instr = ren(instr)
 
-        def op(mem, regs, env, _i=instr, _f=ftv):
-            return ("imp", _site_instr(_i, env) if _f else _i)
+        def op(mem, regs, env, _i=instr, _f=ftv, _m=memo):
+            return ("imp", _site(_m, _i, env, _sub_instr) if _f else _i)
         return op
     if tag == "refop":
         def op(mem, regs, env):
@@ -830,18 +700,28 @@ def _make_op(d: tuple, ren):
 _REF_REQ = ("ref",)
 
 
-def _make_bnz(d: tuple, ren, pc: int):
+def _bound(last: list, env: tuple, alpha: str, hidden) -> tuple:
+    """The bind request for ``env`` extended by ``alpha := hidden``.
+    The extended env is the same tuple as last time for the same env and
+    hidden type, so the site memos keyed on it hit across runs."""
+    hit = last[0]
+    if hit is None or hit[0] is not env or hit[1] is not hidden:
+        hit = last[0] = (env, hidden,
+                         env + ((KIND_ALPHA, alpha, hidden),))
+    return ("bind", hit[2])
+
+
+def _make_bnz(d: tuple, memo: dict, pc: int):
     """bnz carries its own pc so a failing jump can pin the residual."""
     if d[0] == "bnz_c":
         _, rs, rs_name, u = d
-        u_ren = ren(u)
         try:
-            loc, omegas = _target_of(_resolve_const(u_ren))
+            loc, omegas = _target_of(_resolve_const(u))
             req = ("enter", loc, omegas, (), pc)
         except MachineError:
             loc = omegas = req = None  # taken branch re-raises exactly
 
-        def op(mem, regs, env, _rs=rs, _n=rs_name, _req=req, _u=u_ren):
+        def op(mem, regs, env, _rs=rs, _n=rs_name, _req=req, _u=u):
             w = regs[_rs]
             if w.__class__ is not WInt:
                 if w is _UNSET:
@@ -854,9 +734,9 @@ def _make_bnz(d: tuple, ren, pc: int):
             return None
         return op
     _, rs, rs_name, u, ftv = d
-    u = ren(u)
 
-    def op(mem, regs, env, _rs=rs, _n=rs_name, _u=u, _f=ftv, _pc=pc):
+    def op(mem, regs, env, _rs=rs, _n=rs_name, _u=u, _f=ftv, _pc=pc,
+           _m=memo):
         w = regs[_rs]
         if w.__class__ is not WInt:
             if w is _UNSET:
@@ -864,69 +744,71 @@ def _make_bnz(d: tuple, ren, pc: int):
             raise MachineError(f"bnz scrutinee {_n} holds non-int {w}")
         if w.value != 0:
             loc, omegas = _target_of(
-                _resolve_rt(_site_operand(_u, env) if _f else _u, regs))
+                _resolve_rt(_site(_m, _u, env, subst_operand) if _f else _u,
+                            regs))
             return ("enter", loc, omegas, (), _pc)
         return None
     return op
 
 
-def _make_term(d: tuple, ren, nops: int):
+def _make_term(d: tuple, memo: dict, nops: int):
     tag = d[0]
     if tag == "halt":
         _, r, r_name, t, ftv = d
 
-        def term(mem, regs, env, _r=r, _n=r_name, _t=t, _f=ftv):
+        def term(mem, regs, env, _r=r, _n=r_name, _t=t, _f=ftv, _m=memo):
             w = regs[_r]
             if w is _UNSET:
                 _unset_read(_n)
-            ty, sigma = _site_halt(_t, env) if _f else (_t.ty, _t.sigma)
+            ty, sigma = (_site(_m, _t, env, _sub_halt) if _f
+                         else (_t.ty, _t.sigma))
             return ("halt", HaltedState(w, ty, sigma, _n))
         return term
     if tag == "jmp_c":
-        u_ren = ren(d[1])
+        u = d[1]
         try:
-            loc, omegas = _target_of(_resolve_const(u_ren))
+            loc, omegas = _target_of(_resolve_const(u))
             req = ("enter", loc, omegas, (), nops)
         except MachineError:
             req = None
 
-        def term(mem, regs, env, _req=req, _u=u_ren):
+        def term(mem, regs, env, _req=req, _u=u):
             if _req is None:
                 _target_of(_resolve_const(_u))  # raises exactly
             return _req
         return term
     if tag == "jmp_g":
         _, u, ftv = d
-        u = ren(u)
 
-        def term(mem, regs, env, _u=u, _f=ftv, _pc=nops):
+        def term(mem, regs, env, _u=u, _f=ftv, _pc=nops, _m=memo):
             loc, omegas = _target_of(
-                _resolve_rt(_site_operand(_u, env) if _f else _u, regs))
+                _resolve_rt(_site(_m, _u, env, subst_operand) if _f else _u,
+                            regs))
             return ("enter", loc, omegas, (), _pc)
         return term
     if tag == "call_c":
         _, u, sigma, q = d
-        u_ren = ren(u)
         try:
-            loc, omegas = _target_of(_resolve_const(u_ren))
+            loc, omegas = _target_of(_resolve_const(u))
             req = ("enter", loc, omegas, (sigma, q), nops)
         except MachineError:
             req = None
 
-        def term(mem, regs, env, _req=req, _u=u_ren):
+        def term(mem, regs, env, _req=req, _u=u):
             if _req is None:
                 _target_of(_resolve_const(_u))
             return _req
         return term
     if tag == "call_g":
         _, u, u_ftv, t, sq_ftv = d
-        u = ren(u)
 
         def term(mem, regs, env, _u=u, _f=u_ftv, _t=t, _sf=sq_ftv,
-                 _pc=nops):
+                 _pc=nops, _m=memo):
             loc, omegas = _target_of(
-                _resolve_rt(_site_operand(_u, env) if _f else _u, regs))
-            extra = _site_call_extra(_t, env) if _sf else (_t.sigma, _t.q)
+                _resolve_rt(_site(_m, _u, env, subst_operand) if _f else _u,
+                            regs))
+            extra = (_site(_m, _t, env, _sub_call_extra) if _sf
+                     else (_t.sigma, _t.q))
             return ("enter", loc, omegas, extra, _pc)
         return term
     if tag == "ret":
@@ -946,33 +828,48 @@ def _make_term(d: tuple, ren, nops: int):
     raise AssertionError(f"unknown terminator descriptor {tag!r}")
 
 
-def _build_block(flat: dict, mapping, src_seq: InstrSeq,
-                 src_hcode: Optional[HCode]) -> FastBlock:
-    if mapping:
-        def ren(u):
-            return rename_locs(u, mapping)
-    else:
-        def ren(u):
-            return u
-    nops = len(flat["ops"])
+#: Descriptor -> op closure, for the ops that close over registers and
+#: ints only: every block (of any component) with such an op shares one
+#: closure, which holds nothing of the component.
+_SHARED_OPS: Dict[tuple, object] = {}
+_SHARED_TAGS = {"ld", "st", "alloc", "salloc", "sfree", "sld", "sst",
+                "refop"}
+
+
+def _shareable(d: tuple) -> bool:
+    tag = d[0]
+    if tag in _SHARED_TAGS:
+        return True
+    if tag in ("mv", "aop", "unfold"):
+        spec = d[-1]
+        return spec[0] == "r" or (spec[0] == "c"
+                                  and spec[1].__class__ is WInt)
+    return False
+
+
+def _build_block(flat: dict, src_seq: InstrSeq) -> FastBlock:
+    """Build the closures of ``src_seq``, lowered to ``flat``."""
+    ops_desc, term_desc = flat["ops"], flat["term"]
+    nops = len(ops_desc)
+    sites: dict = {}
     ops = []
-    for pc, d in enumerate(flat["ops"]):
+    for pc, d in enumerate(ops_desc):
         if d[0] in ("bnz_c", "bnz_g"):
-            ops.append(_make_bnz(d, ren, pc))
+            ops.append(_make_bnz(d, sites, pc))
+        elif _shareable(d):
+            fn = _SHARED_OPS.get(d)
+            if fn is None:
+                if len(_SHARED_OPS) >= 4096:
+                    _SHARED_OPS.clear()
+                fn = _SHARED_OPS[d] = _make_op(d, None)
+            ops.append(fn)
         else:
-            ops.append(_make_op(d, ren))
-    term = _make_term(flat["term"], ren, nops)
-    jit_spec = flat.get("jit")
-    jit_consts = None
-    if jit_spec is not None:
-        try:
-            jit_consts = tuple(_build_const(c, ren, nops)
-                               for c in jit_spec[1])
-        except MachineError:
-            jit_spec = None  # e.g. a const jump to a non-location value
-    desc = None if jit_spec is None else (flat["ops"], flat["term"])
+            ops.append(_make_op(d, sites))
+    term = _make_term(term_desc, sites, nops)
+    jittable = term_desc[0] in _JIT_TERMS and all(
+        d[0] in _JITABLE for d in ops_desc)
     fb = FastBlock(tuple(ops), term, tuple(flat["delta"]), src_seq,
-                   src_hcode, jit_spec, jit_consts, desc)
+                   (ops_desc, term_desc) if jittable else None, sites)
     if OBS.enabled:
         OBS.metrics.inc("tal.fast.blocks")
     return fb
@@ -982,56 +879,64 @@ def _build_block(flat: dict, mapping, src_seq: InstrSeq,
 # Installation (component loads, direct fallback)
 # ---------------------------------------------------------------------------
 
-def install_component(machine, comp: Component, tpl) -> None:
-    """Install a load's block table into the machine (called from
+def install_component(machine, tpl) -> None:
+    """Install a load's entry block into the machine (called from
     ``load_component`` with the load's
     :class:`~repro.tal.machine.LoadTemplate`).
 
-    The table is built once per template, under its labels, and shared
-    by every machine that loads the template, so the block, site and JIT
-    memos (keyed on block identity) hit across runs.
-    Components without code blocks install nothing: their entry runs
-    once per load, so the driver executes it by the reference rules and
-    switches to the fast tier at its first block transfer."""
-    table = tpl.fast
-    if table is None:
-        table = tpl.fast = _template_table(comp, tpl)
-    blocks, entry_fb = table
-    if entry_fb is None:
-        return
-    machine._fast_blocks.update(blocks)
+    The entry block is built on the template's
+    :data:`LOWER_THRESHOLD`-th fast load and shared by every machine
+    that loads the template; until then ``tpl.fast`` counts the loads.
+    Code blocks are built the same way, at their first entries, and kept
+    on the template's cells (:func:`_code_block`).  So the memos and JIT
+    state of a component's blocks hit across runs and die with its
+    template.  A load that installs nothing -- early loads, and every
+    load of a component without code blocks -- runs its entry by the
+    reference rules, and the driver switches to the fast tier at the
+    first built block."""
+    entry_fb = tpl.fast
+    if entry_fb.__class__ is not FastBlock:
+        if entry_fb is False:
+            return
+        loads = (entry_fb or 0) + 1
+        if loads < LOWER_THRESHOLD:
+            tpl.fast = loads
+            return
+        entry_fb = tpl.fast = _entry_block(tpl)
+        if entry_fb is False:
+            return
     entries = machine._fast_entries
     if len(entries) > 1024:
         entries.clear()
     entries[id(tpl.instrs)] = (tpl.instrs, entry_fb)
 
 
-def _template_table(comp: Component, tpl) -> tuple:
-    """``({label: FastBlock}, entry FastBlock)`` for one template; the
-    entry is ``None`` when the component has no code block."""
-    if not any(isinstance(h, HCode) for _, h in comp.heap):
-        return {}, None
-    prog = _preinst_program(comp)
-    blocks = {}
-    for idx, flat in prog["blocks"]:
-        rloc, h_ren = tpl.cells[idx]
-        blocks[rloc] = _build_block(flat, tpl.mapping, h_ren.instrs, h_ren)
-    entry = _build_block(prog["entry"], tpl.mapping, tpl.instrs, None)
-    return blocks, entry
+def _entry_block(tpl):
+    """The block of a template's entry sequence, or ``False`` when the
+    component has no code block."""
+    if not any(isinstance(h, HCode) for _, h in tpl.cells):
+        return False
+    return _build_block(_lower_seq(tpl.instrs, ()), tpl.instrs)
 
 
-def _install_hcode(machine, h: HCode, loc: Loc) -> FastBlock:
-    """Direct-mode lowering for a block reached outside a component
-    install (restored snapshots, exotic loads).  The block is built once
-    per HCode object, so every label bound to that object -- in any
-    machine -- shares it and the block, site and JIT memos keyed on it."""
-    key = id(h)
-    hit = _HCODE_MEMO.get(key)
-    if hit is not None and hit[0] is h:
-        fb = hit[1]
-    else:
-        fb = _build_block(_lower_seq(h.instrs, h.delta), None, h.instrs, h)
-        _HCODE_MEMO.put(key, (h, fb))
+def _code_block(machine, loc: Loc) -> Optional[FastBlock]:
+    """The block of the code bound at ``loc``, or ``None`` while it is
+    not lowered yet (the entry then runs by the reference rules).  It is
+    built at its :data:`LOWER_THRESHOLD`-th entry and kept in the HCode's
+    ``_fast`` memo slot, which counts the entries until then.  So every
+    label bound to that HCode shares the block -- a template's cell in
+    every machine that loads the template, or a block reached outside a
+    load (restored snapshots, the boundary's wrappers) -- and it dies
+    with the HCode."""
+    h = machine.memory.code_at(loc)
+    fb = getattr(h, "_fast", None)
+    if fb.__class__ is not FastBlock:
+        entries = (fb or 0) + 1
+        if entries < LOWER_THRESHOLD:
+            object.__setattr__(h, "_fast", entries)
+            return None
+        fb = _build_block(_lower_seq(h.instrs, h.delta), h.instrs)
+        object.__setattr__(h, "_fast", fb)
     machine._fast_blocks[loc] = fb
     return fb
 
@@ -1097,9 +1002,7 @@ def _close_flat(flat: dict) -> dict:
             term = ("call_c", term[1], t.sigma, t.q)
         elif ttag == "halt" and term[4]:
             term = term[:4] + (False,)
-    out = {"delta": flat["delta"], "ops": tuple(ops), "term": term}
-    out["jit"] = _jit_source(out["ops"], term)
-    return out
+    return {"delta": flat["delta"], "ops": tuple(ops), "term": term}
 
 
 def _specialize(fb: FastBlock, env: tuple) -> Optional[FastBlock]:
@@ -1109,9 +1012,9 @@ def _specialize(fb: FastBlock, env: tuple) -> Optional[FastBlock]:
     requests).  Returns ``None`` when anything refuses to specialize --
     the caller falls back to the env-lazy generic block."""
     try:
-        seq2 = subst_instr_seq(fb.src_seq, _env_subst(env))
+        seq2 = subst_instr_seq(fb.src_seq, _env_subst(env, fb.sites))
         flat = _close_flat(_lower_seq(seq2, ()))
-        return _build_block(flat, None, seq2, fb.src_hcode)
+        return _build_block(flat, seq2)
     except Exception:
         return None
 
@@ -1122,7 +1025,7 @@ def _materialize(fb: FastBlock, env: tuple, pc: int) -> InstrSeq:
     seq = fb.src_seq
     if pc:
         seq = InstrSeq(seq.instrs[pc:], seq.term)
-    s = _env_subst(env)
+    s = _env_subst(env, fb.sites)
     if s.is_empty():
         return seq
     return subst_instr_seq(seq, s)
@@ -1264,7 +1167,11 @@ def _run_fast(machine, state, ft: bool):
     def enter(loc, omegas, extra):
         fb2 = machine._fast_blocks.get(loc)
         if fb2 is None:
-            fb2 = _install_hcode(machine, mem.code_at(loc), loc)
+            fb2 = _code_block(machine, loc)
+            if fb2 is None:
+                # Not lowered yet: hand back the reference instantiation
+                # for the caller to walk.
+                return None, machine.enter_block(loc, omegas, extra)
         all_om = omegas + extra
         delta = fb2.delta
         if len(all_om) > len(delta):
@@ -1273,35 +1180,68 @@ def _run_fast(machine, state, ft: bool):
                 f"arguments but abstracts {len(delta)}")
         counters[0] += 1
         if len(all_om) < len(delta):
-            inst = instantiate_code_block(fb2.src_hcode, all_om)
+            inst = instantiate_code_block(mem.code_at(loc), all_om)
             raise MachineError(
                 f"jump to block {loc} with uninstantiated binders "
                 f"{[str(b) for b in inst.delta]}")
         if all_om:
-            key = (id(fb2), all_om)
-            hit = _ENV_CACHE.get(key)
-            if hit is not None and hit[0] is fb2:
-                orig = fb2
-                fb2, env2 = hit[1], hit[2]
-                if fb2 is orig and env2:
-                    # Second entry with the same omegas: the pair is warm
-                    # enough to pay for baking the env into a closed,
-                    # JIT-eligible copy.  Once-entered blocks (the common
-                    # case outside loops) never reach here.
-                    spec = _specialize(fb2, env2)
-                    if spec is not None:
-                        _ENV_CACHE.put(key, (orig, spec, ()))
-                        fb2, env2 = spec, ()
-            else:
+            envs = fb2.envs
+            if envs is None:
+                envs = fb2.envs = {}
+            # An entry is the env, or the block specialized to it (whose
+            # env is empty); never the block itself, which would make
+            # the block a reference cycle.
+            hit = envs.get(all_om)
+            if hit is None:
+                _count(_BLOCK_COUNTS, "tal.fast.block", False)
                 env2 = _make_env(delta, all_om)
-                _ENV_CACHE.put(key, (fb2, fb2, env2))
+                _remember(envs, all_om, env2)
+            elif hit.__class__ is FastBlock:
+                _count(_BLOCK_COUNTS, "tal.fast.block", True)
+                fb2, env2 = hit, ()
+            else:
+                _count(_BLOCK_COUNTS, "tal.fast.block", True)
+                # Second entry with the same omegas: the pair is warm
+                # enough to pay for baking the env into a closed,
+                # JIT-eligible copy.  Once-entered blocks (the common
+                # case outside loops) never reach here.
+                env2 = hit
+                spec = _specialize(fb2, env2)
+                if spec is not None:
+                    envs[all_om] = spec
+                    fb2, env2 = spec, ()
         else:
             env2 = ()
-        if fb2.jit_fn is None and fb2.jit_spec is not None:
+        if fb2.jit_fn is None and fb2.desc is not None:
             fb2.hot += 1
             if fb2.hot >= JIT_THRESHOLD:
                 _promote(fb2)
         return fb2, env2
+
+    def walk(state):
+        """Run ``state`` by the reference rules until control enters a
+        built block: returns ``(block, env)``, or ``(None, result)`` at a
+        halt or an import.  Registers must be spilled and the budget
+        synced before calling."""
+        nonlocal regs, base, fuel
+        while True:
+            try:
+                out = _walk_ref(machine, state)
+            finally:
+                regs = [mregs.get(r, _UNSET) for r in REGISTERS]
+                base = fuel = budget.fuel_remaining
+            if out[0] == "halt":
+                machine._fast_residual = out[1]
+            if out[0] != "enter":
+                return None, out[1]
+            try:
+                fb2, state = enter(out[1], out[2], out[3])
+            except BaseException:
+                flush()
+                machine._fast_residual = out[4]
+                raise
+            if fb2 is not None:
+                return fb2, state
 
     env: tuple = ()
     pc = 0
@@ -1310,25 +1250,12 @@ def _run_fast(machine, state, ft: bool):
     else:
         fb = _block_for_state(machine, state)
     if fb is None:
-        # Cold entry (boundary wrapper, restored snapshot): run it by the
-        # reference rules; the first block transfer lands in the fast tier.
-        try:
-            out = _walk_ref(machine, state)
-        finally:
-            regs = [mregs.get(r, _UNSET) for r in REGISTERS]
-            base = budget.fuel_remaining
-            fuel = base
-        if out[0] == "halt":
-            machine._fast_residual = out[1]
-            return out[1]
-        if out[0] == "import":
-            return out[1]
-        try:
-            fb, env = enter(out[1], out[2], out[3])
-        except BaseException:
-            flush()
-            machine._fast_residual = out[4]
-            raise
+        # Cold entry (boundary wrapper, restored snapshot, unlowered
+        # code): run it by the reference rules up to the first built
+        # block.
+        fb, env = walk(state)
+        if fb is None:
+            return env
     while True:
         ops = fb.ops
         nops = fb.nops
@@ -1361,7 +1288,7 @@ def _run_fast(machine, state, ft: bool):
                 tag = r[0]
                 if tag == "bind":
                     counters[1] += 1
-                    env = env + (r[1],)
+                    env = r[1]
                     pc += 1
                 elif tag == "shadow":
                     env = r[1]
@@ -1386,7 +1313,7 @@ def _run_fast(machine, state, ft: bool):
             if hit is not None and hit[0] is req:
                 fb2, env2 = hit[1], hit[2]
                 counters[0] += 1
-                if fb2.jit_fn is None and fb2.jit_spec is not None:
+                if fb2.jit_fn is None and fb2.desc is not None:
                     fb2.hot += 1
                     if fb2.hot >= JIT_THRESHOLD:
                         _promote(fb2)
@@ -1397,10 +1324,19 @@ def _run_fast(machine, state, ft: bool):
                     src = req[4]
                     fail(fb, env, src if isinstance(src, int) else nops)
                     raise
+                if fb2 is None:
+                    # An unlowered target: walk it (env2 is its state).
+                    _spill(regs, mregs)
+                    flush()
+                    fb, env = walk(env2)
+                    if fb is None:
+                        return env
+                    pc = 0
+                    continue
                 if len(enter_memo) > 4096:
                     enter_memo.clear()
                 enter_memo[id(req)] = (req, fb2, env2)
-            if fb2 is fb and env2 is env and pc < 0 and fb.jit_desc:
+            if fb2 is fb and env2 is env and pc < 0 and fb.desc:
                 # The JIT'd block jumped back into itself: from now on
                 # it runs the whole loop in one call.
                 _promote_loop(fb, req)
@@ -1425,24 +1361,10 @@ def _run_fast(machine, state, ft: bool):
         residual = _materialize(fb, env, pc)
         _spill(regs, mregs)
         flush()
-        try:
-            out = _walk_ref(machine, residual)
-        finally:
-            regs = [mregs.get(r, _UNSET) for r in REGISTERS]
-            base = budget.fuel_remaining
-            fuel = base
-        if out[0] == "halt":
-            machine._fast_residual = out[1]
-            return out[1]
-        if out[0] == "import":
-            return out[1]
-        try:
-            fb, env = enter(out[1], out[2], out[3])
-            pc = 0
-        except BaseException:
-            flush()
-            machine._fast_residual = out[4]
-            raise
+        fb, env = walk(residual)
+        if fb is None:
+            return env
+        pc = 0
 
 
 def fast_drive(machine, state) -> HaltedState:
@@ -1470,6 +1392,7 @@ def fast_run_t(machine, state):
 
 _JITABLE = {"mv", "aop", "bnz_c", "ld", "st", "alloc", "salloc", "sfree",
             "sld", "sst", "unfold"}
+_JIT_TERMS = {"halt", "jmp_c", "call_c", "ret"}
 
 _JIT_GLOBALS = {
     "WInt": WInt, "WLoc": WLoc, "TyApp": TyApp, "Fold": Fold,
@@ -1722,10 +1645,10 @@ def _jit_unboxed_source(ops: tuple, b: int) -> Optional[str]:
     return "\n".join(lines) + "\n"
 
 
-def _build_const(spec: tuple, ren, nops: int):
+def _build_const(spec: tuple):
     kind = spec[0]
     if kind == "word":
-        return _resolve_const(ren(spec[1]))
+        return _resolve_const(spec[1])
     if kind == "units":
         return (WUnit(),) * spec[1]
     if kind == "nu":
@@ -1734,7 +1657,7 @@ def _build_const(spec: tuple, ren, nops: int):
         return spec[1]
     if kind == "enter":
         _, u, extra, pc = spec
-        loc, omegas = _target_of(_resolve_const(ren(u)))
+        loc, omegas = _target_of(_resolve_const(u))
         return ("enter", loc, omegas, extra if extra else (), pc)
     raise AssertionError(f"unknown const spec {kind!r}")
 
@@ -1746,12 +1669,28 @@ def _compiled(src: str):
         exec(compile(src, "<tal-template-jit>", "exec"),
              dict(_JIT_GLOBALS), namespace)
         fn = namespace["_jit"]
-        _JIT_FNS[src] = fn
+        _JIT_FNS.put(src, fn)
     return fn
 
 
 def _promote(fb: FastBlock) -> None:
-    fb.jit_fn = _compiled(fb.jit_spec[0])
+    """Render and compile a block that reached :data:`JIT_THRESHOLD`.  A
+    block the template JIT cannot take drops its descriptors, so it is
+    never counted again."""
+    desc = fb.desc
+    if desc is None or fb.jit_fn is not None:
+        return  # another thread got here first
+    spec = _jit_source(*desc)
+    try:
+        consts = None if spec is None else tuple(
+            _build_const(c) for c in spec[1])
+    except MachineError:
+        consts = None  # e.g. a const jump to a non-location value
+    if consts is None:
+        fb.desc = None
+        return
+    fb.jit_specs, fb.jit_consts = spec[1], consts
+    fb.jit_fn = _compiled(spec[0])
     if OBS.enabled:
         OBS.metrics.inc("tal.fast.jit.promoted")
 
@@ -1761,14 +1700,14 @@ def _promote_loop(fb: FastBlock, req: tuple) -> None:
     re-entered it with the same env, as a loop: unboxed when the ops
     before a ``bnz`` back-edge allow it, else the boxed body inside
     ``while True``.  Tried once per block."""
-    desc, fb.jit_desc = fb.jit_desc, None
+    desc, fb.desc = fb.desc, None
     if desc is None:
         return  # another thread got here first
     ops, term = desc
     back = next((k for k, c in enumerate(fb.jit_consts) if c is req), None)
     if back is None:
         return  # a ``ret`` into itself: no stable request to loop on
-    b = fb.jit_spec[1][back][3]
+    b = fb.jit_specs[back][3]
     src = _jit_unboxed_source(ops, b) if b < len(ops) else None
     if src is None:
         src = _jit_source(ops, term, back)[0]

@@ -56,19 +56,24 @@ __all__ = [
     "TraceEvent", "HaltedState", "ImportRequest", "TalMachine",
     "LoadTemplate", "rename_locs",
     "register_loc_renamer", "run_component", "TAL_ENGINES",
-    "resolve_tal_engine",
+    "DEFAULT_TAL_ENGINE", "resolve_tal_engine",
 ]
 
 #: The selectable T execution engines: the reference stepper and the
-#: direct-threaded fast tier (:mod:`repro.tal.fast`).
+#: direct-threaded fast tier (:mod:`repro.tal.fast`).  T's types are
+#: erased before it runs, so production runs the type-erased ``fast``
+#: tier; ``ref``, the paper's typed semantics, stays the oracle that the
+#: differential suites and validation's observations run on.
 TAL_ENGINES = ("ref", "fast")
+DEFAULT_TAL_ENGINE = "fast"
 
 
 def resolve_tal_engine(name: Optional[str]) -> str:
     """Validate a ``--tal-engine`` choice; ``None`` falls back to the
-    ``FUNTAL_TAL_ENGINE`` environment variable, then to ``ref``."""
+    ``FUNTAL_TAL_ENGINE`` environment variable, then to
+    :data:`DEFAULT_TAL_ENGINE`."""
     if name is None:
-        name = os.environ.get("FUNTAL_TAL_ENGINE") or "ref"
+        name = os.environ.get("FUNTAL_TAL_ENGINE") or DEFAULT_TAL_ENGINE
     if name not in TAL_ENGINES:
         raise ValueError(
             f"unknown tal engine {name!r} (expected one of "
@@ -171,8 +176,10 @@ def share_tuple(old: tuple, new: tuple) -> tuple:
 class LoadTemplate:
     """One relocation of a component ``(I, H)``: the fresh label of each
     heap cell (``mapping``), the renamed cells and the renamed entry
-    sequence.  ``fast`` is the fast tier's block table for these labels,
-    built on the first fast load (:func:`repro.tal.fast.install_component`).
+    sequence.  ``fast`` is the fast tier's block for the entry sequence
+    (``False`` for a component without code blocks), built on the first
+    fast load (:func:`repro.tal.fast.install_component`); the fast tier
+    keeps the blocks of the cells on the cells themselves.
 
     Every cell is an immutable ``box``, so any number of memories may
     bind the same template; only two loads into one memory must not.
@@ -303,8 +310,9 @@ class TalMachine:
         self._state: Optional[MachineState] = None
         self.tal_engine = resolve_tal_engine(tal_engine)
         # Fast-tier installation state: which blocks this machine's
-        # memory binds.  The blocks themselves (with their JIT state)
-        # belong to the component's load template and are shared by
+        # memory binds.  The blocks themselves (with their memos and JIT
+        # state) belong to the code they were built from -- the cells
+        # and entry of a component's load template -- and are shared by
         # every machine that loads the template; the maps are never
         # snapshotted, and a restored machine lowers the blocks of its
         # revived heap on demand.
@@ -368,7 +376,7 @@ class TalMachine:
             instrs = tpl.instrs
             if self.tal_engine == "fast":
                 from repro.tal import fast
-                fast.install_component(self, comp, tpl)
+                fast.install_component(self, tpl)
         else:
             instrs = comp.instrs
         if OBS.enabled:

@@ -23,6 +23,7 @@ import itertools
 from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple, Union
 
 from repro.caching import InternTable, LRUCache
+from repro.obs.events import OBS
 from repro.tal.syntax import (
     Aop, Balloc, Bnz, Call, CodeType, Component, Delta, DeltaBind, Fold, Halt,
     HCode, HeapValType, HeapValue, HTuple, InstrSeq, Instruction, Jmp,
@@ -610,17 +611,19 @@ def _names_var(omega: Omega) -> Optional[str]:
 #: whose well-formedness memo is already warm.
 _CTYPE_CACHE = LRUCache(2048, metric_prefix="tal.subst.cache.ctype")
 
-#: Memo for block instantiation, keyed ``(id(block), omegas)`` and
-#: storing ``(block, result)``.  Keying on identity skips the O(size)
-#: structural hash of a whole code block per jump; storing the block
-#: itself both pins its id against reuse after garbage collection and
-#: lets the lookup validate the hit with an ``is`` check.
-#: The pinning is also a cost: entries for blocks that die with their
-#: run (the wrapper blocks boundary translation allocates) hold them
-#: until evicted.  Loaded blocks are shared across runs (one entry per
-#: instantiation), so 1024 entries hold a warm working set -- about 700
-#: on ``boundary-run`` -- while keeping that dead tail short.
-_BLOCK_CACHE = LRUCache(1024, metric_prefix="tal.subst.cache.block")
+#: Block instantiations are memoized on the block itself, in the
+#: ``_inst`` slot of :class:`repro.tal.syntax.CodeMemo`: ``(generation,
+#: {omegas: result})``.  Living on the block skips the O(size) structural
+#: hash of a whole code block per jump, and the memo dies with the block:
+#: a module-level table keyed by block identity would have to pin every
+#: block it served, dead or not.  Loaded blocks are shared across runs
+#: (:class:`repro.tal.machine.LoadTemplate`), so the memo hits across
+#: loads.  :func:`clear_subst_caches` starts a new generation, which
+#: empties every block's memo at its next use.
+_BLOCK_MEMO_CAP = 256
+_BLOCK_GEN = [0]
+#: [hits, misses] of the block memos.
+_BLOCK_COUNTS = [0, 0]
 
 
 def instantiate_code_type(ct: CodeType,
@@ -649,15 +652,25 @@ def instantiate_code_block(h: HCode, omegas: Tuple[Omega, ...]) -> HCode:
     its relocated blocks (:class:`repro.tal.machine.LoadTemplate`), so
     the memo hits across loads and runs.
     """
-    key = (id(h), omegas)
-    hit = _BLOCK_CACHE.get(key)
-    if hit is not None and hit[0] is h:
-        return hit[1]
+    memo = getattr(h, "_inst", None)
+    if memo is None or memo[0] != _BLOCK_GEN[0]:
+        memo = (_BLOCK_GEN[0], {})
+        object.__setattr__(h, "_inst", memo)
+    table = memo[1]
+    hit = table.get(omegas)
+    _BLOCK_COUNTS[0 if hit is not None else 1] += 1
+    if OBS.enabled:
+        OBS.metrics.inc("tal.subst.cache.block."
+                        + ("hit" if hit is not None else "miss"))
+    if hit is not None:
+        return hit
     s = delta_subst(h.delta, omegas)
     remaining = h.delta[len(omegas):]
     result = HCode(remaining, subst_chi(h.chi, s), subst_stack(h.sigma, s),
                    subst_q(h.q, s), subst_instr_seq(h.instrs, s))
-    _BLOCK_CACHE.put(key, (h, result))
+    if len(table) >= _BLOCK_MEMO_CAP:
+        table.clear()
+    table[omegas] = result
     return result
 
 
@@ -665,13 +678,17 @@ def clear_subst_caches() -> None:
     """Drop every substitution/instantiation memo (tests, benchmarks)."""
     _TY_CACHE.clear()
     _CTYPE_CACHE.clear()
-    _BLOCK_CACHE.clear()
+    _BLOCK_GEN[0] += 1
 
 
 def subst_cache_stats() -> Dict[str, Dict[str, int]]:
-    """Hit/miss/eviction stats of the three memos, by counter family."""
+    """Hit/miss/eviction stats of the three memos, by counter family
+    (the block memos live on the blocks, so the module holds no entry
+    of theirs)."""
     return {
         "tal.subst.cache.ty": _TY_CACHE.stats(),
         "tal.subst.cache.ctype": _CTYPE_CACHE.stats(),
-        "tal.subst.cache.block": _BLOCK_CACHE.stats(),
+        "tal.subst.cache.block": {
+            "size": 0, "maxsize": _BLOCK_MEMO_CAP, "hits": _BLOCK_COUNTS[0],
+            "misses": _BLOCK_COUNTS[1], "evictions": 0},
     }

@@ -1079,8 +1079,19 @@ class HTuple(HeapValue):
         return "<" + ", ".join(str(w) for w in self.words) + ">"
 
 
+class CodeMemo(HeapValue):
+    """The per-instance memo slots of :class:`HCode`: ``_inst``, its
+    instantiations (:func:`repro.tal.subst.instantiate_code_block`), and
+    ``_fast``, the fast T tier's lowered block
+    (:mod:`repro.tal.fast`).  They are not dataclass fields, so equality,
+    hashing, pickling and content digests never see them, and they die
+    with the block."""
+
+    __slots__ = ("_inst", "_fast")
+
+
 @dataclass(frozen=True, slots=True)
-class HCode(HeapValue):
+class HCode(CodeMemo):
     """A code block ``code[Delta]{chi; sigma} q. I``."""
 
     delta: Delta

@@ -77,7 +77,7 @@ class TestHappyPaths:
         assert degraded.output["degraded"] is True
         assert "jit" not in degraded.output
         assert degraded.output["tier"] == {
-            "f_engine": "cek", "compile_tier": None, "tal_engine": "ref"}
+            "f_engine": "cek", "compile_tier": None, "tal_engine": "fast"}
 
     def test_jit_check(self):
         result = execute_job(Job(

@@ -151,3 +151,79 @@ class TestJsonlBatch:
     def test_bad_line_reports_line_number(self):
         with pytest.raises(ProtocolError, match="line 2"):
             jobs_from_jsonl('{"kind": "run", "source": "x"}\n{"kind": "?"}')
+
+
+def _executor_results():
+    """One result per executor job kind, plus the failure statuses and
+    the optional fields (``worker``, ``obs``, a cached hit)."""
+    from repro.serve.executor import execute_job
+
+    manifest = ('{"components": {"double": "lam (x: int). (x + x)"}, '
+                '"main": "double 21"}')
+    jobs = [
+        Job("parse", source="(1 + 2)"),
+        Job("typecheck", source="lam (x: int). (x + 1)"),
+        Job("run", source="((2 + 3) * 10)"),
+        Job("run", example="fig17", options=JobOptions(trace=True)),
+        Job("run", source="((lam (x: int). ((x * x) + 1)) (20))",
+            options=JobOptions(jit=True)),
+        Job("jit", source="lam (x: int). (x + 1)"),
+        Job("compile", example="fact-f", options=JobOptions(validate=True)),
+        Job("equiv", source="lam (x: int). (x + x)",
+            options=JobOptions(right="lam (x: int). (x * 2)",
+                               type="(int) -> int", fuel=5_000)),
+        Job("link", source=manifest),
+        Job("run", source="(1 +"),
+        Job("run", example="fact-f", options=JobOptions(fuel=10)),
+    ]
+    results = [execute_job(job) for job in jobs]
+    suspended = execute_job(Job("run", example="fact-f", options=JobOptions(
+        fuel=10, checkpoint=True)))
+    results.append(suspended)
+    results.append(execute_job(Job(
+        "resume", snapshot=suspended.output["snapshot"],
+        options=JobOptions(fuel=1_000_000))))
+    results.append(JobResult.failure(jobs[0], "timeout", "too slow"))
+    results.append(JobResult(id="c", kind="run", status="ok",
+                             output={"value": "1", "tier": {"f": "cek"}},
+                             cached=True, worker=7,
+                             obs={"pid": 7, "events": [{"k": 1}]}))
+    return results
+
+
+class TestToDictMatchesAsdict:
+    """``JobResult.to_dict`` builds its dict by hand; it must read the
+    same as the ``dataclasses.asdict`` form it replaces."""
+
+    @staticmethod
+    def _asdict_form(result):
+        from dataclasses import asdict
+
+        out = asdict(result)
+        if result.worker is None:
+            del out["worker"]
+        if result.obs is None:
+            del out["obs"]
+        if not result.error:
+            del out["error"]
+            del out["error_type"]
+        return out
+
+    def test_every_result_kind(self):
+        results = _executor_results()
+        statuses = {r.status for r in results}
+        assert {"ok", "error", "fuel_exhausted", "suspended",
+                "timeout"} <= statuses
+        for result in results:
+            wire = result.to_dict()
+            assert wire == self._asdict_form(result), result.kind
+            assert list(wire) == list(self._asdict_form(result))
+            assert JobResult.from_dict(wire) == result
+
+    def test_top_level_and_output_are_fresh(self):
+        result = JobResult(id="j", kind="run", status="ok",
+                           output={"value": "5"})
+        wire = result.to_dict()
+        wire["output"]["value"] = "6"
+        wire["status"] = "error"
+        assert result.output == {"value": "5"} and result.status == "ok"

@@ -283,6 +283,26 @@ class TestQuarantineIntegration:
             quarantine = pool.stats()["supervisor"]["quarantine"]
             assert quarantine["size"] == 1 and quarantine["hits"] == 1
 
+    def test_admission_digests_jobs_only_once_one_is_quarantined(
+            self, monkeypatch):
+        from repro.serve import pool as pool_module
+
+        digested = []
+        real = pool_module.job_fault_key
+        monkeypatch.setattr(pool_module, "job_fault_key",
+                            lambda job: digested.append(job.id) or real(job))
+        with WorkerPool(1, max_retries=0, retry_backoff=0.01,
+                        default_timeout=30.0) as pool:
+            assert pool.submit(run_job("(2 + 2)")).wait(30.0).ok
+            assert digested == []
+            bad = Job("run", id="q1", source="(9 + 9)",
+                      fault=Fault("crash"))
+            assert pool.submit(bad).wait(30.0).status == "crashed"
+            again = Job("run", id="q2", source="(9 + 9)",
+                        fault=Fault("crash"))
+            assert pool.submit(again).wait(30.0).status == "rejected"
+            assert "q2" in digested
+
 
 class TestCheckpointRecovery:
     def test_killed_job_resumes_on_a_sibling_from_its_snapshot(self):

@@ -10,14 +10,16 @@ on every paper example, random well-typed T programs, erased programs,
 budget-exhaustion splits, and cross-engine snapshot resume.
 
 Also covered: warm loop-JIT variants (every fuel prefix, instantiation
-counters, traps, big ints) and generated counted loops; fast-tier caches
-that must not grow with boundary crossings; the digest-keyed
-preinstantiation cache through the link store; and the serving layer's
-treatment of ``tal_engine`` as a non-semantic option.
+counters, traps, big ints) and generated counted loops; fast-tier memos
+that must not grow with boundary crossings and must die with the
+components they serve; and the serving layer's treatment of
+``tal_engine`` as a non-semantic option.
 """
 
+import gc
 import math
 import re
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -101,11 +103,23 @@ def _assert_ft_lockstep(build, fuel=None):
     return ref
 
 
+def _fast_memo_sizes():
+    """Live fast-tier blocks, the memo entries they hold, and the
+    module's backstop memos."""
+    gc.collect()
+    blocks = [o for o in gc.get_objects() if isinstance(o, fast.FastBlock)]
+    sites = {id(fb.sites): fb.sites for fb in blocks}
+    return {"blocks": len(blocks),
+            "envs": sum(len(fb.envs or ()) for fb in blocks),
+            "sites": sum(len(memo) for memo in sites.values()),
+            "jit": len(fast._JIT_FNS), "shared": len(fast._SHARED_OPS)}
+
+
 class TestEngineSelection:
     def test_registry(self):
         assert TAL_ENGINES == ("ref", "fast")
-        assert resolve_tal_engine(None) == "ref"
-        assert resolve_tal_engine("fast") == "fast"
+        assert resolve_tal_engine(None) == "fast"
+        assert resolve_tal_engine("ref") == "ref"
 
     def test_env_var_default(self, monkeypatch):
         monkeypatch.setenv("FUNTAL_TAL_ENGINE", "fast")
@@ -118,10 +132,15 @@ class TestEngineSelection:
         with pytest.raises(ValueError):
             FTMachine(tal_engine="llvm")
 
-    def test_machine_default_is_ref(self):
-        assert TalMachine().tal_engine == "ref"
+    def test_machine_default_is_fast(self):
+        assert TalMachine().tal_engine == "fast"
+        assert FTMachine().tal_engine == "fast"
+        assert FTMachine(tal_engine="ref").tal_engine == "ref"
+
+    def test_env_var_selects_ref(self, monkeypatch):
+        monkeypatch.setenv("FUNTAL_TAL_ENGINE", "ref")
+        assert resolve_tal_engine(None) == "ref"
         assert FTMachine().tal_engine == "ref"
-        assert FTMachine(tal_engine="fast").tal_engine == "fast"
 
 
 class TestExamplesLockstep:
@@ -284,6 +303,39 @@ class TestBudgetVerdictLockstep:
                 outcome = revived.resume(fuel=total - k)
                 assert str(outcome) == ref["value"], (name, k, first)
                 assert revived.budget.fuel_used == total - k
+
+
+class _LowerAtFirstEntry:
+    """Lower every block at its first entry.  By default a block's first
+    entry runs by the reference rules, so a suite that runs each program
+    once would check that walk, not the lowered closures; the
+    ``...Lowered`` classes re-run the suites above this way."""
+
+    @pytest.fixture(autouse=True)
+    def lower_at_first_entry(self, monkeypatch):
+        monkeypatch.setattr(fast, "LOWER_THRESHOLD", 1)
+
+
+class TestExamplesLockstepLowered(_LowerAtFirstEntry, TestExamplesLockstep):
+    pass
+
+
+class TestRandomProgramsLockstepLowered(_LowerAtFirstEntry,
+                                        TestRandomProgramsLockstep):
+    pass
+
+
+class TestErasureLockstepLowered(_LowerAtFirstEntry, TestErasureLockstep):
+    pass
+
+
+class TestTrapParityLowered(_LowerAtFirstEntry, TestTrapParity):
+    pass
+
+
+class TestBudgetVerdictLockstepLowered(_LowerAtFirstEntry,
+                                       TestBudgetVerdictLockstep):
+    pass
 
 
 class TestJitLockstep:
@@ -482,48 +534,70 @@ class TestCrossingCaches:
     def test_fact_t_runs_leave_cache_sizes_unchanged(self):
         image = App(build_fact_t(), (IntE(6),))
 
-        def sizes():
-            return {name: len(getattr(fast, name)) for name in (
-                "_ENVSUB_CACHE", "_SITE_CACHE", "_ENV_CACHE",
-                "_STRUCT_MEMO", "_PREINST_LRU", "_HCODE_MEMO", "_JIT_FNS")}
-
         for _ in range(20):
             FTMachine(tal_engine="fast").evaluate(image)
-        warm = sizes()
+        warm = _fast_memo_sizes()
         for _ in range(50):
             assert str(FTMachine(tal_engine="fast").evaluate(image)) == "720"
-        assert sizes() == warm
+        assert _fast_memo_sizes() == warm
+
+
+def _fresh_compiled(seeds):
+    """Freshly compiled images (and their expected values) of generated
+    whole-F programs: new components every call, which the compile
+    cache does not keep."""
+    from repro.compile.pipeline import clear_compile_cache, compile_term
+    from tests.strategies import random_full_f_expr
+
+    out = []
+    for seed in seeds:
+        term = random_full_f_expr(seed, depth=3 + seed % 2)
+        out.append((compile_term(term).wrapped,
+                    str(FTMachine(tal_engine="ref").evaluate(term))))
+    clear_compile_cache()
+    return out
+
+
+class TestMemosDieWithTheirCode:
+    """Every fast-tier memo hangs off a block, and a block off its code:
+    once a component is dropped, nothing of the fast tier keeps it, or
+    the blocks built for it, alive."""
+
+    def test_dropped_components_free_their_blocks(self, monkeypatch):
+        built = []
+        real = fast._build_block
+
+        def recording(*args):
+            fb = real(*args)
+            built.append(weakref.ref(fb))
+            return fb
+
+        monkeypatch.setattr(fast, "_build_block", recording)
+        programs = _fresh_compiled(range(12))
+        for image, expected in programs:
+            machine = FTMachine()          # the default engine
+            assert machine.tal_engine == "fast"
+            assert str(machine.evaluate(image)) == expected
+            assert str(FTMachine().evaluate(image)) == expected
+        del programs, image, machine
+        gc.collect()
+        assert len(built) > 12
+        assert [ref for ref in built if ref() is not None] == []
+
+    def test_repeated_passes_leave_memo_sizes_flat(self):
+        sizes = []
+        for _ in range(4):
+            for image, expected in _fresh_compiled(range(12)):
+                for _ in range(3):  # the second run lowers, the third hits
+                    assert str(FTMachine().evaluate(image)) == expected
+            sizes.append(_fast_memo_sizes())
+        assert sizes[1] == sizes[2] == sizes[3]
 
 
 class TestPreinstStore:
-    """Preinstantiated block tables are cached by content digest through
-    the link-store: a warm run re-uses the flat program instead of
-    re-lowering (``tal.fast.preinst.hit`` > 0 on the second run)."""
-
-    def test_warm_hit_in_memory(self):
-        obs.enable(record=False)
-        comp = fig3_call_to_call.build()
-        first = _observe_t(comp, "fast")
-        # A structurally equal but distinct component: the digest, not
-        # object identity, is the cache key.
-        second = _observe_t(fig3_call_to_call.build(), "fast")
-        assert first == second
-        counters = obs.OBS.metrics.snapshot()["counters"]
-        assert counters.get("tal.fast.preinst.hit", 0) >= 1
-
-    def test_warm_hit_through_store(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FUNTAL_STORE", str(tmp_path))
-        obs.enable(record=False)
-        comp = fig3_call_to_call.build()
-        first = _observe_t(comp, "fast")
-        # Drop every in-memory memo: the only warm tier left is the
-        # on-disk ArtifactStore keyed by the artifact digest.
-        fast.clear_fast_caches()
-        second = _observe_t(fig3_call_to_call.build(), "fast")
-        assert first == second
-        counters = obs.OBS.metrics.snapshot()["counters"]
-        assert counters.get("tal.fast.preinst.hit", 0) >= 1
-        assert counters.get("tal.fast.blocks", 0) >= 1
+    """The store tier is gone (a component lowers once per load
+    template), but ``fast_cache_stats`` keeps its three entries, which
+    benchmark reports read."""
 
     def test_cache_stats_shape(self):
         stats = fast.fast_cache_stats()
