@@ -15,10 +15,8 @@ executable form and stops consulting types at run time:
   ``Delta`` to the omegas as an immutable env tuple, and only the rare
   operands whose free type variables demand it are substituted (memoized
   per site x env) -- straight-line arithmetic never touches a type;
-* a code block is lowered **at its second entry**
-  (:data:`LOWER_THRESHOLD`) and kept on its ``HCode``; its first entry
-  runs by the reference rules, so code that runs once never pays for
-  lowering.  A component's cells belong to its load template
+* a code block is lowered **at its first entry** and kept on its
+  ``HCode``.  A component's cells belong to its load template
   (:class:`~repro.tal.machine.LoadTemplate`), so every run of the
   component shares its blocks;
 * every run-time memo -- a block's instantiations, its substituted
@@ -89,19 +87,23 @@ _KIND_EXPECT = {KIND_ALPHA: TalType, KIND_ZETA: StackTy,
 # ``envs`` maps an omega list to its instantiation, and its ``sites``
 # map (site, env) identities to substituted operands.  A block belongs
 # to one HCode or to a load template's entry sequence, so its memos die
-# with the code.  The module keeps hit/miss counts and two backstops that
-# hold no component: the compiled JIT functions, and the op closures
-# every block shares.
+# with the code.  The module keeps hit/miss counts and one table that
+# holds no component: the compiled JIT functions.
 
-#: Entries after which one block's memo is emptied and refilled: a
-#: recursion instantiates its callee at every caller's stack type, so a
-#: block's omega lists are unbounded in principle.
-_MEMO_CAP = 256
+#: Entries after which one block's memo is emptied and refilled.  On
+#: the benchmark workloads (seeds 1 and 2) a block holds at most 3 omega
+#: lists and 8 site results.  A recursion, though, instantiates its
+#: callee once per depth: ``fact_f 200`` leaves 200 omega lists, most
+#: with a specialized copy of the block, on each recursive block, and
+#: they live as long as the component.
+_MEMO_CAP = 32
 #: JIT source -> compiled function: blocks of equal shape share one.
-_JIT_FNS = LRUCache(512)
-#: [hits, misses] of the per-block memos.
-_SITE_COUNTS = [0, 0]
-_BLOCK_COUNTS = [0, 0]
+#: A workload compiles at most 90 distinct sources; a stream of fresh
+#: programs brings new shapes without end.
+_JIT_FNS = LRUCache(256)
+#: [hits, misses, evictions] of the per-block memos.
+_SITE_COUNTS = [0, 0, 0]
+_BLOCK_COUNTS = [0, 0, 0]
 
 _EMPTY_SUBST = Subst()
 
@@ -110,21 +112,22 @@ def clear_fast_caches() -> None:
     """Drop the module memos (tests, benchmarks); per-block memos go
     with their blocks."""
     _JIT_FNS.clear()
-    _SHARED_OPS.clear()
 
 
 def fast_cache_stats() -> Dict[str, Dict[str, int]]:
-    """Hit/miss counts of the per-block memos.  ``size`` counts entries
-    the module holds, which is none: they live on the blocks.
-    ``tal.fast.preinst`` has no lookups (components lower once per load
-    template); the entry stays because benchmark reports read it."""
-    return {
-        "tal.fast.site": {"size": 0, "hits": _SITE_COUNTS[0],
-                          "misses": _SITE_COUNTS[1]},
-        "tal.fast.block": {"size": 0, "hits": _BLOCK_COUNTS[0],
-                           "misses": _BLOCK_COUNTS[1]},
-        "tal.fast.preinst": {"size": 0, "hits": 0, "misses": 0},
-    }
+    """Hit/miss/eviction counts of the per-block memos (``evictions``
+    counts the entries dropped when a full memo is emptied).  ``size``
+    counts entries the module holds, which is none: they live on the
+    blocks.  ``tal.fast.preinst`` has no lookups (components lower once
+    per load template); the entry stays because benchmark reports read
+    it."""
+    def entry(counts):
+        return {"size": 0, "hits": counts[0], "misses": counts[1],
+                "evictions": counts[2]}
+
+    return {"tal.fast.site": entry(_SITE_COUNTS),
+            "tal.fast.block": entry(_BLOCK_COUNTS),
+            "tal.fast.preinst": entry((0, 0, 0))}
 
 
 def _count(counts: list, name: str, hit: bool) -> None:
@@ -133,8 +136,9 @@ def _count(counts: list, name: str, hit: bool) -> None:
         OBS.metrics.inc(name + (".hit" if hit else ".miss"))
 
 
-def _remember(memo: dict, key, value) -> None:
+def _remember(memo: dict, key, value, counts: list) -> None:
     if len(memo) >= _MEMO_CAP:
+        counts[2] += len(memo)
         memo.clear()
     memo[key] = value
 
@@ -142,12 +146,6 @@ def _remember(memo: dict, key, value) -> None:
 #: Entries after which an eligible block is template-JITted.  Read as a
 #: module global on every entry, so tests may patch it.
 JIT_THRESHOLD = 16
-#: The entry at which a code block (or a template's entry sequence) is
-#: lowered; earlier entries run by the reference rules.  Code that runs
-#: once -- a program compiled, validated and run, a one-shot job -- so
-#: never pays for lowering.  Read on every unlowered entry; tests patch
-#: it to 1 to lower everything at its first entry.
-LOWER_THRESHOLD = 2
 
 
 def instrumented(machine) -> bool:
@@ -180,7 +178,7 @@ def _env_subst(env: tuple, memo: dict) -> Subst:
         else:
             mapping[(kind, name)] = omega
     s = Subst(mapping)
-    _remember(memo, id(env), (env, s))
+    _remember(memo, id(env), (env, s), _SITE_COUNTS)
     return s
 
 
@@ -202,7 +200,7 @@ def _site(memo: dict, x, env: tuple, sub):
         return hit[2]
     _count(_SITE_COUNTS, "tal.fast.site", False)
     res = sub(x, _env_subst(env, memo))
-    _remember(memo, key, (x, env, res))
+    _remember(memo, key, (x, env, res), _SITE_COUNTS)
     return res
 
 
@@ -828,25 +826,6 @@ def _make_term(d: tuple, memo: dict, nops: int):
     raise AssertionError(f"unknown terminator descriptor {tag!r}")
 
 
-#: Descriptor -> op closure, for the ops that close over registers and
-#: ints only: every block (of any component) with such an op shares one
-#: closure, which holds nothing of the component.
-_SHARED_OPS: Dict[tuple, object] = {}
-_SHARED_TAGS = {"ld", "st", "alloc", "salloc", "sfree", "sld", "sst",
-                "refop"}
-
-
-def _shareable(d: tuple) -> bool:
-    tag = d[0]
-    if tag in _SHARED_TAGS:
-        return True
-    if tag in ("mv", "aop", "unfold"):
-        spec = d[-1]
-        return spec[0] == "r" or (spec[0] == "c"
-                                  and spec[1].__class__ is WInt)
-    return False
-
-
 def _build_block(flat: dict, src_seq: InstrSeq) -> FastBlock:
     """Build the closures of ``src_seq``, lowered to ``flat``."""
     ops_desc, term_desc = flat["ops"], flat["term"]
@@ -856,13 +835,6 @@ def _build_block(flat: dict, src_seq: InstrSeq) -> FastBlock:
     for pc, d in enumerate(ops_desc):
         if d[0] in ("bnz_c", "bnz_g"):
             ops.append(_make_bnz(d, sites, pc))
-        elif _shareable(d):
-            fn = _SHARED_OPS.get(d)
-            if fn is None:
-                if len(_SHARED_OPS) >= 4096:
-                    _SHARED_OPS.clear()
-                fn = _SHARED_OPS[d] = _make_op(d, None)
-            ops.append(fn)
         else:
             ops.append(_make_op(d, sites))
     term = _make_term(term_desc, sites, nops)
@@ -884,27 +856,19 @@ def install_component(machine, tpl) -> None:
     ``load_component`` with the load's
     :class:`~repro.tal.machine.LoadTemplate`).
 
-    The entry block is built on the template's
-    :data:`LOWER_THRESHOLD`-th fast load and shared by every machine
-    that loads the template; until then ``tpl.fast`` counts the loads.
-    Code blocks are built the same way, at their first entries, and kept
-    on the template's cells (:func:`_code_block`).  So the memos and JIT
-    state of a component's blocks hit across runs and die with its
-    template.  A load that installs nothing -- early loads, and every
-    load of a component without code blocks -- runs its entry by the
-    reference rules, and the driver switches to the fast tier at the
-    first built block."""
+    The entry block is built on the template's first fast load and
+    shared by every machine that loads the template; code blocks are
+    built at their first entries and kept on the template's cells
+    (:func:`_code_block`).  So the memos and JIT state of a component's
+    blocks hit across runs and die with its template.  Components
+    without code blocks install nothing: their entry runs once per load,
+    so the driver executes it by the reference rules and switches to the
+    fast tier at its first block transfer."""
     entry_fb = tpl.fast
-    if entry_fb.__class__ is not FastBlock:
-        if entry_fb is False:
-            return
-        loads = (entry_fb or 0) + 1
-        if loads < LOWER_THRESHOLD:
-            tpl.fast = loads
-            return
+    if entry_fb is None:
         entry_fb = tpl.fast = _entry_block(tpl)
-        if entry_fb is False:
-            return
+    if entry_fb is False:
+        return
     entries = machine._fast_entries
     if len(entries) > 1024:
         entries.clear()
@@ -919,22 +883,15 @@ def _entry_block(tpl):
     return _build_block(_lower_seq(tpl.instrs, ()), tpl.instrs)
 
 
-def _code_block(machine, loc: Loc) -> Optional[FastBlock]:
-    """The block of the code bound at ``loc``, or ``None`` while it is
-    not lowered yet (the entry then runs by the reference rules).  It is
-    built at its :data:`LOWER_THRESHOLD`-th entry and kept in the HCode's
-    ``_fast`` memo slot, which counts the entries until then.  So every
-    label bound to that HCode shares the block -- a template's cell in
-    every machine that loads the template, or a block reached outside a
-    load (restored snapshots, the boundary's wrappers) -- and it dies
-    with the HCode."""
+def _code_block(machine, loc: Loc) -> FastBlock:
+    """The block of the code bound at ``loc``, built at its first entry
+    and kept in the HCode's ``_fast`` memo slot.  So every label bound
+    to that HCode shares the block -- a template's cell in every machine
+    that loads the template, or a block reached outside a load (restored
+    snapshots, the boundary's wrappers) -- and it dies with the HCode."""
     h = machine.memory.code_at(loc)
     fb = getattr(h, "_fast", None)
-    if fb.__class__ is not FastBlock:
-        entries = (fb or 0) + 1
-        if entries < LOWER_THRESHOLD:
-            object.__setattr__(h, "_fast", entries)
-            return None
+    if fb is None:
         fb = _build_block(_lower_seq(h.instrs, h.delta), h.instrs)
         object.__setattr__(h, "_fast", fb)
     machine._fast_blocks[loc] = fb
@@ -1168,10 +1125,6 @@ def _run_fast(machine, state, ft: bool):
         fb2 = machine._fast_blocks.get(loc)
         if fb2 is None:
             fb2 = _code_block(machine, loc)
-            if fb2 is None:
-                # Not lowered yet: hand back the reference instantiation
-                # for the caller to walk.
-                return None, machine.enter_block(loc, omegas, extra)
         all_om = omegas + extra
         delta = fb2.delta
         if len(all_om) > len(delta):
@@ -1195,7 +1148,7 @@ def _run_fast(machine, state, ft: bool):
             if hit is None:
                 _count(_BLOCK_COUNTS, "tal.fast.block", False)
                 env2 = _make_env(delta, all_om)
-                _remember(envs, all_om, env2)
+                _remember(envs, all_om, env2, _BLOCK_COUNTS)
             elif hit.__class__ is FastBlock:
                 _count(_BLOCK_COUNTS, "tal.fast.block", True)
                 fb2, env2 = hit, ()
@@ -1219,29 +1172,26 @@ def _run_fast(machine, state, ft: bool):
         return fb2, env2
 
     def walk(state):
-        """Run ``state`` by the reference rules until control enters a
-        built block: returns ``(block, env)``, or ``(None, result)`` at a
-        halt or an import.  Registers must be spilled and the budget
-        synced before calling."""
+        """Run ``state`` by the reference rules up to its next control
+        transfer: returns ``(block, env)`` when it enters a block, or
+        ``(None, result)`` at a halt or an import.  Registers must be
+        spilled and the budget synced before calling."""
         nonlocal regs, base, fuel
-        while True:
-            try:
-                out = _walk_ref(machine, state)
-            finally:
-                regs = [mregs.get(r, _UNSET) for r in REGISTERS]
-                base = fuel = budget.fuel_remaining
-            if out[0] == "halt":
-                machine._fast_residual = out[1]
-            if out[0] != "enter":
-                return None, out[1]
-            try:
-                fb2, state = enter(out[1], out[2], out[3])
-            except BaseException:
-                flush()
-                machine._fast_residual = out[4]
-                raise
-            if fb2 is not None:
-                return fb2, state
+        try:
+            out = _walk_ref(machine, state)
+        finally:
+            regs = [mregs.get(r, _UNSET) for r in REGISTERS]
+            base = fuel = budget.fuel_remaining
+        if out[0] == "halt":
+            machine._fast_residual = out[1]
+        if out[0] != "enter":
+            return None, out[1]
+        try:
+            return enter(out[1], out[2], out[3])
+        except BaseException:
+            flush()
+            machine._fast_residual = out[4]
+            raise
 
     env: tuple = ()
     pc = 0
@@ -1250,9 +1200,9 @@ def _run_fast(machine, state, ft: bool):
     else:
         fb = _block_for_state(machine, state)
     if fb is None:
-        # Cold entry (boundary wrapper, restored snapshot, unlowered
-        # code): run it by the reference rules up to the first built
-        # block.
+        # Cold entry (boundary wrapper, restored snapshot): run it by the
+        # reference rules; the first block transfer lands in the fast
+        # tier.
         fb, env = walk(state)
         if fb is None:
             return env
@@ -1324,15 +1274,6 @@ def _run_fast(machine, state, ft: bool):
                     src = req[4]
                     fail(fb, env, src if isinstance(src, int) else nops)
                     raise
-                if fb2 is None:
-                    # An unlowered target: walk it (env2 is its state).
-                    _spill(regs, mregs)
-                    flush()
-                    fb, env = walk(env2)
-                    if fb is None:
-                        return env
-                    pc = 0
-                    continue
                 if len(enter_memo) > 4096:
                     enter_memo.clear()
                 enter_memo[id(req)] = (req, fb2, env2)

@@ -620,10 +620,14 @@ _CTYPE_CACHE = LRUCache(2048, metric_prefix="tal.subst.cache.ctype")
 #: (:class:`repro.tal.machine.LoadTemplate`), so the memo hits across
 #: loads.  :func:`clear_subst_caches` starts a new generation, which
 #: empties every block's memo at its next use.
-_BLOCK_MEMO_CAP = 256
+#: Entries after which one block's memo is emptied and refilled.  On
+#: the benchmark workloads a block is instantiated at one omega list at
+#: most; a recursion instantiates its callee once per depth, and the
+#: block lives as long as its component.
+_BLOCK_MEMO_CAP = 32
 _BLOCK_GEN = [0]
-#: [hits, misses] of the block memos.
-_BLOCK_COUNTS = [0, 0]
+#: [hits, misses, evictions] of the block memos.
+_BLOCK_COUNTS = [0, 0, 0]
 
 
 def instantiate_code_type(ct: CodeType,
@@ -669,6 +673,7 @@ def instantiate_code_block(h: HCode, omegas: Tuple[Omega, ...]) -> HCode:
     result = HCode(remaining, subst_chi(h.chi, s), subst_stack(h.sigma, s),
                    subst_q(h.q, s), subst_instr_seq(h.instrs, s))
     if len(table) >= _BLOCK_MEMO_CAP:
+        _BLOCK_COUNTS[2] += len(table)
         table.clear()
     table[omegas] = result
     return result
@@ -684,11 +689,12 @@ def clear_subst_caches() -> None:
 def subst_cache_stats() -> Dict[str, Dict[str, int]]:
     """Hit/miss/eviction stats of the three memos, by counter family
     (the block memos live on the blocks, so the module holds no entry
-    of theirs)."""
+    of theirs; their ``evictions`` counts the entries dropped when a
+    full block memo is emptied)."""
     return {
         "tal.subst.cache.ty": _TY_CACHE.stats(),
         "tal.subst.cache.ctype": _CTYPE_CACHE.stats(),
         "tal.subst.cache.block": {
             "size": 0, "maxsize": _BLOCK_MEMO_CAP, "hits": _BLOCK_COUNTS[0],
-            "misses": _BLOCK_COUNTS[1], "evictions": 0},
+            "misses": _BLOCK_COUNTS[1], "evictions": _BLOCK_COUNTS[2]},
     }

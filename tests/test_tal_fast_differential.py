@@ -31,7 +31,7 @@ from repro.ft.machine import FTMachine
 from repro.papers_examples import example_entries
 from repro.papers_examples import fig3_call_to_call
 from repro.papers_examples.fig17_factorial import (
-    build_count_t, build_fact_t,
+    build_count_t, build_fact_f, build_fact_t,
 )
 from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import MachineSnapshot
@@ -105,14 +105,14 @@ def _assert_ft_lockstep(build, fuel=None):
 
 def _fast_memo_sizes():
     """Live fast-tier blocks, the memo entries they hold, and the
-    module's backstop memos."""
+    module's JIT function table."""
     gc.collect()
     blocks = [o for o in gc.get_objects() if isinstance(o, fast.FastBlock)]
     sites = {id(fb.sites): fb.sites for fb in blocks}
     return {"blocks": len(blocks),
             "envs": sum(len(fb.envs or ()) for fb in blocks),
             "sites": sum(len(memo) for memo in sites.values()),
-            "jit": len(fast._JIT_FNS), "shared": len(fast._SHARED_OPS)}
+            "jit": len(fast._JIT_FNS)}
 
 
 class TestEngineSelection:
@@ -303,39 +303,6 @@ class TestBudgetVerdictLockstep:
                 outcome = revived.resume(fuel=total - k)
                 assert str(outcome) == ref["value"], (name, k, first)
                 assert revived.budget.fuel_used == total - k
-
-
-class _LowerAtFirstEntry:
-    """Lower every block at its first entry.  By default a block's first
-    entry runs by the reference rules, so a suite that runs each program
-    once would check that walk, not the lowered closures; the
-    ``...Lowered`` classes re-run the suites above this way."""
-
-    @pytest.fixture(autouse=True)
-    def lower_at_first_entry(self, monkeypatch):
-        monkeypatch.setattr(fast, "LOWER_THRESHOLD", 1)
-
-
-class TestExamplesLockstepLowered(_LowerAtFirstEntry, TestExamplesLockstep):
-    pass
-
-
-class TestRandomProgramsLockstepLowered(_LowerAtFirstEntry,
-                                        TestRandomProgramsLockstep):
-    pass
-
-
-class TestErasureLockstepLowered(_LowerAtFirstEntry, TestErasureLockstep):
-    pass
-
-
-class TestTrapParityLowered(_LowerAtFirstEntry, TestTrapParity):
-    pass
-
-
-class TestBudgetVerdictLockstepLowered(_LowerAtFirstEntry,
-                                       TestBudgetVerdictLockstep):
-    pass
 
 
 class TestJitLockstep:
@@ -549,6 +516,7 @@ def _fresh_compiled(seeds):
     from repro.compile.pipeline import clear_compile_cache, compile_term
     from tests.strategies import random_full_f_expr
 
+    clear_compile_cache()  # images other tests compiled are not fresh
     out = []
     for seed in seeds:
         term = random_full_f_expr(seed, depth=3 + seed % 2)
@@ -588,10 +556,29 @@ class TestMemosDieWithTheirCode:
         sizes = []
         for _ in range(4):
             for image, expected in _fresh_compiled(range(12)):
-                for _ in range(3):  # the second run lowers, the third hits
+                for _ in range(3):  # lower, specialize, hit
                     assert str(FTMachine().evaluate(image)) == expected
             sizes.append(_fast_memo_sizes())
         assert sizes[1] == sizes[2] == sizes[3]
+
+    def test_deep_recursion_keeps_block_memos_capped(self):
+        """A recursion instantiates its callee once per depth; a block's
+        omega memo stays within its cap, and the entries a full memo
+        drops are counted as evictions."""
+        from repro.compile.pipeline import compile_term
+
+        image = App(compile_term(build_fact_f()).wrapped,
+                    (IntE(fast._MEMO_CAP + 8),))
+        before = fast.fast_cache_stats()["tal.fast.block"]["evictions"]
+        expected = str(FTMachine(tal_engine="ref").evaluate(image))
+        for _ in range(2):
+            assert str(FTMachine().evaluate(image)) == expected
+        gc.collect()
+        blocks = [o for o in gc.get_objects()
+                  if isinstance(o, fast.FastBlock)]
+        assert max(len(fb.envs or ()) for fb in blocks) <= fast._MEMO_CAP
+        after = fast.fast_cache_stats()["tal.fast.block"]["evictions"]
+        assert after > before
 
 
 class TestPreinstStore:

@@ -81,9 +81,6 @@ class TestWarmLoads:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_second_evaluate_renames_and_lowers_nothing(
             self, engine, monkeypatch):
-        # The first run lowers every block it enters, so the second run
-        # is a warm one (test_fast_lowers_what_runs_twice covers the default).
-        monkeypatch.setattr(fast, "LOWER_THRESHOLD", 1)
         image = _fact_f(4)
         _forget_templates(image)
         first = FTMachine(tal_engine=engine)
@@ -102,24 +99,6 @@ class TestWarmLoads:
         # a second time -- now across runs, since the blocks are shared
         # -- and a third run finds every specialization built.
         assert builds[0] == 0
-
-    def test_fast_lowers_what_runs_twice(self, monkeypatch):
-        """By default fast runs a block's first entry by the reference
-        rules and lowers it at the second: the first run of a program
-        that enters each block once lowers nothing, a second run lowers
-        what it enters, and a later run builds nothing."""
-        image = compile_term(random_full_f_expr(3)).wrapped
-        builds = _count_calls(monkeypatch, fast, "_build_block")
-        runs = []
-        for _ in range(4):
-            builds[0] = 0
-            machine = FTMachine(tal_engine="fast")
-            runs.append((str(machine.evaluate(image)),
-                         machine.budget.fuel_used, builds[0]))
-        ref = FTMachine(tal_engine="ref")
-        value = (str(ref.evaluate(image)), ref.budget.fuel_used)
-        assert [run[:2] for run in runs] == [value] * 4
-        assert runs[0][2] == 0 and runs[1][2] > 0 and runs[3][2] == 0
 
     def test_counters_tell_hits_from_misses(self):
         image = _fact_f(2)
