@@ -702,10 +702,15 @@ def parse_program(source: str):
     """Parse a whole program: an F expression, or a bare T component.
 
     T components open with ``(`` followed by an instruction keyword, which
-    no F expression does; everything else parses as F.
+    no F expression does; everything else parses as F.  The source is
+    tokenized once: the parser that looks at the first two tokens parses
+    the program.
     """
-    probe = Parser(source)
-    if probe.at("punct", "(") and probe.peek().kind == "keyword" and \
-            probe.peek().text in _INSTR_KEYWORDS + _TERMINATOR_KEYWORDS:
-        return parse_component(source)
-    return parse_fexpr(source)
+    p = Parser(source)
+    if p.at("punct", "(") and p.peek().kind == "keyword" and \
+            p.peek().text in _INSTR_KEYWORDS + _TERMINATOR_KEYWORDS:
+        tree = p.component()
+    else:
+        tree = p.fexpr()
+    p.expect_eof()
+    return tree

@@ -16,9 +16,10 @@ executable form and stops consulting types at run time:
   operands whose free type variables demand it are substituted (memoized
   per site x env) -- straight-line arithmetic never touches a type;
 * a code block is lowered **at its first entry** and kept on its
-  ``HCode``.  A component's cells belong to its load template
+  ``HCode``; a component's entry sequence is lowered at its first load.
+  A component's entry and cells belong to its load template
   (:class:`~repro.tal.machine.LoadTemplate`), so every run of the
-  component shares its blocks;
+  component shares its blocks -- a straight-line component's too;
 * every run-time memo -- a block's instantiations, its substituted
   operand sites, its JIT function -- **lives on the block** it serves,
   so it dies with the component (or the ``HCode``) that owns the block;
@@ -39,9 +40,10 @@ by the differential lockstep suite in
 continuation is a live :class:`FastPoint` (materialized only for a
 snapshot).  Anything the lowering does not recognise (exotic
 instructions, invalid registers) falls back per-block to the reference
-rules via :func:`_walk_ref`, so the fast tier is *total*.  Instrumented runs
-(tracing, a live event bus, or the profiler) are executed by the
-reference interpreter: the fast tier is the batch tier.
+rules via :func:`_walk_ref`, so the fast tier is *total*; the walker also
+runs a cold state (a restored snapshot) up to its first block transfer.
+Instrumented runs (tracing, a live event bus, or the profiler) are
+executed by the reference interpreter: the fast tier is the batch tier.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from repro.tal.subst import (
     subst_instr_seq, subst_operand, subst_q, subst_stack, subst_ty,
 )
 from repro.tal.syntax import (
-    Aop, Balloc, Bnz, BOX, Call, Fold, Halt, HCode, HTuple,
+    Aop, Balloc, Bnz, BOX, Call, Fold, Halt, HTuple,
     InstrSeq, Jmp, KIND_ALPHA, KIND_EPS, KIND_ZETA, Ld, Loc, Mv, Pack,
     Ralloc, REF, REGISTERS, RegOp, Ret, RetMarker, Salloc, Sfree, Sld, Sst,
     St, StackTy, TalType, TyApp, UnfoldI, Unpack, WInt, WLoc, WUnit,
@@ -90,12 +92,12 @@ _KIND_EXPECT = {KIND_ALPHA: TalType, KIND_ZETA: StackTy,
 # with the code.  The module keeps hit/miss counts and one table that
 # holds no component: the compiled JIT functions.
 
-#: Entries after which one block's memo is emptied and refilled.  On
+#: Entries one block's memo holds; a full memo refuses new entries.  On
 #: the benchmark workloads (seeds 1 and 2) a block holds at most 3 omega
 #: lists and 8 site results.  A recursion, though, instantiates its
-#: callee once per depth: ``fact_f 200`` leaves 200 omega lists, most
-#: with a specialized copy of the block, on each recursive block, and
-#: they live as long as the component.
+#: callee once per depth: ``fact_f 200`` would leave 200 omega lists,
+#: most with a specialized copy of the block, on each recursive block,
+#: for as long as the component lives.
 _MEMO_CAP = 32
 #: JIT source -> compiled function: blocks of equal shape share one.
 #: A workload compiles at most 90 distinct sources; a stream of fresh
@@ -116,7 +118,7 @@ def clear_fast_caches() -> None:
 
 def fast_cache_stats() -> Dict[str, Dict[str, int]]:
     """Hit/miss/eviction counts of the per-block memos (``evictions``
-    counts the entries dropped when a full memo is emptied).  ``size``
+    counts the new entries a full memo refused).  ``size``
     counts entries the module holds, which is none: they live on the
     blocks.  ``tal.fast.preinst`` has no lookups (components lower once
     per load template); the entry stays because benchmark reports read
@@ -137,9 +139,12 @@ def _count(counts: list, name: str, hit: bool) -> None:
 
 
 def _remember(memo: dict, key, value, counts: list) -> None:
+    """Keep ``key`` unless the memo is full: a full memo keeps the
+    entries it has (a recursion's shallow depths, which every run
+    repeats) and refuses the new one, counted as an eviction."""
     if len(memo) >= _MEMO_CAP:
-        counts[2] += len(memo)
-        memo.clear()
+        counts[2] += 1
+        return
     memo[key] = value
 
 
@@ -299,9 +304,10 @@ def _uspec(u):
         if slot is None:
             return None
         return ("r", slot, u.reg)
-    if _is_const(u):
+    ftv = bool(free_type_vars(u))
+    if not ftv and not _has_regop(u):
         return ("c", u)
-    return ("g", u, bool(free_type_vars(u)))
+    return ("g", u, ftv)
 
 
 def _lower_instr(i) -> tuple:
@@ -400,14 +406,14 @@ def _lower_term_raw(t) -> tuple:
         r = _SLOT.get(t.r)
         if r is None:
             return ("ref_term",)
-        ftv = bool(free_type_vars(t.ty) | free_type_vars(t.sigma))
+        ftv = bool(free_type_vars(t.ty)) or bool(free_type_vars(t.sigma))
         return ("halt", r, t.r, t, ftv)
     if cls is Jmp:
         if _is_const(t.u):
             return ("jmp_c", t.u)
         return ("jmp_g", t.u, bool(free_type_vars(t.u)))
     if cls is Call:
-        sq_ftv = bool(free_type_vars(t.sigma) | free_type_vars(t.q))
+        sq_ftv = bool(free_type_vars(t.sigma)) or bool(free_type_vars(t.q))
         if _is_const(t.u) and not sq_ftv:
             return ("call_c", t.u, t.sigma, t.q)
         return ("call_g", t.u, bool(free_type_vars(t.u)), t, sq_ftv)
@@ -860,27 +866,25 @@ def install_component(machine, tpl) -> None:
     shared by every machine that loads the template; code blocks are
     built at their first entries and kept on the template's cells
     (:func:`_code_block`).  So the memos and JIT state of a component's
-    blocks hit across runs and die with its template.  Components
-    without code blocks install nothing: their entry runs once per load,
-    so the driver executes it by the reference rules and switches to the
-    fast tier at its first block transfer."""
+    blocks hit across runs and die with its template.  Every component
+    installs an entry block, a straight-line one (no heap) too: run
+    again, it executes lowered ops from its first instruction."""
     entry_fb = tpl.fast
     if entry_fb is None:
         entry_fb = tpl.fast = _entry_block(tpl)
-    if entry_fb is False:
-        return
     entries = machine._fast_entries
     if len(entries) > 1024:
         entries.clear()
     entries[id(tpl.instrs)] = (tpl.instrs, entry_fb)
 
 
-def _entry_block(tpl):
-    """The block of a template's entry sequence, or ``False`` when the
-    component has no code block."""
-    if not any(isinstance(h, HCode) for _, h in tpl.cells):
-        return False
-    return _build_block(_lower_seq(tpl.instrs, ()), tpl.instrs)
+def _entry_block(tpl) -> FastBlock:
+    """The block of a template's entry sequence.  It runs once per load
+    and is never entered by a jump, so it is never JIT-rendered and
+    keeps no descriptors."""
+    fb = _build_block(_lower_seq(tpl.instrs, ()), tpl.instrs)
+    fb.desc = None
+    return fb
 
 
 def _code_block(machine, loc: Loc) -> FastBlock:
@@ -900,7 +904,10 @@ def _code_block(machine, loc: Loc) -> FastBlock:
 
 def _block_for_state(machine, iseq: InstrSeq) -> Optional[FastBlock]:
     """The installed entry block for ``iseq``, if this exact object was
-    installed (cold states run on the reference walker instead)."""
+    installed by a component load.  Other states -- a restored snapshot's
+    residual, an instruction sequence run without a component -- are
+    cold and run on the reference walker up to their first block
+    transfer."""
     ent = machine._fast_entries.get(id(iseq))
     if ent is not None and ent[0] is iseq:
         return ent[1]
@@ -1200,9 +1207,9 @@ def _run_fast(machine, state, ft: bool):
     else:
         fb = _block_for_state(machine, state)
     if fb is None:
-        # Cold entry (boundary wrapper, restored snapshot): run it by the
-        # reference rules; the first block transfer lands in the fast
-        # tier.
+        # Cold entry (a restored snapshot, a sequence loaded by no
+        # component): run it by the reference rules; the first block
+        # transfer lands in the fast tier.
         fb, env = walk(state)
         if fb is None:
             return env

@@ -176,10 +176,13 @@ def share_tuple(old: tuple, new: tuple) -> tuple:
 class LoadTemplate:
     """One relocation of a component ``(I, H)``: the fresh label of each
     heap cell (``mapping``), the renamed cells and the renamed entry
-    sequence.  ``fast`` is the fast tier's block for the entry sequence
-    (``False`` for a component without code blocks), built on the first
-    fast load (:func:`repro.tal.fast.install_component`); the fast tier
-    keeps the blocks of the cells on the cells themselves.
+    sequence.  ``fast`` is the fast tier's block for the entry sequence,
+    built on the first fast load (:func:`repro.tal.fast.install_component`);
+    the fast tier keeps the blocks of the cells on the cells themselves.
+
+    A component without a heap has nothing to relocate: its template
+    binds no cells and its entry sequence is the component's own, so
+    nothing is renamed.
 
     Every cell is an immutable ``box``, so any number of memories may
     bind the same template; only two loads into one memory must not.
@@ -192,7 +195,8 @@ class LoadTemplate:
         self.mapping = mapping
         self.cells = tuple((mapping[loc], rename_locs(h, mapping))
                            for loc, h in comp.heap)
-        self.instrs = rename_locs(comp.instrs, mapping)
+        self.instrs = (rename_locs(comp.instrs, mapping) if mapping
+                       else comp.instrs)
         self.fast = None
 
     def fits(self, heap: Dict[Loc, object]) -> bool:
@@ -213,7 +217,17 @@ def load_template(comp: Component, heap: Dict[Loc, object]) -> LoadTemplate:
     reads.  None of the perfbench workloads, the paper examples or
     random compiled programs ever loads one component into one memory
     twice, so a second slot would never be used (``docs/performance.md``).
+
+    A component without a heap (a straight-line component, an FT
+    boundary wrapper) binds no label, so its one template, kept in the
+    ``_identity`` slot, serves every load.
     """
+    if not comp.heap:
+        tpl = getattr(comp, "_identity", None)
+        if tpl is None:
+            tpl = LoadTemplate(comp)
+            object.__setattr__(comp, "_identity", tpl)
+        return tpl
     tpl = getattr(comp, "_template", None)
     if tpl is not None and tpl.fits(heap):
         if OBS.enabled:
@@ -366,24 +380,22 @@ class TalMachine:
         yet (:func:`load_template`), so a component is relocated once,
         not once per run.  Every cell still goes through
         :meth:`Memory.bind` (heap budget, chaos probe, already-bound
-        check).  A heap-less component (the FT boundary
-        wrappers) has nothing to rename: its own entry sequence runs."""
-        if comp.heap:
-            tpl = load_template(comp, self.memory.heap)
-            bind = self.memory.bind
-            for loc, h in tpl.cells:
-                bind(loc, h, BOX)
-            instrs = tpl.instrs
-            if self.tal_engine == "fast":
-                from repro.tal import fast
-                fast.install_component(self, tpl)
-        else:
-            instrs = comp.instrs
+        check).  A heap-less component (a straight-line component, the
+        FT boundary wrappers) renames nothing: its own entry sequence
+        runs.  On the fast engine every load installs the template's
+        entry block, built at the component's first fast load."""
+        tpl = load_template(comp, self.memory.heap)
+        bind = self.memory.bind
+        for loc, h in tpl.cells:
+            bind(loc, h, BOX)
+        if self.tal_engine == "fast":
+            from repro.tal import fast
+            fast.install_component(self, tpl)
         if OBS.enabled:
             OBS.metrics.inc("t.machine.components_loaded")
         self.emit("enter", None,
                   detail=lambda: f"merged {len(comp.heap)} block(s)")
-        return instrs
+        return tpl.instrs
 
     # -- operand resolution -------------------------------------------
 

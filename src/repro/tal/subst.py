@@ -132,7 +132,14 @@ def _ftv(x: TypeMemo) -> FrozenSet[VarKey]:
     return acc
 
 
+#: Classes that never mention a type variable: the usual operands.
+_CLOSED_CLASSES = frozenset({WUnit, WInt, WLoc, RegOp, TUnit, TInt, QReg,
+                             QIdx, QOut})
+
+
 def _free_type_vars(x) -> Set[VarKey]:
+    if x.__class__ in _CLOSED_CLASSES:
+        return set()
     if isinstance(x, TVar):
         return {(KIND_ALPHA, x.name)}
     if isinstance(x, (TUnit, TInt)):
@@ -620,10 +627,11 @@ _CTYPE_CACHE = LRUCache(2048, metric_prefix="tal.subst.cache.ctype")
 #: (:class:`repro.tal.machine.LoadTemplate`), so the memo hits across
 #: loads.  :func:`clear_subst_caches` starts a new generation, which
 #: empties every block's memo at its next use.
-#: Entries after which one block's memo is emptied and refilled.  On
-#: the benchmark workloads a block is instantiated at one omega list at
-#: most; a recursion instantiates its callee once per depth, and the
-#: block lives as long as its component.
+#: Entries one block's memo holds; a full memo keeps them and refuses
+#: new ones.  On the benchmark workloads a block is instantiated at one
+#: omega list at most; a recursion instantiates its callee once per
+#: depth, and the block lives as long as its component, so a full memo
+#: keeps the shallow depths that every run repeats.
 _BLOCK_MEMO_CAP = 32
 _BLOCK_GEN = [0]
 #: [hits, misses, evictions] of the block memos.
@@ -672,10 +680,10 @@ def instantiate_code_block(h: HCode, omegas: Tuple[Omega, ...]) -> HCode:
     remaining = h.delta[len(omegas):]
     result = HCode(remaining, subst_chi(h.chi, s), subst_stack(h.sigma, s),
                    subst_q(h.q, s), subst_instr_seq(h.instrs, s))
-    if len(table) >= _BLOCK_MEMO_CAP:
-        _BLOCK_COUNTS[2] += len(table)
-        table.clear()
-    table[omegas] = result
+    if len(table) < _BLOCK_MEMO_CAP:
+        table[omegas] = result
+    else:
+        _BLOCK_COUNTS[2] += 1
     return result
 
 
@@ -689,8 +697,8 @@ def clear_subst_caches() -> None:
 def subst_cache_stats() -> Dict[str, Dict[str, int]]:
     """Hit/miss/eviction stats of the three memos, by counter family
     (the block memos live on the blocks, so the module holds no entry
-    of theirs; their ``evictions`` counts the entries dropped when a
-    full block memo is emptied)."""
+    of theirs; their ``evictions`` counts the instantiations a full
+    block memo refused)."""
     return {
         "tal.subst.cache.ty": _TY_CACHE.stats(),
         "tal.subst.cache.ctype": _CTYPE_CACHE.stats(),

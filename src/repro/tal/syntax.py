@@ -1114,13 +1114,14 @@ class HCode(CodeMemo):
 
 
 class LoadMemo(PicklableSlots):
-    """The per-instance memo slot of :class:`Component`: ``_template``,
+    """The per-instance memo slots of :class:`Component`: ``_template``,
     the relocated image (:class:`repro.tal.machine.LoadTemplate`) that
-    its loads reuse.  It is not a dataclass field, so equality, hashing,
-    pickling and content digests never see it, and it dies with the
-    component."""
+    its loads reuse, and ``_identity``, the template of a component
+    without a heap, which relocates nothing.  They are not dataclass
+    fields, so equality, hashing, pickling and content digests never see
+    them, and they die with the component."""
 
-    __slots__ = ("_template",)
+    __slots__ = ("_template", "_identity")
 
 
 @dataclass(frozen=True, slots=True)
@@ -1133,7 +1134,8 @@ class Component(LoadMemo):
     The machine relocates a component once and keeps the result in the
     ``_template`` memo slot (:class:`LoadMemo`): a later load into a
     memory that binds none of those labels reuses them, and the renamed
-    blocks, as they are.
+    blocks, as they are.  A component without a heap keeps its one
+    unrenamed template in the ``_identity`` slot.
     """
 
     instrs: InstrSeq

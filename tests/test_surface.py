@@ -229,6 +229,70 @@ class TestParseProgram:
         node = parse_program("(lam (x: int). x) (1)")
         assert isinstance(node, App)
 
+    @staticmethod
+    def _corpus():
+        """Surface texts of the paper examples and of generated F and T
+        programs."""
+        from repro.papers_examples import (
+            example_entries, fig3_call_to_call, import_example,
+            sec3_sequences,
+        )
+        from tests.strategies import (
+            random_f_int_expr, random_full_f_expr, random_t_program,
+        )
+
+        exprs = [build() for _, build in example_entries().values()]
+        exprs += [random_full_f_expr(seed) for seed in range(20)]
+        exprs += [random_f_int_expr(seed) for seed in range(20)]
+        comps = [fig3_call_to_call.build(), import_example.build(),
+                 sec3_sequences.build_sequence_program(),
+                 sec3_sequences.build_jmp_program(),
+                 sec3_sequences.build_call_program()]
+        comps += [random_t_program(seed) for seed in range(20)]
+        return [str(x) for x in exprs + comps]
+
+    @staticmethod
+    def _probe_then_parse(source):
+        """The two-pass dispatch: a probe parser picks the entry point,
+        which lexes the source again."""
+        from repro.surface.parser import (
+            _INSTR_KEYWORDS, _TERMINATOR_KEYWORDS, Parser,
+        )
+
+        probe = Parser(source)
+        if probe.at("punct", "(") and probe.peek().kind == "keyword" and \
+                probe.peek().text in _INSTR_KEYWORDS + _TERMINATOR_KEYWORDS:
+            return parse_component(source)
+        return parse_fexpr(source)
+
+    @staticmethod
+    def _outcome(parse, source):
+        try:
+            return parse(source)
+        except ParseError as err:
+            return f"ParseError: {err}"
+
+    def test_tokenizes_once(self, monkeypatch):
+        import repro.surface.parser as parser_module
+
+        calls = [0]
+
+        def counted(source):
+            calls[0] += 1
+            return tokenize(source)
+
+        corpus = self._corpus()
+        monkeypatch.setattr(parser_module, "tokenize", counted)
+        for text in corpus:
+            calls[0] = 0
+            self._outcome(parse_program, text)
+            assert calls[0] == 1, text
+
+    def test_same_trees_as_probe_then_parse(self):
+        for text in self._corpus():
+            assert self._outcome(parse_program, text) == \
+                self._outcome(self._probe_then_parse, text), text
+
 
 class TestRoundTrips:
     def _expr_cases(self):

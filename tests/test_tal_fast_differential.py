@@ -10,10 +10,12 @@ on every paper example, random well-typed T programs, erased programs,
 budget-exhaustion splits, and cross-engine snapshot resume.
 
 Also covered: warm loop-JIT variants (every fuel prefix, instantiation
-counters, traps, big ints) and generated counted loops; fast-tier memos
-that must not grow with boundary crossings and must die with the
-components they serve; and the serving layer's treatment of
-``tal_engine`` as a non-semantic option.
+counters, traps, big ints) and generated counted loops; straight-line
+components, whose lowered entry blocks run on a first and a warm run;
+fast-tier memos that must not grow with boundary crossings, must die
+with the components they serve, and keep a deep recursion's shallow
+depths; and the serving layer's treatment of ``tal_engine`` as a
+non-semantic option.
 """
 
 import gc
@@ -40,7 +42,9 @@ from repro.tal.erasure import erase_types
 from repro.tal.machine import (
     TAL_ENGINES, TalMachine, resolve_tal_engine, run_component,
 )
-from repro.tal.subst import clear_subst_caches
+from repro.tal.subst import (
+    _BLOCK_MEMO_CAP, clear_subst_caches, subst_cache_stats,
+)
 from repro.tal.syntax import (
     Aop, Balloc, Bnz, Call, Component, Halt, HCode, Jmp, Ld, Loc, Mv,
     NIL_STACK, QEnd, RegFileTy, RegOp, Salloc, Sld, Sst, St, TInt, WInt,
@@ -65,9 +69,9 @@ def clean_caches():
 
 
 def _blocked(comp: Component) -> Component:
-    """Move a straight-line component's body into a heap code block so
-    the fast tier executes it natively (heap-less components run on the
-    reference walker by design)."""
+    """Move a straight-line component's body into a heap code block, so
+    the fast tier enters it by a jump (a heap-less component runs as its
+    lowered entry block instead)."""
     loc = Loc("lmain")
     block = HCode((), RegFileTy.of(), NIL_STACK,
                   QEnd(TInt(), NIL_STACK), comp.instrs)
@@ -165,8 +169,8 @@ class TestExamplesLockstep:
 
 class TestRandomProgramsLockstep:
     """Seeded random well-typed T programs agree on word, halt type, and
-    fuel -- both as bare components (reference-walker path) and hoisted
-    into heap blocks (native fast path)."""
+    fuel -- both as bare components (the lowered entry block) and
+    hoisted into heap blocks (entered by a jump)."""
 
     @pytest.mark.parametrize("seed", range(100))
     def test_random_component(self, seed):
@@ -579,6 +583,116 @@ class TestMemosDieWithTheirCode:
         assert max(len(fb.envs or ()) for fb in blocks) <= fast._MEMO_CAP
         after = fast.fast_cache_stats()["tal.fast.block"]["evictions"]
         assert after > before
+
+    @pytest.mark.parametrize("engine", TAL_ENGINES)
+    def test_deep_recursion_hits_at_shallow_depths(self, engine):
+        """A full memo keeps its entries and refuses new ones, so a
+        second run of a recursion deeper than the cap finds the shallow
+        depths it memoized on the first."""
+        from repro.compile.pipeline import compile_term
+
+        stats, family, cap = (
+            (fast.fast_cache_stats, "tal.fast.block", fast._MEMO_CAP)
+            if engine == "fast" else
+            (subst_cache_stats, "tal.subst.cache.block", _BLOCK_MEMO_CAP))
+        image = App(compile_term(build_fact_f()).wrapped, (IntE(cap + 8),))
+        expected = str(FTMachine(tal_engine=engine).evaluate(image))
+        before = stats()[family]
+        assert str(FTMachine(tal_engine=engine).evaluate(image)) == expected
+        after = stats()[family]
+        assert after["hits"] - before["hits"] >= cap
+        assert after["evictions"] > before["evictions"]
+
+
+class TestStraightLineEntries:
+    """A heap-less (straight-line) component runs on the fast tier from
+    its first instruction: its entry sequence is lowered at its first
+    fast load and kept on the component.  On a first run, and on a warm
+    run that finds the block built, it suspends, resumes and traps
+    exactly like ``ref``."""
+
+    SEEDS = range(10)
+
+    @staticmethod
+    def _suspended(comp, engine, fuel):
+        machine = FTMachine(budget=Budget(fuel=fuel), tal_engine=engine)
+        with pytest.raises(FuelExhausted):
+            machine.run_component(comp)
+        return machine
+
+    @pytest.mark.parametrize("warm", (False, True), ids=("first", "warm"))
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_exhaustion_at_every_prefix_matches(self, seed, warm):
+        warm_comp = random_t_program(seed, length=14)
+        total = _observe_t(warm_comp, "ref")["spent"]["fuel_used"]
+        run_component(warm_comp, tal_engine="fast")
+        for k in range(1, total):
+            outcomes = {}
+            for engine in TAL_ENGINES:
+                comp = (warm_comp if warm
+                        else random_t_program(seed, length=14))
+                machine = self._suspended(comp, engine, k)
+                outcomes[engine] = (machine.budget.fuel_used,
+                                    machine.suspended, machine.steps,
+                                    machine.snapshot_resumable()["state"])
+            assert outcomes["ref"] == outcomes["fast"], (seed, k)
+
+    @pytest.mark.parametrize("warm", (False, True), ids=("first", "warm"))
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_cross_engine_snapshot_resume(self, seed, warm):
+        warm_comp = random_t_program(seed, length=14)
+        ref = _observe_t(warm_comp, "ref")
+        total = ref["spent"]["fuel_used"]
+        run_component(warm_comp, tal_engine="fast")
+        for k in (1, total // 3, total // 2, total - 1):
+            for first, second in (("ref", "fast"), ("fast", "ref")):
+                comp = (warm_comp if warm
+                        else random_t_program(seed, length=14))
+                machine = self._suspended(comp, first, k)
+                wire = machine.snapshot().to_wire()
+                revived = FTMachine.restore(MachineSnapshot.from_wire(wire))
+                revived.tal_engine = second
+                halted = revived.resume(fuel=total - k)
+                assert str(halted.word) == ref["word"], (seed, k, first)
+                assert revived.budget.fuel_used == total - k
+
+    @pytest.mark.parametrize("name", sorted(TestTrapParity.TRAPS))
+    def test_trap_message_parity_first_and_warm(self, name):
+        trap = TestTrapParity()._trap
+        comp = Component(TestTrapParity.TRAPS[name])
+        expected = trap(comp, "ref")
+        assert [trap(comp, "fast"), trap(comp, "fast")] == [expected] * 2
+
+    def test_warm_run_walks_and_builds_nothing(self, monkeypatch):
+        comp = random_t_program(7, length=14)
+        expected = _observe_t(comp, "ref")
+        walks = [0]
+        builds = [0]
+        real_walk, real_build = fast._walk_ref, fast._build_block
+
+        def walk(*args):
+            walks[0] += 1
+            return real_walk(*args)
+
+        def build(*args):
+            builds[0] += 1
+            return real_build(*args)
+
+        monkeypatch.setattr(fast, "_walk_ref", walk)
+        monkeypatch.setattr(fast, "_build_block", build)
+        assert _observe_t(comp, "fast") == expected
+        assert (walks[0], builds[0]) == (0, 1)
+        assert _observe_t(comp, "fast") == expected
+        assert (walks[0], builds[0]) == (0, 1)
+
+    def test_dropped_component_frees_its_entry_block(self):
+        comp = random_t_program(7, length=14)
+        halted, machine = run_component(comp, tal_engine="fast")
+        assert isinstance(comp._identity.fast, fast.FastBlock)
+        block = weakref.ref(comp._identity.fast)
+        del comp, halted, machine
+        gc.collect()
+        assert block() is None
 
 
 class TestPreinstStore:
