@@ -13,9 +13,9 @@ for its source anywhere in an F program.
 
 The JIT (paper section 6) asks one more question: which lambdas of a
 program to swap for compiled code.  :func:`jit_eligible` is the one
-answer.  By default it admits first-order all-``int`` lambdas; the
-*wide* scope (``wide=True``) admits every closed lambda.
-:func:`jit_rewrite` walks a program and replaces each admitted lambda.
+answer: it admits first-order all-``int`` lambdas.  :func:`jit_rewrite`
+walks a program and replaces each admitted lambda; a caller that wants
+any other closed lambda compiled calls :func:`compile_term` on it.
 
 Instrumentation: a ``compile.pipeline`` span wraps the run with child
 spans per pass; ``compile.*`` counters count compilations, hoisted code
@@ -122,17 +122,14 @@ def _arith_body(e: FExpr, scope) -> bool:
     return False
 
 
-def jit_eligible(e: FExpr, wide: bool = False) -> bool:
+def jit_eligible(e: FExpr) -> bool:
     """Is ``e`` a lambda the JIT should compile?
 
-    The default scope is first-order arithmetic: all parameters ``int``,
-    body built from literals, parameters, ``+ - *`` and ``if0``.  With
-    ``wide`` every closed lambda qualifies.
+    The JIT's scope is first-order arithmetic: all parameters ``int``,
+    body built from literals, parameters, ``+ - *`` and ``if0``.
     """
     if not isinstance(e, Lam) or isinstance(e, StackLam):
         return False
-    if wide:
-        return is_general_compilable(e)
     return (bool(e.params)
             and all(isinstance(t, FInt) for _, t in e.params)
             and _arith_body(e.body, {x for x, _ in e.params}))
@@ -209,14 +206,13 @@ def compile_function(lam: Lam,
     return compile_term(lam, gamma, optimize)
 
 
-def jit_rewrite(e: FExpr, wide: bool = False,
+def jit_rewrite(e: FExpr,
                 compile_lambda: Optional[
                     Callable[[Lam], Optional[FExpr]]] = None) -> FExpr:
     """Replace every :func:`jit_eligible` lambda in ``e`` by its compiled
     version -- the paper's picture of a JIT moving a program between
     multi-language configurations.
 
-    ``wide`` selects the JIT scope (see :func:`jit_eligible`).
     ``compile_lambda`` maps an eligible lambda to its replacement, or to
     ``None`` to leave it interpreted (its body is still walked); the
     default compiles it with :func:`compile_term`.
@@ -226,7 +222,7 @@ def jit_rewrite(e: FExpr, wide: bool = False,
             return compile_term(lam).wrapped
 
     def walk(e: FExpr) -> FExpr:
-        if jit_eligible(e, wide):
+        if jit_eligible(e):
             replaced = compile_lambda(e)  # type: ignore[arg-type]
             if replaced is not None:
                 return replaced

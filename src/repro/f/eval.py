@@ -10,9 +10,12 @@ i.e. left-to-right call-by-value.  :func:`step` performs one reduction,
 :class:`~repro.errors.FuelExhausted` on potential divergence, as needed by
 the factorial example of Fig 17).
 
-Pure F is deterministic and memory-free; the mixed-language stepper in
-:mod:`repro.ft.machine` reuses these reduction rules but threads the T memory
-through, since embedded assembly may mutate the stack and heap.
+:class:`FEvaluator` is the resumable form of that loop, and the one
+substitution loop there is: with ``ft=machine`` it is also the ``subst``
+F engine of the mixed-language machine (:mod:`repro.ft.machine`), which
+threads the T memory through, since embedded assembly may mutate the
+stack and heap, and runs a boundary's component when the loop stops at
+one.
 """
 
 from __future__ import annotations
@@ -189,7 +192,8 @@ def step(e: FExpr) -> Optional[FExpr]:
 
 
 class FEvaluator:
-    """A resumable pure-F machine: linear CEK loop under a :class:`Budget`.
+    """A resumable machine for F by the literal substitution rules: a
+    linear loop under a :class:`Budget`.
 
     Unlike iterated :func:`step` -- which re-decomposes the whole term
     every step and is therefore quadratic in context depth -- the
@@ -203,14 +207,23 @@ class FEvaluator:
     exactly where the interrupted run stopped.  Python-level
     :class:`RecursionError` from deep substitutions or value checks is
     caught and surfaced as the structured depth verdict.
+
+    With ``ft=machine`` it runs as the ``subst`` F engine of an
+    :class:`~repro.ft.machine.FTMachine`, exactly as
+    :class:`~repro.f.cek.CEKEvaluator` does: it shares the machine's
+    budget and step count, :meth:`run` returns the boundary it stops at
+    (after charging one fuel unit for entering it), and :meth:`feed`
+    continues with the crossing's value.
     """
 
     kind = "f"
 
     def __init__(self, expr: FExpr, fuel: Optional[int] = None,
                  heap: Optional[int] = None, depth: Optional[int] = None,
-                 budget: Optional[Budget] = None):
-        self.budget = Budget.of(fuel, heap, depth, budget)
+                 budget: Optional[Budget] = None, ft=None):
+        self._ft = ft
+        self.budget = ft.budget if ft is not None \
+            else Budget.of(fuel, heap, depth, budget)
         self._cur: FExpr = expr
         self._frames: List = []   # innermost frame last; closures, not pickled
         self._value: Optional[FExpr] = None
@@ -229,51 +242,86 @@ class FEvaluator:
             self.budget.refill(fuel)
         if self._value is not None:
             return self._value
-        budget = self.budget
-        cur, frames = self._cur, self._frames
-        obs_on = OBS.enabled
+        if self._ft is not None:
+            # Under an FT machine the machine's loop owns the span and
+            # the profiler barrier.
+            return self._drive()
         prof = PROFILER if PROFILER.enabled else None
         prof_base = prof.enter_engine() if prof is not None else 0
         with OBS.span("f.evaluate", "f"):
             try:
-                while True:
-                    contracted = reduce_redex(cur)
-                    if contracted is not None:
-                        budget.consume_fuel()
-                        if obs_on:
-                            OBS.metrics.inc("f.machine.steps")
-                        if prof is not None:
-                            if cur.__class__ is App and \
-                                    isinstance(cur.fn, Lam):
-                                prof.beta(cur.fn, len(frames))
-                            else:
-                                prof.step(len(frames))
-                        cur = contracted
-                        continue
-                    split = split_context(cur)
-                    if split is not None:
-                        frame, cur = split
-                        frames.append(frame)
-                        budget.check_depth(len(frames))
-                        continue
-                    if is_value(cur):
-                        if not frames:
-                            self._cur = cur
-                            self._value = cur
-                            return cur
-                        cur = frames.pop()(cur)
-                        continue
+                return self._drive()
+            finally:
+                if prof is not None:
+                    prof.exit_engine(prof_base)
+
+    def feed(self, value: FExpr) -> None:
+        """Continue after a boundary crossing with its value."""
+        self._cur = value
+
+    def _drive(self) -> FExpr:
+        budget = self.budget
+        ft = self._ft
+        cur, frames = self._cur, self._frames
+        obs_on = OBS.enabled
+        prof = PROFILER if PROFILER.enabled else None
+        try:
+            while True:
+                if is_value(cur):
+                    if not frames:
+                        self._value = cur
+                        return cur
+                    cur = frames.pop()(cur)
+                    continue
+                # Fuel is charged on contractions and boundary entries
+                # only -- never on context descent.  A resumed run
+                # re-descends its plugged context for free, so with
+                # descent charged a short fuel slice could be spent
+                # entirely on re-decomposition and a resume loop would
+                # make no semantic progress; with this accounting,
+                # run(n) == run(k); resume(n - k) holds *exactly*.
+                contracted = reduce_redex(cur)
+                if contracted is not None:
+                    budget.consume_fuel()
+                    if ft is not None:
+                        ft.steps += 1
+                    if obs_on:
+                        OBS.metrics.inc("f.machine.steps")
+                    if prof is not None:
+                        if cur.__class__ is App and isinstance(cur.fn, Lam):
+                            prof.beta(cur.fn, len(frames))
+                        else:
+                            prof.step(len(frames))
+                    cur = contracted
+                    continue
+                split = split_context(cur)
+                if split is not None:
+                    frame, cur = split
+                    frames.append(frame)
+                    budget.check_depth(len(frames))
+                    continue
+                if ft is None:
                     raise MachineError(
                         f"cannot step {type(cur).__name__}: not a pure F "
                         "redex (use repro.ft.machine for mixed programs)")
-            except RecursionError:
-                raise budget.depth_error(len(frames)) from None
-            finally:
-                # Keep the suspended state live for snapshot/resume even
-                # when a governor just tripped.
-                if prof is not None:
-                    prof.exit_engine(prof_base)
-                self._cur, self._frames = cur, frames
+                # Imported here: repro.ft's package imports this module.
+                from repro.ft.syntax import Boundary, Hole
+
+                if cur.__class__ is Boundary:
+                    # One unit on entry; the FT machine runs the component
+                    # and feeds its value in where the hole now stands.
+                    budget.consume_fuel()
+                    request, cur = cur, Hole()
+                    return request
+                raise MachineError(
+                    f"cannot step {type(cur).__name__}: not a value and "
+                    "not a reducible FT form (free variable?)")
+        except RecursionError:
+            raise budget.depth_error(len(frames)) from None
+        finally:
+            # Keep the suspended state live for snapshot/resume even
+            # when a governor just tripped.
+            self._cur, self._frames = cur, frames
 
     # -- checkpointing ---------------------------------------------------
 

@@ -5,9 +5,10 @@ one loop drives both -- Fig 8 defines FT as a single step relation over
 configurations ``<M | e>``:
 
 * an F engine (the environment machine of :mod:`repro.f.cek`, the
-  default, or the literal substitution loop :class:`_SubstF`) reduces F
-  by the call-by-value rules of :mod:`repro.f.eval` until it reaches a
-  value or a boundary ``tauFT e``, which it hands back as a request;
+  default, or the substitution loop :class:`~repro.f.eval.FEvaluator`,
+  each built with ``ft=`` this machine) reduces F by the call-by-value
+  rules of :mod:`repro.f.eval` until it reaches a value or a boundary
+  ``tauFT e``, which it hands back as a request;
 * a T engine (the reference rules of :mod:`repro.tal.machine` or the fast
   tier of :mod:`repro.tal.fast`) executes instructions until ``halt`` or
   an ``import rd, sigma TFtau e``, which it hands back as an
@@ -46,11 +47,11 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple, Union
 
-from repro.errors import FuelExhausted, MachineError, SnapshotError
-from repro.f.eval import reduce_redex, split_context
+from repro.errors import FuelExhausted, SnapshotError
+from repro.f.eval import FEvaluator, split_context
 from repro.obs.events import OBS
 from repro.obs.profile import PROFILER
-from repro.f.syntax import App, FExpr, is_value, Lam
+from repro.f.syntax import FExpr
 from repro.ft.boundary import f_to_t, t_to_f
 from repro.ft.syntax import Boundary, Hole, Import, Protect
 from repro.resilience.budget import Budget
@@ -64,10 +65,6 @@ __all__ = ["FTMachine", "evaluate_ft", "run_ft_component"]
 #: What a resumed run produces: an F value for F-outside programs, a
 #: halt state for T-outside ones.
 FTOutcome = Union[FExpr, HaltedState]
-
-#: Where a boundary's value lands in a waiting F computation.
-_HOLE = Hole()
-
 
 class FTMachine(TalMachine):
     """The multi-language machine.
@@ -121,11 +118,10 @@ class FTMachine(TalMachine):
         (default) or the literal Fig-5 substitution loop.  Both charge
         fuel at the same contractions, count the same
         ``f.machine.steps``, and stop at the same boundaries."""
-        if self.engine == "cek":
-            from repro.f.cek import CEKEvaluator
+        from repro.f.cek import CEKEvaluator
 
-            return CEKEvaluator(e, ft=self)
-        return _SubstF(self, e)
+        return (CEKEvaluator if self.engine == "cek" else FEvaluator)(
+            e, ft=self)
 
     def _run_t(self, state):
         """Run T from ``state`` until it halts or reaches an ``import``;
@@ -303,85 +299,6 @@ class FTMachine(TalMachine):
         # Snapshots are engine-portable (the stack is plain terms), so a
         # missing/foreign engine field just means "default".
         self.engine = resolve_engine(state.get("engine"))
-
-
-class _SubstF:
-    """The substitution engine's F loop (kept verbatim as the reference
-    semantics the differential harness locksteps against).
-
-    The evaluation context is an explicit frame stack *across* steps, so
-    deep contexts (divergent recursion) cost constant work per step
-    instead of a full context rebuild.
-    """
-
-    __slots__ = ("ft", "cur", "frames")
-
-    def __init__(self, ft: FTMachine, e: FExpr):
-        self.ft = ft
-        self.cur = e
-        self.frames: List = []
-
-    def run(self) -> FExpr:
-        """Evaluate to a value, or stop at a boundary and return it; the
-        crossing's value comes back through :meth:`feed`."""
-        ft = self.ft
-        budget = ft.budget
-        frames = self.frames
-        cur = self.cur
-        prof = PROFILER if PROFILER.enabled else None
-        try:
-            while True:
-                if is_value(cur):
-                    if not frames:
-                        return cur
-                    cur = frames.pop()(cur)
-                    continue
-                # Fuel is charged on contractions and boundary entries
-                # only -- never on context descent.  A resumed run
-                # re-descends its plugged context for free, so with
-                # descent charged a short fuel slice could be spent
-                # entirely on re-decomposition and a resume loop would
-                # make no semantic progress; with this accounting,
-                # run(n) == run(k); resume(n - k) holds *exactly*.
-                if isinstance(cur, Boundary):
-                    budget.consume_fuel()
-                    request, cur = cur, _HOLE
-                    return request
-                contracted = reduce_redex(cur)
-                if contracted is not None:
-                    budget.consume_fuel()
-                    ft.steps += 1
-                    if OBS.enabled:
-                        OBS.metrics.inc("f.machine.steps")
-                    if prof is not None:
-                        if cur.__class__ is App and isinstance(cur.fn, Lam):
-                            prof.beta(cur.fn, len(frames))
-                        else:
-                            prof.step(len(frames))
-                    cur = contracted
-                    continue
-                split = split_context(cur)
-                if split is None:
-                    raise MachineError(
-                        f"cannot step {type(cur).__name__}: not a value and "
-                        "not a reducible FT form (free variable?)")
-                frame, sub = split
-                frames.append(frame)
-                budget.check_depth(len(frames))
-                cur = sub
-        except RecursionError:
-            raise budget.depth_error(len(frames)) from None
-        finally:
-            self.cur = cur
-
-    def feed(self, value: FExpr) -> None:
-        self.cur = value
-
-    def pending_expr(self) -> FExpr:
-        e = self.cur
-        for frame in reversed(self.frames):
-            e = frame(e)
-        return e
 
 
 def _plain(x):

@@ -63,16 +63,14 @@ class SafetyNetReport:
 
 
 def jit_rewrite_guarded(
-        e: FExpr, quarantine: Optional[Quarantine] = None,
-        wide: bool = False
+        e: FExpr, quarantine: Optional[Quarantine] = None
 ) -> Tuple[FExpr, List[Lam], SafetyNetReport]:
     """Like :func:`repro.compile.pipeline.jit_rewrite`, but faults degrade.
 
     Quarantined lambdas are skipped (left interpreted); a lambda whose
     *compilation* faults is quarantined on the spot and left interpreted.
-    ``wide`` is the JIT scope, exactly as in ``jit_rewrite``.  Returns
-    the rewritten program, the source lambdas that were compiled into it
-    (for run-time quarantining), and a report.
+    Returns the rewritten program, the source lambdas that were compiled
+    into it (for run-time quarantining), and a report.
     """
     q = quarantine if quarantine is not None else QUARANTINE
     report = SafetyNetReport()
@@ -98,7 +96,7 @@ def jit_rewrite_guarded(
         report.jitted += 1
         return compiled
 
-    rewritten = jit_rewrite(e, wide, compile_guarded)
+    rewritten = jit_rewrite(e, compile_guarded)
     report.quarantined = tuple(quarantined_now)
     return rewritten, compiled_sources, report
 
@@ -107,7 +105,6 @@ def run_guarded(e: FExpr, fuel: Optional[int] = None,
                 heap: Optional[int] = None, depth: Optional[int] = None,
                 trace: bool = False,
                 quarantine: Optional[Quarantine] = None,
-                wide: bool = False,
                 tal_engine: Optional[str] = None
                 ) -> Tuple[FExpr, FTMachine, SafetyNetReport]:
     """JIT-rewrite ``e`` and run it under the differential guard.
@@ -124,7 +121,7 @@ def run_guarded(e: FExpr, fuel: Optional[int] = None,
     reference engine, so a fast-tier fault can never decide the answer.
     """
     q = quarantine if quarantine is not None else QUARANTINE
-    rewritten, compiled_sources, report = jit_rewrite_guarded(e, q, wide)
+    rewritten, compiled_sources, report = jit_rewrite_guarded(e, q)
     optimistic = resolve_tal_engine(tal_engine) != "ref"
 
     def interpret(tal: str = "ref") -> Tuple[FExpr, FTMachine]:

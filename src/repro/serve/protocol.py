@@ -39,7 +39,7 @@ __all__ = [
 #: ``resume``, which continues a fuel-suspended machine from the
 #: content-addressed snapshot a checkpointing ``run`` handed back.
 #: ``compile`` is the whole-F compiler (:mod:`repro.compile`); ``jit``
-#: compiles one lambda in the JIT's default scope (first-order
+#: compiles one lambda in the JIT's scope (first-order
 #: arithmetic) through the same compiler.  ``link``
 #: builds and links a multi-component manifest (:mod:`repro.link`);
 #: its ``source`` is the manifest JSON, and warm workers reuse the

@@ -38,12 +38,15 @@ by the differential lockstep suite in
 ``tests/test_tal_fast_differential.py``.  An ``import`` hands an
 :class:`~repro.tal.machine.ImportRequest` back to the FT driver, whose
 continuation is a live :class:`FastPoint` (materialized only for a
-snapshot).  Anything the lowering does not recognise (exotic
-instructions, invalid registers) falls back per-block to the reference
-rules via :func:`_walk_ref`, so the fast tier is *total*; the walker also
-runs a cold state (a restored snapshot) up to its first block transfer.
-Instrumented runs (tracing, a live event bus, or the profiler) are
-executed by the reference interpreter: the fast tier is the batch tier.
+snapshot).  The fast tier is *total*: an instruction the lowering does
+not recognise (exotic instructions, invalid registers), or an FT
+instruction on a pure T machine, is delegated on its own to one
+reference step (:meth:`~repro.tal.machine.TalMachine.step`), and a cold
+state -- a restored snapshot's residual, a bare sequence, what a
+delegated step returns -- is lowered into an unshared block like an
+entry sequence.  Instrumented runs (tracing, a live event bus, or the
+profiler) are executed by the reference interpreter: the fast tier is
+the batch tier.
 """
 
 from __future__ import annotations
@@ -56,15 +59,14 @@ from repro.obs.events import OBS
 from repro.obs.profile import PROFILER
 from repro.tal.machine import HaltedState, ImportRequest
 from repro.tal.subst import (
-    Subst, free_type_vars, instantiate_code_block, subst_instr,
+    check_omega, free_type_vars, instantiate_code_block, Subst, subst_instr,
     subst_instr_seq, subst_operand, subst_q, subst_stack, subst_ty,
 )
 from repro.tal.syntax import (
-    Aop, Balloc, Bnz, BOX, Call, Fold, Halt, HTuple,
-    InstrSeq, Jmp, KIND_ALPHA, KIND_EPS, KIND_ZETA, Ld, Loc, Mv, Pack,
-    Ralloc, REF, REGISTERS, RegOp, Ret, RetMarker, Salloc, Sfree, Sld, Sst,
-    St, StackTy, TalType, TyApp, UnfoldI, Unpack, WInt, WLoc, WUnit,
-    check_register,
+    Aop, AOPS, Balloc, Bnz, BOX, Call, Fold, Halt, HTuple, InstrSeq, Jmp,
+    KIND_ALPHA, KIND_ZETA, Ld, Loc, Mv, Pack, Ralloc, REF, REGISTERS, RegOp,
+    Ret, Salloc, Sfree, Sld, Sst, St, TyApp, UnfoldI, Unpack, WInt, WLoc,
+    WUnit, check_register,
 )
 
 __all__ = [
@@ -75,11 +77,8 @@ __all__ = [
 _UNSET = object()          # register-slot sentinel (None is not a word)
 _SLOT = {r: i for i, r in enumerate(REGISTERS)}
 _NREGS = len(REGISTERS)
-_AOPS = {"add": "+", "sub": "-", "mul": "*"}
-_AOP_FNS = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
-            "mul": lambda a, b: a * b}
-_KIND_EXPECT = {KIND_ALPHA: TalType, KIND_ZETA: StackTy,
-                KIND_EPS: RetMarker}
+#: How the template JIT spells each ``aop`` (it computes ``AOPS``).
+_AOP_PY = {"add": "+", "sub": "-", "mul": "*"}
 
 # ---------------------------------------------------------------------------
 # Memos
@@ -329,7 +328,7 @@ def _lower_instr_raw(i) -> tuple:
     if cls is Aop:
         rd, rs = _SLOT.get(i.rd), _SLOT.get(i.rs)
         spec = _uspec(i.u)
-        if rd is None or rs is None or spec is None or i.op not in _AOPS:
+        if rd is None or rs is None or spec is None or i.op not in AOPS:
             return ("refop",)
         return ("aop", i.op, rd, rs, i.rs, spec)
     if cls is Bnz:
@@ -504,7 +503,7 @@ def _make_op(d: tuple, memo: dict):
         return op
     if tag == "aop":
         _, name, rd, rs, rs_name, spec = d
-        fn = _AOP_FNS[name]
+        fn = AOPS[name]
         if spec[0] == "c":
             w = _resolve_const(spec[1])
 
@@ -682,6 +681,7 @@ def _make_op(d: tuple, memo: dict):
 
         # Returns the extended env itself, the same tuple for the same
         # incoming env, so the site memos keyed on it hit across runs.
+        # Only an FT machine takes it; a pure T one delegates.
         def op(mem, regs, env, _b=shadow, _last=last):
             hit = _last[0]
             if hit[0] is not env:
@@ -854,7 +854,7 @@ def _build_block(flat: dict, src_seq: InstrSeq) -> FastBlock:
 
 
 # ---------------------------------------------------------------------------
-# Installation (component loads, direct fallback)
+# Installation (component loads, code blocks, cold states)
 # ---------------------------------------------------------------------------
 
 def install_component(machine, tpl) -> None:
@@ -871,18 +871,18 @@ def install_component(machine, tpl) -> None:
     again, it executes lowered ops from its first instruction."""
     entry_fb = tpl.fast
     if entry_fb is None:
-        entry_fb = tpl.fast = _entry_block(tpl)
+        entry_fb = tpl.fast = _entry_block(tpl.instrs)
     entries = machine._fast_entries
     if len(entries) > 1024:
         entries.clear()
     entries[id(tpl.instrs)] = (tpl.instrs, entry_fb)
 
 
-def _entry_block(tpl) -> FastBlock:
-    """The block of a template's entry sequence.  It runs once per load
-    and is never entered by a jump, so it is never JIT-rendered and
-    keeps no descriptors."""
-    fb = _build_block(_lower_seq(tpl.instrs, ()), tpl.instrs)
+def _entry_block(iseq: InstrSeq) -> FastBlock:
+    """The block of a sequence that is never entered by a jump -- a
+    template's entry sequence, or a cold state -- so it is never
+    JIT-rendered and keeps no descriptors."""
+    fb = _build_block(_lower_seq(iseq, ()), iseq)
     fb.desc = None
     return fb
 
@@ -902,26 +902,22 @@ def _code_block(machine, loc: Loc) -> FastBlock:
     return fb
 
 
-def _block_for_state(machine, iseq: InstrSeq) -> Optional[FastBlock]:
-    """The installed entry block for ``iseq``, if this exact object was
-    installed by a component load.  Other states -- a restored snapshot's
-    residual, an instruction sequence run without a component -- are
-    cold and run on the reference walker up to their first block
-    transfer."""
+def _block_for_state(machine, iseq: InstrSeq) -> FastBlock:
+    """The installed entry block for ``iseq`` if this exact object was
+    installed by a component load, else a block lowered from it.  Such a
+    cold state -- a restored snapshot's residual, a bare ``run_seq``
+    sequence, what a delegated instruction returns -- is lowered into an
+    unshared block that runs like any other."""
     ent = machine._fast_entries.get(id(iseq))
     if ent is not None and ent[0] is iseq:
         return ent[1]
-    return None
+    return _entry_block(iseq)
 
 
 def _make_env(delta: tuple, omegas: tuple) -> tuple:
     entries = []
     for b, omega in zip(delta, omegas):
-        expected = _KIND_EXPECT[b.kind]
-        if not isinstance(omega, expected):
-            raise TypeError(
-                f"instantiating {b.kind} {b.name} requires a "
-                f"{expected.__name__}, got {omega}")
+        check_omega(b, omega)
         entries.append((b.kind, b.name, omega))
     return tuple(entries)
 
@@ -1012,68 +1008,6 @@ def _spill(regs: list, mregs: dict) -> None:
         w = regs[i]
         if w is not _UNSET:
             mregs[REGISTERS[i]] = w
-
-
-# ---------------------------------------------------------------------------
-# Reference fallback walker
-# ---------------------------------------------------------------------------
-
-def _walk_ref(machine, state: InstrSeq):
-    """Execute ``state`` by the per-step reference rules until the next
-    control transfer: ``("halt", hs)``, ``("import", request)`` or
-    ``("enter", loc, omegas, extra, residual_term_seq)``.  Registers must
-    be spilled and the budget synced before calling."""
-    mem = machine.memory
-    budget = machine.budget
-    obs_on = OBS.enabled
-    while True:
-        try:
-            budget.consume_fuel()
-            machine.steps += 1
-            if obs_on:
-                OBS.metrics.inc("t.machine.steps")
-            if state.instrs:
-                head, rest = state.instrs[0], state.rest
-                if head.__class__ is Bnz:
-                    scrut = mem.get_reg(head.r)
-                    if not isinstance(scrut, WInt):
-                        raise MachineError(
-                            f"bnz scrutinee {head.r} holds non-int {scrut}")
-                    if scrut.value != 0:
-                        loc, omegas = machine.resolve_code_target(head.u)
-                        machine.emit("bnz", loc.name, detail="taken")
-                        return ("enter", loc, omegas, (), state)
-                    state = rest
-                else:
-                    state = machine.exec_instruction(head, rest)
-                    if state.__class__ is ImportRequest:
-                        return ("import", state)
-            else:
-                t = state.term
-                if t.__class__ is Halt:
-                    word = mem.get_reg(t.r)
-                    hs = HaltedState(word, t.ty, t.sigma, t.r)
-                    machine.emit("halt", None,
-                                 detail=lambda: f"{t.r} -> {word}")
-                    return ("halt", hs)
-                if t.__class__ is Jmp:
-                    loc, omegas = machine.resolve_code_target(t.u)
-                    machine.emit("jmp", loc.name)
-                    return ("enter", loc, omegas, (), state)
-                if t.__class__ is Call:
-                    loc, omegas = machine.resolve_code_target(t.u)
-                    machine.emit("call", loc.name)
-                    return ("enter", loc, omegas, (t.sigma, t.q), state)
-                if t.__class__ is Ret:
-                    loc, omegas = machine.resolve_code_target(RegOp(t.r))
-                    machine.emit("ret", loc.name,
-                                 detail=lambda: f"result in {t.rr}")
-                    return ("enter", loc, omegas, (), state)
-                raise MachineError(
-                    f"unknown terminator {type(t).__name__}")
-        except BaseException:
-            machine._fast_residual = state
-            raise
 
 
 # ---------------------------------------------------------------------------
@@ -1178,41 +1112,12 @@ def _run_fast(machine, state, ft: bool):
                 _promote(fb2)
         return fb2, env2
 
-    def walk(state):
-        """Run ``state`` by the reference rules up to its next control
-        transfer: returns ``(block, env)`` when it enters a block, or
-        ``(None, result)`` at a halt or an import.  Registers must be
-        spilled and the budget synced before calling."""
-        nonlocal regs, base, fuel
-        try:
-            out = _walk_ref(machine, state)
-        finally:
-            regs = [mregs.get(r, _UNSET) for r in REGISTERS]
-            base = fuel = budget.fuel_remaining
-        if out[0] == "halt":
-            machine._fast_residual = out[1]
-        if out[0] != "enter":
-            return None, out[1]
-        try:
-            return enter(out[1], out[2], out[3])
-        except BaseException:
-            flush()
-            machine._fast_residual = out[4]
-            raise
-
     env: tuple = ()
     pc = 0
     if state.__class__ is FastPoint:
         fb, env, pc = state
     else:
         fb = _block_for_state(machine, state)
-    if fb is None:
-        # Cold entry (a restored snapshot, a sequence loaded by no
-        # component): run it by the reference rules; the first block
-        # transfer lands in the fast tier.
-        fb, env = walk(state)
-        if fb is None:
-            return env
     while True:
         ops = fb.ops
         nops = fb.nops
@@ -1247,10 +1152,10 @@ def _run_fast(machine, state, ft: bool):
                     counters[1] += 1
                     env = r[1]
                     pc += 1
-                elif tag == "shadow":
+                elif tag == "shadow" and ft:
                     env = r[1]
                     pc += 1
-                else:  # "enter" (taken bnz) or "ref" (delegate)
+                else:  # "enter" (taken bnz), or a delegation
                     req = r
                     break
             else:
@@ -1303,16 +1208,23 @@ def _run_fast(machine, state, ft: bool):
             _spill(regs, mregs)
             flush()
             return ImportRequest(req[1], FastPoint(fb, env, pc + 1))
-        # tag == "ref" (or an import on a pure T machine): hand the rest
-        # of this block to the reference rules
-        fuel += 1  # the delegated instruction pays its own fuel
+        # "ref", or an FT instruction on a pure T machine: one step by
+        # the reference rules, charged as ref charges it
+        fuel += 1
         residual = _materialize(fb, env, pc)
         _spill(regs, mregs)
         flush()
-        fb, env = walk(residual)
-        if fb is None:
-            return env
-        pc = 0
+        machine._fast_residual = residual
+        budget.consume_fuel()
+        out = machine.step(residual)
+        regs = [mregs.get(r, _UNSET) for r in REGISTERS]
+        base = fuel = budget.fuel_remaining
+        if out.__class__ is InstrSeq:
+            fb, env, pc = _block_for_state(machine, out), (), 0
+            continue
+        if out.__class__ is HaltedState:
+            machine._fast_residual = out
+        return out
 
 
 def fast_drive(machine, state) -> HaltedState:
@@ -1412,7 +1324,7 @@ def _jit_source(ops: tuple, term: tuple,
                 return None
         elif tag == "aop":
             _, name, rd, rs, _rs_name, spec = d
-            pyop = _AOPS[name]
+            pyop = _AOP_PY[name]
             emit(f"w = regs[{rs}]")
             emit(f"if w.__class__ is not WInt: {deopt}")
             if spec[0] == "c":
@@ -1568,7 +1480,7 @@ def _jit_unboxed_source(ops: tuple, b: int) -> Optional[str]:
             v = read(spec)
             if v is None:
                 return None
-            write(rd, f"x{rs} {_AOPS[name]} {v}")
+            write(rd, f"x{rs} {_AOP_PY[name]} {v}")
         else:
             return None
     rs = ops[b][1]

@@ -44,11 +44,11 @@ from repro.resilience.checkpoint import MachineSnapshot
 from repro.tal.heap import Memory, RegSnapshot, StackSnapshot
 from repro.tal.subst import instantiate_code_block
 from repro.tal.syntax import (
-    Aop, Balloc, Bnz, BOX, Call, Component, Fold, Halt, HCode, HeapValue,
-    HTuple, InstrSeq, Instruction, Jmp, KIND_ALPHA, Ld, Loc, Mv, Operand,
-    Pack, Ralloc, REF, RegOp, Ret, Salloc, Sfree, Sld, Sst, St, StackTy,
-    TalType, Terminator, TyApp, UnfoldI, Unpack, WInt, WLoc, WordValue,
-    WUnit, fresh_loc,
+    Aop, AOPS, Balloc, Bnz, BOX, Call, Component, Fold, Halt, HCode,
+    HeapValue, HTuple, InstrSeq, Instruction, Jmp, KIND_ALPHA, Ld, Loc, Mv,
+    Operand, Pack, Ralloc, REF, RegOp, Ret, Salloc, Sfree, Sld, Sst, St,
+    StackTy, TalType, Terminator, TyApp, UnfoldI, Unpack, WInt, WLoc,
+    WordValue, WUnit, fresh_loc,
 )
 from repro.tal.subst import Subst, subst_instr_seq, subst_ty
 
@@ -469,9 +469,7 @@ class TalMachine:
             if not isinstance(left, WInt):
                 raise MachineError(f"aop source {i.rs} holds non-int {left}")
             right = self.resolve_int(i.u)
-            ops = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
-                   "mul": lambda a, b: a * b}
-            mem.set_reg(i.rd, WInt(ops[i.op](left.value, right)))
+            mem.set_reg(i.rd, WInt(AOPS[i.op](left.value, right)))
             return rest
         if isinstance(i, Ld):
             ptr = mem.get_reg(i.rs)

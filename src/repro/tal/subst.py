@@ -39,6 +39,7 @@ __all__ = [
     "subst_q", "subst_operand", "subst_instr", "subst_instr_seq",
     "subst_heap_value", "subst_component", "free_type_vars",
     "register_simple_instr", "register_binding_instr", "fresh_name",
+    "check_omega",
     "instantiate_code_type", "instantiate_code_block", "clear_subst_caches",
     "subst_cache_stats",
 ]
@@ -590,15 +591,23 @@ def delta_subst(delta: Delta, omegas: Tuple[Omega, ...]) -> Subst:
             f"length {len(delta)}")
     mapping: Dict[VarKey, Omega] = {}
     for b, omega in zip(delta, omegas):
-        expected = {KIND_ALPHA: TalType, KIND_ZETA: StackTy,
-                    KIND_EPS: RetMarker}[b.kind]
-        if not isinstance(omega, expected):
-            raise TypeError(
-                f"instantiating {b.kind} {b.name} requires a "
-                f"{expected.__name__}, got {omega}")
+        check_omega(b, omega)
         if _names_var(omega) != b.name:
             mapping[(b.kind, b.name)] = omega
     return Subst(mapping)
+
+
+#: The omega class each kind of T binder is instantiated with.
+KIND_OMEGA = {KIND_ALPHA: TalType, KIND_ZETA: StackTy, KIND_EPS: RetMarker}
+
+
+def check_omega(b: DeltaBind, omega: Omega) -> None:
+    """Kind-check one instantiation: both T engines check here."""
+    expected = KIND_OMEGA[b.kind]
+    if not isinstance(omega, expected):
+        raise TypeError(
+            f"instantiating {b.kind} {b.name} requires a "
+            f"{expected.__name__}, got {omega}")
 
 
 def _names_var(omega: Omega) -> Optional[str]:

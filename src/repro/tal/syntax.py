@@ -37,6 +37,7 @@ tooling remains unaware of them.
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -65,7 +66,7 @@ __all__ = [
     "Terminator", "Jmp", "Call", "Ret", "Halt",
     "InstrSeq", "HeapValue", "HCode", "HTuple", "LoadMemo", "Component",
     "seq",
-    "AOP_NAMES",
+    "AOPS", "AOP_NAMES",
 ]
 
 # ---------------------------------------------------------------------------
@@ -76,7 +77,10 @@ GP_REGISTERS: Tuple[str, ...] = tuple(f"r{i}" for i in range(1, 8))
 RA = "ra"
 REGISTERS: Tuple[str, ...] = GP_REGISTERS + (RA,)
 
-AOP_NAMES = ("add", "sub", "mul")
+#: What each ``aop`` computes on the integers; both T engines evaluate
+#: ``add|sub|mul`` through this one table.
+AOPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+AOP_NAMES = tuple(AOPS)
 
 
 def check_register(r: str) -> str:

@@ -18,7 +18,7 @@ import sys
 import pytest
 
 from repro import obs
-from repro.compile.pipeline import compile_term, jit_rewrite
+from repro.compile.pipeline import compile_term
 from repro.equiv.observation import canonical_value
 from repro.f.syntax import App, BinOp, FArrow, FInt, IntE, Lam, Var
 from repro.f.typecheck import typecheck as f_typecheck
@@ -115,12 +115,12 @@ class TestInterfaceEscapes:
         assert FTMachine().evaluate(program) == \
             FTMachine().evaluate(source) == IntE(7)
 
-    def test_wide_jit_twice_takes_an_arrow(self):
+    def test_compiled_twice_takes_an_arrow(self):
         twice_lam = Lam((("f", I2I),), twice(Var("f"), FInt()))
         inc = Lam((("x", FInt()),), BinOp("+", Var("x"), IntE(1)))
         source = App(App(twice_lam, (inc,)), (IntE(5),))
-        jitted = jit_rewrite(source, wide=True)
-        assert jitted != source
+        jitted = App(App(compile_term(twice_lam).wrapped,
+                         (compile_term(inc).wrapped,)), (IntE(5),))
         assert compile_term(twice_lam).clos.interface == frozenset({I2I})
         assert FTMachine().evaluate(jitted) == \
             FTMachine().evaluate(source) == IntE(7)

@@ -139,9 +139,8 @@ class TestTierSelection:
         ho = Lam((("g", FArrow((FInt(),), FInt())),),
                  App(Var("g"), (IntE(5),)))
         assert is_general_compilable(ho)
-        assert not jit_eligible(ho)            # default JIT scope
-        assert jit_eligible(ho, wide=True)     # every closed lambda
-        assert jit_eligible(INC) and jit_eligible(INC, wide=True)
+        assert not jit_eligible(ho)            # the JIT's scope
+        assert jit_eligible(INC)
 
     def test_no_tier_for_stack_lambda(self):
         from repro.papers_examples.push7 import build

@@ -3,11 +3,11 @@
 The compiler once had an arithmetic tier and an opt-in general tier;
 the names below keep that vocabulary.  The general tier's work -- closed
 lambdas that take or return functions -- is now done by the one
-compiler: ``compile_function`` always accepts them, and ``jit_rewrite``
-reaches them only in the wide scope (``wide=True``).
+compiler: ``compile_function`` always accepts them, while ``jit_rewrite``
+leaves them interpreted.
 """
 
-from repro.compile import compile_function, jit_rewrite
+from repro.compile import compile_function, compile_term, jit_rewrite
 from repro.f.syntax import App, BinOp, FArrow, FInt, IntE, Lam, Var
 from repro.ft.machine import evaluate_ft
 
@@ -28,14 +28,14 @@ class TestFacadeDefaults:
         assert isinstance(compiled, Lam)
         got, _ = evaluate_ft(App(compiled, (INC,)))
         assert got == IntE(6)
-        # ... but the JIT rewrite only reaches it in the wide scope
-        rewritten = jit_rewrite(App(HIGHER_ORDER, (INC,)), wide=False)
+        # ... and the JIT rewrite leaves it interpreted
+        rewritten = jit_rewrite(App(HIGHER_ORDER, (INC,)))
         assert "FT[((int) -> int) -> int]" not in str(rewritten)
 
 
 class TestRewriteTierThreading:
     def test_all_tiers_rewrite_compiles_the_outer_lambda(self):
-        rewritten = jit_rewrite(App(HIGHER_ORDER, (INC,)), wide=True)
+        rewritten = App(compile_term(HIGHER_ORDER).wrapped, (INC,))
         assert "FT[((int) -> int) -> int]" in str(rewritten)
         got, _ = evaluate_ft(rewritten)
         assert got == IntE(6)

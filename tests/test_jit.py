@@ -47,18 +47,15 @@ class TestEligibility:
 
     def test_free_variable_rejected(self):
         assert not jit_eligible(lam1(Var("y")))
-        assert not jit_eligible(lam1(Var("y")), wide=True)
 
     def test_higher_order_body_rejected(self):
         higher = lam1(App(lam1(Var("x")), (IntE(1),)))
         assert not jit_eligible(higher)
-        assert jit_eligible(higher, wide=True)
 
     def test_stack_lambda_rejected(self):
         from repro.papers_examples.push7 import build
 
         assert not jit_eligible(build())
-        assert not jit_eligible(build(), wide=True)
 
     def test_compile_ineligible_raises(self):
         with pytest.raises(CompileError):

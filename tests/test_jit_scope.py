@@ -1,11 +1,10 @@
 """The JIT's scope, compiled through the one compiler.
 
-By default the JIT rewrites first-order all-``int`` lambdas (literals,
-parameters, ``+ - *``, ``if0``); the wide scope (``jit_rewrite(e,
-wide=True)``) rewrites every closed lambda.  For
-every in-scope lambda below -- handwritten cases plus every in-scope
-``random_f_int_expr(seed, depth=2)`` body for seeds 0-39 -- the compiled
-component
+The JIT rewrites first-order all-``int`` lambdas (literals, parameters,
+``+ - *``, ``if0``); any other closed lambda is compiled by calling
+``compile_term`` on it.  For every in-scope lambda below -- handwritten
+cases plus every in-scope ``random_f_int_expr(seed, depth=2)`` body for
+seeds 0-39 -- the compiled component
 
 * needs no ``import`` (no closures to materialize),
 * returns the value the CEK engine computes for the source, and
@@ -17,7 +16,9 @@ arithmetic emitter spent on it.
 
 import pytest
 
-from repro.compile import compile_function, jit_eligible, jit_rewrite
+from repro.compile import (
+    compile_function, compile_term, jit_eligible, jit_rewrite,
+)
 from repro.f.cek import cek_evaluate
 from repro.f.syntax import App, BinOp, FArrow, FInt, If0, IntE, Lam, Var
 from repro.ft.machine import FTMachine, evaluate_ft
@@ -103,8 +104,7 @@ def test_case_set_fuel_total():
 class TestScope:
     def test_default_scope_is_first_order_arithmetic(self):
         assert not jit_eligible(HIGHER_ORDER)
-        assert jit_eligible(HIGHER_ORDER, wide=True)
-        assert not jit_eligible(lam1(Var("y")), wide=True)   # open
+        assert not jit_eligible(lam1(Var("y")))   # open
 
     def test_compile_function_covers_higher_order_lambdas(self):
         compiled = compile_function(HIGHER_ORDER).wrapped
@@ -113,20 +113,20 @@ class TestScope:
         assert evaluate_ft(App(compiled, (inc,)))[0] == IntE(6)
 
     def test_default_rewrite_skips_higher_order_lambdas(self):
-        rewritten = jit_rewrite(PROGRAM, wide=False)
+        rewritten = jit_rewrite(PROGRAM)
         assert "FT[(int) -> int]" in str(rewritten)
         assert "FT[((int) -> int) -> int]" not in str(rewritten)
         assert evaluate_ft(rewritten)[0] == IntE(6)
 
-    def test_wide_rewrite_compiles_the_outer_lambda(self):
-        rewritten = jit_rewrite(PROGRAM, wide=True)
+    def test_compiled_outer_and_inner_lambdas(self):
+        rewritten = App(compile_term(HIGHER_ORDER).wrapped,
+                        (compile_term(PROGRAM.args[0]).wrapped,))
         assert "FT[((int) -> int) -> int]" in str(rewritten)
+        assert "FT[(int) -> int]" in str(rewritten)
         assert evaluate_ft(rewritten)[0] == IntE(6)
 
     def test_safety_net_follows_the_scope(self):
         q = Quarantine()
-        value, _, report = run_guarded(PROGRAM, quarantine=q, wide=False)
+        value, _, report = run_guarded(PROGRAM, quarantine=q)
         assert value == IntE(6) and report.jitted == 1
-        value, _, report = run_guarded(PROGRAM, quarantine=q, wide=True)
-        assert value == IntE(6) and report.jitted == 2
         assert not report.fell_back

@@ -28,8 +28,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
 from repro.errors import FuelExhausted, MachineError
-from repro.f.syntax import App, IntE
+from repro.f.syntax import App, FInt, IntE
 from repro.ft.machine import FTMachine
+from repro.ft.syntax import Import, Protect
 from repro.papers_examples import example_entries
 from repro.papers_examples import fig3_call_to_call
 from repro.papers_examples.fig17_factorial import (
@@ -246,6 +247,15 @@ class TestTrapParity:
         "sld-on-empty-stack": seq(
             Sld("r1", 0),
             Halt(TInt(), NIL_STACK, "r1")),
+        # FT instructions are not pure T: a TalMachine refuses them.
+        "protect-on-pure-t": seq(
+            Protect((), "z"),
+            Mv("r1", WInt(3)),
+            Halt(TInt(), NIL_STACK, "r1")),
+        "import-on-pure-t": seq(
+            Mv("r1", WInt(1)),
+            Import("r1", NIL_STACK, FInt(), IntE(3)),
+            Halt(TInt(), NIL_STACK, "r1")),
     }
 
     @pytest.mark.parametrize("name", sorted(TRAPS))
@@ -257,6 +267,33 @@ class TestTrapParity:
     def test_trap_message_parity_blocked(self, name):
         comp = _blocked(Component(self.TRAPS[name]))
         assert self._trap(comp, "ref") == self._trap(comp, "fast"), name
+
+    @staticmethod
+    def _outcome(comp: Component, tal_engine: str, fuel=None):
+        """How a run of ``comp`` ends: its verdict, fuel used, steps and
+        residual state."""
+        machine = TalMachine(budget=Budget(fuel=fuel), tal_engine=tal_engine)
+        try:
+            verdict = str(machine.run_component(comp).word)
+        except (FuelExhausted, MachineError) as err:
+            verdict = f"{type(err).__name__}: {err}"
+        residual = str(machine.snapshot_resumable()["state"])
+        return (LOC_COUNTER.sub("%N", verdict), machine.budget.fuel_used,
+                machine.steps, LOC_COUNTER.sub("%N", residual))
+
+    @pytest.mark.parametrize("blocked", (False, True),
+                             ids=("entry", "blocked"))
+    @pytest.mark.parametrize("name", sorted(TRAPS))
+    def test_every_fuel_prefix_matches_ref(self, name, blocked):
+        """At every fuel up to and past the trap, both engines spend the
+        same fuel and steps and leave the same residual."""
+        comp = Component(self.TRAPS[name])
+        if blocked:
+            comp = _blocked(comp)
+        total = self._outcome(comp, "ref")[1]
+        for k in range(1, total + 2):
+            assert self._outcome(comp, "fast", k) == \
+                self._outcome(comp, "ref", k), (name, k)
 
 
 class TestBudgetVerdictLockstep:
@@ -289,14 +326,18 @@ class TestBudgetVerdictLockstep:
     def test_cross_engine_snapshot_resume(self, name):
         """Suspend under one T engine, finish under the other: snapshots
         carry plain residual instruction sequences, so the T tier is
-        swappable mid-run (ref checkpoint -> fast resume and back)."""
+        swappable mid-run (ref checkpoint -> fast resume and back).  A
+        ref checkpoint taken at any fuel resumes on fast as a cold state
+        and finishes with ref's fuel and step count."""
         build = self.BUILDS[name]
-        ref = _observe_ft(build, "ref")
-        total = ref["spent"]["fuel_used"]
-        for k in (1, total // 3, total // 2, total - 1):
-            if not 0 < k < total:
-                continue
+        full = FTMachine(tal_engine="ref")
+        value = str(full.evaluate(build()))
+        total = full.budget.fuel_used
+        sparse = {1, total // 3, total // 2, total - 1}
+        for k in range(1, total):
             for first, second in (("ref", "fast"), ("fast", "ref")):
+                if first == "fast" and k not in sparse:
+                    continue
                 machine = FTMachine(budget=Budget(fuel=k),
                                     tal_engine=first)
                 with pytest.raises(FuelExhausted):
@@ -305,8 +346,9 @@ class TestBudgetVerdictLockstep:
                 revived = FTMachine.restore(MachineSnapshot.from_wire(wire))
                 revived.tal_engine = second
                 outcome = revived.resume(fuel=total - k)
-                assert str(outcome) == ref["value"], (name, k, first)
-                assert revived.budget.fuel_used == total - k
+                assert str(outcome) == value, (name, k, first)
+                assert (revived.budget.fuel_used, revived.steps) == \
+                    (total - k, full.steps), (name, k, first)
 
 
 class TestJitLockstep:
@@ -666,24 +708,18 @@ class TestStraightLineEntries:
     def test_warm_run_walks_and_builds_nothing(self, monkeypatch):
         comp = random_t_program(7, length=14)
         expected = _observe_t(comp, "ref")
-        walks = [0]
         builds = [0]
-        real_walk, real_build = fast._walk_ref, fast._build_block
-
-        def walk(*args):
-            walks[0] += 1
-            return real_walk(*args)
+        real_build = fast._build_block
 
         def build(*args):
             builds[0] += 1
             return real_build(*args)
 
-        monkeypatch.setattr(fast, "_walk_ref", walk)
         monkeypatch.setattr(fast, "_build_block", build)
         assert _observe_t(comp, "fast") == expected
-        assert (walks[0], builds[0]) == (0, 1)
+        assert builds[0] == 1
         assert _observe_t(comp, "fast") == expected
-        assert (walks[0], builds[0]) == (0, 1)
+        assert builds[0] == 1
 
     def test_dropped_component_frees_its_entry_block(self):
         comp = random_t_program(7, length=14)
