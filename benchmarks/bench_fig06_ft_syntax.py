@@ -1,9 +1,9 @@
 """Fig 6 (FT syntax): the multi-language extensions -- boundaries, import,
 protect, stack-modifying lambdas, the out marker -- and their traversals."""
 
-from repro.f.syntax import FInt, FUnit, IntE, subst_expr, Var
+from repro.f.syntax import FInt, free_vars, FUnit, IntE, subst_expr, Var
 from repro.ft.syntax import (
-    Boundary, FStackArrow, ft_free_vars, Import, Protect, StackDelta,
+    Boundary, FStackArrow, Import, Protect, StackDelta,
     StackLam,
 )
 from repro.papers_examples.push7 import build as build_push7
@@ -38,9 +38,9 @@ def test_fig06_cross_language_substitution(record):
         Import("r1", NIL_STACK, FInt(), Var("x")),
         Halt(TInt(), NIL_STACK, "r1")))
     b = Boundary(FInt(), comp)
-    assert ft_free_vars(b) == {"x"}
+    assert free_vars(b) == {"x"}
     closed = subst_expr(b, "x", IntE(7))
-    assert ft_free_vars(closed) == set()
+    assert free_vars(closed) == set()
     record("fig6: term substitution crosses the boundary into import")
 
 
@@ -54,4 +54,4 @@ def test_bench_fig06_substitution_through_boundary(benchmark):
         return subst_expr(b, "x", IntE(7))
 
     closed = benchmark(substitute)
-    assert ft_free_vars(closed) == set()
+    assert free_vars(closed) == set()

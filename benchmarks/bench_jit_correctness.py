@@ -7,7 +7,7 @@ compiled replacement spends on one call."""
 from repro.equiv.checker import check_equivalence
 from repro.f.eval import evaluate
 from repro.f.syntax import App, BinOp, FArrow, FInt, If0, IntE, Lam, Var
-from repro.compile import compile_function, jit_rewrite
+from repro.compile import compile_term, jit_rewrite
 from repro.ft.machine import evaluate_ft
 
 from tests.strategies import random_f_int_expr
@@ -33,7 +33,7 @@ CANDIDATES = [
 
 def test_jit_per_function_equivalence(record):
     for name, source in CANDIDATES:
-        result = compile_function(source)
+        result = compile_term(source)
         _, machine = evaluate_ft(App(result.wrapped, (IntE(3),)))
         report = check_equivalence(source, result.wrapped, INT_ARROW,
                                    fuel=25_000)
@@ -59,14 +59,14 @@ def test_bench_jit_compile(benchmark):
     source = CANDIDATES[3][1]
 
     def compile_():
-        return compile_function(source)
+        return compile_term(source)
 
     compiled = benchmark(compile_)
     assert compiled.block_count() == 4
 
 
 def test_bench_jit_compiled_execution(benchmark):
-    compiled = compile_function(CANDIDATES[2][1]).wrapped
+    compiled = compile_term(CANDIDATES[2][1]).wrapped
 
     def run():
         value, _ = evaluate_ft(App(compiled, (IntE(9),)))
@@ -77,7 +77,7 @@ def test_bench_jit_compiled_execution(benchmark):
 
 def test_bench_jit_equivalence_obligation(benchmark):
     source = CANDIDATES[0][1]
-    compiled = compile_function(source).wrapped
+    compiled = compile_term(source).wrapped
 
     def check():
         return check_equivalence(source, compiled, INT_ARROW,

@@ -15,7 +15,7 @@ from repro.equiv.checker import check_equivalence
 from repro.f.syntax import App, BinOp, FArrow, FInt, If0, IntE, Lam, Var
 from repro.ft.machine import evaluate_ft
 from repro.ft.typecheck import check_ft_expr
-from repro.compile import compile_function, jit_rewrite
+from repro.compile import compile_term, jit_rewrite
 from repro.surface.pretty import pretty_component
 
 
@@ -27,7 +27,7 @@ def main() -> None:
     print("=== source F function ===")
     print(source)
 
-    result = compile_function(source)
+    result = compile_term(source)
     compiled, comp = result.wrapped, result.component
     print()
     print(f"=== compiled to {len(comp.heap)} basic blocks ===")

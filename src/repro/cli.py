@@ -196,7 +196,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def cmd_jit(args: argparse.Namespace) -> int:
-    from repro.compile import compile_function, jit_eligible
+    from repro.compile import compile_term, jit_eligible
     from repro.surface.parser import parse_fexpr
 
     source = parse_fexpr(_load(args.file))
@@ -205,7 +205,7 @@ def cmd_jit(args: argparse.Namespace) -> int:
               "fragment: int parameters; literals, parameters, + - *, "
               "if0)", file=sys.stderr)
         return 2
-    result = compile_function(source)
+    result = compile_term(source)
     from repro.surface.pretty import pretty_component
 
     print(pretty_component(result.component))

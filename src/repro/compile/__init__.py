@@ -31,15 +31,15 @@ from repro.compile.closure import ClosProgram, closure_convert
 from repro.compile.codegen import generate_expr, generate_function
 from repro.compile.names import NameSupply
 from repro.compile.pipeline import (
-    COMPILE_CACHE, CompilationResult, clear_compile_cache, compile_function,
-    compile_term, is_general_compilable, jit_eligible, jit_rewrite,
+    COMPILE_CACHE, CompilationResult, clear_compile_cache, compile_term,
+    is_general_compilable, jit_eligible, jit_rewrite,
 )
 
 __all__ = [
     "CompileError", "NameSupply", "ClosProgram", "closure_convert",
     "generate_expr", "generate_function", "COMPILE_CACHE",
-    "CompilationResult", "clear_compile_cache", "compile_function",
-    "compile_term", "is_general_compilable", "jit_eligible", "jit_rewrite",
+    "CompilationResult", "clear_compile_cache", "compile_term",
+    "is_general_compilable", "jit_eligible", "jit_rewrite",
     "validate_compilation",
 ]
 

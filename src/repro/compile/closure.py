@@ -213,8 +213,8 @@ class ClosProgram:
     """The pass output: hoisted definitions plus the main term.
 
     ``main_code`` names the entry definition when the source was itself
-    a lambda (the common ``compile_function`` case); ``main`` is the
-    converted body expression when the source was a non-lambda term.
+    a lambda (the common case); ``main`` is the converted body
+    expression when the source was a non-lambda term.
     """
 
     defs: Tuple[CodeDef, ...]

@@ -37,9 +37,9 @@ from repro.caching import LRUCache
 from repro.errors import CompileError, FunTALError
 from repro.obs.events import OBS
 from repro.resilience.chaos import probe
+from repro import walk
 from repro.f.syntax import (
-    App, BinOp, FArrow, FExpr, FInt, FType, Fold, If0, IntE, Lam, Proj,
-    TupleE, Unfold, UnitE, Var,
+    App, BinOp, FArrow, FExpr, FInt, FType, If0, IntE, Lam, Var,
 )
 from repro.f.typecheck import typecheck as f_typecheck
 from repro.ft.syntax import Boundary, StackLam
@@ -51,7 +51,7 @@ from repro.compile.names import NameSupply
 
 __all__ = [
     "CompilationResult", "COMPILE_CACHE", "clear_compile_cache",
-    "is_general_compilable", "compile_term", "compile_function",
+    "is_general_compilable", "compile_term",
     "jit_eligible", "jit_rewrite",
 ]
 
@@ -195,17 +195,6 @@ def compile_term(e: FExpr, gamma: Optional[Dict[str, FType]] = None,
     return result
 
 
-def compile_function(lam: Lam,
-                     gamma: Optional[Dict[str, FType]] = None,
-                     optimize: bool = True) -> CompilationResult:
-    """Compile a lambda (the JIT's unit of work)."""
-    if not isinstance(lam, Lam) or isinstance(lam, StackLam):
-        raise CompileError("only plain lambdas can be compiled as "
-                           "functions", judgment="compile.eligibility",
-                           subject=str(lam))
-    return compile_term(lam, gamma, optimize)
-
-
 def jit_rewrite(e: FExpr,
                 compile_lambda: Optional[
                     Callable[[Lam], Optional[FExpr]]] = None) -> FExpr:
@@ -221,31 +210,5 @@ def jit_rewrite(e: FExpr,
         def compile_lambda(lam: Lam) -> FExpr:
             return compile_term(lam).wrapped
 
-    def walk(e: FExpr) -> FExpr:
-        if jit_eligible(e):
-            replaced = compile_lambda(e)  # type: ignore[arg-type]
-            if replaced is not None:
-                return replaced
-        if isinstance(e, (Var, IntE, UnitE)):
-            return e
-        if isinstance(e, BinOp):
-            return BinOp(e.op, walk(e.left), walk(e.right))
-        if isinstance(e, If0):
-            return If0(walk(e.cond), walk(e.then), walk(e.els))
-        if isinstance(e, StackLam):
-            return StackLam(e.params, walk(e.body), e.phi_in, e.phi_out)
-        if isinstance(e, Lam):
-            return Lam(e.params, walk(e.body))
-        if isinstance(e, App):
-            return App(walk(e.fn), tuple(walk(a) for a in e.args))
-        if isinstance(e, Fold):
-            return Fold(e.ann, walk(e.body))
-        if isinstance(e, Unfold):
-            return Unfold(walk(e.body))
-        if isinstance(e, TupleE):
-            return TupleE(tuple(walk(x) for x in e.items))
-        if isinstance(e, Proj):
-            return Proj(e.index, walk(e.body))
-        return e  # boundaries and other leaves are left untouched
-
-    return walk(e)
+    return walk.fold(e, lambda x: compile_lambda(x) if jit_eligible(x)
+                     else None)

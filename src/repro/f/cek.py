@@ -53,10 +53,10 @@ from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import MachineSnapshot
 from repro.f.eval import apply_binop
 from repro.f.syntax import (
-    App, BinOp, FExpr, Fold, If0, IntE, is_value, Lam, Proj,
+    App, BinOp, FExpr, Fold, free_vars, If0, IntE, is_value, Lam, Proj,
     register_value_class, subst_expr, TupleE, Unfold, UnitE, Var,
 )
-from repro.ft.syntax import Boundary, ft_free_vars, Hole
+from repro.ft.syntax import Boundary, Hole
 
 __all__ = [
     "CEKEvaluator", "Closure", "cek_evaluate",
@@ -189,7 +189,7 @@ def _reify(v: FExpr) -> FExpr:
         if not env:
             return lam
         out: FExpr = lam
-        for x in sorted(ft_free_vars(lam)):
+        for x in sorted(free_vars(lam)):
             val = env.get(x)
             if val is not None:
                 out = subst_expr(out, x, _reify(val))
@@ -228,7 +228,7 @@ def _reify_open(e: FExpr, env: Dict[str, FExpr]) -> FExpr:
     immaterial; sorted for determinism."""
     if not env:
         return e
-    for x in sorted(ft_free_vars(e)):
+    for x in sorted(free_vars(e)):
         val = env.get(x)
         if val is not None:
             e = subst_expr(e, x, _reify(val))

@@ -17,14 +17,17 @@ The multi-language FT (paper Fig 6) extends these categories with boundary
 terms and stack-modifying lambdas; those constructors live in
 :mod:`repro.ft.syntax` and subclass :class:`FExpr` / :class:`FType` so that
 pure-F code never needs to know about them.
+
+The term traversals here walk the F/FT grammar of :mod:`repro.walk`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, Optional, Tuple
 
+from repro import walk
 from repro.caching import InternTable, PicklableSlots, intern_singleton
 
 __all__ = [
@@ -456,31 +459,22 @@ def is_value(e: FExpr) -> bool:
 
 
 def free_vars(e: FExpr) -> frozenset:
-    """The free term variables of ``e`` (F forms only)."""
-    if isinstance(e, Var):
-        return frozenset({e.name})
-    if isinstance(e, (UnitE, IntE)):
-        return frozenset()
-    if isinstance(e, BinOp):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, If0):
-        return free_vars(e.cond) | free_vars(e.then) | free_vars(e.els)
+    """The free term variables of ``e``, crossing boundaries into their
+    ``import`` payloads (lumps are closed)."""
+    return walk.fold(e, post=_fv_post, cross=True, unknown=_not_ft)
+
+
+def _not_ft(e: FExpr):
+    raise TypeError(f"not an FT expression: {e!r}")
+
+
+def _fv_post(e: FExpr, results) -> frozenset:
+    if not results:
+        return frozenset([e.name] if isinstance(e, Var) else ())
+    acc = results[0].union(*results[1:])
     if isinstance(e, Lam):
-        bound = {x for x, _ in e.params}
-        return free_vars(e.body) - bound
-    if isinstance(e, App):
-        acc = free_vars(e.fn)
-        for a in e.args:
-            acc |= free_vars(a)
-        return acc
-    if isinstance(e, (Fold, Unfold, Proj)):
-        return free_vars(e.body)
-    if isinstance(e, TupleE):
-        acc = frozenset()
-        for x in e.items:
-            acc |= free_vars(x)
-        return acc
-    raise TypeError(f"not a core F expression: {e!r}")
+        return acc.difference([x for x, _ in e.params])
+    return acc
 
 
 _fresh_var_counter = itertools.count()
@@ -507,103 +501,42 @@ def advance_fresh_var(mark: int) -> None:
 
 
 def subst_expr(e: FExpr, var: str, replacement: FExpr) -> FExpr:
-    """Capture-avoiding term substitution ``e[replacement / var]``.
+    """Capture-avoiding term substitution ``e[replacement / var]``,
+    crossing boundaries into their ``import`` payloads; extension values
+    (lumps, CEK closures) are closed.  Untouched subterms are shared."""
+    fvs = None
 
-    Handles all core F forms; FT subclasses override their traversal via
-    :func:`repro.ft.syntax.subst_ft_expr`, which falls back to this function
-    for the shared forms.
-    """
-    # Local import to let FT forms participate without a circular import at
-    # module load time.
-    from repro.ft import syntax as ft_syntax
+    def pre(x: FExpr):
+        nonlocal fvs
+        if isinstance(x, Var):
+            return replacement if x.name == var else x
+        if not isinstance(x, Lam):
+            return None
+        if any(name == var for name, _ in x.params):
+            return x
+        if fvs is None:
+            fvs = free_vars(replacement)
+        if all(name not in fvs for name, _ in x.params):
+            return None
+        body, params = x.body, []
+        for name, ty in x.params:       # rename what would be captured
+            if name in fvs:
+                fresh = _fresh_var(name)
+                body = subst_expr(body, name, Var(fresh))
+                name = fresh
+            params.append((name, ty))
+        return walk.Descend(replace(x, params=tuple(params), body=body))
 
-    if isinstance(e, ft_syntax.Boundary):
-        return ft_syntax.subst_boundary(e, var, replacement, subst_expr)
+    return walk.fold(e, pre, cross=True, unknown=_closed_value)
+
+
+def _closed_value(e: FExpr) -> FExpr:
     if any(isinstance(e, cls) for cls in _EXTRA_VALUE_CLASSES):
-        return e  # extension values (lumps) are closed
-    if isinstance(e, Var):
-        return replacement if e.name == var else e
-    if isinstance(e, (UnitE, IntE)):
         return e
-    if isinstance(e, BinOp):
-        return BinOp(e.op, subst_expr(e.left, var, replacement),
-                     subst_expr(e.right, var, replacement))
-    if isinstance(e, If0):
-        return If0(subst_expr(e.cond, var, replacement),
-                   subst_expr(e.then, var, replacement),
-                   subst_expr(e.els, var, replacement))
-    if isinstance(e, Lam):
-        return _subst_under_binder(e, var, replacement)
-    if isinstance(e, App):
-        return App(subst_expr(e.fn, var, replacement),
-                   tuple(subst_expr(a, var, replacement) for a in e.args))
-    if isinstance(e, Fold):
-        return Fold(e.ann, subst_expr(e.body, var, replacement))
-    if isinstance(e, Unfold):
-        return Unfold(subst_expr(e.body, var, replacement))
-    if isinstance(e, TupleE):
-        return TupleE(tuple(subst_expr(x, var, replacement) for x in e.items))
-    if isinstance(e, Proj):
-        return Proj(e.index, subst_expr(e.body, var, replacement))
     raise TypeError(f"not an F expression: {e!r}")
 
 
-def _subst_under_binder(e: Lam, var: str, replacement: FExpr) -> Lam:
-    """Substitute into a lambda body, renaming parameters to avoid capture.
-
-    Reconstructs via ``_rebuild_lam`` so FT stack-modifying lambdas keep their
-    stack annotations.
-    """
-    names = [x for x, _ in e.params]
-    if var in names:
-        return e
-    body = e.body
-    # Use the FT-aware free-variable computation: the replacement may
-    # contain boundaries (with free variables inside imports) anywhere.
-    fvs = _safe_fvs(replacement)
-    new_params = []
-    for x, t in e.params:
-        if x in fvs:
-            fresh = _fresh_var(x)
-            body = subst_expr(body, x, Var(fresh))
-            new_params.append((fresh, t))
-        else:
-            new_params.append((x, t))
-    return _rebuild_lam(e, tuple(new_params), subst_expr(body, var, replacement))
-
-
-def _rebuild_lam(e: Lam, params, body) -> Lam:
-    from repro.ft import syntax as ft_syntax
-
-    if isinstance(e, ft_syntax.StackLam):
-        return ft_syntax.StackLam(params, body, e.phi_in, e.phi_out)
-    return Lam(params, body)
-
-
-def _safe_fvs(e: FExpr) -> frozenset:
-    from repro.ft.syntax import ft_free_vars
-
-    return ft_free_vars(e)
-
-
 def iter_subexprs(e: FExpr) -> Iterator[FExpr]:
-    """Yield ``e`` and all its F sub-expressions (pre-order)."""
-    yield e
-    if isinstance(e, BinOp):
-        yield from iter_subexprs(e.left)
-        yield from iter_subexprs(e.right)
-    elif isinstance(e, If0):
-        yield from iter_subexprs(e.cond)
-        yield from iter_subexprs(e.then)
-        yield from iter_subexprs(e.els)
-    elif isinstance(e, Lam):
-        yield from iter_subexprs(e.body)
-    elif isinstance(e, App):
-        yield from iter_subexprs(e.fn)
-        for a in e.args:
-            yield from iter_subexprs(a)
-    elif isinstance(e, (Fold, Unfold, Proj)):
-        yield from iter_subexprs(e.body)
-    elif isinstance(e, TupleE):
-        for x in e.items:
-            yield from iter_subexprs(x)
+    """Yield ``e`` and all its F sub-expressions (pre-order); a
+    boundary's component is not entered."""
+    return walk.preorder(e)

@@ -23,26 +23,27 @@ module wires those crossings up:
   registered with :mod:`repro.tal.subst`;
 * location renaming for ``import`` is registered with
   :mod:`repro.tal.machine`;
-* F term substitution descends through boundaries via
-  :func:`subst_boundary` (called from :func:`repro.f.syntax.subst_expr`);
+* the F-term traversals here and in :mod:`repro.f.syntax` walk the
+  grammar of :mod:`repro.walk`, which says where F terms hold T types
+  and where a component holds F terms;
 * F type equality / substitution handle :class:`FStackArrow` via the hook
   registries added here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from repro.caching import PicklableSlots, intern_singleton
 from typing import Callable, Dict, Optional, Set, Tuple
 
-from repro.f.syntax import (
-    App, BinOp, FArrow, FExpr, Fold, FType, If0, IntE, Lam, Proj, TupleE,
-    Unfold, UnitE, Var,
-)
+from repro import walk
+from repro.f.syntax import FExpr, FType, Lam
 from repro.f import syntax as f_syntax
+from repro.ft.lump import LumpVal
 from repro.tal import syntax as tal_syntax
-from repro.tal.machine import register_loc_renamer, share_tuple
+from repro.tal.machine import register_loc_renamer
 from repro.tal.subst import (
     Subst, free_type_vars, register_binding_instr, register_simple_instr,
     subst_component, subst_instr_seq, subst_stack, subst_ty,
@@ -53,8 +54,7 @@ from repro.tal.syntax import (
 
 __all__ = [
     "FStackArrow", "StackLam", "Boundary", "StackDelta", "Import",
-    "Protect", "Hole", "subst_boundary", "ft_free_vars",
-    "subst_tal_in_fexpr", "rename_locs_in_fexpr",
+    "Protect", "Hole", "subst_tal_in_fexpr", "rename_locs_in_fexpr",
     "tal_free_type_vars_of_fexpr",
 ]
 
@@ -238,91 +238,6 @@ class Protect(Instruction):
 
 
 # ---------------------------------------------------------------------------
-# F-side traversals across boundaries
-# ---------------------------------------------------------------------------
-
-def subst_boundary(e: Boundary, var: str, replacement: FExpr,
-                   subst_expr: Callable) -> Boundary:
-    """Substitute an F term variable inside a boundary's T component
-    (it can occur free in ``import`` expressions)."""
-    return Boundary(e.ty, subst_fexpr_in_component(
-        e.comp, var, replacement, subst_expr), e.delta)
-
-
-def subst_fexpr_in_component(comp: Component, var: str, replacement: FExpr,
-                             subst_expr: Callable) -> Component:
-    def in_seq(iseq: InstrSeq) -> InstrSeq:
-        instrs = []
-        for i in iseq.instrs:
-            if isinstance(i, Import):
-                instrs.append(Import(i.rd, i.protected, i.ty,
-                                     subst_expr(i.expr, var, replacement)))
-            else:
-                instrs.append(i)
-        return InstrSeq(tuple(instrs), iseq.term)
-
-    heap = []
-    for loc, h in comp.heap:
-        if isinstance(h, tal_syntax.HCode):
-            heap.append((loc, tal_syntax.HCode(
-                h.delta, h.chi, h.sigma, h.q, in_seq(h.instrs))))
-        else:
-            heap.append((loc, h))
-    return Component(in_seq(comp.instrs), tuple(heap))
-
-
-def ft_free_vars(e: FExpr) -> frozenset:
-    """Free F term variables of an FT expression (crossing boundaries)."""
-    from repro.ft.lump import LumpVal
-
-    if isinstance(e, LumpVal):
-        return frozenset()
-    if isinstance(e, Boundary):
-        return _component_free_vars(e.comp)
-    if isinstance(e, Var):
-        return frozenset({e.name})
-    if isinstance(e, (UnitE, IntE)):
-        return frozenset()
-    if isinstance(e, BinOp):
-        return ft_free_vars(e.left) | ft_free_vars(e.right)
-    if isinstance(e, If0):
-        return (ft_free_vars(e.cond) | ft_free_vars(e.then)
-                | ft_free_vars(e.els))
-    if isinstance(e, Lam):
-        bound = {x for x, _ in e.params}
-        return ft_free_vars(e.body) - bound
-    if isinstance(e, App):
-        acc = ft_free_vars(e.fn)
-        for a in e.args:
-            acc |= ft_free_vars(a)
-        return acc
-    if isinstance(e, (Fold, Unfold, Proj)):
-        return ft_free_vars(e.body)
-    if isinstance(e, TupleE):
-        acc = frozenset()
-        for x in e.items:
-            acc |= ft_free_vars(x)
-        return acc
-    raise TypeError(f"not an FT expression: {e!r}")
-
-
-def _component_free_vars(comp: Component) -> frozenset:
-    acc: frozenset = frozenset()
-
-    def in_seq(iseq: InstrSeq) -> None:
-        nonlocal acc
-        for i in iseq.instrs:
-            if isinstance(i, Import):
-                acc |= ft_free_vars(i.expr)
-
-    in_seq(comp.instrs)
-    for _, h in comp.heap:
-        if isinstance(h, tal_syntax.HCode):
-            in_seq(h.instrs)
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # T-type traversals through F forms (for import/protect hooks)
 # ---------------------------------------------------------------------------
 
@@ -357,97 +272,32 @@ def subst_tal_in_fexpr(e: FExpr, s: Subst) -> FExpr:
     Needed because an ``import`` instruction's F expression can mention the
     enclosing component's type variables inside nested boundaries, lambda
     annotations, and ``halt``/``call`` annotations."""
-    from repro.ft.lump import LumpVal
+    ftype, ttype = partial(subst_tal_in_ftype, s=s), partial(subst_ty, s=s)
 
-    if isinstance(e, LumpVal):
-        return e
-    if isinstance(e, Boundary):
-        return Boundary(subst_tal_in_ftype(e.ty, s),
-                        subst_component(e.comp, s),
-                        StackDelta(e.delta.pops,
-                                   tuple(subst_ty(t, s)
-                                         for t in e.delta.pushes)))
-    if isinstance(e, (Var, UnitE, IntE)):
-        return e
-    if isinstance(e, BinOp):
-        return BinOp(e.op, subst_tal_in_fexpr(e.left, s),
-                     subst_tal_in_fexpr(e.right, s))
-    if isinstance(e, If0):
-        return If0(subst_tal_in_fexpr(e.cond, s),
-                   subst_tal_in_fexpr(e.then, s),
-                   subst_tal_in_fexpr(e.els, s))
-    if isinstance(e, StackLam):
-        return StackLam(
-            tuple((x, subst_tal_in_ftype(t, s)) for x, t in e.params),
-            subst_tal_in_fexpr(e.body, s),
-            tuple(subst_ty(t, s) for t in e.phi_in),
-            tuple(subst_ty(t, s) for t in e.phi_out))
-    if isinstance(e, Lam):
-        return Lam(tuple((x, subst_tal_in_ftype(t, s)) for x, t in e.params),
-                   subst_tal_in_fexpr(e.body, s))
-    if isinstance(e, App):
-        return App(subst_tal_in_fexpr(e.fn, s),
-                   tuple(subst_tal_in_fexpr(a, s) for a in e.args))
-    if isinstance(e, Fold):
-        return Fold(subst_tal_in_ftype(e.ann, s),
-                    subst_tal_in_fexpr(e.body, s))
-    if isinstance(e, Unfold):
-        return Unfold(subst_tal_in_fexpr(e.body, s))
-    if isinstance(e, TupleE):
-        return TupleE(tuple(subst_tal_in_fexpr(x, s) for x in e.items))
-    if isinstance(e, Proj):
-        return Proj(e.index, subst_tal_in_fexpr(e.body, s))
-    raise TypeError(f"not an FT expression: {e!r}")
+    def pre(x: FExpr):
+        typed = walk.map_types(x, ftype, ttype)
+        if isinstance(x, Boundary):
+            comp = subst_component(x.comp, s)
+            return typed if comp is x.comp else \
+                Boundary(typed.ty, comp, typed.delta)
+        return None if typed is x else walk.Descend(typed)
+
+    return walk.fold(e, pre, unknown=_not_ft)
 
 
 def tal_free_type_vars_of_fexpr(e: FExpr) -> Set[Tuple[str, str]]:
     """Free T type variables occurring in an FT expression."""
-    from repro.ft.lump import LumpVal
-
     acc: Set[Tuple[str, str]] = set()
-    if isinstance(e, LumpVal):
-        return acc
-    if isinstance(e, Boundary):
-        acc |= free_type_vars(e.comp)
-        acc |= _tal_ftv_of_ftype(e.ty)
-        for t in e.delta.pushes:
-            acc |= free_type_vars(t)
-        return acc
-    if isinstance(e, (Var, UnitE, IntE)):
-        return acc
-    if isinstance(e, BinOp):
-        return (tal_free_type_vars_of_fexpr(e.left)
-                | tal_free_type_vars_of_fexpr(e.right))
-    if isinstance(e, If0):
-        return (tal_free_type_vars_of_fexpr(e.cond)
-                | tal_free_type_vars_of_fexpr(e.then)
-                | tal_free_type_vars_of_fexpr(e.els))
-    if isinstance(e, StackLam):
-        acc = tal_free_type_vars_of_fexpr(e.body)
-        for t in e.phi_in + e.phi_out:
-            acc |= free_type_vars(t)
-        for _, t in e.params:
-            acc |= _tal_ftv_of_ftype(t)
-        return acc
-    if isinstance(e, Lam):
-        acc = tal_free_type_vars_of_fexpr(e.body)
-        for _, t in e.params:
-            acc |= _tal_ftv_of_ftype(t)
-        return acc
-    if isinstance(e, App):
-        acc = tal_free_type_vars_of_fexpr(e.fn)
-        for a in e.args:
-            acc |= tal_free_type_vars_of_fexpr(a)
-        return acc
-    if isinstance(e, Fold):
-        return (_tal_ftv_of_ftype(e.ann)
-                | tal_free_type_vars_of_fexpr(e.body))
-    if isinstance(e, (Unfold, Proj)):
-        return tal_free_type_vars_of_fexpr(e.body)
-    if isinstance(e, TupleE):
-        for x in e.items:
-            acc |= tal_free_type_vars_of_fexpr(x)
-        return acc
+    ftype = lambda t: acc.update(_tal_ftv_of_ftype(t)) or t
+    ttype = lambda t: acc.update(free_type_vars(t)) or t
+    for x in walk.preorder(e, unknown=_not_ft):
+        walk.map_types(x, ftype, ttype)
+        if isinstance(x, Boundary):
+            acc.update(free_type_vars(x.comp))
+    return acc
+
+
+def _not_ft(e: FExpr):
     raise TypeError(f"not an FT expression: {e!r}")
 
 
@@ -485,70 +335,21 @@ def rename_locs_in_fexpr(e: FExpr, mapping: Dict[Loc, Loc],
     and lump handles).
 
     Sharing-preserving like :func:`repro.tal.machine.rename_locs`: a
-    subterm with no renamed label comes back as the same object."""
-    from repro.ft.lump import LumpVal
+    subterm with no renamed label comes back as the same object.  A
+    component's own labels move along with their references."""
+    rename = partial(rename_locs, mapping=mapping)
 
-    def go(x: FExpr) -> FExpr:
-        return rename_locs_in_fexpr(x, mapping, rename_locs)
+    def pre(x: FExpr):
+        if isinstance(x, LumpVal):
+            new = mapping.get(x.loc)
+            return x if new is None or new is x.loc else LumpVal(new)
+        if isinstance(x, Boundary):
+            comp = walk.map_component(x.comp, rename, rename,
+                                      lambda loc: mapping.get(loc, loc))
+            return x if comp is x.comp else Boundary(x.ty, comp, x.delta)
+        return None
 
-    if isinstance(e, LumpVal):
-        new = mapping.get(e.loc)
-        return e if new is None or new is e.loc else LumpVal(new)
-    if isinstance(e, Boundary):
-        comp = _rename_component(e.comp, mapping, rename_locs)
-        return e if comp is e.comp else Boundary(e.ty, comp, e.delta)
-    if isinstance(e, (Var, UnitE, IntE)):
-        return e
-    if isinstance(e, BinOp):
-        left, right = go(e.left), go(e.right)
-        if left is e.left and right is e.right:
-            return e
-        return BinOp(e.op, left, right)
-    if isinstance(e, If0):
-        cond, then, els = go(e.cond), go(e.then), go(e.els)
-        if cond is e.cond and then is e.then and els is e.els:
-            return e
-        return If0(cond, then, els)
-    if isinstance(e, (Lam, Fold, Unfold, Proj)):
-        body = go(e.body)
-        if body is e.body:
-            return e
-        if isinstance(e, StackLam):
-            return StackLam(e.params, body, e.phi_in, e.phi_out)
-        if isinstance(e, Lam):
-            return Lam(e.params, body)
-        if isinstance(e, Fold):
-            return Fold(e.ann, body)
-        if isinstance(e, Unfold):
-            return Unfold(body)
-        return Proj(e.index, body)
-    if isinstance(e, App):
-        fn = go(e.fn)
-        args = share_tuple(e.args, tuple(go(a) for a in e.args))
-        if fn is e.fn and args is e.args:
-            return e
-        return App(fn, args)
-    if isinstance(e, TupleE):
-        items = share_tuple(e.items, tuple(go(x) for x in e.items))
-        return e if items is e.items else TupleE(items)
-    raise TypeError(f"not an FT expression: {e!r}")
-
-
-def _rename_component(comp: Component, mapping, rename_locs) -> Component:
-    # Heap entry *keys* are renamed along with references: a mapping that
-    # covers a component's own labels must move the binding occurrence
-    # too, or every renamed reference dangles.  Mappings that only touch
-    # labels bound elsewhere (the machine's load-time freshening) leave
-    # the keys alone via the ``get`` default.  An untouched component
-    # comes back as the same object.
-    instrs = rename_locs(comp.instrs, mapping)
-    heap = tuple((mapping.get(loc, loc), rename_locs(h, mapping))
-                 for loc, h in comp.heap)
-    if instrs is comp.instrs and all(
-            l1 is l2 and h1 is h2
-            for (l1, h1), (l2, h2) in zip(comp.heap, heap)):
-        return comp
-    return Component(instrs, heap)
+    return walk.fold(e, pre, unknown=_not_ft)
 
 
 # ---------------------------------------------------------------------------

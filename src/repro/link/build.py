@@ -44,8 +44,8 @@ from repro.obs.events import OBS
 from repro.compile.pipeline import (
     CompilationResult, compile_term, is_general_compilable,
 )
-from repro.f.syntax import App, FExpr, FType, Lam
-from repro.ft.syntax import Boundary, ft_free_vars
+from repro.f.syntax import App, FExpr, FType, Lam, free_vars
+from repro.ft.syntax import Boundary
 from repro.ft.typecheck import check_ft_expr
 from repro.link.fingerprint import stable_fingerprint
 from repro.link.interface import TIER_COMPILED, ComponentInterface
@@ -219,7 +219,7 @@ def _dependency_order(manifest: Manifest) -> List[str]:
     names = {name for name, _ in manifest.components}
     deps: Dict[str, set] = {}
     for name, expr in manifest.components:
-        free = ft_free_vars(expr)
+        free = free_vars(expr)
         unknown = free - names
         if unknown:
             raise LinkError(
@@ -238,7 +238,7 @@ def _dependency_order(manifest: Manifest) -> List[str]:
 def _build_one(name: str, expr: FExpr, gamma: Dict[str, FType],
                optimize: bool) -> Tuple[ComponentInterface, FExpr, str]:
     """Compile (or adopt) one component; returns (iface, term, tier)."""
-    imports = tuple(sorted((n, gamma[n]) for n in ft_free_vars(expr)))
+    imports = tuple(sorted((n, gamma[n]) for n in free_vars(expr)))
     if is_general_compilable(expr, dict(imports) or None):
         result = compile_term(expr, dict(imports) or None,
                               optimize=optimize)
@@ -274,7 +274,7 @@ def build_manifest(manifest: Manifest,
         for name in order:
             expr = bodies[name]
             imports = tuple(sorted(
-                (n, export_ty[n]) for n in ft_free_vars(expr)))
+                (n, export_ty[n]) for n in free_vars(expr)))
             digest = component_digest(expr, imports, optimize)
             record = None
             if store is not None:

@@ -32,15 +32,12 @@ from typing import Dict, List, Sequence, Set, Tuple
 from repro.errors import LinkError
 from repro.obs.events import OBS
 from repro.compile.names import NameSupply
-from repro.f.syntax import (
-    App, BinOp, FExpr, Fold, If0, Lam, Proj, TupleE, Unfold, subst_expr,
-)
-from repro.ft.syntax import (
-    Boundary, Import, ft_free_vars, rename_locs_in_fexpr,
-)
+from repro import walk
+from repro.f.syntax import FExpr, free_vars, subst_expr
+from repro.ft.syntax import Boundary, rename_locs_in_fexpr
 from repro.link.interface import ComponentInterface, check_import
 from repro.tal.machine import rename_locs
-from repro.tal.syntax import Component, HCode, Loc
+from repro.tal.syntax import Loc
 
 __all__ = [
     "LinkUnit", "LinkedProgram", "link_components", "collect_labels",
@@ -84,46 +81,10 @@ def collect_labels(e: FExpr) -> Set[Loc]:
     one artifact these are unique -- the compiler mints them from a
     single per-compilation supply -- so one flat set is faithful."""
     acc: Set[Loc] = set()
-    _collect_expr(e, acc)
+    for x in walk.preorder(e, cross=True):
+        if isinstance(x, Boundary):
+            acc.update(loc for loc, _ in x.comp.heap)
     return acc
-
-
-def _collect_expr(e: FExpr, acc: Set[Loc]) -> None:
-    if isinstance(e, Boundary):
-        _collect_component(e.comp, acc)
-    elif isinstance(e, BinOp):
-        _collect_expr(e.left, acc)
-        _collect_expr(e.right, acc)
-    elif isinstance(e, If0):
-        _collect_expr(e.cond, acc)
-        _collect_expr(e.then, acc)
-        _collect_expr(e.els, acc)
-    elif isinstance(e, Lam):
-        _collect_expr(e.body, acc)
-    elif isinstance(e, App):
-        _collect_expr(e.fn, acc)
-        for a in e.args:
-            _collect_expr(a, acc)
-    elif isinstance(e, (Fold, Unfold, Proj)):
-        _collect_expr(e.body, acc)
-    elif isinstance(e, TupleE):
-        for item in e.items:
-            _collect_expr(item, acc)
-    # Var / IntE / UnitE / lump handles bind no labels
-
-
-def _collect_component(comp: Component, acc: Set[Loc]) -> None:
-    for loc, h in comp.heap:
-        acc.add(loc)
-        if isinstance(h, HCode):
-            _collect_seq(h.instrs, acc)
-    _collect_seq(comp.instrs, acc)
-
-
-def _collect_seq(iseq, acc: Set[Loc]) -> None:
-    for instr in iseq.instrs:
-        if isinstance(instr, Import):
-            _collect_expr(instr.expr, acc)
 
 
 def rename_unit_labels(term: FExpr, name: str,
@@ -206,7 +167,7 @@ def _link(units: Sequence[LinkUnit], main: FExpr) -> LinkedProgram:
             check_import(unit.name, imported, required, provider.iface)
             deps[unit.name].add(imported)
 
-    main_imports = sorted(ft_free_vars(main))
+    main_imports = sorted(free_vars(main))
     for imported in main_imports:
         if imported not in exports:
             raise LinkError(
@@ -233,7 +194,7 @@ def _link(units: Sequence[LinkUnit], main: FExpr) -> LinkedProgram:
     for imported in main_imports:
         program = subst_expr(program, imported, linked[imported])
 
-    leftover = ft_free_vars(program)
+    leftover = free_vars(program)
     if leftover:
         raise LinkError(
             f"linked program is still open in "

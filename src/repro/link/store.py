@@ -34,22 +34,17 @@ import hashlib
 import json
 import os
 import pickle
-import sys
 import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.events import OBS
 from repro.resilience.chaos import probe
+from repro.resilience.checkpoint import deep_dumps
 
 __all__ = ["ArtifactStore", "default_store_root", "STORE_VERSION"]
 
 STORE_VERSION = 1
-
-#: Artifact syntax trees nest arbitrarily deep (compiled recursive
-#: lambdas); pickling walks them recursively, so give the host stack the
-#: same headroom the checkpoint layer uses.
-_PICKLE_RECURSION_LIMIT = 50_000
 
 
 def default_store_root() -> Path:
@@ -66,24 +61,9 @@ def _count(outcome: str, n: int = 1) -> None:
 
 
 def _encode_payload(obj: Any) -> Tuple[str, str]:
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, _PICKLE_RECURSION_LIMIT))
-    try:
-        raw = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    finally:
-        sys.setrecursionlimit(old)
+    raw = deep_dumps(obj, "store artifact")  # trees nest arbitrarily deep
     payload = base64.b64encode(raw).decode("ascii")
     return payload, hashlib.sha256(payload.encode("ascii")).hexdigest()
-
-
-def _decode_payload(payload: str) -> Any:
-    raw = base64.b64decode(payload.encode("ascii"))
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, _PICKLE_RECURSION_LIMIT))
-    try:
-        return pickle.loads(raw)
-    finally:
-        sys.setrecursionlimit(old)
 
 
 class ArtifactStore:
@@ -133,7 +113,7 @@ class ArtifactStore:
                 payload.encode("ascii")).hexdigest()
             if actual != envelope["integrity"]:
                 raise ValueError("integrity hash mismatch")
-            obj = _decode_payload(payload)
+            obj = pickle.loads(base64.b64decode(payload.encode("ascii")))
             meta = envelope.get("meta", {})
         except Exception:   # noqa: BLE001 -- any damage reads as corrupt
             _count("corrupt")

@@ -27,6 +27,7 @@ import base64
 import hashlib
 import pickle
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Any, Dict
 
@@ -34,7 +35,7 @@ from repro.errors import SnapshotError
 from repro.obs.events import OBS
 from repro.resilience.chaos import probe
 
-__all__ = ["MachineSnapshot", "SNAPSHOT_VERSION"]
+__all__ = ["MachineSnapshot", "SNAPSHOT_VERSION", "deep_dumps"]
 
 #: Bumped whenever the pickled layout changes incompatibly; restore
 #: refuses snapshots from a different version rather than guessing.
@@ -42,13 +43,48 @@ __all__ = ["MachineSnapshot", "SNAPSHOT_VERSION"]
 #: records plus a hole value.
 SNAPSHOT_VERSION = 2
 
-#: The pickler recurses once per AST node, so a machine suspended inside
-#: a deep evaluation context needs more than Python's default ~1000
-#: frames to serialize.  Capture temporarily raises the limit to this
-#: ceiling; states deeper still fail as a clean :class:`SnapshotError`
-#: (the machine stays live) rather than a hard interpreter crash.
-#: Unpickling is stack-based in CPython and needs no such headroom.
-PICKLE_RECURSION_LIMIT = 50_000
+#: Pickling recurses on the host per level of nesting (~170 bytes of C
+#: stack on CPython 3.11: 8 MiB overflows near 50,000 levels), so what is
+#: too deep for the caller is pickled on a thread with ten times that
+#: stack; deeper is a :class:`SnapshotError`.  Unpickling is iterative.
+PICKLE_RECURSION_LIMIT, PICKLE_STACK_BYTES = 50_000, 128 << 20
+_STACK_SIZE_LOCK = threading.Lock()
+
+
+def deep_dumps(obj: Any, what: str) -> bytes:
+    """``pickle.dumps(obj)`` at any depth up to the limit above; every
+    failure raises :class:`SnapshotError` naming ``what``."""
+    result: Dict[str, Any] = {}
+
+    def pickle_deep(limit: int) -> None:
+        old = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(max(old, limit))
+            result["payload"] = pickle.dumps(
+                obj, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # pickle raises a zoo of types
+            result["error"] = exc
+        finally:
+            sys.setrecursionlimit(old)
+
+    pickle_deep(0)
+    if isinstance(result.get("error"), RecursionError):
+        try:
+            with _STACK_SIZE_LOCK:
+                old = threading.stack_size(PICKLE_STACK_BYTES)
+                try:
+                    worker = threading.Thread(
+                        target=pickle_deep, args=(PICKLE_RECURSION_LIMIT,))
+                    worker.start()
+                finally:
+                    threading.stack_size(old)
+            worker.join()
+        except Exception as exc:  # no thread to be had
+            result["error"] = exc
+    if "payload" not in result:
+        raise SnapshotError(f"cannot pickle {what}: {result['error']}") \
+            from result["error"]
+    return result["payload"]
 
 
 def _fresh_marks() -> Dict[str, int]:
@@ -99,15 +135,7 @@ class MachineSnapshot:
             "state": state,
             "marks": _fresh_marks(),
         }
-        limit = sys.getrecursionlimit()
-        try:
-            sys.setrecursionlimit(max(limit, PICKLE_RECURSION_LIMIT))
-            payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:  # pickle raises a zoo of types
-            raise SnapshotError(
-                f"cannot pickle {kind!r} machine state: {exc}") from exc
-        finally:
-            sys.setrecursionlimit(limit)
+        payload = deep_dumps(record, f"{kind!r} machine state")
         digest = hashlib.sha256(payload).hexdigest()
         if OBS.enabled:
             OBS.metrics.inc("resilience.snapshot.captured")

@@ -31,7 +31,7 @@ from repro.caching import Quarantine
 from repro.errors import ResourceExhausted
 from repro.f.syntax import FExpr, Lam
 from repro.ft.machine import FTMachine, evaluate_ft
-from repro.compile.pipeline import compile_function, jit_rewrite
+from repro.compile.pipeline import compile_term, jit_rewrite
 from repro.obs.events import OBS
 from repro.resilience.budget import Budget
 from repro.resilience.chaos import probe
@@ -83,7 +83,7 @@ def jit_rewrite_guarded(
             report.skipped += 1
             return None
         try:
-            compiled = compile_function(lam).wrapped
+            compiled = compile_term(lam).wrapped
         except ResourceExhausted:
             raise
         except Exception as exc:

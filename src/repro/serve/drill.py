@@ -32,7 +32,8 @@ protocol cannot carry one.
 
 The report carries everything the CI gate and the resilience benchmark
 need: per-status counts, ``lost`` (must be 0), ``recovered`` (must be
->= 1), shed/breaker/quarantine activity, and the pool's MTTR summary.
+>= 1), the jobs turned away by cause (``shed``), breaker/quarantine
+activity, and the pool's MTTR summary.
 """
 
 from __future__ import annotations
@@ -42,15 +43,19 @@ import random
 import shutil
 import tempfile
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.adversarial import adversarial_jobs
 from repro.resilience.chaos import Fault
 from repro.serve.pool import WorkerPool
-from repro.serve.protocol import Job, JobOptions
+from repro.serve.protocol import Job, JobOptions, JobResult
 from repro.serve.supervisor import SupervisorConfig
 
-__all__ = ["run_serve_drill", "build_corpus"]
+__all__ = ["run_serve_drill", "build_corpus", "shed_tally", "SHED_CAUSES"]
+
+#: How an overloaded pool turns a job away: ``error_type`` -> cause.
+SHED_CAUSES = {"DeadlineExpired": "deadline", "QueueFull": "queue_full",
+               "BreakerOpen": "breaker_open"}
 
 #: Examples cheap enough to run hundreds of times in a drill.
 _RUN_EXAMPLES = ("fact-f", "fact-t", "two-blocks-1", "two-blocks-2",
@@ -121,6 +126,13 @@ def build_corpus(seed: int, jobs: int, rate: float,
     return corpus + probes
 
 
+def shed_tally(results: Iterable[JobResult]) -> Dict[str, int]:
+    """How many of ``results`` the pool turned away, by cause."""
+    causes = collections.Counter(SHED_CAUSES.get(r.error_type)
+                                 for r in results)
+    return {cause: causes[cause] for cause in SHED_CAUSES.values()}
+
+
 def run_serve_drill(seed: int = 0, jobs: int = 200, workers: int = 4,
                     rate: float = 0.1, *,
                     default_timeout: float = 3.0,
@@ -144,7 +156,7 @@ def run_serve_drill(seed: int = 0, jobs: int = 200, workers: int = 4,
 
     corpus = build_corpus(seed, jobs, rate, store_dir=store_dir)
     statuses: "collections.Counter[str]" = collections.Counter()
-    recovered = degraded = shed = 0
+    recovered = degraded = 0
     lost: List[str] = []
     t0 = time.monotonic()
     try:
@@ -179,8 +191,6 @@ def run_serve_drill(seed: int = 0, jobs: int = 200, workers: int = 4,
                     recovered += 1
                 if out.get("degraded"):
                     degraded += 1
-                if out.get("shed"):
-                    shed += 1
             stats = pool.stats()
     finally:
         if own_store:
@@ -198,7 +208,7 @@ def run_serve_drill(seed: int = 0, jobs: int = 200, workers: int = 4,
         "lost_ids": lost[:10],
         "recovered": recovered,
         "degraded": degraded,
-        "shed": shed,
+        "shed": shed_tally(t.result for t in tickets if t.done),
         "quarantined": sup.get("quarantine", {}).get("hits", 0),
         "mttr_ms": sup.get("mttr_ms", {}),
         "breaker": sup.get("breaker", {}),

@@ -292,7 +292,7 @@ def _do_resume(job: Job,
 
 
 def _do_jit(job: Job) -> Dict[str, Any]:
-    from repro.compile import compile_function, jit_eligible
+    from repro.compile import compile_term, jit_eligible
     from repro.surface.pretty import pretty_component
 
     node, is_component = _resolve_program(job)
@@ -300,7 +300,7 @@ def _do_jit(job: Job) -> Dict[str, Any]:
         raise FunTALError(
             "not a compilable lambda (first-order arithmetic fragment: "
             "int parameters; literals, parameters, + - *, if0)")
-    result = compile_function(node)
+    result = compile_term(node)
     comp = result.component
     out: Dict[str, Any] = {"assembly": pretty_component(comp),
                            "blocks": 1 + len(comp.heap)}

@@ -24,13 +24,10 @@ translations dispatch on the boundary type -- so erasure stops at
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.tal.syntax import (
-    Aop, Balloc, Bnz, Call, Component, DeltaBind, Fold, Halt, HCode,
-    HeapValue, HTuple, InstrSeq, Instruction, Jmp, KIND_ALPHA, KIND_EPS,
-    KIND_ZETA, Ld, Mv, NIL_STACK, Operand, Pack, QEnd, QEps, QIdx, QOut,
-    QReg, Ralloc, RegFileTy, RegOp, Ret, RetMarker, Salloc, Sfree, Sld,
+    Aop, Balloc, Bnz, Call, Component, Fold, Halt, HCode, HeapValue,
+    HTuple, InstrSeq, Instruction, Jmp, Ld, Mv, NIL_STACK, Operand, Pack,
+    QEnd, Ralloc, RegFileTy, RegOp, Ret, RetMarker, Salloc, Sfree, Sld,
     Sst, St, StackTy, TalType, Terminator, TExists, TUnit, TyApp, UnfoldI,
     Unpack, WInt, WLoc, WUnit,
 )
@@ -39,11 +36,6 @@ __all__ = ["erase_types", "erase_word"]
 
 _UNIT = TUnit()
 _UNIT_EXISTS = TExists("a", TUnit())
-_UNIT_REC_ANN = None  # computed lazily to avoid import noise
-
-
-def _erase_ty(ty: TalType) -> TalType:
-    return _UNIT
 
 
 def _erase_stack(sigma: StackTy) -> StackTy:

@@ -3,11 +3,11 @@
 The compiler once had an arithmetic tier and an opt-in general tier;
 the names below keep that vocabulary.  The general tier's work -- closed
 lambdas that take or return functions -- is now done by the one
-compiler: ``compile_function`` always accepts them, while ``jit_rewrite``
+compiler: ``compile_term`` always accepts them, while ``jit_rewrite``
 leaves them interpreted.
 """
 
-from repro.compile import compile_function, compile_term, jit_rewrite
+from repro.compile import compile_term, jit_rewrite
 from repro.f.syntax import App, BinOp, FArrow, FInt, IntE, Lam, Var
 from repro.ft.machine import evaluate_ft
 
@@ -24,7 +24,7 @@ INC = lam1(BinOp("+", Var("x"), IntE(1)))
 class TestFacadeDefaults:
     def test_general_tier_is_opt_in(self):
         # compiling a higher-order lambda directly needs no opt-in ...
-        compiled = compile_function(HIGHER_ORDER).wrapped
+        compiled = compile_term(HIGHER_ORDER).wrapped
         assert isinstance(compiled, Lam)
         got, _ = evaluate_ft(App(compiled, (INC,)))
         assert got == IntE(6)

@@ -8,7 +8,7 @@ from repro.f.syntax import (
     subst_expr, subst_ftype, Var, free_tvars,
 )
 from repro.ft.syntax import (
-    Boundary, FStackArrow, ft_free_vars, Import, Protect, StackDelta,
+    Boundary, FStackArrow, Import, Protect, StackDelta,
     StackLam, subst_tal_in_fexpr, tal_free_type_vars_of_fexpr,
 )
 from repro.papers_examples.import_example import build as build_import
@@ -101,14 +101,14 @@ class TestCrossLanguageFreeVars:
             Import("r1", NIL_STACK, FInt(), Var("x")),
             Halt(TInt(), NIL_STACK, "r1")))
         b = Boundary(FInt(), comp)
-        assert ft_free_vars(b) == {"x"}
+        assert free_vars(b) == {"x"}
 
     def test_lambda_still_binds_through_boundary(self):
         comp = Component(seq(
             Import("r1", NIL_STACK, FInt(), Var("x")),
             Halt(TInt(), NIL_STACK, "r1")))
         lam = Lam((("x", FInt()),), Boundary(FInt(), comp))
-        assert ft_free_vars(lam) == set()
+        assert free_vars(lam) == set()
 
     def test_subst_descends_into_import(self):
         comp = Component(seq(
@@ -116,7 +116,7 @@ class TestCrossLanguageFreeVars:
             Halt(TInt(), NIL_STACK, "r1")))
         b = Boundary(FInt(), comp)
         out = subst_expr(b, "x", IntE(9))
-        assert ft_free_vars(out) == set()
+        assert free_vars(out) == set()
         imp = out.comp.instrs.instrs[0]
         assert imp.expr == IntE(9)
 
@@ -129,7 +129,7 @@ class TestCrossLanguageFreeVars:
                           Halt(TInt(), NIL_STACK, "r1")))
         comp = Component(seq(Jmp(WLoc(label))), ((label, block),))
         out = subst_expr(Boundary(FInt(), comp), "x", IntE(3))
-        assert ft_free_vars(out) == set()
+        assert free_vars(out) == set()
 
 
 class TestTalSubstThroughF:

@@ -12,7 +12,7 @@ from repro.f.syntax import (
 )
 from repro.ft.machine import evaluate_ft
 from repro.ft.typecheck import check_ft_expr
-from repro.compile import compile_function, jit_rewrite
+from repro.compile import compile_term, jit_rewrite
 from repro.papers_examples.fig17_factorial import build_fact_t
 from repro.stdlib.foreign import bump, counter_value, INT_CELL_LUMP, new_counter
 from repro.stdlib.prelude import let_, seq_cell, twice
@@ -23,7 +23,7 @@ from repro.tal.syntax import TInt
 
 def jit(lam):
     """The compiled drop-in replacement the JIT installs for ``lam``."""
-    return compile_function(lam).wrapped
+    return compile_term(lam).wrapped
 
 
 class TestMixedPrograms:

@@ -16,7 +16,7 @@ from repro.ft.machine import evaluate_ft
 from repro.ft.syntax import Boundary
 from repro.ft.typecheck import check_ft_expr
 from repro.compile import (
-    CompileError, compile_function, jit_eligible, jit_rewrite,
+    CompileError, compile_term, jit_eligible, jit_rewrite,
 )
 
 from tests.strategies import random_f_int_expr
@@ -28,11 +28,11 @@ def lam1(body):
 
 def jit(lam):
     """The drop-in replacement the JIT installs for ``lam``."""
-    return compile_function(lam).wrapped
+    return compile_term(lam).wrapped
 
 
 def blocks(lam):
-    return len(compile_function(lam).component.heap)
+    return len(compile_term(lam).component.heap)
 
 
 class TestEligibility:
@@ -59,7 +59,7 @@ class TestEligibility:
 
     def test_compile_ineligible_raises(self):
         with pytest.raises(CompileError):
-            compile_function(lam1(Var("y")))     # open: nothing to compile
+            compile_term(lam1(Var("y")))     # open: nothing to compile
 
 
 class TestCompiledStructure:

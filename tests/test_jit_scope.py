@@ -17,7 +17,7 @@ arithmetic emitter spent on it.
 import pytest
 
 from repro.compile import (
-    compile_function, compile_term, jit_eligible, jit_rewrite,
+    compile_term, jit_eligible, jit_rewrite,
 )
 from repro.f.cek import cek_evaluate
 from repro.f.syntax import App, BinOp, FArrow, FInt, If0, IntE, Lam, Var
@@ -69,7 +69,7 @@ def _instructions(component):
 
 def _run(lam, args, tal_engine):
     machine = FTMachine(tal_engine=tal_engine)
-    value = machine.evaluate(App(compile_function(lam).wrapped, args))
+    value = machine.evaluate(App(compile_term(lam).wrapped, args))
     return value, machine.budget.fuel_used
 
 
@@ -80,7 +80,7 @@ def test_generated_bodies_reach_the_scope():
 @pytest.mark.parametrize("name,lam", CASES, ids=[n for n, _ in CASES])
 class TestInScopeLambdas:
     def test_no_import(self, name, lam):
-        component = compile_function(lam).component
+        component = compile_term(lam).component
         assert not any(isinstance(i, Import)
                        for i in _instructions(component))
 
@@ -107,7 +107,7 @@ class TestScope:
         assert not jit_eligible(lam1(Var("y")))   # open
 
     def test_compile_function_covers_higher_order_lambdas(self):
-        compiled = compile_function(HIGHER_ORDER).wrapped
+        compiled = compile_term(HIGHER_ORDER).wrapped
         assert isinstance(compiled, Lam)
         inc = lam1(BinOp("+", Var("x"), IntE(1)))
         assert evaluate_ft(App(compiled, (inc,)))[0] == IntE(6)

@@ -12,7 +12,7 @@ import pytest
 from repro import obs
 from repro.f.syntax import App, BinOp, FInt, IntE, Lam, Var
 from repro.ft.machine import evaluate_ft
-from repro.compile import clear_compile_cache, compile_function
+from repro.compile import clear_compile_cache, compile_term
 from repro.obs.events import Counter, Gauge, MachineEvent, Span
 from repro.obs.trace_export import (
     build_span_tree, event_from_dict, event_to_dict, export_chrome,
@@ -266,15 +266,15 @@ class TestJitCache:
 
     def test_repeat_compile_hits_cache(self):
         clear_compile_cache()
-        first = compile_function(self.lam())
-        second = compile_function(self.lam())
+        first = compile_term(self.lam())
+        second = compile_term(self.lam())
         assert second is first
 
     def test_hit_miss_counters(self):
         clear_compile_cache()
         obs.enable(record=False)
-        compile_function(self.lam())
-        compile_function(self.lam())
+        compile_term(self.lam())
+        compile_term(self.lam())
         counters = obs.OBS.metrics.snapshot()["counters"]
         assert counters["jit.cache.miss"] == 1
         assert counters["jit.cache.hit"] == 1
@@ -294,8 +294,8 @@ class TestJitCache:
 
     def test_cached_compile_still_evaluates(self):
         clear_compile_cache()
-        compiled_a = compile_function(self.lam()).wrapped
-        compiled_b = compile_function(self.lam()).wrapped
+        compiled_a = compile_term(self.lam()).wrapped
+        compiled_b = compile_term(self.lam()).wrapped
         got_a, _ = evaluate_ft(App(compiled_a, (IntE(4),)))
         got_b, _ = evaluate_ft(App(compiled_b, (IntE(4),)))
         assert got_a == got_b == IntE(5)

@@ -4,8 +4,9 @@ The FT machine drives both languages from one loop over an explicit
 control stack, so no verdict may depend on CPython's recursion limit.
 The only ``sys.setrecursionlimit`` calls left guard recursion over deep
 *data*, where the host recursion is the algorithm itself: pickling a
-checkpoint, pickling a store payload, and folding a CEK machine value
-back into a term.  A new raise anywhere else fails here.
+checkpoint or a store payload (one helper, on a thread with a stack to
+match), and folding a CEK machine value back into a term.  Unpickling
+needs no headroom.  A new raise anywhere else fails here.
 """
 
 import ast
@@ -18,9 +19,7 @@ SRC = Path(repro.__file__).resolve().parent
 #: (module path under ``repro/``, enclosing function) of every allowed
 #: raise, each guarding deep data.
 ALLOWED = {
-    ("resilience/checkpoint.py", "capture"),   # checkpoint pickling
-    ("link/store.py", "_encode_payload"),      # store pickling
-    ("link/store.py", "_decode_payload"),      # store unpickling
+    ("resilience/checkpoint.py", "pickle_deep"),  # checkpoint, store pickling
     ("f/cek.py", "_reify_limited"),            # CEK value reification
 }
 

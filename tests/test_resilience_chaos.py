@@ -140,13 +140,13 @@ class TestSeamsAreWired:
 
     def test_jit_compile_seam(self):
         from repro.f.syntax import BinOp, FInt, IntE, Lam, Var
-        from repro.compile import clear_compile_cache, compile_function
+        from repro.compile import clear_compile_cache, compile_term
 
         clear_compile_cache()
         lam = Lam((("x", FInt()),), BinOp("+", Var("x"), IntE(1)))
         with FaultPlane(seed=1, rate=1.0, seams=["jit.compile"]):
             with pytest.raises(InjectedFault):
-                compile_function(lam)
+                compile_term(lam)
 
     def test_snapshot_pickle_seam(self):
         from repro.ft.machine import FTMachine
