@@ -39,7 +39,7 @@ def test_fig06_cross_language_substitution(record):
         Halt(TInt(), NIL_STACK, "r1")))
     b = Boundary(FInt(), comp)
     assert free_vars(b) == {"x"}
-    closed = subst_expr(b, "x", IntE(7))
+    closed = subst_expr(b, {"x": IntE(7)})
     assert free_vars(closed) == set()
     record("fig6: term substitution crosses the boundary into import")
 
@@ -51,7 +51,7 @@ def test_bench_fig06_substitution_through_boundary(benchmark):
     b = Boundary(FInt(), comp)
 
     def substitute():
-        return subst_expr(b, "x", IntE(7))
+        return subst_expr(b, {"x": IntE(7)})
 
     closed = benchmark(substitute)
     assert free_vars(closed) == set()

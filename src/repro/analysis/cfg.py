@@ -16,9 +16,9 @@ from typing import Iterator, Tuple
 
 import networkx as nx
 
+from repro import walk
 from repro.tal.syntax import (
-    Bnz, Call, Component, Fold, HCode, InstrSeq, Jmp, Loc, Operand, Pack,
-    RegOp, Ret, Halt, TyApp, WLoc,
+    Bnz, Call, Component, HCode, InstrSeq, Jmp, Operand, Ret, Halt, WLoc,
 )
 
 __all__ = ["component_cfg", "ENTRY", "EXIT", "DYNAMIC"]
@@ -29,16 +29,11 @@ DYNAMIC = "<dynamic>"
 
 
 def _static_target(u: Operand):
-    """The label ``u`` statically denotes, or None for register jumps."""
-    if isinstance(u, WLoc):
-        return u.loc.name
-    if isinstance(u, (Pack, Fold)):
-        return _static_target(u.body)
-    if isinstance(u, TyApp):
-        return _static_target(u.body)
-    if isinstance(u, RegOp):
-        return None
-    return None
+    """The label ``u`` statically denotes, or None for register jumps:
+    the value under its packs, folds and instantiations."""
+    while body := walk.children(u):
+        u, = body
+    return u.loc.name if isinstance(u, WLoc) else None
 
 
 def _seq_edges(node: str, iseq: InstrSeq) -> Iterator[Tuple[str, str, str]]:

@@ -24,9 +24,10 @@ from typing import List
 
 import networkx as nx
 
+from repro import walk
 from repro.analysis.cfg import component_cfg, DYNAMIC, ENTRY, EXIT
 from repro.tal.equality import psis_equal
-from repro.tal.syntax import Component, HCode, InstrSeq
+from repro.tal.syntax import Component, HCode, WLoc
 
 __all__ = ["LintWarning", "lint_component"]
 
@@ -72,22 +73,10 @@ def lint_component(comp: Component) -> List[LintWarning]:
 
 
 def _referenced_labels(comp: Component) -> set:
-    """Every label that occurs as a value anywhere in the component."""
-    from repro.tal.machine import rename_locs
-    from repro.tal.syntax import Loc
-
-    seen: set = set()
-
-    class _Spy(dict):
-        def get(self, key, default=None):
-            seen.add(key.name)
-            return default
-
-    spy = _Spy()
-    rename_locs(comp.instrs, spy)
-    for _, h in comp.heap:
-        rename_locs(h, spy)
-    return seen
+    """Every label that occurs as a value anywhere in the component,
+    ``import`` payloads and the boundaries inside them included."""
+    return {x.loc.name for x in walk.preorder(comp, cross=walk.ALL)
+            if isinstance(x, WLoc)}
 
 
 def _duplicate_block_lints(comp: Component) -> List[LintWarning]:

@@ -126,10 +126,16 @@ def _budget_from_args(args: argparse.Namespace) -> Budget:
 
 
 def _load(path: str) -> str:
+    """The text of ``path`` (``-``: standard input); a file that cannot
+    be read is a one-line error, not a traceback."""
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise FunTALError(f"cannot read {path!r}: {reason}") from None
 
 
 def cmd_parse(args: argparse.Namespace) -> int:

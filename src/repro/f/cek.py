@@ -28,9 +28,11 @@ harness in ``tests/test_engine_differential.py`` locksteps them):
   the depth verdict of :meth:`Budget.check_depth` -- agrees with the
   substitution engine at every step.
 * Machine values reify to *structurally identical* plain F terms: every
-  environment entry is a closed value, so :func:`subst_expr` performs no
-  capture renaming and closure reification commutes with the beta-time
-  substitutions the other engine performed eagerly.
+  environment entry is a closed value, so substituting them
+  (:func:`~repro.f.syntax.subst_expr`, one pass for a whole
+  environment) performs no capture renaming and closure reification
+  commutes with the beta-time substitutions the other engine performed
+  eagerly.
 
 The machine runs in two modes: standalone (drop-in for
 :class:`repro.f.eval.FEvaluator`, including cross-engine-compatible
@@ -179,21 +181,12 @@ def _reify(v: FExpr) -> FExpr:
 
     Closure reification substitutes the environment's (recursively
     reified) values for the lambda's free variables; since every entry is
-    closed, ``subst_expr`` never renames and the result is structurally
-    identical to the term the substitution engine would hold.
+    closed, nothing is renamed and the result is structurally identical
+    to the term the substitution engine would hold.
     """
     cls = v.__class__
     if cls is Closure:
-        lam = v.lam
-        env = v.env
-        if not env:
-            return lam
-        out: FExpr = lam
-        for x in sorted(free_vars(lam)):
-            val = env.get(x)
-            if val is not None:
-                out = subst_expr(out, x, _reify(val))
-        return out
+        return _reify_open(v.lam, v.env)
     if cls is Fold:
         body = _reify(v.body)
         return v if body is v.body else Fold(v.ann, body)
@@ -224,15 +217,12 @@ def _reify_limited(v: FExpr) -> FExpr:
 def _reify_open(e: FExpr, env: Dict[str, FExpr]) -> FExpr:
     """Substitute the environment's values into an arbitrary (possibly
     non-value) expression: the delayed substitutions the other engine
-    performed at beta time.  Closed replacements commute, so the order is
-    immaterial; sorted for determinism."""
+    performed at beta time.  The values are closed, so one pass
+    substitutes them all."""
     if not env:
         return e
-    for x in sorted(free_vars(e)):
-        val = env.get(x)
-        if val is not None:
-            e = subst_expr(e, x, _reify(val))
-    return e
+    return subst_expr(e, {x: _reify(env[x]) for x in free_vars(e)
+                            if x in env})
 
 
 def _plug(inner: FExpr, frames: List[list]) -> FExpr:

@@ -63,7 +63,7 @@ def reduce_redex(e: FExpr) -> Optional[FExpr]:
             raise MachineError("application arity mismatch at runtime")
         body = e.fn.body
         for (x, _), arg in zip(e.fn.params, e.args):
-            body = subst_expr(body, x, arg)
+            body = subst_expr(body, {x: arg})
         return body
     if isinstance(e, Unfold) and is_value(e.body):
         if not isinstance(e.body, Fold):

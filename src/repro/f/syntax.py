@@ -461,7 +461,7 @@ def is_value(e: FExpr) -> bool:
 def free_vars(e: FExpr) -> frozenset:
     """The free term variables of ``e``, crossing boundaries into their
     ``import`` payloads (lumps are closed)."""
-    return walk.fold(e, post=_fv_post, cross=True, unknown=_not_ft)
+    return walk.fold(e, post=_fv_post, cross=walk.F_TERMS, unknown=_not_ft)
 
 
 def _not_ft(e: FExpr):
@@ -500,34 +500,50 @@ def advance_fresh_var(mark: int) -> None:
         _fresh_var_counter = itertools.count(mark)
 
 
-def subst_expr(e: FExpr, var: str, replacement: FExpr) -> FExpr:
-    """Capture-avoiding term substitution ``e[replacement / var]``,
+def subst_expr(e: FExpr, values: Dict[str, FExpr]) -> FExpr:
+    """Capture-avoiding simultaneous substitution: ``e`` with each free
+    variable named in ``values`` replaced by its value, in one pass,
     crossing boundaries into their ``import`` payloads; extension values
-    (lumps, CEK closures) are closed.  Untouched subterms are shared."""
+    (lumps, CEK closures) are closed.  A lambda renames a parameter that
+    a value's free variable would be captured by, and one that shadows
+    some of the names starts a pass without them over its body, so the
+    passes nest at most once per name.  Untouched subterms are shared."""
+    if not values:
+        return e
     fvs = None
 
     def pre(x: FExpr):
         nonlocal fvs
         if isinstance(x, Var):
-            return replacement if x.name == var else x
+            return values.get(x.name, x)
         if not isinstance(x, Lam):
             return None
-        if any(name == var for name, _ in x.params):
+        names = {name for name, _ in x.params}
+        inner = values if names.isdisjoint(values) else {
+            k: v for k, v in values.items() if k not in names}
+        if not inner:
             return x
         if fvs is None:
-            fvs = free_vars(replacement)
-        if all(name not in fvs for name, _ in x.params):
-            return None
-        body, params = x.body, []
-        for name, ty in x.params:       # rename what would be captured
-            if name in fvs:
-                fresh = _fresh_var(name)
-                body = subst_expr(body, name, Var(fresh))
-                name = fresh
-            params.append((name, ty))
-        return walk.Descend(replace(x, params=tuple(params), body=body))
+            fvs = frozenset().union(*map(free_vars, values.values()))
+        body, params = x.body, x.params
+        renamed = not fvs.isdisjoint(names)
+        if renamed:                     # rename what would be captured
+            params = []
+            for name, ty in x.params:
+                if name in fvs:
+                    fresh = _fresh_var(name)
+                    body = subst_expr(body, {name: Var(fresh)})
+                    name = fresh
+                params.append((name, ty))
+            params = tuple(params)
+        if inner is values:
+            return walk.Descend(replace(x, params=params, body=body)) \
+                if renamed else None
+        body = subst_expr(body, inner)
+        return replace(x, params=params, body=body) \
+            if renamed or body is not x.body else x
 
-    return walk.fold(e, pre, cross=True, unknown=_closed_value)
+    return walk.fold(e, pre, cross=walk.F_TERMS, unknown=_closed_value)
 
 
 def _closed_value(e: FExpr) -> FExpr:

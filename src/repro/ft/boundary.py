@@ -229,20 +229,15 @@ def t_to_f(w: WordValue, ty: FType, mem: Memory) -> FExpr:
     if OBS.enabled:
         OBS.metrics.inc("ft.translate.t_to_f")
     if isinstance(ty, FInt):
-        if not isinstance(w, WInt):
-            raise MachineError(f"FT[int] applied to {w}")
-        return IntE(w.value)
+        return IntE(_expect(w, WInt, "int").value)
     if isinstance(ty, FUnit):
-        if not isinstance(w, WUnit):
-            raise MachineError(f"FT[unit] applied to {w}")
+        _expect(w, WUnit, "unit")
         return UnitE()
     if isinstance(ty, FRec):
-        if not isinstance(w, TFoldV):
-            raise MachineError(f"FT[mu] applied to {w}")
+        w = _expect(w, TFoldV, "mu")
         return FFold(ty, t_to_f(w.body, ty.unroll(), mem))
     if isinstance(ty, FTupleT):
-        if not isinstance(w, WLoc):
-            raise MachineError(f"FT[tuple] applied to {w}")
+        w = _expect(w, WLoc, "tuple")
         tup = mem.tuple_at(w.loc)
         if len(tup.words) != len(ty.items):
             raise MachineError(
@@ -252,8 +247,7 @@ def t_to_f(w: WordValue, ty: FType, mem: Memory) -> FExpr:
             t_to_f(word, item_ty, mem)
             for word, item_ty in zip(tup.words, ty.items)))
     if isinstance(ty, FLump):
-        if not isinstance(w, WLoc):
-            raise MachineError(f"FT[lump] applied to {w}")
+        w = _expect(w, WLoc, "lump")
         cell = mem.lookup(w.loc)
         if cell.nu != "ref":
             raise MachineError(
@@ -262,6 +256,13 @@ def t_to_f(w: WordValue, ty: FType, mem: Memory) -> FExpr:
     if isinstance(ty, (FArrow, FStackArrow)):
         return build_call_back_lambda(w, ty, mem)
     raise MachineError(f"no value translation into F at type {ty}")
+
+
+def _expect(w: WordValue, form: type, ty: str) -> WordValue:
+    """``w``, if it has the value form a boundary at ``ty`` translates."""
+    if not isinstance(w, form):
+        raise MachineError(f"FT[{ty}] applied to {w}")
+    return w
 
 
 #: (result type, out stack) -> the halting continuation block ``l_end``

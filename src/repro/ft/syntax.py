@@ -15,47 +15,36 @@ T are merged, and *boundary* forms mediate between them:
 * the return marker ``out`` (already in :mod:`repro.tal.syntax`) marks F
   code, which "returns" by being a value.
 
-Because each language can be nested arbitrarily deep inside the other, the
-traversal functions of both languages need to cross the boundary.  This
-module wires those crossings up:
-
-* T type substitution / free-variable hooks for ``import``/``protect`` are
-  registered with :mod:`repro.tal.subst`;
-* location renaming for ``import`` is registered with
-  :mod:`repro.tal.machine`;
-* the F-term traversals here and in :mod:`repro.f.syntax` walk the
-  grammar of :mod:`repro.walk`, which says where F terms hold T types
-  and where a component holds F terms;
-* F type equality / substitution handle :class:`FStackArrow` via the hook
-  registries added here.
+Because each language can be nested arbitrarily deep inside the other,
+the traversals of both languages cross the boundary.  They are folds
+over the one FT grammar of :mod:`repro.walk`, which lists the F forms
+here and the T instructions ``import`` and ``protect`` with the rest of
+T: where each holds types, sub-terms and labels, and that ``protect``'s
+zeta scopes over the rest of its sequence.  What stays here is the part
+of those traversals on F *types* (:func:`map_tal_in_ftype`: the T types
+inside stack-modifying arrows and lumps, registered with
+:mod:`repro.tal.subst`), and F type equality / substitution for
+:class:`FStackArrow`, registered with :mod:`repro.f.syntax`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from repro.caching import PicklableSlots, intern_singleton
-from typing import Callable, Dict, Optional, Set, Tuple
+from operator import is_
+from typing import Callable, Optional, Tuple
 
-from repro import walk
 from repro.f.syntax import FExpr, FType, Lam
 from repro.f import syntax as f_syntax
-from repro.ft.lump import LumpVal
+from repro.ft.lump import FLump
+from repro.tal import subst as tal_subst
 from repro.tal import syntax as tal_syntax
-from repro.tal.machine import register_loc_renamer
-from repro.tal.subst import (
-    Subst, free_type_vars, register_binding_instr, register_simple_instr,
-    subst_component, subst_instr_seq, subst_stack, subst_ty,
-)
-from repro.tal.syntax import (
-    Component, InstrSeq, Instruction, KIND_ZETA, Loc, StackTy, TalType,
-)
+from repro.tal.syntax import Component, Instruction, StackTy, TalType
 
 __all__ = [
     "FStackArrow", "StackLam", "Boundary", "StackDelta", "Import",
-    "Protect", "Hole", "subst_tal_in_fexpr", "rename_locs_in_fexpr",
-    "tal_free_type_vars_of_fexpr",
+    "Protect", "Hole", "map_tal_in_ftype",
 ]
 
 
@@ -238,156 +227,41 @@ class Protect(Instruction):
 
 
 # ---------------------------------------------------------------------------
-# T-type traversals through F forms (for import/protect hooks)
+# T types inside F types (the F-type part of T's term traversals)
 # ---------------------------------------------------------------------------
 
-def subst_tal_in_ftype(ty: FType, s: Subst) -> FType:
-    """Apply a T type substitution to the T types embedded in an F type
-    (stack-modifying arrows' prefixes and lump field types)."""
-    from repro.ft.lump import FLump
-
+def map_tal_in_ftype(ty: FType, f: Callable) -> FType:
+    """``ty`` with each T type embedded in it (a stack-modifying arrow's
+    prefixes, a lump's fields) mapped through ``f``; ``ty`` itself if
+    none changed."""
+    inner = lambda t: map_tal_in_ftype(t, f)   # noqa: E731
     if isinstance(ty, FLump):
-        return FLump(tuple(subst_ty(t, s) for t in ty.items))
-    if isinstance(ty, FStackArrow):
-        return FStackArrow(
-            tuple(subst_tal_in_ftype(p, s) for p in ty.params),
-            subst_tal_in_ftype(ty.result, s),
-            tuple(subst_ty(t, s) for t in ty.phi_in),
-            tuple(subst_ty(t, s) for t in ty.phi_out))
-    if isinstance(ty, f_syntax.FArrow):
-        return f_syntax.FArrow(
-            tuple(subst_tal_in_ftype(p, s) for p in ty.params),
-            subst_tal_in_ftype(ty.result, s))
-    if isinstance(ty, f_syntax.FRec):
-        return f_syntax.FRec(ty.var, subst_tal_in_ftype(ty.body, s))
-    if isinstance(ty, f_syntax.FTupleT):
-        return f_syntax.FTupleT(
-            tuple(subst_tal_in_ftype(t, s) for t in ty.items))
-    return ty  # FTVar / FUnit / FInt carry no T types
+        parts = (tuple(map(f, ty.items)),)
+    elif isinstance(ty, FStackArrow):
+        parts = (tuple(map(inner, ty.params)), inner(ty.result),
+                 tuple(map(f, ty.phi_in)), tuple(map(f, ty.phi_out)))
+    elif isinstance(ty, f_syntax.FArrow):
+        parts = (tuple(map(inner, ty.params)), inner(ty.result))
+    elif isinstance(ty, f_syntax.FRec):
+        parts = (ty.var, inner(ty.body))
+    elif isinstance(ty, f_syntax.FTupleT):
+        parts = (tuple(map(inner, ty.items)),)
+    else:
+        return ty  # FTVar / FUnit / FInt carry no T types
+    old = [getattr(ty, name) for name in type(ty).__dataclass_fields__]
+    return ty if all(map(_same, parts, old)) else type(ty)(*parts)
 
 
-def subst_tal_in_fexpr(e: FExpr, s: Subst) -> FExpr:
-    """Apply a T type substitution throughout an FT expression.
-
-    Needed because an ``import`` instruction's F expression can mention the
-    enclosing component's type variables inside nested boundaries, lambda
-    annotations, and ``halt``/``call`` annotations."""
-    ftype, ttype = partial(subst_tal_in_ftype, s=s), partial(subst_ty, s=s)
-
-    def pre(x: FExpr):
-        typed = walk.map_types(x, ftype, ttype)
-        if isinstance(x, Boundary):
-            comp = subst_component(x.comp, s)
-            return typed if comp is x.comp else \
-                Boundary(typed.ty, comp, typed.delta)
-        return None if typed is x else walk.Descend(typed)
-
-    return walk.fold(e, pre, unknown=_not_ft)
+def _same(new, old) -> bool:
+    return new is old or type(new) is tuple and all(map(is_, new, old))
 
 
-def tal_free_type_vars_of_fexpr(e: FExpr) -> Set[Tuple[str, str]]:
-    """Free T type variables occurring in an FT expression."""
-    acc: Set[Tuple[str, str]] = set()
-    ftype = lambda t: acc.update(_tal_ftv_of_ftype(t)) or t
-    ttype = lambda t: acc.update(free_type_vars(t)) or t
-    for x in walk.preorder(e, unknown=_not_ft):
-        walk.map_types(x, ftype, ttype)
-        if isinstance(x, Boundary):
-            acc.update(free_type_vars(x.comp))
-    return acc
-
-
-def _not_ft(e: FExpr):
-    raise TypeError(f"not an FT expression: {e!r}")
-
-
-def _tal_ftv_of_ftype(ty: FType) -> Set[Tuple[str, str]]:
-    from repro.ft.lump import FLump
-
-    acc: Set[Tuple[str, str]] = set()
-    if isinstance(ty, FLump):
-        for t in ty.items:
-            acc |= free_type_vars(t)
-        return acc
-    if isinstance(ty, FStackArrow):
-        for t in ty.phi_in + ty.phi_out:
-            acc |= free_type_vars(t)
-        for p in ty.params:
-            acc |= _tal_ftv_of_ftype(p)
-        acc |= _tal_ftv_of_ftype(ty.result)
-        return acc
-    if isinstance(ty, f_syntax.FArrow):
-        for p in ty.params:
-            acc |= _tal_ftv_of_ftype(p)
-        return acc | _tal_ftv_of_ftype(ty.result)
-    if isinstance(ty, f_syntax.FRec):
-        return _tal_ftv_of_ftype(ty.body)
-    if isinstance(ty, f_syntax.FTupleT):
-        for t in ty.items:
-            acc |= _tal_ftv_of_ftype(t)
-        return acc
-    return acc
-
-
-def rename_locs_in_fexpr(e: FExpr, mapping: Dict[Loc, Loc],
-                         rename_locs: Callable) -> FExpr:
-    """Rename heap labels inside an FT expression (boundary components
-    and lump handles).
-
-    Sharing-preserving like :func:`repro.tal.machine.rename_locs`: a
-    subterm with no renamed label comes back as the same object.  A
-    component's own labels move along with their references."""
-    rename = partial(rename_locs, mapping=mapping)
-
-    def pre(x: FExpr):
-        if isinstance(x, LumpVal):
-            new = mapping.get(x.loc)
-            return x if new is None or new is x.loc else LumpVal(new)
-        if isinstance(x, Boundary):
-            comp = walk.map_component(x.comp, rename, rename,
-                                      lambda loc: mapping.get(loc, loc))
-            return x if comp is x.comp else Boundary(x.ty, comp, x.delta)
-        return None
-
-    return walk.fold(e, pre, unknown=_not_ft)
+tal_subst.register_ftype_map(map_tal_in_ftype)
 
 
 # ---------------------------------------------------------------------------
-# Hook registration
+# F type hooks for the stack-modifying arrow
 # ---------------------------------------------------------------------------
-
-def _import_subst(i: Import, s: Subst) -> Import:
-    return Import(i.rd, subst_stack(i.protected, s),
-                  subst_tal_in_ftype(i.ty, s), subst_tal_in_fexpr(i.expr, s))
-
-
-def _import_ftv(i: Import) -> Set[Tuple[str, str]]:
-    acc = free_type_vars(i.protected)
-    acc |= tal_free_type_vars_of_fexpr(i.expr)
-    acc |= _tal_ftv_of_ftype(i.ty)
-    return acc
-
-
-def _protect_subst(i: Protect, rest: InstrSeq,
-                   s: Subst) -> Tuple[Protect, InstrSeq]:
-    from repro.tal.subst import _avoid_capture_in_rest  # shared helper
-
-    phi = tuple(subst_ty(t, s) for t in i.phi)
-    zeta, rest, s_rest = _avoid_capture_in_rest(KIND_ZETA, i.zeta, rest, s)
-    return Protect(phi, zeta), subst_instr_seq(rest, s_rest)
-
-
-def _protect_ftv(i: Protect) -> Set[Tuple[str, str]]:
-    acc: Set[Tuple[str, str]] = set()
-    for t in i.phi:
-        acc |= free_type_vars(t)
-    return acc
-
-
-def _import_rename(i: Import, mapping, rename_locs) -> Import:
-    expr = rename_locs_in_fexpr(i.expr, mapping, rename_locs)
-    return i if expr is i.expr else Import(i.rd, i.protected, i.ty, expr)
-
 
 def _stack_arrow_subst(ty: FType, var: str,
                        replacement: FType) -> Optional[FType]:
@@ -408,10 +282,6 @@ def _stack_arrow_ftv(ty: FType) -> Optional[frozenset]:
     return acc
 
 
-register_simple_instr(Import, _import_subst, _import_ftv)
-register_binding_instr(Protect, _protect_subst, _protect_ftv,
-                       lambda i: (KIND_ZETA, i.zeta))
-register_loc_renamer(Import, _import_rename)
 f_syntax.register_ftype_hooks(equal=_stack_arrow_equal,
                               subst=_stack_arrow_subst,
                               ftv=_stack_arrow_ftv)

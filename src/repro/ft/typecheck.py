@@ -40,7 +40,7 @@ from repro.f.syntax import (
 from repro.ft.syntax import Boundary, FStackArrow, Import, Protect, StackLam
 from repro.ft.translate import type_translation
 from repro.tal.equality import stacks_equal, types_equal
-from repro.tal.subst import fresh_name, Subst, subst_instr_seq
+from repro.tal.subst import fresh_name, Subst, subst_term
 from repro.tal.syntax import (
     Component, Delta, DeltaBind, HeapTy, InstrSeq, Instruction, KIND_ZETA,
     NIL_STACK, QEnd, QIdx, RegFileTy, RetMarker, StackTy, TalType,
@@ -119,7 +119,7 @@ class FTTypechecker(TalTypechecker):
             fresh = fresh_name(instr.zeta)
             renaming = Subst.single(KIND_ZETA, instr.zeta,
                                     StackTy((), fresh))
-            rest = subst_instr_seq(
+            rest = subst_term(
                 InstrSeq(iseq.instrs[k + 1:], iseq.term), renaming)
             return (self.step_instruction(st, Protect(instr.phi, fresh)),
                     rest, 0)

@@ -34,7 +34,7 @@ from repro.obs.events import OBS
 from repro.compile.names import NameSupply
 from repro import walk
 from repro.f.syntax import FExpr, free_vars, subst_expr
-from repro.ft.syntax import Boundary, rename_locs_in_fexpr
+from repro.ft.syntax import Boundary
 from repro.link.interface import ComponentInterface, check_import
 from repro.tal.machine import rename_locs
 from repro.tal.syntax import Loc
@@ -81,7 +81,7 @@ def collect_labels(e: FExpr) -> Set[Loc]:
     one artifact these are unique -- the compiler mints them from a
     single per-compilation supply -- so one flat set is faithful."""
     acc: Set[Loc] = set()
-    for x in walk.preorder(e, cross=True):
+    for x in walk.preorder(e, cross=walk.F_TERMS):
         if isinstance(x, Boundary):
             acc.update(loc for loc, _ in x.comp.heap)
     return acc
@@ -96,7 +96,7 @@ def rename_unit_labels(term: FExpr, name: str,
     if not labels:
         return term, 0
     mapping = {loc: Loc(supply.fresh(f"{name}$l")) for loc in labels}
-    return rename_locs_in_fexpr(term, mapping, rename_locs), len(mapping)
+    return rename_locs(term, mapping), len(mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +187,12 @@ def _link(units: Sequence[LinkUnit], main: FExpr) -> LinkedProgram:
         term, renamed = rename_unit_labels(unit.term, name, supply)
         renamed_total += renamed
         for imported, _ in unit.iface.imports:
-            term = subst_expr(term, imported, linked[imported])
+            term = subst_expr(term, {imported: linked[imported]})
         linked[name] = term
 
     program = main
     for imported in main_imports:
-        program = subst_expr(program, imported, linked[imported])
+        program = subst_expr(program, {imported: linked[imported]})
 
     leftover = free_vars(program)
     if leftover:

@@ -7,123 +7,83 @@ paper relies on this implicitly -- "we merge local heap fragments ... the
 full semantics are standard" -- and it is what makes the type system a
 static discipline rather than a runtime cost.
 
-:func:`erase_types` makes the property *testable*: it rewrites every value
-type to ``unit``, every annotation stack to an empty one, and every
-``end{τ; σ}`` to ``end{unit; nil}``, while preserving everything the
-machine does consult -- register names, slot indices, labels, binder
-*kinds and names* (so instantiation arity still lines up), and marker
-positions.  The erasure-invariance tests run a component and its erasure
-and require the same halt value; running them over the random well-typed
-program battery gives a machine-level proof-by-testing that evaluation is
-typing-independent.
+:func:`erase_types` makes the property *testable*.  It is a fold over
+the T grammar of :mod:`repro.walk` that erases each type where the
+grammar says a term holds one: every value type becomes ``unit``, every
+stack keeps only its tail variable, every ``end{τ; σ}`` becomes
+``end{unit; nil}`` and every register typing maps its registers to
+``unit``.  A pack's annotation stays an existential and a fold's a
+recursive type (``∃a.unit``, ``μa.unit``), and a halt's stack is
+``nil``, so an erased halt mentions no type variable.  What the machine does
+consult survives -- register names, slot indices, labels, binder *kinds
+and names* (so instantiation arity still lines up), and marker
+positions.  The erasure-invariance tests run a component and its
+erasure and require the same halt value; running them over the random
+well-typed program battery gives a machine-level proof-by-testing that
+evaluation is typing-independent.
 
 (Scope: pure T.  FT boundaries genuinely *are* type-directed -- the value
 translations dispatch on the boundary type -- so erasure stops at
-``import``; that contrast is itself the interesting fact.)
+``import`` and ``protect`` with a :class:`TypeError`; that contrast is
+itself the interesting fact.)
 """
 
 from __future__ import annotations
 
+from repro import walk
 from repro.tal.syntax import (
-    Aop, Balloc, Bnz, Call, Component, Fold, Halt, HCode, HeapValue,
-    HTuple, InstrSeq, Instruction, Jmp, Ld, Mv, NIL_STACK, Operand, Pack,
-    QEnd, Ralloc, RegFileTy, RegOp, Ret, RetMarker, Salloc, Sfree, Sld,
-    Sst, St, StackTy, TalType, Terminator, TExists, TUnit, TyApp, UnfoldI,
-    Unpack, WInt, WLoc, WUnit,
+    Fold, Halt, NIL_STACK, Pack, QEnd, RegFileTy, StackTy, TalType, TExists,
+    TRec, TUnit,
 )
 
 __all__ = ["erase_types", "erase_word"]
 
 _UNIT = TUnit()
-_UNIT_EXISTS = TExists("a", TUnit())
+_END = QEnd(_UNIT, NIL_STACK)
+#: The erasure of the annotations that are not erased by what they are:
+#: a pack's and a fold's keep their type's binder over ``unit``, and a
+#: halt's stack is ``nil``.
+_ANNOTATION = {Pack: ("as_ty", TExists("a", _UNIT)),
+               Fold: ("as_ty", TRec("a", _UNIT)),
+               Halt: ("sigma", NIL_STACK)}
 
 
-def _erase_stack(sigma: StackTy) -> StackTy:
-    # keep the tail variable (it may be an instantiation target) but drop
-    # the informative prefix entirely
-    return StackTy((), sigma.tail)
-
-
-def _erase_q(q: RetMarker) -> RetMarker:
-    if isinstance(q, QEnd):
-        return QEnd(_UNIT, NIL_STACK)
-    return q  # registers, indices, eps names, out: all machine-relevant
-
-
-def _erase_omega(omega):
-    if isinstance(omega, TalType):
+def _erase(t):
+    """The erasure of a T type, by what it is."""
+    if isinstance(t, TalType):
         return _UNIT
-    if isinstance(omega, StackTy):
-        return _erase_stack(omega)
-    return _erase_q(omega)
+    if isinstance(t, StackTy):
+        return StackTy((), t.tail)
+    if isinstance(t, RegFileTy):
+        return RegFileTy(tuple((r, _UNIT) for r, _ in t.items()))
+    return _END if isinstance(t, QEnd) else t   # registers, indices, eps
 
 
-def erase_word(u: Operand) -> Operand:
-    """Erase the annotations inside a small value."""
-    if isinstance(u, (WUnit, WInt, WLoc, RegOp)):
-        return u
-    if isinstance(u, Pack):
-        return Pack(_UNIT, erase_word(u.body), _UNIT_EXISTS)
-    if isinstance(u, Fold):
-        from repro.tal.syntax import TRec
-
-        return Fold(TRec("a", _UNIT), erase_word(u.body))
-    if isinstance(u, TyApp):
-        return TyApp(erase_word(u.body),
-                     tuple(_erase_omega(o) for o in u.insts))
-    raise TypeError(f"erase_word: unsupported {type(u).__name__}")
-
-
-def _erase_instr(i: Instruction) -> Instruction:
-    if isinstance(i, Aop):
-        return Aop(i.op, i.rd, i.rs, erase_word(i.u))
-    if isinstance(i, Bnz):
-        return Bnz(i.r, erase_word(i.u))
-    if isinstance(i, Mv):
-        return Mv(i.rd, erase_word(i.u))
-    if isinstance(i, Unpack):
-        return Unpack(i.alpha, i.rd, erase_word(i.u))
-    if isinstance(i, UnfoldI):
-        return UnfoldI(i.rd, erase_word(i.u))
-    if isinstance(i, (Ld, St, Ralloc, Balloc, Salloc, Sfree, Sld, Sst)):
-        return i
+def _not_pure_t(x):
     raise TypeError(
-        f"erase_types is defined for pure T; found {type(i).__name__}")
+        f"erase_types is defined for pure T; found {type(x).__name__}")
 
 
-def _erase_term(t: Terminator) -> Terminator:
-    if isinstance(t, Jmp):
-        return Jmp(erase_word(t.u))
-    if isinstance(t, Call):
-        return Call(erase_word(t.u), _erase_stack(t.sigma), _erase_q(t.q))
-    if isinstance(t, Ret):
-        return t
-    if isinstance(t, Halt):
-        return Halt(_UNIT, NIL_STACK, t.r)
-    raise TypeError(f"erase_types: unknown terminator {type(t).__name__}")
+def _erase_term(x):
+    if x.__class__.__module__ != TUnit.__module__:
+        _not_pure_t(x)              # import, protect: FT's
+    new = walk.map_types(x, _not_pure_t, _erase)
+    annotation = _ANNOTATION.get(x.__class__)
+    if annotation is not None:
+        new = walk.replace(new, *annotation)
+    return None if new is x else walk.Descend(new)
 
 
-def _erase_seq(iseq: InstrSeq) -> InstrSeq:
-    return InstrSeq(tuple(_erase_instr(i) for i in iseq.instrs),
-                    _erase_term(iseq.term))
-
-
-def _erase_heap_value(h: HeapValue) -> HeapValue:
-    if isinstance(h, HTuple):
-        return HTuple(tuple(erase_word(w) for w in h.words))
-    if isinstance(h, HCode):
-        chi = RegFileTy(tuple((r, _UNIT) for r, _ in h.chi.items()))
-        return HCode(h.delta, chi, _erase_stack(h.sigma), _erase_q(h.q),
-                     _erase_seq(h.instrs))
-    raise TypeError(f"erase_types: unknown heap value {type(h).__name__}")
-
-
-def erase_types(comp: Component) -> Component:
-    """Erase every type annotation in a pure T component.
+def erase_types(x):
+    """Erase every type annotation in a pure T term (a component, or
+    any part of one).
 
     The result is (intentionally) almost never well-typed; it exists to
     run, and running it must produce the same observable result as the
     original."""
-    return Component(
-        _erase_seq(comp.instrs),
-        tuple((loc, _erase_heap_value(h)) for loc, h in comp.heap))
+    return walk.fold(x, _erase_term, cross=walk.ALL, unknown=_not_pure_t,
+                     on=walk.TYPED)
+
+
+#: Erase the annotations inside a small value.
+erase_word = erase_types

@@ -59,14 +59,13 @@ from repro.obs.events import OBS
 from repro.obs.profile import PROFILER
 from repro.tal.machine import HaltedState, ImportRequest
 from repro.tal.subst import (
-    check_omega, free_type_vars, instantiate_code_block, Subst, subst_instr,
-    subst_instr_seq, subst_operand, subst_q, subst_stack, subst_ty,
+    check_omega, free_type_vars, instantiate_code_block, Subst, subst_term,
 )
 from repro.tal.syntax import (
     Aop, AOPS, Balloc, Bnz, BOX, Call, Fold, Halt, HTuple, InstrSeq, Jmp,
     KIND_ALPHA, KIND_ZETA, Ld, Loc, Mv, Pack, Ralloc, REF, REGISTERS, RegOp,
     Ret, Salloc, Sfree, Sld, Sst, St, TyApp, UnfoldI, Unpack, WInt, WLoc,
-    WUnit, check_register,
+    WUnit, check_register, is_word_value,
 )
 
 __all__ = [
@@ -192,33 +191,20 @@ def _env_subst(env: tuple, memo: dict) -> Subst:
 # omega) pair, and pinning the keyed objects in the value prevents id
 # reuse.
 
-def _site(memo: dict, x, env: tuple, sub):
-    """``sub(x, s)`` for the substitution ``s`` that ``env`` denotes,
-    memoized in the owning block's ``memo``."""
+def _site(memo: dict, x, env: tuple):
+    """``x`` under the substitution that ``env`` denotes, memoized in the
+    owning block's ``memo``."""
     if not env:
-        return sub(x, _EMPTY_SUBST)
+        return x
     key = (id(x), id(env))
     hit = memo.get(key)
     if hit is not None and hit[0] is x and hit[1] is env:
         _count(_SITE_COUNTS, "tal.fast.site", True)
         return hit[2]
     _count(_SITE_COUNTS, "tal.fast.site", False)
-    res = sub(x, _env_subst(env, memo))
+    res = subst_term(x, _env_subst(env, memo))
     _remember(memo, key, (x, env, res), _SITE_COUNTS)
     return res
-
-
-def _sub_halt(t: Halt, s: Subst):
-    return subst_ty(t.ty, s), subst_stack(t.sigma, s)
-
-
-def _sub_call_extra(t: Call, s: Subst):
-    return subst_stack(t.sigma, s), subst_q(t.q, s)
-
-
-def _sub_instr(i, s: Subst):
-    """What the native import op uses to close its F payload."""
-    return i if s.is_empty() else subst_instr(i, s)
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +250,8 @@ def _target_of(w) -> Tuple[Loc, tuple]:
     return w.loc, omegas
 
 
-def _has_regop(u) -> bool:
-    cls = u.__class__
-    if cls is RegOp:
-        return True
-    if cls is Pack or cls is Fold or cls is TyApp:
-        return _has_regop(u.body)
-    return False
-
-
 def _is_const(u) -> bool:
-    return not _has_regop(u) and not free_type_vars(u)
+    return is_word_value(u) and not free_type_vars(u)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +281,7 @@ def _uspec(u):
             return None
         return ("r", slot, u.reg)
     ftv = bool(free_type_vars(u))
-    if not ftv and not _has_regop(u):
+    if not ftv and is_word_value(u):
         return ("c", u)
     return ("g", u, ftv)
 
@@ -498,8 +475,7 @@ def _make_op(d: tuple, memo: dict):
         _, u, ftv = spec
 
         def op(mem, regs, env, _rd=rd, _u=u, _f=ftv, _m=memo):
-            regs[_rd] = _resolve_rt(
-                _site(_m, _u, env, subst_operand) if _f else _u, regs)
+            regs[_rd] = _resolve_rt(_site(_m, _u, env) if _f else _u, regs)
         return op
     if tag == "aop":
         _, name, rd, rs, rs_name, spec = d
@@ -546,8 +522,7 @@ def _make_op(d: tuple, memo: dict):
                 if left is _UNSET:
                     _unset_read(_n)
                 raise MachineError(f"aop source {_n} holds non-int {left}")
-            w = _resolve_rt(
-                _site(_m, _u, env, subst_operand) if _f else _u, regs)
+            w = _resolve_rt(_site(_m, _u, env) if _f else _u, regs)
             if w.__class__ is not WInt:
                 raise MachineError(f"expected an integer, got {w}")
             regs[_rd] = WInt(_fn(left.value, w.value))
@@ -645,8 +620,7 @@ def _make_op(d: tuple, memo: dict):
 
         def op(mem, regs, env, _a=alpha, _rd=rd, _u=u, _f=ftv, _m=memo,
                _l=[None]):
-            w = _resolve_rt(
-                _site(_m, _u, env, subst_operand) if _f else _u, regs)
+            w = _resolve_rt(_site(_m, _u, env) if _f else _u, regs)
             if w.__class__ is not Pack:
                 raise MachineError(f"unpack of non-package value {w}")
             regs[_rd] = w.body
@@ -669,8 +643,7 @@ def _make_op(d: tuple, memo: dict):
         ftv = spec[2] if spec[0] == "g" else False
 
         def op(mem, regs, env, _rd=rd, _u=u, _f=ftv, _m=memo):
-            w = _resolve_rt(
-                _site(_m, _u, env, subst_operand) if _f else _u, regs)
+            w = _resolve_rt(_site(_m, _u, env) if _f else _u, regs)
             if w.__class__ is not Fold:
                 raise MachineError(f"unfold of non-fold value {w}")
             regs[_rd] = w.body
@@ -692,7 +665,7 @@ def _make_op(d: tuple, memo: dict):
         _, instr, ftv = d
 
         def op(mem, regs, env, _i=instr, _f=ftv, _m=memo):
-            return ("imp", _site(_m, _i, env, _sub_instr) if _f else _i)
+            return ("imp", _site(_m, _i, env) if _f else _i)
         return op
     if tag == "refop":
         def op(mem, regs, env):
@@ -748,8 +721,7 @@ def _make_bnz(d: tuple, memo: dict, pc: int):
             raise MachineError(f"bnz scrutinee {_n} holds non-int {w}")
         if w.value != 0:
             loc, omegas = _target_of(
-                _resolve_rt(_site(_m, _u, env, subst_operand) if _f else _u,
-                            regs))
+                _resolve_rt(_site(_m, _u, env) if _f else _u, regs))
             return ("enter", loc, omegas, (), _pc)
         return None
     return op
@@ -764,9 +736,8 @@ def _make_term(d: tuple, memo: dict, nops: int):
             w = regs[_r]
             if w is _UNSET:
                 _unset_read(_n)
-            ty, sigma = (_site(_m, _t, env, _sub_halt) if _f
-                         else (_t.ty, _t.sigma))
-            return ("halt", HaltedState(w, ty, sigma, _n))
+            t = _site(_m, _t, env) if _f else _t
+            return ("halt", HaltedState(w, t.ty, t.sigma, _n))
         return term
     if tag == "jmp_c":
         u = d[1]
@@ -786,8 +757,7 @@ def _make_term(d: tuple, memo: dict, nops: int):
 
         def term(mem, regs, env, _u=u, _f=ftv, _pc=nops, _m=memo):
             loc, omegas = _target_of(
-                _resolve_rt(_site(_m, _u, env, subst_operand) if _f else _u,
-                            regs))
+                _resolve_rt(_site(_m, _u, env) if _f else _u, regs))
             return ("enter", loc, omegas, (), _pc)
         return term
     if tag == "call_c":
@@ -806,14 +776,11 @@ def _make_term(d: tuple, memo: dict, nops: int):
     if tag == "call_g":
         _, u, u_ftv, t, sq_ftv = d
 
-        def term(mem, regs, env, _u=u, _f=u_ftv, _t=t, _sf=sq_ftv,
-                 _pc=nops, _m=memo):
-            loc, omegas = _target_of(
-                _resolve_rt(_site(_m, _u, env, subst_operand) if _f else _u,
-                            regs))
-            extra = (_site(_m, _t, env, _sub_call_extra) if _sf
-                     else (_t.sigma, _t.q))
-            return ("enter", loc, omegas, extra, _pc)
+        def term(mem, regs, env, _t=t, _f=u_ftv or sq_ftv, _pc=nops,
+                 _m=memo):
+            t = _site(_m, _t, env) if _f else _t
+            loc, omegas = _target_of(_resolve_rt(t.u, regs))
+            return ("enter", loc, omegas, (t.sigma, t.q), _pc)
         return term
     if tag == "ret":
         _, r, r_name, _rr = d
@@ -943,21 +910,21 @@ def _close_flat(flat: dict) -> dict:
             break
         if tag == "bnz_g":
             _, rs, rs_name, u, _ftv = d
-            if not _has_regop(u):
+            if is_word_value(u):
                 ops[i] = ("bnz_c", rs, rs_name, u)
         elif tag in ("mv", "unfold"):
             spec = d[-1]
-            if spec[0] == "g" and not _has_regop(spec[1]):
+            if spec[0] == "g" and is_word_value(spec[1]):
                 ops[i] = d[:-1] + (("c", spec[1]),)
         elif tag == "aop":
             spec = d[5]
-            if spec[0] == "g" and not _has_regop(spec[1]):
+            if spec[0] == "g" and is_word_value(spec[1]):
                 ops[i] = d[:5] + (("c", spec[1]),)
     if not bound:
         ttag = term[0]
-        if ttag == "jmp_g" and not _has_regop(term[1]):
+        if ttag == "jmp_g" and is_word_value(term[1]):
             term = ("jmp_c", term[1])
-        elif ttag == "call_g" and not _has_regop(term[1]):
+        elif ttag == "call_g" and is_word_value(term[1]):
             t = term[3]
             term = ("call_c", term[1], t.sigma, t.q)
         elif ttag == "halt" and term[4]:
@@ -972,7 +939,7 @@ def _specialize(fb: FastBlock, env: tuple) -> Optional[FastBlock]:
     requests).  Returns ``None`` when anything refuses to specialize --
     the caller falls back to the env-lazy generic block."""
     try:
-        seq2 = subst_instr_seq(fb.src_seq, _env_subst(env, fb.sites))
+        seq2 = subst_term(fb.src_seq, _env_subst(env, fb.sites))
         flat = _close_flat(_lower_seq(seq2, ()))
         return _build_block(flat, seq2)
     except Exception:
@@ -988,7 +955,7 @@ def _materialize(fb: FastBlock, env: tuple, pc: int) -> InstrSeq:
     s = _env_subst(env, fb.sites)
     if s.is_empty():
         return seq
-    return subst_instr_seq(seq, s)
+    return subst_term(seq, s)
 
 
 class FastPoint(NamedTuple):

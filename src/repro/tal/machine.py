@@ -5,8 +5,10 @@ The machine executes instruction sequences against a mutable
 local heap fragment into the global heap under *fresh* locations (renaming
 every reference inside the component), exactly as the paper's operational
 semantics prescribes -- so structurally identical components loaded twice
-into one memory never interfere.  Freshness is only needed within a
-memory, so the renaming is done once and reused: a
+into one memory never interfere.  Renaming (:func:`rename_locs`) is a
+fold over the FT grammar of :mod:`repro.walk`, so it reaches the labels
+inside ``import`` payloads and their boundaries too.  Freshness is only
+needed within a memory, so the renaming is done once and reused: a
 :class:`LoadTemplate` (fresh labels, renamed cells, renamed entry
 sequence) is kept on the component, and a later load into a memory that
 binds none of its labels binds the very same cells.  Instantiation memos
@@ -36,26 +38,25 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
+from repro import walk
 from repro.errors import MachineError, SnapshotError
 from repro.obs.events import MachineEvent, OBS
 from repro.obs.profile import PROFILER
 from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import MachineSnapshot
 from repro.tal.heap import Memory, RegSnapshot, StackSnapshot
-from repro.tal.subst import instantiate_code_block
+from repro.tal.subst import instantiate_code_block, Subst, subst_term
 from repro.tal.syntax import (
-    Aop, AOPS, Balloc, Bnz, BOX, Call, Component, Fold, Halt, HCode,
-    HeapValue, HTuple, InstrSeq, Instruction, Jmp, KIND_ALPHA, Ld, Loc, Mv,
-    Operand, Pack, Ralloc, REF, RegOp, Ret, Salloc, Sfree, Sld, Sst, St,
-    StackTy, TalType, Terminator, TyApp, UnfoldI, Unpack, WInt, WLoc,
-    WordValue, WUnit, fresh_loc,
+    Aop, AOPS, Balloc, Bnz, BOX, Call, Component, Fold, Halt, HTuple,
+    InstrSeq, Instruction, Jmp, KIND_ALPHA, Ld, Loc, Mv, Operand, Pack,
+    Ralloc, REF, RegOp, Ret, Salloc, Sfree, Sld, Sst, St, StackTy, TalType,
+    Terminator, TyApp, UnfoldI, Unpack, WInt, WLoc, WordValue, WUnit,
+    fresh_loc,
 )
-from repro.tal.subst import Subst, subst_instr_seq, subst_ty
 
 __all__ = [
     "TraceEvent", "HaltedState", "ImportRequest", "TalMachine",
-    "LoadTemplate", "rename_locs",
-    "register_loc_renamer", "run_component", "TAL_ENGINES",
+    "LoadTemplate", "rename_locs", "run_component", "TAL_ENGINES",
     "DEFAULT_TAL_ENGINE", "resolve_tal_engine",
 ]
 
@@ -85,88 +86,29 @@ def resolve_tal_engine(name: Optional[str]) -> str:
 # Location renaming (component-heap merging)
 # ---------------------------------------------------------------------------
 
-_RENAME_HOOKS: Dict[type, Callable] = {}
-
-
-def register_loc_renamer(cls: type, fn: Callable) -> None:
-    """Register a renaming traversal for an FT instruction class."""
-    _RENAME_HOOKS[cls] = fn
-
-
 def rename_locs(x, mapping: Dict[Loc, Loc]):
-    """Rename heap labels throughout a syntactic object.
+    """Rename heap labels throughout any FT term: label values, lump
+    handles, and the cells a component binds (with their references),
+    through ``import`` payloads and boundaries alike.
 
-    Types never mention locations, so only value/instruction layers are
-    traversed.  Renaming preserves sharing: a node none of whose labels
-    is in ``mapping`` comes back as the very same object (so
-    ``rename_locs(x, {}) is x``), and a rebuilt node reuses every
-    untouched child.  Labels are looked up with ``mapping.get`` only.
+    A fold over :mod:`repro.walk`'s grammar, which says where labels
+    occur.  Renaming preserves sharing: a term none of whose labels is in
+    ``mapping`` comes back as the very same object (so
+    ``rename_locs(x, {}) is x``), and a rebuilt term reuses every
+    untouched sub-term.
     """
-    if isinstance(x, WLoc):
-        new = mapping.get(x.loc)
-        return x if new is None or new is x.loc else WLoc(new)
-    if isinstance(x, (WUnit, WInt, RegOp)):
+    if not mapping:
         return x
-    if isinstance(x, Pack):
-        body = rename_locs(x.body, mapping)
-        return x if body is x.body else Pack(x.hidden, body, x.as_ty)
-    if isinstance(x, Fold):
-        body = rename_locs(x.body, mapping)
-        return x if body is x.body else Fold(x.as_ty, body)
-    if isinstance(x, TyApp):
-        body = rename_locs(x.body, mapping)
-        return x if body is x.body else TyApp(body, x.insts)
-    if isinstance(x, InstrSeq):
-        instrs = share_tuple(
-            x.instrs, tuple([rename_locs(i, mapping) for i in x.instrs]))
-        term = rename_locs(x.term, mapping)
-        if instrs is x.instrs and term is x.term:
-            return x
-        return InstrSeq(instrs, term)
-    if isinstance(x, Instruction):
-        hook = _RENAME_HOOKS.get(type(x))
-        if hook is not None:
-            return hook(x, mapping, rename_locs)
-        if isinstance(x, (Aop, Bnz, Mv, Unpack, UnfoldI)):
-            u = rename_locs(x.u, mapping)
-            if u is x.u:
-                return x
-            if isinstance(x, Aop):
-                return Aop(x.op, x.rd, x.rs, u)
-            if isinstance(x, Bnz):
-                return Bnz(x.r, u)
-            if isinstance(x, Mv):
-                return Mv(x.rd, u)
-            if isinstance(x, Unpack):
-                return Unpack(x.alpha, x.rd, u)
-            return UnfoldI(x.rd, u)
-        return x  # ld/st/ralloc/balloc/salloc/sfree/sld/sst carry no operands
-    if isinstance(x, Terminator):
-        if isinstance(x, (Jmp, Call)):
-            u = rename_locs(x.u, mapping)
-            if u is x.u:
-                return x
-            return Jmp(u) if isinstance(x, Jmp) else Call(u, x.sigma, x.q)
-        return x  # ret/halt name registers and types only
-    if isinstance(x, HTuple):
-        words = share_tuple(
-            x.words, tuple([rename_locs(w, mapping) for w in x.words]))
-        return x if words is x.words else HTuple(words)
-    if isinstance(x, HCode):
-        instrs = rename_locs(x.instrs, mapping)
-        if instrs is x.instrs:
-            return x
-        return HCode(x.delta, x.chi, x.sigma, x.q, instrs)
-    raise TypeError(f"rename_locs: unsupported {type(x).__name__}")
 
+    label = lambda loc: mapping.get(loc, loc)  # noqa: E731
 
-def share_tuple(old: tuple, new: tuple) -> tuple:
-    """``old`` when ``new`` holds exactly its elements (by identity),
-    else ``new`` -- the sharing step of a sharing-preserving rebuild."""
-    for a, b in zip(old, new):
-        if a is not b:
-            return new
-    return old
+    def pre(node):
+        new = walk.map_labels(node, label)
+        return None if new is node else walk.Descend(new)
+
+    return walk.fold(x, pre, cross=walk.ALL,
+                     unknown=walk.unsupported("rename_locs"),
+                     on=walk.LABELLED)
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +133,9 @@ class LoadTemplate:
     __slots__ = ("mapping", "cells", "instrs", "fast")
 
     def __init__(self, comp: Component):
-        mapping = {loc: fresh_loc(loc.name) for loc, _ in comp.heap}
-        self.mapping = mapping
-        self.cells = tuple((mapping[loc], rename_locs(h, mapping))
-                           for loc, h in comp.heap)
-        self.instrs = (rename_locs(comp.instrs, mapping) if mapping
-                       else comp.instrs)
-        self.fast = None
+        self.mapping = {loc: fresh_loc(loc.name) for loc, _ in comp.heap}
+        moved = rename_locs(comp, self.mapping) if self.mapping else comp
+        self.cells, self.instrs, self.fast = moved.heap, moved.instrs, None
 
     def fits(self, heap: Dict[Loc, object]) -> bool:
         """Whether a memory with this heap binds none of the labels."""
@@ -515,7 +453,7 @@ class TalMachine:
             mem.set_reg(i.rd, w.body)  # type: ignore[arg-type]
             if OBS.enabled:
                 OBS.metrics.inc("t.subst.unpack")
-            return subst_instr_seq(
+            return subst_term(
                 rest, Subst.single(KIND_ALPHA, i.alpha, w.hidden))
         if isinstance(i, UnfoldI):
             w = self.resolve(i.u)

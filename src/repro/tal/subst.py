@@ -6,40 +6,39 @@ type for ``zeta``, or a return marker for ``eps``).  The typechecker performs
 these substitutions symbolically (e.g. ``chi[sigma_0/zeta][end{...}/eps]`` in
 the ``call`` rules of paper Fig 2) and the machine performs them at jump time.
 
-A :class:`Subst` maps ``(kind, name)`` keys to omegas.  Substitution descends
-through types, stack types, return markers, register-file typings, operands,
-instructions, heap values, and whole components, renaming binders
-(``exists``/``mu`` types, code-block ``Delta``s, ``unpack``) when they would
-capture a free variable of the substitution's range.
-
-FT-only instructions (``import``, ``protect``) participate via the handler
-registries :func:`register_simple_instr` and :func:`register_binding_instr`,
-populated by :mod:`repro.ft.syntax` -- pure-T code never sees them.
+A :class:`Subst` maps ``(kind, name)`` keys to omegas.  On types,
+substitution and free variables are written per type form
+(:func:`subst_ty`, :func:`subst_stack`, ...).  On terms they are folds
+over the one FT grammar of :mod:`repro.walk`, which says where a term
+holds types and what it binds: :func:`subst_term` and
+:func:`free_type_vars` take any FT term -- an operand, an instruction
+(``import`` and ``protect`` included), a sequence, a heap value, a
+component, or an F expression, whose boundaries and stack lambdas hold
+T types.  A code block's Delta scopes over the block; ``unpack``'s alpha
+and ``protect``'s zeta scope over the rest of their sequence.  Binders
+shadow the substitution and are renamed when its range would capture
+them.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, NamedTuple, Optional, Set, Tuple, Union
 
+from repro import walk
 from repro.caching import InternTable, LRUCache
 from repro.obs.events import OBS
 from repro.tal.syntax import (
-    Aop, Balloc, Bnz, Call, CodeType, Component, Delta, DeltaBind, Fold, Halt,
-    HCode, HeapValType, HeapValue, HTuple, InstrSeq, Instruction, Jmp,
-    KIND_ALPHA, KIND_EPS, KIND_ZETA, Ld, Loc, Mv, Operand, Pack, QEnd, QEps,
-    QIdx, QOut, QReg, Ralloc, RegFileTy, RegOp, Ret, RetMarker, Salloc,
-    Sfree, Sld, Sst, St, StackTy, TalType, TBox, Terminator, TExists, TInt,
-    TRec, TRef, TupleTy, TUnit, TVar, TyApp, TypeMemo, UnfoldI, Unpack, WInt,
-    WLoc, WUnit, intern_ty,
+    CodeType, Delta, DeltaBind, HCode, HeapValType, KIND_ALPHA, KIND_EPS,
+    KIND_ZETA, QEnd, QEps, QIdx, QOut, QReg, RegFileTy, RetMarker, StackTy,
+    TalType, TBox, TExists, TInt, TRec, TRef, TupleTy, TUnit, TVar,
+    TypeMemo, intern_ty,
 )
 
 __all__ = [
     "Omega", "Subst", "subst_ty", "subst_psi", "subst_stack", "subst_chi",
-    "subst_q", "subst_operand", "subst_instr", "subst_instr_seq",
-    "subst_heap_value", "subst_component", "free_type_vars",
-    "register_simple_instr", "register_binding_instr", "fresh_name",
-    "check_omega",
+    "subst_q", "subst_omega", "subst_term", "free_type_vars", "fresh_name",
+    "check_omega", "register_ftype_map",
     "instantiate_code_type", "instantiate_code_block", "clear_subst_caches",
     "subst_cache_stats",
 ]
@@ -109,15 +108,18 @@ class Subst:
 # Free type variables
 # ---------------------------------------------------------------------------
 
-_FTV_INSTR_HOOKS: Dict[type, Callable] = {}
+#: The T type classes; everything else is a term.
+_TYPE_CLASSES = (TalType, StackTy, RegFileTy, RetMarker)
 
 
 def free_type_vars(x) -> Set[VarKey]:
-    """Free ``(kind, name)`` type variables of any T syntactic object
+    """Free ``(kind, name)`` type variables of any T type or FT term
     (memoized on types, see :class:`repro.tal.syntax.TypeMemo`)."""
-    if not isinstance(x, TypeMemo):
+    if isinstance(x, TypeMemo):
+        return set(_ftv(x))
+    if isinstance(x, _TYPE_CLASSES):
         return _free_type_vars(x)
-    return set(_ftv(x))
+    return set() if walk.typeless(x) else _term_ftv(x)
 
 
 #: Equal free-variable sets are shared between the types that memoize
@@ -133,9 +135,8 @@ def _ftv(x: TypeMemo) -> FrozenSet[VarKey]:
     return acc
 
 
-#: Classes that never mention a type variable: the usual operands.
-_CLOSED_CLASSES = frozenset({WUnit, WInt, WLoc, RegOp, TUnit, TInt, QReg,
-                             QIdx, QOut})
+#: Type classes that never mention a type variable.
+_CLOSED_CLASSES = frozenset({TUnit, TInt, QReg, QIdx, QOut})
 
 
 def _free_type_vars(x) -> Set[VarKey]:
@@ -143,8 +144,6 @@ def _free_type_vars(x) -> Set[VarKey]:
         return set()
     if isinstance(x, TVar):
         return {(KIND_ALPHA, x.name)}
-    if isinstance(x, (TUnit, TInt)):
-        return set()
     if isinstance(x, (TExists, TRec)):
         return free_type_vars(x.body) - {(KIND_ALPHA, x.var)}
     if isinstance(x, TRef):
@@ -167,38 +166,8 @@ def _free_type_vars(x) -> Set[VarKey]:
         return _union(free_type_vars(t) for _, t in x.items())
     if isinstance(x, QEps):
         return {(KIND_EPS, x.name)}
-    if isinstance(x, (QReg, QIdx, QOut)):
-        return set()
     if isinstance(x, QEnd):
         return free_type_vars(x.ty) | free_type_vars(x.sigma)
-    if isinstance(x, (WUnit, WInt, WLoc, RegOp)):
-        return set()
-    if isinstance(x, Pack):
-        return (free_type_vars(x.hidden) | free_type_vars(x.body)
-                | free_type_vars(x.as_ty))
-    if isinstance(x, Fold):
-        return free_type_vars(x.as_ty) | free_type_vars(x.body)
-    if isinstance(x, TyApp):
-        return free_type_vars(x.body) | _union(
-            free_type_vars(o) for o in x.insts)
-    if isinstance(x, InstrSeq):
-        return _ftv_instr_seq(x)
-    if isinstance(x, Instruction):
-        return _ftv_instruction(x)
-    if isinstance(x, Terminator):
-        return _ftv_terminator(x)
-    if isinstance(x, HTuple):
-        return _union(free_type_vars(w) for w in x.words)
-    if isinstance(x, HCode):
-        bound = {(b.kind, b.name) for b in x.delta}
-        inner = (free_type_vars(x.chi) | free_type_vars(x.sigma)
-                 | free_type_vars(x.q) | free_type_vars(x.instrs))
-        return inner - bound
-    if isinstance(x, Component):
-        acc = free_type_vars(x.instrs)
-        for _, h in x.heap:
-            acc |= free_type_vars(h)
-        return acc
     raise TypeError(f"free_type_vars: unsupported {type(x).__name__}")
 
 
@@ -209,62 +178,59 @@ def _union(parts) -> Set[VarKey]:
     return acc
 
 
-def _ftv_instruction(i: Instruction) -> Set[VarKey]:
-    hook = _FTV_INSTR_HOOKS.get(type(i))
-    if hook is not None:
-        return hook(i)
-    if isinstance(i, Aop):
-        return free_type_vars(i.u)
-    if isinstance(i, (Bnz,)):
-        return free_type_vars(i.u)
-    if isinstance(i, (Ld, St, Ralloc, Balloc, Salloc, Sfree, Sld, Sst)):
-        return set()
-    if isinstance(i, Mv):
-        return free_type_vars(i.u)
-    if isinstance(i, Unpack):
-        # alpha scopes over the *rest of the sequence*, not over i.u.
-        return free_type_vars(i.u)
-    if isinstance(i, UnfoldI):
-        return free_type_vars(i.u)
-    raise TypeError(f"free_type_vars: unknown instruction {type(i).__name__}")
+class _Binds(NamedTuple):
+    """A sequence binder's free variables, and the one it binds over the
+    rest of its sequence."""
+    key: VarKey
+    fvs: Set[VarKey]
 
 
-def _ftv_terminator(t: Terminator) -> Set[VarKey]:
-    if isinstance(t, Jmp):
-        return free_type_vars(t.u)
-    if isinstance(t, Call):
-        return (free_type_vars(t.u) | free_type_vars(t.sigma)
-                | free_type_vars(t.q))
-    if isinstance(t, Ret):
-        return set()
-    if isinstance(t, Halt):
-        return free_type_vars(t.ty) | free_type_vars(t.sigma)
-    raise TypeError(f"free_type_vars: unknown terminator {type(t).__name__}")
+_NO_VARS: FrozenSet[VarKey] = frozenset()
 
 
-def _ftv_instr_seq(iseq: InstrSeq) -> Set[VarKey]:
-    if not iseq.instrs:
-        return _ftv_terminator(iseq.term)
-    head, rest = iseq.instrs[0], iseq.rest
-    acc = _ftv_instruction(head)
-    rest_fvs = _ftv_instr_seq(rest)
-    binder = binding_of(head)
-    if binder is not None:
-        rest_fvs = rest_fvs - {binder}
-    return acc | rest_fvs
+def _term_ftv(x) -> Set[VarKey]:
+    """A term's free type variables: a fold over the FT grammar."""
+    out = _ftv_post(x, ()) if walk.flat(x) else walk.fold(
+        x, _ftv_pre, _ftv_post, walk.ALL, _FTV_UNKNOWN)
+    return out.fvs if out.__class__ is _Binds else out
 
 
-_BINDING_OF_HOOKS: Dict[type, Callable] = {}
+_FTV_UNKNOWN = walk.unsupported("free_type_vars")
 
 
-def binding_of(i: Instruction) -> Optional[VarKey]:
-    """The type variable (if any) that ``i`` binds in the rest of its sequence."""
-    hook = _BINDING_OF_HOOKS.get(type(i))
-    if hook is not None:
-        return hook(i)
-    if isinstance(i, Unpack):
-        return (KIND_ALPHA, i.alpha)
-    return None
+def _ftv_pre(node):
+    return _NO_VARS if walk.typeless(node) else None
+
+
+def _ftv_post(node, results):
+    """The term's own types', its sub-terms' (each sequence binder's left
+    out of the later ones), less the Delta it binds."""
+    acc: Set[VarKey] = set()
+    for r in reversed(results):
+        if r.__class__ is _Binds:
+            acc.discard(r.key)
+            r = r.fvs
+        acc |= r
+    collect = lambda t: acc.update(free_type_vars(t)) or t   # noqa: E731
+    walk.map_types(node, lambda t: _ftype_map(t, collect), collect)
+    delta = walk.binders(node)
+    if delta:
+        acc.difference_update((b.kind, b.name) for b in delta)
+    key = walk.rest_binder(node)
+    return acc if key is None else _Binds(key, acc)
+
+
+# The T types inside an F type (a stack-modifying arrow's, a lump's)
+# are FT's: :mod:`repro.ft.syntax` registers the map over them when it
+# loads.  Until then an F type holds no T type.
+_ftype_map = lambda ty, f: ty   # noqa: E731
+
+
+def register_ftype_map(map_ftype) -> None:
+    """Install FT's ``map_ftype(ty, f)``: F type ``ty`` with the T types
+    in it mapped through ``f``."""
+    global _ftype_map
+    _ftype_map = map_ftype
 
 
 # ---------------------------------------------------------------------------
@@ -401,177 +367,87 @@ def subst_q(q: RetMarker, s: Subst) -> RetMarker:
     raise TypeError(f"subst_q: unsupported {type(q).__name__}")
 
 
-def subst_omega(omega: Omega, s: Subst) -> Omega:
+def subst_omega(omega, s: Subst):
+    """Substitute in any T type: a value or stack type, a return marker
+    or a register-file typing."""
     if isinstance(omega, TalType):
         return subst_ty(omega, s)
     if isinstance(omega, StackTy):
         return subst_stack(omega, s)
     if isinstance(omega, RetMarker):
         return subst_q(omega, s)
+    if isinstance(omega, RegFileTy):
+        return subst_chi(omega, s)
     raise TypeError(f"subst_omega: unsupported {type(omega).__name__}")
 
 
-def subst_operand(u: Operand, s: Subst) -> Operand:
+#: The bare variable of each kind a renamed binder is replaced by.
+_BARE = {KIND_ALPHA: TVar, KIND_ZETA: lambda name: StackTy((), name),
+         KIND_EPS: QEps}
+
+
+def subst_term(x, s: Subst):
+    """``x`` with ``s`` applied to every T type in it; ``x`` is any FT
+    term.  A code block's Delta and a sequence binder (``unpack``'s
+    alpha, ``protect``'s zeta) shadow their keys of ``s`` -- over the
+    block, over the rest of the sequence -- and are renamed when the
+    range of ``s`` would capture them.  A term ``s`` does not change
+    comes back as the same object."""
     if s.is_empty():
-        return u
-    if isinstance(u, (WUnit, WInt, WLoc, RegOp)):
-        return u
-    if isinstance(u, Pack):
-        return Pack(subst_ty(u.hidden, s), subst_operand(u.body, s),
-                    subst_ty(u.as_ty, s))
-    if isinstance(u, Fold):
-        return Fold(subst_ty(u.as_ty, s), subst_operand(u.body, s))
-    if isinstance(u, TyApp):
-        body = subst_operand(u.body, s)
-        insts = tuple(subst_omega(o, s) for o in u.insts)
-        if body is u.body and all(a is b for a, b in zip(insts, u.insts)):
-            return u
-        return TyApp(body, insts)
-    raise TypeError(f"subst_operand: unsupported {type(u).__name__}")
+        return x
+    caught: Optional[Set[VarKey]] = None   # what a binder must not bind
+    ttype = lambda t: subst_omega(t, s)    # noqa: E731
+    ftype = lambda t: _ftype_map(t, ttype)     # noqa: E731
+
+    def pre(node):
+        nonlocal caught
+        keys = walk.bound_keys(node)
+        if keys:
+            if caught is None:
+                caught = set(s.mapping) | s.range_free_vars()
+            if not caught.isdisjoint(keys):
+                return _subst_scoped(node, s)
+        new = walk.map_types(node, ftype, ttype)
+        return None if new is node else walk.Descend(new)
+
+    if walk.flat(x) and not walk.bound_keys(x):
+        return walk.map_types(x, ftype, ttype)
+    return walk.fold(x, pre, cross=walk.ALL, unknown=_SUBST_UNKNOWN,
+                     on=_SCOPED)
 
 
-# FT instruction hooks: simple (no binding) and binding (scopes over rest).
-_SIMPLE_INSTR_HOOKS: Dict[type, Callable] = {}
-_BINDING_INSTR_HOOKS: Dict[type, Callable] = {}
+#: The terms :func:`subst_term` looks at itself: those with types or
+#: binders; the walk rebuilds the rest.
+_SCOPED = walk.TYPED | {walk.BINDS, walk.SEQ}
+_SUBST_UNKNOWN = walk.unsupported("subst_term")
 
 
-def register_simple_instr(cls: type, subst_fn: Callable, ftv_fn: Callable) -> None:
-    """Register substitution/ftv for a non-binding FT instruction class."""
-    _SIMPLE_INSTR_HOOKS[cls] = subst_fn
-    _FTV_INSTR_HOOKS[cls] = ftv_fn
-
-
-def register_binding_instr(cls: type, subst_fn: Callable, ftv_fn: Callable,
-                           binding_fn: Callable) -> None:
-    """Register an FT instruction that binds a type variable in the rest of
-    its sequence (``protect``).  ``subst_fn(instr, rest, s)`` must return a
-    ``(new_instr, new_rest)`` pair and is responsible for recursing into
-    ``rest`` via :func:`subst_instr_seq`."""
-    _BINDING_INSTR_HOOKS[cls] = subst_fn
-    _FTV_INSTR_HOOKS[cls] = ftv_fn
-    _BINDING_OF_HOOKS[cls] = binding_fn
-
-
-def subst_instr(i: Instruction, s: Subst) -> Instruction:
-    """Substitute in a single non-binding instruction.  An instruction
-    the substitution does not change comes back as the same object."""
-    hook = _SIMPLE_INSTR_HOOKS.get(type(i))
-    if hook is not None:
-        return hook(i, s)
-    if isinstance(i, (Ld, St, Ralloc, Balloc, Salloc, Sfree, Sld, Sst)):
-        return i
-    if not isinstance(i, (Aop, Bnz, Mv, Unpack, UnfoldI)):
-        raise TypeError(
-            f"subst_instr: unknown instruction {type(i).__name__}")
-    u = subst_operand(i.u, s)
-    if u is i.u:
-        return i
-    if isinstance(i, Aop):
-        return Aop(i.op, i.rd, i.rs, u)
-    if isinstance(i, Bnz):
-        return Bnz(i.r, u)
-    if isinstance(i, Mv):
-        return Mv(i.rd, u)
-    if isinstance(i, Unpack):
-        return Unpack(i.alpha, i.rd, u)
-    return UnfoldI(i.rd, u)
-
-
-def subst_terminator(t: Terminator, s: Subst) -> Terminator:
-    if isinstance(t, Jmp):
-        u = subst_operand(t.u, s)
-        return t if u is t.u else Jmp(u)
-    if isinstance(t, Call):
-        u, sigma, q = (subst_operand(t.u, s), subst_stack(t.sigma, s),
-                       subst_q(t.q, s))
-        if u is t.u and sigma is t.sigma and q is t.q:
-            return t
-        return Call(u, sigma, q)
-    if isinstance(t, Ret):
-        return t
-    if isinstance(t, Halt):
-        ty, sigma = subst_ty(t.ty, s), subst_stack(t.sigma, s)
-        if ty is t.ty and sigma is t.sigma:
-            return t
-        return Halt(ty, sigma, t.r)
-    raise TypeError(f"subst_terminator: unknown {type(t).__name__}")
-
-
-def subst_instr_seq(iseq: InstrSeq, s: Subst) -> InstrSeq:
-    """Substitute along a sequence.  A binding instruction scopes over the
-    rest, which goes on under the substitution its binder leaves.  A
-    sequence the substitution does not change comes back as is."""
-    start, done = iseq, []
-    instrs, k = iseq.instrs, 0
-    while k < len(instrs) and not s.is_empty():
-        head = instrs[k]
-        binding_hook = _BINDING_INSTR_HOOKS.get(type(head))
-        if binding_hook is not None:
-            new_head, new_rest = binding_hook(
-                head, InstrSeq(instrs[k + 1:], iseq.term), s)
-            return InstrSeq(tuple(done) + (new_head,) + new_rest.instrs,
-                            new_rest.term)
-        if isinstance(head, Unpack):
-            new_u = subst_operand(head.u, s)
-            alpha, iseq, s = _avoid_capture_in_rest(
-                KIND_ALPHA, head.alpha, InstrSeq(instrs[k + 1:], iseq.term),
-                s)
-            done.append(Unpack(alpha, head.rd, new_u))
-            instrs, k = iseq.instrs, 0
-            continue
-        done.append(subst_instr(head, s))
-        k += 1
-    term = iseq.term if s.is_empty() else subst_terminator(iseq.term, s)
-    if (iseq is start and term is iseq.term
-            and all(a is b for a, b in zip(done, instrs))):
-        return iseq
-    return InstrSeq(tuple(done) + instrs[k:], term)
-
-
-def _avoid_capture_in_rest(kind: str, name: str, rest: InstrSeq, s: Subst):
-    """Handle a sequence-scoped binder: the binder shadows its own name in
-    ``s`` and is renamed when ``s``'s range would capture it.
-
-    Returns ``(binder_name, rest, substitution_to_apply_to_rest)``.
-    """
-    key = (kind, name)
-    s2 = s.without([key])
-    if key in s2.range_free_vars():
-        fresh = fresh_name(name)
-        omega: Omega
-        if kind == KIND_ALPHA:
-            omega = TVar(fresh)
-        elif kind == KIND_ZETA:
-            omega = StackTy((), fresh)
-        else:
-            omega = QEps(fresh)
-        rest = subst_instr_seq(rest, Subst.single(kind, name, omega))
-        return fresh, rest, s2
-    return name, rest, s2
-
-
-def subst_heap_value(h: HeapValue, s: Subst) -> HeapValue:
-    if s.is_empty():
-        return h
-    if isinstance(h, HTuple):
-        return HTuple(tuple(subst_operand(w, s) for w in h.words))  # type: ignore[arg-type]
-    if isinstance(h, HCode):
-        delta, s2 = _freshen_delta(h.delta, s)
-        ren = _delta_renaming(h.delta, delta)
-        chi = subst_chi(subst_chi(h.chi, ren), s2)
-        sigma = subst_stack(subst_stack(h.sigma, ren), s2)
-        q = subst_q(subst_q(h.q, ren), s2)
-        instrs = subst_instr_seq(subst_instr_seq(h.instrs, ren), s2)
-        return HCode(delta, chi, sigma, q, instrs)
-    raise TypeError(f"subst_heap_value: unsupported {type(h).__name__}")
-
-
-def subst_component(e: Component, s: Subst) -> Component:
-    if s.is_empty():
-        return e
-    return Component(
-        subst_instr_seq(e.instrs, s),
-        tuple((loc, subst_heap_value(h, s)) for loc, h in e.heap))
+def _subst_scoped(node, s: Subst):
+    """``subst_term`` of a term with a binder that shadows or would
+    capture a key of ``s``.  Its own Delta is renamed where ``s`` would
+    capture it; a sequence binder, likewise, leaves the terms after it
+    under ``s`` less its key."""
+    delta = walk.binders(node)
+    if delta is not None:
+        fresh, s = _freshen_delta(delta, s)
+        renaming = _delta_renaming(delta, fresh).mapping
+        if renaming:
+            s = Subst({**s.mapping, **renaming})
+            node = walk.rebind(node, fresh)
+    ttype = lambda t: subst_omega(t, s)    # noqa: E731
+    node = walk.map_types(node, lambda t: _ftype_map(t, ttype), ttype)
+    new = []
+    for term in walk.children(node):
+        out = subst_term(term, s)
+        key = walk.rest_binder(term)
+        if key is not None:
+            s = s.without([key])
+            if key in s.range_free_vars():
+                fresh = fresh_name(key[1])
+                s = Subst({**s.mapping, key: _BARE[key[0]](fresh)})
+                out = walk.rebind(out, fresh)
+        new.append(out)
+    return walk.rebuild(node, new)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +564,7 @@ def instantiate_code_block(h: HCode, omegas: Tuple[Omega, ...]) -> HCode:
     s = delta_subst(h.delta, omegas)
     remaining = h.delta[len(omegas):]
     result = HCode(remaining, subst_chi(h.chi, s), subst_stack(h.sigma, s),
-                   subst_q(h.q, s), subst_instr_seq(h.instrs, s))
+                   subst_q(h.q, s), subst_term(h.instrs, s))
     if len(table) < _BLOCK_MEMO_CAP:
         table[omegas] = result
     else:

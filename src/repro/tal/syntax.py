@@ -30,8 +30,11 @@ type equality is alpha-equivalence, implemented in
 type variables is in :mod:`repro.tal.subst`.
 
 The two FT-only instructions (``import`` and ``protect``, paper Fig 6)
-subclass :class:`Instruction` in :mod:`repro.ft.syntax` so that pure-T
-tooling remains unaware of them.
+subclass :class:`Instruction` in :mod:`repro.ft.syntax`.  Which fields of
+each term class are sub-terms, types, binders and labels is written down
+once, for these classes and FT's alike, in :data:`repro.walk.GRAMMAR`;
+the traversals over terms (substitution, free type variables, label
+renaming, erasure) are folds over it.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
+from repro import walk
 from repro.caching import InternTable, PicklableSlots, intern_singleton
 
 __all__ = [
@@ -746,17 +750,14 @@ class TyApp(Operand):
 
 def is_word_value(u: Operand) -> bool:
     """Is the small value ``u`` a word value (contains no register)?"""
-    if isinstance(u, (WUnit, WInt, WLoc)):
-        return True
-    if isinstance(u, RegOp):
-        return False
-    if isinstance(u, Pack):
-        return is_word_value(u.body)
-    if isinstance(u, Fold):
-        return is_word_value(u.body)
-    if isinstance(u, TyApp):
-        return is_word_value(u.body)
-    raise TypeError(f"not a small value: {u!r}")
+    if not isinstance(u, Operand):
+        raise TypeError(f"not a small value: {u!r}")
+    while not isinstance(u, RegOp):     # down packs, folds, instantiations
+        body = walk.children(u)
+        if not body:
+            return True
+        u, = body
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -1120,12 +1121,14 @@ class HCode(CodeMemo):
 class LoadMemo(PicklableSlots):
     """The per-instance memo slots of :class:`Component`: ``_template``,
     the relocated image (:class:`repro.tal.machine.LoadTemplate`) that
-    its loads reuse, and ``_identity``, the template of a component
-    without a heap, which relocates nothing.  They are not dataclass
-    fields, so equality, hashing, pickling and content digests never see
-    them, and they die with the component."""
+    its loads reuse; ``_identity``, the template of a component without
+    a heap, which relocates nothing; and ``_ports``, the ``import``
+    instructions in it, which a walk crossing to F terms visits
+    (:mod:`repro.walk`).  They are not dataclass fields, so equality,
+    hashing, pickling and content digests never see them, and they die
+    with the component."""
 
-    __slots__ = ("_template", "_identity")
+    __slots__ = ("_template", "_identity", "_ports")
 
 
 @dataclass(frozen=True, slots=True)

@@ -161,3 +161,13 @@ class TestStats:
 
     def test_unknown_example(self, capsys):
         assert main(["stats", "nope"]) == 2
+
+
+class TestMissingFile:
+    @pytest.mark.parametrize("command", ["run", "parse", "typecheck", "lint"])
+    def test_one_line_error(self, command, tmp_path, capsys):
+        path = str(tmp_path / "absent.ft")
+        assert main([command, path]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot read '{path}': "
+                       f"No such file or directory\n")

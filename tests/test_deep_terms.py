@@ -9,6 +9,8 @@ equality, hashing and printing recurse once per level, so no assertion
 compares whole terms.
 """
 
+import hashlib
+import re
 import sys
 from collections import Counter
 
@@ -19,16 +21,17 @@ from repro.f.syntax import (
     App, BinOp, FInt, free_vars, If0, IntE, iter_subexprs, Lam,
     subst_expr, TupleE, Var,
 )
-from repro.ft.syntax import (
-    Boundary, Import, rename_locs_in_fexpr, StackLam, subst_tal_in_fexpr,
-    tal_free_type_vars_of_fexpr,
-)
+from repro.ft.syntax import Boundary, Import, Protect, StackLam
 from repro.link.linker import collect_labels
+from repro.tal.erasure import erase_types
 from repro.tal.machine import rename_locs
-from repro.tal.subst import Subst
+from repro.tal.subst import free_type_vars, Subst, subst_term
+from repro import walk
 from repro.tal.syntax import (
-    Component, HCode, Halt, Jmp, KIND_ALPHA, Loc, NIL_STACK, QEnd,
-    RegFileTy, TInt, TVar, WLoc, seq,
+    Aop, Component, HCode, Halt, InstrSeq, Jmp, KIND_ALPHA, KIND_EPS,
+    KIND_ZETA, Loc, Mv, NIL_STACK, Pack, QEnd, QEps, RegFileTy, RegOp,
+    StackTy, TExists, TInt, TRef, TUnit, TVar, TyApp, Unpack, WInt, WLoc,
+    seq,
 )
 
 DEPTH = 10_000
@@ -94,7 +97,7 @@ class TestDeepChains:
 
     def test_subst_expr(self, kind):
         e = chain(kind)
-        out = subst_expr(e, "x", IntE(7))
+        out = subst_expr(e, {"x": IntE(7)})
         before, after = census(e), census(out)
         assert after["var x"] == 0
         assert after["IntE"] == before["IntE"] + before["var x"]
@@ -102,18 +105,18 @@ class TestDeepChains:
 
     def test_subst_tal_in_fexpr(self, kind):
         e = chain(kind)
-        out = subst_tal_in_fexpr(e, Subst.single(KIND_ALPHA, "a", TInt()))
+        out = subst_term(e, Subst.single(KIND_ALPHA, "a", TInt()))
         [lam] = find(out, StackLam)
         assert lam.phi_in == (TInt(),)
         assert find(out, Lam)[0] is ARITH_LAM
         assert census(out) == census(e)
 
     def test_tal_free_type_vars(self, kind):
-        assert tal_free_type_vars_of_fexpr(chain(kind)) == {(KIND_ALPHA, "a")}
+        assert free_type_vars(chain(kind)) == {(KIND_ALPHA, "a")}
 
     def test_rename_locs_in_fexpr(self, kind):
         e = chain(kind)
-        assert rename_locs_in_fexpr(e, {Loc("l"): Loc("m")}, rename_locs) is e
+        assert rename_locs(e, {Loc("l"): Loc("m")}) is e
 
     def test_collect_labels(self, kind):
         assert collect_labels(chain(kind)) == set()
@@ -154,13 +157,112 @@ class TestDeepPayload:
         assert collect_labels(b) == {self.LABEL}
 
     def test_subst_expr(self, kind):
-        out = subst_expr(self.boundary(kind), "x", IntE(7))
+        out = subst_expr(self.boundary(kind), {"x": IntE(7)})
         assert census(self.payload(out))["var x"] == 0
         assert free_vars(out) == FREE[kind] - {"x"}
 
     def test_rename_locs(self, kind):
         new = Loc("moved")
-        out = rename_locs_in_fexpr(self.boundary(kind), {self.LABEL: new},
-                                   rename_locs)
+        out = rename_locs(self.boundary(kind), {self.LABEL: new})
         assert out.comp.heap[0][0] is new
         assert out.comp.instrs.term.u.loc is new
+
+
+# ---------------------------------------------------------------------------
+# T: one long instruction sequence
+# ---------------------------------------------------------------------------
+
+SEQ_LEN = 10_000
+#: A copy short enough for a recursive traversal at the default limit;
+#: the digests below pin each traversal's result on it.
+SHORT_LEN = 200
+LABEL_L = Loc("l0")
+
+
+def t_sequence(n: int, protect: bool = True) -> InstrSeq:
+    """``n`` instructions mentioning ``a``, ``b``, ``z``, ``e`` and the
+    label ``l0``, with ``unpack <b, r4>`` at ``n // 2`` and ``protect
+    <a>, z`` at ``3n // 4`` (left out when ``protect`` is false)."""
+    target = TyApp(WLoc(LABEL_L), (TVar("a"), StackTy((), "z"), QEps("e")))
+    package = Pack(TVar("a"), WLoc(LABEL_L),
+                   TExists("c", TRef((TVar("c"), TVar("b")))))
+    uses = (Mv("r1", target), Aop("add", "r2", "r2", WInt(3)),
+            Mv("r3", package))
+    instrs = []
+    for k in range(n):
+        if k == n // 2:
+            instrs.append(Unpack("b", "r4", RegOp("r5")))
+        elif protect and k == 3 * n // 4:
+            instrs.append(Protect((TVar("a"),), "z"))
+        else:
+            instrs.append(uses[k % 3])
+    return InstrSeq(tuple(instrs), Halt(TRef((TVar("a"), TVar("b"))),
+                                        StackTy((), "z"), "r1"))
+
+
+def digest(x) -> str:
+    """A digest of ``x``'s text with fresh-name numbers dropped."""
+    return hashlib.sha256(
+        re.sub(r"%\d+", "%", str(x)).encode()).hexdigest()[:16]
+
+
+def pieces(out: InstrSeq, n: int) -> list:
+    """Per stretch between binders, the distinct instructions (fresh
+    names dropped), then the binders and the terminator: the same for
+    the long sequence and its short copy."""
+    marks = [0, n // 2, n // 2 + 1, 3 * n // 4, 3 * n // 4 + 1, n]
+    spans = [out.instrs[lo:hi] for lo, hi in zip(marks, marks[1:])]
+    return [sorted({digest(i) for i in span}) for span in spans] + [
+        digest(out.term)]
+
+
+#: a := b captures unpack's b (renamed); z := nil stops at protect's z.
+SUBST = Subst({(KIND_ALPHA, "a"): TVar("b"), (KIND_ZETA, "z"): NIL_STACK})
+
+
+class TestLongSequence:
+    """Each T traversal takes a 10,000-instruction sequence at the default
+    recursion limit; on a 200-instruction copy its result is pinned by
+    ``digest``, and the long result repeats the short one's pieces."""
+
+    def test_free_type_vars(self):
+        want = {(KIND_ALPHA, "a"), (KIND_ALPHA, "b"), (KIND_ZETA, "z"),
+                (KIND_EPS, "e")}
+        assert free_type_vars(t_sequence(SHORT_LEN)) == want
+        assert free_type_vars(t_sequence(SEQ_LEN)) == want
+        # b is bound after the unpack, z after the protect
+        tail = InstrSeq(t_sequence(SEQ_LEN).instrs[SEQ_LEN // 2:],
+                        Halt(TVar("b"), StackTy((), "z"), "r1"))
+        assert free_type_vars(tail) == {(KIND_ALPHA, "a"), (KIND_ZETA, "z"),
+                                        (KIND_EPS, "e")}
+
+    def test_subst(self):
+        short = subst_term(t_sequence(SHORT_LEN), SUBST)
+        assert digest(short) == "f869c98ec30cb3fd"
+        out = subst_term(t_sequence(SEQ_LEN), SUBST)
+        assert pieces(out, SEQ_LEN) == pieces(short, SHORT_LEN)
+        unpack = out.instrs[SEQ_LEN // 2]
+        assert unpack.alpha != "b"                       # renamed
+        assert out.term.ty == TRef((TVar("b"), TVar(unpack.alpha)))
+        assert out.term.sigma == StackTy((), "z")        # bound by protect
+        assert out.instrs[0].u.insts[1] == NIL_STACK     # free before it
+
+    def test_rename_locs(self):
+        mapping = {LABEL_L: Loc("m0")}
+        short = rename_locs(t_sequence(SHORT_LEN), mapping)
+        assert digest(short) == "895b7dbece729d42"
+        long = t_sequence(SEQ_LEN)
+        out = rename_locs(long, mapping)
+        assert pieces(out, SEQ_LEN) == pieces(short, SHORT_LEN)
+        assert out.instrs[1] is long.instrs[1]           # shared
+        assert LABEL_L not in {x.loc for x in walk.preorder(out, walk.ALL)
+                               if isinstance(x, WLoc)}
+
+    def test_erase_types(self):
+        short = erase_types(t_sequence(SHORT_LEN, protect=False))
+        assert digest(short) == "415d3e1282ddc09e"
+        assert short.term == Halt(TUnit(), NIL_STACK, "r1")
+        out = erase_types(t_sequence(SEQ_LEN, protect=False))
+        assert pieces(out, SEQ_LEN) == pieces(short, SHORT_LEN)
+        with pytest.raises(TypeError, match="pure T; found Protect"):
+            erase_types(t_sequence(SEQ_LEN))

@@ -354,3 +354,43 @@ class TestServeEngineNonSemantic:
             outs[eng] = (result.output.get("value"),
                          result.output.get("steps"))
         assert outs["subst"] == outs["cek"]
+
+
+class TestReifyPayloadCaptures:
+    """Closures capturing two variables that are used only inside a
+    boundary's ``import`` payload: reification substitutes the whole
+    environment in one pass, and every engine state it reifies matches
+    the substitution engine's."""
+
+    @staticmethod
+    def build():
+        from repro.ft.syntax import Boundary, Import
+        from repro.tal.syntax import Component, Halt, NIL_STACK, seq
+
+        payload = BinOp("*", BinOp("+", Var("x"), Var("y")), Var("x"))
+        inner = Lam((("z", FInt()),), Boundary(FInt(), Component(seq(
+            Import("r1", NIL_STACK, FInt(), BinOp("+", payload, Var("z"))),
+            Halt(TInt(), NIL_STACK, "r1")))))
+        adder = Lam((("x", FInt()),), Lam((("y", FInt()),), inner))
+        closure = App(App(adder, (IntE(3),)), (IntE(4),))
+        return App(closure, (IntE(5),))
+
+    def test_lockstep(self):
+        assert _assert_lockstep(self.build)["value"] == "26"
+
+    def test_suspended_states_reify_alike(self):
+        total = _observe(self.build, "subst")["spent"]["fuel_used"]
+        states = []
+        for k in range(1, total):
+            pending = {}
+            for engine in ENGINES:
+                machine = FTMachine(budget=Budget(fuel=k), engine=engine)
+                with pytest.raises(FuelExhausted):
+                    machine.evaluate(self.build())
+                state = machine.snapshot().state()
+                assert state.pop("engine") == engine
+                pending[engine] = {key: str(v) for key, v in state.items()}
+            assert pending["subst"] == pending["cek"], k
+            states.append(pending["cek"]["state"])
+        # a suspension inside the boundary holds the substituted payload
+        assert any("(((3 + 4) * 3) + 5)" in state for state in states)

@@ -154,16 +154,16 @@ class TestFreeVars:
 
 class TestSubstExpr:
     def test_basic(self):
-        assert subst_expr(Var("x"), "x", IntE(1)) == IntE(1)
+        assert subst_expr(Var("x"), {"x": IntE(1)}) == IntE(1)
 
     def test_shadowing(self):
         lam = Lam((("x", FInt()),), Var("x"))
-        assert subst_expr(lam, "x", IntE(1)) == lam
+        assert subst_expr(lam, {"x": IntE(1)}) == lam
 
     def test_capture_avoidance(self):
         # (lam(y). x)[y/x]: the binder y must be renamed, not capture.
         lam = Lam((("y", FInt()),), Var("x"))
-        result = subst_expr(lam, "x", Var("y"))
+        result = subst_expr(lam, {"x": Var("y")})
         assert isinstance(result, Lam)
         (name, _), = result.params
         assert name != "y"
@@ -171,7 +171,7 @@ class TestSubstExpr:
 
     def test_descends_everywhere(self):
         e = If0(Var("x"), TupleE((Var("x"),)), Proj(0, Var("x")))
-        out = subst_expr(e, "x", IntE(0))
+        out = subst_expr(e, {"x": IntE(0)})
         assert free_vars(out) == set()
 
     def test_invalid_binop_rejected(self):

@@ -8,11 +8,10 @@ from repro.f.syntax import (
     subst_expr, subst_ftype, Var, free_tvars,
 )
 from repro.ft.syntax import (
-    Boundary, FStackArrow, Import, Protect, StackDelta,
-    StackLam, subst_tal_in_fexpr, tal_free_type_vars_of_fexpr,
+    Boundary, FStackArrow, Import, Protect, StackDelta, StackLam,
 )
 from repro.papers_examples.import_example import build as build_import
-from repro.tal.subst import free_type_vars, Subst, subst_instr_seq
+from repro.tal.subst import free_type_vars, Subst, subst_term
 from repro.tal.syntax import (
     Component, Halt, InstrSeq, KIND_ZETA, Mv, NIL_STACK, QEnd, Salloc, seq,
     Sst, StackTy, TInt, TUnit, TVar, WInt, WUnit,
@@ -90,7 +89,7 @@ class TestStackLam:
     def test_substitution_preserves_annotations(self):
         lam = StackLam((("x", FInt()),), BinOp("+", Var("x"), Var("y")),
                        (TInt(),), (TInt(),))
-        out = subst_expr(lam, "y", IntE(1))
+        out = subst_expr(lam, {"y": IntE(1)})
         assert isinstance(out, StackLam)
         assert out.phi_in == (TInt(),)
 
@@ -115,7 +114,7 @@ class TestCrossLanguageFreeVars:
             Import("r1", NIL_STACK, FInt(), Var("x")),
             Halt(TInt(), NIL_STACK, "r1")))
         b = Boundary(FInt(), comp)
-        out = subst_expr(b, "x", IntE(9))
+        out = subst_expr(b, {"x": IntE(9)})
         assert free_vars(out) == set()
         imp = out.comp.instrs.instrs[0]
         assert imp.expr == IntE(9)
@@ -128,7 +127,7 @@ class TestCrossLanguageFreeVars:
                       seq(Import("r1", NIL_STACK, FInt(), Var("x")),
                           Halt(TInt(), NIL_STACK, "r1")))
         comp = Component(seq(Jmp(WLoc(label))), ((label, block),))
-        out = subst_expr(Boundary(FInt(), comp), "x", IntE(3))
+        out = subst_expr(Boundary(FInt(), comp), {"x": IntE(3)})
         assert free_vars(out) == set()
 
 
@@ -137,7 +136,7 @@ class TestTalSubstThroughF:
         iseq = seq(
             Import("r1", StackTy((), "z"), FInt(), IntE(1)),
             Halt(TInt(), StackTy((), "z"), "r1"))
-        out = subst_instr_seq(
+        out = subst_term(
             iseq, Subst.single(KIND_ZETA, "z", NIL_STACK))
         imp = out.instrs[0]
         assert imp.protected == NIL_STACK
@@ -148,7 +147,7 @@ class TestTalSubstThroughF:
             Protect((), "z"),
             Halt(TUnit(), StackTy((), "z"), "r1"))
         # substituting for z must not touch the bound occurrences
-        out = subst_instr_seq(
+        out = subst_term(
             iseq, Subst.single(KIND_ZETA, "z", NIL_STACK))
         assert out == iseq
 
@@ -157,7 +156,7 @@ class TestTalSubstThroughF:
         iseq = seq(
             Protect((), "z"),
             Halt(TVar("a"), StackTy((), "w"), "r1"))
-        out = subst_instr_seq(
+        out = subst_term(
             iseq, Subst.single(KIND_ZETA, "w", StackTy((), "z")))
         protect = out.instrs[0]
         assert protect.zeta != "z"
@@ -170,7 +169,7 @@ class TestTalSubstThroughF:
         iseq = seq(
             Import("r1", StackTy((), "z"), FInt(), inner),
             Halt(TInt(), StackTy((), "z"), "r1"))
-        out = subst_instr_seq(
+        out = subst_term(
             iseq, Subst.single(KIND_ZETA, "z", NIL_STACK))
         inner_out = out.instrs[0].expr
         assert inner_out.comp.instrs.term == Halt(TInt(), NIL_STACK, "r1")
@@ -179,7 +178,7 @@ class TestTalSubstThroughF:
         b = Boundary(FInt(), Component(seq(
             Mv("r1", WInt(1)),
             Halt(TInt(), StackTy((), "z"), "r1"))))
-        assert (KIND_ZETA, "z") in tal_free_type_vars_of_fexpr(b)
+        assert (KIND_ZETA, "z") in free_type_vars(b)
 
     def test_free_type_vars_through_import(self):
         iseq = seq(

@@ -132,3 +132,57 @@ class TestCliSurface:
                      "--type", "(int) -> int", "--fuel", "10000"])
         assert code == 3
         assert "INEQUIVALENT" in capsys.readouterr().out
+
+
+class TestPaperExamples:
+    """The warnings of every component in the paper's examples and in
+    the compiled F ones, nested components included."""
+
+    WARNINGS = {
+        "fig3": [[]], "sec3-seq": [[]], "sec3-jmp": [[]], "sec3-call": [[]],
+        "import": [[]], "push7": [[]], "fig11-g": [], "fig11-source": [],
+        "fig11-jit": [[]], "fig16-f1": [[]], "fig16-f2": [[]],
+        "fig17-f": [], "fig17-t": [[]], "fig17-count": [[]],
+        "compiled fig11-g": [[]], "compiled fig11-source": [[]],
+        "compiled fig17-f": [[
+            "[duplicate-blocks] f2_join0/f4_join0: blocks have equal "
+            "signatures and identical bodies; they could be merged"]],
+    }
+
+    @staticmethod
+    def builders():
+        from repro.compile import compile_term
+        from repro.papers_examples import (
+            fig11_jit, fig16_two_blocks, fig17_factorial, fig3_call_to_call,
+            import_example, push7, sec3_sequences,
+        )
+
+        found = {
+            "fig3": fig3_call_to_call.build,
+            "sec3-seq": sec3_sequences.build_sequence_program,
+            "sec3-jmp": sec3_sequences.build_jmp_program,
+            "sec3-call": sec3_sequences.build_call_program,
+            "import": import_example.build, "push7": push7.build,
+            "fig11-g": fig11_jit.build_g,
+            "fig11-source": fig11_jit.build_source,
+            "fig11-jit": fig11_jit.build_jit,
+            "fig16-f1": fig16_two_blocks.build_f1,
+            "fig16-f2": fig16_two_blocks.build_f2,
+            "fig17-f": fig17_factorial.build_fact_f,
+            "fig17-t": fig17_factorial.build_fact_t,
+            "fig17-count": fig17_factorial.build_count_t,
+        }
+        for name in ("fig11-g", "fig11-source", "fig17-f"):
+            found["compiled " + name] = (
+                lambda build: lambda: compile_term(build()).wrapped)(
+                    found[name])
+        return found
+
+    def test_warnings_are_pinned(self):
+        from repro import walk
+
+        got = {name: [[str(w) for w in lint_component(x)]
+                      for x in walk.preorder(build(), cross=walk.ALL)
+                      if isinstance(x, Component)]
+               for name, build in self.builders().items()}
+        assert got == self.WARNINGS

@@ -4,7 +4,7 @@ import pytest
 
 from repro.tal.subst import (
     delta_subst, free_type_vars, instantiate_code_block,
-    instantiate_code_type, Subst, subst_chi, subst_instr_seq, subst_q,
+    instantiate_code_type, Subst, subst_chi, subst_term, subst_q,
     subst_stack, subst_ty,
 )
 from repro.tal.syntax import (
@@ -125,7 +125,7 @@ class TestInstrSeqSubst:
     def test_halt_annotations(self):
         iseq = seq(Halt(TVar("a"), StackTy((), "z"), "r1"))
         s = Subst({(KIND_ALPHA, "a"): TInt(), (KIND_ZETA, "z"): NIL_STACK})
-        out = subst_instr_seq(iseq, s)
+        out = subst_term(iseq, s)
         assert out == seq(Halt(TInt(), NIL_STACK, "r1"))
 
     def test_operand_tyapp(self):
@@ -134,7 +134,7 @@ class TestInstrSeqSubst:
                    Halt(TInt(), NIL_STACK, "r1"))
         s = Subst({(KIND_ZETA, "z"): NIL_STACK,
                    (KIND_EPS, "e"): QEnd(TInt(), NIL_STACK)})
-        out = subst_instr_seq(iseq, s)
+        out = subst_term(iseq, s)
         mv = out.instrs[0]
         assert mv == Mv("ra", TyApp(WLoc(Loc("l")),
                                     (NIL_STACK, QEnd(TInt(), NIL_STACK))))
@@ -143,14 +143,14 @@ class TestInstrSeqSubst:
         # unpack <a, r1> u; halt a...  -- the alpha in the rest is bound.
         iseq = seq(Unpack("a", "r1", RegOp("r2")),
                    Halt(TVar("a"), NIL_STACK, "r1"))
-        out = subst_instr_seq(iseq, ALPHA("a", TInt()))
+        out = subst_term(iseq, ALPHA("a", TInt()))
         assert out.term == Halt(TVar("a"), NIL_STACK, "r1")
 
     def test_unpack_renames_on_capture(self):
         # substituting a := <something mentioning b> through unpack <b, ..>
         iseq = seq(Unpack("b", "r1", RegOp("r2")),
                    Halt(TRef((TVar("a"), TVar("b"))), NIL_STACK, "r1"))
-        out = subst_instr_seq(iseq, ALPHA("a", TVar("b")))
+        out = subst_term(iseq, ALPHA("a", TVar("b")))
         unpack = out.instrs[0]
         assert isinstance(unpack, Unpack)
         assert unpack.alpha != "b"
