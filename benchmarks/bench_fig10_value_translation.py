@@ -10,7 +10,7 @@ from repro.ft.boundary import (
 from repro.ft.machine import FTMachine
 from repro.ft.translate import type_translation
 from repro.ft.typecheck import FTTypechecker
-from repro.tal.equality import psis_equal
+from repro.tal.equality import types_equal
 from repro.tal.heap import Memory
 from repro.tal.syntax import WInt
 
@@ -40,7 +40,7 @@ def test_fig10_lambda_becomes_fig10_block(record):
     # salloc 1; sst 0, ra; import ...; sld ra, 0; sfree n+1; ret ra {r1}
     assert ops == ["Salloc", "Sst", "Import", "Sld", "Sfree"]
     FTTypechecker().check_heap_value(block)
-    assert psis_equal(block.code_type, type_translation(INT_ARROW).psi)
+    assert types_equal(block.code_type, type_translation(INT_ARROW).psi)
     record("fig10: wrapper typechecks at the Fig 9 translation type")
 
 
@@ -61,7 +61,7 @@ def test_bench_fig10_wrapper_generation(benchmark):
         return build_lambda_wrapper(lam, INT_ARROW)
 
     block = benchmark(generate)
-    assert psis_equal(block.code_type, type_translation(INT_ARROW).psi)
+    assert types_equal(block.code_type, type_translation(INT_ARROW).psi)
 
 
 def test_bench_fig10_round_trip_call(benchmark):

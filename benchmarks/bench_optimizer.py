@@ -1,13 +1,15 @@
 """Ablation/extension: the peephole optimizer (the constructive face of
 Fig 16's block-structure irrelevance).  The compiler always runs it, so
-the shrink is measured against ``compile_term(..., optimize=False)``;
-the equivalence obligation is re-checked on the optimized output."""
+the shrink is measured against closure conversion and code generation
+alone (:func:`tests.strategies.raw_codegen`); the equivalence obligation
+is re-checked on the optimized output."""
 
 from repro.equiv.checker import check_equivalence
 from repro.f.syntax import App, BinOp, FArrow, FInt, If0, IntE, Lam, Var
 from repro.ft.machine import evaluate_ft
 from repro.compile import compile_term
 from repro.tal.optimize import optimize_component
+from tests.strategies import raw_codegen
 
 INT_ARROW = FArrow((FInt(),), FInt())
 
@@ -35,7 +37,7 @@ def _instr_count(comp):
 
 def test_optimizer_shrinks_compiled_code(record):
     for name, source in _sources():
-        comp = compile_term(source, optimize=False).component
+        comp = raw_codegen(source)
         optimized = compile_term(source).component
         before, after = _instr_count(comp), _instr_count(optimized)
         record(f"optimizer {name}: {before} -> {after} instructions "
@@ -53,7 +55,7 @@ def test_optimizer_preserves_equivalence(record):
 
 
 def test_bench_optimizer_pass(benchmark):
-    comp = compile_term(_sources()[1][1], optimize=False).component
+    comp = raw_codegen(_sources()[1][1])
 
     def optimize():
         return optimize_component(comp)

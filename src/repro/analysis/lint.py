@@ -26,7 +26,7 @@ import networkx as nx
 
 from repro import walk
 from repro.analysis.cfg import component_cfg, DYNAMIC, ENTRY, EXIT
-from repro.tal.equality import psis_equal
+from repro.tal.equality import types_equal
 from repro.tal.syntax import Component, HCode, WLoc
 
 __all__ = ["LintWarning", "lint_component"]
@@ -84,7 +84,7 @@ def _duplicate_block_lints(comp: Component) -> List[LintWarning]:
     blocks = [(loc, h) for loc, h in comp.heap if isinstance(h, HCode)]
     for i, (loc_a, a) in enumerate(blocks):
         for loc_b, b in blocks[i + 1:]:
-            if (psis_equal(a.code_type, b.code_type)
+            if (types_equal(a.code_type, b.code_type)
                     and str(a.instrs) == str(b.instrs)):
                 warnings.append(LintWarning(
                     "duplicate-blocks", f"{loc_a.name}/{loc_b.name}",

@@ -24,7 +24,7 @@ definitions, emitted blocks, and cache traffic (see
 
 Results are memoized in :data:`COMPILE_CACHE`, one
 :class:`repro.caching.LRUCache` keyed on (source term, free-variable
-typing, optimize flag) -- sound because the per-compilation
+typing) -- sound because the per-compilation
 :class:`~repro.compile.names.NameSupply` makes output deterministic.
 """
 
@@ -145,8 +145,8 @@ def _wrap(e: FExpr, ty: FType, comp: Component) -> FExpr:
     return Boundary(ty, comp)
 
 
-def _compile_uncached(e: FExpr, gamma: Optional[Dict[str, FType]],
-                      optimize: bool) -> CompilationResult:
+def _compile_uncached(e: FExpr, gamma: Optional[Dict[str, FType]]
+                      ) -> CompilationResult:
     supply = NameSupply()
     ty = f_typecheck(e, dict(gamma) if gamma else None)
     with OBS.span("compile.closure", "compile"):
@@ -156,9 +156,8 @@ def _compile_uncached(e: FExpr, gamma: Optional[Dict[str, FType]],
             comp = generate_function(prog, supply)
         else:
             comp = generate_expr(prog, supply)
-    if optimize:
-        with OBS.span("compile.optimize", "compile"):
-            comp = optimize_component(comp)
+    with OBS.span("compile.optimize", "compile"):
+        comp = optimize_component(comp)
     if OBS.enabled:
         OBS.metrics.inc("compile.defs", len(prog.defs))
         OBS.metrics.inc("compile.blocks", len(comp.heap))
@@ -166,15 +165,15 @@ def _compile_uncached(e: FExpr, gamma: Optional[Dict[str, FType]],
                              clos=prog, free=prog.free)
 
 
-def compile_term(e: FExpr, gamma: Optional[Dict[str, FType]] = None,
-                 optimize: bool = True) -> CompilationResult:
+def compile_term(e: FExpr, gamma: Optional[Dict[str, FType]] = None
+                 ) -> CompilationResult:
     """Compile ``e`` (memoized).
 
     Raises :class:`~repro.errors.CompileError` when ``e`` is not a core-F
     term that typechecks under ``gamma``.
     """
     gamma_key = tuple(sorted((gamma or {}).items()))
-    key = (e, gamma_key, optimize)
+    key = (e, gamma_key)
     cached = COMPILE_CACHE.get(key)
     if cached is not None:
         return cached
@@ -184,7 +183,7 @@ def compile_term(e: FExpr, gamma: Optional[Dict[str, FType]] = None,
     arity = len(e.params) if isinstance(e, Lam) else 0
     probe("jit.compile", f"arity {arity}")
     with OBS.span("compile.pipeline", "compile", arity=arity):
-        result = _compile_uncached(e, gamma, optimize)
+        result = _compile_uncached(e, gamma)
     if OBS.enabled:
         # "jit.compile" is the historical name for "a lambda was actually
         # compiled (cache miss)"; dashboards and tests key on it, so it

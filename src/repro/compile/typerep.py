@@ -33,11 +33,11 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable, Tuple
 
+from repro import walk
 from repro.caching import LRUCache
 from repro.f.syntax import (
     FArrow, FInt, FRec, FTupleT, FType, FTVar, FUnit, subst_ftype,
 )
-from repro.ft.syntax import FStackArrow
 from repro.ft.translate import (
     EPS, ZETA, arrow_code_type, continuation_type, type_translation,
 )
@@ -46,28 +46,11 @@ from repro.tal.syntax import (
     TalType, TBox, TExists, TInt, TRec, TupleTy, TUnit, TVar,
 )
 
-__all__ = ["canonical", "interface_arrows", "TypeRep", "type_rep",
+__all__ = ["interface_arrows", "TypeRep", "type_rep",
            "closure_code_type"]
 
 #: Enclosing ``mu`` binders, outermost first: ``(var, mu type)`` pairs.
 _Env = Tuple[Tuple[str, FRec], ...]
-
-
-def canonical(ty: FType, names=None, depth: int = 0) -> FType:
-    """``ty`` with its ``mu`` binders renamed by nesting depth, so that
-    alpha-equivalent closed types are equal (and hash equal)."""
-    if isinstance(ty, FTVar):
-        return FTVar(names.get(ty.name, ty.name)) if names else ty
-    if isinstance(ty, FRec):
-        inner = dict(names or {})
-        inner[ty.var] = f"%{depth}"
-        return FRec(f"%{depth}", canonical(ty.body, inner, depth + 1))
-    if type(ty) is FArrow:
-        return FArrow(tuple(canonical(p, names, depth) for p in ty.params),
-                      canonical(ty.result, names, depth))
-    if isinstance(ty, FTupleT):
-        return FTupleT(tuple(canonical(t, names, depth) for t in ty.items))
-    return ty
 
 
 def _closed(ty: FType, env: _Env) -> FType:
@@ -84,35 +67,43 @@ def interface_arrows(roots: Iterable[FType], defs) -> FrozenSet[FType]:
     :class:`~repro.compile.closure.CodeDef` records, whose capture types
     join the set when the definition's own arrow is in it."""
     found = set()
-
-    def visit(ty: FType, env: _Env) -> None:
-        if isinstance(ty, FRec):
-            visit(ty.body, env + ((ty.var, ty),))
-        elif isinstance(ty, FTupleT):
-            for item in ty.items:
-                visit(item, env)
-        elif isinstance(ty, (FArrow, FStackArrow)):
-            if type(ty) is FArrow:
-                key = canonical(_closed(ty, env))
-                if key in found:
-                    return
-                found.add(key)
-            for param in ty.params:
-                visit(param, env)
-            visit(ty.result, env)
-
     for ty in roots:
-        visit(ty, ())
+        _visit(ty, found)
     pending = [d for d in defs if d.captures]
     while found and pending:
-        escaping = [d for d in pending if canonical(d.arrow) in found]
+        escaping = [d for d in pending if walk.canonical(d.arrow) in found]
         if not escaping:
             break
         pending = [d for d in pending if d not in escaping]
         for d in escaping:
             for _, ty in d.captures:
-                visit(ty, ())
+                _visit(ty, found)
     return frozenset(found)
+
+
+def _visit(ty: FType, found: set) -> None:
+    """Add to ``found`` the canonical arrows of ``ty`` and of its
+    sub-types, each under its enclosing ``mu`` binders; the sub-types of
+    an arrow already found are not visited again, nor are T types."""
+    env = []
+
+    def pre(node):
+        if not isinstance(node, FType):
+            return node
+        if type(node) is FArrow:
+            key = walk.canonical(_closed(node, env))
+            if key in found:
+                return node
+            found.add(key)
+        elif type(node) is FRec:
+            env.append((node.var, node))
+        return None
+
+    def post(node, results):
+        if type(node) is FRec:
+            env.pop()
+
+    walk.fold(ty, pre, post)
 
 
 def closure_code_type(params: Tuple[TalType, ...], result: TalType,
@@ -140,7 +131,7 @@ class TypeRep:
             return True
         if not self.interface:
             return False
-        return canonical(_closed(arrow, env)) in self.interface
+        return walk.canonical(_closed(arrow, env)) in self.interface
 
     def packed(self, ty: FType) -> bool:
         """Are values of the closed type ``ty`` packed closures?"""

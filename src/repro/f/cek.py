@@ -29,10 +29,11 @@ harness in ``tests/test_engine_differential.py`` locksteps them):
   substitution engine at every step.
 * Machine values reify to *structurally identical* plain F terms: every
   environment entry is a closed value, so substituting them
-  (:func:`~repro.f.syntax.subst_expr`, one pass for a whole
+  (:func:`~repro.f.syntax.subst_closed`, one pass for a whole
   environment) performs no capture renaming and closure reification
   commutes with the beta-time substitutions the other engine performed
-  eagerly.
+  eagerly.  Reification keeps an explicit stack, so a value of any
+  depth reifies at the host's default recursion limit.
 
 The machine runs in two modes: standalone (drop-in for
 :class:`repro.f.eval.FEvaluator`, including cross-engine-compatible
@@ -45,7 +46,7 @@ hands it back to the driver, which feeds the crossing's value in.
 
 from __future__ import annotations
 
-import sys
+from operator import is_
 from typing import Dict, List, Optional
 
 from repro.errors import FunTALError, MachineError
@@ -56,7 +57,7 @@ from repro.resilience.checkpoint import MachineSnapshot
 from repro.f.eval import apply_binop
 from repro.f.syntax import (
     App, BinOp, FExpr, Fold, free_vars, If0, IntE, is_value, Lam, Proj,
-    register_value_class, subst_expr, TupleE, Unfold, UnitE, Var,
+    register_value_class, subst_closed, TupleE, Unfold, UnitE, Var,
 )
 from repro.ft.syntax import Boundary, Hole
 
@@ -71,12 +72,6 @@ ENGINES = ("subst", "cek")
 
 #: What ``--engine`` (and every ``engine=None`` default) resolves to.
 DEFAULT_ENGINE = "cek"
-
-#: Reification folds a machine value back into a plain term by recursion;
-#: values built iteratively by the machine can be deeper than the host's
-#: default recursion limit, so reify retries once under this ceiling
-#: (same pattern as checkpoint pickling).
-REIFY_RECURSION_LIMIT = 50_000
 
 
 def resolve_engine(name: Optional[str]) -> str:
@@ -179,39 +174,47 @@ def _try_value(e: FExpr, env: Dict[str, FExpr]) -> Optional[FExpr]:
 def _reify(v: FExpr) -> FExpr:
     """Fold a machine value back into a plain (closed) F term.
 
-    Closure reification substitutes the environment's (recursively
-    reified) values for the lambda's free variables; since every entry is
-    closed, nothing is renamed and the result is structurally identical
-    to the term the substitution engine would hold.
+    Closure reification substitutes the environment's reified values for
+    the lambda's free variables; since every entry is closed, nothing is
+    renamed and the result is structurally identical to the term the
+    substitution engine would hold.  The walk keeps an explicit stack
+    (a closure's values are reified before the closure itself), so a
+    value the machine built iteratively, however deep, folds back at the
+    host's default recursion limit.
     """
-    cls = v.__class__
-    if cls is Closure:
-        return _reify_open(v.lam, v.env)
-    if cls is Fold:
-        body = _reify(v.body)
-        return v if body is v.body else Fold(v.ann, body)
-    if cls is TupleE:
-        items = tuple(_reify(item) for item in v.items)
-        if all(a is b for a, b in zip(items, v.items)):
-            return v
-        return TupleE(items)
-    return v
-
-
-def _reify_limited(v: FExpr) -> FExpr:
-    """Reify with one retry under a raised recursion ceiling, so values
-    the machine built iteratively (deeper than the host's default stack)
-    still fold back; a value too deep even for the ceiling propagates
-    :class:`RecursionError` to the caller's depth verdict."""
-    try:
-        return _reify(v)
-    except RecursionError:
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, REIFY_RECURSION_LIMIT))
-        try:
-            return _reify(v)
-        finally:
-            sys.setrecursionlimit(limit)
+    todo: list = [v]
+    out: list = []
+    while todo:
+        x = todo.pop()
+        if x.__class__ is tuple:            # (value, keys): its parts are done
+            x, keys = x
+            parts = out[len(out) - len(keys):]
+            del out[len(out) - len(keys):]
+            cls = x.__class__
+            if cls is Closure:
+                new = subst_closed(x.lam, dict(zip(keys, parts)))
+            elif cls is Fold:
+                new = x if parts[0] is x.body else Fold(x.ann, parts[0])
+            else:
+                new = x if all(map(is_, parts, x.items)) \
+                    else TupleE(tuple(parts))
+            out.append(new)
+            continue
+        cls = x.__class__
+        if cls is Closure:
+            env = x.env
+            keys = [k for k in free_vars(x.lam) if k in env] if env else []
+            parts = [env[k] for k in keys]
+        elif cls is Fold:
+            keys, parts = (None,), [x.body]
+        elif cls is TupleE:
+            keys = parts = x.items
+        else:
+            out.append(x)
+            continue
+        todo.append((x, keys))
+        todo.extend(reversed(parts))
+    return out[0]
 
 
 def _reify_open(e: FExpr, env: Dict[str, FExpr]) -> FExpr:
@@ -221,8 +224,8 @@ def _reify_open(e: FExpr, env: Dict[str, FExpr]) -> FExpr:
     substitutes them all."""
     if not env:
         return e
-    return subst_expr(e, {x: _reify(env[x]) for x in free_vars(e)
-                            if x in env})
+    return subst_closed(e, {x: _reify(env[x]) for x in free_vars(e)
+                              if x in env})
 
 
 def _plug(inner: FExpr, frames: List[list]) -> FExpr:
@@ -234,7 +237,7 @@ def _plug(inner: FExpr, frames: List[list]) -> FExpr:
         if tag == _K_BINOP_L:
             inner = BinOp(f[1], inner, _reify_open(f[2], f[3]))
         elif tag == _K_BINOP_R:
-            inner = BinOp(f[1], _reify_limited(f[2]), inner)
+            inner = BinOp(f[1], _reify(f[2]), inner)
         elif tag == _K_IF0:
             inner = If0(inner, _reify_open(f[1], f[3]),
                         _reify_open(f[2], f[3]))
@@ -244,8 +247,8 @@ def _plug(inner: FExpr, frames: List[list]) -> FExpr:
             fv, done, args, idx, env = f[1], f[2], f[3], f[4], f[5]
             rest = tuple(_reify_open(args[j], env)
                          for j in range(idx + 1, len(args)))
-            inner = App(_reify_limited(fv),
-                        tuple(_reify_limited(v) for v in done)
+            inner = App(_reify(fv),
+                        tuple(_reify(v) for v in done)
                         + (inner,) + rest)
         elif tag == _K_FOLD:
             inner = Fold(f[1], inner)
@@ -255,7 +258,7 @@ def _plug(inner: FExpr, frames: List[list]) -> FExpr:
             done, items, idx, env = f[1], f[2], f[3], f[4]
             rest = tuple(_reify_open(items[j], env)
                          for j in range(idx + 1, len(items)))
-            inner = TupleE(tuple(_reify_limited(v) for v in done)
+            inner = TupleE(tuple(_reify(v) for v in done)
                            + (inner,) + rest)
         elif tag == _K_PROJ:
             inner = Proj(f[1], inner)
@@ -332,7 +335,7 @@ class CEKEvaluator:
                 if mode == _APPLY:
                     # ``cur`` is a machine value for the innermost frame.
                     if not frames:
-                        value = _reify_limited(cur)
+                        value = _reify(cur)
                         self._value = value
                         cur = value
                         return value
@@ -735,7 +738,7 @@ class CEKEvaluator:
         if self._mode == _EVAL:
             inner = _reify_open(self._focus, self._env)
         else:
-            inner = _reify_limited(self._focus)
+            inner = _reify(self._focus)
         return _plug(inner, self._frames)
 
     def snapshot(self) -> MachineSnapshot:

@@ -18,14 +18,17 @@ terms and stack-modifying lambdas; those constructors live in
 :mod:`repro.ft.syntax` and subclass :class:`FExpr` / :class:`FType` so that
 pure-F code never needs to know about them.
 
-The term traversals here walk the F/FT grammar of :mod:`repro.walk`.
+The traversals here, of terms and of types, walk the one FT grammar of
+:mod:`repro.walk`, which lists FT's type forms with F's: free type
+variables, substitution and alpha-equivalence see a stack-modifying
+arrow or a lump as they see any other type.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 from repro import walk
 from repro.caching import InternTable, PicklableSlots, intern_singleton
@@ -36,9 +39,8 @@ __all__ = [
     "Fold", "Unfold", "TupleE", "Proj",
     "ftype_equal", "subst_ftype", "free_tvars", "fresh_tvar",
     "fresh_tvar_mark", "advance_fresh_tvar",
-    "fresh_var_mark", "advance_fresh_var",
-    "register_ftype_hooks", "intern_ftype",
-    "subst_expr", "free_vars", "is_value", "BINOPS",
+    "fresh_var_mark", "advance_fresh_var", "intern_ftype",
+    "subst_expr", "subst_closed", "free_vars", "is_value", "BINOPS",
 ]
 
 BINOPS = ("+", "-", "*")
@@ -173,110 +175,20 @@ def intern_ftype(ty: FType) -> FType:
 # Type operations
 # ---------------------------------------------------------------------------
 
-# Extension hooks let the FT package add type forms (the stack-modifying
-# arrow) without the core F module depending on it.  Each hook returns None
-# when it does not apply.
-_FTYPE_EQUAL_HOOKS = []
-_FTYPE_SUBST_HOOKS = []
-_FTYPE_FTV_HOOKS = []
-
-
-def register_ftype_hooks(equal=None, subst=None, ftv=None) -> None:
-    """Register traversal hooks for extended F type forms."""
-    if equal is not None:
-        _FTYPE_EQUAL_HOOKS.append(equal)
-    if subst is not None:
-        _FTYPE_SUBST_HOOKS.append(subst)
-    if ftv is not None:
-        _FTYPE_FTV_HOOKS.append(ftv)
-
-
 def free_tvars(ty: FType) -> frozenset:
-    """The free type variables of ``ty``."""
-    for hook in _FTYPE_FTV_HOOKS:
-        result = hook(ty)
-        if result is not None:
-            return result
-    if isinstance(ty, FTVar):
-        return frozenset({ty.name})
-    if isinstance(ty, (FUnit, FInt)):
-        return frozenset()
-    if isinstance(ty, FArrow):
-        acc = free_tvars(ty.result)
-        for p in ty.params:
-            acc |= free_tvars(p)
-        return acc
-    if isinstance(ty, FRec):
-        return free_tvars(ty.body) - {ty.var}
-    if isinstance(ty, FTupleT):
-        acc = frozenset()
-        for t in ty.items:
-            acc |= free_tvars(t)
-        return acc
-    raise TypeError(f"not a core F type: {ty!r}")
+    """The free type variables of ``ty`` (those of the T types in an FT
+    type are T's, not F's)."""
+    return frozenset([name for kind, name in walk.free_keys(ty)
+                      if kind == walk.F_KIND])
 
 
 def subst_ftype(ty: FType, var: str, replacement: FType) -> FType:
     """Capture-avoiding substitution ``ty[replacement / var]``."""
-    for hook in _FTYPE_SUBST_HOOKS:
-        result = hook(ty, var, replacement)
-        if result is not None:
-            return result
-    if isinstance(ty, FTVar):
-        return replacement if ty.name == var else ty
-    if isinstance(ty, (FUnit, FInt)):
-        return ty
-    if isinstance(ty, FArrow):
-        return FArrow(
-            tuple(subst_ftype(p, var, replacement) for p in ty.params),
-            subst_ftype(ty.result, var, replacement),
-        )
-    if isinstance(ty, FRec):
-        if ty.var == var:
-            return ty
-        if ty.var in free_tvars(replacement):
-            fresh = fresh_tvar(ty.var)
-            renamed = subst_ftype(ty.body, ty.var, FTVar(fresh))
-            return FRec(fresh, subst_ftype(renamed, var, replacement))
-        return FRec(ty.var, subst_ftype(ty.body, var, replacement))
-    if isinstance(ty, FTupleT):
-        return FTupleT(tuple(subst_ftype(t, var, replacement) for t in ty.items))
-    raise TypeError(f"not a core F type: {ty!r}")
+    return walk.subst(ty, {(walk.F_KIND, var): replacement}, fresh_tvar)
 
 
-def ftype_equal(a: FType, b: FType,
-                env: Optional[Dict[str, str]] = None) -> bool:
-    """Alpha-equivalence of F types.
-
-    ``env`` maps bound variables of ``a`` to the corresponding bound
-    variables of ``b``; free variables must match literally.
-    """
-    env = env or {}
-    for hook in _FTYPE_EQUAL_HOOKS:
-        result = hook(a, b, env)
-        if result is not None:
-            return result
-    if isinstance(a, FTVar) and isinstance(b, FTVar):
-        return env.get(a.name, a.name) == b.name
-    if isinstance(a, FUnit) and isinstance(b, FUnit):
-        return True
-    if isinstance(a, FInt) and isinstance(b, FInt):
-        return True
-    if isinstance(a, FArrow) and isinstance(b, FArrow):
-        if len(a.params) != len(b.params):
-            return False
-        return (all(ftype_equal(pa, pb, env)
-                    for pa, pb in zip(a.params, b.params))
-                and ftype_equal(a.result, b.result, env))
-    if isinstance(a, FRec) and isinstance(b, FRec):
-        inner = dict(env)
-        inner[a.var] = b.var
-        return ftype_equal(a.body, b.body, inner)
-    if isinstance(a, FTupleT) and isinstance(b, FTupleT):
-        if len(a.items) != len(b.items):
-            return False
-        return all(ftype_equal(ia, ib, env) for ia, ib in zip(a.items, b.items))
-    return False
+#: Alpha-equivalence of F types: the one check of F and T types.
+ftype_equal = walk.alpha_equal
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +420,20 @@ def subst_expr(e: FExpr, values: Dict[str, FExpr]) -> FExpr:
     a value's free variable would be captured by, and one that shadows
     some of the names starts a pass without them over its body, so the
     passes nest at most once per name.  Untouched subterms are shared."""
+    return _subst(e, values, False)
+
+
+def subst_closed(e: FExpr, values: Dict[str, FExpr]) -> FExpr:
+    """:func:`subst_expr` of closed ``values`` (a machine environment's):
+    no lambda can capture one, so their free variables, which would cost
+    a walk over each value, are not asked for."""
+    return _subst(e, values, True)
+
+
+def _subst(e: FExpr, values: Dict[str, FExpr], closed: bool) -> FExpr:
     if not values:
         return e
-    fvs = None
+    fvs = frozenset() if closed else None
 
     def pre(x: FExpr):
         nonlocal fvs
@@ -539,7 +462,7 @@ def subst_expr(e: FExpr, values: Dict[str, FExpr]) -> FExpr:
         if inner is values:
             return walk.Descend(replace(x, params=params, body=body)) \
                 if renamed else None
-        body = subst_expr(body, inner)
+        body = _subst(body, inner, closed)
         return replace(x, params=params, body=body) \
             if renamed or body is not x.body else x
 

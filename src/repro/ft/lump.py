@@ -28,10 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import FTTypeError
-from repro.f.syntax import (
-    FExpr, FType, register_ftype_hooks, register_value_class,
-)
-from repro.tal.equality import types_equal
+from repro.f.syntax import FExpr, FType, register_value_class
 from repro.tal.syntax import Loc, TalType, TRef, TupleTy
 
 __all__ = ["FLump", "LumpVal", "lump_type_of_ref"]
@@ -73,26 +70,4 @@ def lump_type_of_ref(ty: TalType) -> Optional[FLump]:
     return None
 
 
-# -- hook registrations ------------------------------------------------
-
-def _lump_equal(a: FType, b: FType, env) -> Optional[bool]:
-    if isinstance(a, FLump) != isinstance(b, FLump):
-        return False
-    if not isinstance(a, FLump):
-        return None
-    assert isinstance(b, FLump)
-    return (len(a.items) == len(b.items)
-            and all(types_equal(x, y) for x, y in zip(a.items, b.items)))
-
-
-def _lump_subst(ty: FType, var: str, replacement: FType) -> Optional[FType]:
-    # lumps contain T types only; F type substitution does not reach them.
-    return ty if isinstance(ty, FLump) else None
-
-
-def _lump_ftv(ty: FType):
-    return frozenset() if isinstance(ty, FLump) else None
-
-
-register_ftype_hooks(equal=_lump_equal, subst=_lump_subst, ftv=_lump_ftv)
 register_value_class(LumpVal)

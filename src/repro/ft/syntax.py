@@ -20,31 +20,25 @@ the traversals of both languages cross the boundary.  They are folds
 over the one FT grammar of :mod:`repro.walk`, which lists the F forms
 here and the T instructions ``import`` and ``protect`` with the rest of
 T: where each holds types, sub-terms and labels, and that ``protect``'s
-zeta scopes over the rest of its sequence.  What stays here is the part
-of those traversals on F *types* (:func:`map_tal_in_ftype`: the T types
-inside stack-modifying arrows and lumps, registered with
-:mod:`repro.tal.subst`), and F type equality / substitution for
-:class:`FStackArrow`, registered with :mod:`repro.f.syntax`.
+zeta scopes over the rest of its sequence.  It lists
+:class:`FStackArrow` with the other types, its prefixes as T types, so
+F's type operations and T's (the T types inside an F type among them)
+need nothing from this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.caching import PicklableSlots, intern_singleton
-from operator import is_
-from typing import Callable, Optional, Tuple
-
 from repro.f.syntax import FExpr, FType, Lam
-from repro.f import syntax as f_syntax
-from repro.ft.lump import FLump
-from repro.tal import subst as tal_subst
 from repro.tal import syntax as tal_syntax
 from repro.tal.syntax import Component, Instruction, StackTy, TalType
 
 __all__ = [
     "FStackArrow", "StackLam", "Boundary", "StackDelta", "Import",
-    "Protect", "Hole", "map_tal_in_ftype",
+    "Protect", "Hole",
 ]
 
 
@@ -77,27 +71,6 @@ class FStackArrow(FType):
         pin = ", ".join(str(t) for t in self.phi_in)
         pout = ", ".join(str(t) for t in self.phi_out)
         return f"({args}) [{pin}; {pout}] -> {self.result}"
-
-
-def _stack_arrow_equal(a: FType, b: FType, env) -> Optional[bool]:
-    from repro.f.syntax import ftype_equal
-    from repro.tal.equality import types_equal
-
-    if isinstance(a, FStackArrow) != isinstance(b, FStackArrow):
-        return False
-    if not isinstance(a, FStackArrow):
-        return None
-    assert isinstance(b, FStackArrow)
-    if (len(a.params) != len(b.params) or len(a.phi_in) != len(b.phi_in)
-            or len(a.phi_out) != len(b.phi_out)):
-        return False
-    return (all(ftype_equal(pa, pb, env)
-                for pa, pb in zip(a.params, b.params))
-            and ftype_equal(a.result, b.result, env)
-            and all(types_equal(ta, tb)
-                    for ta, tb in zip(a.phi_in, b.phi_in))
-            and all(types_equal(ta, tb)
-                    for ta, tb in zip(a.phi_out, b.phi_out)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,64 +197,3 @@ class Protect(Instruction):
     def __str__(self) -> str:
         inner = ", ".join(str(t) for t in self.phi)
         return f"protect <{inner}>, {self.zeta}"
-
-
-# ---------------------------------------------------------------------------
-# T types inside F types (the F-type part of T's term traversals)
-# ---------------------------------------------------------------------------
-
-def map_tal_in_ftype(ty: FType, f: Callable) -> FType:
-    """``ty`` with each T type embedded in it (a stack-modifying arrow's
-    prefixes, a lump's fields) mapped through ``f``; ``ty`` itself if
-    none changed."""
-    inner = lambda t: map_tal_in_ftype(t, f)   # noqa: E731
-    if isinstance(ty, FLump):
-        parts = (tuple(map(f, ty.items)),)
-    elif isinstance(ty, FStackArrow):
-        parts = (tuple(map(inner, ty.params)), inner(ty.result),
-                 tuple(map(f, ty.phi_in)), tuple(map(f, ty.phi_out)))
-    elif isinstance(ty, f_syntax.FArrow):
-        parts = (tuple(map(inner, ty.params)), inner(ty.result))
-    elif isinstance(ty, f_syntax.FRec):
-        parts = (ty.var, inner(ty.body))
-    elif isinstance(ty, f_syntax.FTupleT):
-        parts = (tuple(map(inner, ty.items)),)
-    else:
-        return ty  # FTVar / FUnit / FInt carry no T types
-    old = [getattr(ty, name) for name in type(ty).__dataclass_fields__]
-    return ty if all(map(_same, parts, old)) else type(ty)(*parts)
-
-
-def _same(new, old) -> bool:
-    return new is old or type(new) is tuple and all(map(is_, new, old))
-
-
-tal_subst.register_ftype_map(map_tal_in_ftype)
-
-
-# ---------------------------------------------------------------------------
-# F type hooks for the stack-modifying arrow
-# ---------------------------------------------------------------------------
-
-def _stack_arrow_subst(ty: FType, var: str,
-                       replacement: FType) -> Optional[FType]:
-    if not isinstance(ty, FStackArrow):
-        return None
-    return FStackArrow(
-        tuple(f_syntax.subst_ftype(p, var, replacement) for p in ty.params),
-        f_syntax.subst_ftype(ty.result, var, replacement),
-        ty.phi_in, ty.phi_out)
-
-
-def _stack_arrow_ftv(ty: FType) -> Optional[frozenset]:
-    if not isinstance(ty, FStackArrow):
-        return None
-    acc = f_syntax.free_tvars(ty.result)
-    for p in ty.params:
-        acc |= f_syntax.free_tvars(p)
-    return acc
-
-
-f_syntax.register_ftype_hooks(equal=_stack_arrow_equal,
-                              subst=_stack_arrow_subst,
-                              ftv=_stack_arrow_ftv)

@@ -39,7 +39,7 @@ from repro.f.syntax import (
 )
 from repro.ft.syntax import Boundary, FStackArrow, Import, Protect, StackLam
 from repro.ft.translate import type_translation
-from repro.tal.equality import stacks_equal, types_equal
+from repro.tal.equality import types_equal
 from repro.tal.subst import fresh_name, Subst, subst_term
 from repro.tal.syntax import (
     Component, Delta, DeltaBind, HeapTy, InstrSeq, Instruction, KIND_ZETA,
@@ -242,7 +242,7 @@ class FTTypechecker(TalTypechecker):
             if not ftype_equal(tt, et):
                 raise _fail(f"if0 branches disagree: {tt} vs {et}",
                             "ft.expr", e)
-            if not stacks_equal(s_then, s_else):
+            if not types_equal(s_then, s_else):
                 raise _fail(
                     f"if0 branches leave different stacks: {s_then} vs "
                     f"{s_else}", "ft.expr", e)
@@ -329,7 +329,7 @@ class FTTypechecker(TalTypechecker):
             self.gamma.clear()
             self.gamma.update(saved)
         expected_out = StackTy(tuple(phi_out), zeta)
-        if not stacks_equal(out_sigma, expected_out):
+        if not types_equal(out_sigma, expected_out):
             raise _fail(
                 f"lambda body leaves stack {out_sigma}, its type promises "
                 f"{expected_out}", "ft.expr", e)

@@ -145,16 +145,16 @@ def parse_manifest(text: str) -> Manifest:
 # ---------------------------------------------------------------------------
 
 def component_digest(expr: FExpr,
-                     imports: Sequence[Tuple[str, FType]],
-                     optimize: bool = True) -> str:
-    """The artifact address of one component: body + import typing +
-    pipeline options.  Deliberately *not* the component's name -- two
-    names for the same body share one artifact.  The format number
-    changes with the code the compiler emits for the same body (2: typed
-    closure conversion), so a warm store never serves older code."""
+                     imports: Sequence[Tuple[str, FType]]) -> str:
+    """The artifact address of one component: body + import typing.
+    Deliberately *not* the component's name -- two names for the same
+    body share one artifact.  The format number changes with the code
+    the compiler emits for the same body (2: typed closure conversion),
+    so a warm store never serves older code; the last slot, once the
+    optimizer's on/off switch, is always True, so addresses (and warm
+    stores) are those of every build since that format."""
     return stable_fingerprint(
-        ("funtal.link.component", 2, expr, tuple(sorted(imports)),
-         bool(optimize)))
+        ("funtal.link.component", 2, expr, tuple(sorted(imports)), True))
 
 
 @dataclass(frozen=True)
@@ -235,13 +235,12 @@ def _dependency_order(manifest: Manifest) -> List[str]:
     return topological_order(deps)
 
 
-def _build_one(name: str, expr: FExpr, gamma: Dict[str, FType],
-               optimize: bool) -> Tuple[ComponentInterface, FExpr, str]:
+def _build_one(name: str, expr: FExpr, gamma: Dict[str, FType]
+               ) -> Tuple[ComponentInterface, FExpr, str]:
     """Compile (or adopt) one component; returns (iface, term, tier)."""
     imports = tuple(sorted((n, gamma[n]) for n in free_vars(expr)))
     if is_general_compilable(expr, dict(imports) or None):
-        result = compile_term(expr, dict(imports) or None,
-                              optimize=optimize)
+        result = compile_term(expr, dict(imports) or None)
         iface = ComponentInterface(name=name, ty=result.ty,
                                    imports=result.free)
         return iface, result.wrapped, TIER_COMPILED
@@ -255,7 +254,6 @@ def _build_one(name: str, expr: FExpr, gamma: Dict[str, FType],
 
 def build_manifest(manifest: Manifest,
                    store: Optional[ArtifactStore] = None, *,
-                   optimize: bool = True,
                    validate: bool = False,
                    validate_fuel: int = 30_000,
                    seed: int = 0) -> BuildReport:
@@ -275,7 +273,7 @@ def build_manifest(manifest: Manifest,
             expr = bodies[name]
             imports = tuple(sorted(
                 (n, export_ty[n]) for n in free_vars(expr)))
-            digest = component_digest(expr, imports, optimize)
+            digest = component_digest(expr, imports)
             record = None
             if store is not None:
                 found = store.get(digest)
@@ -287,8 +285,7 @@ def build_manifest(manifest: Manifest,
                         iface=replace(stored.iface, name=name),
                         term=stored.term)
             if record is None:
-                iface, term, tier = _build_one(
-                    name, expr, dict(imports), optimize)
+                iface, term, tier = _build_one(name, expr, dict(imports))
                 iface = replace(iface, digest=digest)
                 record = BuildRecord(name=name, digest=digest, tier=tier,
                                      cached=False, iface=iface, term=term)
@@ -358,13 +355,11 @@ def cached_validation(store: Optional[ArtifactStore], digest: str,
 
 def build_and_link(manifest: Manifest,
                    store: Optional[ArtifactStore] = None, *,
-                   optimize: bool = True,
                    validate: bool = False,
                    validate_fuel: int = 30_000,
                    seed: int = 0) -> Tuple[BuildReport, LinkedProgram]:
     """The whole pipeline: incremental build, then typed linking."""
-    report = build_manifest(manifest, store, optimize=optimize,
-                            validate=validate,
+    report = build_manifest(manifest, store, validate=validate,
                             validate_fuel=validate_fuel, seed=seed)
     linked = link_components(report.units(), manifest.main)
     return report, linked

@@ -90,7 +90,7 @@ own family (see ``docs/performance.md``):
 ``tal.subst.cache.block.<o>``        ``instantiate_code_block`` memo outcomes
                                      (one per jump; keyed on the loaded
                                      block's pre-rename source)
-``tal.equality.cache.<o>``           ``types_equal`` top-level memo outcomes
+``tal.equality.cache.<o>``           ``types_equal`` memo outcomes
 ``ft.translate.cache.<o>``           ``type_translation`` memo outcomes
 ===================================  ========================================
 

@@ -1,38 +1,27 @@
-"""Alpha-equivalence of T types and the auxiliary typing categories.
+"""Alpha-equivalence of T types, memoized.
 
 Semantic type equality in T must identify types that differ only in bound
 variable names -- e.g. the code types ``forall[zeta z1].{...; z1} ra`` and
 ``forall[zeta z2].{...; z2} ra`` -- because boundary translations and the
 typechecker's symbolic instantiations generate fresh binder names freely.
 
-The implementation threads a renaming environment mapping bound variables of
-the left term to bound variables of the right term, keyed by kind so that an
-``alpha`` can never alias a ``zeta``.
+The check itself is :func:`repro.walk.alpha_equal`, the one
+alpha-equivalence of F and T types: it walks both types with the FT
+grammar, each side naming its bound variables by depth, so it is
+symmetric and a variable of one kind never aliases one of another.
+:func:`types_equal` serves every T category (value, heap-value, stack and
+register-file types, return markers) and memoizes its verdicts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
 from repro.caching import LRUCache
-from repro.tal.syntax import (
-    CodeType, HeapValType, KIND_ALPHA, KIND_EPS, KIND_ZETA, QEnd, QEps, QIdx,
-    QOut, QReg, RegFileTy, RetMarker, StackTy, TalType, TBox, TExists, TInt,
-    TRec, TRef, TupleTy, TUnit, TVar,
-)
+from repro.tal.syntax import TalType
+from repro.walk import alpha_equal
 
-__all__ = [
-    "types_equal", "psis_equal", "stacks_equal", "chis_equal", "qs_equal",
-    "RenEnv", "clear_equality_cache",
-]
+__all__ = ["types_equal", "clear_equality_cache"]
 
-#: Renaming environment: (kind, left-name) -> right-name.
-RenEnv = Dict[Tuple[str, str], str]
-
-#: Memo for top-level (empty-environment) alpha-equivalence queries.
-#: Calls carrying a renaming environment are not memoized -- the env is
-#: part of the answer and not worth hashing -- but those only occur as
-#: inner recursion, whose outermost query this cache already covers.
+#: Memo for alpha-equivalence verdicts on value types, keyed by the pair.
 _EQ_CACHE = LRUCache(8192, metric_prefix="tal.equality.cache")
 
 
@@ -41,117 +30,23 @@ def clear_equality_cache() -> None:
     _EQ_CACHE.clear()
 
 
-def types_equal(a: TalType, b: TalType, env: Optional[RenEnv] = None) -> bool:
-    """Alpha-equivalence of T value types.
+def types_equal(a, b) -> bool:
+    """Alpha-equivalence of two T types of any category.
 
-    Interned/shared nodes hit the ``a is b`` fast path; distinct
-    top-level queries are memoized structurally in a bounded LRU
-    (sound because types are immutable and alpha-equivalence has no
-    other inputs when ``env`` is empty).
+    Interned/shared nodes hit the ``a is b`` fast path; distinct value
+    types are memoized structurally in a bounded LRU (sound because
+    types are immutable and alpha-equivalence has no other inputs).
+    Stack and register-file typings and return markers are built fresh
+    at nearly every typing step, where a memo would only hash them: they
+    are compared directly.
     """
-    if env is None or not env:
-        # Identity implies alpha-equivalence only without a pending
-        # renaming: under ``{x -> y}`` a type compared against itself can
-        # legitimately differ (its free ``x`` must match a literal ``y``).
-        if a is b:
-            return True
-        key = (a, b)
-        verdict = _EQ_CACHE.get(key)
-        if verdict is None:
-            verdict = _types_equal_uncached(a, b, {})
-            _EQ_CACHE.put(key, verdict)
-        return verdict
-    return _types_equal_uncached(a, b, env)
-
-
-def _types_equal_uncached(a: TalType, b: TalType, env: RenEnv) -> bool:
-    if isinstance(a, TVar) and isinstance(b, TVar):
-        return env.get((KIND_ALPHA, a.name), a.name) == b.name
-    if isinstance(a, TUnit) and isinstance(b, TUnit):
+    if a is b:
         return True
-    if isinstance(a, TInt) and isinstance(b, TInt):
-        return True
-    if isinstance(a, TExists) and isinstance(b, TExists):
-        return types_equal(a.body, b.body,
-                           _bind(env, KIND_ALPHA, a.var, b.var))
-    if isinstance(a, TRec) and isinstance(b, TRec):
-        return types_equal(a.body, b.body,
-                           _bind(env, KIND_ALPHA, a.var, b.var))
-    if isinstance(a, TRef) and isinstance(b, TRef):
-        return (len(a.items) == len(b.items)
-                and all(types_equal(x, y, env)
-                        for x, y in zip(a.items, b.items)))
-    if isinstance(a, TBox) and isinstance(b, TBox):
-        return psis_equal(a.psi, b.psi, env)
-    return False
-
-
-def psis_equal(a: HeapValType, b: HeapValType,
-               env: Optional[RenEnv] = None) -> bool:
-    """Alpha-equivalence of heap-value types."""
-    env = env if env is not None else {}
-    if isinstance(a, TupleTy) and isinstance(b, TupleTy):
-        return (len(a.items) == len(b.items)
-                and all(types_equal(x, y, env)
-                        for x, y in zip(a.items, b.items)))
-    if isinstance(a, CodeType) and isinstance(b, CodeType):
-        if len(a.delta) != len(b.delta):
-            return False
-        inner = dict(env)
-        for ba, bb in zip(a.delta, b.delta):
-            if ba.kind != bb.kind:
-                return False
-            inner[(ba.kind, ba.name)] = bb.name
-        return (chis_equal(a.chi, b.chi, inner)
-                and stacks_equal(a.sigma, b.sigma, inner)
-                and qs_equal(a.q, b.q, inner))
-    return False
-
-
-def stacks_equal(a: StackTy, b: StackTy,
-                 env: Optional[RenEnv] = None) -> bool:
-    """Alpha-equivalence of stack typings (prefix-wise, then tails)."""
-    env = env if env is not None else {}
-    if len(a.prefix) != len(b.prefix):
-        return False
-    if not all(types_equal(x, y, env) for x, y in zip(a.prefix, b.prefix)):
-        return False
-    if (a.tail is None) != (b.tail is None):
-        return False
-    if a.tail is None:
-        return True
-    return env.get((KIND_ZETA, a.tail), a.tail) == b.tail
-
-
-def chis_equal(a: RegFileTy, b: RegFileTy,
-               env: Optional[RenEnv] = None) -> bool:
-    """Alpha-equivalence of register-file typings: same domain, equal types."""
-    env = env if env is not None else {}
-    if a.registers() != b.registers():
-        return False
-    return all(types_equal(ta, tb, env)
-               for (_, ta), (_, tb) in zip(a.items(), b.items()))
-
-
-def qs_equal(a: RetMarker, b: RetMarker,
-             env: Optional[RenEnv] = None) -> bool:
-    """Alpha-equivalence of return markers."""
-    env = env if env is not None else {}
-    if isinstance(a, QReg) and isinstance(b, QReg):
-        return a.reg == b.reg
-    if isinstance(a, QIdx) and isinstance(b, QIdx):
-        return a.index == b.index
-    if isinstance(a, QEps) and isinstance(b, QEps):
-        return env.get((KIND_EPS, a.name), a.name) == b.name
-    if isinstance(a, QEnd) and isinstance(b, QEnd):
-        return (types_equal(a.ty, b.ty, env)
-                and stacks_equal(a.sigma, b.sigma, env))
-    if isinstance(a, QOut) and isinstance(b, QOut):
-        return True
-    return False
-
-
-def _bind(env: RenEnv, kind: str, left: str, right: str) -> RenEnv:
-    inner = dict(env)
-    inner[(kind, left)] = right
-    return inner
+    if not isinstance(a, TalType):
+        return alpha_equal(a, b)
+    key = (a, b)
+    verdict = _EQ_CACHE.get(key)
+    if verdict is None:
+        verdict = alpha_equal(a, b)
+        _EQ_CACHE.put(key, verdict)
+    return verdict

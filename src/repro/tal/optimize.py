@@ -28,10 +28,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro import walk
 from repro.tal.machine import rename_locs
 from repro.tal.syntax import (
-    Component, HCode, InstrSeq, Jmp, KIND_ALPHA, KIND_EPS, KIND_ZETA, Loc,
-    Mv, QEps, RegOp, Salloc, Sfree, Sld, Sst, StackTy, TVar, TyApp, WLoc,
+    Component, HCode, InstrSeq, Jmp, Loc, Mv, RegOp, Salloc, Sfree, Sld,
+    Sst, TyApp, WLoc,
 )
 
 __all__ = ["thread_jumps", "collapse_stack_traffic", "optimize_component"]
@@ -39,22 +40,9 @@ __all__ = ["thread_jumps", "collapse_stack_traffic", "optimize_component"]
 
 def _identity_instantiation(block: HCode, omegas: Tuple) -> bool:
     """Do ``omegas`` instantiate ``block``'s binders with themselves?"""
-    if len(omegas) != len(block.delta):
-        return False
-    for bind, omega in zip(block.delta, omegas):
-        if bind.kind == KIND_ALPHA:
-            if not (isinstance(omega, TVar) and omega.name == bind.name):
-                return False
-        elif bind.kind == KIND_ZETA:
-            if not (isinstance(omega, StackTy) and not omega.prefix
-                    and omega.tail == bind.name):
-                return False
-        elif bind.kind == KIND_EPS:
-            if not (isinstance(omega, QEps) and omega.name == bind.name):
-                return False
-        else:
-            return False
-    return True
+    return len(omegas) == len(block.delta) and all(
+        walk.var_key(omega) == (bind.kind, bind.name)
+        for bind, omega in zip(block.delta, omegas))
 
 
 def _trampoline_target(label: Loc, block: HCode) -> Optional[Loc]:

@@ -6,18 +6,19 @@ type for ``zeta``, or a return marker for ``eps``).  The typechecker performs
 these substitutions symbolically (e.g. ``chi[sigma_0/zeta][end{...}/eps]`` in
 the ``call`` rules of paper Fig 2) and the machine performs them at jump time.
 
-A :class:`Subst` maps ``(kind, name)`` keys to omegas.  On types,
-substitution and free variables are written per type form
-(:func:`subst_ty`, :func:`subst_stack`, ...).  On terms they are folds
-over the one FT grammar of :mod:`repro.walk`, which says where a term
-holds types and what it binds: :func:`subst_term` and
-:func:`free_type_vars` take any FT term -- an operand, an instruction
-(``import`` and ``protect`` included), a sequence, a heap value, a
-component, or an F expression, whose boundaries and stack lambdas hold
-T types.  A code block's Delta scopes over the block; ``unpack``'s alpha
-and ``protect``'s zeta scope over the rest of their sequence.  Binders
-shadow the substitution and are renamed when its range would capture
-them.
+A :class:`Subst` maps ``(kind, name)`` keys to omegas.  Everything here
+is a fold over the one FT grammar of :mod:`repro.walk`, which lists the
+types of both languages with the terms.  On types, :func:`subst_ty`
+substitutes in any T type (a value or heap-value type, a stack or
+register-file typing, a return marker) and :func:`free_type_vars` reads
+any T or F type; :func:`map_tal_in_ftype` maps the T types inside an F
+type.  On terms, :func:`subst_term` and :func:`free_type_vars` take any
+FT term -- an operand, an instruction (``import`` and ``protect``
+included), a sequence, a heap value, a component, or an F expression,
+whose boundaries and stack lambdas hold T types.  A code block's Delta
+scopes over the block; ``unpack``'s alpha and ``protect``'s zeta scope
+over the rest of their sequence.  Binders shadow the substitution and
+are renamed when its range would capture them.
 """
 
 from __future__ import annotations
@@ -26,19 +27,17 @@ import itertools
 from typing import Dict, FrozenSet, NamedTuple, Optional, Set, Tuple, Union
 
 from repro import walk
-from repro.caching import InternTable, LRUCache
+from repro.caching import LRUCache
 from repro.obs.events import OBS
 from repro.tal.syntax import (
-    CodeType, Delta, DeltaBind, HCode, HeapValType, KIND_ALPHA, KIND_EPS,
-    KIND_ZETA, QEnd, QEps, QIdx, QOut, QReg, RegFileTy, RetMarker, StackTy,
-    TalType, TBox, TExists, TInt, TRec, TRef, TupleTy, TUnit, TVar,
-    TypeMemo, intern_ty,
+    CodeType, Delta, DeltaBind, HCode, KIND_ALPHA, KIND_EPS, KIND_FALPHA,
+    KIND_ZETA, QEps, RegFileTy, RetMarker, StackTy, TalType, TInt, TUnit,
+    TVar, intern_ty,
 )
 
 __all__ = [
-    "Omega", "Subst", "subst_ty", "subst_psi", "subst_stack", "subst_chi",
-    "subst_q", "subst_omega", "subst_term", "free_type_vars", "fresh_name",
-    "check_omega", "register_ftype_map",
+    "Omega", "Subst", "subst_ty", "subst_term", "free_type_vars",
+    "map_tal_in_ftype", "fresh_name", "check_omega",
     "instantiate_code_type", "instantiate_code_block", "clear_subst_caches",
     "subst_cache_stats",
 ]
@@ -108,74 +107,27 @@ class Subst:
 # Free type variables
 # ---------------------------------------------------------------------------
 
-#: The T type classes; everything else is a term.
+#: The T type classes.
 _TYPE_CLASSES = (TalType, StackTy, RegFileTy, RetMarker)
 
 
 def free_type_vars(x) -> Set[VarKey]:
-    """Free ``(kind, name)`` type variables of any T type or FT term
-    (memoized on types, see :class:`repro.tal.syntax.TypeMemo`)."""
-    if isinstance(x, TypeMemo):
-        return set(_ftv(x))
-    if isinstance(x, _TYPE_CLASSES):
-        return _free_type_vars(x)
+    """Free ``(kind, name)`` T type variables of any T or F type or FT
+    term (memoized on types, see :class:`repro.tal.syntax.TypeMemo`)."""
+    keys = getattr(x, "_ftv", None)
+    if keys is not None:
+        return set(keys)
+    if walk.is_type(x):             # an F type's own variables are F's
+        return {k for k in walk.free_keys(x) if k[0] != KIND_FALPHA}
     return set() if walk.typeless(x) else _term_ftv(x)
 
 
-#: Equal free-variable sets are shared between the types that memoize
-#: them (most mention just the same ``zeta`` and ``eps``).
-_FTV_SETS = InternTable()
-
-
-def _ftv(x: TypeMemo) -> FrozenSet[VarKey]:
-    acc = getattr(x, "_ftv", None)   # cheaper than a caught miss
-    if acc is None:
-        acc = _FTV_SETS.canon(frozenset(_free_type_vars(x)))
-        object.__setattr__(x, "_ftv", acc)
-    return acc
-
-
-#: Type classes that never mention a type variable.
-_CLOSED_CLASSES = frozenset({TUnit, TInt, QReg, QIdx, QOut})
-
-
-def _free_type_vars(x) -> Set[VarKey]:
-    if x.__class__ in _CLOSED_CLASSES:
-        return set()
-    if isinstance(x, TVar):
-        return {(KIND_ALPHA, x.name)}
-    if isinstance(x, (TExists, TRec)):
-        return free_type_vars(x.body) - {(KIND_ALPHA, x.var)}
-    if isinstance(x, TRef):
-        return _union(free_type_vars(t) for t in x.items)
-    if isinstance(x, TBox):
-        return free_type_vars(x.psi)
-    if isinstance(x, TupleTy):
-        return _union(free_type_vars(t) for t in x.items)
-    if isinstance(x, CodeType):
-        bound = {(b.kind, b.name) for b in x.delta}
-        inner = (free_type_vars(x.chi) | free_type_vars(x.sigma)
-                 | free_type_vars(x.q))
-        return inner - bound
-    if isinstance(x, StackTy):
-        acc = _union(free_type_vars(t) for t in x.prefix)
-        if x.tail is not None:
-            acc |= {(KIND_ZETA, x.tail)}
-        return acc
-    if isinstance(x, RegFileTy):
-        return _union(free_type_vars(t) for _, t in x.items())
-    if isinstance(x, QEps):
-        return {(KIND_EPS, x.name)}
-    if isinstance(x, QEnd):
-        return free_type_vars(x.ty) | free_type_vars(x.sigma)
-    raise TypeError(f"free_type_vars: unsupported {type(x).__name__}")
-
-
-def _union(parts) -> Set[VarKey]:
-    acc: Set[VarKey] = set()
-    for p in parts:
-        acc |= p
-    return acc
+def map_tal_in_ftype(ty, f):
+    """The F type ``ty`` with each T type in it (a stack-modifying
+    arrow's prefixes, a lump's fields) mapped through ``f``; ``ty``
+    itself if none changed."""
+    return ty if walk.typeless(ty) else walk.fold(
+        ty, lambda t: f(t) if isinstance(t, _TYPE_CLASSES) else None)
 
 
 class _Binds(NamedTuple):
@@ -212,25 +164,12 @@ def _ftv_post(node, results):
             r = r.fvs
         acc |= r
     collect = lambda t: acc.update(free_type_vars(t)) or t   # noqa: E731
-    walk.map_types(node, lambda t: _ftype_map(t, collect), collect)
+    walk.map_types(node, collect, collect)
     delta = walk.binders(node)
     if delta:
         acc.difference_update((b.kind, b.name) for b in delta)
     key = walk.rest_binder(node)
     return acc if key is None else _Binds(key, acc)
-
-
-# The T types inside an F type (a stack-modifying arrow's, a lump's)
-# are FT's: :mod:`repro.ft.syntax` registers the map over them when it
-# loads.  Until then an F type holds no T type.
-_ftype_map = lambda ty, f: ty   # noqa: E731
-
-
-def register_ftype_map(map_ftype) -> None:
-    """Install FT's ``map_ftype(ty, f)``: F type ``ty`` with the T types
-    in it mapped through ``f``."""
-    global _ftype_map
-    _ftype_map = map_ftype
 
 
 # ---------------------------------------------------------------------------
@@ -248,62 +187,18 @@ _MISS = object()
 _TY_CACHE = LRUCache(4096, metric_prefix="tal.subst.cache.ty")
 
 
-def subst_ty(ty: TalType, s: Subst) -> TalType:
+def subst_ty(ty, s: Subst):
+    """``ty`` with ``s`` applied: any T type (a value or heap-value type,
+    a stack or register-file typing, a return marker)."""
     if s.is_empty() or ty.__class__ is TInt or ty.__class__ is TUnit:
         return ty   # the base types are singletons, so already interned
     key = (ty, s.key())
     hit = _TY_CACHE.get(key, _MISS)
     if hit is not _MISS:
         return hit
-    result = intern_ty(_subst_ty_uncached(ty, s))
+    result = intern_ty(walk.subst(ty, s.mapping, fresh_name))
     _TY_CACHE.put(key, result)
     return result
-
-
-def _subst_ty_uncached(ty: TalType, s: Subst) -> TalType:
-    # Recursive positions call the cached subst_ty, so shared subterms
-    # are memoized independently of their parents.
-    if isinstance(ty, TVar):
-        hit = s.get(KIND_ALPHA, ty.name)
-        return hit if hit is not None else ty  # type: ignore[return-value]
-    if isinstance(ty, (TUnit, TInt)):
-        return ty
-    if isinstance(ty, TExists):
-        var, body, s2 = _under_alpha_binder(ty.var, ty.body, s)
-        return TExists(var, subst_ty(body, s2))
-    if isinstance(ty, TRec):
-        var, body, s2 = _under_alpha_binder(ty.var, ty.body, s)
-        return TRec(var, subst_ty(body, s2))
-    if isinstance(ty, TRef):
-        return TRef(tuple(subst_ty(t, s) for t in ty.items))
-    if isinstance(ty, TBox):
-        return TBox(subst_psi(ty.psi, s))
-    raise TypeError(f"subst_ty: unsupported {type(ty).__name__}")
-
-
-def _under_alpha_binder(var: str, body: TalType, s: Subst):
-    key = (KIND_ALPHA, var)
-    s2 = s.without([key])
-    if key in s2.range_free_vars():
-        fresh = fresh_name(var)
-        body = subst_ty(body, Subst.single(KIND_ALPHA, var, TVar(fresh)))
-        return fresh, body, s2
-    return var, body, s2
-
-
-def subst_psi(psi: HeapValType, s: Subst) -> HeapValType:
-    if s.is_empty():
-        return psi
-    if isinstance(psi, TupleTy):
-        return TupleTy(tuple(subst_ty(t, s) for t in psi.items))
-    if isinstance(psi, CodeType):
-        delta, s2 = _freshen_delta(psi.delta, s)
-        ren = _delta_renaming(psi.delta, delta)
-        chi = subst_chi(subst_chi(psi.chi, ren), s2)
-        sigma = subst_stack(subst_stack(psi.sigma, ren), s2)
-        q = subst_q(subst_q(psi.q, ren), s2)
-        return CodeType(delta, chi, sigma, q)
-    raise TypeError(f"subst_psi: unsupported {type(psi).__name__}")
 
 
 def _freshen_delta(delta: Delta, s: Subst) -> Tuple[Delta, Subst]:
@@ -320,70 +215,14 @@ def _freshen_delta(delta: Delta, s: Subst) -> Tuple[Delta, Subst]:
     return tuple(new_delta), s2
 
 
-def _delta_renaming(old: Delta, new: Delta) -> Subst:
-    mapping: Dict[VarKey, Omega] = {}
-    for ob, nb in zip(old, new):
-        if ob.name == nb.name:
-            continue
-        if ob.kind == KIND_ALPHA:
-            mapping[(KIND_ALPHA, ob.name)] = TVar(nb.name)
-        elif ob.kind == KIND_ZETA:
-            mapping[(KIND_ZETA, ob.name)] = StackTy((), nb.name)
-        elif ob.kind == KIND_EPS:
-            mapping[(KIND_EPS, ob.name)] = QEps(nb.name)
-    return Subst(mapping)
-
-
-def subst_stack(sigma: StackTy, s: Subst) -> StackTy:
-    if s.is_empty() or s.mapping.keys().isdisjoint(_ftv(sigma)):
-        # A concrete stack at recursion depth n has O(n) slots; skipping
-        # a substitution that cannot touch it keeps each step O(1).
-        return sigma
-    prefix = tuple(subst_ty(t, s) for t in sigma.prefix)
-    if sigma.tail is not None:
-        hit = s.get(KIND_ZETA, sigma.tail)
-        if hit is not None:
-            assert isinstance(hit, StackTy)
-            return StackTy(prefix, sigma.tail).with_tail(hit)
-    return StackTy(prefix, sigma.tail)
-
-
-def subst_chi(chi: RegFileTy, s: Subst) -> RegFileTy:
-    if s.is_empty():
-        return chi
-    return RegFileTy(tuple((r, subst_ty(t, s)) for r, t in chi.items()))
-
-
-def subst_q(q: RetMarker, s: Subst) -> RetMarker:
-    if s.is_empty():
-        return q
-    if isinstance(q, QEps):
-        hit = s.get(KIND_EPS, q.name)
-        return hit if hit is not None else q  # type: ignore[return-value]
-    if isinstance(q, (QReg, QIdx, QOut)):
-        return q
-    if isinstance(q, QEnd):
-        return QEnd(subst_ty(q.ty, s), subst_stack(q.sigma, s))
-    raise TypeError(f"subst_q: unsupported {type(q).__name__}")
-
-
-def subst_omega(omega, s: Subst):
-    """Substitute in any T type: a value or stack type, a return marker
-    or a register-file typing."""
-    if isinstance(omega, TalType):
-        return subst_ty(omega, s)
-    if isinstance(omega, StackTy):
-        return subst_stack(omega, s)
-    if isinstance(omega, RetMarker):
-        return subst_q(omega, s)
-    if isinstance(omega, RegFileTy):
-        return subst_chi(omega, s)
-    raise TypeError(f"subst_omega: unsupported {type(omega).__name__}")
-
-
 #: The bare variable of each kind a renamed binder is replaced by.
 _BARE = {KIND_ALPHA: TVar, KIND_ZETA: lambda name: StackTy((), name),
          KIND_EPS: QEps}
+
+
+def _delta_renaming(old: Delta, new: Delta) -> Subst:
+    return Subst({(ob.kind, ob.name): _BARE[ob.kind](nb.name)
+                  for ob, nb in zip(old, new) if ob.name != nb.name})
 
 
 def subst_term(x, s: Subst):
@@ -396,8 +235,8 @@ def subst_term(x, s: Subst):
     if s.is_empty():
         return x
     caught: Optional[Set[VarKey]] = None   # what a binder must not bind
-    ttype = lambda t: subst_omega(t, s)    # noqa: E731
-    ftype = lambda t: _ftype_map(t, ttype)     # noqa: E731
+    ttype = lambda t: subst_ty(t, s)       # noqa: E731
+    ftype = lambda t: map_tal_in_ftype(t, ttype)   # noqa: E731
 
     def pre(node):
         nonlocal caught
@@ -434,8 +273,8 @@ def _subst_scoped(node, s: Subst):
         if renaming:
             s = Subst({**s.mapping, **renaming})
             node = walk.rebind(node, fresh)
-    ttype = lambda t: subst_omega(t, s)    # noqa: E731
-    node = walk.map_types(node, lambda t: _ftype_map(t, ttype), ttype)
+    ttype = lambda t: subst_ty(t, s)       # noqa: E731
+    node = walk.map_types(node, lambda t: map_tal_in_ftype(t, ttype), ttype)
     new = []
     for term in walk.children(node):
         out = subst_term(term, s)
@@ -468,7 +307,7 @@ def delta_subst(delta: Delta, omegas: Tuple[Omega, ...]) -> Subst:
     mapping: Dict[VarKey, Omega] = {}
     for b, omega in zip(delta, omegas):
         check_omega(b, omega)
-        if _names_var(omega) != b.name:
+        if walk.var_key(omega) != (b.kind, b.name):
             mapping[(b.kind, b.name)] = omega
     return Subst(mapping)
 
@@ -484,16 +323,6 @@ def check_omega(b: DeltaBind, omega: Omega) -> None:
         raise TypeError(
             f"instantiating {b.kind} {b.name} requires a "
             f"{expected.__name__}, got {omega}")
-
-
-def _names_var(omega: Omega) -> Optional[str]:
-    """The variable an omega consists of, if it is a bare one."""
-    cls = omega.__class__
-    if cls is TVar or cls is QEps:
-        return omega.name
-    if cls is StackTy and not omega.prefix:
-        return omega.tail
-    return None
 
 
 #: Memo for code-type instantiation, keyed structurally by
@@ -532,8 +361,8 @@ def instantiate_code_type(ct: CodeType,
         return hit
     s = delta_subst(ct.delta, omegas)
     remaining = ct.delta[len(omegas):]
-    result = CodeType(remaining, subst_chi(ct.chi, s),
-                      subst_stack(ct.sigma, s), subst_q(ct.q, s))
+    result = CodeType(remaining, subst_ty(ct.chi, s),
+                      subst_ty(ct.sigma, s), subst_ty(ct.q, s))
     _CTYPE_CACHE.put(key, result)
     return result
 
@@ -563,8 +392,8 @@ def instantiate_code_block(h: HCode, omegas: Tuple[Omega, ...]) -> HCode:
         return hit
     s = delta_subst(h.delta, omegas)
     remaining = h.delta[len(omegas):]
-    result = HCode(remaining, subst_chi(h.chi, s), subst_stack(h.sigma, s),
-                   subst_q(h.q, s), subst_term(h.instrs, s))
+    result = HCode(remaining, subst_ty(h.chi, s), subst_ty(h.sigma, s),
+                   subst_ty(h.q, s), subst_term(h.instrs, s))
     if len(table) < _BLOCK_MEMO_CAP:
         table[omegas] = result
     else:

@@ -140,7 +140,7 @@ def advance_fresh(mark: int) -> None:
 class TypeMemo(PicklableSlots):
     """Per-instance memo slots of the compound types: the structural hash
     (:func:`memo_hash`), the free type variables
-    (:func:`repro.tal.subst.free_type_vars`) and ``_wf``, the last type
+    (:func:`repro.walk.free_keys`) and ``_wf``, the last type
     environment under which the node passed well-formedness
     (:mod:`repro.tal.wellformed`).  They are not dataclass fields, so
     equality, pickling and fingerprints never see them.

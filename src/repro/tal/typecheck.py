@@ -54,9 +54,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import FTTypeError
 from repro.obs.events import OBS
-from repro.tal.equality import (
-    psis_equal, qs_equal, stacks_equal, types_equal,
-)
+from repro.tal.equality import types_equal
 from repro.tal.retmarker import continuation_parts, ret_addr_type, ret_type
 from repro.tal.subst import Subst, instantiate_code_type, subst_ty
 from repro.tal.subtyping import check_regfile_subtype
@@ -343,11 +341,11 @@ class TalTypechecker:
         target = self.type_of_operand(st.delta, st.chi, i.u)
         ct = self._expect_instantiated_code(target, i)
         check_regfile_subtype(st.delta, st.chi, ct.chi)
-        if not stacks_equal(st.sigma, ct.sigma):
+        if not types_equal(st.sigma, ct.sigma):
             raise _fail(
                 f"bnz target expects stack {ct.sigma}, current is "
                 f"{st.sigma}", "tal.instruction", i)
-        if not qs_equal(ct.q, st.q):
+        if not types_equal(ct.q, st.q):
             raise _fail(
                 f"bnz is an intra-component jump: target marker {ct.q} "
                 f"must equal current marker {st.q}", "tal.instruction", i)
@@ -525,11 +523,11 @@ class TalTypechecker:
             raise _fail(
                 f"halt announces type {t.ty} but the marker promises "
                 f"{st.q.ty}", "tal.terminator", t)
-        if not stacks_equal(t.sigma, st.q.sigma):
+        if not types_equal(t.sigma, st.q.sigma):
             raise _fail(
                 f"halt announces stack {t.sigma} but the marker promises "
                 f"{st.q.sigma}", "tal.terminator", t)
-        if not stacks_equal(st.sigma, t.sigma):
+        if not types_equal(st.sigma, t.sigma):
             raise _fail(
                 f"halt with stack {st.sigma}, expected {t.sigma}",
                 "tal.terminator", t)
@@ -543,11 +541,11 @@ class TalTypechecker:
         target = self.type_of_operand(st.delta, st.chi, t.u)
         ct = self._expect_instantiated_code(target, t)
         check_regfile_subtype(st.delta, st.chi, ct.chi)
-        if not stacks_equal(st.sigma, ct.sigma):
+        if not types_equal(st.sigma, ct.sigma):
             raise _fail(
                 f"jmp target expects stack {ct.sigma}, current is "
                 f"{st.sigma}", "tal.terminator", t)
-        if not qs_equal(ct.q, st.q):
+        if not types_equal(ct.q, st.q):
             raise _fail(
                 f"jmp is an intra-component jump: target marker {ct.q} "
                 f"must equal current marker {st.q}", "tal.terminator", t)
@@ -573,7 +571,7 @@ class TalTypechecker:
             raise _fail(
                 f"ret result register {t.rr} has type {actual}, the "
                 f"continuation expects {val_ty}", "tal.terminator", t)
-        if not stacks_equal(st.sigma, cont_sigma):
+        if not types_equal(st.sigma, cont_sigma):
             raise _fail(
                 f"ret with stack {st.sigma}, the continuation expects "
                 f"{cont_sigma}", "tal.terminator", t)
@@ -627,14 +625,14 @@ class TalTypechecker:
                 raise _fail(
                     f"stack slot {k} has type {st.sigma.prefix[k]}, callee "
                     f"expects {ct.sigma.prefix[k]}", "tal.terminator", t)
-        if not stacks_equal(st.sigma.drop(m), t.sigma):
+        if not types_equal(st.sigma.drop(m), t.sigma):
             raise _fail(
                 f"protected tail {t.sigma} does not match the current "
                 f"stack remainder {st.sigma.drop(m)}", "tal.terminator", t)
         check_stack_wf(st.delta, t.sigma)
         # The two call rules, by the shape of the *current* marker.
         if isinstance(st.q, QEnd):
-            if not qs_equal(t.q, st.q):
+            if not types_equal(t.q, st.q):
                 raise _fail(
                     f"call under an end marker must pass that marker; got "
                     f"{t.q}, current {st.q}", "tal.terminator", t)
@@ -646,7 +644,7 @@ class TalTypechecker:
                     f"marker slot {i} lies within the {m} argument slots "
                     "consumed by the call", "tal.terminator", t)
             shifted = QIdx(i + n - m)
-            if not qs_equal(t.q, shifted):
+            if not types_equal(t.q, shifted):
                 raise _fail(
                     f"call must relocate the marker to slot {shifted.index}"
                     f" (i + k - j); instruction says {t.q}",
@@ -826,7 +824,7 @@ def check_memory(psi: HeapTy, heap_items, regs: Dict[str, WordValue],
                 f"location {loc} mutability {nu} disagrees with Psi's "
                 f"{expected_nu}", "tal.memory", loc)
         actual_psi = checker.check_heap_value(h)
-        if not psis_equal(actual_psi, expected_psi):
+        if not types_equal(actual_psi, expected_psi):
             raise _fail(
                 f"location {loc} holds {actual_psi}, Psi says "
                 f"{expected_psi}", "tal.memory", loc)

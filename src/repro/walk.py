@@ -1,15 +1,23 @@
-"""One walk over FT terms.
+"""One walk over FT terms and types.
 
 The terms of F (paper Fig 5) and of T (Fig 1), and FT's boundary, stack
 lambda, ``import`` and ``protect`` (Figs 6-7), are written down once, in
 :data:`GRAMMAR`, with where each holds sub-terms, types, binders and
-labels; it names classes by module path, so every syntax module can use
-this one.  :func:`preorder` and :func:`fold` keep an explicit stack: no
-nesting depth and no sequence length reaches the recursion limit.  A
-walk crosses between the languages (a boundary's component, an import's
+labels; so are the types of both languages (:data:`TYPE_GRAMMAR`), with where
+each holds sub-types, type variables and binders.  The grammar names
+classes by module path, so every syntax module can use this one.
+:func:`preorder` and :func:`fold` keep an explicit stack: no nesting
+depth and no sequence length reaches the recursion limit.  A walk
+crosses between the languages (a boundary's component, an import's
 payload) not at all (:data:`STAY`), everywhere (:data:`ALL`), or only as
 far as F terms (:data:`F_TERMS`: T terms that hold no ``import`` are
 skipped).  Each caller says what a class outside the grammar means.
+
+On types the walk's children are the sub-types (an F type's T types
+among them).  Three folds serve both languages: free type variables
+(:func:`free_keys`), capture-avoiding substitution (:func:`subst`) and
+binders renamed by depth (:func:`canonical`); :func:`alpha_equal`, the
+one alpha-equivalence, walks two types in step.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import attrgetter, is_
 from typing import Callable, Iterator, NamedTuple, Optional
+
+from repro.caching import InternTable
 
 #: Field kinds.  Sub-terms: one, a tuple, a tuple whose binders scope
 #: over the later fields (a sequence), ``(label, term)`` heap cells, a
@@ -34,6 +44,21 @@ LABEL, DATA = "label", "data"
 TYPED = frozenset({PARAMS, FTYPE, TTYPE, TTYPES, DELTA})
 LABELLED = frozenset({LABEL, CELLS})
 REST_KIND = {REST_ALPHA: "alpha", REST_ZETA: "zeta"}
+#: Type fields: a sub-type, a tuple of them, ``(register, type)`` pairs.
+#: An occurrence of a type variable of each kind (F's, T's alpha and
+#: eps); a stack's tail, a zeta or None (nil), where a stack substituted
+#: for the zeta is appended.  A name bound over the node's other fields
+#: (``mu``'s, ``exists``'s); a code type binds a Delta (:data:`BINDS`).
+TYPE, TYPES, REGS = "type", "types", "regs"
+F_VAR, ALPHA_VAR, EPS_VAR, ZETA_TAIL = (
+    "F var", "alpha var", "eps var", "zeta tail")
+F_BIND, ALPHA_BIND = "binds F var", "binds alpha"
+#: The kind of variable each occurrence and binder is of: T's, as
+#: :mod:`repro.tal.syntax` names them, and F's (``falpha``).
+F_KIND = "falpha"
+VAR_KIND = {F_VAR: F_KIND, ALPHA_VAR: "alpha", EPS_VAR: "eps",
+            ZETA_TAIL: "zeta"}
+BIND_KIND = {F_BIND: F_KIND, ALPHA_BIND: "alpha"}
 
 #: How far a walk crosses between the languages (see the module doc).
 STAY, ALL, F_TERMS = "stay", "all", "f terms"
@@ -94,6 +119,41 @@ GRAMMAR = {
     _T + "Component": (("instrs", TERM), ("heap", CELLS)),
 }
 
+#: Every F and T type class, in the same form.
+TYPE_GRAMMAR = {
+    # F types, FT's stack-modifying arrow (its prefixes are T types) and
+    # lump type (its fields are)
+    _F + "FTVar": (("name", F_VAR),),
+    _F + "FUnit": (),
+    _F + "FInt": (),
+    _F + "FArrow": (("params", TYPES), ("result", TYPE)),
+    _F + "FRec": (("var", F_BIND), ("body", TYPE)),
+    _F + "FTupleT": (("items", TYPES),),
+    _FT + "FStackArrow": (("params", TYPES), ("result", TYPE),
+                          ("phi_in", TYPES), ("phi_out", TYPES)),
+    "repro.ft.lump.FLump": (("items", TYPES),),
+    # T's value and heap-value types, stack and register-file typings,
+    # and return markers
+    _T + "TVar": (("name", ALPHA_VAR),),
+    _T + "TUnit": (),
+    _T + "TInt": (),
+    _T + "TExists": (("var", ALPHA_BIND), ("body", TYPE)),
+    _T + "TRec": (("var", ALPHA_BIND), ("body", TYPE)),
+    _T + "TRef": (("items", TYPES),),
+    _T + "TBox": (("psi", TYPE),),
+    _T + "TupleTy": (("items", TYPES),),
+    _T + "CodeType": (("delta", BINDS), ("chi", TYPE), ("sigma", TYPE),
+                      ("q", TYPE)),
+    _T + "StackTy": (("prefix", TYPES), ("tail", ZETA_TAIL)),
+    _T + "RegFileTy": (("entries", REGS),),
+    _T + "QReg": (("reg", DATA),),
+    _T + "QIdx": (("index", DATA),),
+    _T + "QEps": (("name", EPS_VAR),),
+    _T + "QEnd": (("ty", TYPE), ("sigma", TYPE)),
+    _T + "QOut": (),
+}
+GRAMMAR.update(TYPE_GRAMMAR)
+
 #: The T classes an F term can be reached through: an ``import`` (a
 #: *port*: it holds the F term) and what holds one (a *conduit*).  To an
 #: :data:`F_TERMS` walk a conduit's children are the ports inside it.
@@ -118,8 +178,16 @@ class _Info(NamedTuple):
     rest: Optional[tuple]       # ``(field, T kind)`` of its sequence binder
     sequence: Optional[str]     # the terms it holds in sequence
     typeless: bool              # no type, binder or sub-term
-    subterms: tuple             # ``(field, kind)`` of its sub-terms
+    subterms: tuple             # ``(field, kind)`` of its sub-terms/types
     role: Optional[str]         # _PORT or _CONDUIT, for F_TERMS walks
+    spec: Optional[tuple]       # its grammar entry
+    var: Optional[tuple]        # ``(field, kind)`` of its type variable
+    bound: Optional[tuple]      # ``(field, kind)`` of the name it binds
+    binds: bool                 # binds a type variable over its fields
+    bare: bool                  # a type that is just a variable
+    a_type: bool                # an F or T type
+    t_type: bool                # a T type
+    memo: bool                  # keeps its free variables (``_ftv``)
 
 
 _INFO: dict = {}
@@ -132,6 +200,10 @@ def _info(cls: type) -> _Info:
         key = _key(cls)
         spec = GRAMMAR.get(key, ())
         first = lambda kinds: next((n for n, k in spec if k in kinds), None)
+        var = next(((n, VAR_KIND[k]) for n, k in spec if k in VAR_KIND),
+                   None)
+        bound = next(((n, BIND_KIND[k]) for n, k in spec if k in BIND_KIND),
+                     None)
         info = _INFO[cls] = _Info(
             tuple((n, k) for n, k in spec if k in TYPED),
             tuple((n, k) for n, k in spec if k in LABELLED),
@@ -142,7 +214,12 @@ def _info(cls: type) -> _Info:
             key in GRAMMAR and all(k is DATA or k is LABEL for _, k in spec),
             tuple((n, k) for n, k in spec if k in _SPLIT),
             None if key not in CARRIERS else _PORT if any(
-                k is EMBED for _, k in spec) else _CONDUIT)
+                k is EMBED for _, k in spec) else _CONDUIT,
+            GRAMMAR.get(key), var, bound,
+            bound is not None or first({BINDS}) is not None,
+            var is not None and len(spec) == 1,
+            key in TYPE_GRAMMAR, key in TYPE_GRAMMAR and key.startswith(_T),
+            hasattr(cls, "_ftv"))
     return info
 
 
@@ -178,6 +255,10 @@ _REFILL = {
     CELLS: lambda v, it: _cells(v, [next(it) for _ in v]),
 }
 _SPLIT[SEQ], _REFILL[SEQ] = _SPLIT[TERMS], _REFILL[TERMS]
+#: A type's sub-types split and refill as a term's sub-terms do.
+_AS_TERMS = {TYPE: TERM, TYPES: TERMS, REGS: CELLS}
+_SPLIT.update({k: _SPLIT[like] for k, like in _AS_TERMS.items()})
+_REFILL.update({k: _REFILL[like] for k, like in _AS_TERMS.items()})
 _PORT, _CONDUIT = "port", "conduit"
 
 
@@ -229,8 +310,8 @@ def _make_shape(cls: type, cross: str):
         return None
     if cross is F_TERMS and _info(cls).role is _CONDUIT:
         return (lambda e, new: _with_ports(e, iter(new))), _ports
-    embed = DATA if cross is STAY else TERM
-    spec = tuple((n, embed if k is EMBED else k) for n, k in spec)
+    kinds = dict(_AS_TERMS, **{EMBED: DATA if cross is STAY else TERM})
+    spec = tuple((n, kinds.get(k, k)) for n, k in spec)
     parts = [(n, k) for n, k in spec if k in _SPLIT]
     if not parts:
         return None, None
@@ -241,8 +322,10 @@ def _make_shape(cls: type, cross: str):
         return make, (get if len(parts) > 1 else lambda e: (get(e),))
     if kinds in ((TERMS,), (SEQ,)):
         return make, get
-    if kinds == (SEQ, TERM):                # an instruction sequence
+    if kinds in ((SEQ, TERM), (TERMS, TERM)):   # a sequence, an arrow
         return make, lambda e: get(e)[0] + (get(e)[1],)
+    if kinds == (TERM, TERMS):              # an application
+        return make, lambda e: (get(e)[0],) + get(e)[1]
     return make, lambda e: tuple(
         x for n, k in parts for x in _SPLIT[k](getattr(e, n)))
 
@@ -458,11 +541,13 @@ def typeless(e) -> bool:
 
 def bound_keys(e) -> list:
     """``(kind, name)`` of each type variable ``e`` binds: its own
-    Delta's, and those its sequence's terms bind over the terms after
-    them."""
+    Delta's or name's, and those its sequence's terms bind over the
+    terms after them."""
     info = _INFO.get(e.__class__) or _info(e.__class__)
     keys = [] if info.binders is None else [
         (b.kind, b.name) for b in getattr(e, info.binders)]
+    if info.bound is not None:
+        keys.append((info.bound[1], getattr(e, info.bound[0])))
     if info.sequence is not None:
         known = _INFO.get
         for term in getattr(e, info.sequence):
@@ -488,6 +573,240 @@ def rest_binder(e) -> Optional[tuple]:
 
 def rebind(e, binders):
     """``e`` binding ``binders`` instead: a Delta in place of its own, or
-    a name in place of its sequence binder's."""
+    a name in place of its sequence binder's or its own."""
     info = _info(e.__class__)
-    return replace(e, info.binders or info.rest[0], binders)
+    return replace(e, info.binders or (info.rest or info.bound)[0], binders)
+
+
+# ---------------------------------------------------------------------------
+# Types
+# ---------------------------------------------------------------------------
+
+_NO_KEYS: frozenset = frozenset()
+#: Equal free-variable sets are shared between the types that keep them
+#: (most mention just the same ``zeta`` and ``eps``).
+_KEY_SETS = InternTable()
+_NOT_A_TYPE = unsupported("type walk")
+
+
+def is_type(x) -> bool:
+    """Whether ``x`` is an F or T type."""
+    return (_INFO.get(x.__class__) or _info(x.__class__)).a_type
+
+
+def free_keys(ty) -> frozenset:
+    """The free ``(kind, name)`` type variables of the F or T type
+    ``ty`` (kinds as in :data:`VAR_KIND`).  A type with an ``_ftv`` slot
+    keeps its set there, so a later query, or a walk reaching it, does
+    not walk it again."""
+    keys = _keys_pre(ty)
+    return keys if keys is not None else fold(
+        ty, _keys_pre, _keys_post, unknown=_NOT_A_TYPE)
+
+
+def _keys_pre(node):
+    keys = getattr(node, "_ftv", None)
+    if keys is not None:
+        return keys
+    info = _INFO.get(node.__class__) or _info(node.__class__)
+    if info.typeless:
+        return _NO_KEYS
+    if info.bare:
+        return frozenset(((info.var[1], getattr(node, info.var[0])),))
+    return None
+
+
+def _keys_post(node, results) -> frozenset:
+    """The sub-types' free variables and the node's own (a stack's
+    tail), less those it binds."""
+    info = _INFO.get(node.__class__) or _info(node.__class__)
+    keys = set().union(*results)
+    if info.var is not None:
+        name = getattr(node, info.var[0])
+        if name is not None:
+            keys.add((info.var[1], name))
+    if info.binds:
+        keys.difference_update(bound_keys(node))
+    if not info.memo:
+        return frozenset(keys)
+    keys = _KEY_SETS.canon(frozenset(keys))
+    object.__setattr__(node, "_ftv", keys)
+    return keys
+
+
+def var_key(ty) -> Optional[tuple]:
+    """``(kind, name)`` of the type variable the type ``ty`` consists of
+    (a stack: of just its tail zeta), or None."""
+    info = _INFO.get(ty.__class__) or _info(ty.__class__)
+    if info.var is None:
+        return None
+    name = getattr(ty, info.var[0])
+    if name is None or not info.bare and any(
+            getattr(ty, n) for n, _ in info.subterms):
+        return None
+    return info.var[1], name
+
+
+def subst(ty, mapping: dict, fresh: Callable[[str], str]):
+    """Capture-avoiding substitution: the F or T type ``ty`` with each
+    free variable whose ``(kind, name)`` ``mapping`` holds replaced by
+    its type (a stack's tail zeta by its stack, appended).  A binder
+    hides its keys from its scope, and is renamed to ``fresh(name)``
+    where the types substituted in its scope mention it free.  What the
+    substitution does not change comes back as the same object, and is
+    not entered where that shows without a walk: a type whose ``_ftv``
+    misses every key, a T type under a substitution of F variables."""
+    return _rename(ty, mapping, fresh) if mapping else ty
+
+
+def canonical(ty):
+    """``ty`` with each binder renamed by its depth, ``%0`` the
+    outermost (each name of a Delta counts one; no parsed or fresh name
+    has this form): alpha-equivalent types come out equal, and hash
+    alike."""
+    return _rename(ty, {}, None)
+
+
+def _rename(ty, mapping: dict, fresh: Optional[Callable]):
+    """The fold behind :func:`subst` and (``fresh`` None: every binder
+    renamed by depth) :func:`canonical`.  Each binder opens a scope:
+    what it substitutes, what it renames, its depth, the names the
+    binder itself takes, and the free variables of what it substitutes
+    (None until a binder asks)."""
+    skip_t = fresh is not None and all(k[0] == F_KIND for k in mapping)
+    scopes = [[mapping, {}, 0, None, None]]
+
+    def pre(node):
+        info = _INFO.get(node.__class__) or _info(node.__class__)
+        if info.typeless:
+            return node
+        scope = scopes[-1]
+        sub, ren, depth = scope[0], scope[1], scope[2]
+        if info.bare:
+            key = info.var[1], getattr(node, info.var[0])
+            name = ren.get(key)
+            return sub.get(key, node) if name is None else \
+                replace(node, info.var[0], name)
+        if fresh is not None:
+            if skip_t and info.t_type:  # F variables occur in no T type
+                return node
+            if info.memo:
+                keys = free_keys(node)
+                if sub.keys().isdisjoint(keys) and ren.keys().isdisjoint(keys):
+                    return node
+        if not info.binds:
+            return None
+        keys = bound_keys(node)
+        inner = sub if sub.keys().isdisjoint(keys) else {
+            k: v for k, v in sub.items() if k not in keys}
+        if not ren.keys().isdisjoint(keys):
+            ren = {k: v for k, v in ren.items() if k not in keys}
+        danger = scope[4]
+        if fresh is None:
+            own = {k: f"%{depth + i}" for i, k in enumerate(keys)}
+        elif not inner and not ren:
+            return node
+        else:
+            if danger is None or inner is not sub:
+                danger = set().union(*map(free_keys, inner.values()))
+                if inner is sub:
+                    scope[4] = danger
+            own = {k: fresh(k[1]) for k in keys if k in danger}
+        scopes.append([inner, {**ren, **own} if own else ren,
+                       depth + len(keys), own, danger])
+        return None
+
+    def post(node, results):
+        new = rebuild(node, results)
+        info = _INFO.get(node.__class__) or _info(node.__class__)
+        if info.var is not None:            # a stack's tail
+            key = info.var[1], getattr(new, info.var[0])
+            sub, ren = scopes[-1][0], scopes[-1][1]
+            if key in ren:
+                new = replace(new, info.var[0], ren[key])
+            elif key in sub:
+                new = new.with_tail(sub[key])
+        if info.binds:
+            own = scopes.pop()[3]
+            if own:
+                new = _rebound(new, info, own)
+        return new
+
+    return fold(ty, pre, post, unknown=_NOT_A_TYPE)
+
+
+def _rebound(node, info: _Info, own: dict):
+    """``node`` with its binders named as ``own`` says."""
+    if info.bound is not None:
+        field, kind = info.bound
+        return replace(node, field, own[kind, getattr(node, field)])
+    return replace(node, info.binders, tuple(
+        b if (b.kind, b.name) not in own
+        else replace(b, "name", own[b.kind, b.name])
+        for b in getattr(node, info.binders)))
+
+
+_NO_SCOPE: dict = {}
+
+
+def alpha_equal(a, b) -> bool:
+    """Whether the F or T types ``a`` and ``b`` are alpha-equivalent:
+    equal but for the names of bound variables.  The two are walked in
+    step, each side mapping the variables its binders bind to their
+    depth, so the check is symmetric: a variable bound on one side
+    matches only one bound at the same depth on the other, a free one
+    only the same free one.  While both sides bind the same names they
+    share one map, and a sub-type both share is equal without a walk."""
+    if a is b:
+        return True
+    todo = [(a, b, _NO_SCOPE, _NO_SCOPE, 0)]
+    pop, push = todo.pop, todo.append
+    while todo:
+        x, y, left, right, depth = pop()
+        if x is y and left is right:
+            continue
+        cls = x.__class__
+        if cls is not y.__class__:
+            return False
+        spec = (_INFO.get(cls) or _info(cls)).spec
+        if spec is None:                    # outside the grammar
+            if x != y:
+                return False
+            continue
+        for name, kind in spec:
+            u, v = getattr(x, name), getattr(y, name)
+            if kind is TYPE:
+                if u is not v or left is not right:
+                    push((u, v, left, right, depth))
+            elif kind is TYPES or kind is REGS:
+                if len(u) != len(v):
+                    return False
+                if kind is REGS:
+                    if any(p[0] != q[0] for p, q in zip(u, v)):
+                        return False
+                    u, v = [t for _, t in u], [t for _, t in v]
+                todo.extend([(p, q, left, right, depth)
+                             for p, q in zip(u, v)
+                             if p is not q or left is not right])
+            elif kind in VAR_KIND:
+                var = VAR_KIND[kind]
+                i, j = left.get((var, u)), right.get((var, v))
+                if i != j or i is None and u != v:
+                    return False
+            elif kind is BINDS or kind in BIND_KIND:
+                if kind is BINDS:
+                    us = [(c.kind, c.name) for c in u]
+                    vs = [(c.kind, c.name) for c in v]
+                else:
+                    us, vs = [(BIND_KIND[kind], u)], [(BIND_KIND[kind], v)]
+                if len(us) != len(vs) or any(
+                        p[0] != q[0] for p, q in zip(us, vs)):
+                    return False
+                shared = left is right and us == vs
+                left = {**left, **{k: depth + i for i, k in enumerate(us)}}
+                right = left if shared else {
+                    **right, **{k: depth + i for i, k in enumerate(vs)}}
+                depth += len(us)
+            elif u != v:
+                return False
+    return True

@@ -45,7 +45,22 @@ from repro.tal.syntax import (
 )
 
 __all__ = ["random_f_int_expr", "random_full_f_expr", "random_t_program",
-           "random_f_type", "random_counted_loop"]
+           "random_f_type", "random_counted_loop", "raw_codegen"]
+
+
+def raw_codegen(source) -> Component:
+    """The compiler's component for the closed F term ``source`` before
+    its peephole optimizer: closure conversion and code generation
+    alone."""
+    from repro.compile import (
+        closure_convert, generate_expr, generate_function, NameSupply,
+    )
+
+    supply = NameSupply()
+    prog = closure_convert(source, None, supply)
+    generate = generate_function if prog.main_code is not None \
+        else generate_expr
+    return generate(prog, supply)
 
 
 # ---------------------------------------------------------------------------

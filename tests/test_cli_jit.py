@@ -37,15 +37,14 @@ class TestJitCommand:
     def test_output_is_optimized(self, fn_file, capsys):
         """The compiler always runs the peephole optimizer, so ``jit``
         prints fewer instructions than the unoptimized compile."""
-        from repro.compile import compile_term
         from repro.surface.parser import parse_fexpr
         from repro.surface.pretty import pretty_component
+        from tests.strategies import raw_codegen
 
         source = "lam (x: int). ((x * 2) + 1)"
         assert main(["jit", fn_file(source)]) == 0
         printed = capsys.readouterr().out
-        plain = pretty_component(compile_term(parse_fexpr(source),
-                                              optimize=False).component)
+        plain = pretty_component(raw_codegen(parse_fexpr(source)))
         assert printed.count(";") < plain.count(";")
 
     def test_optimized_and_checked(self, fn_file, capsys):

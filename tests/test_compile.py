@@ -171,12 +171,8 @@ class TestPipelineContracts:
         two = compile_term(INC)
         assert two is one
 
-    def test_cache_keys_on_optimize_and_gamma(self):
+    def test_cache_keys_on_gamma(self):
         clear_compile_cache()
-        plain = compile_term(INC)
-        unopt = compile_term(INC, optimize=False)
-        assert unopt is not plain
-        assert len(unopt.component.heap) >= len(plain.component.heap)
         open_plain = compile_term(Var("y"), {"y": FInt()})
         assert compile_term(Var("y"), {"y": FUnit()}) is not open_plain
 

@@ -1,12 +1,13 @@
-"""Every traversal built on the one term walk runs on deeply nested terms
-at the default recursion limit.
+"""Every traversal built on the one walk runs on deeply nested terms and
+types at the default recursion limit.
 
 Each chain nests one form 10,000 deep (far past the ~1,000 frames the
 host allows) over a leaf holding a stack lambda with a T type in its
 prefix and a JIT-eligible lambda.  Results are read with
 :func:`iter_subexprs` (itself iterative) or by identity: dataclass
 equality, hashing and printing recurse once per level, so no assertion
-compares whole terms.
+compares whole terms.  Types nest the same way, over a stack-modifying
+arrow; a CEK machine value nests deeper still.
 """
 
 import hashlib
@@ -17,21 +18,27 @@ from collections import Counter
 import pytest
 
 from repro.compile import jit_rewrite
+from repro.f.cek import cek_evaluate
 from repro.f.syntax import (
-    App, BinOp, FInt, free_vars, If0, IntE, iter_subexprs, Lam,
-    subst_expr, TupleE, Var,
+    App, BinOp, FArrow, FInt, Fold, free_tvars, free_vars, FRec, ftype_equal,
+    FTupleT, FTVar, FUnit, If0, IntE, iter_subexprs, Lam, subst_expr,
+    subst_ftype, TupleE, Unfold, Var,
 )
-from repro.ft.syntax import Boundary, Import, Protect, StackLam
+from repro.ft.syntax import (
+    Boundary, FStackArrow, Import, Protect, StackLam,
+)
 from repro.link.linker import collect_labels
 from repro.tal.erasure import erase_types
 from repro.tal.machine import rename_locs
-from repro.tal.subst import free_type_vars, Subst, subst_term
+from repro.tal.subst import (
+    free_type_vars, map_tal_in_ftype, Subst, subst_term, subst_ty,
+)
 from repro import walk
 from repro.tal.syntax import (
-    Aop, Component, HCode, Halt, InstrSeq, Jmp, KIND_ALPHA, KIND_EPS,
-    KIND_ZETA, Loc, Mv, NIL_STACK, Pack, QEnd, QEps, RegFileTy, RegOp,
-    StackTy, TExists, TInt, TRef, TUnit, TVar, TyApp, Unpack, WInt, WLoc,
-    seq,
+    Aop, CodeType, Component, DeltaBind, HCode, Halt, InstrSeq, Jmp,
+    KIND_ALPHA, KIND_EPS, KIND_ZETA, Loc, Mv, NIL_STACK, Pack, QEnd, QEps,
+    RegFileTy, RegOp, StackTy, TBox, TExists, TInt, TRef, TupleTy, TUnit,
+    TVar, TyApp, Unpack, WInt, WLoc, seq,
 )
 
 DEPTH = 10_000
@@ -166,6 +173,114 @@ class TestDeepPayload:
         out = rename_locs(self.boundary(kind), {self.LABEL: new})
         assert out.comp.heap[0][0] is new
         assert out.comp.instrs.term.u.loc is new
+
+
+# ---------------------------------------------------------------------------
+# Types
+# ---------------------------------------------------------------------------
+
+#: An F type over F's ``x`` and T's ``c``.
+TYPE_LEAF = FStackArrow((FTVar("x"),), FInt(), (TVar("c"),), ())
+
+F_WRAP = {
+    "arrow": lambda t: FArrow((t,), FInt()),
+    "tuple": lambda t: FTupleT((FUnit(), t)),
+    "mu": lambda t: FRec("m", FArrow((FTVar("m"), t), FTVar("m"))),
+}
+T_WRAP = {
+    "ref": lambda t: TRef((t, TVar("c"))),
+    "exists": lambda t: TExists("a", TBox(TupleTy((TVar("a"), t)))),
+    "code": lambda t: TBox(CodeType(
+        (DeltaBind(KIND_ZETA, "z"),), RegFileTy.of(r1=t), StackTy((), "z"),
+        QEps("e"))),
+}
+
+
+def type_chain(wrap, leaf):
+    t = leaf
+    for _ in range(DEPTH):
+        t = wrap(t)
+    return t
+
+
+def leaf_of(t):
+    [leaf] = [x for x in walk.preorder(t) if type(x) is FStackArrow]
+    return leaf
+
+
+@pytest.fixture(params=sorted(F_WRAP))
+def f_kind(request):
+    return request.param
+
+
+class TestDeepTypes:
+    def test_f_free_type_vars(self, f_kind):
+        t = type_chain(F_WRAP[f_kind], TYPE_LEAF)
+        assert free_tvars(t) == {"x"}
+        assert free_type_vars(t) == {(KIND_ALPHA, "c")}
+
+    def test_f_subst(self, f_kind):
+        t = type_chain(F_WRAP[f_kind], TYPE_LEAF)
+        out = subst_ftype(t, "x", FInt())
+        assert leaf_of(out).params == (FInt(),)
+        assert leaf_of(out).phi_in is TYPE_LEAF.phi_in     # T: untouched
+
+    def test_f_subst_renames_every_capturing_binder(self):
+        t = type_chain(F_WRAP["mu"], TYPE_LEAF)
+        out = subst_ftype(t, "x", FTVar("m"))
+        assert leaf_of(out).params == (FTVar("m"),)
+        binders = [x.var for x in walk.preorder(out) if type(x) is FRec]
+        assert len(binders) == DEPTH and "m" not in binders
+
+    def test_t_in_f_map(self, f_kind):
+        t = type_chain(F_WRAP[f_kind], TYPE_LEAF)
+        assert map_tal_in_ftype(t, lambda x: x) is t
+        s = Subst.single(KIND_ALPHA, "c", TInt())
+        out = map_tal_in_ftype(t, lambda x: subst_ty(x, s))
+        assert leaf_of(out).phi_in == (TInt(),)
+        assert leaf_of(out).params is TYPE_LEAF.params     # F: untouched
+
+    def test_f_alpha_equivalence(self, f_kind):
+        wrap = F_WRAP[f_kind]
+        one, two = type_chain(wrap, TYPE_LEAF), type_chain(wrap, TYPE_LEAF)
+        assert ftype_equal(one, two)
+        assert not ftype_equal(one, type_chain(wrap, FInt()))
+        assert (walk.canonical(one) is one) == (f_kind != "mu")
+
+    @pytest.mark.parametrize("t_kind", sorted(T_WRAP))
+    def test_t_free_type_vars(self, t_kind):
+        t = type_chain(T_WRAP[t_kind], TVar("b"))
+        expected = {(KIND_ALPHA, "b"), (KIND_ALPHA, "c")} \
+            if t_kind == "ref" else {(KIND_ALPHA, "b")}
+        if t_kind == "code":
+            expected.add((KIND_EPS, "e"))
+        assert free_type_vars(t) == expected
+
+
+# ---------------------------------------------------------------------------
+# A deep machine value
+# ---------------------------------------------------------------------------
+
+class TestDeepValue:
+    def test_closure_chain_reifies(self):
+        """An F loop builds a closure 60,000 deep, each closing over the
+        last; the CEK machine's value reifies to a lambda as deep."""
+        n = 60_000
+        acc = FArrow((FUnit(),), FInt())
+        mu = FRec("a", FArrow((FTVar("a"),),
+                              FArrow((FInt(), acc), acc)))
+        f = Var("f")
+        loop = Lam((("f", mu),), Lam(
+            (("n", FInt()), ("acc", acc)),
+            If0(Var("n"), Var("acc"),
+                App(App(Unfold(f), (f,)), (
+                    BinOp("-", Var("n"), IntE(1)),
+                    Lam((("u", FUnit()),), App(Var("acc"), (Var("u"),))))))))
+        start = Lam((("u", FUnit()),), IntE(7))
+        value = cek_evaluate(
+            App(App(loop, (Fold(mu, loop),)), (IntE(n), start)))
+        lams = [x for x in iter_subexprs(value) if type(x) is Lam]
+        assert len(lams) == n + 1 and lams[-1] is start
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from repro.tal.subst import (
 )
 from repro.tal.syntax import (
     CodeType, DeltaBind, KIND_ALPHA, NIL_STACK, QReg, RegFileTy, TInt,
-    TRef, TUnit, TVar, intern_ty,
+    TExists, TRef, TUnit, TVar, intern_ty,
 )
 from tests.strategies import random_f_int_expr
 
@@ -310,10 +310,12 @@ class TestTypeCaches:
         assert one.chi.get("r1") == TInt()
 
     def test_equality_memo_respects_renaming_env(self, clean_caches):
-        # the `a is b` fast path must not apply under a pending renaming
+        # the `a is b` fast path must not apply under a pending renaming:
+        # one shared body, its x bound on the left and free on the right
         x = TVar("x")
         assert types_equal(x, x)
-        assert not types_equal(x, x, {(KIND_ALPHA, "x"): "y"})
+        body = TRef((x,))
+        assert not types_equal(TExists("x", body), TExists("y", body))
         # memoized verdicts are stable
         assert types_equal(TRef((TInt(),)), TRef((TInt(),)))
         assert types_equal(TRef((TInt(),)), TRef((TInt(),)))

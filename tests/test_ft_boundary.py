@@ -18,7 +18,7 @@ from repro.ft.machine import FTMachine
 from repro.ft.syntax import FStackArrow, StackLam
 from repro.ft.translate import type_translation
 from repro.ft.typecheck import check_ft_expr, FTTypechecker
-from repro.tal.equality import psis_equal
+from repro.tal.equality import types_equal
 from repro.tal.heap import Memory
 from repro.tal.syntax import (
     BOX, Fold as TFold, HTuple, Loc, TInt, WInt, WLoc, WUnit,
@@ -97,7 +97,7 @@ class TestGeneratedWrappersTypecheck:
         lam = Lam((("x", FInt()),), Var("x"))
         block = build_lambda_wrapper(lam, INT_ARROW)
         expected = type_translation(INT_ARROW)
-        assert psis_equal(block.code_type, expected.psi)
+        assert types_equal(block.code_type, expected.psi)
 
     def test_two_arg_wrapper_typechecks(self):
         arrow = FArrow((FInt(), FInt()), FInt())
@@ -105,7 +105,7 @@ class TestGeneratedWrappersTypecheck:
                   BinOp("-", Var("x"), Var("y")))
         block = build_lambda_wrapper(lam, arrow)
         FTTypechecker().check_heap_value(block)
-        assert psis_equal(block.code_type, type_translation(arrow).psi)
+        assert types_equal(block.code_type, type_translation(arrow).psi)
 
     def test_higher_order_wrapper_typechecks(self):
         arrow = FArrow((INT_ARROW,), FInt())

@@ -11,7 +11,7 @@ from repro.ft import translate
 from repro.ft.translate import (
     arrow_code_type, continuation_type, EPS, type_translation, ZETA,
 )
-from repro.tal.equality import psis_equal, types_equal
+from repro.tal.equality import types_equal
 from repro.tal.syntax import (
     CodeType, KIND_EPS, KIND_ZETA, QEps, QReg, RegFileTy, StackTy, TBox,
     TInt, TRec, TupleTy, TUnit, TVar,

@@ -1,20 +1,26 @@
-"""Lint: FT's term grammar is written down once, in :mod:`repro.walk`.
+"""Lint: FT's term and type grammar is written down once, in
+:mod:`repro.walk`.
 
 :data:`repro.walk.GRAMMAR` lists every field of every term class, of F
 and of T alike, and the traversals over terms (free variables and free
 type variables, substitutions of both languages, label collection and
-renaming, erasure, the JIT rewrite) are folds over it.  A function
-elsewhere in ``src/`` that dispatches on several term classes --
-``isinstance`` against them, ``type(x) is`` comparisons, ``match`` class
-patterns or a dict keyed by them -- is another hand-written copy of the
-grammar, and fails here unless :data:`ALLOWED` lists it.
+renaming, erasure, the JIT rewrite) are folds over it.  It lists every
+type class too (:data:`repro.walk.TYPE_GRAMMAR`), and the traversals
+over types (free type variables, capture-avoiding substitution, the T
+types inside an F type, canonical forms, alpha-equivalence) walk it.  A
+function elsewhere in ``src/`` that dispatches on several term classes,
+or on several type classes -- ``isinstance`` against them, ``type(x)
+is`` comparisons, ``match`` class patterns or a dict keyed by them -- is
+another hand-written copy of the grammar, and fails here unless
+:data:`ALLOWED` (terms) or :data:`ALLOWED_TYPES` lists it.
 
 Allowed are the places whose dispatch *is* their meaning, one rule or
 value form per class: the evaluators and the T machines' steps, the fast
-T tier's lowering, the typecheckers, closure conversion, the JIT's scope
-test, the static CFG's edges, the T peepholes, erasure's table of the
-annotation each annotated form keeps, and the functions that read
-values (or the compiler's wrapper) by their shape.
+T tier's lowering, the typecheckers and well-formedness, closure
+conversion, the JIT's scope test, the static CFG's edges, the T
+peepholes, erasure's table of the annotation each annotated form keeps,
+the type translations, and the functions that read or build values (or
+the compiler's wrapper) by their shape or type.
 """
 
 import ast
@@ -24,9 +30,10 @@ from pathlib import Path
 
 import repro
 from repro import walk
-from repro.f.syntax import FExpr
+from repro.f.syntax import FExpr, FType
 from repro.tal.syntax import (
-    Component, HeapValue, InstrSeq, Instruction, Operand, Terminator,
+    Component, HeapValType, HeapValue, InstrSeq, Instruction, Operand,
+    RegFileTy, RetMarker, StackTy, TalType, Terminator,
 )
 
 SRC = Path(repro.__file__).resolve().parent
@@ -36,8 +43,15 @@ SRC = Path(repro.__file__).resolve().parent
 TERM_BASES = (FExpr, Operand, Instruction, Terminator, HeapValue, InstrSeq,
               Component)
 
-#: Class names of the F, T and FT term forms the lint watches for.
-TERM_CLASSES = frozenset(key.rsplit(".", 1)[1] for key in walk.GRAMMAR)
+#: The base classes of F's and T's types.
+TYPE_BASES = (FType, TalType, HeapValType, StackTy, RegFileTy, RetMarker)
+
+#: Class names of the F, T and FT term forms the lint watches for, and
+#: of the type forms.
+TERM_CLASSES = frozenset(key.rsplit(".", 1)[1] for key in walk.GRAMMAR
+                         if key not in walk.TYPE_GRAMMAR)
+TYPE_CLASSES = frozenset(key.rsplit(".", 1)[1]
+                         for key in walk.TYPE_GRAMMAR)
 
 #: A function naming this many term classes in dispatch positions is
 #: walking the grammar.
@@ -74,6 +88,32 @@ ALLOWED = {
     ("link/build.py", "_as_result"),          # the compiler's wrapper
 }
 
+#: (module path under ``repro/``, function) allowed to dispatch on
+#: several type classes: typing rules, one per type form.
+ALLOWED_TYPES = {
+    ("f/typecheck.py", "_check"),             # typecheckers: the rules'
+    ("ft/typecheck.py", "check_fexpr"),       # premises on a type's form
+    ("tal/typecheck.py", "_check_call"),
+    ("tal/typecheck.py", "_step_ld"),
+    ("tal/retmarker.py", "ret_type"),         # Fig 2's ret-type and
+    ("tal/retmarker.py", "ret_addr_type"),    # ret-addr-type, per marker
+    ("tal/wellformed.py", "check_type_wf"),   # well-formedness, per form
+    ("tal/wellformed.py", "check_q_wf"),
+    ("tal/wellformed.py", "check_q_restriction"),
+    ("ft/translate.py", "_translate"),        # Fig 9's type translation
+    ("compile/typerep.py", "_translate"),     # the compiler's (packed
+                                              # closures inside)
+    ("compile/closure.py", "convert"),        # closure conversion: the
+                                              # type of what it captures
+    ("tal/erasure.py", "_erase"),             # erasure: what each T type
+                                              # category erases to
+    ("ft/boundary.py", "f_to_t"),             # Fig 10's value
+    ("ft/boundary.py", "t_to_f"),             # translations, per type
+    ("equiv/generators.py", "values_of"),     # the equivalence checker:
+    ("equiv/contexts.py", "contexts_for"),    # values, contexts and the
+    ("equiv/worlds.py", "related_values"),    # relation, per type
+}
+
 
 def _names(node):
     if isinstance(node, ast.Name):
@@ -104,10 +144,10 @@ def _dispatched(node):
     return []
 
 
-def dispatch_sites(source: str, rel: str):
+def dispatch_sites(source: str, rel: str, classes=TERM_CLASSES):
     """(``rel``, function) of every function in ``source`` dispatching on
-    at least :data:`SEVERAL` term classes (nested functions count on
-    their own)."""
+    at least :data:`SEVERAL` of ``classes`` (term classes by default;
+    nested functions count on their own)."""
     found = {}
 
     def visit(node, func):
@@ -115,7 +155,7 @@ def dispatch_sites(source: str, rel: str):
             inner = func
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = child.name
-            names = set(_dispatched(child)) & TERM_CLASSES
+            names = set(_dispatched(child)) & classes
             if names:
                 found.setdefault(func, set()).update(names)
             visit(child, inner)
@@ -125,13 +165,18 @@ def dispatch_sites(source: str, rel: str):
             if len(names) >= SEVERAL}
 
 
+def all_sites(classes):
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel != "walk.py":
+            found |= dispatch_sites(path.read_text(), rel, classes)
+    return found
+
+
 class TestGrammarLint:
     def test_no_hand_written_grammar_outside_the_walk(self):
-        found = set()
-        for path in sorted(SRC.rglob("*.py")):
-            rel = path.relative_to(SRC).as_posix()
-            if rel != "walk.py":
-                found |= dispatch_sites(path.read_text(), rel)
+        found = all_sites(TERM_CLASSES)
         unexpected = found - ALLOWED
         assert not unexpected, (
             f"functions dispatching on several term classes: "
@@ -179,6 +224,33 @@ class TestGrammarLint:
         assert found == {("tal/subst.py", "subst_instr")}
         assert not found & ALLOWED
 
+    def test_no_hand_written_type_grammar_outside_the_walk(self):
+        found = all_sites(TYPE_CLASSES)
+        unexpected = found - ALLOWED_TYPES
+        assert not unexpected, (
+            f"functions dispatching on several type classes: "
+            f"{sorted(unexpected)}; traverse types with repro.walk")
+        stale = ALLOWED_TYPES - found
+        assert not stale, f"allowlisted but gone: {sorted(stale)}"
+
+    def test_a_free_type_vars_chain_fails_the_lint(self):
+        """Reintroducing one of the deleted per-type chains (here T's old
+        ``_free_type_vars``) is a finding, not an allowed site."""
+        source = (
+            "def _free_type_vars(x):\n"
+            "    if x.__class__ in _CLOSED_CLASSES:\n"
+            "        return set()\n"
+            "    if isinstance(x, TVar):\n"
+            "        return {(KIND_ALPHA, x.name)}\n"
+            "    if isinstance(x, (TExists, TRec)):\n"
+            "        return free_type_vars(x.body) - {(KIND_ALPHA, x.var)}\n"
+            "    if isinstance(x, StackTy):\n"
+            "        return {(KIND_ZETA, x.tail)}\n")
+        found = dispatch_sites(source, "tal/subst.py", TYPE_CLASSES)
+        assert found == {("tal/subst.py", "_free_type_vars")}
+        assert not found & ALLOWED_TYPES
+        assert not dispatch_sites(source, "tal/subst.py")   # no term
+
 
 class TestGrammar:
     """The grammar names real classes and every one of their fields."""
@@ -205,6 +277,16 @@ class TestGrammar:
 
         assert set(walk.REST_KIND.values()) == {KIND_ALPHA, KIND_ZETA}
 
+    def test_type_variable_kinds_are_delta_kinds(self):
+        from repro.tal.syntax import (
+            KIND_ALPHA, KIND_EPS, KIND_FALPHA, KIND_ZETA,
+        )
+
+        assert set(walk.VAR_KIND.values()) == {
+            KIND_ALPHA, KIND_EPS, KIND_FALPHA, KIND_ZETA}
+        assert set(walk.BIND_KIND.values()) == {KIND_ALPHA, KIND_FALPHA}
+        assert walk.F_KIND == KIND_FALPHA
+
     def test_every_term_class_is_in_the_grammar(self):
         from repro.f import cek  # noqa: F401  (registers its closures)
         from repro.ft import lump, syntax  # noqa: F401
@@ -221,5 +303,21 @@ class TestGrammar:
         # Machine-only forms no traversal accepts: the resumption hole
         # and the CEK closure (a registered closed value).
         outside = {"repro.ft.syntax.Hole", "repro.f.cek.Closure"}
-        assert keys - outside == set(walk.GRAMMAR)
+        assert keys - outside == set(walk.GRAMMAR) - set(walk.TYPE_GRAMMAR)
         assert {"repro.ft.syntax.Import", "repro.ft.syntax.Protect"} <= keys
+
+    def test_every_type_class_is_in_the_grammar(self):
+        from repro.ft import lump, syntax  # noqa: F401
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        keys = {f"{c.__module__}.{c.__qualname__}"
+                for base in TYPE_BASES for c in (base, *subclasses(base))
+                if c.__module__.startswith("repro.")
+                and dataclasses.is_dataclass(c)}
+        assert keys == set(walk.TYPE_GRAMMAR)
+        assert {"repro.ft.syntax.FStackArrow", "repro.ft.lump.FLump",
+                "repro.tal.syntax.QOut"} <= keys

@@ -82,13 +82,11 @@ class TestStableFingerprint:
         assert (stable_fingerprint(parse_fexpr("lam (x: int). (x + x)"))
                 != stable_fingerprint(parse_fexpr("lam (x: int). (x * x)")))
 
-    def test_imports_and_options_are_part_of_the_address(self):
+    def test_imports_are_part_of_the_address(self):
         expr = parse_fexpr("lam (x: int). double x")
         arrow = FArrow((FInt(),), FInt())
         with_import = component_digest(expr, (("double", arrow),))
         assert with_import != component_digest(expr, ())
-        assert with_import != component_digest(expr, (("double", arrow),),
-                                               optimize=False)
 
     def test_import_order_irrelevant(self):
         expr = parse_fexpr("lam (x: int). f (g x)")

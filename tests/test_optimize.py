@@ -19,6 +19,7 @@ from repro.tal.syntax import (
     Salloc, seq, Sfree, Sld, Sst, StackTy, TInt, TyApp, WInt, WLoc,
 )
 from repro.tal.typecheck import check_program
+from tests.strategies import raw_codegen
 
 END_INT = QEnd(TInt(), NIL_STACK)
 ARROW = FArrow((FInt(),), FInt())
@@ -179,7 +180,7 @@ class TestEquivalencePreservation:
 
         source = Lam((("x", FInt()),),
                      BinOp("+", BinOp("*", Var("x"), IntE(2)), IntE(1)))
-        comp = compile_term(source, optimize=False).component
+        comp = raw_codegen(source)
         optimized = optimize_component(comp)
         assert optimized == compile_term(source).component
         before = sum(len(h.instrs.instrs) for _, h in comp.heap)

@@ -15,9 +15,9 @@ from repro.equiv.observation import observe
 from repro.f.eval import evaluate
 from repro.f.syntax import ftype_equal
 from repro.surface.parser import parse_component, parse_fexpr, parse_ttype
-from repro.tal.equality import stacks_equal, types_equal
+from repro.tal.equality import types_equal
 from repro.tal.subst import (
-    free_type_vars, Subst, subst_stack, subst_ty,
+    free_type_vars, Subst, subst_ty,
 )
 from repro.tal.syntax import (
     CodeType, DeltaBind, KIND_ALPHA, KIND_EPS, KIND_ZETA, NIL_STACK, QEnd,
@@ -123,7 +123,7 @@ class TestSubstitution:
         replacement = StackTy(
             tuple(random_ttype(rng.randint(0, 999), depth=1)
                   for _ in range(rng.randint(0, 3))), None)
-        out = subst_stack(sigma, Subst.single(KIND_ZETA, "z", replacement))
+        out = subst_ty(sigma, Subst.single(KIND_ZETA, "z", replacement))
         assert len(out.prefix) == len(prefix) + len(replacement.prefix)
         assert out.tail is None
 

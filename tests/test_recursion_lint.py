@@ -2,11 +2,12 @@
 
 The FT machine drives both languages from one loop over an explicit
 control stack, so no verdict may depend on CPython's recursion limit.
-The only ``sys.setrecursionlimit`` calls left guard recursion over deep
+The only ``sys.setrecursionlimit`` call left guards recursion over deep
 *data*, where the host recursion is the algorithm itself: pickling a
 checkpoint or a store payload (one helper, on a thread with a stack to
-match), and folding a CEK machine value back into a term.  Unpickling
-needs no headroom.  A new raise anywhere else fails here.
+match).  Unpickling needs no headroom, and a CEK machine value folds
+back into a term over an explicit stack.  A new raise anywhere else
+fails here.
 """
 
 import ast
@@ -20,7 +21,6 @@ SRC = Path(repro.__file__).resolve().parent
 #: raise, each guarding deep data.
 ALLOWED = {
     ("resilience/checkpoint.py", "pickle_deep"),  # checkpoint, store pickling
-    ("f/cek.py", "_reify_limited"),            # CEK value reification
 }
 
 

@@ -1,8 +1,6 @@
 """Unit tests for alpha-equivalence of T types (repro.tal.equality)."""
 
-from repro.tal.equality import (
-    chis_equal, psis_equal, qs_equal, stacks_equal, types_equal,
-)
+from repro.tal.equality import types_equal
 from repro.tal.syntax import (
     CodeType, DeltaBind, KIND_ALPHA, KIND_EPS, KIND_ZETA, NIL_STACK, QEnd,
     QEps, QIdx, QOut, QReg, RegFileTy, StackTy, TBox, TExists, TInt, TRec,
@@ -50,25 +48,25 @@ class TestValueTypes:
 
 class TestCodeTypes:
     def test_renamed_binders_equal(self):
-        assert psis_equal(arrow_ct("z", "e"), arrow_ct("zz", "ee"))
+        assert types_equal(arrow_ct("z", "e"), arrow_ct("zz", "ee"))
 
     def test_binder_kind_order_matters(self):
         flipped = CodeType(
             (DeltaBind(KIND_EPS, "e"), DeltaBind(KIND_ZETA, "z")),
             RegFileTy.of(ra=cont()), StackTy((TInt(),), "z"), QReg("ra"))
-        assert not psis_equal(arrow_ct(), flipped)
+        assert not types_equal(arrow_ct(), flipped)
 
     def test_marker_matters(self):
         other = CodeType(arrow_ct().delta, arrow_ct().chi,
                          arrow_ct().sigma, QReg("r1"))
-        assert not psis_equal(arrow_ct(), other)
+        assert not types_equal(arrow_ct(), other)
 
     def test_extra_register_matters(self):
         bigger = CodeType(
             arrow_ct().delta,
             arrow_ct().chi.set("r2", TInt()),
             arrow_ct().sigma, QReg("ra"))
-        assert not psis_equal(arrow_ct(), bigger)
+        assert not types_equal(arrow_ct(), bigger)
 
     def test_nested_shadowing(self):
         # forall[zeta z]. {..; z} with an inner code type rebinding z
@@ -82,52 +80,52 @@ class TestCodeTypes:
         outer2 = CodeType((DeltaBind(KIND_ZETA, "v"),),
                           RegFileTy.of(r1=TBox(inner2)), StackTy((), "v"),
                           QOut())
-        assert psis_equal(outer1, outer2)
+        assert types_equal(outer1, outer2)
 
 
 class TestStacks:
     def test_nil(self):
-        assert stacks_equal(NIL_STACK, NIL_STACK)
+        assert types_equal(NIL_STACK, NIL_STACK)
 
     def test_prefix_width(self):
-        assert not stacks_equal(StackTy((TInt(),), None), NIL_STACK)
+        assert not types_equal(StackTy((TInt(),), None), NIL_STACK)
 
     def test_tail_kind(self):
-        assert not stacks_equal(StackTy((), "z"), NIL_STACK)
+        assert not types_equal(StackTy((), "z"), NIL_STACK)
 
     def test_free_tails_by_name(self):
-        assert stacks_equal(StackTy((), "z"), StackTy((), "z"))
-        assert not stacks_equal(StackTy((), "z"), StackTy((), "w"))
+        assert types_equal(StackTy((), "z"), StackTy((), "z"))
+        assert not types_equal(StackTy((), "z"), StackTy((), "w"))
 
 
 class TestMarkers:
     def test_reg(self):
-        assert qs_equal(QReg("ra"), QReg("ra"))
-        assert not qs_equal(QReg("ra"), QReg("r1"))
+        assert types_equal(QReg("ra"), QReg("ra"))
+        assert not types_equal(QReg("ra"), QReg("r1"))
 
     def test_idx(self):
-        assert qs_equal(QIdx(2), QIdx(2))
-        assert not qs_equal(QIdx(2), QIdx(3))
+        assert types_equal(QIdx(2), QIdx(2))
+        assert not types_equal(QIdx(2), QIdx(3))
 
     def test_end(self):
-        assert qs_equal(QEnd(TInt(), NIL_STACK), QEnd(TInt(), NIL_STACK))
-        assert not qs_equal(QEnd(TInt(), NIL_STACK),
+        assert types_equal(QEnd(TInt(), NIL_STACK), QEnd(TInt(), NIL_STACK))
+        assert not types_equal(QEnd(TInt(), NIL_STACK),
                             QEnd(TUnit(), NIL_STACK))
 
     def test_cross_kind(self):
-        assert not qs_equal(QReg("ra"), QIdx(0))
-        assert not qs_equal(QOut(), QEps("e"))
+        assert not types_equal(QReg("ra"), QIdx(0))
+        assert not types_equal(QOut(), QEps("e"))
 
 
 class TestChis:
     def test_equal(self):
-        assert chis_equal(RegFileTy.of(r1=TInt()), RegFileTy.of(r1=TInt()))
+        assert types_equal(RegFileTy.of(r1=TInt()), RegFileTy.of(r1=TInt()))
 
     def test_domain_mismatch(self):
-        assert not chis_equal(RegFileTy.of(r1=TInt()),
+        assert not types_equal(RegFileTy.of(r1=TInt()),
                               RegFileTy.of(r2=TInt()))
 
     def test_alpha_in_entries(self):
         a = RegFileTy.of(r1=TExists("a", TVar("a")))
         b = RegFileTy.of(r1=TExists("b", TVar("b")))
-        assert chis_equal(a, b)
+        assert types_equal(a, b)

@@ -4,8 +4,7 @@ import pytest
 
 from repro.tal.subst import (
     delta_subst, free_type_vars, instantiate_code_block,
-    instantiate_code_type, Subst, subst_chi, subst_term, subst_q,
-    subst_stack, subst_ty,
+    instantiate_code_type, Subst, subst_term, subst_ty,
 )
 from repro.tal.syntax import (
     CodeType, DeltaBind, Fold, Halt, HCode, InstrSeq, Jmp, KIND_ALPHA,
@@ -64,37 +63,37 @@ class TestTypeSubst:
 class TestStackSubst:
     def test_tail_replaced(self):
         sigma = StackTy((TInt(),), "z")
-        out = subst_stack(sigma, ZETA("z", StackTy((TUnit(),), None)))
+        out = subst_ty(sigma, ZETA("z", StackTy((TUnit(),), None)))
         assert out == StackTy((TInt(), TUnit()), None)
 
     def test_tail_replaced_by_variable_stack(self):
         sigma = StackTy((), "z")
-        out = subst_stack(sigma, ZETA("z", StackTy((TInt(),), "w")))
+        out = subst_ty(sigma, ZETA("z", StackTy((TInt(),), "w")))
         assert out == StackTy((TInt(),), "w")
 
     def test_prefix_types_substituted(self):
         sigma = StackTy((TVar("a"),), "z")
-        out = subst_stack(sigma, ALPHA("a", TInt()))
+        out = subst_ty(sigma, ALPHA("a", TInt()))
         assert out == StackTy((TInt(),), "z")
 
 
 class TestMarkerSubst:
     def test_eps_hit(self):
-        assert subst_q(QEps("e"), EPS("e", QIdx(2))) == QIdx(2)
+        assert subst_ty(QEps("e"), EPS("e", QIdx(2))) == QIdx(2)
 
     def test_eps_to_end(self):
         end = QEnd(TInt(), NIL_STACK)
-        assert subst_q(QEps("e"), EPS("e", end)) == end
+        assert subst_ty(QEps("e"), EPS("e", end)) == end
 
     def test_end_components_substituted(self):
         q = QEnd(TVar("a"), StackTy((), "z"))
         s = Subst({(KIND_ALPHA, "a"): TInt(),
                    (KIND_ZETA, "z"): NIL_STACK})
-        assert subst_q(q, s) == QEnd(TInt(), NIL_STACK)
+        assert subst_ty(q, s) == QEnd(TInt(), NIL_STACK)
 
     def test_reg_and_idx_inert(self):
-        assert subst_q(QReg("ra"), EPS("e", QIdx(0))) == QReg("ra")
-        assert subst_q(QIdx(1), EPS("e", QIdx(0))) == QIdx(1)
+        assert subst_ty(QReg("ra"), EPS("e", QIdx(0))) == QReg("ra")
+        assert subst_ty(QIdx(1), EPS("e", QIdx(0))) == QIdx(1)
 
 
 class TestCodeTypeSubst:
