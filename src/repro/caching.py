@@ -9,9 +9,8 @@ Four pieces:
 
 * :class:`LRUCache` -- a small, thread-safe, generic LRU with hit/miss/
   eviction accounting and optional :mod:`repro.obs` counter mirroring
-  (``<prefix>.hit`` / ``.miss`` / ``.eviction``).  Moved here from
-  :mod:`repro.serve.cache`, which re-exports it for compatibility; it
-  also backs the JIT compile cache and the TAL substitution caches.
+  (``<prefix>.hit`` / ``.miss`` / ``.eviction``).  It backs the serve
+  result cache, the compile cache and the TAL substitution caches.
 * :class:`PicklableSlots` -- a mixin giving frozen ``slots=True``
   dataclasses a portable ``__reduce__``.  Python only generates the
   ``__getstate__``/``__setstate__`` pair that makes frozen+slots

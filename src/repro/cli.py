@@ -6,6 +6,9 @@ The reproduction's counterpart to the paper artifact's in-browser tools::
     funtal typecheck FILE        # infer and print the type (and out-stack)
     funtal run FILE [--fuel N] [--trace]   # evaluate; --trace prints the
                                  # jump-level control-flow table
+    funtal equiv LEFT RIGHT --type T       # bounded contextual equivalence
+    funtal compile TARGET [--validate] [--store [DIR]] [--run]
+                                 # whole-F compiler to typed assembly
     funtal build MANIFEST [--store DIR] [--validate]
                                  # separate compilation: build each
                                  # component of a manifest store-first
@@ -39,6 +42,10 @@ The reproduction's counterpart to the paper artifact's in-browser tools::
     funtal chaos [--seeds 0,1,2] [--rate R]  # deterministic fault drill
                                  # over the paper examples (resilience)
 
+``parse``, ``typecheck``, ``run``, ``equiv`` and ``compile`` print what
+the serve executor (:func:`repro.serve.executor.execute_job`) computes
+for their job, run in this process.
+
 ``run``, ``trace``, ``stats``, ``submit``, and ``batch`` share the
 uniform resource-governor knobs ``--fuel`` / ``--heap`` / ``--depth``
 (see ``docs/resilience.md``).
@@ -66,18 +73,18 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.analysis.trace import control_flow_table, format_table
 from repro.errors import FunTALError, ResourceExhausted
 from repro.f.syntax import FExpr
-from repro.ft.machine import evaluate_ft, run_ft_component
-from repro.ft.typecheck import check_ft_component, check_ft_expr
+from repro.ft.machine import evaluate_ft
+from repro.ft.typecheck import check_ft_expr
 from repro.papers_examples import (
     EXAMPLE_ALIASES, example_entries as _example_entries,
     resolve_example as _resolve_example,
 )
 from repro.resilience.budget import Budget
+from repro.serve.executor import execute_job, resolve_program
 from repro.surface.parser import parse_program
-from repro.surface.pretty import pretty_component
-from repro.tal.syntax import Component, NIL_STACK, QEnd, TalType
+from repro.tal.syntax import Component
 
-__all__ = ["main", "EXAMPLES", "EXIT_FUEL_EXHAUSTED", "EXIT_JOB_FAILED",
+__all__ = ["main", "EXIT_FUEL_EXHAUSTED", "EXIT_JOB_FAILED",
            "EXIT_SLO_BREACH"]
 
 #: Dedicated exit code for ResourceExhausted (a budget governor tripped:
@@ -138,169 +145,125 @@ def _load(path: str) -> str:
         raise FunTALError(f"cannot read {path!r}: {reason}") from None
 
 
+#: Exit codes of the executor's errors that are not plain library
+#: errors (exit 1): a request the tool does not take, and a refuted
+#: compilation.
+_ERROR_EXITS = {"UsageError": 2, "ValidationFailed": 3}
+_TOO_DEEP = "error: program too deeply nested for the surface parser/printer"
+
+
+def _output(result) -> Tuple[Optional[Dict], int]:
+    """An executor result as ``(output, 0)``, or as ``(None, exit code)``
+    once the failure's one line is on stderr."""
+    if result.ok:
+        return result.output, 0
+    code = _result_exit_code(result)
+    if code == EXIT_FUEL_EXHAUSTED:
+        # A tripped governor (fuel, heap cells, stack depth) is the
+        # bounded machines' verdict, not an internal error.
+        print(f"{result.error_type}: {result.error}", file=sys.stderr)
+        return None, code
+    print(_TOO_DEEP if result.error_type == "RecursionError"
+          else f"error: {result.error}", file=sys.stderr)
+    return None, _ERROR_EXITS.get(result.error_type, code)
+
+
 def cmd_parse(args: argparse.Namespace) -> int:
-    node = parse_program(_load(args.file))
-    if isinstance(node, Component):
-        print(pretty_component(node))
-    else:
-        print(node)
-    return 0
+    out, code = _output(execute_job(_job_from_args(args)))
+    if out is not None:
+        print(out["pretty"])
+    return code
 
 
 def cmd_typecheck(args: argparse.Namespace) -> int:
-    node = parse_program(_load(args.file))
-    if isinstance(node, Component):
-        # A bare component needs a halting marker; --result-type names the
-        # T type it halts with (surface syntax), default int.
-        from repro.surface.parser import parse_ttype
-
-        result: TalType = parse_ttype(args.result_type)
-        ty, sigma = check_ft_component(node, q=QEnd(result, NIL_STACK))
-        print(f"component : {ty} ; {sigma}")
-    else:
-        ty, sigma = check_ft_expr(node)
-        print(f"expression : {ty} ; {sigma}")
-    return 0
+    out, code = _output(execute_job(_job_from_args(args)))
+    if out is not None:
+        print(f"{out['node']} : {out['type']} ; {out['stack']}")
+    return code
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    node = parse_program(_load(args.file))
-    budget = _budget_from_args(args)
-    if isinstance(node, Component):
-        halted, machine = run_ft_component(node, trace=args.trace,
-                                           budget=budget,
-                                           engine=args.engine,
-                                           tal_engine=args.tal_engine)
-        print(f"halted with {halted.word} : {halted.ty}")
+    out, code = _output(execute_job(_job_from_args(args)))
+    if out is None:
+        return code
+    if "halted" in out:
+        print(f"halted with {out['halted']} : {out['type']}")
     else:
-        value, machine = evaluate_ft(node, trace=args.trace, budget=budget,
-                                     engine=args.engine,
-                                     tal_engine=args.tal_engine)
-        print(f"value: {value}")
+        print(f"value: {out['value']}")
     if args.trace:
-        rows = control_flow_table(machine.trace)
         print()
-        print(format_table(rows, title="control flow"))
+        print(out["control_flow"])
     return 0
 
 
 def cmd_equiv(args: argparse.Namespace) -> int:
-    from repro.equiv.checker import check_equivalence
-    from repro.surface.parser import parse_fexpr, parse_ftype
-
-    left = parse_fexpr(_load(args.left))
-    right = parse_fexpr(_load(args.right))
-    ty = parse_ftype(args.type)
-    report = check_equivalence(left, right, ty, fuel=args.fuel,
-                               seed=args.seed)
-    print(report)
-    if not report.equivalent:
+    out, code = _output(execute_job(_job_from_args(args)))
+    if out is None:
+        return code
+    print(out["report"])
+    if not out["equivalent"]:
         return 3
-    for name, obs in report.agreements:
-        print(f"  agreed on {name}: {obs}")
+    for agreement in out["agreements"]:
+        print(f"  agreed on {agreement}")
     return 0
 
 
-def cmd_jit(args: argparse.Namespace) -> int:
-    from repro.compile import compile_term, jit_eligible
-    from repro.surface.parser import parse_fexpr
-
-    source = parse_fexpr(_load(args.file))
-    if not jit_eligible(source):
-        print("error: not a compilable lambda (first-order arithmetic "
-              "fragment: int parameters; literals, parameters, + - *, "
-              "if0)", file=sys.stderr)
-        return 2
-    result = compile_term(source)
-    from repro.surface.pretty import pretty_component
-
-    print(pretty_component(result.component))
-    if args.check:
-        from repro.equiv.checker import check_equivalence
-
-        report = check_equivalence(source, result.wrapped, result.ty,
-                                   fuel=args.fuel)
-        print()
-        print(f"equivalence obligation: {report}")
-        if not report.equivalent:
-            return 3
-    return 0
+def _verdict(validation: Dict, cached: bool) -> str:
+    """A translation-validation receipt in one line."""
+    if cached:
+        return "cached receipt"
+    return "validated" if validation.get("ok") \
+        else f"FAILED: {validation.get('failure')}"
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    from repro.compile import compile_term, validate_compilation
-    from repro.f.syntax import App, FArrow, Lam
-    from repro.surface.parser import parse_fexpr
+    args.example = args.file if _resolve_example(args.file) else None
+    if args.store == "":
+        from repro.link import default_store_root
 
-    entry = _resolve_example(args.target)
-    if entry is not None:
-        node = entry[1]()
-    else:
-        node = parse_program(_load(args.target))
-    if isinstance(node, Component):
-        print("error: compile takes an F term, not a T component",
-              file=sys.stderr)
-        return 2
-    result = compile_term(node)
-    print(f"type: {result.ty}")
-    print(f"blocks: {result.block_count()}")
+        args.store = str(default_store_root())
+    job = _job_from_args(args)
+    out, code = _output(execute_job(job))
+    if out is None:
+        return code
+    print(f"type: {out['type']}")
+    print(f"blocks: {out['blocks']}")
     if args.ir:
         print()
         print("closure IR:")
-        print(result.pretty_ir())
+        print(out["ir"])
     print()
-    print(pretty_component(result.component))
-    store = digest = None
-    if args.store is not None:
-        from repro.link import ArtifactStore, ComponentInterface, \
-            component_digest
-        from repro.link.build import StoredComponent
-
-        store = ArtifactStore(args.store or None)
-        digest = component_digest(node, result.free)
-        iface = ComponentInterface(name="<compile>", ty=result.ty,
-                                   imports=result.free, digest=digest)
-        store.put(digest, StoredComponent(iface, result.wrapped),
-                  meta={"tier": iface.tier, "type": str(result.ty)})
+    print(out["assembly"])
+    if "stored" in out:
         print()
-        print(f"stored: {digest[:16]} -> {store.root}")
+        print(f"stored: {out['stored']['digest'][:16]} -> "
+              f"{out['stored']['store']}")
     if args.validate:
-        if store is not None:
-            # Validation amortized by content hash: an `ok` receipt in
-            # the store skips the (expensive) re-validation of an
-            # artifact already validated by any earlier process.
-            from repro.link import cached_validation
-
-            payload, was_cached = cached_validation(
-                store, digest, result, fuel=args.fuel, seed=args.seed)
-            verdict = "cached receipt" if was_cached else (
-                "validated" if payload["ok"]
-                else f"FAILED: {payload['failure']}")
-            print()
-            print(f"translation validation: {verdict}")
-            if not payload["ok"]:
-                return 3
-        else:
-            report = validate_compilation(result, fuel=args.fuel,
-                                          seed=args.seed)
-            print()
-            print(f"translation validation: {report}")
-            if not report.ok:
-                return 3
-    if args.run:
-        program: FExpr = result.wrapped
-        if args.apply:
-            arguments = tuple(parse_fexpr(a) for a in args.apply)
-            program = App(program, arguments)
-        elif isinstance(result.ty, FArrow) and isinstance(node, Lam):
-            print()
-            print("(not running: the compiled term is a function; pass "
-                  "--apply ARG per argument)", file=sys.stderr)
-            return 2
-        budget = Budget.of(args.run_fuel, None, None)
-        value, _machine = evaluate_ft(program, budget=budget)
         print()
-        print(f"value: {value}")
+        print("translation validation: "
+              + _verdict(out["validation"], out["validation"]["cached"]))
+    if not args.run:
+        return 0
+    # --run evaluates the compiled term the job printed (a compile-cache
+    # hit), applied to the --apply arguments.
+    from repro.compile import compile_term
+    from repro.f.syntax import App, FArrow, Lam
+    from repro.surface.parser import parse_fexpr
+
+    node, _ = resolve_program(job)
+    result = compile_term(node)
+    program: FExpr = result.wrapped
+    if args.apply:
+        program = App(program, tuple(parse_fexpr(a) for a in args.apply))
+    elif isinstance(result.ty, FArrow) and isinstance(node, Lam):
+        print()
+        print("(not running: the compiled term is a function; pass "
+              "--apply ARG per argument)", file=sys.stderr)
+        return 2
+    value, _machine = evaluate_ft(program,
+                                  budget=Budget.of(args.run_fuel, None, None))
+    print()
+    print(f"value: {value}")
     return 0
 
 
@@ -330,10 +293,8 @@ def cmd_build(args: argparse.Namespace) -> int:
             print(f"  {status}  {rec.name:<10s} {rec.tier:<12s} "
                   f"{rec.digest[:12]}  : {rec.iface.ty}")
             if rec.validation is not None:
-                verdict = ("cached receipt" if rec.validation_cached
-                           else "validated" if rec.validation.get("ok")
-                           else f"FAILED: {rec.validation.get('failure')}")
-                print(f"{'':>12s}validation: {verdict}")
+                print(f"{'':>12s}validation: "
+                      + _verdict(rec.validation, rec.validation_cached))
     failed = [rec.name for rec in report.records
               if rec.validation is not None
               and not rec.validation.get("ok")]
@@ -396,10 +357,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if total == 0:
         print("clean: no lint warnings")
     return 0 if total == 0 else 4
-
-
-#: Back-compat alias: the registry now lives in repro.papers_examples.
-EXAMPLES = _example_entries
 
 
 def _run_one_example(name: str, blurb: str, build: Callable[[], FExpr],
@@ -543,7 +500,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _jit_cache_stats() -> Dict:
-    """The JIT's compile cache (a shared :class:`repro.serve.cache.LRUCache`)
+    """The JIT's compile cache (a shared :class:`repro.caching.LRUCache`)
     as a stats dict, without forcing the compiler import if it never
     ran."""
     import sys as _sys
@@ -725,29 +682,34 @@ def cmd_slo(args: argparse.Namespace) -> int:
 
 
 def _job_from_args(args: argparse.Namespace):
-    """Build a protocol Job from submit-style CLI options."""
+    """Build a protocol Job from a command's options: ``submit``'s, or
+    those of a program command, whose name is the job kind."""
     from repro.serve.protocol import Job, JobOptions
 
     options = JobOptions(
-        fuel=args.fuel, heap=getattr(args, "heap", None),
+        fuel=getattr(args, "fuel", None), heap=getattr(args, "heap", None),
         depth=getattr(args, "depth", None),
         checkpoint=getattr(args, "checkpoint", False),
         jit=getattr(args, "jit", False),
-        timeout=args.timeout,
-        result_type=args.result_type, trace=getattr(args, "trace", False),
-        check=getattr(args, "check", False),
+        timeout=getattr(args, "timeout", None),
+        result_type=getattr(args, "result_type", "int"),
+        trace=getattr(args, "trace", False),
+        validate=getattr(args, "validate", False),
+        ir=getattr(args, "ir", False),
         seed=getattr(args, "seed", 0),
         type=getattr(args, "type", None),
         right=_load(args.right) if getattr(args, "right", None) else None,
         no_cache=getattr(args, "no_cache", False),
         engine=getattr(args, "engine", None),
         tal_engine=getattr(args, "tal_engine", None),
+        store=getattr(args, "store", None),
     )
-    if args.example:
-        return Job(args.kind, example=args.example, options=options)
+    kind = getattr(args, "kind", None) or args.command
+    if getattr(args, "example", None):
+        return Job(kind, example=args.example, options=options)
     if not args.file:
         raise FunTALError("need a FILE or --example")
-    return Job(args.kind, source=_load(args.file), options=options)
+    return Job(kind, source=_load(args.file), options=options)
 
 
 def _result_exit_code(result) -> int:
@@ -1147,7 +1109,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "equiv",
         help="differentially test two expressions for contextual "
              "equivalence at a type")
-    p_eq.add_argument("left")
+    p_eq.add_argument("file", metavar="left")
     p_eq.add_argument("right")
     p_eq.add_argument("--type", required=True,
                       help="the common F type, e.g. '(int) -> int'")
@@ -1155,19 +1117,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_eq.add_argument("--seed", type=int, default=0)
     p_eq.set_defaults(fn=cmd_equiv)
 
-    p_jit = sub.add_parser(
-        "jit", help="compile an F lambda to typed assembly")
-    p_jit.add_argument("file")
-    p_jit.add_argument("--check", action="store_true",
-                       help="discharge the equivalence obligation")
-    p_jit.add_argument("--fuel", type=int, default=25_000)
-    p_jit.set_defaults(fn=cmd_jit)
-
     p_comp = sub.add_parser(
         "compile",
         help="compile a whole F term to typed assembly (with "
              "translation validation)")
-    p_comp.add_argument("target",
+    p_comp.add_argument("file", metavar="target",
                         help="an F source file, '-' for stdin, or a "
                              "paper-example name (e.g. fact-f)")
     p_comp.add_argument("--ir", action="store_true",
@@ -1350,8 +1304,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("file", nargs="?",
                        help="program file ('-' for stdin)")
     p_sub.add_argument("--kind", default="run",
-                       choices=("parse", "typecheck", "run", "jit",
-                                "equiv"))
+                       choices=("parse", "typecheck", "run", "equiv"))
     p_sub.add_argument("--example", help="built-in example instead of FILE")
     p_sub.add_argument("--host", default="127.0.0.1")
     p_sub.add_argument("--port", type=int, default=4017)
@@ -1367,7 +1320,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="per-job wall-clock seconds")
     p_sub.add_argument("--result-type", default="int")
     p_sub.add_argument("--trace", action="store_true")
-    p_sub.add_argument("--check", action="store_true")
     p_sub.add_argument("--seed", type=int, default=0)
     p_sub.add_argument("--type", help="equiv: the common F type")
     p_sub.add_argument("--right", help="equiv: right-hand program file")
@@ -1460,8 +1412,7 @@ def main(argv: Optional[list] = None) -> int:
         # StackDepthExhausted (handled above); one escaping here comes
         # from the recursive-descent parser or the pretty-printer on a
         # pathologically nested program.
-        print("error: program too deeply nested for the surface "
-              "parser/printer", file=sys.stderr)
+        print(_TOO_DEEP, file=sys.stderr)
         return 1
 
 

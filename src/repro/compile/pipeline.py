@@ -110,16 +110,21 @@ def is_general_compilable(e: FExpr,
 
 
 def _arith_body(e: FExpr, scope) -> bool:
-    if isinstance(e, IntE):
-        return True
-    if isinstance(e, Var):
-        return e.name in scope
-    if isinstance(e, BinOp):
-        return _arith_body(e.left, scope) and _arith_body(e.right, scope)
-    if isinstance(e, If0):
-        return (_arith_body(e.cond, scope) and _arith_body(e.then, scope)
-                and _arith_body(e.els, scope))
-    return False
+    """Is ``e`` built from literals, ``scope``'s variables, ``+ - *``
+    and ``if0``?  An explicit stack: any depth."""
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, BinOp):
+            todo += (e.left, e.right)
+        elif isinstance(e, If0):
+            todo += (e.cond, e.then, e.els)
+        elif isinstance(e, Var):
+            if e.name not in scope:
+                return False
+        elif not isinstance(e, IntE):
+            return False
+    return True
 
 
 def jit_eligible(e: FExpr) -> bool:

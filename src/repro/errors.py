@@ -71,6 +71,15 @@ class CompileError(FTTypeError):
     """
 
 
+class UsageError(FunTALError):
+    """A tool was handed what it does not take (a T component to
+    ``compile``): the request, not the program, is at fault."""
+
+
+class ValidationFailed(FunTALError):
+    """Translation validation refuted a compilation."""
+
+
 class MachineError(FunTALError):
     """The abstract machine reached a stuck state.
 

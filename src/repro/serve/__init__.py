@@ -6,12 +6,12 @@ and machine stepper.  Its natural production shape is therefore a
 This package is that service, built from four layers:
 
 * :mod:`repro.serve.protocol` -- typed :class:`Job` / :class:`JobResult`
-  dataclasses and the JSON-lines wire format.  Five job kinds mirror the
-  CLI: ``parse``, ``typecheck``, ``run``, ``jit``, and ``equiv``, each
-  carrying fuel/timeout options.
+  dataclasses and the JSON-lines wire format.  The job kinds include
+  the CLI's program commands (``parse``, ``typecheck``, ``run``,
+  ``compile``, ``equiv``), which :mod:`repro.serve.executor` runs for
+  the CLI too.
 * :mod:`repro.serve.cache` -- a content-addressed LRU result cache keyed
-  on ``(kind, source hash, options)``.  Its generic :class:`LRUCache` also
-  backs the JIT's compile cache (it absorbed the previous ad-hoc FIFO).
+  on ``(kind, source hash, options)``.
 * :mod:`repro.serve.pool` -- a multiprocessing worker pool with per-job
   wall-clock timeouts and crash isolation: a worker that dies or hangs is
   reaped and respawned, its job retried with backoff up to a retry budget,
@@ -35,7 +35,7 @@ a queue-depth gauge, per-job spans).  CLI front-ends: ``funtal serve``,
 ``funtal submit``, ``funtal batch``.  See ``docs/serving.md``.
 """
 
-from repro.serve.cache import LRUCache, ResultCache, job_cache_key
+from repro.serve.cache import ResultCache, job_cache_key
 from repro.serve.executor import execute_job
 from repro.serve.pool import PoolClosed, QueueFull, Ticket, WorkerPool
 from repro.serve.protocol import (
@@ -46,7 +46,7 @@ from repro.serve.supervisor import SupervisorConfig, job_fault_key
 __all__ = [
     "JOB_KINDS", "Job", "JobResult", "ProtocolError",
     "decode_line", "encode_line",
-    "LRUCache", "ResultCache", "job_cache_key",
+    "ResultCache", "job_cache_key",
     "execute_job",
     "PoolClosed", "QueueFull", "Ticket", "WorkerPool",
     "SupervisorConfig", "job_fault_key",

@@ -1,19 +1,12 @@
-"""Content-addressed result caching (and the shared LRU that backs it).
+"""Content-addressed result caching.
 
-Two layers:
-
-* :class:`LRUCache` -- a small, thread-safe, generic LRU with hit/miss/
-  eviction accounting and optional :mod:`repro.obs` counter mirroring.
-  The implementation now lives in the dependency-neutral
-  :mod:`repro.caching` (the TAL substitution caches need it below the
-  serve layer); it is re-exported here unchanged.  It also backs the
-  JIT's compile cache (``metric_prefix="jit.cache"``).
-* :class:`ResultCache` -- the service-level cache: finished
-  :class:`~repro.serve.protocol.JobResult`\\ s addressed by
-  :func:`job_cache_key`, the SHA-256 of the job's canonical JSON identity
-  ``(kind, source-or-example, semantic options)``.  Only ``ok`` results
-  are stored; a hit is returned as a *copy* flagged ``cached=True`` so
-  the stored record stays pristine.
+:class:`ResultCache` is the service-level cache, over a
+:class:`repro.caching.LRUCache`: finished
+:class:`~repro.serve.protocol.JobResult`\\ s addressed by
+:func:`job_cache_key`, the SHA-256 of the job's canonical JSON identity
+``(kind, source-or-example, semantic options)``.  Only ``ok`` results
+are stored; a hit is returned as a *copy* flagged ``cached=True`` so the
+stored record stays pristine.
 
 Wall-clock options (``timeout``) and the in-process ``Job.fault``
 never reach the key -- two jobs that demand the same semantics share
@@ -30,7 +23,7 @@ from typing import Dict, Optional
 from repro.caching import LRUCache
 from repro.serve.protocol import Job, JobResult
 
-__all__ = ["LRUCache", "ResultCache", "job_cache_key"]
+__all__ = ["ResultCache", "job_cache_key"]
 
 
 def job_cache_key(job: Job) -> str:

@@ -7,7 +7,9 @@ and fuel exhaustion, is folded into a :class:`JobResult` -- only genuine
 crashes (segfault-alikes, ``os._exit``) and wall-clock hangs escape, and
 those are the pool's department.
 
-Job kinds mirror the CLI subcommands:
+Each job kind has this one implementation: ``funtal parse``,
+``typecheck``, ``run``, ``equiv`` and ``compile`` build a :class:`Job`,
+run it here in process and print its output.
 
 =============  ===========================================================
 ``parse``      parse + pretty-print back
@@ -15,12 +17,11 @@ Job kinds mirror the CLI subcommands:
                ``options.result_type``
 ``run``        evaluate under ``options.fuel``; reports value/halt word,
                machine steps consumed, optionally the control-flow table
-``jit``        compile an F lambda to typed assembly (``options.check``
-               as in ``funtal jit``)
 ``compile``    whole-F compilation (``options.ir`` includes
                the closure-conversion IR, ``options.validate`` runs
-               translation validation); results are content-addressed
-               like every other ``ok`` result
+               translation validation, ``options.store`` persists the
+               artifact and reuses stored validation receipts); results
+               are content-addressed like every other ``ok`` result
 ``equiv``      bounded contextual-equivalence check of ``source`` vs
                ``options.right`` at ``options.type``
 ``resume``     continue a fuel-suspended machine from ``job.snapshot``
@@ -51,12 +52,13 @@ import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import (
-    FuelExhausted, FunTALError, InjectedFault, ResourceExhausted,
+    FuelExhausted, FunTALError, InjectedFault, ResourceExhausted, UsageError,
+    ValidationFailed,
 )
 from repro.resilience.budget import DEFAULT_FUEL
 from repro.serve.protocol import Job, JobResult
 
-__all__ = ["execute_job", "DEFAULT_FUEL"]
+__all__ = ["execute_job", "resolve_program", "DEFAULT_FUEL"]
 
 #: Callback type for mid-run checkpoints: the worker loop wires this to
 #: the result pipe, so the pool learns how far a job got before a crash.
@@ -72,11 +74,16 @@ class _Suspended(Exception):
         self.output = output
 
 
+def _fuel(job: Job, default: int = DEFAULT_FUEL) -> int:
+    """``options.fuel``, or ``default`` if unset: 0 is a budget too."""
+    return default if job.options.fuel is None else job.options.fuel
+
+
 def _job_budget(job: Job):
     """The unified governor for this job's execution slice."""
     from repro.resilience.budget import Budget
 
-    return Budget(fuel=job.options.fuel or DEFAULT_FUEL,
+    return Budget(fuel=_fuel(job),
                   heap=job.options.heap, depth=job.options.depth)
 
 
@@ -90,7 +97,7 @@ def _suspend(machine, out_extra: Dict[str, Any]) -> "_Suspended":
     return _Suspended(output)
 
 
-def _resolve_program(job: Job) -> Tuple[Any, bool]:
+def resolve_program(job: Job) -> Tuple[Any, bool]:
     """(program node, is_component).  Inline sources go through the
     surface parser; examples come from the registry pre-built."""
     from repro.surface.parser import parse_program
@@ -111,7 +118,7 @@ def _resolve_program(job: Job) -> Tuple[Any, bool]:
 def _do_parse(job: Job) -> Dict[str, Any]:
     from repro.surface.pretty import pretty_component
 
-    node, is_component = _resolve_program(job)
+    node, is_component = resolve_program(job)
     pretty = pretty_component(node) if is_component else str(node)
     return {"pretty": pretty,
             "node": "component" if is_component else "expression"}
@@ -122,7 +129,7 @@ def _do_typecheck(job: Job) -> Dict[str, Any]:
     from repro.surface.parser import parse_ttype
     from repro.tal.syntax import NIL_STACK, QEnd
 
-    node, is_component = _resolve_program(job)
+    node, is_component = resolve_program(job)
     if is_component:
         result = parse_ttype(job.options.result_type)
         ty, sigma = check_ft_component(node, q=QEnd(result, NIL_STACK))
@@ -143,7 +150,7 @@ def _drive_slices(job: Job, machine, first: Callable[[], Any],
     budget behaves exactly like the unsliced path: ``suspended`` when
     ``options.checkpoint`` is set and the machine can suspend,
     ``fuel_exhausted`` otherwise."""
-    total = job.options.fuel or DEFAULT_FUEL
+    total = _fuel(job)
     every = max(1, int(job.options.checkpoint_every))
     used = 0
     attempt = first
@@ -187,7 +194,7 @@ def _tier_envelope(machine, compile_tier=None) -> Dict[str, Any]:
 def _do_run(job: Job, progress: Optional[Progress] = None) -> Dict[str, Any]:
     from repro.ft.machine import FTMachine
 
-    node, is_component = _resolve_program(job)
+    node, is_component = resolve_program(job)
     trace = job.options.trace
 
     if job.options.jit and not is_component and not job.options.degraded:
@@ -195,7 +202,7 @@ def _do_run(job: Job, progress: Optional[Progress] = None) -> Dict[str, Any]:
         from repro.resilience.safety_net import run_guarded
 
         value, machine, report = run_guarded(
-            node, job.options.fuel or DEFAULT_FUEL,
+            node, _fuel(job),
             job.options.heap, job.options.depth, trace,
             tal_engine=job.options.tal_engine)
         out = {"value": str(value), "jit": report.to_json()}
@@ -212,7 +219,7 @@ def _do_run(job: Job, progress: Optional[Progress] = None) -> Dict[str, Any]:
                         engine=job.options.engine,
                         tal_engine=job.options.tal_engine)
     if job.options.checkpoint_every:
-        total = job.options.fuel or DEFAULT_FUEL
+        total = _fuel(job)
         machine.budget.refill(min(max(1, job.options.checkpoint_every),
                                   total))
         outcome, used = _drive_slices(
@@ -266,7 +273,7 @@ def _do_resume(job: Job,
         from repro.tal.machine import resolve_tal_engine
 
         machine.tal_engine = resolve_tal_engine(job.options.tal_engine)
-    fuel = job.options.fuel or DEFAULT_FUEL
+    fuel = _fuel(job)
     if job.options.checkpoint_every:
         slice_fuel = min(max(1, job.options.checkpoint_every), fuel)
         outcome, used = _drive_slices(
@@ -291,37 +298,13 @@ def _do_resume(job: Job,
     return out
 
 
-def _do_jit(job: Job) -> Dict[str, Any]:
-    from repro.compile import compile_term, jit_eligible
-    from repro.surface.pretty import pretty_component
-
-    node, is_component = _resolve_program(job)
-    if is_component or not jit_eligible(node):
-        raise FunTALError(
-            "not a compilable lambda (first-order arithmetic fragment: "
-            "int parameters; literals, parameters, + - *, if0)")
-    result = compile_term(node)
-    comp = result.component
-    out: Dict[str, Any] = {"assembly": pretty_component(comp),
-                           "blocks": 1 + len(comp.heap)}
-    if job.options.check:
-        from repro.equiv.checker import check_equivalence
-
-        report = check_equivalence(
-            node, result.wrapped, result.ty,
-            fuel=job.options.fuel or 25_000)
-        out["equivalent"] = report.equivalent
-        out["report"] = str(report)
-    return out
-
-
 def _do_compile(job: Job) -> Dict[str, Any]:
-    from repro.compile import compile_term, validate_compilation
+    from repro.compile import compile_term
     from repro.surface.pretty import pretty_component
 
-    node, is_component = _resolve_program(job)
+    node, is_component = resolve_program(job)
     if is_component:
-        raise FunTALError("compile jobs take an F term, not a T component")
+        raise UsageError("compile takes an F term, not a T component")
     result = compile_term(node)
     out: Dict[str, Any] = {
         "assembly": pretty_component(result.component),
@@ -330,14 +313,31 @@ def _do_compile(job: Job) -> Dict[str, Any]:
     }
     if job.options.ir:
         out["ir"] = result.pretty_ir()
+    store = digest = None
+    if job.options.store:
+        from repro.link import ArtifactStore, ComponentInterface, \
+            component_digest
+        from repro.link.build import StoredComponent
+
+        store = ArtifactStore(job.options.store)
+        digest = component_digest(node, result.free)
+        iface = ComponentInterface(name="<compile>", ty=result.ty,
+                                   imports=result.free, digest=digest)
+        store.put(digest, StoredComponent(iface, result.wrapped),
+                  meta={"tier": iface.tier, "type": str(result.ty)})
+        out["stored"] = {"digest": digest, "store": str(store.root)}
     if job.options.validate:
-        report = validate_compilation(
-            result, fuel=job.options.fuel or 30_000,
+        from repro.link import cached_validation
+
+        # With a store, an ``ok`` receipt from any earlier process
+        # stands in for the (expensive) validation run.
+        payload, was_cached = cached_validation(
+            store, digest, result, fuel=_fuel(job, 30_000),
             seed=job.options.seed)
-        out["validation"] = report.to_json()
-        if not report.ok:
-            raise FunTALError(f"translation validation failed: "
-                              f"{report.failure}")
+        out["validation"] = dict(payload, cached=was_cached)
+        if not payload["ok"]:
+            raise ValidationFailed(f"translation validation failed: "
+                                   f"{payload['failure']}")
     return out
 
 
@@ -347,14 +347,15 @@ def _do_equiv(job: Job) -> Dict[str, Any]:
 
     left = parse_fexpr(job.source) if job.source is not None else None
     if left is None:
-        left, _ = _resolve_program(job)
+        left, _ = resolve_program(job)
     right = parse_fexpr(job.options.right)
     ty = parse_ftype(job.options.type)
     report = check_equivalence(left, right, ty,
-                               fuel=job.options.fuel or 30_000,
+                               fuel=_fuel(job, 30_000),
                                seed=job.options.seed)
     return {"equivalent": report.equivalent, "report": str(report),
-            "agreements": len(report.agreements)}
+            "agreements": [f"{name}: {obs}"
+                           for name, obs in report.agreements]}
 
 
 def _do_link(job: Job) -> Dict[str, Any]:
@@ -368,7 +369,7 @@ def _do_link(job: Job) -> Dict[str, Any]:
     try:
         report, linked = build_and_link(
             manifest, store, validate=job.options.validate,
-            validate_fuel=job.options.fuel or 30_000,
+            validate_fuel=_fuel(job, 30_000),
             seed=job.options.seed)
     except (InjectedFault, OSError) as fault:
         # Graceful degradation: a faulting artifact store must cost
@@ -382,7 +383,7 @@ def _do_link(job: Job) -> Dict[str, Any]:
             OBS.metrics.inc("serve.degraded.store")
         report, linked = build_and_link(
             manifest, None, validate=job.options.validate,
-            validate_fuel=job.options.fuel or 30_000,
+            validate_fuel=_fuel(job, 30_000),
             seed=job.options.seed)
     out: Dict[str, Any] = {
         "components": [r.name for r in report.records],
@@ -404,7 +405,7 @@ def _do_link(job: Job) -> Dict[str, Any]:
     out["type"] = str(ty)
     if job.options.run:
         machine = FTMachine(budget=Budget(
-            fuel=job.options.fuel or DEFAULT_FUEL,
+            fuel=_fuel(job),
             heap=job.options.heap, depth=job.options.depth))
         value = machine.evaluate(linked.program)
         out["value"] = str(value)
@@ -416,7 +417,6 @@ _EXECUTORS = {
     "parse": _do_parse,
     "typecheck": _do_typecheck,
     "run": _do_run,
-    "jit": _do_jit,
     "compile": _do_compile,
     "equiv": _do_equiv,
     "resume": _do_resume,

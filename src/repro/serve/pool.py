@@ -49,7 +49,7 @@ Supervision policy (:mod:`repro.serve.supervisor`) layers on top:
 * **circuit breaker** -- worker-fatal attempts are charged to the job's
   *kind*; past a threshold the kind is refused (``overloaded`` with
   ``retry_after_ms``), except ``run`` jobs requesting the JIT, which
-  *degrade* to the interpreter tier instead when the ``jit``/``compile``
+  *degrade* to the interpreter tier instead when the ``compile``
   breaker is the open one;
 * **quarantine** -- a job whose retry budget died fatally is
   quarantined by :func:`~repro.serve.supervisor.job_fault_key` (its
@@ -460,9 +460,8 @@ class WorkerPool:
                 ticket._resolve(hit)
                 return True
         if self._breaker.enabled:
-            if job.kind == "run" and job.options.jit and (
-                    self._breaker.is_open("jit")
-                    or self._breaker.is_open("compile")):
+            if job.kind == "run" and job.options.jit \
+                    and self._breaker.is_open("compile"):
                 # Graceful degradation: the compile tier is poisoned,
                 # the interpreter tier is not -- serve, don't refuse.
                 ticket.degrade = True

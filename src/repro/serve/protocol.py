@@ -3,10 +3,9 @@
 One request or response per line, each a single JSON object.  A request is
 either a *job* (the default when no ``op`` key is present) or a control
 operation (``{"op": "ping"}``, ``{"op": "stats"}``).  A job names one of
-the kinds mirroring the CLI -- ``parse``, ``typecheck``, ``run``,
-``jit``, ``equiv`` -- and supplies the program either inline (``source``,
-surface syntax) or by built-in paper-example name (``example``); the
-sixth kind, ``resume``, instead supplies the ``snapshot`` of a
+the kinds of :data:`JOB_KINDS` and supplies the program either inline
+(``source``, surface syntax) or by built-in paper-example name
+(``example``); a ``resume`` job instead supplies the ``snapshot`` of a
 fuel-suspended machine from an earlier checkpointing ``run``.
 
 The dataclasses are the single source of truth: the wire dicts, the
@@ -35,17 +34,16 @@ __all__ = [
     "encode_line", "decode_line",
 ]
 
-#: The request kinds: six mirroring the CLI subcommands, plus
-#: ``resume``, which continues a fuel-suspended machine from the
-#: content-addressed snapshot a checkpointing ``run`` handed back.
-#: ``compile`` is the whole-F compiler (:mod:`repro.compile`); ``jit``
-#: compiles one lambda in the JIT's scope (first-order
-#: arithmetic) through the same compiler.  ``link``
-#: builds and links a multi-component manifest (:mod:`repro.link`);
-#: its ``source`` is the manifest JSON, and warm workers reuse the
-#: on-disk artifact store (``options.store``) across jobs.
-JOB_KINDS = ("parse", "typecheck", "run", "jit", "compile", "equiv",
-             "resume", "link")
+#: The request kinds: the CLI's ``parse``, ``typecheck``, ``run``,
+#: ``compile`` (the whole-F compiler, :mod:`repro.compile`) and
+#: ``equiv``, which run through the same executor; ``resume``, which
+#: continues a fuel-suspended machine from the content-addressed
+#: snapshot a checkpointing ``run`` handed back; and ``link``, which
+#: builds and links a multi-component manifest (:mod:`repro.link`): its
+#: ``source`` is the manifest JSON, and warm workers reuse the on-disk
+#: artifact store (``options.store``) across jobs.
+JOB_KINDS = ("parse", "typecheck", "run", "compile", "equiv", "resume",
+             "link")
 
 #: Every status a result can carry.  ``ok`` is the only cacheable one;
 #: ``rejected`` is produced for malformed requests, for quarantined job
@@ -87,7 +85,6 @@ class JobOptions:
     timeout: Optional[float] = None     # wall-clock seconds (pool enforced)
     result_type: str = "int"            # halt type for bare T components
     trace: bool = False                 # run: include the control-flow table
-    check: bool = False                 # jit: discharge the equiv obligation
     validate: bool = False              # compile: translation validation
     ir: bool = False                    # compile: include the closure IR
     seed: int = 0                       # equiv: context-generator seed
@@ -96,7 +93,7 @@ class JobOptions:
     no_cache: bool = False              # bypass the result cache
     engine: Optional[str] = None        # run/resume: F stepper (subst|cek)
     tal_engine: Optional[str] = None    # run/resume: T engine (ref|fast)
-    store: Optional[str] = None         # link: artifact-store directory
+    store: Optional[str] = None         # link/compile: artifact-store dir
     run: bool = True                    # link: evaluate the linked program
     deadline_ms: Optional[int] = None   # admission control: shed the job
                                         # if not *started* within this
@@ -106,7 +103,7 @@ class JobOptions:
                                         # killed worker's job resumes
                                         # from its last checkpoint
     degraded: bool = False              # dispatch-side: forced interpreter
-                                        # tier (open compile/jit breaker)
+                                        # tier (open compile breaker)
 
     def to_dict(self) -> Dict[str, Any]:
         """Wire dict containing only the non-default entries."""
@@ -136,7 +133,7 @@ class JobOptions:
 #: content address (:meth:`JobOptions.semantic_dict`).
 SEMANTIC_OPTIONS = (
     "fuel", "heap", "depth", "checkpoint", "jit", "result_type", "trace",
-    "check", "validate", "ir", "seed", "type", "right", "run",
+    "validate", "ir", "seed", "type", "right", "run",
 )
 
 #: Options that do not affect the *semantic* result and are therefore

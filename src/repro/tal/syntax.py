@@ -158,19 +158,46 @@ class TypeMemo(PicklableSlots):
 def memo_hash(cls):
     """Class decorator, applied above ``@dataclass``: memoize the
     generated structural hash in the ``_hash`` slot."""
-    structural = cls.__hash__
+    _STRUCTURAL[cls] = cls.__hash__
 
     def __hash__(self) -> int:
         # ``getattr`` with a default, not try/except: every fresh node
         # misses once, and a caught exception costs more than the hash.
         h = getattr(self, "_hash", None)
         if h is None:
-            h = structural(self)
-            object.__setattr__(self, "_hash", h)
+            h = _hash_fresh(self)
         return h
 
     cls.__hash__ = __hash__
     return cls
+
+
+#: The generated structural hash of each :func:`memo_hash` class.
+_STRUCTURAL: dict = {}
+
+
+def _hash_fresh(node) -> int:
+    """Memoize the hash of ``node`` and of its sub-types that have none
+    yet, children first, so that each structural hash finds its
+    children's in their slots: an explicit stack, not a frame a level.
+    Sub-types without the memo (variables, ``int``, ``unit``, markers)
+    are leaves.  A sub-type the DAG shares may be hashed twice, but its
+    own sub-types once."""
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        if n.__class__ is tuple:                # its children are hashed
+            n = n[0]
+        else:
+            fresh = [kid for kid in walk.children(n)
+                     if kid.__class__ in _STRUCTURAL
+                     and getattr(kid, "_hash", None) is None]
+            if fresh:
+                todo.append((n,))
+                todo += fresh
+                continue
+        object.__setattr__(n, "_hash", _STRUCTURAL[n.__class__](n))
+    return node._hash
 
 
 class TalType(PicklableSlots):

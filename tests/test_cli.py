@@ -83,6 +83,19 @@ class TestParse:
         assert "component:" in capsys.readouterr().out
 
 
+class TestEquiv:
+    def test_agreements_printed(self, tmp_path, capsys):
+        left, right = tmp_path / "l.ft", tmp_path / "r.ft"
+        left.write_text("lam (x: int). (x + x)")
+        right.write_text("lam (x: int). (x * 2)")
+        assert main(["equiv", str(left), str(right), "--type",
+                     "(int) -> int", "--fuel", "5000"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("indistinguishable on ")
+        assert len(out) > 1
+        assert all(line.startswith("  agreed on ") for line in out[1:])
+
+
 class TestExamples:
     def test_listing(self, capsys):
         assert main(["examples"]) == 0
@@ -164,7 +177,8 @@ class TestStats:
 
 
 class TestMissingFile:
-    @pytest.mark.parametrize("command", ["run", "parse", "typecheck", "lint"])
+    @pytest.mark.parametrize("command", ["run", "parse", "typecheck", "lint",
+                                         "compile"])
     def test_one_line_error(self, command, tmp_path, capsys):
         path = str(tmp_path / "absent.ft")
         assert main([command, path]) == 1

@@ -79,3 +79,57 @@ class TestCompile:
         assert main(["compile", "-", "--run"]) == 0
         out = capsys.readouterr().out
         assert "value: 21" in out
+
+    # The Fig 11 JIT's lambdas (first-order arithmetic) through the one
+    # compiler: what ``funtal jit`` printed and checked before it folded
+    # into ``compile``.
+    def test_lambda_prints_component(self, program_file, capsys):
+        path = program_file("lam (x: int). (x * 3)")
+        assert main(["compile", path]) == 0
+        out = capsys.readouterr().out
+        assert "component:" in out
+        assert "ret ra {r1}" in out
+
+    def test_branching_lambda_shows_blocks(self, program_file, capsys):
+        path = program_file("lam (x: int). if0 x {1} {2}")
+        assert main(["compile", path]) == 0
+        out = capsys.readouterr().out
+        assert "_else" in out and "_join" in out
+
+    def test_validate_discharges_obligation(self, program_file, capsys):
+        path = program_file("lam (x: int). (x + 1)")
+        assert main(["compile", path, "--validate", "--fuel", "10000"]) == 0
+        assert "translation validation: validated" in capsys.readouterr().out
+
+    def test_output_is_optimized(self, program_file, capsys):
+        """The compiler always runs the peephole optimizer, so it prints
+        fewer instructions than the unoptimized code generator."""
+        from repro.surface.parser import parse_fexpr
+        from repro.surface.pretty import pretty_component
+        from tests.strategies import raw_codegen
+
+        source = "lam (x: int). ((x * 2) + 1)"
+        assert main(["compile", program_file(source)]) == 0
+        printed = capsys.readouterr().out
+        plain = pretty_component(raw_codegen(parse_fexpr(source)))
+        assert printed.count(";") < plain.count(";")
+
+    def test_optimized_and_validated(self, program_file, capsys):
+        path = program_file("lam (x: int). ((x * 2) + 1)")
+        assert main(["compile", path, "--validate", "--fuel", "10000"]) == 0
+        assert "translation validation: validated" in capsys.readouterr().out
+
+    def test_non_arithmetic_lambda_compiles(self, program_file, capsys):
+        """Outside the JIT's scope, inside the compiler's."""
+        path = program_file("lam (u: unit). 1")
+        assert main(["compile", path]) == 0
+        assert "type: (unit) -> int" in capsys.readouterr().out
+
+    def test_store_reuses_the_validation_receipt(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        for verdict in ("validated", "cached receipt"):
+            assert main(["compile", "fact-f", "--store", store,
+                         "--validate"]) == 0
+            out = capsys.readouterr().out
+            assert "stored: " in out
+            assert f"translation validation: {verdict}" in out

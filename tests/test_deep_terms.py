@@ -17,7 +17,7 @@ from collections import Counter
 
 import pytest
 
-from repro.compile import jit_rewrite
+from repro.compile import jit_eligible, jit_rewrite
 from repro.f.cek import cek_evaluate
 from repro.f.syntax import (
     App, BinOp, FArrow, FInt, Fold, free_tvars, free_vars, FRec, ftype_equal,
@@ -28,6 +28,7 @@ from repro.ft.syntax import (
     Boundary, FStackArrow, Import, Protect, StackLam,
 )
 from repro.link.linker import collect_labels
+from repro.tal.equality import types_equal
 from repro.tal.erasure import erase_types
 from repro.tal.machine import rename_locs
 from repro.tal.subst import (
@@ -140,6 +141,19 @@ class TestDeepChains:
         assert compiled == [ARITH_LAM]
         assert sum(1 for x in iter_subexprs(out) if x is mark) == 1
         assert find(out, StackLam) == [STACK_LAM]
+
+
+    def test_deep_arithmetic_lambda_is_jit_eligible(self):
+        """The JIT's scope test walks a lambda body of any depth."""
+        body = Var("z")
+        for _ in range(DEPTH):
+            body = BinOp("+", IntE(1), body)
+        lam = Lam((("z", FInt()),), body)
+        assert jit_eligible(lam)
+        assert not jit_eligible(Lam(lam.params, BinOp("+", body, Var("w"))))
+        mark = IntE(-1)
+        assert jit_rewrite(App(lam, (IntE(2),)),
+                           lambda x: mark).fn is mark
 
 
 class TestDeepPayload:
@@ -255,6 +269,20 @@ class TestDeepTypes:
         if t_kind == "code":
             expected.add((KIND_EPS, "e"))
         assert free_type_vars(t) == expected
+
+
+    @pytest.mark.parametrize("t_kind", sorted(T_WRAP))
+    def test_t_hash_and_memos(self, t_kind):
+        """A fresh T type's first hash, which the substitution and
+        equality memos key on, walks it with an explicit stack."""
+        one = type_chain(T_WRAP[t_kind], TVar("b"))
+        two = type_chain(T_WRAP[t_kind], TVar("b"))
+        assert hash(one) == hash(two)
+        assert types_equal(one, two)
+        assert not types_equal(one, type_chain(T_WRAP[t_kind], TInt()))
+        out = subst_ty(one, Subst.single(KIND_ALPHA, "b", TInt()))
+        assert free_type_vars(out) == free_type_vars(one) - {
+            (KIND_ALPHA, "b")}
 
 
 # ---------------------------------------------------------------------------

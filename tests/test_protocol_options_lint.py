@@ -45,7 +45,7 @@ class TestJobOptionsPartition:
         probes = {
             "fuel": 123, "heap": 44, "depth": 45, "checkpoint": True,
             "jit": True, "result_type": "unit", "trace": True,
-            "check": True, "validate": True, "ir": True, "seed": 9,
+            "validate": True, "ir": True, "seed": 9,
             "type": "int", "right": "(2 + 2)", "run": False,
         }
         for name in SEMANTIC_OPTIONS:

@@ -1,6 +1,7 @@
 """Tests for the serving layer's LRU and content-addressed result cache."""
 
-from repro.serve.cache import LRUCache, ResultCache, job_cache_key
+from repro.caching import LRUCache
+from repro.serve.cache import ResultCache, job_cache_key
 from repro.serve.protocol import Job, JobOptions, JobResult
 
 

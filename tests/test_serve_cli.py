@@ -51,6 +51,13 @@ class TestBatch:
             capsys.readouterr().err.split("batch: ", 1)[1])
         assert summary == {**summary, "ok": 1, "failed": 1}
 
+    def test_jit_kind_line_fails_cleanly(self, jobs_file, capsys):
+        path = jobs_file(['{"kind": "jit", "source": "lam (x: int). x"}'])
+        assert main(["batch", path, "--workers", "1"]) != 0
+        err = capsys.readouterr().err
+        assert "unknown job kind 'jit'" in err
+        assert "Traceback" not in err
+
     def test_out_file(self, jobs_file, tmp_path, capsys):
         path = jobs_file(['{"kind": "run", "source": "(4 + 4)"}'])
         out = str(tmp_path / "results.jsonl")

@@ -57,8 +57,8 @@ class TestHappyPaths:
             options=JobOptions(result_type="unit")))
         assert result.ok and result.output["type"] == "unit"
 
-    def test_jit(self):
-        result = execute_job(Job("jit", source="lam (x: int). (x + 1)"))
+    def test_compile_lambda(self):
+        result = execute_job(Job("compile", source="lam (x: int). (x + 1)"))
         assert result.ok
         assert result.output["blocks"] >= 1
         assert "ret ra" in result.output["assembly"]
@@ -79,11 +79,13 @@ class TestHappyPaths:
         assert degraded.output["tier"] == {
             "f_engine": "cek", "compile_tier": None, "tal_engine": "fast"}
 
-    def test_jit_check(self):
+    def test_compile_validate(self):
+        """Translation validation includes the bounded-equivalence
+        obligation the JIT discharges."""
         result = execute_job(Job(
-            "jit", source="lam (x: int). (x * 2)",
-            options=JobOptions(check=True, fuel=5_000)))
-        assert result.ok and result.output["equivalent"] is True
+            "compile", source="lam (x: int). (x * 2)",
+            options=JobOptions(validate=True, fuel=5_000)))
+        assert result.ok and result.output["validation"]["equivalent"]
 
     def test_equiv(self):
         result = execute_job(Job(
@@ -132,7 +134,7 @@ class TestErrorsAreFolded:
         result = execute_job(Job("run", example="nope"))
         assert result.status == "error" and "nope" in result.error
 
-    def test_uncompilable_jit(self):
-        result = execute_job(Job("jit", source="(1 + 2)"))
+    def test_uncompilable_compile(self):
+        result = execute_job(Job("compile", example="fact-t"))
         assert result.status == "error"
-        assert "not a compilable lambda" in result.error
+        assert "not a compilable F term" in result.error

@@ -30,6 +30,14 @@ class TestJob:
         with pytest.raises(ProtocolError):
             Job("transpile", source="x")
 
+    def test_jit_kind_refused(self):
+        """The JIT's lambdas compile through ``compile`` jobs: the wire
+        refuses a ``jit`` kind and lists the kinds there are."""
+        with pytest.raises(ProtocolError) as err:
+            Job.from_dict({"kind": "jit", "source": "lam (x: int). x"})
+        assert "'jit'" in str(err.value)
+        assert ", ".join(JOB_KINDS) in str(err.value)
+
     def test_source_xor_example(self):
         with pytest.raises(ProtocolError):
             Job("run")
@@ -167,7 +175,6 @@ def _executor_results():
         Job("run", example="fig17", options=JobOptions(trace=True)),
         Job("run", source="((lam (x: int). ((x * x) + 1)) (20))",
             options=JobOptions(jit=True)),
-        Job("jit", source="lam (x: int). (x + 1)"),
         Job("compile", example="fact-f", options=JobOptions(validate=True)),
         Job("equiv", source="lam (x: int). (x + x)",
             options=JobOptions(right="lam (x: int). (x * 2)",
