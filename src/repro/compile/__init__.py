@@ -2,8 +2,9 @@
 
 The pipeline (see ``docs/compiler.md``):
 
-1. **Typecheck** (:mod:`repro.f.typecheck`) -- reject anything outside
-   core F and annotate the term's type.
+1. **Typecheck** (:mod:`repro.f.typecheck`, FT's judgment on F's
+   fragment) -- reject anything outside core F and give the term's
+   type; one pass per compilation, whose type later stages reuse.
 2. **Closure conversion** (:mod:`repro.compile.closure`) -- hoist every
    lambda to a top-level code definition with an explicit environment;
    pretty-printable IR; the compilation's interface arrows

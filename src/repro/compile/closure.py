@@ -30,10 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.errors import CompileError
 from repro.f.syntax import (
-    App, BinOp, FArrow, FExpr, Fold, free_vars, FInt, FRec, FTupleT, FType,
-    FUnit, If0, IntE, Lam, Proj, TupleE, Unfold, UnitE, Var,
+    App, BinOp, FArrow, FExpr, Fold, free_vars, FInt, FTupleT, FType, FUnit,
+    If0, IntE, Lam, Proj, TupleE, UnitE, Var,
 )
 from repro.compile.names import NameSupply
 from repro.compile.typerep import interface_arrows
@@ -43,10 +42,6 @@ __all__ = [
     "CIf0", "CTuple", "CProj", "CFold", "CUnfold", "CCall", "CClos",
     "CodeDef", "ClosProgram", "closure_convert",
 ]
-
-
-def _fail(msg: str, subject) -> CompileError:
-    return CompileError(msg, judgment="compile.closure", subject=str(subject))
 
 
 # ---------------------------------------------------------------------------
@@ -262,33 +257,25 @@ class _Converter:
 
     # -- variable lookup ------------------------------------------------
 
-    def lookup(self, name: str, frame: _Frame, subject) -> CExpr:
+    def lookup(self, name: str, frame: _Frame) -> CExpr:
         if name in frame.params:
             idx, ty = frame.params[name]
             return CParam(ty, name, idx)
         if name in frame.captures:
             idx, ty = frame.captures[name]
             return CCaptureRef(ty, name, idx)
-        if name in self.free:
-            return CFree(self.free[name], name)
-        raise _fail(f"unbound variable {name!r}", subject)
+        return CFree(self.free[name], name)
 
     # -- lambdas --------------------------------------------------------
 
     def convert_lambda(self, e: Lam, frame: _Frame) -> CClos:
-        if type(e) is not Lam:
-            raise _fail("stack-modifying lambdas are outside the "
-                        "compilable fragment", e)
-        names = [x for x, _ in e.params]
-        if len(set(names)) != len(names):
-            raise _fail("duplicate parameter names", e)
         # Resolve each free variable in the *enclosing* frame; this both
         # builds the environment initializers and determines the capture
         # types.  Variables the whole compilation leaves free do not enter
         # the environment: they stay free at every depth and the caller
         # substitutes them (so a body reference compiles to a direct
         # import instead of an environment projection).
-        resolved = [(x, self.lookup(x, frame, e))
+        resolved = [(x, self.lookup(x, frame))
                     for x in sorted(free_vars(e))]
         captured = [(x, r) for x, r in resolved if not isinstance(r, CFree)]
         inner = _Frame(
@@ -309,7 +296,7 @@ class _Converter:
 
     def convert(self, e: FExpr, frame: _Frame) -> CExpr:
         if isinstance(e, Var):
-            return self.lookup(e.name, frame, e)
+            return self.lookup(e.name, frame)
         if isinstance(e, IntE):
             return CInt(FInt(), e.value)
         if isinstance(e, UnitE):
@@ -326,10 +313,6 @@ class _Converter:
             return self.convert_lambda(e, frame)
         if isinstance(e, App):
             fn = self.convert(e.fn, frame)
-            if not isinstance(fn.ty, FArrow) or type(fn.ty) is not FArrow:
-                raise _fail(f"applied expression has type {fn.ty}", e)
-            if len(fn.ty.params) != len(e.args):
-                raise _fail("arity mismatch in application", e)
             args = tuple(self.convert(a, frame) for a in e.args)
             return CCall(fn.ty.result, fn, args)
         if isinstance(e, TupleE):
@@ -337,26 +320,20 @@ class _Converter:
             return CTuple(FTupleT(tuple(i.ty for i in items)), items)
         if isinstance(e, Proj):
             body = self.convert(e.body, frame)
-            if not isinstance(body.ty, FTupleT):
-                raise _fail(f"projection from type {body.ty}", e)
             return CProj(body.ty.items[e.index], e.index, body)
         if isinstance(e, Fold):
-            if not isinstance(e.ann, FRec):
-                raise _fail(f"fold annotation {e.ann} is not a mu type", e)
             return CFold(e.ann, self.convert(e.body, frame))
-        if isinstance(e, Unfold):
-            body = self.convert(e.body, frame)
-            if not isinstance(body.ty, FRec):
-                raise _fail(f"unfold of type {body.ty}", e)
-            return CUnfold(body.ty.unroll(), body)
-        raise _fail(
-            f"{type(e).__name__} is outside the compilable fragment", e)
+        body = self.convert(e.body, frame)      # typed F leaves: unfold
+        return CUnfold(body.ty.unroll(), body)
 
 
 def closure_convert(e: FExpr,
                     gamma: Optional[Dict[str, FType]] = None,
                     supply: Optional[NameSupply] = None) -> ClosProgram:
     """Convert a typechecked core-F term into a :class:`ClosProgram`.
+
+    The term is not checked again: its IR annotations are computed on
+    the assumption that it types under ``gamma``.
 
     ``gamma`` types any variables the term leaves free (used when the
     JIT compiles a lambda in place under an enclosing binder); the

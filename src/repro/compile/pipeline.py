@@ -93,20 +93,22 @@ class CompilationResult:
         return len(self.component.heap)
 
 
+def _source_type(e: FExpr, gamma: Optional[Dict[str, FType]]
+                 ) -> Optional[FType]:
+    """The type of ``e`` under ``gamma`` if the compiler covers ``e``,
+    else None: the one typing pass of a compilation."""
+    try:
+        return f_typecheck(e, dict(gamma) if gamma else None)
+    except (FunTALError, RecursionError):   # too deep a term: decline
+        return None
+
+
 def is_general_compilable(e: FExpr,
                           gamma: Optional[Dict[str, FType]] = None) -> bool:
     """Does the compiler cover ``e``?  Any core-F term that typechecks
     under ``gamma`` (no FT-only forms, no stack lambdas, no free
     variables beyond ``gamma``)."""
-    if isinstance(e, StackLam):
-        return False
-    try:
-        f_typecheck(e, dict(gamma) if gamma else None)
-    except FunTALError:
-        return False
-    except RecursionError:  # pathologically deep terms: just decline
-        return False
-    return True
+    return _source_type(e, gamma) is not None
 
 
 def _arith_body(e: FExpr, scope) -> bool:
@@ -150,10 +152,10 @@ def _wrap(e: FExpr, ty: FType, comp: Component) -> FExpr:
     return Boundary(ty, comp)
 
 
-def _compile_uncached(e: FExpr, gamma: Optional[Dict[str, FType]]
+def _compile_uncached(e: FExpr, ty: FType,
+                      gamma: Optional[Dict[str, FType]]
                       ) -> CompilationResult:
     supply = NameSupply()
-    ty = f_typecheck(e, dict(gamma) if gamma else None)
     with OBS.span("compile.closure", "compile"):
         prog = closure_convert(e, gamma, supply)
     with OBS.span("compile.codegen", "compile"):
@@ -182,13 +184,14 @@ def compile_term(e: FExpr, gamma: Optional[Dict[str, FType]] = None
     cached = COMPILE_CACHE.get(key)
     if cached is not None:
         return cached
-    if not is_general_compilable(e, gamma):
+    ty = _source_type(e, gamma)
+    if ty is None:
         raise CompileError("not a compilable F term",
                            judgment="compile.eligibility", subject=str(e))
     arity = len(e.params) if isinstance(e, Lam) else 0
     probe("jit.compile", f"arity {arity}")
     with OBS.span("compile.pipeline", "compile", arity=arity):
-        result = _compile_uncached(e, gamma)
+        result = _compile_uncached(e, ty, gamma)
     if OBS.enabled:
         # "jit.compile" is the historical name for "a lambda was actually
         # compiled (cache miss)"; dashboards and tests key on it, so it

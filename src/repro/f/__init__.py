@@ -3,7 +3,8 @@
 Public surface:
 
 * :mod:`repro.f.syntax` -- types and expressions (paper Fig 5);
-* :mod:`repro.f.typecheck` -- the standalone ``Gamma |- e : tau`` checker;
+* :mod:`repro.f.typecheck` -- ``Gamma |- e : tau``: FT's judgment
+  (:mod:`repro.ft.typecheck`) on terms that stay inside F's fragment;
 * :mod:`repro.f.eval` -- the small-step call-by-value machine;
 * :mod:`repro.f.cek` -- the environment-machine (CEK) fast path.
 """

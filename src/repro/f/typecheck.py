@@ -1,12 +1,15 @@
-"""Typechecker for pure F programs (paper section 4.1).
+"""Pure F's typing judgment (paper section 4.1): FT's, on F's fragment.
 
-The judgment implemented here is the standard simply-typed one,
-``Gamma |- e : tau``.  It rejects the FT-only forms (boundaries and
-stack-modifying lambdas); mixed programs are typed by the full judgment in
-:mod:`repro.ft.typecheck`, which threads register-file, stack, and heap
-typings through F code.
+The paper defines one typing judgment, FT's (Fig 7,
+:mod:`repro.ft.typecheck`).  Its F rules are the standard ones with the
+stack typing threaded through unchanged, so a pure F program -- one with
+no boundaries and no stack-modifying lambdas -- is typed by it at the
+empty stack, and ``Gamma |- e : tau`` here is two steps: a check that
+``e``, its annotations and ``Gamma`` stay inside F's part of
+:data:`repro.walk.GRAMMAR`, then :func:`repro.ft.typecheck.check_ft_expr`.
 
-The paper elides the (standard) F rules; we follow the usual presentation:
+The paper elides the (standard) F rules; FT's checker follows the usual
+presentation:
 
 * ``if0`` requires an ``int`` scrutinee and branches of equal type;
 * application ``t t1 ... tn`` consumes *all* arguments at once against an
@@ -19,15 +22,32 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro import walk
 from repro.errors import FTTypeError
-from repro.f.syntax import (
-    App, BinOp, FArrow, FExpr, FInt, Fold, FRec, FTupleT, FType, FUnit,
-    ftype_equal, If0, IntE, Lam, Proj, TupleE, Unfold, UnitE, Var,
-)
+from repro.f import syntax
+from repro.f.syntax import FExpr, FType
 
 __all__ = ["typecheck", "TypeEnv"]
 
 TypeEnv = Dict[str, FType]
+
+#: F's part of the one grammar: its term classes and its type classes.
+_PURE = frozenset(getattr(syntax, key.rsplit(".", 1)[1])
+                  for key in walk.GRAMMAR
+                  if key.startswith(syntax.__name__ + "."))
+
+
+def _fail(msg: str, subject) -> FTTypeError:
+    return FTTypeError(msg, judgment="f.expression", subject=str(subject))
+
+
+def _check_type(ty: FType) -> FType:
+    """``ty``, if every sub-type of it is an F type."""
+    for t in walk.preorder(ty):
+        if t.__class__ not in _PURE:
+            raise _fail(f"type {t} is not pure F; use repro.ft.typecheck "
+                        "for mixed programs", ty)
+    return ty
 
 
 def typecheck(e: FExpr, env: Optional[TypeEnv] = None) -> FType:
@@ -36,92 +56,19 @@ def typecheck(e: FExpr, env: Optional[TypeEnv] = None) -> FType:
     Raises :class:`FTTypeError` if ``e`` is ill-typed or uses FT-only forms.
     """
     env = env or {}
-    return _check(e, env)
+    for ty in env.values():
+        _check_type(ty)
+    for node in walk.preorder(e):
+        if node.__class__ not in _PURE:
+            from repro.ft.syntax import StackLam
 
+            raise _fail(
+                "stack-modifying lambdas are FT forms; use "
+                "repro.ft.typecheck for mixed programs"
+                if isinstance(node, StackLam) else
+                "expression form is not pure F (boundaries need "
+                "repro.ft.typecheck)", node)
+        walk.map_types(node, _check_type, None)
+    from repro.ft.typecheck import check_ft_expr
 
-def _fail(msg: str, e: FExpr) -> FTTypeError:
-    return FTTypeError(msg, judgment="f.expression", subject=str(e))
-
-
-def _check(e: FExpr, env: TypeEnv) -> FType:
-    if isinstance(e, Var):
-        if e.name not in env:
-            raise _fail(f"unbound variable {e.name!r}", e)
-        return env[e.name]
-    if isinstance(e, UnitE):
-        return FUnit()
-    if isinstance(e, IntE):
-        return FInt()
-    if isinstance(e, BinOp):
-        for side, operand in (("left", e.left), ("right", e.right)):
-            ty = _check(operand, env)
-            if not isinstance(ty, FInt):
-                raise _fail(
-                    f"{side} operand of {e.op!r} has type {ty}, expected int", e)
-        return FInt()
-    if isinstance(e, If0):
-        cond_ty = _check(e.cond, env)
-        if not isinstance(cond_ty, FInt):
-            raise _fail(f"if0 scrutinee has type {cond_ty}, expected int", e)
-        then_ty = _check(e.then, env)
-        else_ty = _check(e.els, env)
-        if not ftype_equal(then_ty, else_ty):
-            raise _fail(
-                f"if0 branches disagree: {then_ty} vs {else_ty}", e)
-        return then_ty
-    if isinstance(e, Lam):
-        # Reject the FT stack-modifying lambda here; isinstance would accept
-        # it because StackLam subclasses Lam.
-        if type(e) is not Lam:
-            raise _fail(
-                "stack-modifying lambdas are FT forms; "
-                "use repro.ft.typecheck for mixed programs", e)
-        names = [x for x, _ in e.params]
-        if len(set(names)) != len(names):
-            raise _fail("duplicate parameter names in lambda", e)
-        inner = dict(env)
-        inner.update({x: t for x, t in e.params})
-        body_ty = _check(e.body, inner)
-        return FArrow(tuple(t for _, t in e.params), body_ty)
-    if isinstance(e, App):
-        fn_ty = _check(e.fn, env)
-        if not isinstance(fn_ty, FArrow) or type(fn_ty) is not FArrow:
-            raise _fail(f"applied expression has non-arrow type {fn_ty}", e)
-        if len(fn_ty.params) != len(e.args):
-            raise _fail(
-                f"arity mismatch: function takes {len(fn_ty.params)} "
-                f"arguments, got {len(e.args)}", e)
-        for i, (arg, expected) in enumerate(zip(e.args, fn_ty.params)):
-            actual = _check(arg, env)
-            if not ftype_equal(actual, expected):
-                raise _fail(
-                    f"argument {i} has type {actual}, expected {expected}", e)
-        return fn_ty.result
-    if isinstance(e, Fold):
-        if not isinstance(e.ann, FRec):
-            raise _fail(f"fold annotation {e.ann} is not a mu type", e)
-        body_ty = _check(e.body, env)
-        unrolled = e.ann.unroll()
-        if not ftype_equal(body_ty, unrolled):
-            raise _fail(
-                f"fold body has type {body_ty}, expected unrolling {unrolled}",
-                e)
-        return e.ann
-    if isinstance(e, Unfold):
-        body_ty = _check(e.body, env)
-        if not isinstance(body_ty, FRec):
-            raise _fail(f"unfold of non-mu type {body_ty}", e)
-        return body_ty.unroll()
-    if isinstance(e, TupleE):
-        return FTupleT(tuple(_check(x, env) for x in e.items))
-    if isinstance(e, Proj):
-        body_ty = _check(e.body, env)
-        if not isinstance(body_ty, FTupleT):
-            raise _fail(f"projection from non-tuple type {body_ty}", e)
-        if not 0 <= e.index < len(body_ty.items):
-            raise _fail(
-                f"projection index {e.index} out of range for {body_ty}", e)
-        return body_ty.items[e.index]
-    raise _fail(
-        "expression form is not pure F (boundaries need repro.ft.typecheck)",
-        e)
+    return check_ft_expr(e, gamma=env)[0]

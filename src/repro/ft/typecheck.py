@@ -262,7 +262,8 @@ class FTTypechecker(TalTypechecker):
             unrolled = e.ann.unroll()
             if not ftype_equal(body_ty, unrolled):
                 raise _fail(
-                    f"fold body has type {body_ty}, expected {unrolled}",
+                    f"fold body has type {body_ty}, expected unrolling "
+                    f"{unrolled}",
                     "ft.expr", e)
             return e.ann, s1
         if isinstance(e, Unfold):

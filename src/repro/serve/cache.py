@@ -10,7 +10,9 @@ stored record stays pristine.
 
 Wall-clock options (``timeout``) and the in-process ``Job.fault``
 never reach the key -- two jobs that demand the same semantics share
-one entry.
+one entry.  A job with ``options.store`` bypasses the cache, as one
+with ``no_cache`` does: its side effect, the artifact it persists, is
+not in the cached answer.
 """
 
 from __future__ import annotations
@@ -47,6 +49,11 @@ def job_cache_key(job: Job) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _bypasses(job: Job) -> bool:
+    """Whether ``job`` neither reads nor writes the cache."""
+    return job.options.no_cache or bool(job.options.store)
+
+
 class ResultCache:
     """Content-addressed cache of successful job results."""
 
@@ -55,8 +62,9 @@ class ResultCache:
 
     def get(self, job: Job) -> Optional[JobResult]:
         """A cached result for ``job`` (flagged ``cached=True``), or None.
-        Jobs opting out via ``no_cache`` always miss (and are counted)."""
-        if job.options.no_cache:
+        Jobs opting out via ``no_cache``, and jobs that write an artifact
+        store, always miss (and are counted)."""
+        if _bypasses(job):
             self._lru._count("miss")
             self._lru.misses += 1
             return None
@@ -69,7 +77,7 @@ class ResultCache:
         """Store a finished result; only ``ok`` outcomes are kept.  The
         per-request obs envelope is stripped -- it describes one
         execution, not the cacheable answer."""
-        if result.ok and not job.options.no_cache:
+        if result.ok and not _bypasses(job):
             self._lru.put(job_cache_key(job),
                           replace(result, cached=False, obs=None))
 

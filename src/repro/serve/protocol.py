@@ -149,7 +149,8 @@ SEMANTIC_OPTIONS = (
 #:   machine (identical values, fuel verdicts, and trap behaviour), so
 #:   ref/fast runs share entries.
 #: * ``store`` -- the artifact store is a cache; content addressing
-#:   makes its hits semantically invisible.
+#:   makes its hits semantically invisible.  A job that sets it still
+#:   bypasses the result cache, so its artifact is always written.
 #: * ``checkpoint_every`` -- preserves exact slicing (same value, same
 #:   total steps); ``deadline_ms`` is pure admission control.
 #: * ``degraded`` -- degraded results never enter the cache (the pool

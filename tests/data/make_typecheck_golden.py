@@ -1,12 +1,19 @@
 """Regenerate ``typecheck_golden.json``: the T typechecker's verdict and
-exact error message on a fixed corpus of programs.
+exact error message on a fixed corpus of programs, and pure F's verdict
+and type on another.
 
-The corpus is every :mod:`repro.adversarial` source plus seeded
+The T corpus is every :mod:`repro.adversarial` source plus seeded
 single-instruction mutations of compiled programs: an instruction
 dropped, two neighbours swapped, a register operand retargeted, or a
-stack-slot index shifted by one.  Each entry stores the program as
-surface text, so ``tests/test_typecheck_golden.py`` replays it without
-depending on today's compiler.
+stack-slot index shifted by one.  The F corpus (``form`` ``"f"``) is
+seeded :func:`tests.strategies.random_full_f_expr` programs plus
+single-node mutations of them: a literal made ``()``, an argument
+dropped, a projection index bumped, a fold annotation swapped, a
+stack-modifying lambda or a boundary put in; its entries record
+:func:`repro.f.typecheck.typecheck`'s verdict and the type it gives, not
+its message.  Each entry stores the program as surface text, so
+``tests/test_typecheck_golden.py`` replays it without depending on
+today's compiler.
 
 Run from the repository root::
 
@@ -25,10 +32,16 @@ import re
 import sys
 from pathlib import Path
 
+from repro import walk
 from repro.adversarial import ADVERSARIES
 from repro.compile.pipeline import compile_term
 from repro.errors import FunTALError
-from repro.ft.syntax import Boundary
+from repro.f.syntax import (
+    App, FArrow, FInt, Fold, FRec, FTupleT, FTVar, FUnit, IntE, Lam, Proj,
+    UnitE,
+)
+from repro.f.typecheck import typecheck as f_typecheck
+from repro.ft.syntax import Boundary, StackLam
 from repro.ft.typecheck import check_ft_component, check_ft_expr
 from repro.papers_examples.fig17_factorial import build_fact_f, build_fact_t
 from repro.surface import parse_program
@@ -41,6 +54,9 @@ from repro.tal.syntax import (
 OUT = Path(__file__).with_name("typecheck_golden.json")
 SEED = 21
 MUTATIONS = 200
+F_SEED = 30
+F_PROGRAMS = 40
+F_MUTATIONS = 160
 REGISTERS = GP_REGISTERS + (RA,)
 _FRESH = re.compile(r"%\d+")
 
@@ -70,11 +86,18 @@ def verdict_component(text: str):
     return True, ""
 
 
+def verdict_f(text: str):
+    """Pure F's verdict on ``text`` and the type it gives (``""`` when
+    rejected)."""
+    try:
+        return True, str(f_typecheck(parse_program(text)))
+    except FunTALError:
+        return False, ""
+
+
 def _base_terms():
     """Compiled ``int``-typed programs whose top is one boundary."""
     from tests.strategies import random_full_f_expr
-
-    from repro.f.syntax import App, IntE
 
     terms = [App(compile_term(build_fact_f()).wrapped, (IntE(5),)),
              App(build_fact_t(), (IntE(5),))]
@@ -173,6 +196,84 @@ def _mutant(term, rng: random.Random):
     return kind, _replace_node(term, comp, new_comp)
 
 
+#: What a fold annotation is swapped for: other mu types, and one that is
+#: not a mu type.
+_FOLD_ANNS = (FRec("a", FUnit()), FRec("a", FTupleT((FInt(), FInt()))),
+              FRec("a", FArrow((FTVar("a"),), FInt())), FInt())
+
+
+def _f_sites(term, cls):
+    return [n for n in walk.preorder(term) if type(n) is cls]
+
+
+def _f_mutant(term, rng: random.Random):
+    """One single-node mutation of the F term ``term``, or ``None``."""
+    kind = rng.choice(("unit", "drop-arg", "proj", "fold", "stacklam",
+                       "boundary"))
+    cls = {"unit": IntE, "boundary": IntE, "drop-arg": App, "proj": Proj,
+           "fold": Fold, "stacklam": Lam}[kind]
+    sites = _f_sites(term, cls)
+    if kind == "drop-arg":
+        sites = [n for n in sites if n.args]
+    if not sites:
+        return None
+    old = rng.choice(sites)
+    if kind == "unit":
+        new = UnitE()
+    elif kind == "boundary":
+        new = Boundary(FInt(), parse_component(
+            f"(mv r1, {old.value}; halt int, nil {{r1}}, .)"))
+    elif kind == "drop-arg":
+        k = rng.randrange(len(old.args))
+        new = App(old.fn, old.args[:k] + old.args[k + 1:])
+    elif kind == "proj":
+        new = Proj(old.index + 1, old.body)
+    elif kind == "fold":
+        new = Fold(rng.choice([t for t in _FOLD_ANNS if t != old.ann]),
+                   old.body)
+    else:
+        phi = rng.choice(((), (TInt(),)))
+        new = StackLam(old.params, old.body, phi, phi)
+    return kind, _replace_node(term, old, new)
+
+
+def build_f_entries():
+    from tests.strategies import random_full_f_expr
+
+    def entry(name, term):
+        text = str(term)
+        try:
+            if parse_program(text) != term:
+                return None
+        except FunTALError:
+            return None
+        ok, ty = verdict_f(text)
+        return {"name": name, "form": "f", "text": text, "ok": ok,
+                "type": ty}
+
+    entries, bases = [], []
+    for seed in range(F_PROGRAMS):
+        term = random_full_f_expr(seed)
+        made = entry(f"f/program/{seed:02d}", term)
+        if made is not None:
+            entries.append(made)
+            bases.append((seed, term))
+    rng = random.Random(F_SEED)
+    count = 0
+    while count < F_MUTATIONS:
+        seed, base = rng.choice(bases)
+        mutated = _f_mutant(base, rng)
+        if mutated is None:
+            continue
+        kind, term = mutated
+        made = entry(f"f/mutant/{count:03d}/{kind}/program{seed:02d}", term)
+        if made is None:
+            continue
+        entries.append(made)
+        count += 1
+    return entries
+
+
 def build_entries():
     entries = []
     for adv in ADVERSARIES:
@@ -200,7 +301,7 @@ def build_entries():
                         "form": "expr", "text": text,
                         "ok": ok, "error": err})
         count += 1
-    return entries
+    return entries + build_f_entries()
 
 
 def main() -> int:

@@ -165,6 +165,33 @@ class TestTierSelection:
 
 
 class TestPipelineContracts:
+    def test_a_cold_compile_types_its_source_once(self, monkeypatch):
+        from repro.compile import pipeline
+
+        passes = []
+
+        def counted(e, env=None):
+            passes.append(e)
+            return f_typecheck(e, env)
+
+        monkeypatch.setattr(pipeline, "f_typecheck", counted)
+        clear_compile_cache()
+        probe = Lam((("k", FInt()),), App(twice(DBL, FInt()), (Var("k"),)))
+        result = compile_term(probe)
+        assert passes == [probe]
+        assert result.ty == f_typecheck(probe)
+        compile_term(probe)                  # a cache hit types nothing
+        assert passes == [probe]
+
+    @pytest.mark.parametrize("source", [
+        BinOp("+", IntE(1), UnitE()),
+        example_entries()["fact-t"][1](),    # F around a boundary
+    ], ids=["ill-typed", "boundary"])
+    def test_ineligible_source_is_a_compile_error(self, source):
+        with pytest.raises(CompileError) as info:
+            compile_term(source)
+        assert info.value.judgment == "compile.eligibility"
+
     def test_cache_identity(self):
         clear_compile_cache()
         one = compile_term(INC)

@@ -71,8 +71,7 @@ ALLOWED = {
     ("tal/fast.py", "_lower_term_raw"),       # form, the ops it builds,
     ("tal/fast.py", "op"),                    # and their operand reads
     ("tal/fast.py", "_resolve_rt"),
-    ("f/typecheck.py", "_check"),             # typecheckers
-    ("ft/typecheck.py", "check_fexpr"),
+    ("ft/typecheck.py", "check_fexpr"),       # typecheckers
     ("tal/typecheck.py", "<module>"),         # T: one rule per form
     ("compile/closure.py", "convert"),        # closure conversion
     ("compile/pipeline.py", "_arith_body"),   # the JIT's scope
@@ -91,8 +90,8 @@ ALLOWED = {
 #: (module path under ``repro/``, function) allowed to dispatch on
 #: several type classes: typing rules, one per type form.
 ALLOWED_TYPES = {
-    ("f/typecheck.py", "_check"),             # typecheckers: the rules'
-    ("ft/typecheck.py", "check_fexpr"),       # premises on a type's form
+    ("ft/typecheck.py", "check_fexpr"),       # typecheckers: the rules'
+                                              # premises on a type's form
     ("tal/typecheck.py", "_check_call"),
     ("tal/typecheck.py", "_step_ld"),
     ("tal/retmarker.py", "ret_type"),         # Fig 2's ret-type and
@@ -103,8 +102,6 @@ ALLOWED_TYPES = {
     ("ft/translate.py", "_translate"),        # Fig 9's type translation
     ("compile/typerep.py", "_translate"),     # the compiler's (packed
                                               # closures inside)
-    ("compile/closure.py", "convert"),        # closure conversion: the
-                                              # type of what it captures
     ("tal/erasure.py", "_erase"),             # erasure: what each T type
                                               # category erases to
     ("ft/boundary.py", "f_to_t"),             # Fig 10's value

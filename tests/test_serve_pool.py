@@ -155,6 +155,23 @@ class TestCacheIntegration:
             again = pool.submit(run_job("(9 + 9)")).wait(30.0)
             assert again.ok and not again.cached
 
+    def test_store_job_bypasses_the_cache(self, tmp_path):
+        # ``store`` stays out of the cache key, so a cached store-less
+        # compile would answer a store job without persisting anything.
+        store = tmp_path / "store"
+        source = "lam (x: int). (x * 3)"
+        cache = ResultCache(64)
+        with WorkerPool(1, cache=cache) as pool:
+            first = pool.submit(Job("compile", source=source)).wait(60.0)
+            assert first.ok and "stored" not in first.output
+            stored = pool.submit(Job(
+                "compile", source=source,
+                options=JobOptions(store=str(store)))).wait(60.0)
+            assert stored.ok and not stored.cached
+            assert stored.output["stored"]["store"] == str(store)
+            assert any(p.is_file() for p in store.rglob("*"))
+            assert len(cache) == 1         # the store job was not kept
+
 
 class TestBackpressureAndLifecycle:
     def test_queue_full_raises_when_nonblocking(self):

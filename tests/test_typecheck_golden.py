@@ -5,8 +5,12 @@
 mutations of compiled programs (an instruction dropped, two swapped, a
 register retargeted, a stack-slot index shifted), as the checker gave
 them before its allocation-light rewrite.  The checker must reproduce
-each entry exactly.  ``data/make_typecheck_golden.py`` documents how the
-corpus was drawn.
+each entry exactly.  The file's ``"f"`` entries record pure F's verdict
+and type (:func:`repro.f.typecheck.typecheck`) on seeded whole-F
+programs and single-node mutations of them, as the standalone F checker
+gave them before F was typed by the FT judgment.
+``data/make_typecheck_golden.py`` documents how both corpora were
+drawn.
 """
 
 import json
@@ -15,11 +19,13 @@ from pathlib import Path
 import pytest
 
 from tests.data.make_typecheck_golden import (
-    verdict_component, verdict_expr,
+    verdict_component, verdict_expr, verdict_f,
 )
 
-GOLDEN = json.loads(
+ENTRIES = json.loads(
     (Path(__file__).parent / "data" / "typecheck_golden.json").read_text())
+GOLDEN = [e for e in ENTRIES if e["form"] != "f"]
+F_GOLDEN = [e for e in ENTRIES if e["form"] == "f"]
 
 
 def test_corpus_covers_adversaries_and_mutants():
@@ -35,6 +41,21 @@ def test_verdict_and_message_unchanged(entry):
     verdict = (verdict_component if entry["form"] == "component"
                else verdict_expr)
     assert verdict(entry["text"]) == (entry["ok"], entry["error"])
+
+
+def test_f_corpus_covers_programs_and_every_mutation():
+    names = [e["name"] for e in F_GOLDEN]
+    assert sum(n.startswith("f/program/") for n in names) >= 30
+    kinds = {n.split("/")[3] for n in names if n.startswith("f/mutant/")}
+    assert kinds == {"unit", "drop-arg", "proj", "fold", "stacklam",
+                     "boundary"}
+    assert any(e["ok"] for e in F_GOLDEN if "/mutant/" in e["name"])
+    assert all(e["ok"] for e in F_GOLDEN if "/program/" in e["name"])
+
+
+@pytest.mark.parametrize("entry", F_GOLDEN, ids=[e["name"] for e in F_GOLDEN])
+def test_f_verdict_and_type_unchanged(entry):
+    assert verdict_f(entry["text"]) == (entry["ok"], entry["type"])
 
 
 #: ``typecheck.t.instr.*`` and ``typecheck.t.term.*`` counts of one check
