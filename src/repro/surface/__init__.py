@@ -3,10 +3,13 @@
 The paper's artifact shipped an in-browser typechecker/stepper with a
 textual syntax; this package is the reproduction's equivalent:
 
-* :mod:`repro.surface.lexer` -- tokenizer;
-* :mod:`repro.surface.parser` -- recursive-descent parser for F types and
-  expressions, T types/operands/instructions/components, and the FT
-  boundary forms;
+* :mod:`repro.surface.lexer` -- tokenizer, one regular-expression scan
+  over the source;
+* :mod:`repro.surface.parser` -- parser for F types and expressions, T
+  types/operands/instructions/components, and the FT boundary forms.
+  F expressions are read by one loop over an explicit stack, so their
+  nesting depth is not bounded by Python's recursion limit; types and
+  T components are recursive descent;
 * :mod:`repro.surface.pretty` -- the pretty-printer (the AST ``__str__``
   methods emit this syntax; parser round-trip is tested).
 

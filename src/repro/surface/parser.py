@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the FunTAL surface syntax.
+"""Parser for the FunTAL surface syntax.
 
 The grammar is exactly what the AST ``__str__`` methods print (round-trip
 tested), modelled on the paper's notation:
@@ -29,12 +29,22 @@ names starting with ``z`` parse as stack variables, names starting with
 ``e`` as return-marker variables, all others as type variables.  Binder
 lists always carry explicit ``zeta``/``eps`` sigils, so the convention
 only applies at instantiation sites (see the package docstring).
+
+The parser reads the lexer's tokens as two plain tuples, their kinds and
+their texts, through an integer index.  F expressions -- ``+ - *``
+(left-associative, ``*`` binding tighter), application, ``if0``,
+``lam``, tuples, projections, ``fold``/``unfold`` and parentheses -- are
+parsed by one loop over an explicit stack of open sub-expressions
+(:meth:`Parser.fexpr`), so nesting costs a list entry, not a Python
+frame.  Types, operands, instructions and components are recursive
+descent over the same index; only a boundary inside an ``import``
+inside a boundary nests the expression loop.  A literal too long for
+Python's ``int`` is a :class:`ParseError` at the literal.
 """
 
 from __future__ import annotations
 
-import re
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import ParseError
 from repro.f.syntax import (
@@ -49,11 +59,11 @@ from repro.surface.lexer import Token, tokenize
 from repro.tal.syntax import (
     Aop, Balloc, Bnz, Call, CodeType, Component, DeltaBind, Fold as TFold,
     Halt, HCode, HeapValue, HTuple, InstrSeq, Instruction, Jmp, KIND_ALPHA,
-    KIND_EPS, KIND_FALPHA, KIND_ZETA, Ld, Loc, Mv, NIL_STACK, Operand,
-    Pack, QEnd, QEps, QIdx, QOut, QReg, Ralloc, RegFileTy, RegOp, Ret,
-    RetMarker, Salloc, Sfree, Sld, Sst, St, StackTy, TalType, TBox,
-    Terminator, TExists, TInt, TRec, TRef, TupleTy, TUnit, TVar, TyApp,
-    UnfoldI, Unpack, WInt, WLoc, WordValue, WUnit,
+    KIND_EPS, KIND_FALPHA, KIND_ZETA, Ld, Loc, Mv, Operand, Pack, QEnd,
+    QEps, QIdx, QOut, QReg, Ralloc, RegFileTy, RegOp, Ret, RetMarker,
+    Salloc, Sfree, Sld, Sst, St, StackTy, TalType, TBox, Terminator,
+    TExists, TInt, TRec, TRef, TupleTy, TUnit, TVar, TyApp, UnfoldI, Unpack,
+    WInt, WLoc, WUnit,
 )
 
 __all__ = [
@@ -61,600 +71,733 @@ __all__ = [
     "parse_instr_seq", "parse_program", "Parser",
 ]
 
-_PROJ_RE = re.compile(r"^pi(\d+)$")
-
 _TERMINATOR_KEYWORDS = ("jmp", "call", "ret", "halt")
 _INSTR_KEYWORDS = (
     "add", "sub", "mul", "bnz", "ld", "st", "ralloc", "balloc", "mv",
     "salloc", "sfree", "sld", "sst", "unpack", "unfold", "protect",
     "import",
 )
+_COMPONENT_OPENERS = frozenset(_INSTR_KEYWORDS + _TERMINATOR_KEYWORDS)
+
+#: Token kinds, and punctuation or keyword texts, that start an F operand
+#: (and so another argument of an application).
+_OPERAND_KINDS = frozenset({"int", "ident"})
+_OPERAND_TEXTS = frozenset({"(", "<", "lam", "if0", "fold", "unfold", "FT"})
+
+# What an open sub-expression of :meth:`Parser.fexpr` becomes once its
+# expression is complete.
+_PAREN, _PROJ, _TUPLE, _IF0_COND, _IF0_THEN, _IF0_ELSE, _LAM, _FOLD, \
+    _UNFOLD = range(9)
 
 
 class Parser:
-    """A token cursor with the mutually recursive grammar productions."""
+    """A token index over the lexer's kinds and texts, with the grammar's
+    productions.  ``at`` and ``peek`` look at the tokens without moving."""
 
     def __init__(self, source: str):
         self.tokens = tokenize(source)
+        self.kinds, self.texts, _, _ = zip(*self.tokens)
         self.pos = 0
 
-    # -- cursor helpers -------------------------------------------------
+    # -- cursor -------------------------------------------------------------
+    #
+    # A punctuation mark or keyword is matched by its text alone: no token
+    # of another kind has the same text.
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
+    def at(self, kind: str, text: str = None) -> bool:
+        i = self.pos
+        return self.kinds[i] == kind and (text is None or self.texts[i] == text)
 
     def peek(self, offset: int = 1) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
-    def advance(self) -> Token:
-        tok = self.cur
-        if tok.kind != "eof":
+    def _fail(self, i: int, message: str):
+        tok = self.tokens[i]
+        raise ParseError(message, tok.line, tok.column)
+
+    def _expected(self, i: int, want: str):
+        self._fail(i, f"expected {want!r}, found {self.texts[i]!r}")
+
+    def _skip(self, text: str) -> bool:
+        """Step over the token if its text is ``text``."""
+        if self.texts[self.pos] == text:
             self.pos += 1
-        return tok
+            return True
+        return False
 
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.cur
-        return tok.kind == kind and (text is None or tok.text == text)
+    def _take(self, text: str) -> None:
+        """Step over the punctuation mark or keyword ``text``."""
+        i = self.pos
+        if self.texts[i] != text:
+            self._expected(i, text)
+        self.pos = i + 1
 
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self.at(kind, text):
-            return self.advance()
-        return None
+    def _name(self, kind: str) -> str:
+        """Step over a token of ``kind`` and return its text."""
+        i = self.pos
+        if self.kinds[i] != kind:
+            self._expected(i, kind)
+        self.pos = i + 1
+        return self.texts[i]
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        if not self.at(kind, text):
-            want = text if text is not None else kind
-            raise ParseError(
-                f"expected {want!r}, found {self.cur.text!r}",
-                self.cur.line, self.cur.column)
-        return self.advance()
+    def _number(self, text: str, i: int) -> int:
+        """The digits ``text`` of token ``i`` as an int."""
+        try:
+            return int(text)
+        except ValueError:      # more digits than Python's int parser takes
+            self._fail(i, f"integer literal too long ({len(text)} digits)")
 
-    def fail(self, message: str):
-        raise ParseError(message, self.cur.line, self.cur.column)
+    def _int(self) -> int:
+        i = self.pos
+        return self._number(self._name("int"), i)
 
     def expect_eof(self) -> None:
-        if not self.at("eof"):
-            self.fail(f"trailing input starting at {self.cur.text!r}")
+        i = self.pos
+        if self.kinds[i] != "eof":
+            self._fail(i, f"trailing input starting at {self.texts[i]!r}")
 
     # -- F types ----------------------------------------------------------
 
     def ftype(self) -> FType:
-        if self.accept("keyword", "unit"):
-            return FUnit()
-        if self.accept("keyword", "int"):
+        texts = self.texts
+        i = self.pos
+        t = texts[i]
+        if t == "int":
+            self.pos = i + 1
             return FInt()
-        if self.accept("keyword", "mu"):
-            var = self.expect("ident").text
-            self.expect("punct", ".")
+        if t == "unit":
+            self.pos = i + 1
+            return FUnit()
+        if t == "mu":
+            self.pos = i + 1
+            var = self._name("ident")
+            self._take(".")
             return FRec(var, self.ftype())
-        if self.accept("punct", "<"):
-            items = self._comma_list(self.ftype, closer=">")
-            self.expect("punct", ">")
+        if t == "<":
+            self.pos = i + 1
+            items = self._comma_list(self.ftype, ">")
+            self._take(">")
             return FTupleT(tuple(items))
-        if self.accept("punct", "("):
-            params = self._comma_list(self.ftype, closer=")")
-            self.expect("punct", ")")
-            if self.accept("punct", "["):
-                phi_in = self._comma_list(self.ttype, closer=";")
-                self.expect("punct", ";")
-                phi_out = self._comma_list(self.ttype, closer="]")
-                self.expect("punct", "]")
-                self.expect("punct", "->")
+        if t == "(":
+            self.pos = i + 1
+            params = self._comma_list(self.ftype, ")")
+            self._take(")")
+            if self._skip("["):
+                phi_in = self._comma_list(self.ttype, ";")
+                self._take(";")
+                phi_out = self._comma_list(self.ttype, "]")
+                self._take("]")
+                self._take("->")
                 return FStackArrow(tuple(params), self.ftype(),
                                    tuple(phi_in), tuple(phi_out))
-            self.expect("punct", "->")
+            self._take("->")
             return FArrow(tuple(params), self.ftype())
-        if self.at("keyword", "L") or (self.at("ident")
-                                       and self.cur.text == "L"
-                                       and self.peek().text == "<"):
-            self.advance()
-            self.expect("punct", "<")
-            items = self._comma_list(self.ttype, closer=">")
-            self.expect("punct", ">")
-            from repro.ft.lump import FLump
+        if self.kinds[i] == "ident":
+            self.pos = i + 1
+            if t == "L" and texts[i + 1] == "<":
+                self.pos = i + 2
+                items = self._comma_list(self.ttype, ">")
+                self._take(">")
+                from repro.ft.lump import FLump
 
-            return FLump(tuple(items))
-        if self.at("ident"):
-            return FTVar(self.advance().text)
-        self.fail(f"expected an F type, found {self.cur.text!r}")
+                return FLump(tuple(items))
+            return FTVar(t)
+        self._fail(i, f"expected an F type, found {t!r}")
 
     # -- T types ----------------------------------------------------------
 
     def ttype(self) -> TalType:
-        if self.accept("keyword", "unit"):
-            return TUnit()
-        if self.accept("keyword", "int"):
+        i = self.pos
+        t = self.texts[i]
+        if t == "int":
+            self.pos = i + 1
             return TInt()
-        if self.accept("keyword", "exists"):
-            var = self.expect("ident").text
-            self.expect("punct", ".")
-            return TExists(var, self.ttype())
-        if self.accept("keyword", "mu"):
-            var = self.expect("ident").text
-            self.expect("punct", ".")
-            return TRec(var, self.ttype())
-        if self.accept("keyword", "ref"):
-            self.expect("punct", "<")
-            items = self._comma_list(self.ttype, closer=">")
-            self.expect("punct", ">")
+        if t == "unit":
+            self.pos = i + 1
+            return TUnit()
+        if t == "exists" or t == "mu":
+            self.pos = i + 1
+            var = self._name("ident")
+            self._take(".")
+            return (TExists if t == "exists" else TRec)(var, self.ttype())
+        if t == "ref":
+            self.pos = i + 1
+            self._take("<")
+            items = self._comma_list(self.ttype, ">")
+            self._take(">")
             return TRef(tuple(items))
-        if self.accept("keyword", "box"):
+        if t == "box":
+            self.pos = i + 1
             return TBox(self.heap_val_type())
-        if self.at("ident"):
-            return TVar(self.advance().text)
-        self.fail(f"expected a T type, found {self.cur.text!r}")
+        if self.kinds[i] == "ident":
+            self.pos = i + 1
+            return TVar(t)
+        self._fail(i, f"expected a T type, found {t!r}")
 
     def heap_val_type(self):
-        if self.accept("punct", "<"):
-            items = self._comma_list(self.ttype, closer=">")
-            self.expect("punct", ">")
+        if self._skip("<"):
+            items = self._comma_list(self.ttype, ">")
+            self._take(">")
             return TupleTy(tuple(items))
-        if self.accept("keyword", "forall"):
-            self.expect("punct", "[")
+        if self._skip("forall"):
+            self._take("[")
             delta = self._delta_bindings()
-            self.expect("punct", "]")
-            self.expect("punct", ".")
-            self.expect("punct", "{")
+            self._take("]")
+            self._take(".")
+            self._take("{")
             chi = self._regfile()
-            self.expect("punct", ";")
+            self._take(";")
             sigma = self.stack_ty()
-            self.expect("punct", "}")
-            q = self.ret_marker()
-            return CodeType(tuple(delta), chi, sigma, q)
-        self.fail(f"expected a heap-value type, found {self.cur.text!r}")
+            self._take("}")
+            return CodeType(tuple(delta), chi, sigma, self.ret_marker())
+        i = self.pos
+        self._fail(i, f"expected a heap-value type, found {self.texts[i]!r}")
+
+    _BINDER_KINDS = {"zeta": KIND_ZETA, "eps": KIND_EPS, "F": KIND_FALPHA}
 
     def _delta_bindings(self) -> List[DeltaBind]:
         out: List[DeltaBind] = []
-        while not self.at("punct", "]"):
-            if self.accept("keyword", "zeta"):
-                out.append(DeltaBind(KIND_ZETA, self.expect("ident").text))
-            elif self.accept("keyword", "eps"):
-                out.append(DeltaBind(KIND_EPS, self.expect("ident").text))
-            elif self.accept("keyword", "F"):
-                out.append(DeltaBind(KIND_FALPHA, self.expect("ident").text))
+        while self.texts[self.pos] != "]":
+            kind = self._BINDER_KINDS.get(self.texts[self.pos])
+            if kind is None:
+                kind = KIND_ALPHA
             else:
-                out.append(DeltaBind(KIND_ALPHA, self.expect("ident").text))
-            if not self.accept("punct", ","):
+                self.pos += 1
+            out.append(DeltaBind(kind, self._name("ident")))
+            if not self._skip(","):
                 break
         return out
 
     def _regfile(self) -> RegFileTy:
-        if self.accept("punct", "."):
+        if self._skip("."):
             return RegFileTy()
         entries: List[Tuple[str, TalType]] = []
         while True:
-            reg = self.expect("register").text
-            self.expect("punct", ":")
+            reg = self._name("register")
+            self._take(":")
             entries.append((reg, self.ttype()))
-            if not self.accept("punct", ","):
+            if not self._skip(","):
                 break
         return RegFileTy(tuple(entries))
 
     def stack_ty(self) -> StackTy:
+        texts = self.texts
         prefix: List[TalType] = []
         while True:
-            if self.accept("keyword", "nil"):
+            i = self.pos
+            if texts[i] == "nil":
+                self.pos = i + 1
                 return StackTy(tuple(prefix), None)
             # A bare identifier not followed by '::' is the tail variable.
-            if self.at("ident") and not self._ident_starts_type_operator():
-                tail = self.advance().text
-                return StackTy(tuple(prefix), tail)
+            if self.kinds[i] == "ident" and texts[i + 1] != "::":
+                self.pos = i + 1
+                return StackTy(tuple(prefix), texts[i])
             prefix.append(self.ttype())
-            self.expect("punct", "::")
-
-    def _ident_starts_type_operator(self) -> bool:
-        """Is the current identifier a *type* (continued by ``::``) rather
-        than the stack tail?"""
-        return self.peek().kind == "punct" and self.peek().text == "::"
+            self._take("::")
 
     def ret_marker(self) -> RetMarker:
-        if self.at("register"):
-            return QReg(self.advance().text)
-        if self.at("int"):
-            return QIdx(int(self.advance().text))
-        if self.accept("keyword", "out"):
+        i = self.pos
+        kind, t = self.kinds[i], self.texts[i]
+        if kind == "register":
+            self.pos = i + 1
+            return QReg(t)
+        if kind == "int":
+            return QIdx(self._int())
+        if t == "out":
+            self.pos = i + 1
             return QOut()
-        if self.accept("keyword", "end"):
-            self.expect("punct", "{")
+        if t == "end":
+            self.pos = i + 1
+            self._take("{")
             ty = self.ttype()
-            self.expect("punct", ";")
+            self._take(";")
             sigma = self.stack_ty()
-            self.expect("punct", "}")
+            self._take("}")
             return QEnd(ty, sigma)
-        if self.at("ident"):
-            return QEps(self.advance().text)
-        self.fail(f"expected a return marker, found {self.cur.text!r}")
+        if kind == "ident":
+            self.pos = i + 1
+            return QEps(t)
+        self._fail(i, f"expected a return marker, found {t!r}")
 
     def omega(self):
         """One instantiation: a marker, a stack typing, or a value type."""
-        if self.at("register") or self.at("int") \
-                or self.at("keyword", "end") or self.at("keyword", "out"):
+        i = self.pos
+        kind, t = self.kinds[i], self.texts[i]
+        if kind == "register" or kind == "int" or t == "end" or t == "out":
             return self.ret_marker()
-        if self.at("keyword", "nil"):
+        if t == "nil":
             return self.stack_ty()
-        if self.at("ident"):
-            name = self.cur.text
-            if self.peek().text == "::":
+        if kind == "ident":
+            if self.texts[i + 1] == "::":
                 return self.stack_ty()
-            if name.startswith("z"):
-                self.advance()
-                return StackTy((), name)
-            if name.startswith("e"):
-                self.advance()
-                return QEps(name)
+            if t.startswith("z"):
+                self.pos = i + 1
+                return StackTy((), t)
+            if t.startswith("e"):
+                self.pos = i + 1
+                return QEps(t)
             return self.ttype()
         ty = self.ttype()
-        if self.at("punct", "::"):
-            self.expect("punct", "::")
-            rest = self.stack_ty()
-            return rest.cons(ty)
+        if self._skip("::"):
+            return self.stack_ty().cons(ty)
         return ty
 
     # -- T operands -------------------------------------------------------
 
     def operand(self) -> Operand:
         u = self._operand_atom()
-        while self.at("punct", "["):
-            self.advance()
-            insts = self._comma_list(self.omega, closer="]")
-            self.expect("punct", "]")
+        while self._skip("["):
+            insts = self._comma_list(self.omega, "]")
+            self._take("]")
             u = TyApp(u, tuple(insts))
         return u
 
     def _operand_atom(self) -> Operand:
-        if self.at("punct", "(") and self.peek().text == ")":
-            self.advance()
-            self.advance()
+        texts = self.texts
+        i = self.pos
+        kind, t = self.kinds[i], texts[i]
+        if t == "(" and texts[i + 1] == ")":
+            self.pos = i + 2
             return WUnit()
-        if self.at("int"):
-            return WInt(int(self.advance().text))
-        if self.at("punct", "-") and self.peek().kind == "int":
-            self.advance()
-            return WInt(-int(self.advance().text))
-        if self.at("register"):
-            return RegOp(self.advance().text)
-        if self.accept("keyword", "pack"):
-            self.expect("punct", "<")
+        if kind == "int":
+            return WInt(self._int())
+        if t == "-" and self.kinds[i + 1] == "int":
+            self.pos = i + 1
+            return WInt(-self._int())
+        if kind == "register":
+            self.pos = i + 1
+            return RegOp(t)
+        if t == "pack":
+            self.pos = i + 1
+            self._take("<")
             hidden = self.ttype()
-            self.expect("punct", ",")
+            self._take(",")
             body = self.operand()
-            self.expect("punct", ">")
-            self.expect("keyword", "as")
+            self._take(">")
+            self._take("as")
             return Pack(hidden, body, self.ttype())
-        if self.accept("keyword", "fold"):
-            self.expect("punct", "[")
+        if t == "fold":
+            self.pos = i + 1
+            self._take("[")
             ty = self.ttype()
-            self.expect("punct", "]")
+            self._take("]")
             return TFold(ty, self.operand())
-        if self.at("ident"):
-            return WLoc(Loc(self.advance().text))
-        self.fail(f"expected an operand, found {self.cur.text!r}")
+        if kind == "ident":
+            self.pos = i + 1
+            return WLoc(Loc(t))
+        self._fail(i, f"expected an operand, found {t!r}")
 
     # -- T instructions and sequences --------------------------------------
 
     def instr_seq(self) -> InstrSeq:
         instrs: List[Instruction] = []
-        while True:
-            if self.cur.kind == "keyword" and \
-                    self.cur.text in _TERMINATOR_KEYWORDS:
-                return InstrSeq(tuple(instrs), self.terminator())
+        while self.texts[self.pos] not in _TERMINATOR_KEYWORDS:
             instrs.append(self.instruction())
-            self.expect("punct", ";")
+            self._take(";")
+        return InstrSeq(tuple(instrs), self.terminator())
 
     def instruction(self) -> Instruction:
-        tok = self.cur
-        if tok.kind != "keyword":
-            self.fail(f"expected an instruction, found {tok.text!r}")
-        name = tok.text
+        i = self.pos
+        name = self.texts[i]
+        if self.kinds[i] != "keyword":
+            self._fail(i, f"expected an instruction, found {name!r}")
+        self.pos = i + 1
         if name in ("add", "sub", "mul"):
-            self.advance()
-            rd = self.expect("register").text
-            self.expect("punct", ",")
-            rs = self.expect("register").text
-            self.expect("punct", ",")
+            rd = self._name("register")
+            self._take(",")
+            rs = self._name("register")
+            self._take(",")
             return Aop(name, rd, rs, self.operand())
         if name == "bnz":
-            self.advance()
-            r = self.expect("register").text
-            self.expect("punct", ",")
+            r = self._name("register")
+            self._take(",")
             return Bnz(r, self.operand())
         if name == "ld":
-            self.advance()
-            rd = self.expect("register").text
-            self.expect("punct", ",")
-            rs = self.expect("register").text
-            self.expect("punct", "[")
-            i = int(self.expect("int").text)
-            self.expect("punct", "]")
-            return Ld(rd, rs, i)
+            rd = self._name("register")
+            self._take(",")
+            rs = self._name("register")
+            self._take("[")
+            n = self._int()
+            self._take("]")
+            return Ld(rd, rs, n)
         if name == "st":
-            self.advance()
-            rd = self.expect("register").text
-            self.expect("punct", "[")
-            i = int(self.expect("int").text)
-            self.expect("punct", "]")
-            self.expect("punct", ",")
-            rs = self.expect("register").text
-            return St(rd, i, rs)
+            rd = self._name("register")
+            self._take("[")
+            n = self._int()
+            self._take("]")
+            self._take(",")
+            return St(rd, n, self._name("register"))
         if name in ("ralloc", "balloc"):
-            self.advance()
-            rd = self.expect("register").text
-            self.expect("punct", ",")
-            n = int(self.expect("int").text)
-            return (Ralloc if name == "ralloc" else Balloc)(rd, n)
+            rd = self._name("register")
+            self._take(",")
+            return (Ralloc if name == "ralloc" else Balloc)(rd, self._int())
         if name == "mv":
-            self.advance()
-            rd = self.expect("register").text
-            self.expect("punct", ",")
+            rd = self._name("register")
+            self._take(",")
             return Mv(rd, self.operand())
         if name in ("salloc", "sfree"):
-            self.advance()
-            n = int(self.expect("int").text)
-            return (Salloc if name == "salloc" else Sfree)(n)
+            return (Salloc if name == "salloc" else Sfree)(self._int())
         if name == "sld":
-            self.advance()
-            rd = self.expect("register").text
-            self.expect("punct", ",")
-            return Sld(rd, int(self.expect("int").text))
+            rd = self._name("register")
+            self._take(",")
+            return Sld(rd, self._int())
         if name == "sst":
-            self.advance()
-            i = int(self.expect("int").text)
-            self.expect("punct", ",")
-            return Sst(i, self.expect("register").text)
+            n = self._int()
+            self._take(",")
+            return Sst(n, self._name("register"))
         if name == "unpack":
-            self.advance()
-            self.expect("punct", "<")
-            alpha = self.expect("ident").text
-            self.expect("punct", ",")
-            rd = self.expect("register").text
-            self.expect("punct", ">")
+            self._take("<")
+            alpha = self._name("ident")
+            self._take(",")
+            rd = self._name("register")
+            self._take(">")
             return Unpack(alpha, rd, self.operand())
         if name == "unfold":
-            self.advance()
-            rd = self.expect("register").text
-            self.expect("punct", ",")
+            rd = self._name("register")
+            self._take(",")
             return UnfoldI(rd, self.operand())
         if name == "protect":
-            self.advance()
-            self.expect("punct", "<")
-            phi = self._comma_list(self.ttype, closer=">")
-            self.expect("punct", ">")
-            self.expect("punct", ",")
-            return Protect(tuple(phi), self.expect("ident").text)
+            self._take("<")
+            phi = self._comma_list(self.ttype, ">")
+            self._take(">")
+            self._take(",")
+            return Protect(tuple(phi), self._name("ident"))
         if name == "import":
-            self.advance()
-            rd = self.expect("register").text
-            self.expect("punct", ",")
+            rd = self._name("register")
+            self._take(",")
             sigma = self.stack_ty()
-            self.expect("keyword", "TF")
-            self.expect("punct", "[")
+            self._take("TF")
+            self._take("[")
             ty = self.ftype()
-            self.expect("punct", "]")
-            self.expect("punct", "(")
+            self._take("]")
+            self._take("(")
             expr = self.fexpr()
-            self.expect("punct", ")")
+            self._take(")")
             return Import(rd, sigma, ty, expr)
-        self.fail(f"unknown instruction {name!r}")
+        self._fail(i, f"unknown instruction {name!r}")
 
     def terminator(self) -> Terminator:
-        if self.accept("keyword", "jmp"):
+        if self._skip("jmp"):
             return Jmp(self.operand())
-        if self.accept("keyword", "call"):
+        if self._skip("call"):
             u = self.operand()
-            self.expect("punct", "{")
+            self._take("{")
             sigma = self.stack_ty()
-            self.expect("punct", ",")
+            self._take(",")
             q = self.ret_marker()
-            self.expect("punct", "}")
+            self._take("}")
             return Call(u, sigma, q)
-        if self.accept("keyword", "ret"):
-            r = self.expect("register").text
-            self.expect("punct", "{")
-            rr = self.expect("register").text
-            self.expect("punct", "}")
+        if self._skip("ret"):
+            r = self._name("register")
+            self._take("{")
+            rr = self._name("register")
+            self._take("}")
             return Ret(r, rr)
-        if self.accept("keyword", "halt"):
+        if self._skip("halt"):
             ty = self.ttype()
-            self.expect("punct", ",")
+            self._take(",")
             sigma = self.stack_ty()
-            self.expect("punct", "{")
-            r = self.expect("register").text
-            self.expect("punct", "}")
+            self._take("{")
+            r = self._name("register")
+            self._take("}")
             return Halt(ty, sigma, r)
-        self.fail(f"expected a terminator, found {self.cur.text!r}")
+        i = self.pos
+        self._fail(i, f"expected a terminator, found {self.texts[i]!r}")
 
     # -- components and heap values ----------------------------------------
 
     def component(self) -> Component:
-        self.expect("punct", "(")
+        self._take("(")
         instrs = self.instr_seq()
-        self.expect("punct", ",")
+        self._take(",")
         heap: List[Tuple[Loc, HeapValue]] = []
-        if self.accept("punct", "."):
-            pass
-        else:
-            self.expect("punct", "{")
-            while not self.at("punct", "}"):
-                label = self.expect("ident").text
-                self.expect("punct", "->")
+        if not self._skip("."):
+            self._take("{")
+            while self.texts[self.pos] != "}":
+                label = self._name("ident")
+                self._take("->")
                 heap.append((Loc(label), self.heap_value()))
-                if not self.accept("punct", ";"):
+                if not self._skip(";"):
                     break
-            self.expect("punct", "}")
-        self.expect("punct", ")")
+            self._take("}")
+        self._take(")")
         return Component(instrs, tuple(heap))
 
     def heap_value(self) -> HeapValue:
-        if self.accept("keyword", "code"):
-            self.expect("punct", "[")
+        if self._skip("code"):
+            self._take("[")
             delta = self._delta_bindings()
-            self.expect("punct", "]")
-            self.expect("punct", "{")
+            self._take("]")
+            self._take("{")
             chi = self._regfile()
-            self.expect("punct", ";")
+            self._take(";")
             sigma = self.stack_ty()
-            self.expect("punct", "}")
+            self._take("}")
             q = self.ret_marker()
-            self.expect("punct", ".")
+            self._take(".")
             return HCode(tuple(delta), chi, sigma, q, self.instr_seq())
-        if self.accept("punct", "<"):
+        if self._skip("<"):
             words = []
-            if not self.at("punct", ">"):
+            if self.texts[self.pos] != ">":
                 while True:
-                    w = self.operand()
-                    words.append(w)
-                    if not self.accept("punct", ","):
+                    words.append(self.operand())
+                    if not self._skip(","):
                         break
-            self.expect("punct", ">")
+            self._take(">")
             return HTuple(tuple(words))
-        self.fail(f"expected a heap value, found {self.cur.text!r}")
+        i = self.pos
+        self._fail(i, f"expected a heap value, found {self.texts[i]!r}")
 
     # -- F expressions -------------------------------------------------------
 
     def fexpr(self) -> FExpr:
-        # additive level (+, -) over a multiplicative level (*), both
-        # left-associative; printed terms are always parenthesized, so
-        # precedence only matters for hand-written programs.
-        left = self._mul_expr()
-        while self.cur.kind == "punct" and self.cur.text in ("+", "-"):
-            op = self.advance().text
-            right = self._mul_expr()
-            left = BinOp(op, left, right)
-        return left
+        """An F(T) expression: additive (``+``, ``-``) over multiplicative
+        (``*``) over application, both operator levels left-associative;
+        printed terms are always parenthesized, so precedence only matters
+        for hand-written programs.
 
-    def _mul_expr(self) -> FExpr:
-        left = self._application()
-        while self.at("punct", "*"):
-            self.advance()
-            right = self._application()
-            left = BinOp("*", left, right)
-        return left
+        One loop, two phases.  It reads an *operand* at token ``i``: a
+        literal, a variable or ``()`` is complete at once, while an opener
+        (``(``, ``<``, ``pi0(``, ``if0``, ``lam``, ``fold``, ``unfold``)
+        pushes an entry on ``stack`` -- what the sub-expression becomes,
+        and the enclosing level's partial sums -- and starts a fresh level
+        for the sub-expression.  A complete operand then extends the
+        innermost level: another operand is an argument, ``*`` closes an
+        application into the product, ``+``/``-`` close the product into
+        the sum, and any other token completes the level, whose
+        expression pops the innermost entry and becomes an operand of the
+        level below.  The tokens are checked in the order the grammar's
+        recursive-descent reading checks them, so errors name the same
+        token.
+        """
+        texts, kinds = self.texts, self.kinds
+        i = self.pos
+        stack: list = []
+        # The innermost level: ``total op product * (head args...)``.
+        total = op = product = head = args = None
+        while True:
+            # -- read an operand at token i ---------------------------------
+            t = texts[i]
+            kind = kinds[i]
+            if kind == "int":
+                v = IntE(self._number(t, i))
+                i += 1
+            elif kind == "ident":
+                if t.startswith("pi") and t[2:].isdigit() \
+                        and texts[i + 1] == "(":
+                    stack.append((_PROJ, i, total, op, product, head, args))
+                    total = op = product = head = args = None
+                    i += 2
+                    continue
+                v = Var(t)
+                i += 1
+            elif t == "(":
+                if texts[i + 1] == ")":
+                    v = UnitE()
+                    i += 2
+                else:
+                    stack.append((_PAREN, None, total, op, product, head,
+                                  args))
+                    total = op = product = head = args = None
+                    i += 1
+                    continue
+            elif t == "<":
+                if texts[i + 1] == ">":
+                    v = TupleE(())
+                    i += 2
+                else:
+                    stack.append((_TUPLE, [], total, op, product, head, args))
+                    total = op = product = head = args = None
+                    i += 1
+                    continue
+            elif t == "-" and kinds[i + 1] == "int":
+                v = IntE(-self._number(texts[i + 1], i + 1))
+                i += 2
+            elif t == "if0":
+                stack.append((_IF0_COND, None, total, op, product, head, args))
+                total = op = product = head = args = None
+                i += 1
+                continue
+            elif t == "lam":
+                self.pos = i + 1
+                header = self._lam_header()
+                i = self.pos
+                stack.append((_LAM, header, total, op, product, head, args))
+                total = op = product = head = args = None
+                continue
+            elif t == "fold":
+                self.pos = i + 1
+                self._take("[")
+                ann = self.ftype()
+                self._take("]")
+                self._take("(")
+                i = self.pos
+                stack.append((_FOLD, ann, total, op, product, head, args))
+                total = op = product = head = args = None
+                continue
+            elif t == "unfold":
+                if texts[i + 1] != "(":
+                    self._expected(i + 1, "(")
+                stack.append((_UNFOLD, None, total, op, product, head, args))
+                total = op = product = head = args = None
+                i += 2
+                continue
+            elif t == "FT":
+                self.pos = i + 1
+                v = self._boundary()
+                i = self.pos
+            else:
+                self._fail(i, f"expected an expression, found {t!r}")
 
-    def _application(self) -> FExpr:
-        head = self._primary()
-        args: List[FExpr] = []
-        while self._starts_primary():
-            args.append(self._primary())
-        if args:
-            return App(head, tuple(args))
-        return head
-
-    def _starts_primary(self) -> bool:
-        tok = self.cur
-        if tok.kind in ("int", "ident"):
-            return True
-        if tok.kind == "punct" and tok.text in ("(", "<"):
-            return True
-        if tok.kind == "keyword" and tok.text in (
-                "lam", "if0", "fold", "unfold", "FT"):
-            return True
-        return False
-
-    def _primary(self) -> FExpr:
-        tok = self.cur
-        if tok.kind == "int":
-            self.advance()
-            return IntE(int(tok.text))
-        if self.at("punct", "-") and self.peek().kind == "int":
-            self.advance()
-            return IntE(-int(self.advance().text))
-        if tok.kind == "ident":
-            m = _PROJ_RE.match(tok.text)
-            if m and self.peek().text == "(":
-                self.advance()
-                self.expect("punct", "(")
-                body = self.fexpr()
-                self.expect("punct", ")")
-                return Proj(int(m.group(1)), body)
-            self.advance()
-            return Var(tok.text)
-        if self.at("punct", "("):
-            if self.peek().text == ")":
-                self.advance()
-                self.advance()
-                return UnitE()
-            self.advance()
-            inner = self.fexpr()
-            self.expect("punct", ")")
-            return inner
-        if self.at("punct", "<"):
-            self.advance()
-            items = self._comma_list(self.fexpr, closer=">")
-            self.expect("punct", ">")
-            return TupleE(tuple(items))
-        if self.accept("keyword", "if0"):
-            cond = self.fexpr()
-            self.expect("punct", "{")
-            then = self.fexpr()
-            self.expect("punct", "}")
-            self.expect("punct", "{")
-            els = self.fexpr()
-            self.expect("punct", "}")
-            return If0(cond, then, els)
-        if self.accept("keyword", "lam"):
-            phi_in = phi_out = None
-            if self.accept("punct", "["):
-                phi_in = self._comma_list(self.ttype, closer=";")
-                self.expect("punct", ";")
-                phi_out = self._comma_list(self.ttype, closer="]")
-                self.expect("punct", "]")
-            self.expect("punct", "(")
-            params: List[Tuple[str, FType]] = []
-            while not self.at("punct", ")"):
-                x = self.expect("ident").text
-                self.expect("punct", ":")
-                params.append((x, self.ftype()))
-                if not self.accept("punct", ","):
+            # -- extend the innermost level with the operand v --------------
+            while True:
+                if head is None:
+                    head = v
+                elif args is None:
+                    args = [v]
+                else:
+                    args.append(v)
+                t = texts[i]
+                if kinds[i] in _OPERAND_KINDS or t in _OPERAND_TEXTS:
+                    break                               # another argument
+                if args is not None:
+                    head = App(head, tuple(args))
+                    args = None
+                product = head if product is None \
+                    else BinOp("*", product, head)
+                head = None
+                if t == "*":
+                    i += 1
                     break
-            self.expect("punct", ")")
-            self.expect("punct", ".")
-            body = self.fexpr()
-            if phi_in is None:
-                return Lam(tuple(params), body)
-            return StackLam(tuple(params), body,
-                            tuple(phi_in), tuple(phi_out or ()))
-        if self.accept("keyword", "fold"):
-            self.expect("punct", "[")
-            ann = self.ftype()
-            self.expect("punct", "]")
-            self.expect("punct", "(")
-            body = self.fexpr()
-            self.expect("punct", ")")
-            return FFold(ann, body)
-        if self.accept("keyword", "unfold"):
-            self.expect("punct", "(")
-            body = self.fexpr()
-            self.expect("punct", ")")
-            return FUnfold(body)
-        if self.accept("keyword", "FT"):
-            self.expect("punct", "[")
-            ty = self.ftype()
-            delta = StackDelta()
-            if self.accept("punct", ";"):
-                neg = bool(self.accept("punct", "-"))
-                pops = int(self.expect("int").text)
-                if not neg and pops:
-                    self.fail("boundary pop count must be written -n")
-                self.expect("punct", ";")
-                self.expect("punct", "<")
-                pushes = self._comma_list(self.ttype, closer=">")
-                self.expect("punct", ">")
-                delta = StackDelta(pops, tuple(pushes))
-            self.expect("punct", "]")
-            return Boundary(ty, self.component(), delta)
-        self.fail(f"expected an expression, found {tok.text!r}")
+                total = product if total is None \
+                    else BinOp(op, total, product)
+                product = None
+                if t == "+" or t == "-":
+                    op = t
+                    i += 1
+                    break
+                # The level is complete: its expression closes the
+                # innermost open sub-expression.
+                if not stack:
+                    self.pos = i
+                    return total
+                e = total
+                what, data, total, op, product, head, args = stack.pop()
+                if what == _PAREN:
+                    if t != ")":
+                        self._expected(i, ")")
+                    v = e
+                    i += 1
+                elif what == _TUPLE:
+                    data.append(e)
+                    if t == ",":
+                        stack.append((_TUPLE, data, total, op, product,
+                                      head, args))
+                        total = op = product = head = args = None
+                        i += 1
+                        break
+                    if t != ">":
+                        self._expected(i, ">")
+                    v = TupleE(tuple(data))
+                    i += 1
+                elif what == _LAM:
+                    params, phi_in, phi_out = data
+                    v = Lam(params, e) if phi_in is None \
+                        else StackLam(params, e, phi_in, phi_out)
+                elif what == _IF0_COND:
+                    if t != "{":
+                        self._expected(i, "{")
+                    stack.append((_IF0_THEN, e, total, op, product, head,
+                                  args))
+                    total = op = product = head = args = None
+                    i += 1
+                    break
+                elif what == _IF0_THEN:
+                    if t != "}":
+                        self._expected(i, "}")
+                    if texts[i + 1] != "{":
+                        self._expected(i + 1, "{")
+                    stack.append((_IF0_ELSE, (data, e), total, op, product,
+                                  head, args))
+                    total = op = product = head = args = None
+                    i += 2
+                    break
+                elif what == _IF0_ELSE:
+                    if t != "}":
+                        self._expected(i, "}")
+                    v = If0(data[0], data[1], e)
+                    i += 1
+                else:                           # _PROJ, _FOLD, _UNFOLD
+                    if t != ")":
+                        self._expected(i, ")")
+                    if what == _PROJ:
+                        v = Proj(self._number(texts[data][2:], data), e)
+                    elif what == _FOLD:
+                        v = FFold(data, e)
+                    else:
+                        v = FUnfold(e)
+                    i += 1
+
+    def _lam_header(self):
+        """``[phi; phi] (x: t, ...).`` after ``lam``: the parameters, and
+        the stack prefixes (``None`` for a plain lambda)."""
+        phi_in = phi_out = None
+        if self._skip("["):
+            phi_in = tuple(self._comma_list(self.ttype, ";"))
+            self._take(";")
+            phi_out = tuple(self._comma_list(self.ttype, "]"))
+            self._take("]")
+        texts, kinds = self.texts, self.kinds
+        i = self.pos
+        if texts[i] != "(":
+            self._expected(i, "(")
+        i += 1
+        params: List[Tuple[str, FType]] = []
+        while texts[i] != ")":
+            if kinds[i] != "ident":
+                self._expected(i, "ident")
+            if texts[i + 1] != ":":
+                self._expected(i + 1, ":")
+            self.pos = i + 2
+            params.append((texts[i], self.ftype()))
+            i = self.pos
+            if texts[i] != ",":
+                break
+            i += 1
+        if texts[i] != ")":
+            self._expected(i, ")")
+        if texts[i + 1] != ".":
+            self._expected(i + 1, ".")
+        self.pos = i + 2
+        return tuple(params), phi_in, phi_out
+
+    def _boundary(self) -> Boundary:
+        """``[t; -n; <phi>](I, H)`` after ``FT``."""
+        self._take("[")
+        ty = self.ftype()
+        delta = StackDelta()
+        if self._skip(";"):
+            neg = self._skip("-")
+            pops = self._int()
+            if not neg and pops:
+                self._fail(self.pos, "boundary pop count must be written -n")
+            self._take(";")
+            self._take("<")
+            pushes = self._comma_list(self.ttype, ">")
+            self._take(">")
+            delta = StackDelta(pops, tuple(pushes))
+        self._take("]")
+        return Boundary(ty, self.component(), delta)
 
     # -- generic helpers ------------------------------------------------------
 
     def _comma_list(self, production, closer: str) -> List:
         items: List = []
-        if self.at("punct", closer):
+        if self.texts[self.pos] == closer:
             return items
         while True:
             items.append(production())
-            if not self.accept("punct", ","):
+            if not self._skip(","):
                 return items
 
 
@@ -707,8 +850,7 @@ def parse_program(source: str):
     the program.
     """
     p = Parser(source)
-    if p.at("punct", "(") and p.peek().kind == "keyword" and \
-            p.peek().text in _INSTR_KEYWORDS + _TERMINATOR_KEYWORDS:
+    if p.texts[0] == "(" and p.texts[1] in _COMPONENT_OPENERS:
         tree = p.component()
     else:
         tree = p.fexpr()

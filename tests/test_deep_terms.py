@@ -18,6 +18,7 @@ from collections import Counter
 import pytest
 
 from repro.compile import jit_eligible, jit_rewrite
+from repro.errors import ParseError
 from repro.f.cek import cek_evaluate
 from repro.f.syntax import (
     App, BinOp, FArrow, FInt, Fold, free_tvars, free_vars, FRec, ftype_equal,
@@ -28,6 +29,7 @@ from repro.ft.syntax import (
     Boundary, FStackArrow, Import, Protect, StackLam,
 )
 from repro.link.linker import collect_labels
+from repro.surface import parse_program
 from repro.tal.equality import types_equal
 from repro.tal.erasure import erase_types
 from repro.tal.machine import rename_locs
@@ -187,6 +189,64 @@ class TestDeepPayload:
         out = rename_locs(self.boundary(kind), {self.LABEL: new})
         assert out.comp.heap[0][0] is new
         assert out.comp.instrs.term.u.loc is new
+
+
+def nested_source(wrap, leaf: str, depth: int = DEPTH) -> str:
+    """The printed form of ``depth`` applications of ``wrap`` around the
+    source ``leaf``, built as text: printing a deep term recurses."""
+    prefix, suffix = str(wrap(Var("HOLE"))).split("HOLE")
+    return prefix * depth + leaf + suffix * depth
+
+
+class TestDeepParse:
+    """The surface parser reads 10,000-deep programs at the default
+    limit: its expression loop keeps open sub-expressions on a list."""
+
+    def test_chain(self, kind):
+        tree = parse_program(nested_source(WRAP[kind], str(LEAF)))
+        assert census(tree) == census(chain(kind))
+        assert find(tree, StackLam) == [STACK_LAM]
+        assert find(tree, Lam) == [ARITH_LAM]
+
+    def test_chain_over_a_boundary(self):
+        leaf = "FT[int](mv r1, 1; halt int, nil {r1}, .)"
+        tree = parse_program(nested_source(WRAP["binop"], leaf))
+        expected = parse_program(leaf)
+        for _ in range(DEPTH):
+            expected = WRAP["binop"](expected)
+        assert census(tree) == census(expected)
+        assert find(tree, Boundary) == find(expected, Boundary)
+
+    def test_chain_inside_an_import(self):
+        payload = nested_source(WRAP["if0"], "x")
+        tree = parse_program(f"FT[int](import r1, nil TF[int] ({payload}); "
+                             f"halt int, nil {{r1}}, .)")
+        [imp] = [i for i in tree.comp.instrs.instrs if isinstance(i, Import)]
+        assert census(imp.expr) == Counter(
+            {"If0": DEPTH, "IntE": 2 * DEPTH, "Var": 1, "var x": 1})
+
+    def test_lambda_chain(self):
+        source = "".join(f"lam (x{n}: int). " for n in range(DEPTH)) + "x0"
+        tree = parse_program(source)
+        expected = Var("x0")
+        for n in reversed(range(DEPTH)):
+            expected = Lam(((f"x{n}", FInt()),), expected)
+        assert census(tree) == census(expected)
+        assert tree.params == (("x0", FInt()),)
+        innermost = find(tree, Lam)[-1]
+        assert innermost.params == ((f"x{DEPTH - 1}", FInt()),)
+        assert innermost.body == Var("x0")
+
+    def test_nested_parentheses(self):
+        tree = parse_program("(" * DEPTH + "1 + 2 * x" + ")" * DEPTH)
+        assert tree == BinOp("+", IntE(1), BinOp("*", IntE(2), Var("x")))
+
+    def test_deep_error_is_located(self):
+        source = nested_source(WRAP["tuple"], "1 +")
+        with pytest.raises(ParseError) as info:
+            parse_program(source)
+        assert (info.value.line, info.value.column) == (1, DEPTH + 4)
+        assert "expected an expression, found ','" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
