@@ -35,7 +35,8 @@ from repro.caching import InternTable, PicklableSlots, intern_singleton
 
 __all__ = [
     "FType", "FTVar", "FUnit", "FInt", "FArrow", "FRec", "FTupleT",
-    "FExpr", "Var", "UnitE", "IntE", "BinOp", "If0", "Lam", "App",
+    "FExpr", "Var", "UnitE", "IntE", "BinOp", "If0", "WrapperMemo", "Lam",
+    "App",
     "Fold", "Unfold", "TupleE", "Proj",
     "ftype_equal", "subst_ftype", "free_tvars", "fresh_tvar",
     "fresh_tvar_mark", "advance_fresh_tvar",
@@ -261,13 +262,24 @@ class If0(FExpr):
         return f"if0 {self.cond} {{{self.then}}} {{{self.els}}}"
 
 
+class WrapperMemo(FExpr):
+    """The per-instance memo slot of :class:`Lam`: ``_wrappers``, the
+    Fig 10 T code block wrapping the lambda, per boundary type
+    (:func:`repro.ft.boundary.build_lambda_wrapper`).  It is not a
+    dataclass field, so equality, hashing, pickling and content digests
+    never see it, and it dies with the lambda."""
+
+    __slots__ = ("_wrappers",)
+
+
 @dataclass(frozen=True, slots=True)
-class Lam(FExpr):
+class Lam(WrapperMemo):
     """An n-ary lambda ``lam (x1:tau1, ..., xn:taun). e``.
 
     The paper writes unary ``lam (x:tau).e`` but types n-ary application
     ``t t1 ... tn`` against ``(tau_1 ... tau_n) -> tau'``; we represent the
-    n-ary binder directly.
+    n-ary binder directly.  Its boundary wrappers are kept in the
+    ``_wrappers`` memo slot (:class:`WrapperMemo`).
     """
 
     params: Tuple[Tuple[str, FType], ...]

@@ -9,13 +9,17 @@ runtime:
   the calling convention: save the return continuation on the stack, rebuild
   the original lambda application as an ``import``-ed F expression whose
   arguments are boundary components reading the stack, then restore the
-  continuation, clear the arguments, and ``ret``.
+  continuation, clear the arguments, and ``ret``.  The block depends only
+  on the lambda and its type, so it is built once per (lambda, type) and
+  kept on the lambda; every crossing binds it under a fresh label.
 
 * ``tauFT(w, M) = (v, M')`` (:func:`t_to_f`): a T word becomes an F value.
   Base values map directly; heap tuples are read back field by field; a
   code pointer becomes a *lambda* whose body is a boundary component that
   protects the stack, pushes the (translated) arguments, installs a fresh
   halting continuation ``l_end``, and ``call``s the original code pointer.
+  The lambda is built afresh per crossing (its ``l_end`` label is
+  allocated then); only ``l_end``'s code is shared, by shape.
 
 The generated wrappers are exactly Fig 10's, and they typecheck under
 :class:`repro.ft.typecheck.FTTypechecker` (verified in the test suite).
@@ -28,7 +32,7 @@ register count (see :func:`build_stack_lambda_wrapper`).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 from repro.caching import LRUCache
 from repro.errors import MachineError
@@ -103,14 +107,31 @@ def f_to_t(v: FExpr, ty: FType, mem: Memory) -> WordValue:
     if isinstance(ty, FStackArrow):
         if not isinstance(v, Lam):
             raise MachineError(f"TF[stack-arrow] applied to {v}")
-        block = build_stack_lambda_wrapper(v, ty)
+        block = _wrapper(v, ty, build_stack_lambda_wrapper)
         return WLoc(mem.alloc(block, BOX, base="slam"))
     if isinstance(ty, FArrow):
         if not isinstance(v, Lam):
             raise MachineError(f"TF[arrow] applied to {v}")
-        block = build_lambda_wrapper(v, ty)
+        block = _wrapper(v, ty, build_lambda_wrapper)
         return WLoc(mem.alloc(block, BOX, base="lam"))
     raise MachineError(f"no value translation into T at type {ty}")
+
+
+def _wrapper(v: Lam, ty: FArrow,
+             build: Callable[[Lam, FArrow], HCode]) -> HCode:
+    """The wrapper block of ``v`` at ``ty``, built by ``build`` at the
+    first crossing and kept in the lambda's ``_wrappers`` memo slot (one block per
+    type).  Each crossing still binds it under a fresh label, as Fig 10
+    allocates; the immutable block is shared, so the fast tier lowers it
+    once and its memos and JIT state hit across crossings and runs."""
+    memo = getattr(v, "_wrappers", None)
+    if memo is None:
+        memo = {}
+        object.__setattr__(v, "_wrappers", memo)
+    block = memo.get(ty)
+    if block is None:
+        block = memo.setdefault(ty, build(v, ty))
+    return block
 
 
 def build_lambda_wrapper(v: Lam, ty: FArrow) -> HCode:
@@ -120,7 +141,9 @@ def build_lambda_wrapper(v: Lam, ty: FArrow) -> HCode:
     continuation in ``ra``; the block saves the continuation to the stack,
     imports the F application whose arguments are boundary components that
     ``sld`` each argument and halt with it, then restores the continuation,
-    frees the continuation + argument slots, and returns.
+    frees the continuation + argument slots, and returns.  The block
+    depends only on ``v`` and ``ty``, so :func:`f_to_t` builds it once
+    per lambda and type.
     """
     n = len(ty.params)
     result_t = type_translation(ty.result)

@@ -20,12 +20,14 @@ The package also hosts the *runnable example registry* shared by the CLI
 (``funtal examples``) and the evaluation service (``example`` jobs in
 :mod:`repro.serve`): :func:`example_entries` maps stable names to
 ``(blurb, build)`` pairs and :func:`resolve_example` additionally accepts
-the paper's figure numbers as aliases.
+the paper's figure numbers as aliases; :func:`example_node` builds each
+example once per process.
 """
 
 from typing import Callable, Dict, Optional, Tuple
 
-__all__ = ["EXAMPLE_ALIASES", "example_entries", "resolve_example"]
+__all__ = ["EXAMPLE_ALIASES", "example_entries", "example_node",
+           "resolve_example"]
 
 
 def example_entries() -> Dict[str, Tuple[str, Callable[[], object]]]:
@@ -69,3 +71,23 @@ def resolve_example(name: str) -> Optional[Tuple[str, Callable[[], object]]]:
     """Look up an example by name or figure alias; None when unknown."""
     entries = example_entries()
     return entries.get(EXAMPLE_ALIASES.get(name, name))
+
+
+#: Canonical example name -> its program, built at the first request.
+_NODES: Dict[str, object] = {}
+
+
+def example_node(name: str) -> Optional[object]:
+    """The program of an example, by name or figure alias, built once
+    per process; None when unknown.  Programs are immutable, so every
+    request shares one: its load templates, fast-tier blocks and
+    boundary wrappers, kept on its nodes, stay warm across runs."""
+    key = EXAMPLE_ALIASES.get(name, name)
+    node = _NODES.get(key)
+    if node is None:
+        entry = example_entries().get(key)
+        if entry is None:
+            return None
+        # a racing thread's build is dropped: one program per name
+        node = _NODES.setdefault(key, entry[1]())
+    return node

@@ -6,7 +6,7 @@ A :class:`Budget` bundles the three ceilings a run may not cross:
   both languages and all boundary-nesting levels, exactly like the FT
   machine's old single fuel counter;
 * **heap** -- allocated heap cells (tuple words + code blocks).  Charged
-  by :class:`repro.tal.heap.Memory` on every ``alloc``/``bind``, so a
+  by :class:`repro.tal.heap.Memory` on every ``alloc``/``bind_all``, so a
   program that allocates without bound degrades into a structured
   :class:`~repro.errors.HeapExhausted` instead of eating the host's RAM;
 * **depth** -- evaluation-context frames on the F side and machine-stack
@@ -29,7 +29,7 @@ to be killed" before the kill.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.errors import (
     FuelExhausted, HeapExhausted, ResourceExhausted, StackDepthExhausted,
@@ -117,6 +117,23 @@ class Budget:
             raise HeapExhausted(self.max_heap, used)
         if used >= self.max_heap * self.soft_ratio:
             self._soft_warn("heap", used)
+
+    def charge_heap_all(self, sizes: Tuple[int, ...], total: int) -> None:
+        """Charge a run of allocations of ``sizes`` cells each (summing
+        to ``total``) in one step, with the ``heap_used``, the
+        :class:`HeapExhausted` point and the soft warning of charging
+        them one at a time: a run that stays under the ceiling and
+        crosses no unwarned soft threshold adds ``total``; one that
+        does is charged allocation by allocation, so it trips and
+        warns at the same allocation."""
+        used = self.heap_used + total
+        if used <= self.max_heap and (
+                used < self.max_heap * self.soft_ratio
+                or "heap" in self._soft_warned):
+            self.heap_used = used
+            return
+        for cells in sizes:
+            self.charge_heap(cells)
 
     def check_depth(self, depth: int) -> None:
         if depth > self.depth_high_water:

@@ -99,17 +99,18 @@ def _suspend(machine, out_extra: Dict[str, Any]) -> "_Suspended":
 
 def resolve_program(job: Job) -> Tuple[Any, bool]:
     """(program node, is_component).  Inline sources go through the
-    surface parser; examples come from the registry pre-built."""
+    surface parser; examples come from the registry, each built once per
+    process (:func:`repro.papers_examples.example_node`), so example jobs
+    run warm."""
     from repro.surface.parser import parse_program
     from repro.tal.syntax import Component
 
     if job.example is not None:
-        from repro.papers_examples import resolve_example
+        from repro.papers_examples import example_node
 
-        entry = resolve_example(job.example)
-        if entry is None:
+        node = example_node(job.example)
+        if node is None:
             raise FunTALError(f"unknown example {job.example!r}")
-        node = entry[1]()
     else:
         node = parse_program(job.source)
     return node, isinstance(node, Component)

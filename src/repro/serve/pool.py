@@ -86,6 +86,7 @@ import collections
 import contextlib
 import multiprocessing
 import os
+import select
 import selectors
 import signal
 import socket
@@ -182,13 +183,18 @@ class _Worker:
     results back in order), so crash/timeout blame lands exactly there.
     """
 
-    __slots__ = ("wid", "proc", "conn", "hb_conn", "inflight", "deadline",
-                 "last_pong", "ping_sent")
+    __slots__ = ("wid", "proc", "conn", "readable", "hb_conn", "inflight",
+                 "deadline", "last_pong", "ping_sent")
 
     def __init__(self, wid: int, proc, conn, hb_conn):
         self.wid = wid
         self.proc = proc
         self.conn = conn
+        # A poller over the result pipe alone: one non-blocking syscall
+        # per readiness check, where ``conn.poll()`` builds and closes a
+        # selector on every call.
+        self.readable = select.poll()
+        self.readable.register(conn.fileno(), select.POLLIN)
         self.hb_conn = hb_conn
         self.inflight: "collections.deque[Ticket]" = collections.deque()
         self.deadline = 0.0
@@ -836,12 +842,21 @@ class WorkerPool:
             + head._timeout_for(self.default_timeout)
         self._inc("serve.recovery.checkpoints")
 
-    def _drain_results(self, worker: _Worker) -> None:
-        """Consume every result the worker has streamed so far."""
+    def _drain_results(self, worker: _Worker,
+                       reported: bool = False) -> None:
+        """Consume every result the worker has streamed so far.
+
+        ``reported`` says the manager's selector has just reported the
+        result pipe readable, so the first message is read without
+        asking again; every other read waits for a non-blocking
+        readiness check.  The death-rattle drain passes ``False``: a
+        sibling may hold that pipe open, so a blocking read there could
+        wait forever."""
         while worker.inflight:
             try:
-                if not worker.conn.poll():
+                if not reported and not worker.readable.poll(0):
                     return
+                reported = False
                 data = worker.conn.recv()
                 if isinstance(data, dict) and data.get("__progress__"):
                     self._handle_progress(worker, data)
@@ -934,7 +949,7 @@ class WorkerPool:
                     except (BlockingIOError, OSError):
                         pass
                 elif tag == "conn":
-                    self._drain_results(worker)
+                    self._drain_results(worker, reported=True)
                 elif tag == "hb":
                     self._drain_pongs(worker)
                 elif tag == "sentinel":

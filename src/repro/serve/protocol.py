@@ -108,10 +108,10 @@ class JobOptions:
     def to_dict(self) -> Dict[str, Any]:
         """Wire dict containing only the non-default entries."""
         out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value != f.default:
-                out[f.name] = value
+        for name, default in _OPTION_DEFAULTS:
+            value = getattr(self, name)
+            if value != default:
+                out[name] = value
         return out
 
     def semantic_dict(self) -> Dict[str, Any]:
@@ -121,12 +121,17 @@ class JobOptions:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobOptions":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - _OPTION_NAMES
         if unknown:
             raise ProtocolError(
                 f"unknown job option(s): {', '.join(sorted(unknown))}")
         return cls(**data)
+
+
+#: Every option's (name, default), in field order, and the option names:
+#: read once here rather than through ``dataclasses.fields`` per job.
+_OPTION_DEFAULTS = tuple((f.name, f.default) for f in fields(JobOptions))
+_OPTION_NAMES = frozenset(name for name, _ in _OPTION_DEFAULTS)
 
 
 #: Options that change *what* a job computes: they feed the result-cache

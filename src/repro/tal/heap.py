@@ -48,7 +48,7 @@ class Memory:
     """A mutable runtime memory ``(H, R, S)``.
 
     A memory may carry a :class:`~repro.resilience.budget.Budget`
-    governor: every cell committed through :meth:`alloc`/:meth:`bind`
+    governor: every cell committed through :meth:`alloc`/:meth:`bind_all`
     is then charged against the budget's heap-cell ceiling (tuples cost
     one cell per word, code and other values one cell), and stack growth
     is checked against its depth ceiling -- so runaway allocation
@@ -75,13 +75,25 @@ class Memory:
         self.heap[loc] = HeapCell(nu, value)
         return loc
 
-    def bind(self, loc: Loc, value: HeapValue, nu: str) -> None:
-        if loc in self.heap:
+    def bind_all(self, cells: Dict[Loc, HeapCell], sizes: Tuple[int, ...],
+                 total: int) -> None:
+        """Bind prebuilt ``box`` cells under their labels in one step:
+        one already-bound check (over the smaller of the two key sets),
+        one chaos probe, one budget charge (``sizes`` are the cells'
+        charges, summing to ``total``; see
+        :meth:`Budget.charge_heap_all`) and one dict update.
+
+        The cells themselves are shared, not copied: only
+        :meth:`store_field` mutates a cell, and it refuses ``box``
+        ones, so any number of memories may bind the same map."""
+        heap = self.heap
+        if not heap.keys().isdisjoint(cells.keys()):
+            loc = next(loc for loc in cells if loc in heap)
             raise MachineError(f"heap location {loc} already bound")
-        probe("heap.alloc", loc.name)
+        probe("heap.alloc", lambda: ", ".join(loc.name for loc in cells))
         if self.budget is not None:
-            self.budget.charge_heap(self._cells(value))
-        self.heap[loc] = HeapCell(nu, value)
+            self.budget.charge_heap_all(sizes, total)
+        heap.update(cells)
 
     def lookup(self, loc: Loc) -> HeapCell:
         cell = self.heap.get(loc)

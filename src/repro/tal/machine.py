@@ -11,9 +11,9 @@ inside ``import`` payloads and their boundaries too.  Freshness is only
 needed within a memory, so the renaming is done once and reused: a
 :class:`LoadTemplate` (fresh labels, renamed cells, renamed entry
 sequence) is kept on the component, and a later load into a memory that
-binds none of its labels binds the very same cells.  Instantiation memos
-keyed on block identity, and the fast tier's block table, therefore hit
-across runs.
+binds none of its labels binds the very same cells, in one dict update.
+Instantiation memos keyed on block identity, and the fast tier's block
+table, therefore hit across runs.
 
 Control transfers emit :class:`TraceEvent` records carrying the register
 and stack state *at jump time*; :mod:`repro.analysis.trace` reconstructs the
@@ -44,7 +44,7 @@ from repro.obs.events import MachineEvent, OBS
 from repro.obs.profile import PROFILER
 from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import MachineSnapshot
-from repro.tal.heap import Memory, RegSnapshot, StackSnapshot
+from repro.tal.heap import HeapCell, Memory, RegSnapshot, StackSnapshot
 from repro.tal.subst import instantiate_code_block, Subst, subst_term
 from repro.tal.syntax import (
     Aop, AOPS, Balloc, Bnz, BOX, Call, Component, Fold, Halt, HTuple,
@@ -117,32 +117,36 @@ def rename_locs(x, mapping: Dict[Loc, Loc]):
 
 class LoadTemplate:
     """One relocation of a component ``(I, H)``: the fresh label of each
-    heap cell (``mapping``), the renamed cells and the renamed entry
-    sequence.  ``fast`` is the fast tier's block for the entry sequence,
-    built on the first fast load (:func:`repro.tal.fast.install_component`);
-    the fast tier keeps the blocks of the cells on the cells themselves.
+    heap cell (``mapping``), the renamed cells as the map a memory binds
+    (``cells``: label -> ``box`` :class:`~repro.tal.heap.HeapCell`, with
+    ``sizes`` their heap charges and ``size`` the sum) and the renamed
+    entry sequence.  ``fast`` is the fast tier's block for the entry
+    sequence, built on the first fast load
+    (:func:`repro.tal.fast.install_component`); the fast tier keeps the
+    blocks of the cells on the cells' code.
 
     A component without a heap has nothing to relocate: its template
     binds no cells and its entry sequence is the component's own, so
     nothing is renamed.
 
     Every cell is an immutable ``box``, so any number of memories may
-    bind the same template; only two loads into one memory must not.
+    bind the same cells (:meth:`~repro.tal.heap.Memory.bind_all`); only
+    two loads into one memory must not.
     """
 
-    __slots__ = ("mapping", "cells", "instrs", "fast")
+    __slots__ = ("mapping", "cells", "sizes", "size", "instrs", "fast")
 
     def __init__(self, comp: Component):
         self.mapping = {loc: fresh_loc(loc.name) for loc, _ in comp.heap}
         moved = rename_locs(comp, self.mapping) if self.mapping else comp
-        self.cells, self.instrs, self.fast = moved.heap, moved.instrs, None
+        self.cells = {loc: HeapCell(BOX, h) for loc, h in moved.heap}
+        self.sizes = tuple(Memory._cells(h) for _, h in moved.heap)
+        self.size = sum(self.sizes)
+        self.instrs, self.fast = moved.instrs, None
 
     def fits(self, heap: Dict[Loc, object]) -> bool:
         """Whether a memory with this heap binds none of the labels."""
-        for loc, _ in self.cells:
-            if loc in heap:
-                return False
-        return True
+        return heap.keys().isdisjoint(self.cells.keys())
 
 
 def load_template(comp: Component, heap: Dict[Loc, object]) -> LoadTemplate:
@@ -316,16 +320,16 @@ class TalMachine:
         The renaming comes from the component's cached
         :class:`LoadTemplate` when this memory does not bind its labels
         yet (:func:`load_template`), so a component is relocated once,
-        not once per run.  Every cell still goes through
-        :meth:`Memory.bind` (heap budget, chaos probe, already-bound
-        check).  A heap-less component (a straight-line component, the
-        FT boundary wrappers) renames nothing: its own entry sequence
-        runs.  On the fast engine every load installs the template's
-        entry block, built at the component's first fast load."""
+        not once per run, and a load binds the template's prebuilt
+        cells in one step (:meth:`Memory.bind_all`: one already-bound
+        check, one chaos probe, one heap charge).  A heap-less component
+        (a straight-line component, the FT boundary wrappers) renames
+        and binds nothing: its own entry sequence runs.  On the fast
+        engine every load installs the template's entry block, built at
+        the component's first fast load."""
         tpl = load_template(comp, self.memory.heap)
-        bind = self.memory.bind
-        for loc, h in tpl.cells:
-            bind(loc, h, BOX)
+        if tpl.cells:
+            self.memory.bind_all(tpl.cells, tpl.sizes, tpl.size)
         if self.tal_engine == "fast":
             from repro.tal import fast
             fast.install_component(self, tpl)

@@ -3,6 +3,9 @@
 round trips between them.  Critically, the generated wrapper code must
 itself typecheck -- that is what makes Fig 10 type-preserving."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import MachineError
@@ -176,3 +179,70 @@ class TestFunctionRoundTrip:
         double = Lam((("x", FInt()),), BinOp("*", Var("x"), IntE(2)))
         result = machine.eval_fexpr(App(wrapped, (double,)))
         assert result == IntE(4)
+
+
+class TestWrapperIsBuiltOncePerType:
+    """Fig 10's wrapper depends only on the lambda and its type: it is
+    built at the first crossing, kept on the lambda, and bound under a
+    fresh label at every crossing."""
+
+    def test_crossings_share_one_block_per_type(self):
+        mem = Memory()
+        lam = Lam((("x", FInt()),), BinOp("*", Var("x"), IntE(3)))
+        first = f_to_t(lam, INT_ARROW, mem)
+        second = f_to_t(lam, INT_ARROW, mem)
+        assert first.loc != second.loc
+        block = mem.code_at(first.loc)
+        assert mem.code_at(second.loc) is block
+        assert block == build_lambda_wrapper(lam, INT_ARROW)
+        # an equal lambda is another value: it gets its own block
+        twin = Lam((("x", FInt()),), BinOp("*", Var("x"), IntE(3)))
+        assert mem.code_at(f_to_t(twin, INT_ARROW, mem).loc) is not block
+
+    def test_a_second_type_gets_a_second_block(self):
+        mem = Memory()
+        lam = Lam((("x", FInt()),), BinOp("*", Var("x"), IntE(3)))
+        stack_arrow = FStackArrow((FInt(),), FInt())
+        plain = mem.code_at(f_to_t(lam, INT_ARROW, mem).loc)
+        stack = mem.code_at(f_to_t(lam, stack_arrow, mem).loc)
+        assert stack is not plain
+        assert stack == build_stack_lambda_wrapper(lam, stack_arrow)
+        assert mem.code_at(f_to_t(lam, stack_arrow, mem).loc) is stack
+        assert mem.code_at(f_to_t(lam, INT_ARROW, mem).loc) is plain
+
+    def test_the_memo_is_invisible(self):
+        import pickle
+
+        lam = Lam((("x", FInt()),), BinOp("+", Var("x"), IntE(1)))
+        before = (pickle.dumps(lam), hash(lam), str(lam))
+        f_to_t(lam, INT_ARROW, Memory())
+        assert lam._wrappers
+        assert before == (pickle.dumps(lam), hash(lam), str(lam))
+        assert lam == Lam((("x", FInt()),), BinOp("+", Var("x"), IntE(1)))
+        assert not hasattr(pickle.loads(pickle.dumps(lam)), "_wrappers")
+
+    def test_repeated_runs_reuse_the_lowered_block(self):
+        lam = Lam((("x", FInt()),), BinOp("*", Var("x"), IntE(3)))
+        blocks = set()
+        for _ in range(3):
+            machine = FTMachine()          # the default, fast, engine
+            w = f_to_t(lam, INT_ARROW, machine.memory)
+            wrapped = t_to_f(w, INT_ARROW, machine.memory)
+            assert machine.eval_fexpr(App(wrapped, (IntE(7),))) == IntE(21)
+            blocks.add(id(machine.memory.code_at(w.loc)._fast))
+        assert len(blocks) == 1
+
+    def test_dropped_lambda_frees_its_wrapper_block(self):
+        """The memo lives on the lambda, so nothing outside it keeps the
+        wrapper -- or the fast tier's block lowered from it -- alive."""
+        machine = FTMachine()
+        lam = Lam((("x", FInt()),), BinOp("*", Var("x"), IntE(3)))
+        w = f_to_t(lam, INT_ARROW, machine.memory)
+        wrapped = t_to_f(w, INT_ARROW, machine.memory)
+        assert machine.eval_fexpr(App(wrapped, (IntE(7),))) == IntE(21)
+        block = lam._wrappers[INT_ARROW]._fast
+        assert block is not None
+        dead = weakref.ref(block)
+        del machine, lam, w, wrapped, block
+        gc.collect()
+        assert dead() is None

@@ -8,7 +8,11 @@ into a ``fuel_exhausted`` result rather than an exception.
 
 import pytest
 
+import repro.tal.fast as fast
+from repro import obs
+from repro.papers_examples import example_entries, example_node
 from repro.serve.executor import execute_job
+from repro.ft.syntax import Protect
 from repro.serve.protocol import Job, JobOptions
 
 # A diverging program per machine (all surface syntax).
@@ -133,8 +137,56 @@ class TestErrorsAreFolded:
     def test_unknown_example(self):
         result = execute_job(Job("run", example="nope"))
         assert result.status == "error" and "nope" in result.error
+        assert result.error_type == "FunTALError"
+        assert result.error == "unknown example 'nope'"
 
     def test_uncompilable_compile(self):
         result = execute_job(Job("compile", example="fact-t"))
         assert result.status == "error"
         assert "not a compilable F term" in result.error
+
+
+class TestExampleJobsRunWarm:
+    """An example is built once per process, so later jobs run on its
+    warm load templates, fast-tier blocks and boundary wrappers."""
+
+    def test_aliases_share_one_program(self):
+        assert example_node("fig11") is example_node("jit")
+        assert example_node("fig17") is example_node("fig17")
+        assert example_node("nope") is None
+
+    @pytest.mark.parametrize("name", sorted(example_entries()))
+    def test_warm_jobs_agree_and_lower_no_program_block(
+            self, name, monkeypatch):
+        """After a job has run an example and a second has specialized
+        its blocks, a job lowers no block of the example's code: only
+        the entry of each call-back lambda, which ``t_to_f`` builds
+        afresh at every crossing, is lowered (the fast tier's
+        ``tal.fast.blocks`` counter counts both)."""
+        lowered = []
+        real = fast._build_block
+
+        def recording(*args):
+            lowered.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(fast, "_build_block", recording)
+        outputs, counted = [], []
+        for _ in range(4):
+            lowered.clear()
+            obs.enable(record=False)
+            obs.reset()
+            try:
+                result = execute_job(Job("run", example=name))
+                counters = obs.OBS.metrics.snapshot()["counters"]
+            finally:
+                obs.disable()
+                obs.reset()
+            assert result.ok
+            outputs.append(result.output)
+            counted.append((counters.get("tal.fast.blocks", 0),
+                            list(lowered)))
+        assert all(out == outputs[0] for out in outputs)
+        for blocks, seqs in counted[2:]:
+            assert blocks == len(seqs)
+            assert all(isinstance(seq.instrs[0], Protect) for seq in seqs)

@@ -106,9 +106,9 @@ class TestSourceMemo:
             tpl = _bound_template(comp, machine)
             source = dict(comp.heap)
             assert set(tpl.mapping) == set(source)
-            for loc, cell in tpl.cells:
-                assert machine.memory.lookup(loc).value is cell
-            cells = dict(tpl.cells)
+            for loc, cell in tpl.cells.items():
+                assert machine.memory.lookup(loc) is cell
+            cells = {loc: cell.value for loc, cell in tpl.cells.items()}
             for src_loc, loc in tpl.mapping.items():
                 assert str(rename_locs(source[src_loc], tpl.mapping)) \
                     == str(cells[loc])
@@ -126,22 +126,22 @@ class TestSourceMemo:
         tpl = _bound_template(comp, machine)
         revived = FTMachine.restore(machine.snapshot())
         assert revived._fast_blocks == {} and revived._fast_entries == {}
-        for loc, cell in tpl.cells:
-            assert revived.memory.lookup(loc).value is not cell
+        for loc, cell in tpl.cells.items():
+            assert revived.memory.lookup(loc).value is not cell.value
         bound = set(revived.memory.heap)
         entry = revived.load_component(comp)
         assert entry is not tpl.instrs
         assert comp._template is tpl
         new = set(revived.memory.heap) - bound
         assert len(new) == len(comp.heap)
-        assert new.isdisjoint(loc for loc, _ in tpl.cells)
+        assert new.isdisjoint(tpl.cells)
 
 
 def _bound_template(comp, machine):
     """The template of ``comp``, whose cells ``machine``'s memory binds."""
     heap = machine.memory.heap
     tpl = comp._template
-    assert all(heap[loc].value is cell for loc, cell in tpl.cells)
+    assert all(heap[loc] is cell for loc, cell in tpl.cells.items())
     return tpl
 
 
@@ -228,7 +228,7 @@ class TestCommutation:
         object.__setattr__(comp, "_template", None)
         TalMachine().load_component(comp)
         tpl = comp._template
-        loaded = [dict(tpl.cells)[tpl.mapping[loc]] for loc, h in comp.heap
+        loaded = [tpl.cells[tpl.mapping[loc]].value for loc, h in comp.heap
                   if isinstance(h, HCode) and h.delta]
         assert loaded
         clear_subst_caches()
@@ -255,7 +255,8 @@ class TestCommutation:
 def _source_label(tpl, block):
     """The source label of one of ``tpl``'s renamed cells."""
     back = {new: old for old, new in tpl.mapping.items()}
-    return next(back[loc] for loc, h in tpl.cells if h is block)
+    return next(back[loc] for loc, cell in tpl.cells.items()
+                if cell.value is block)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import pytest
 import repro.tal.fast as fast
 import repro.tal.machine as tal_machine
 from repro.compile.pipeline import compile_term
-from repro.errors import FuelExhausted, HeapExhausted
+from repro.errors import FuelExhausted, HeapExhausted, MachineError
 from repro.f.syntax import App, IntE
 from repro.ft.machine import FTMachine
 from repro.link.build import component_digest
@@ -58,7 +58,7 @@ def _forget_templates(term) -> None:
 
 
 def _labels(tpl):
-    return {loc for loc, _ in tpl.cells}
+    return set(tpl.cells)
 
 
 def _fact_f(n):
@@ -230,6 +230,89 @@ class TestBudgets:
         warm = self._loads_until_exhausted(comp, ceiling)
         assert cold == warm == literal
         assert comp._template is not None
+
+
+class TestWarmLoadsBindInOneStep:
+    """A load binds its template's prebuilt cell map with one dict
+    update: no cell is built or bound one at a time, and the budget sees
+    the same charges."""
+
+    def test_warm_load_builds_no_cell_and_binds_once(self, monkeypatch):
+        comp = fig3_call_to_call.build()
+        object.__setattr__(comp, "_template", None)
+        cold = TalMachine()
+        cold.load_component(comp)
+        tpl = comp._template
+        built = _count_calls(monkeypatch, tal_machine, "HeapCell")
+        allocs = _count_calls(monkeypatch, Memory, "alloc")
+        binds = _count_calls(monkeypatch, Memory, "bind_all")
+        warm = TalMachine()
+        assert warm.load_component(comp) is tpl.instrs
+        assert (built[0], allocs[0], binds[0]) == (0, 0, 1)
+        assert not hasattr(Memory, "bind")
+        assert all(warm.memory.heap[loc] is cell
+                   for loc, cell in tpl.cells.items())
+        assert warm.budget.heap_used == cold.budget.heap_used \
+            == tpl.size == sum(Memory._cells(h) for _, h in comp.heap)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_warm_run_builds_no_cell(self, engine, monkeypatch):
+        image = _fact_f(3)
+        _forget_templates(image)
+        cold = FTMachine(tal_engine=engine)
+        value = str(cold.evaluate(image))
+        built = _count_calls(monkeypatch, tal_machine, "HeapCell")
+        binds = _count_calls(monkeypatch, Memory, "bind_all")
+        warm = FTMachine(tal_engine=engine)
+        assert str(warm.evaluate(image)) == value
+        assert built[0] == 0
+        assert binds[0] == sum(1 for c in _components(image, []) if c.heap)
+        assert warm.budget.spent() == cold.budget.spent()
+
+    def test_binding_a_bound_label_is_refused_whole(self):
+        comp = fig3_call_to_call.build()
+        machine = TalMachine()
+        machine.load_component(comp)
+        tpl = comp._template
+        before = (dict(machine.memory.heap), machine.budget.heap_used)
+        with pytest.raises(MachineError, match="already bound"):
+            machine.memory.bind_all(tpl.cells, tpl.sizes, tpl.size)
+        assert before == (dict(machine.memory.heap), machine.budget.heap_used)
+
+    @pytest.mark.parametrize("ceiling", range(0, 26))
+    @pytest.mark.parametrize("soft_ratio", (0.5, 0.8, 1.0))
+    def test_one_charge_equals_one_per_cell(self, ceiling, soft_ratio):
+        """The bulk charge trips, warns and counts exactly as charging
+        each allocation in turn: same ``heap_used``, same verdict, same
+        soft-limit counter and gauge."""
+        sizes = (1, 2, 1, 1, 2, 0, 1)
+
+        def outcome(charge):
+            budget = Budget(heap=ceiling)
+            budget.soft_ratio = soft_ratio
+            obs.enable(record=False)
+            obs.reset()
+            verdict = None
+            try:
+                for _ in range(3):
+                    try:
+                        charge(budget)
+                    except HeapExhausted as err:
+                        verdict = (err.limit, err.spent, str(err))
+                        break
+                metrics = obs.OBS.metrics.snapshot()
+            finally:
+                obs.disable()
+                obs.reset()
+            return (budget.heap_used, verdict, sorted(budget._soft_warned),
+                    metrics["counters"], metrics["gauges"])
+
+        def one_at_a_time(budget):
+            for cells in sizes:
+                budget.charge_heap(cells)
+
+        bulk = outcome(lambda b: b.charge_heap_all(sizes, sum(sizes)))
+        assert bulk == outcome(one_at_a_time)
 
 
 class TestMemoIsInvisible:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import FuelExhausted, MachineError
 from repro.papers_examples import fig3_call_to_call, sec3_sequences
-from repro.tal.heap import Memory
+from repro.tal.heap import HeapCell, Memory
 from repro.tal.machine import (
     HaltedState, rename_locs, run_component, TalMachine,
 )
@@ -55,7 +55,7 @@ class TestMemory:
         mem = Memory()
         loc = mem.alloc(HTuple(()), BOX)
         with pytest.raises(MachineError, match="already bound"):
-            mem.bind(loc, HTuple(()), BOX)
+            mem.bind_all({loc: HeapCell(BOX, HTuple(()))}, (0,), 0)
 
 
 class TestArithmeticAndMoves:
